@@ -203,12 +203,15 @@ def measure_trace_cell(family: str, trace_length: int, repeats: int) -> dict:
 
 
 def measure_streaming_cell(trace_length: int, block_size: int) -> dict:
-    """Time a streamed cold build and a streamed simulation.
+    """Time a streamed cold build, a materialized cold build of the same
+    trace, and a streamed simulation.
 
-    Bypasses the trace cache (a fresh uncached stream per timing), so
-    both numbers are genuine block-at-a-time throughput: the scalar
-    emitters behind a bounded pump for the build, the block-windowed
-    ``Simulator`` loop for the run.
+    Bypasses the trace cache (a fresh uncached stream or build per
+    timing), so every number is genuine throughput: the generators'
+    vectorized sub-batches re-blocked for the streamed build, the same
+    sub-batches concatenated for the materialized one, and the
+    block-windowed ``Simulator`` loop for the run.
+    ``build_vs_materialized`` is streamed ÷ materialized build ips.
     """
     from repro.experiments.configs import CacheDesign, build_hierarchy
     from repro.sim.simulator import Simulator
@@ -220,6 +223,9 @@ def measure_streaming_cell(trace_length: int, block_size: int) -> dict:
     for block in spec.stream(trace_length, block_size):
         rows += len(block)
     build_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    materialized = len(spec.build(trace_length))
+    materialized_seconds = time.perf_counter() - t0
     sim = Simulator(
         spec.stream(trace_length, block_size),
         build_hierarchy(CacheDesign.cd1()),
@@ -230,12 +236,17 @@ def measure_streaming_cell(trace_length: int, block_size: int) -> dict:
     t0 = time.perf_counter()
     sim.run()
     sim_seconds = time.perf_counter() - t0
+    build_ips = rows / build_seconds
+    materialized_ips = materialized / materialized_seconds
     return {
         "workload": spec.name,
         "trace_length": rows,
         "block_size": block_size,
         "build_seconds": build_seconds,
-        "build_ips": rows / build_seconds,
+        "build_ips": build_ips,
+        "materialized_build_seconds": materialized_seconds,
+        "materialized_build_ips": materialized_ips,
+        "build_vs_materialized": build_ips / materialized_ips,
         "sim_seconds": sim_seconds,
         "sim_ips": rows / sim_seconds,
     }
@@ -620,11 +631,13 @@ def format_report(report: dict) -> str:
             lines.append("")
         lines.append(
             f"{'streamed (block ' + str(cell['block_size']) + ')':32s} "
-            f"{'length':>8s} {'build ips':>12s} {'sim ips':>12s}"
+            f"{'length':>8s} {'build ips':>12s} {'sim ips':>12s} "
+            f"{'vs built':>9s}"
         )
         lines.append(
             f"{cell['workload']:32s} {cell['trace_length']:>8d} "
-            f"{cell['build_ips']:>12,.0f} {cell['sim_ips']:>12,.0f}"
+            f"{cell['build_ips']:>12,.0f} {cell['sim_ips']:>12,.0f} "
+            f"{cell['build_vs_materialized']:>8.2f}x"
         )
     if "multicore_cells" in report:
         if lines:

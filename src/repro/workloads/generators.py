@@ -19,7 +19,7 @@ Two implementations coexist for every pattern family:
 
 * the original one-instruction-at-a-time **scalar** loops
   (``_scalar_emit_*``) — the behavioural reference, also used to finish
-  the last partial round of a trace; and
+  the last budget-clamped rounds of every phase; and
 * **vectorized** numpy kernels (``_vec_emit_*``) that decode the same
   Mersenne-Twister word stream in bulk (:mod:`repro.workloads.rng`,
   :mod:`repro.workloads.vectorize`) and emit instruction blocks with
@@ -27,22 +27,37 @@ Two implementations coexist for every pattern family:
 
 Both produce *byte-identical* ``pcs``/``addrs``/``flags`` arrays — pinned
 by the golden trace-equivalence suite (``tests/test_trace_equivalence``).
+
+Every emitter is a generator of ``(pcs, addrs, flags)`` sub-batches.  The
+vectorized kernels work through a phase ``_SUB_ROWS`` rows at a time,
+with every decode window sized for one sub-batch, and carry the rest
+from one sub-batch to the next: the word position of the shared
+``random.Random`` (one :class:`~repro.workloads.rng.BulkRandom` per
+phase), the round index and emitted count, and the walk state (pointer
+chase node, drifting line cursor, compute stream-element count).  One
+phase-composition generator, :func:`_compose_rows`, drains them in plan
+order; :func:`_compose` concatenates it into a :class:`Trace` and
+:func:`stream_workload` re-blocks it into a
+:class:`~repro.workloads.streaming.TraceStream`, so both tiers run the
+same code and a streamed trace holds O(sub-batch + block) rows at any
+length.
+
 The public ``emit_*`` functions dispatch to the vectorized kernels, or to
-the scalar loops under :func:`scalar_generators` /
-``REPRO_SCALAR_GENERATORS=1`` (the benchmark's before/after reference).
+the scalar loops inside :func:`scalar_generators` (the reference the
+tests and ``repro bench`` compare against).
 """
 
 from __future__ import annotations
 
-import os
+import array
 import random
 from contextlib import contextmanager
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
 from .rng import BulkRandom
-from .streaming import TraceStream, pump_blocks
+from .streaming import TraceStream, reblock
 from .trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -65,6 +80,9 @@ from .vectorize import (
     randrange_tables,
 )
 
+#: one emitted sub-batch: parallel ``(pcs, addrs, flags)`` arrays
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 #: distinct PC regions per pattern so PC-indexed predictors can separate them
 _PC_STRIDE = 0x40
 
@@ -72,9 +90,14 @@ _PC_STRIDE = 0x40
 #: than it saves; both paths are byte-identical, so this is pure tuning.
 _VEC_MIN = 512
 
+#: rows per vectorized sub-batch.  Every decode window and scratch array
+#: is sized for one sub-batch, so emission holds O(sub-batch) rows
+#: whatever the phase budget; the output is byte-identical at any value.
+_SUB_ROWS = 2048
+
 #: module switch for the scalar reference implementations (see
-#: :func:`scalar_generators`); the env var pins it for a whole process.
-_use_scalar = bool(os.environ.get("REPRO_SCALAR_GENERATORS"))
+#: :func:`scalar_generators`).
+_use_scalar = False
 
 
 @contextmanager
@@ -82,8 +105,10 @@ def scalar_generators():
     """Force the scalar reference emitters inside the ``with`` block.
 
     Used by ``repro bench --phase traces`` to measure the vectorized
-    kernels against the original loops in one process, and handy when
-    bisecting a suspected generator divergence.
+    kernels against the original loops in one process, by the tests as
+    the byte-for-byte oracle, and handy when bisecting a suspected
+    generator divergence.  The switch is read as each phase starts, so
+    consume a stream inside the block too.
     """
     global _use_scalar
     previous = _use_scalar
@@ -119,13 +144,22 @@ def _filler(
             builder.nop(_pc(pc_block, 8))
 
 
-def _emit_filler(builder, rng, count, pc_block, mispredict_rate) -> None:
-    """Filler block, bulk when large enough to be worth decoding."""
-    if _use_scalar or count < _VEC_MIN:
-        _filler(builder, rng, count, pc_block, mispredict_rate)
-        return
+def _scalar_rows(emit, *args, **kwargs) -> Iterator[Rows]:
+    """Run a scalar emitter into a scratch builder; yield its rows."""
+    builder = TraceBuilder("", "")
+    emit(builder, *args, **kwargs)
+    if len(builder):
+        trace = builder.build()
+        yield trace.pcs, trace.addrs, trace.flags
+
+
+def _vec_filler(rng, count, pc_block, mispredict_rate) -> Iterator[Rows]:
+    """Vectorized :func:`_filler`, decoded in bulk sub-batches (filler is
+    memoryless, so split decodes equal one)."""
     br = BulkRandom(rng)
-    builder.extend(*bulk_filler(br, count, pc_block, mispredict_rate))
+    for lo in range(0, count, _SUB_ROWS):
+        yield bulk_filler(br, min(_SUB_ROWS, count - lo), pc_block,
+                          mispredict_rate)
     br.sync()
 
 
@@ -433,122 +467,158 @@ def _scalar_emit_producer_consumer(
 
 
 # --------------------------------------------------------------------------
-# vectorized emitters
+# vectorized emitters: resumable generators of bounded sub-batches
 # --------------------------------------------------------------------------
 
 def _load_flags(dep_mask: np.ndarray) -> np.ndarray:
     return np.where(dep_mask, FLAG_LOAD | FLAG_DEP, FLAG_LOAD).astype(np.uint8)
 
 
+def _rounds_per_batch(round_rows: int) -> int:
+    """Whole rounds of at most ``round_rows`` rows per sub-batch."""
+    return max(1, _SUB_ROWS // round_rows)
+
+
+def _chain(win: WordWindow, tables, rounds: int, margin: int):
+    """Word offsets where ``rounds`` consecutive rounds start, plus the
+    offset after the last, walked through the one-round jump table (the
+    last entry of ``tables(win)``).
+
+    An offset within ``margin`` words of the window's end may have been
+    clamped at its sentinel by the tables, so the window regrows and the
+    walk resumes from the last good round.  Returns the offsets and the
+    tables they index.  Callers drop the window and its tables before
+    decoding the next sub-batch, so only one is ever alive.
+    """
+    t = tables(win)
+    step = t[-1].item
+    limit = win.size - margin
+    offs = np.empty(rounds + 1, dtype=np.int64)
+    o = 0
+    k = 0
+    while True:
+        if o >= limit:
+            win.grow()
+            t = tables(win)
+            step = t[-1].item
+            limit = win.size - margin
+            o = step(offs[k - 1]) if k else 0
+            continue
+        offs[k] = o
+        if k == rounds:
+            return offs, t
+        o = step(o)
+        k += 1
+
+
 def _vec_emit_stream(
-    builder, rng, instructions, base_line, pc_block,
+    rng, instructions, base_line, pc_block,
     stride=1, gap=2, mispredict_rate=0.002, store_every=0,
     elements_per_line=8, array_lines=0, dep_every_lines=4,
-) -> None:
+) -> Iterator[Rows]:
     """Vectorized :func:`emit_stream`: the iteration skeleton (line walk,
     store cadence, dependence period) is a closed-form function of the
-    iteration index, and the only RNG consumer is the filler — so the
-    whole prefix of *full* iterations is three numpy scatters plus one
-    bulk filler decode."""
+    iteration index, and the only RNG consumer is the filler — so each
+    sub-batch of *full* iterations is three numpy scatters plus one bulk
+    filler decode, resumed at the next iteration index."""
     L = instructions
     epl = elements_per_line
     se = store_every
-    # Emitted-before-iteration counts; an iteration is *full* (its filler
-    # gap is not budget-clamped) while e + 1 + store + gap <= L.
-    hi = L // (1 + gap) + 2
-    i_arr = np.arange(hi, dtype=np.int64)
-    s_arr = ((i_arr % se) == se - 1).astype(np.int64) if se else \
-        np.zeros(hi, dtype=np.int64)
-    e_arr = i_arr * (1 + gap) + (i_arr // se if se else 0)
-    partial = e_arr + 1 + s_arr + gap > L
-    K = int(np.argmax(partial)) if partial.any() else hi
-    if K:
-        i_arr, s_arr, e_arr = i_arr[:K], s_arr[:K], e_arr[:K]
-        br = BulkRandom(rng)
+    period = -(-array_lines // stride)  # ceil: advances per wrap
+
+    def emitted_before(i):
+        return i * (1 + gap) + (i // se if se else 0)
+
+    # Iteration i is *full* (its filler gap is not budget-clamped) while
+    # it ends within the budget: emitted_before(i + 1) <= L.
+    K, hi = 0, L // (1 + gap) + 1  # emitted_before(hi) > L
+    while hi - K > 1:
+        mid = (K + hi) // 2
+        if emitted_before(mid) <= L:
+            K = mid
+        else:
+            hi = mid
+    br = BulkRandom(rng)
+    batch = _rounds_per_batch(2 + gap)
+    for i0 in range(0, K, batch):
+        n = min(batch, K - i0)
+        i_arr = np.arange(i0, i0 + n, dtype=np.int64)
+        s_arr = ((i_arr % se) == se - 1).astype(np.int64) if se else \
+            np.zeros(n, dtype=np.int64)
+        pos = emitted_before(i_arr) - emitted_before(i0)
         g = i_arr // epl
         element = i_arr - g * epl
-        if array_lines:
-            period = -(-array_lines // stride)  # ceil: advances per wrap
-            adv = g % period
-        else:
-            adv = g
-        line = base_line + stride * adv
+        line = base_line + stride * (g % period if array_lines else g)
         dep = (element == 0) & (g % max(1, dep_every_lines) == 0)
 
-        total = int(e_arr[-1]) + 1 + int(s_arr[-1]) + gap
+        total = emitted_before(i0 + n) - emitted_before(i0)
         pcs = np.empty(total, dtype=np.int64)
         addrs = np.zeros(total, dtype=np.int64)
         flags = np.zeros(total, dtype=np.uint8)
-
-        pcs[e_arr] = _pc(pc_block, 0)
-        addrs[e_arr] = (line << LINE_SHIFT) | ((element * 8) & 0x3F)
-        flags[e_arr] = _load_flags(dep)
+        pcs[pos] = _pc(pc_block, 0)
+        addrs[pos] = (line << LINE_SHIFT) | ((element * 8) & 0x3F)
+        flags[pos] = _load_flags(dep)
         if se:
             sm = s_arr.astype(bool)
-            store_pos = e_arr[sm] + 1
+            store_pos = pos[sm] + 1
             pcs[store_pos] = _pc(pc_block, 1)
             addrs[store_pos] = (line[sm] << LINE_SHIFT) | 8
             flags[store_pos] = FLAG_STORE
         if gap:
-            fpc, _, ffl = bulk_filler(br, gap * K, pc_block, mispredict_rate)
+            fpc, _, ffl = bulk_filler(br, gap * n, pc_block, mispredict_rate)
             fpos = (
-                (e_arr + 1 + s_arr)[:, None]
-                + np.arange(gap, dtype=np.int64)
+                (pos + 1 + s_arr)[:, None] + np.arange(gap, dtype=np.int64)
             ).ravel()
             pcs[fpos] = fpc
             flags[fpos] = ffl
-        builder.extend(pcs, addrs, flags)
-        br.sync()
+        yield pcs, addrs, flags
+    br.sync()
 
     # Scalar tail: at most a couple of budget-clamped iterations.
     g = K // epl
-    if array_lines:
-        period = -(-array_lines // stride)
-        adv = g % period
-    else:
-        adv = g
-    _scalar_emit_stream(
-        builder, rng, instructions, base_line, pc_block,
+    adv = g % period if array_lines else g
+    yield from _scalar_rows(
+        _scalar_emit_stream, rng, instructions, base_line, pc_block,
         stride=stride, gap=gap, mispredict_rate=mispredict_rate,
         store_every=se, elements_per_line=epl, array_lines=array_lines,
         dep_every_lines=dep_every_lines,
         _state=(base_line + stride * adv, stride * adv,
-                int(e_arr[-1]) + 1 + int(s_arr[-1]) + gap if K else 0,
-                K, g),
+                emitted_before(K), K, g),
     )
 
 
 def _vec_emit_stencil(
-    builder, rng, instructions, base_line, pc_block,
+    rng, instructions, base_line, pc_block,
     arrays=3, array_gap_lines=1 << 16, mispredict_rate=0.001,
     elements_per_line=8,
-) -> None:
+) -> Iterator[Rows]:
     """Vectorized :func:`emit_stencil`: uniform rounds of ``arrays``
     accesses + 3 filler build directly as a ``(rounds, size)`` matrix."""
-    L = instructions
     rs = arrays + 3
-    K = L // rs
-    if K:
-        br = BulkRandom(rng)
-        i_arr = np.arange(K, dtype=np.int64)
+    K = instructions // rs
+    br = BulkRandom(rng)
+    batch = _rounds_per_batch(rs)
+    for k0 in range(0, K, batch):
+        n = min(batch, K - k0)
+        i_arr = np.arange(k0, k0 + n, dtype=np.int64)
         line_index = i_arr // elements_per_line
         element = i_arr % elements_per_line
-        pcs = np.empty((K, rs), dtype=np.int64)
-        addrs = np.zeros((K, rs), dtype=np.int64)
-        flags = np.zeros((K, rs), dtype=np.uint8)
+        pcs = np.empty((n, rs), dtype=np.int64)
+        addrs = np.zeros((n, rs), dtype=np.int64)
+        flags = np.zeros((n, rs), dtype=np.uint8)
         offset = (element * 8) & 0x3F
         for a in range(arrays):
             line = base_line + a * array_gap_lines + line_index
             pcs[:, a] = _pc(pc_block, a)
             addrs[:, a] = (line << LINE_SHIFT) | offset
             flags[:, a] = FLAG_STORE if a == arrays - 1 else FLAG_LOAD
-        fpc, _, ffl = bulk_filler(br, 3 * K, pc_block, mispredict_rate)
-        pcs[:, arrays:] = fpc.reshape(K, 3)
-        flags[:, arrays:] = ffl.reshape(K, 3)
-        builder.extend(pcs.ravel(), addrs.ravel(), flags.ravel())
-        br.sync()
-    _scalar_emit_stencil(
-        builder, rng, instructions, base_line, pc_block,
+        fpc, _, ffl = bulk_filler(br, 3 * n, pc_block, mispredict_rate)
+        pcs[:, arrays:] = fpc.reshape(n, 3)
+        flags[:, arrays:] = ffl.reshape(n, 3)
+        yield pcs.ravel(), addrs.ravel(), flags.ravel()
+    br.sync()
+    yield from _scalar_rows(
+        _scalar_emit_stencil, rng, instructions, base_line, pc_block,
         arrays=arrays, array_gap_lines=array_gap_lines,
         mispredict_rate=mispredict_rate, elements_per_line=elements_per_line,
         _state=(K * rs, K),
@@ -556,60 +626,35 @@ def _vec_emit_stencil(
 
 
 def _vec_emit_gups(
-    builder, rng, instructions, base_line, working_set_lines, pc_block,
+    rng, instructions, base_line, working_set_lines, pc_block,
     mispredict_rate=0.005,
-) -> None:
+) -> Iterator[Rows]:
     """Vectorized :func:`emit_gups`: one ``randrange`` + load/store pair +
     8 filler per round; the word-offset chain walks precomputed
     randrange/filler jump tables, everything else is gathers."""
-    L = instructions
-    K = L // 10
+    K = instructions // 10
+
+    def tables(win):
+        rr = randrange_tables(win, working_set_lines)
+        fj1 = filler_jump(win)
+        # One whole round — randrange, then an 8-instruction filler
+        # run — as a single composed jump table.
+        return rr, fj1, compose_jump(fj1, 8)[rr.after]
+
     br = BulkRandom(rng)
-    if K:
-        win = WordWindow(br, K * 21 + 256)
-
-        def tables():
-            rr = randrange_tables(win, working_set_lines)
-            fj1 = filler_jump(win)
-            # One whole round — randrange, then an 8-instruction filler
-            # run — as a single composed jump table.
-            return rr, fj1, compose_jump(fj1, 8)[rr.after]
-
-        rr, fjmp1, G = tables()
-        offs = np.empty(K, dtype=np.int64)
-        G_item = G.item
-        o = 0
-        limit = win.size - 64
-        k = 0
-        while k < K:
-            if o >= limit:
-                # The offset may have been sentinel-clamped by the old
-                # window's tables: regrow, then recompute it from the
-                # last committed round with the fresh tables.
-                win.grow()
-                rr, fjmp1, G = tables()
-                G_item = G.item
-                limit = win.size - 64
-                o = G_item(offs[k - 1]) if k else 0
-                continue
-            offs[k] = o
-            o = G_item(o)
-            k += 1
-        while o >= limit:
-            # the *final* offset may be sentinel-clamped too: regrow
-            # until it decodes inside the window
-            win.grow()
-            rr, fjmp1, G = tables()
-            G_item = G.item
-            limit = win.size - 64
-            o = G_item(offs[K - 1])
-        br.advance_words(o)
+    batch = _rounds_per_batch(10)
+    for k0 in range(0, K, batch):
+        n = min(batch, K - k0)
+        win = WordWindow(br, n * 21 + 256)
+        offs, (rr, fjmp1, G) = _chain(win, tables, n, 64)
+        br.advance_words(int(offs[n]))
+        offs = offs[:n]
         vals = rr.value_at(offs)
         fstarts = rr.after[offs]
 
-        pcs = np.empty((K, 10), dtype=np.int64)
-        addrs = np.zeros((K, 10), dtype=np.int64)
-        flags = np.zeros((K, 10), dtype=np.uint8)
+        pcs = np.empty((n, 10), dtype=np.int64)
+        addrs = np.zeros((n, 10), dtype=np.int64)
+        flags = np.zeros((n, 10), dtype=np.uint8)
         line = base_line + vals
         pcs[:, 0] = _pc(pc_block, 0)
         addrs[:, 0] = line << LINE_SHIFT
@@ -617,134 +662,118 @@ def _vec_emit_gups(
         pcs[:, 1] = _pc(pc_block, 1)
         addrs[:, 1] = (line << LINE_SHIFT) | 8
         flags[:, 1] = FLAG_STORE
-        offs = filler_run_offsets(fjmp1, fstarts, 8)
-        fpc, ffl = filler_at(win, offs.ravel(), pc_block, mispredict_rate)
-        pcs[:, 2:] = fpc.reshape(K, 8)
-        flags[:, 2:] = ffl.reshape(K, 8)
-        builder.extend(pcs.ravel(), addrs.ravel(), flags.ravel())
+        foffs = filler_run_offsets(fjmp1, fstarts, 8)
+        fpc, ffl = filler_at(win, foffs.ravel(), pc_block, mispredict_rate)
+        pcs[:, 2:] = fpc.reshape(n, 8)
+        flags[:, 2:] = ffl.reshape(n, 8)
+        yield pcs.ravel(), addrs.ravel(), flags.ravel()
+        del win, rr, fjmp1, G  # one window at a time (see _chain)
     br.sync()
-    _scalar_emit_gups(
-        builder, rng, instructions, base_line, working_set_lines, pc_block,
-        mispredict_rate=mispredict_rate, _emitted=K * 10,
+    yield from _scalar_rows(
+        _scalar_emit_gups, rng, instructions, base_line, working_set_lines,
+        pc_block, mispredict_rate=mispredict_rate, _emitted=K * 10,
     )
 
 
 def _vec_emit_pointer_chase(
-    builder, rng, instructions, base_line, working_set_lines, pc_block,
+    rng, instructions, base_line, working_set_lines, pc_block,
     gap=8, mispredict_rate=0.02, decoy_rate=0.3,
-) -> None:
+) -> Iterator[Rows]:
     """Vectorized :func:`emit_pointer_chase`: the Sattolo cycle is drawn
-    through the bulk RNG, the walk itself is a precomputed permutation
-    orbit, and the decoy/filler decode is an offset chain."""
+    through the bulk RNG, the walk itself follows the permutation orbit
+    from the carried node, and the decoy/filler decode is an offset
+    chain."""
     L = instructions
     br = BulkRandom(rng)
-    perm = list(range(working_set_lines))
+    # a compact array, not a list: the permutation lives for the whole
+    # phase, and a list of Python ints would be ~8x its size.
+    perm = array.array("i", range(working_set_lines))
     if working_set_lines > 1:
-        js = br.randrange_var(range(working_set_lines - 1, 0, -1)).tolist()
-        for i, j in zip(range(working_set_lines - 1, 0, -1), js):
+        bounds = range(working_set_lines - 1, 0, -1)
+        for i, j in zip(bounds, br.randrange_var(bounds)):
             perm[i], perm[j] = perm[j], perm[i]
     state = int(br.randrange(working_set_lines, 1)[0])
 
+    def tables(win):
+        fj1 = filler_jump(win)
+        fjg = compose_jump(fj1, gap)
+        # One round: optional decoy-decision double, then the gap run.
+        return fj1, fjg[clamped_step(win, 2)] if decoy_rate else fjg
+
     max_round = 5 + gap
+    batch = _rounds_per_batch(max_round)
     emitted = 0
-    if L >= max_round:
-        # Speculatively decode an upper bound of rounds (as if none were
-        # budget-clamped), then cut at the round where the scalar loop
-        # would have stopped; only the words of kept rounds are committed.
-        K_max = (L - max_round) // (1 + gap) + 2
-        win = WordWindow(br, K_max * (2 + gap * 3) + 256)
-
-        def tables():
-            fj1 = filler_jump(win)
-            fjg = compose_jump(fj1, gap)
-            # One round: optional decoy-decision double, then the gap run.
-            return fj1, fjg[clamped_step(win, 2)] if decoy_rate else fjg
-
-        fjmp1, G = tables()
-        offs = np.empty(K_max + 1, dtype=np.int64)
-        G_item = G.item
-        o = 0
-        limit = win.size - (8 + 4 * gap)
-        k = 0
-        while k <= K_max:
-            if o >= limit:
-                # possibly sentinel-clamped by the old tables: regrow
-                # and recompute from the last committed round
-                win.grow()
-                fjmp1, G = tables()
-                G_item = G.item
-                limit = win.size - (8 + 4 * gap)
-                o = G_item(offs[k - 1]) if k else 0
-                continue
-            offs[k] = o
-            o = G_item(o)
-            k += 1
+    while emitted <= L - max_round:
+        # Speculatively decode an upper bound of the rounds left (as if
+        # none were budget-clamped), then cut at the round where the
+        # scalar loop would have stopped; only the words of kept rounds
+        # are committed.
+        n = min(batch, (L - max_round - emitted) // (1 + gap) + 1)
+        win = WordWindow(br, n * (2 + gap * 3) + 256)
+        offs, (fjmp1, G) = _chain(win, tables, n, 8 + 4 * gap)
         if decoy_rate:
-            dc_full = win.mant[offs[:K_max]] < ithreshold(decoy_rate)
+            dc_full = win.mant[offs[:n]] < ithreshold(decoy_rate)
         else:
-            dc_full = np.zeros(K_max, dtype=bool)
+            dc_full = np.zeros(n, dtype=bool)
         sizes = np.where(dc_full, 5 + gap, 1 + gap).astype(np.int64)
-        e_before = np.cumsum(sizes) - sizes
-        K = int(np.searchsorted(e_before, L - max_round, side="right"))
+        off = np.cumsum(sizes) - sizes
+        K = int(np.searchsorted(off, L - max_round - emitted, side="right"))
         br.advance_words(int(offs[K]))
 
-        if K:
-            dc_arr = dc_full[:K]
-            off = e_before[:K]
-            emitted = int(off[-1] + sizes[K - 1])
-            fstarts = offs[:K] + (2 if decoy_rate else 0)
-            states = np.empty(K, dtype=np.int64)
-            s = state
-            for k in range(K):
-                states[k] = s
-                s = perm[s]
-            state = s
+        dc_arr = dc_full[:K]
+        off = off[:K]
+        fstarts = offs[:K] + (2 if decoy_rate else 0)
+        states = np.empty(K, dtype=np.int64)
+        s = state
+        for k in range(K):
+            states[k] = s
+            s = perm[s]
+        state = s
 
-            total = emitted
-            pcs = np.empty(total, dtype=np.int64)
-            addrs = np.zeros(total, dtype=np.int64)
-            flags = np.zeros(total, dtype=np.uint8)
-            line = base_line + states
-            pcs[off] = _pc(pc_block, 0)
-            addrs[off] = line << LINE_SHIFT
-            flags[off] = FLAG_LOAD | FLAG_DEP
-            if dc_arr.any():
-                doff = off[dc_arr]
-                dpos = (
-                    doff[:, None] + np.arange(1, 5, dtype=np.int64)
-                ).ravel()
-                dline = (
-                    line[dc_arr][:, None]
-                    + np.arange(1, 5, dtype=np.int64)
-                )
-                pcs[dpos] = _pc(pc_block, 2)
-                addrs[dpos] = (dline << LINE_SHIFT).ravel()
-                flags[dpos] = FLAG_LOAD
-            if gap:
-                foffs = filler_run_offsets(fjmp1, fstarts, gap)
-                fpc, ffl = filler_at(
-                    win, foffs.ravel(), pc_block, mispredict_rate
-                )
-                fpos = (
-                    (off + np.where(dc_arr, 5, 1))[:, None]
-                    + np.arange(gap, dtype=np.int64)
-                ).ravel()
-                pcs[fpos] = fpc
-                flags[fpos] = ffl
-            builder.extend(pcs, addrs, flags)
+        total = int(off[-1] + sizes[K - 1])
+        pcs = np.empty(total, dtype=np.int64)
+        addrs = np.zeros(total, dtype=np.int64)
+        flags = np.zeros(total, dtype=np.uint8)
+        line = base_line + states
+        pcs[off] = _pc(pc_block, 0)
+        addrs[off] = line << LINE_SHIFT
+        flags[off] = FLAG_LOAD | FLAG_DEP
+        if dc_arr.any():
+            doff = off[dc_arr]
+            dpos = (doff[:, None] + np.arange(1, 5, dtype=np.int64)).ravel()
+            dline = line[dc_arr][:, None] + np.arange(1, 5, dtype=np.int64)
+            pcs[dpos] = _pc(pc_block, 2)
+            addrs[dpos] = (dline << LINE_SHIFT).ravel()
+            flags[dpos] = FLAG_LOAD
+        if gap:
+            foffs = filler_run_offsets(fjmp1, fstarts, gap)
+            fpc, ffl = filler_at(win, foffs.ravel(), pc_block,
+                                 mispredict_rate)
+            fpos = (
+                (off + np.where(dc_arr, 5, 1))[:, None]
+                + np.arange(gap, dtype=np.int64)
+            ).ravel()
+            pcs[fpos] = fpc
+            flags[fpos] = ffl
+        yield pcs, addrs, flags
+        del win, fjmp1, G  # one window at a time (see _chain)
+        emitted += total
+        if K < n:
+            break
     br.sync()
-    _scalar_emit_pointer_chase(
-        builder, rng, instructions, base_line, working_set_lines, pc_block,
-        gap=gap, mispredict_rate=mispredict_rate, decoy_rate=decoy_rate,
+    yield from _scalar_rows(
+        _scalar_emit_pointer_chase, rng, instructions, base_line,
+        working_set_lines, pc_block, gap=gap,
+        mispredict_rate=mispredict_rate, decoy_rate=decoy_rate,
         _state=(perm, state, emitted),
     )
 
 
 def _vec_emit_hash_probe(
-    builder, rng, instructions, base_line, working_set_lines, pc_block,
+    rng, instructions, base_line, working_set_lines, pc_block,
     locality=0.1, gap=8, mispredict_rate=0.015, chain_length=2,
     decoy_rate=0.25,
-) -> None:
+) -> Iterator[Rows]:
     """Vectorized :func:`emit_hash_probe`: hot/cold randrange tables feed
     a per-round offset chain; the dependent bucket chains are Fibonacci
     hashes of the probe value, computed as whole index arrays."""
@@ -752,202 +781,162 @@ def _vec_emit_hash_probe(
     cl = chain_length
     hot_lines = max(8, int(working_set_lines * 0.01))
     max_round = 1 + 4 * cl + 4 + gap
+
+    def tables(win):
+        fj1 = filler_jump(win)
+        fj3 = compose_jump(fj1, 3)
+        fjg = compose_jump(fj1, gap)
+        rrh = randrange_tables(win, hot_lines)
+        rrw = randrange_tables(win, working_set_lines)
+        hot_t = win.below(locality)
+        sent = np.int32(win.size - 2)
+        s2 = clamped_step(win, 2)
+        r_after = np.where(hot_t, rrh.after[s2], rrw.after[s2])
+        hops_after = compose_jump(fj3, cl)[r_after] if cl else r_after
+        g_start = np.minimum(hops_after + 2, sent) if decoy_rate \
+            else hops_after
+        return (fj1, fj3, rrh, rrw, hot_t, r_after, hops_after,
+                fjg[g_start])
+
     br = BulkRandom(rng)
+    batch = _rounds_per_batch(max_round)
     emitted = 0
-    if L >= max_round:
-        K_max = (L - max_round) // (max_round - 4) + 2
-        win = WordWindow(br, K_max * (7 + (3 * cl + gap) * 5 // 2) + 256)
-
-        def tables():
-            fj1 = filler_jump(win)
-            fj3 = compose_jump(fj1, 3)
-            fjg = compose_jump(fj1, gap)
-            rrh = randrange_tables(win, hot_lines)
-            rrw = randrange_tables(win, working_set_lines)
-            hot_t = win.below(locality)
-            sent = np.int32(win.size - 2)
-            s2 = clamped_step(win, 2)
-            r_after = np.where(hot_t, rrh.after[s2], rrw.after[s2])
-            hops_after = compose_jump(fj3, cl)[r_after] if cl else r_after
-            g_start = np.minimum(hops_after + 2, sent) if decoy_rate \
-                else hops_after
-            return (fj1, fj3, rrh, rrw, hot_t, r_after, hops_after,
-                    fjg[g_start])
-
-        fjmp1, fjmp3, rrh, rrw, hot_t, r_after, hops_after, G = tables()
-        offs = np.empty(K_max + 1, dtype=np.int64)
-        G_item = G.item
-        o = 0
-        limit = win.size - (16 + 4 * (3 * cl + gap))
-        k = 0
-        while k <= K_max:
-            if o >= limit:
-                # possibly sentinel-clamped by the old tables: regrow
-                # and recompute from the last committed round
-                win.grow()
-                (fjmp1, fjmp3, rrh, rrw, hot_t, r_after, hops_after,
-                 G) = tables()
-                G_item = G.item
-                limit = win.size - (16 + 4 * (3 * cl + gap))
-                o = G_item(offs[k - 1]) if k else 0
-                continue
-            offs[k] = o
-            o = G_item(o)
-            k += 1
+    while emitted <= L - max_round:
+        # speculative decode + cut, as in the pointer chase
+        n = min(batch, (L - max_round - emitted) // (max_round - 4) + 1)
+        win = WordWindow(br, n * (7 + (3 * cl + gap) * 5 // 2) + 256)
+        offs, (fjmp1, fjmp3, rrh, rrw, hot_t, r_after, hops_after, G) = \
+            _chain(win, tables, n, 16 + 4 * (3 * cl + gap))
         if decoy_rate:
-            dc_full = win.mant[hops_after[offs[:K_max]]] < \
+            dc_full = win.mant[hops_after[offs[:n]]] < \
                 ithreshold(decoy_rate)
         else:
-            dc_full = np.zeros(K_max, dtype=bool)
+            dc_full = np.zeros(n, dtype=bool)
         sizes = (1 + 4 * cl + gap + np.where(dc_full, 4, 0)).astype(np.int64)
-        e_before = np.cumsum(sizes) - sizes
-        K = int(np.searchsorted(e_before, L - max_round, side="right"))
+        off = np.cumsum(sizes) - sizes
+        K = int(np.searchsorted(off, L - max_round - emitted, side="right"))
         br.advance_words(int(offs[K]))
 
-        if K:
-            ro = offs[:K]
-            hot_arr = hot_t[ro]
-            dc_arr = dc_full[:K]
-            o1 = np.minimum(ro + 2, win.size - 2)
-            val_arr = np.where(
-                hot_arr, rrh.value_at(o1), rrw.value_at(o1)
-            ).astype(np.int64)
-            off = e_before[:K]
-            emitted = int(off[-1] + sizes[K - 1])
-            total = emitted
-            pcs = np.empty(total, dtype=np.int64)
-            addrs = np.zeros(total, dtype=np.int64)
-            flags = np.zeros(total, dtype=np.uint8)
+        ro = offs[:K]
+        hot_arr = hot_t[ro]
+        dc_arr = dc_full[:K]
+        o1 = np.minimum(ro + 2, win.size - 2)
+        val_arr = np.where(
+            hot_arr, rrh.value_at(o1), rrw.value_at(o1)
+        ).astype(np.int64)
+        off = off[:K]
+        total = int(off[-1] + sizes[K - 1])
+        pcs = np.empty(total, dtype=np.int64)
+        addrs = np.zeros(total, dtype=np.int64)
+        flags = np.zeros(total, dtype=np.uint8)
 
-            line = base_line + val_arr
-            pcs[off] = np.where(hot_arr, _pc(pc_block, 5), _pc(pc_block, 0))
-            addrs[off] = line << LINE_SHIFT
-            flags[off] = FLAG_LOAD
-            fs = r_after[ro]
-            for hop in range(cl):
-                line = base_line + (line * 2654435761 + hop) % \
-                    working_set_lines
-                hpos = off + 1 + 4 * hop
-                pcs[hpos] = _pc(pc_block, 1)
-                addrs[hpos] = line << LINE_SHIFT
-                flags[hpos] = FLAG_LOAD | FLAG_DEP
-                foffs = filler_run_offsets(fjmp1, fs, 3)
-                fpc, ffl = filler_at(
-                    win, foffs.ravel(), pc_block, mispredict_rate
-                )
-                fpos = (
-                    (hpos + 1)[:, None] + np.arange(3, dtype=np.int64)
-                ).ravel()
-                pcs[fpos] = fpc.ravel()
-                flags[fpos] = ffl.ravel()
-                fs = fjmp3[fs]
-            if dc_arr.any():
-                dpos = (
-                    (off[dc_arr] + 1 + 4 * cl)[:, None]
-                    + np.arange(4, dtype=np.int64)
-                ).ravel()
-                dline = (
-                    line[dc_arr][:, None] + np.arange(1, 5, dtype=np.int64)
-                )
-                pcs[dpos] = _pc(pc_block, 3)
-                addrs[dpos] = (dline << LINE_SHIFT).ravel()
-                flags[dpos] = FLAG_LOAD
-            if gap:
-                fg = np.minimum(hops_after[ro] + 2, win.size - 2) \
-                    if decoy_rate else hops_after[ro]
-                foffs = filler_run_offsets(fjmp1, fg, gap)
-                fpc, ffl = filler_at(
-                    win, foffs.ravel(), pc_block, mispredict_rate
-                )
-                fpos = (
-                    (off + 1 + 4 * cl + np.where(dc_arr, 4, 0))[:, None]
-                    + np.arange(gap, dtype=np.int64)
-                ).ravel()
-                pcs[fpos] = fpc
-                flags[fpos] = ffl
-            builder.extend(pcs, addrs, flags)
+        line = base_line + val_arr
+        pcs[off] = np.where(hot_arr, _pc(pc_block, 5), _pc(pc_block, 0))
+        addrs[off] = line << LINE_SHIFT
+        flags[off] = FLAG_LOAD
+        fs = r_after[ro]
+        for hop in range(cl):
+            line = base_line + (line * 2654435761 + hop) % working_set_lines
+            hpos = off + 1 + 4 * hop
+            pcs[hpos] = _pc(pc_block, 1)
+            addrs[hpos] = line << LINE_SHIFT
+            flags[hpos] = FLAG_LOAD | FLAG_DEP
+            foffs = filler_run_offsets(fjmp1, fs, 3)
+            fpc, ffl = filler_at(
+                win, foffs.ravel(), pc_block, mispredict_rate
+            )
+            fpos = (
+                (hpos + 1)[:, None] + np.arange(3, dtype=np.int64)
+            ).ravel()
+            pcs[fpos] = fpc.ravel()
+            flags[fpos] = ffl.ravel()
+            fs = fjmp3[fs]
+        if dc_arr.any():
+            dpos = (
+                (off[dc_arr] + 1 + 4 * cl)[:, None]
+                + np.arange(4, dtype=np.int64)
+            ).ravel()
+            dline = line[dc_arr][:, None] + np.arange(1, 5, dtype=np.int64)
+            pcs[dpos] = _pc(pc_block, 3)
+            addrs[dpos] = (dline << LINE_SHIFT).ravel()
+            flags[dpos] = FLAG_LOAD
+        if gap:
+            fg = np.minimum(hops_after[ro] + 2, win.size - 2) \
+                if decoy_rate else hops_after[ro]
+            foffs = filler_run_offsets(fjmp1, fg, gap)
+            fpc, ffl = filler_at(
+                win, foffs.ravel(), pc_block, mispredict_rate
+            )
+            fpos = (
+                (off + 1 + 4 * cl + np.where(dc_arr, 4, 0))[:, None]
+                + np.arange(gap, dtype=np.int64)
+            ).ravel()
+            pcs[fpos] = fpc
+            flags[fpos] = ffl
+        yield pcs, addrs, flags
+        # one window at a time (see _chain)
+        del win, fjmp1, fjmp3, rrh, rrw, hot_t, r_after, hops_after, G
+        emitted += total
+        if K < n:
+            break
     br.sync()
-    _scalar_emit_hash_probe(
-        builder, rng, instructions, base_line, working_set_lines, pc_block,
-        locality=locality, gap=gap, mispredict_rate=mispredict_rate,
-        chain_length=chain_length, decoy_rate=decoy_rate,
-        _emitted=emitted,
+    yield from _scalar_rows(
+        _scalar_emit_hash_probe, rng, instructions, base_line,
+        working_set_lines, pc_block, locality=locality, gap=gap,
+        mispredict_rate=mispredict_rate, chain_length=chain_length,
+        decoy_rate=decoy_rate, _emitted=emitted,
     )
 
 
 def _vec_emit_graph_walk(
-    builder, rng, instructions, base_line, num_vertices_lines, pc_block,
+    rng, instructions, base_line, num_vertices_lines, pc_block,
     neighbors_per_vertex=4, mispredict_rate=0.01, gap=3, clustering=0.3,
-) -> None:
+) -> Iterator[Rows]:
     """Vectorized :func:`emit_graph_walk`: uniform rounds (frontier scan +
     ``neighbors_per_vertex`` probes) built as a matrix, with hot/cold
     vertex randrange tables driving the neighbour targets."""
-    L = instructions
     npv = neighbors_per_vertex
     hot_vertices = max(16, num_vertices_lines // 64)
     vertex_base = base_line + (1 << 20)
     rs = 1 + npv * (1 + gap) + gap
-    K = L // rs
+    K = instructions // rs
+
+    def tables(win):
+        fj1 = filler_jump(win)
+        fjg = compose_jump(fj1, gap)
+        rrh = randrange_tables(win, hot_vertices)
+        rrn = randrange_tables(win, num_vertices_lines)
+        hot_t = win.below(clustering)
+        s2 = clamped_step(win, 2)
+        # One neighbour: clustering double, hot/cold randrange,
+        # dependence double, then the gap-instruction filler run.
+        nb_after = np.where(hot_t, rrh.after[s2], rrn.after[s2])
+        fstart_t = np.minimum(nb_after + 2, np.int32(win.size - 2))
+        N = fjg[fstart_t]
+        # Full round: npv neighbours, then the final filler run.
+        return (fj1, rrh, rrn, hot_t, nb_after, fstart_t, N,
+                fjg[compose_jump(N, npv)])
+
     br = BulkRandom(rng)
-    if K:
+    batch = _rounds_per_batch(rs)
+    for k0 in range(0, K, batch):
+        n = min(batch, K - k0)
         win = WordWindow(
-            br, K * (npv * (7 + 5 * gap // 2) + 5 * gap // 2) + 256
+            br, n * (npv * (7 + 5 * gap // 2) + 5 * gap // 2) + 256
         )
+        offs, (fjmp1, rrh, rrn, hot_t, nb_after, fstart_t, N, G) = \
+            _chain(win, tables, n, 16 + (npv + 1) * 4 * gap)
+        br.advance_words(int(offs[n]))
 
-        def tables():
-            fj1 = filler_jump(win)
-            fjg = compose_jump(fj1, gap)
-            rrh = randrange_tables(win, hot_vertices)
-            rrn = randrange_tables(win, num_vertices_lines)
-            hot_t = win.below(clustering)
-            s2 = clamped_step(win, 2)
-            # One neighbour: clustering double, hot/cold randrange,
-            # dependence double, then the gap-instruction filler run.
-            nb_after = np.where(hot_t, rrh.after[s2], rrn.after[s2])
-            fstart_t = np.minimum(nb_after + 2, np.int32(win.size - 2))
-            N = fjg[fstart_t]
-            # Full round: npv neighbours, then the final filler run.
-            return (fj1, rrh, rrn, hot_t, nb_after, fstart_t, N,
-                    fjg[compose_jump(N, npv)])
-
-        fjmp1, rrh, rrn, hot_t, nb_after, fstart_t, N, G = tables()
-        offs = np.empty(K, dtype=np.int64)
-        G_item = G.item
-        o = 0
-        limit = win.size - (16 + (npv + 1) * 4 * gap)
-        k = 0
-        while k < K:
-            if o >= limit:
-                # possibly sentinel-clamped by the old tables: regrow
-                # and recompute from the last committed round
-                win.grow()
-                fjmp1, rrh, rrn, hot_t, nb_after, fstart_t, N, G = tables()
-                G_item = G.item
-                limit = win.size - (16 + (npv + 1) * 4 * gap)
-                o = G_item(offs[k - 1]) if k else 0
-                continue
-            offs[k] = o
-            o = G_item(o)
-            k += 1
-        while o >= limit:
-            # the *final* offset may be sentinel-clamped too: regrow
-            # until it decodes inside the window
-            win.grow()
-            fjmp1, rrh, rrn, hot_t, nb_after, fstart_t, N, G = tables()
-            G_item = G.item
-            limit = win.size - (16 + (npv + 1) * 4 * gap)
-            o = G_item(offs[K - 1])
-        br.advance_words(o)
-
-        i_arr = np.arange(K, dtype=np.int64)
-        pcs = np.empty((K, rs), dtype=np.int64)
-        addrs = np.zeros((K, rs), dtype=np.int64)
-        flags = np.zeros((K, rs), dtype=np.uint8)
+        i_arr = np.arange(k0, k0 + n, dtype=np.int64)
+        pcs = np.empty((n, rs), dtype=np.int64)
+        addrs = np.zeros((n, rs), dtype=np.int64)
+        flags = np.zeros((n, rs), dtype=np.uint8)
         pcs[:, 0] = _pc(pc_block, 0)
         addrs[:, 0] = ((base_line + i_arr // 8) << LINE_SHIFT) | \
             ((i_arr * 8) & 0x3F)
         flags[:, 0] = FLAG_LOAD
-        cur = offs
+        cur = offs[:n]
         for nb in range(npv):
             col = 1 + nb * (1 + gap)
             hot = hot_t[cur]
@@ -964,41 +953,40 @@ def _vec_emit_graph_walk(
                 fpc, ffl = filler_at(
                     win, foffs.ravel(), pc_block, mispredict_rate
                 )
-                pcs[:, col + 1: col + 1 + gap] = fpc.reshape(K, gap)
-                flags[:, col + 1: col + 1 + gap] = ffl.reshape(K, gap)
+                pcs[:, col + 1: col + 1 + gap] = fpc.reshape(n, gap)
+                flags[:, col + 1: col + 1 + gap] = ffl.reshape(n, gap)
             cur = N[cur]
         if gap:
             foffs = filler_run_offsets(fjmp1, cur, gap)
             fpc, ffl = filler_at(win, foffs.ravel(), pc_block,
                                  mispredict_rate)
-            pcs[:, rs - gap:] = fpc.reshape(K, gap)
-            flags[:, rs - gap:] = ffl.reshape(K, gap)
-        builder.extend(pcs.ravel(), addrs.ravel(), flags.ravel())
+            pcs[:, rs - gap:] = fpc.reshape(n, gap)
+            flags[:, rs - gap:] = ffl.reshape(n, gap)
+        yield pcs.ravel(), addrs.ravel(), flags.ravel()
+        # one window at a time (see _chain)
+        del win, fjmp1, rrh, rrn, hot_t, nb_after, fstart_t, N, G, cur
     br.sync()
-    _scalar_emit_graph_walk(
-        builder, rng, instructions, base_line, num_vertices_lines, pc_block,
-        neighbors_per_vertex=npv, mispredict_rate=mispredict_rate,
-        gap=gap, clustering=clustering,
+    yield from _scalar_rows(
+        _scalar_emit_graph_walk, rng, instructions, base_line,
+        num_vertices_lines, pc_block, neighbors_per_vertex=npv,
+        mispredict_rate=mispredict_rate, gap=gap, clustering=clustering,
         _state=(base_line + K // 8, K, K * rs),
     )
 
 
 def _vec_emit_compute(
-    builder, rng, instructions, base_line, pc_block,
+    rng, instructions, base_line, pc_block,
     memory_ratio=0.08, working_set_lines=4096, mispredict_rate=0.04,
     streaming_fraction=0.5,
-) -> None:
+) -> Iterator[Rows]:
     """Vectorized :func:`emit_compute`: every instruction consumes one to
     three draws, so the decode is a single per-instruction offset chain
     through one composed transition table; the streaming component's
-    element/line state is a prefix-sum over the stream-load subsequence."""
+    element/line state is a prefix-sum over the stream-load subsequence,
+    resumed from the stream loads of earlier sub-batches."""
     L = instructions
-    br = BulkRandom(rng)
-    # ~4.4 words/instruction: every instruction draws the memory-ratio
-    # double, then either the filler or the stream/irregular decode.
-    win = WordWindow(br, L * 9 // 2 + 256)
 
-    def tables():
+    def tables(win):
         below_ratio = win.below(memory_ratio)
         below_sf = win.below(streaming_fraction)
         below_b = win.below(0.15)
@@ -1014,189 +1002,183 @@ def _vec_emit_compute(
         np.clip(T, 0, win.size - 2, out=T)
         return below_ratio, below_sf, below_b, rr, T
 
-    below_ratio, below_sf, below_b, rr, T = tables()
-    offs = np.empty(L, dtype=np.int64)
-    T_item = T.item
-    o = 0
-    limit = win.size - 64
-    k = 0
-    while k < L:
-        if o >= limit:
-            # possibly sentinel-clamped by the old tables: regrow and
-            # recompute from the last committed instruction
-            win.grow()
-            below_ratio, below_sf, below_b, rr, T = tables()
-            T_item = T.item
-            limit = win.size - 64
-            o = T_item(offs[k - 1]) if k else 0
-            continue
-        offs[k] = o
-        o = T_item(o)
-        k += 1
-    while o >= limit:
-        # the *final* offset may be sentinel-clamped too: regrow until
-        # it decodes inside the window
-        win.grow()
-        below_ratio, below_sf, below_b, rr, T = tables()
-        T_item = T.item
-        limit = win.size - 64
-        o = T_item(offs[L - 1])
-    br.advance_words(o)
+    br = BulkRandom(rng)
+    streamed = 0
+    for lo in range(0, L, _SUB_ROWS):
+        n = min(_SUB_ROWS, L - lo)
+        # ~4.4 words/instruction: every instruction draws the
+        # memory-ratio double, then either the filler or the
+        # stream/irregular decode.
+        win = WordWindow(br, n * 9 // 2 + 256)
+        offs, (below_ratio, below_sf, below_b, rr, T) = \
+            _chain(win, tables, n, 64)
+        br.advance_words(int(offs[n]))
+        offs = offs[:n]
 
-    mem = below_ratio[offs]
-    stream = mem & below_sf[offs + 2]
-    irregular = mem & ~stream
-    fill = ~mem
-    fbranch = fill & below_b[offs + 2]
-    fmis = fbranch & (win.mant[offs + 4] < ithreshold(mispredict_rate))
+        mem = below_ratio[offs]
+        stream = mem & below_sf[offs + 2]
+        irregular = mem & ~stream
+        fill = ~mem
+        fbranch = fill & below_b[offs + 2]
+        fmis = fbranch & (win.mant[offs + 4] < ithreshold(mispredict_rate))
 
-    pcs = np.empty(L, dtype=np.int64)
-    addrs = np.zeros(L, dtype=np.int64)
-    flags = np.zeros(L, dtype=np.uint8)
+        pcs = np.empty(n, dtype=np.int64)
+        addrs = np.zeros(n, dtype=np.int64)
+        flags = np.zeros(n, dtype=np.uint8)
 
-    j = np.arange(int(stream.sum()), dtype=np.int64)
-    element = j & 7
-    pcs[stream] = _pc(pc_block, 0)
-    addrs[stream] = ((base_line + (j >> 3)) << LINE_SHIFT) | \
-        ((element * 8) & 0x3F)
-    flags[stream] = _load_flags((j & 31) == 0)
+        count = int(stream.sum())
+        j = np.arange(streamed, streamed + count, dtype=np.int64)
+        streamed += count
+        element = j & 7
+        pcs[stream] = _pc(pc_block, 0)
+        addrs[stream] = ((base_line + (j >> 3)) << LINE_SHIFT) | \
+            ((element * 8) & 0x3F)
+        flags[stream] = _load_flags((j & 31) == 0)
 
-    if irregular.any():
-        v = rr.value_at(np.minimum(offs[irregular] + 4, win.size - 1))
-        pcs[irregular] = _pc(pc_block, 1)
-        addrs[irregular] = (base_line + (1 << 20) + v) << LINE_SHIFT
-        flags[irregular] = FLAG_LOAD
+        if irregular.any():
+            v = rr.value_at(np.minimum(offs[irregular] + 4, win.size - 1))
+            pcs[irregular] = _pc(pc_block, 1)
+            addrs[irregular] = (base_line + (1 << 20) + v) << LINE_SHIFT
+            flags[irregular] = FLAG_LOAD
 
-    pcs[fill] = np.where(fbranch[fill], _pc(pc_block, 9), _pc(pc_block, 8))
-    fl = np.where(fbranch, FLAG_BRANCH, 0).astype(np.uint8)
-    fl[fmis] |= FLAG_MISPRED
-    flags[fill] = fl[fill]
-    builder.extend(pcs, addrs, flags)
+        pcs[fill] = np.where(fbranch[fill], _pc(pc_block, 9),
+                             _pc(pc_block, 8))
+        fl = np.where(fbranch, FLAG_BRANCH, 0).astype(np.uint8)
+        fl[fmis] |= FLAG_MISPRED
+        flags[fill] = fl[fill]
+        yield pcs, addrs, flags
+        # one window at a time (see _chain)
+        del win, below_ratio, below_sf, below_b, rr, T
     br.sync()
 
 
 def _vec_emit_strided_drift(
-    builder, rng, instructions, base_line, pc_block,
+    rng, instructions, base_line, pc_block,
     base_stride=1, stride_span=4, drift_every=64, gap=2,
     mispredict_rate=0.002, elements_per_line=8,
-) -> None:
+) -> Iterator[Rows]:
     """Vectorized :func:`emit_strided_drift`: the drifting line walk is a
     prefix-sum over the per-line stride schedule (a pure function of the
-    line index), and the filler is the only RNG consumer — so the full
-    prefix is one scatter plus one bulk filler decode."""
-    L = instructions
+    line index) from the carried line cursor, and the filler is the only
+    RNG consumer — so each sub-batch is one scatter plus one bulk filler
+    decode."""
     epl = elements_per_line
-    hi = L // (1 + gap) + 2
-    i_arr = np.arange(hi, dtype=np.int64)
-    e_arr = i_arr * (1 + gap)
-    partial = e_arr + 1 + gap > L
-    K = int(np.argmax(partial)) if partial.any() else hi
-    # Line start address per line index (needed through the tail's
-    # resume line K // epl): base + prefix sum of the drift schedule.
-    n_lines = K // epl + 1
-    strides = base_stride + (
-        np.arange(n_lines - 1, dtype=np.int64) // drift_every
-    ) % stride_span
-    line_pos = base_line + np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(strides))
-    )
-    if K:
-        br = BulkRandom(rng)
-        i_arr, e_arr = i_arr[:K], e_arr[:K]
+    # full iterations: (i + 1) * (1 + gap) <= instructions
+    K = instructions // (1 + gap)
+    br = BulkRandom(rng)
+    batch = _rounds_per_batch(1 + gap)
+    line = base_line  # the cursor: where line index i0 // epl lies
+    for i0 in range(0, K, batch):
+        n = min(batch, K - i0)
+        i_arr = np.arange(i0, i0 + n, dtype=np.int64)
         g = i_arr // epl
         element = i_arr - g * epl
         dep = (element == 0) & (g % drift_every == 0)
-        line = line_pos[g]
-        total = int(e_arr[-1]) + 1 + gap
+        # line starts from this sub-batch's first line through the next
+        # one's: the cursor plus a prefix sum of the drift schedule
+        g0, g1 = i0 // epl, (i0 + n) // epl
+        strides = base_stride + (
+            np.arange(g0, g1, dtype=np.int64) // drift_every
+        ) % stride_span
+        line_pos = line + np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(strides))
+        )
+        line = int(line_pos[-1])
+
+        e_arr = (i_arr - i0) * (1 + gap)
+        total = n * (1 + gap)
         pcs = np.empty(total, dtype=np.int64)
         addrs = np.zeros(total, dtype=np.int64)
         flags = np.zeros(total, dtype=np.uint8)
         pcs[e_arr] = _pc(pc_block, 0)
-        addrs[e_arr] = (line << LINE_SHIFT) | ((element * 8) & 0x3F)
+        addrs[e_arr] = (line_pos[g - g0] << LINE_SHIFT) | \
+            ((element * 8) & 0x3F)
         flags[e_arr] = _load_flags(dep)
         if gap:
-            fpc, _, ffl = bulk_filler(br, gap * K, pc_block, mispredict_rate)
+            fpc, _, ffl = bulk_filler(br, gap * n, pc_block, mispredict_rate)
             fpos = (
                 (e_arr + 1)[:, None] + np.arange(gap, dtype=np.int64)
             ).ravel()
             pcs[fpos] = fpc
             flags[fpos] = ffl
-        builder.extend(pcs, addrs, flags)
-        br.sync()
-    _scalar_emit_strided_drift(
-        builder, rng, instructions, base_line, pc_block,
+        yield pcs, addrs, flags
+    br.sync()
+    yield from _scalar_rows(
+        _scalar_emit_strided_drift, rng, instructions, base_line, pc_block,
         base_stride=base_stride, stride_span=stride_span,
         drift_every=drift_every, gap=gap,
         mispredict_rate=mispredict_rate, elements_per_line=epl,
-        _state=(int(line_pos[K // epl]), K * (1 + gap), K),
+        _state=(line, K * (1 + gap), K),
     )
 
 
 def _vec_emit_producer_consumer(
-    builder, rng, instructions, base_line, pc_block,
+    rng, instructions, base_line, pc_block,
     ring_lines=1 << 12, lag=8, sync_every=16, gap=3,
     mispredict_rate=0.005,
-) -> None:
+) -> Iterator[Rows]:
     """Vectorized :func:`emit_producer_consumer`: round sizes (with or
     without the periodic sync pair) are a pure function of the round
     index, so offsets are one cumsum and the ring walk two modular index
-    arrays; only the filler touches the RNG."""
+    arrays from the carried round index; only the filler touches the
+    RNG."""
     L = instructions
     control_line = base_line + ring_lines
     max_round = 4 + gap
-    K = 0
+    br = BulkRandom(rng)
+    batch = _rounds_per_batch(max_round)
+    r0 = 0
     emitted = 0
-    if L >= max_round:
-        K_max = L // (2 + gap) + 2
-        r_full = np.arange(K_max, dtype=np.int64)
+    while emitted <= L - max_round:
+        n = min(batch, (L - max_round - emitted) // (2 + gap) + 1)
+        r_arr = np.arange(r0, r0 + n, dtype=np.int64)
         if sync_every:
-            sm_full = r_full % sync_every == 0
+            sm = r_arr % sync_every == 0
         else:
-            sm_full = np.zeros(K_max, dtype=bool)
-        sizes = (2 + gap + np.where(sm_full, 2, 0)).astype(np.int64)
-        e_before = np.cumsum(sizes) - sizes
-        K = int(np.searchsorted(e_before, L - max_round, side="right"))
-        if K:
-            br = BulkRandom(rng)
-            sm = sm_full[:K]
-            off = e_before[:K]
-            r_arr = r_full[:K]
-            emitted = int(off[-1] + sizes[K - 1])
-            pcs = np.empty(emitted, dtype=np.int64)
-            addrs = np.zeros(emitted, dtype=np.int64)
-            flags = np.zeros(emitted, dtype=np.uint8)
-            if sm.any():
-                spos = off[sm]
-                pcs[spos] = _pc(pc_block, 2)
-                addrs[spos] = control_line << LINE_SHIFT
-                flags[spos] = FLAG_LOAD | FLAG_DEP
-                pcs[spos + 1] = _pc(pc_block, 3)
-                addrs[spos + 1] = (control_line << LINE_SHIFT) | 8
-                flags[spos + 1] = FLAG_STORE
-            body = off + np.where(sm, 2, 0)
-            pcs[body] = _pc(pc_block, 0)
-            addrs[body] = (base_line + r_arr % ring_lines) << LINE_SHIFT
-            flags[body] = FLAG_STORE
-            pcs[body + 1] = _pc(pc_block, 1)
-            addrs[body + 1] = (
-                base_line + (r_arr - lag) % ring_lines
-            ) << LINE_SHIFT
-            flags[body + 1] = FLAG_LOAD
-            if gap:
-                fpc, _, ffl = bulk_filler(br, gap * K, pc_block,
-                                          mispredict_rate)
-                fpos = (
-                    (body + 2)[:, None] + np.arange(gap, dtype=np.int64)
-                ).ravel()
-                pcs[fpos] = fpc
-                flags[fpos] = ffl
-            builder.extend(pcs, addrs, flags)
-            br.sync()
-    _scalar_emit_producer_consumer(
-        builder, rng, instructions, base_line, pc_block,
-        ring_lines=ring_lines, lag=lag, sync_every=sync_every, gap=gap,
-        mispredict_rate=mispredict_rate,
-        _state=(K, emitted),
+            sm = np.zeros(n, dtype=bool)
+        sizes = (2 + gap + np.where(sm, 2, 0)).astype(np.int64)
+        off = np.cumsum(sizes) - sizes
+        K = int(np.searchsorted(off, L - max_round - emitted, side="right"))
+        sm, off, r_arr = sm[:K], off[:K], r_arr[:K]
+        total = int(off[-1] + sizes[K - 1])
+        pcs = np.empty(total, dtype=np.int64)
+        addrs = np.zeros(total, dtype=np.int64)
+        flags = np.zeros(total, dtype=np.uint8)
+        if sm.any():
+            spos = off[sm]
+            pcs[spos] = _pc(pc_block, 2)
+            addrs[spos] = control_line << LINE_SHIFT
+            flags[spos] = FLAG_LOAD | FLAG_DEP
+            pcs[spos + 1] = _pc(pc_block, 3)
+            addrs[spos + 1] = (control_line << LINE_SHIFT) | 8
+            flags[spos + 1] = FLAG_STORE
+        body = off + np.where(sm, 2, 0)
+        pcs[body] = _pc(pc_block, 0)
+        addrs[body] = (base_line + r_arr % ring_lines) << LINE_SHIFT
+        flags[body] = FLAG_STORE
+        pcs[body + 1] = _pc(pc_block, 1)
+        addrs[body + 1] = (
+            base_line + (r_arr - lag) % ring_lines
+        ) << LINE_SHIFT
+        flags[body + 1] = FLAG_LOAD
+        if gap:
+            fpc, _, ffl = bulk_filler(br, gap * K, pc_block, mispredict_rate)
+            fpos = (
+                (body + 2)[:, None] + np.arange(gap, dtype=np.int64)
+            ).ravel()
+            pcs[fpos] = fpc
+            flags[fpos] = ffl
+        yield pcs, addrs, flags
+        emitted += total
+        r0 += K
+        if K < n:
+            break
+    br.sync()
+    yield from _scalar_rows(
+        _scalar_emit_producer_consumer, rng, instructions, base_line,
+        pc_block, ring_lines=ring_lines, lag=lag, sync_every=sync_every,
+        gap=gap, mispredict_rate=mispredict_rate,
+        _state=(r0, emitted),
     )
 
 
@@ -1204,10 +1186,18 @@ def _vec_emit_producer_consumer(
 # public emitters (vectorized, scalar under ``scalar_generators()``)
 # --------------------------------------------------------------------------
 
-def emit_stream(builder, rng, instructions, base_line, pc_block,
+def _emit(scalar, vec, rng, instructions, *args, **kwargs) -> Iterator[Rows]:
+    """The sub-batches of one phase from the vectorized kernel, or from
+    the scalar loop for short budgets and under :func:`scalar_generators`."""
+    if _use_scalar or instructions < _VEC_MIN:
+        return _scalar_rows(scalar, rng, instructions, *args, **kwargs)
+    return vec(rng, instructions, *args, **kwargs)
+
+
+def emit_stream(rng, instructions, base_line, pc_block,
                 stride=1, gap=2, mispredict_rate=0.002, store_every=0,
                 elements_per_line=8, array_lines=0,
-                dep_every_lines=4) -> None:
+                dep_every_lines=4) -> Iterator[Rows]:
     """Sequential/strided node scan: the canonical prefetcher-friendly
     pattern.
 
@@ -1227,28 +1217,27 @@ def emit_stream(builder, rng, instructions, base_line, pc_block,
     after the first pass (prefetching then hides on-chip latency without
     extra DRAM traffic); 0 streams endlessly through cold memory.
     """
-    impl = _scalar_emit_stream \
-        if _use_scalar or instructions < _VEC_MIN else _vec_emit_stream
-    impl(builder, rng, instructions, base_line, pc_block, stride=stride,
-         gap=gap, mispredict_rate=mispredict_rate, store_every=store_every,
-         elements_per_line=elements_per_line, array_lines=array_lines,
-         dep_every_lines=dep_every_lines)
+    return _emit(_scalar_emit_stream, _vec_emit_stream, rng, instructions,
+                 base_line, pc_block, stride=stride, gap=gap,
+                 mispredict_rate=mispredict_rate, store_every=store_every,
+                 elements_per_line=elements_per_line,
+                 array_lines=array_lines, dep_every_lines=dep_every_lines)
 
 
-def emit_stencil(builder, rng, instructions, base_line, pc_block,
+def emit_stencil(rng, instructions, base_line, pc_block,
                  arrays=3, array_gap_lines=1 << 16, mispredict_rate=0.001,
-                 elements_per_line=8) -> None:
+                 elements_per_line=8) -> Iterator[Rows]:
     """Multiple concurrent unit-stride streams (a[i] = b[i] op c[i])."""
-    impl = _scalar_emit_stencil \
-        if _use_scalar or instructions < _VEC_MIN else _vec_emit_stencil
-    impl(builder, rng, instructions, base_line, pc_block, arrays=arrays,
-         array_gap_lines=array_gap_lines, mispredict_rate=mispredict_rate,
-         elements_per_line=elements_per_line)
+    return _emit(_scalar_emit_stencil, _vec_emit_stencil, rng, instructions,
+                 base_line, pc_block, arrays=arrays,
+                 array_gap_lines=array_gap_lines,
+                 mispredict_rate=mispredict_rate,
+                 elements_per_line=elements_per_line)
 
 
-def emit_pointer_chase(builder, rng, instructions, base_line,
-                       working_set_lines, pc_block, gap=8,
-                       mispredict_rate=0.02, decoy_rate=0.3) -> None:
+def emit_pointer_chase(rng, instructions, base_line, working_set_lines,
+                       pc_block, gap=8, mispredict_rate=0.02,
+                       decoy_rate=0.3) -> Iterator[Rows]:
     """Dependent random walk: prefetcher-adverse, highly off-chip.
 
     Every load's address comes from the previous load's data (FLAG_DEP),
@@ -1268,17 +1257,15 @@ def emit_pointer_chase(builder, rng, instructions, base_line,
     spraying useless prefetch degree past the end of the run — the
     mechanism behind the paper's prefetcher-adverse degradation.
     """
-    impl = _scalar_emit_pointer_chase \
-        if _use_scalar or instructions < _VEC_MIN \
-        else _vec_emit_pointer_chase
-    impl(builder, rng, instructions, base_line, working_set_lines, pc_block,
-         gap=gap, mispredict_rate=mispredict_rate, decoy_rate=decoy_rate)
+    return _emit(_scalar_emit_pointer_chase, _vec_emit_pointer_chase, rng,
+                 instructions, base_line, working_set_lines, pc_block,
+                 gap=gap, mispredict_rate=mispredict_rate,
+                 decoy_rate=decoy_rate)
 
 
-def emit_hash_probe(builder, rng, instructions, base_line,
-                    working_set_lines, pc_block, locality=0.1, gap=8,
-                    mispredict_rate=0.015, chain_length=2,
-                    decoy_rate=0.25) -> None:
+def emit_hash_probe(rng, instructions, base_line, working_set_lines,
+                    pc_block, locality=0.1, gap=8, mispredict_rate=0.015,
+                    chain_length=2, decoy_rate=0.25) -> Iterator[Rows]:
     """Random hash probes with dependent bucket chains (xalancbmk-like).
 
     Each probe lands on a random bucket; collisions walk a short *dependent*
@@ -1288,59 +1275,58 @@ def emit_hash_probe(builder, rng, instructions, base_line,
     where an accurate off-chip predictor wins and a prefetcher only burns
     bandwidth — the paper's prefetcher-adverse class.
     """
-    impl = _scalar_emit_hash_probe \
-        if _use_scalar or instructions < _VEC_MIN else _vec_emit_hash_probe
-    impl(builder, rng, instructions, base_line, working_set_lines, pc_block,
-         locality=locality, gap=gap, mispredict_rate=mispredict_rate,
-         chain_length=chain_length, decoy_rate=decoy_rate)
+    return _emit(_scalar_emit_hash_probe, _vec_emit_hash_probe, rng,
+                 instructions, base_line, working_set_lines, pc_block,
+                 locality=locality, gap=gap,
+                 mispredict_rate=mispredict_rate,
+                 chain_length=chain_length, decoy_rate=decoy_rate)
 
 
-def emit_graph_walk(builder, rng, instructions, base_line,
-                    num_vertices_lines, pc_block, neighbors_per_vertex=4,
-                    mispredict_rate=0.01, gap=3, clustering=0.3) -> None:
+def emit_graph_walk(rng, instructions, base_line, num_vertices_lines,
+                    pc_block, neighbors_per_vertex=4, mispredict_rate=0.01,
+                    gap=3, clustering=0.3) -> Iterator[Rows]:
     """Frontier-driven graph processing (Ligra BFS/PageRank shape).
 
     Alternates a sequential frontier/offset scan (friendly) with bursts of
     random vertex-data accesses (adverse); the blend is what makes graph
     workloads partially prefetchable.
     """
-    impl = _scalar_emit_graph_walk \
-        if _use_scalar or instructions < _VEC_MIN else _vec_emit_graph_walk
-    impl(builder, rng, instructions, base_line, num_vertices_lines, pc_block,
-         neighbors_per_vertex=neighbors_per_vertex,
-         mispredict_rate=mispredict_rate, gap=gap, clustering=clustering)
+    return _emit(_scalar_emit_graph_walk, _vec_emit_graph_walk, rng,
+                 instructions, base_line, num_vertices_lines, pc_block,
+                 neighbors_per_vertex=neighbors_per_vertex,
+                 mispredict_rate=mispredict_rate, gap=gap,
+                 clustering=clustering)
 
 
-def emit_gups(builder, rng, instructions, base_line, working_set_lines,
-              pc_block, mispredict_rate=0.005) -> None:
+def emit_gups(rng, instructions, base_line, working_set_lines, pc_block,
+              mispredict_rate=0.005) -> Iterator[Rows]:
     """Random read-modify-write updates (GUPS / streamcluster-like)."""
-    impl = _scalar_emit_gups \
-        if _use_scalar or instructions < _VEC_MIN else _vec_emit_gups
-    impl(builder, rng, instructions, base_line, working_set_lines, pc_block,
-         mispredict_rate=mispredict_rate)
+    return _emit(_scalar_emit_gups, _vec_emit_gups, rng, instructions,
+                 base_line, working_set_lines, pc_block,
+                 mispredict_rate=mispredict_rate)
 
 
-def emit_compute(builder, rng, instructions, base_line, pc_block,
+def emit_compute(rng, instructions, base_line, pc_block,
                  memory_ratio=0.08, working_set_lines=4096,
-                 mispredict_rate=0.04, streaming_fraction=0.5) -> None:
+                 mispredict_rate=0.04,
+                 streaming_fraction=0.5) -> Iterator[Rows]:
     """Compute-dominated phases with occasional memory bursts (CVP-like).
 
     The streaming component walks 8-byte elements of a sequentially-linked
     structure (periodic dependent line advance, like :func:`emit_stream`);
     the irregular component probes a random working set.
     """
-    impl = _scalar_emit_compute \
-        if _use_scalar or instructions < _VEC_MIN else _vec_emit_compute
-    impl(builder, rng, instructions, base_line, pc_block,
-         memory_ratio=memory_ratio, working_set_lines=working_set_lines,
-         mispredict_rate=mispredict_rate,
-         streaming_fraction=streaming_fraction)
+    return _emit(_scalar_emit_compute, _vec_emit_compute, rng, instructions,
+                 base_line, pc_block, memory_ratio=memory_ratio,
+                 working_set_lines=working_set_lines,
+                 mispredict_rate=mispredict_rate,
+                 streaming_fraction=streaming_fraction)
 
 
-def emit_strided_drift(builder, rng, instructions, base_line, pc_block,
+def emit_strided_drift(rng, instructions, base_line, pc_block,
                        base_stride=1, stride_span=4, drift_every=64,
                        gap=2, mispredict_rate=0.002,
-                       elements_per_line=8) -> None:
+                       elements_per_line=8) -> Iterator[Rows]:
     """Strided scan whose stride drifts over time (blocked-matrix walk).
 
     Like :func:`emit_stream` but the stride steps through
@@ -1353,19 +1339,17 @@ def emit_strided_drift(builder, rng, instructions, base_line, pc_block,
     misses are serialised and an accurate off-chip predictor still has
     headroom where the prefetcher stumbles.
     """
-    impl = _scalar_emit_strided_drift \
-        if _use_scalar or instructions < _VEC_MIN \
-        else _vec_emit_strided_drift
-    impl(builder, rng, instructions, base_line, pc_block,
-         base_stride=base_stride, stride_span=stride_span,
-         drift_every=drift_every, gap=gap,
-         mispredict_rate=mispredict_rate,
-         elements_per_line=elements_per_line)
+    return _emit(_scalar_emit_strided_drift, _vec_emit_strided_drift, rng,
+                 instructions, base_line, pc_block,
+                 base_stride=base_stride, stride_span=stride_span,
+                 drift_every=drift_every, gap=gap,
+                 mispredict_rate=mispredict_rate,
+                 elements_per_line=elements_per_line)
 
 
-def emit_producer_consumer(builder, rng, instructions, base_line, pc_block,
+def emit_producer_consumer(rng, instructions, base_line, pc_block,
                            ring_lines=1 << 12, lag=8, sync_every=16,
-                           gap=3, mispredict_rate=0.005) -> None:
+                           gap=3, mispredict_rate=0.005) -> Iterator[Rows]:
     """Producer-consumer traffic over a shared ring buffer.
 
     Each round writes the ring's head line and reads the line ``lag``
@@ -1380,48 +1364,39 @@ def emit_producer_consumer(builder, rng, instructions, base_line, pc_block,
     decides whether the ring is LLC-resident (hits after warmup) or
     streams through DRAM.
     """
-    impl = _scalar_emit_producer_consumer \
-        if _use_scalar or instructions < _VEC_MIN \
-        else _vec_emit_producer_consumer
-    impl(builder, rng, instructions, base_line, pc_block,
-         ring_lines=ring_lines, lag=lag, sync_every=sync_every, gap=gap,
-         mispredict_rate=mispredict_rate)
+    return _emit(_scalar_emit_producer_consumer,
+                 _vec_emit_producer_consumer, rng, instructions, base_line,
+                 pc_block, ring_lines=ring_lines, lag=lag,
+                 sync_every=sync_every, gap=gap,
+                 mispredict_rate=mispredict_rate)
 
 
 # --------------------------------------------------------------------------
 # whole-workload generators (phase composition)
 # --------------------------------------------------------------------------
 
-PatternFn = Callable[[TraceBuilder, random.Random, int, dict], None]
+def _compose_rows(seed, length, phases) -> Iterator[Rows]:
+    """Yield one workload's sub-batches: each (weight, emit_fn, kwargs)
+    phase for its share of ``length``, then the pad to ``length``.
 
-#: public emitter -> scalar reference implementation.  The streaming
-#: producer calls the scalar loops directly (rather than toggling the
-#: module-global ``_use_scalar``, which is not thread-safe against the
-#: pump's producer thread); both are byte-identical by the PR 3
-#: invariant, so streamed output matches the vectorized materialized
-#: path bit for bit.
-_SCALAR_IMPLS: Dict[Callable, Callable] = {}
-
-
-def _compose_into(builder, seed, length, phases, scalar=False) -> None:
-    """Run each (weight, emit_fn, kwargs) phase for its share of
-    ``length`` into ``builder`` (a ``TraceBuilder`` or a streaming
-    :class:`~repro.workloads.streaming.BlockAssembler`)."""
+    The one composition path of both tiers: :func:`_compose`
+    concatenates it, :func:`stream_workload` re-blocks it.  Emitters may
+    land a few instructions past their budget (a burst or a store
+    straddling the boundary), so the rows can overshoot ``length``;
+    consumers truncate.
+    """
     rng = random.Random(seed)
     total_weight = sum(weight for weight, _, _ in phases)
+    emitted = 0
     for weight, emit, kwargs in phases:
         budget = int(length * weight / total_weight)
         if budget > 0:
-            impl = _SCALAR_IMPLS[emit] if scalar else emit
-            impl(builder, rng, budget, **kwargs)
-    # Emitters may land a few instructions off their budget (a burst or a
-    # store straddling the boundary); deliver the exact requested length.
-    if len(builder) < length:
-        pad = length - len(builder)
-        if scalar:
-            _filler(builder, rng, pad, pc_block=0, mispredict_rate=0.0)
-        else:
-            _emit_filler(builder, rng, pad, pc_block=0, mispredict_rate=0.0)
+            for rows in emit(rng, budget, **kwargs):
+                emitted += len(rows[0])
+                yield rows
+    if emitted < length:
+        yield from _emit(_filler, _vec_filler, rng, length - emitted,
+                         pc_block=0, mispredict_rate=0.0)
 
 
 def _compose(
@@ -1433,7 +1408,8 @@ def _compose(
 ) -> Trace:
     """Materialize one workload trace from its phase plan."""
     builder = TraceBuilder(name, suite)
-    _compose_into(builder, seed, length, phases)
+    for rows in _compose_rows(seed, length, phases):
+        builder.extend(*rows)
     trace = builder.build(metadata={"seed": seed, "length": length})
     if len(trace) > length:
         trace = trace.slice(0, length)
@@ -1441,8 +1417,8 @@ def _compose(
 
 
 # Phase plans: the (weight, emitter, kwargs) list for one workload as a
-# pure function of (seed, family params) — shared by the materialized
-# composer and the streaming producer so both walk the identical plan.
+# pure function of (seed, family params) — what ``_compose_rows`` walks
+# for both the materialized builders and ``stream_workload``.
 
 def _plan_streaming(seed, stride=1):
     return [
@@ -1709,43 +1685,27 @@ WORKLOAD_PLANS: Dict[str, Callable[..., list]] = {
     "producer_consumer": _plan_producer_consumer,
 }
 
-_SCALAR_IMPLS.update({
-    emit_stream: _scalar_emit_stream,
-    emit_stencil: _scalar_emit_stencil,
-    emit_pointer_chase: _scalar_emit_pointer_chase,
-    emit_hash_probe: _scalar_emit_hash_probe,
-    emit_graph_walk: _scalar_emit_graph_walk,
-    emit_gups: _scalar_emit_gups,
-    emit_compute: _scalar_emit_compute,
-    emit_strided_drift: _scalar_emit_strided_drift,
-    emit_producer_consumer: _scalar_emit_producer_consumer,
-})
-
 
 def stream_workload(
     pattern, name, suite, seed, length, block_size, **params
 ) -> "TraceStream":
     """Emit one workload as a :class:`~repro.workloads.streaming.TraceStream`.
 
-    The producer thread runs the scalar reference emitters with their
-    full phase budgets (identical RNG consumption to the materialized
-    path — per-block budgets would clamp the filler differently), so
-    every block is a byte-exact window of the materialized trace.  Extra
+    Each traversal drains the same phase-composition generator as the
+    materialized :func:`_compose` — identical phase budgets and RNG
+    consumption — and re-blocks its sub-batches synchronously, so every
+    block is a byte-exact window of the materialized trace.  Extra
     keyword arguments are the family's usual parameters.
     """
     plan = WORKLOAD_PLANS[pattern](seed, **params)
 
-    def producer(assembler) -> None:
-        _compose_into(assembler, seed, length, plan, scalar=True)
-
-    def on_complete(total: int) -> None:
-        if total > length:
+    def factory() -> Iterator:
+        offered = yield from reblock(
+            _compose_rows(seed, length, plan), block_size, limit=length
+        )
+        if offered > length:
             # mirror the materialized path's truncation rename
             stream.name = f"{name}[0:{length}]"
-
-    def factory():
-        return pump_blocks(producer, block_size, length,
-                           on_complete=on_complete)
 
     stream = TraceStream(
         name=name,

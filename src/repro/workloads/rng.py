@@ -25,25 +25,35 @@ back by :meth:`sync`, so bulk and scalar draws can be freely interleaved
 across phase boundaries: after ``sync()`` the original object continues
 the stream exactly where the bulk draws left off.
 
-CPython's ``random.Random`` and ``numpy.random.MT19937`` implement the
-same reference MT19937 (identical 624-word state layout, twist, temper,
-and ``pos`` convention), so word generation is delegated to numpy's C
-core by injecting the captured state into a ``MT19937`` bit generator and
-reading ``random_raw`` — ~100x faster than twisting in Python and pinned
-bit-exact by ``tests/test_trace_equivalence.py``.
+Word generation stays in CPython's C core: ``getrandbits(32 * k)`` on a
+scratch ``random.Random`` positioned at the captured state draws exactly
+*k* words, least significant first, which one ``int.to_bytes`` turns
+into a word array.  Positioning the scratch generator is one
+``setstate``, so the fixed cost of a peek or commit is a few
+microseconds and decode windows can stay small.
 """
 
 from __future__ import annotations
 
+import array
 import random
 
 import numpy as np
 
-_N = 624
-
 #: ``genrand_res53``: (a*2**26 + b) / 2**53 with a=word>>5, b=word>>6.
 _RES53_SCALE = 1.0 / 9007199254740992.0
 _RES53_SHIFT = np.uint64(67108864)
+
+#: words committed per ``getrandbits`` call in :meth:`BulkRandom.advance_words`
+_ADVANCE_WORDS = 4096
+
+
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """Draw ``count`` tempered 32-bit words from ``rng`` (read-only
+    ``uint32``; shifts by ``np.uint64`` amounts widen them for the
+    53-bit mantissa arithmetic)."""
+    raw = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return np.frombuffer(raw, dtype="<u4")
 
 
 class BulkRandom:
@@ -51,89 +61,39 @@ class BulkRandom:
 
     def __init__(self, rng: random.Random) -> None:
         self._rng = rng
-        version, internal, gauss = rng.getstate()
-        if version != 3:  # pragma: no cover - CPython has used 3 since 2.6
-            raise ValueError(f"unsupported random.Random state version "
-                             f"{version}")
-        self._version = version
-        self._gauss = gauss
-        self._mt = np.array(internal[:_N], dtype=np.uint32)
-        self._pos = int(internal[_N])
-        #: (words_generated, state) snapshots from the latest peek, valid
-        #: until the live state moves; they let ``advance_words`` restore
-        #: the nearest snapshot instead of regenerating the whole span.
-        self._peek_marks = None
+        #: the stream position: a ``random.Random.getstate()`` tuple
+        self._state = rng.getstate()
+        self._scratch = random.Random(0)
 
     # -- word plumbing ------------------------------------------------------
 
-    def _bitgen(self) -> np.random.MT19937:
-        """A numpy MT19937 positioned at the current stream state."""
-        bg = np.random.MT19937()
-        bg.state = {
-            "bit_generator": "MT19937",
-            "state": {"key": self._mt, "pos": self._pos},
-        }
-        return bg
-
-    def _commit(self, bg: np.random.MT19937) -> None:
-        state = bg.state["state"]
-        self._mt = np.asarray(state["key"], dtype=np.uint32)
-        self._pos = int(state["pos"])
-        self._peek_marks = None
+    def _at_state(self) -> random.Random:
+        """The scratch generator, positioned at the current stream state."""
+        self._scratch.setstate(self._state)
+        return self._scratch
 
     def _take(self, count: int) -> np.ndarray:
-        """The next ``count`` tempered 32-bit words; consumption committed.
-
-        Values are 32-bit but delivered in numpy's native ``uint64``
-        containers (no conversion pass).
-        """
-        bg = self._bitgen()
-        out = bg.random_raw(count)
-        self._commit(bg)
+        """The next ``count`` tempered 32-bit words; consumption committed."""
+        scratch = self._at_state()
+        out = _words(scratch, count)
+        self._state = scratch.getstate()
         return out
 
-    _MARK_EVERY = 1 << 14
-
     def peek_words(self, count: int) -> np.ndarray:
-        """The next ``count`` tempered words *without* committing them.
-
-        32-bit values in ``uint64`` containers, like :meth:`_take`.
-        Leaves periodic state snapshots behind so a following
-        :meth:`advance_words` regenerates at most ``_MARK_EVERY`` words.
-        """
+        """The next ``count`` tempered words *without* committing them."""
         if count <= 0:
-            return np.empty(0, dtype=np.uint64)
-        bg = self._bitgen()
-        if count <= self._MARK_EVERY:
-            return bg.random_raw(count)
-        parts = []
-        marks = []
-        done = 0
-        while done < count:
-            take = min(self._MARK_EVERY, count - done)
-            parts.append(bg.random_raw(take))
-            done += take
-            state = bg.state["state"]
-            marks.append((done, np.asarray(state["key"], dtype=np.uint32),
-                          int(state["pos"])))
-        self._peek_marks = marks
-        return np.concatenate(parts)
+            return np.empty(0, dtype=np.uint32)
+        return _words(self._at_state(), count)
 
     def advance_words(self, count: int) -> None:
         """Commit ``count`` words previously observed via peeking."""
         if count <= 0:
             return
-        if self._peek_marks is not None:
-            for done, key, pos in reversed(self._peek_marks):
-                if done <= count:
-                    self._mt = key
-                    self._pos = pos
-                    count -= done
-                    break
-        bg = self._bitgen()
-        if count:
-            bg.random_raw(count)
-        self._commit(bg)
+        scratch = self._at_state()
+        # in bounded pieces: each draw builds a ``4 * words``-byte int
+        for done in range(0, count, _ADVANCE_WORDS):
+            scratch.getrandbits(32 * min(_ADVANCE_WORDS, count - done))
+        self._state = scratch.getstate()
 
     # -- draw primitives ----------------------------------------------------
 
@@ -163,7 +123,7 @@ class BulkRandom:
             # generator draws bounds that large, so keep the fast path.
             raise NotImplementedError("randrange bounds beyond 32 bits")
         shift = np.uint64(32 - int(n).bit_length())
-        scratch = self._bitgen()
+        scratch = self._at_state()
         accepted: list = []
         have = 0
         consumed = 0
@@ -172,7 +132,7 @@ class BulkRandom:
             # acceptance probability is n / 2**bits > 0.5, so a modest
             # overshoot nearly always finishes in one round.
             chunk = max(64, deficit + (deficit >> 2) + 8)
-            cand = scratch.random_raw(chunk) >> shift
+            cand = _words(scratch, chunk) >> shift
             ok = np.flatnonzero(cand < n)
             if have + ok.size >= k:
                 last = ok[k - have - 1]
@@ -186,28 +146,31 @@ class BulkRandom:
         self.advance_words(consumed)
         return np.concatenate(accepted).astype(np.int64)
 
-    def randrange_var(self, bounds) -> np.ndarray:
-        """``rng.randrange(n)`` for each ``n`` in ``bounds`` (varying)."""
-        out = np.empty(len(bounds), dtype=np.int64)
-        scratch = self._bitgen()
+    def randrange_var(self, bounds) -> array.array:
+        """``rng.randrange(n)`` for each ``n`` in ``bounds`` (varying), as
+        a compact ``array.array`` of int64 whose items index as Python
+        ints — the per-item consumer (a Sattolo shuffle) stays fast."""
+        out = array.array("q")
+        append = out.append
+        scratch = self._at_state()
         buf: list = []
         bi = 0
         consumed = 0
-        for j, n in enumerate(bounds):
+        for n in bounds:
             n = int(n)
             if n <= 0 or n.bit_length() > 32:
                 raise ValueError(f"unsupported randrange bound {n}")
             shift = 32 - n.bit_length()
             while True:
                 if bi == len(buf):
-                    buf = scratch.random_raw(4096).tolist()
+                    buf = _words(scratch, 1024).tolist()
                     bi = 0
                 word = buf[bi]
                 bi += 1
                 consumed += 1
                 r = word >> shift
                 if r < n:
-                    out[j] = r
+                    append(r)
                     break
         self.advance_words(consumed)
         return out
@@ -216,5 +179,4 @@ class BulkRandom:
 
     def sync(self) -> None:
         """Write the advanced state back into the wrapped ``Random``."""
-        state = tuple(int(x) for x in self._mt) + (int(self._pos),)
-        self._rng.setstate((self._version, state, self._gauss))
+        self._rng.setstate(self._state)

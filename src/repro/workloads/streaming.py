@@ -8,16 +8,15 @@ pool traffic.  This module is the streaming substrate: a trace becomes a
 simulators (whose run loops already consume the trace through a pre-chunk
 seam) hold only O(block_size) instructions at a time.
 
-The generators' scalar reference emitters are reused unchanged: a
-producer thread runs them with their *full* instruction budgets against a
-:class:`BlockAssembler` (a ``TraceBuilder``-compatible facade), and
-:func:`pump_blocks` hands finished blocks across a bounded queue.
-Running the emitters with full budgets is what keeps the streamed output
-*byte-identical* to the materialized trace — the emitters' budget-clamped
-filler near the end of a phase consumes RNG draws as a function of the
-total budget, so carving the budget into per-block pieces would change
-the stream.  The bounded queue (not the block size) is what bounds
-memory: at most ``_QUEUE_DEPTH + 2`` blocks exist at once.
+Generated workloads stream through the same code as materialized ones:
+the generators' phase-composition generator yields vectorized
+``(pcs, addrs, flags)`` sub-batches with every phase's *full* instruction
+budget (the budget-clamped filler near the end of a phase consumes RNG
+draws as a function of the total budget, so carving the budget into
+per-block pieces would change the stream), and :func:`reblock` slices
+them into blocks in the consumer, synchronously.  Resident memory is one
+generator sub-batch plus the block being assembled, whatever the trace
+length.
 
 Equivalence with the materialized path at every block size is pinned by
 ``tests/test_streaming_equivalence.py`` against the 288 golden trace
@@ -26,22 +25,12 @@ digests and the golden simulation outputs.
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Generator, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from .trace import Trace
-
-#: finished blocks buffered between the producer thread and the consumer;
-#: together with the assembler's working set this bounds resident memory
-#: at a few blocks regardless of trace length.
-_QUEUE_DEPTH = 4
-
-#: producer-side put timeout (seconds) between abandonment checks.
-_PUT_TIMEOUT = 0.1
 
 
 @dataclass
@@ -171,19 +160,19 @@ class TraceStream:
 
 
 class BlockAssembler:
-    """``TraceBuilder``-compatible facade that emits fixed-size blocks.
+    """Slices a run of ``(pcs, addrs, flags)`` arrays into fixed-size
+    blocks.
 
-    The generators' scalar emitters write into it exactly as they write
-    into a :class:`~repro.workloads.trace.TraceBuilder`; whenever a full
-    ``block_size`` worth of instructions has accumulated, the assembler
-    hands one :class:`TraceBlock` to ``emit`` and drops its rows.
+    Whenever a full ``block_size`` worth of rows has accumulated through
+    :meth:`extend`, the assembler hands one :class:`TraceBlock` to
+    ``emit`` and drops its rows.
 
-    ``__len__`` counts *every* row ever appended — including rows past
+    ``__len__`` counts *every* row ever offered — including rows past
     ``limit``, which are dropped rather than buffered.  That matches the
     materialized composer's arithmetic exactly: there the builder keeps
     overshoot rows and ``_compose`` truncates with ``trace.slice``; here
-    the truncation happens at append time, but the pad-to-length check
-    (``len(builder) < length``) still sees the same count.
+    the truncation happens at append time, but the count (and with it
+    the truncation rename) is the same.
     """
 
     def __init__(
@@ -197,33 +186,15 @@ class BlockAssembler:
         self._block_size = block_size
         self._emit = emit
         self._limit = limit
-        self._count = 0  # total rows appended (TraceBuilder length)
+        self._count = 0  # total rows offered
         self._kept = 0  # rows not dropped by the limit
-        # open scalar segment + closed numpy segments, as in TraceBuilder
-        self._pcs: list = []
-        self._addrs: list = []
-        self._flags: list = []
-        self._segments: list = []
+        self._segments: list = []  # buffered (pcs, addrs, flags) triples
         self._buffered = 0
         self._next_index = 0
         self._next_start = 0
 
     def __len__(self) -> int:
         return self._count
-
-    # -- TraceBuilder append API -------------------------------------------
-
-    def add(self, pc: int, addr: int = 0, flags: int = 0) -> None:
-        self._count += 1
-        if self._limit is not None and self._kept >= self._limit:
-            return
-        self._kept += 1
-        self._pcs.append(pc)
-        self._addrs.append(addr)
-        self._flags.append(flags)
-        self._buffered += 1
-        if self._buffered >= self._block_size:
-            self._drain()
 
     def extend(
         self, pcs: np.ndarray, addrs: np.ndarray, flags: np.ndarray
@@ -242,42 +213,14 @@ class BlockAssembler:
                 pcs, addrs, flags, n = pcs[:room], addrs[:room], \
                     flags[:room], room
         self._kept += n
-        self._close_scalar_segment()
         self._segments.append((
             np.asarray(pcs, dtype=np.int64),
             np.asarray(addrs, dtype=np.int64),
             np.asarray(flags, dtype=np.uint8),
         ))
         self._buffered += n
-        if self._buffered >= self._block_size:
-            self._drain()
-
-    def load(self, pc: int, addr: int, dependent: bool = False) -> None:
-        from .trace import FLAG_DEP, FLAG_LOAD
-        self.add(pc, addr, FLAG_LOAD | (FLAG_DEP if dependent else 0))
-
-    def store(self, pc: int, addr: int) -> None:
-        from .trace import FLAG_STORE
-        self.add(pc, addr, FLAG_STORE)
-
-    def nop(self, pc: int, count: int = 1) -> None:
-        for _ in range(count):
-            self.add(pc, 0, 0)
-
-    def branch(self, pc: int, mispredicted: bool = False) -> None:
-        from .trace import FLAG_BRANCH, FLAG_MISPRED
-        self.add(pc, 0, FLAG_BRANCH | (FLAG_MISPRED if mispredicted else 0))
-
-    # -- block assembly -----------------------------------------------------
-
-    def _close_scalar_segment(self) -> None:
-        if self._pcs:
-            self._segments.append((
-                np.asarray(self._pcs, dtype=np.int64),
-                np.asarray(self._addrs, dtype=np.int64),
-                np.asarray(self._flags, dtype=np.uint8),
-            ))
-            self._pcs, self._addrs, self._flags = [], [], []
+        while self._buffered >= self._block_size:
+            self._emit(self._pop_block(self._block_size))
 
     def _pop_block(self, size: int) -> TraceBlock:
         """Assemble exactly ``size`` rows from the front of the buffer."""
@@ -313,91 +256,11 @@ class BlockAssembler:
         self._buffered -= size
         return block
 
-    def _drain(self) -> None:
-        self._close_scalar_segment()
-        while self._buffered >= self._block_size:
-            self._emit(self._pop_block(self._block_size))
-
     def finish(self) -> int:
         """Flush the partial tail block; return the total row count."""
-        self._close_scalar_segment()
-        self._drain()
         if self._buffered:
             self._emit(self._pop_block(self._buffered))
         return self._count
-
-
-class _Abandoned(Exception):
-    """Raised inside the producer thread when the consumer went away."""
-
-
-def pump_blocks(
-    producer: Callable[[BlockAssembler], None],
-    block_size: int,
-    limit: int,
-    on_complete: Optional[Callable[[int], None]] = None,
-) -> Iterator[TraceBlock]:
-    """Run ``producer`` in a thread; yield its blocks as they finish.
-
-    ``producer(assembler)`` writes the whole trace through a
-    :class:`BlockAssembler` capped at ``limit`` rows.  Blocks cross a
-    bounded queue, so the producer stalls once ``_QUEUE_DEPTH`` blocks
-    are waiting — resident memory stays O(block_size) however long the
-    trace is.  ``on_complete(total_rows)`` fires after the last block
-    (the total includes dropped overshoot rows, letting callers mirror
-    the materialized path's truncation rename).
-
-    Abandoning the generator (break / close) flags the producer thread,
-    which aborts at its next queue put.
-    """
-    out: "queue.Queue" = queue.Queue(maxsize=_QUEUE_DEPTH)
-    abandoned = threading.Event()
-
-    def put(item) -> None:
-        while True:
-            try:
-                out.put(item, timeout=_PUT_TIMEOUT)
-                return
-            except queue.Full:
-                if abandoned.is_set():
-                    raise _Abandoned from None
-
-    def run() -> None:
-        try:
-            assembler = BlockAssembler(
-                block_size, lambda block: put(("block", block)), limit=limit
-            )
-            producer(assembler)
-            put(("done", assembler.finish()))
-        except _Abandoned:
-            pass
-        except BaseException as exc:  # surfaced on the consumer side
-            try:
-                put(("error", exc))
-            except _Abandoned:
-                pass
-
-    thread = threading.Thread(target=run, name="trace-pump", daemon=True)
-    thread.start()
-    try:
-        while True:
-            kind, payload = out.get()
-            if kind == "block":
-                yield payload
-            elif kind == "done":
-                if on_complete is not None:
-                    on_complete(payload)
-                return
-            else:
-                raise payload
-    finally:
-        abandoned.set()
-        while True:  # unblock a producer stuck on a full queue
-            try:
-                out.get_nowait()
-            except queue.Empty:
-                break
-        thread.join(timeout=5.0)
 
 
 def blocks_from_trace(
@@ -425,21 +288,20 @@ def blocks_from_trace(
 
 def reblock(
     rows: Iterable, block_size: int, limit: Optional[int] = None
-) -> Iterator[TraceBlock]:
+) -> Generator[TraceBlock, None, int]:
     """Repack arbitrary ``(pcs, addrs, flags)`` array triples into
-    fixed-size blocks — the adapter-facing half of the block API
-    (external trace files arrive in whatever chunks the parser found
-    convenient)."""
+    fixed-size blocks: the generators' sub-batches, or external trace
+    files in whatever chunks the parser found convenient.
+
+    Rows past ``limit`` are drained and dropped; the generator's return
+    value is the total row count offered, dropped rows included.
+    """
     collected: list = []
-
-    def emit(block: TraceBlock) -> None:
-        collected.append(block)
-
-    assembler = BlockAssembler(block_size, emit, limit=limit)
+    assembler = BlockAssembler(block_size, collected.append, limit=limit)
     for pcs, addrs, flags in rows:
         assembler.extend(pcs, addrs, flags)
-        while collected:
-            yield collected.pop(0)
-    assembler.finish()
-    while collected:
-        yield collected.pop(0)
+        yield from collected
+        collected.clear()
+    total = assembler.finish()
+    yield from collected
+    return total

@@ -281,9 +281,9 @@ class TraceCache:
         from disk one chunk at a time; otherwise the trace is emitted
         cold — a genuine ``trace_build`` — with every finished block
         teed into the chunk set so the next run streams warm.  Only the
-        cold tier ever holds more than one block in memory (the pump's
-        bounded queue), and none of the tiers materialize the whole
-        trace.
+        cold tier ever holds more than one block in memory (one generator
+        sub-batch plus the block being assembled), and none of the tiers
+        materialize the whole trace.
         """
         key = fingerprint(spec, length)
         with self._lock:
@@ -340,7 +340,7 @@ class TraceCache:
                             writable = False
                     chunks += 1
                     yield block
-            # Traversal finished: the producer's overshoot rename (if
+            # Traversal finished: the emitter's overshoot rename (if
             # any) has landed on ``raw.name``.
             stream.name = raw.name
             if writable:

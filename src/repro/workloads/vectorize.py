@@ -96,7 +96,7 @@ class WordWindow:
         if self.size >= count:
             return False
         size = max(int(count), self.size * 2, 4096)
-        w = self.br.peek_words(size)  # 32-bit values in uint64 containers
+        w = self.br.peek_words(size)
         self.words = w
         a = w >> _FIVE
         a *= _RES53_SHIFT
@@ -175,7 +175,7 @@ class RandrangeTables:
         shift = 32 - n.bit_length()
         # ``(w >> shift) < n``  <=>  ``w < (n << shift)`` — one compare,
         # no full-domain candidate materialization.
-        accept = win.words < np.uint64(n << shift)
+        accept = win.words < np.uint32(n << shift)
         nxt = np.where(accept, win.idx, np.int32(win.size))
         rev = nxt[::-1].copy()
         np.minimum.accumulate(rev, out=rev)

@@ -41,7 +41,8 @@ from repro.engine.jobs import (
 )
 from repro.experiments.configs import CacheDesign, build_hierarchy
 from repro.sim.simulator import Simulator
-from repro.workloads.generators import WORKLOAD_PLANS
+from repro.workloads import generators
+from repro.workloads.generators import WORKLOAD_PLANS, scalar_generators
 from repro.workloads.streaming import (
     BlockAssembler,
     TraceStream,
@@ -70,7 +71,7 @@ def _golden_digest(spec, length):
 @pytest.fixture()
 def fresh_cache():
     """A memory-only process cache, so tier state never leaks between
-    tests (streamed golden runs must exercise the cold pump, not a
+    tests (streamed golden runs must exercise cold emission, not a
     whole-trace entry left by an earlier test)."""
     cache = reset_trace_cache(TraceCache(max_bytes=1 << 30, disk_dir=None))
     yield cache
@@ -150,7 +151,7 @@ class TestAdversarialBlockSizes:
             assert digest == want, f"{spec.name} diverges at block={block}"
 
     def test_overshoot_truncation_renames_like_the_builder(self):
-        """The scalar emitters overshoot non-round lengths; the stream
+        """The emitters overshoot non-round lengths; the stream
         must apply the same truncation rename as the materialized
         builder so metadata-sensitive consumers agree."""
         spec = _REPS["streaming"]
@@ -162,6 +163,67 @@ class TestAdversarialBlockSizes:
         assert len(streamed) == len(built) == length
         assert trace_goldens.trace_digest(streamed) == \
             trace_goldens.trace_digest(built)
+
+
+# ---------------------------------------------------------------------------
+# sub-batch seams inside the generators
+# ---------------------------------------------------------------------------
+
+_SEAM_LENGTH = 49_999
+
+
+class TestSubBatchSeams:
+    """The vectorized emitters resume from carried state at every
+    sub-batch seam.  The golden lengths cross few production-size seams,
+    so more are forced two ways: tiny sub-batches at the golden lengths,
+    and long traces across many production sub-batches against the
+    scalar oracle."""
+
+    @pytest.mark.parametrize("sub_rows", (1, 7, 997))
+    def test_tiny_sub_batches_reproduce_golden_digests(
+            self, sub_rows, monkeypatch):
+        monkeypatch.setattr(generators, "_SUB_ROWS", sub_rows)
+        mismatches = []
+        for spec in _REPS.values():
+            want = _golden_digest(spec, _ADV_LENGTH)
+            built = spec.build(_ADV_LENGTH)
+            streamed = spec.stream(_ADV_LENGTH, 64).materialize()
+            for how, trace in (("built", built), ("streamed", streamed)):
+                if trace_goldens.trace_digest(trace) != want:
+                    mismatches.append(f"{spec.name} {how}")
+        assert not mismatches, (
+            f"sub-batch {sub_rows} diverges from golden: "
+            + ", ".join(mismatches))
+
+    def test_all_specs_reproduce_golden_digests_across_seams(
+            self, monkeypatch):
+        """Every golden digest, with seams inside both golden lengths."""
+        monkeypatch.setattr(generators, "_SUB_ROWS", 997)
+        mismatches = [
+            f"{spec.name}@{length}"
+            for spec in SPECS
+            for length in trace_goldens.LENGTHS
+            if trace_goldens.trace_digest(spec.build(length))
+            != _golden_digest(spec, length)
+        ]
+        assert not mismatches, (
+            f"{len(mismatches)} digests diverge across sub-batch seams: "
+            + ", ".join(mismatches[:10]))
+
+    @pytest.mark.parametrize(
+        "spec", list(_REPS.values()),
+        ids=[f"{p}:{s.name}" for p, s in _REPS.items()])
+    def test_long_trace_matches_the_scalar_oracle(self, spec):
+        assert _SEAM_LENGTH > 10 * generators._SUB_ROWS
+        with scalar_generators():
+            want = spec.build(_SEAM_LENGTH)
+        built = spec.build(_SEAM_LENGTH)
+        streamed = spec.stream(_SEAM_LENGTH, 4_096).materialize()
+        for trace in (built, streamed):
+            assert trace.name == want.name
+            np.testing.assert_array_equal(trace.pcs, want.pcs)
+            np.testing.assert_array_equal(trace.addrs, want.addrs)
+            np.testing.assert_array_equal(trace.flags, want.flags)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +444,9 @@ class TestStreamPrimitives:
     def test_assembler_truncates_at_the_limit(self):
         out = []
         asm = BlockAssembler(10, emit=out.append, limit=25)
-        for i in range(40):
-            asm.add(i, 100 + i, 0)
+        for lo in range(0, 40, 3):  # uneven pieces straddle block edges
+            rows = np.arange(lo, min(lo + 3, 40), dtype=np.int64)
+            asm.extend(rows, 100 + rows, np.zeros(len(rows), np.uint8))
         total = asm.finish()
         assert sum(len(b) for b in out) == 25
         assert total == len(asm) == 40  # counts all offered rows

@@ -1,11 +1,14 @@
 """Peak-memory ceiling for streamed traces.
 
 A streamed run must never materialize the whole trace: its traced peak
-is bounded by O(block_size) — a handful of in-flight blocks (the pump's
-bounded queue) plus constant simulator state — regardless of trace
-length.  The default tests run scaled down for CI; set
-``REPRO_MEMTEST_FULL=1`` to run the full 10x-current-max trace length
-(1M instructions, ten times :data:`repro.bench.TRACE_LENGTH`).
+is bounded by O(sub-batch + block_size) — one generator sub-batch with
+its decode window, the block being assembled, plus constant simulator
+state — regardless of trace length.  The ceilings are checked on a
+filler-only family (libquantum, streaming) and on the RNG-chain family
+whose decode window is the largest per row (mcf, pointer chase).  The
+default tests run scaled down for CI; set ``REPRO_MEMTEST_FULL=1`` to
+run the full 10x-current-max trace length (1M instructions, ten times
+:data:`repro.bench.TRACE_LENGTH`).
 """
 
 import hashlib
@@ -21,12 +24,15 @@ from repro.workloads.suites import find_workload
 pytestmark = pytest.mark.memory_ceiling
 
 SPEC_NAME = "spec06.libquantum_like.0"
+#: one filler-only family and one RNG-chain family
+CEILING_SPECS = ("spec06.libquantum_like.0", "spec06.mcf_like.0")
 BYTES_PER_ROW = 8 + 8 + 1  # int64 pc + int64 addr + uint8 flags
 
 
-def _consume_peak(length: int, block_size: int) -> int:
+def _consume_peak(length: int, block_size: int,
+                  spec_name: str = SPEC_NAME) -> int:
     """Traced peak while digesting a streamed trace block by block."""
-    stream = find_workload(SPEC_NAME).stream(length, block_size)
+    stream = find_workload(spec_name).stream(length, block_size)
     digest = hashlib.sha256()
     tracemalloc.start()
     try:
@@ -58,20 +64,22 @@ def _simulate_peak(length: int, block_size: int) -> int:
 
 
 class TestStreamedMemoryCeiling:
-    def test_consumption_peak_is_flat_in_trace_length(self):
+    @pytest.mark.parametrize("spec_name", CEILING_SPECS)
+    def test_consumption_peak_is_flat_in_trace_length(self, spec_name):
         """Tripling the trace length must not grow the traced peak:
-        only ~(pump depth) blocks are ever alive at once."""
+        only one sub-batch and a block are ever alive at once."""
         block = 1_024
-        base = _consume_peak(60_000, block)
-        tripled = _consume_peak(180_000, block)
-        # O(block_size): a few in-flight blocks, nowhere near the
-        # materialized footprint (~1 MB at the base length alone).
+        base = _consume_peak(60_000, block, spec_name)
+        tripled = _consume_peak(180_000, block, spec_name)
+        # O(sub-batch + block): nowhere near the materialized footprint
+        # (~1 MB at the base length alone).
         assert base < 64 * block * BYTES_PER_ROW
         assert tripled < 1.5 * base + 256 * 1024
 
-    def test_consumption_peak_is_far_below_materialized(self):
+    @pytest.mark.parametrize("spec_name", CEILING_SPECS)
+    def test_consumption_peak_is_far_below_materialized(self, spec_name):
         length, block = 120_000, 1_024
-        peak = _consume_peak(length, block)
+        peak = _consume_peak(length, block, spec_name)
         assert peak < (length * BYTES_PER_ROW) // 4
 
     def test_simulated_peak_stays_below_materialized_footprint(self):
