@@ -218,8 +218,8 @@ def _build_parser():
              "external files use their native length)")
     trace_stream = trace_sub.add_parser(
         "stream",
-        help="emit a trace block-at-a-time through the per-chunk cache "
-             "tier (warms REPRO_TRACE_DIR without materializing)",
+        help="emit a trace block-at-a-time through the trace cache "
+             "without materializing it",
     )
     trace_stream.add_argument(
         "source", help="registry workload name or trace:// source"
@@ -811,8 +811,7 @@ def _cmd_trace(args) -> int:
         print(f"streamed: {spec.name} length={rows} "
               f"block={args.block} blocks={blocks}")
         # greppable warm/cold verdict (CI streaming smoke)
-        print(f"trace cache: builds={stats.builds} "
-              f"chunk_hits={stats.chunk_hits} hits={stats.hits} "
+        print(f"trace cache: builds={stats.builds} hits={stats.hits} "
               f"disk_hits={stats.disk_hits}")
         return 0
 

@@ -106,8 +106,8 @@ def _stream_block_size() -> Optional[int]:
 
 def _trace_for(spec: WorkloadSpec, length: int):
     """The trace a request executes against: a :class:`TraceStream`
-    through the per-chunk cache tier when streaming is enabled, else the
-    materialized :class:`Trace`."""
+    through the trace cache's stream tiers when streaming is enabled,
+    else the materialized :class:`Trace`."""
     block = _stream_block_size()
     if block is not None:
         return stream_trace(spec, length, block)

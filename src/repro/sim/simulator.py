@@ -80,7 +80,8 @@ class SimCheckpoint:
     transition at that point fired); :meth:`Simulator.resume` re-enters
     the run from here against a fresh block stream, so a long trace's
     measured region is reachable without replaying the prefix trace
-    *simulation* (the stream itself seeks via the per-chunk disk tier).
+    *simulation* (the stream re-emits and skips the prefix rows, or
+    seeks when it re-blocks a cached whole trace).
     ``state`` is one deep-copied object graph — hierarchy, core, policy
     and loop counters together — so every shared reference inside it
     (``stats`` *is* ``hierarchy.stats``; the policy is attached to the
@@ -366,8 +367,8 @@ class Simulator:
         The checkpoint's state graph is deep-copied again, so the same
         checkpoint can be resumed repeatedly (each resume gets private
         mutable state).  The stream only needs to cover positions from
-        ``checkpoint.position`` on — with a seekable stream (the
-        per-chunk disk tier) the prefix is never even read.
+        ``checkpoint.position`` on: a cold stream re-emits and skips the
+        prefix rows; one re-blocking a cached whole trace seeks to it.
         """
         state = copy.deepcopy(checkpoint.state)
         sim = cls.__new__(cls)

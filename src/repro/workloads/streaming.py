@@ -61,9 +61,10 @@ class TraceStream:
 
     ``factory`` returns a fresh block iterator per traversal, so a stream
     can be replayed (the multi-core simulator loops traces back-to-back).
-    ``seek``, when provided (the per-chunk disk cache can start reading at
-    any chunk), maps a chunk index to an iterator beginning there; without
-    it :meth:`iter_from` falls back to skipping from the start.
+    ``seek``, when provided (a stream re-blocking a whole in-memory trace
+    can start at any block), maps a block index to an iterator beginning
+    there; without it :meth:`iter_from` falls back to skipping from the
+    start.
 
     ``name`` is deliberately mutable: the materialized composer renames an
     overshooting trace on truncation (``name[0:length]``), which a stream

@@ -473,8 +473,8 @@ def stream_trace(
 
     The streaming analogue of :func:`build_trace`: resolves through the
     process-wide cache's tiers (whole-trace memory/disk entries are
-    re-blocked; otherwise the per-chunk disk tier streams chunks without
-    ever materializing the whole trace — see
+    re-blocked; otherwise the trace is emitted cold, block by block,
+    without ever materializing it — see
     :meth:`~repro.workloads.tracecache.TraceCache.stream`).
     """
     from .tracecache import trace_cache

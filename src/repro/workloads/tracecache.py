@@ -58,7 +58,8 @@ class TraceCacheStats:
     disk_hits: int = 0     # loaded from the on-disk store
     builds: int = 0        # generated from the spec
     evictions: int = 0
-    chunk_hits: int = 0    # streamed from the per-chunk disk tier
+    chunk_hits: int = 0    # always 0: the per-chunk tier was removed;
+                           # kept for readers of the stats snapshot
 
     @property
     def misses(self) -> int:
@@ -191,74 +192,7 @@ class TraceCache:
             self._insert(key, trace)
         return trace
 
-    # -- per-chunk disk tier (streamed traces) ------------------------------
-
-    def _chunk_dir(
-        self, key: str, block_size: int
-    ) -> Optional[pathlib.Path]:
-        """Directory holding one streamed trace's chunk files.
-
-        Keyed by (content fingerprint, block size): chunk boundaries are
-        part of the stored layout, so different block sizes are distinct
-        entries — the *content* key never changes.
-        """
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / "chunks" / f"{key}.b{block_size}"
-
-    def _load_chunk_meta(
-        self, key: str, length: int, block_size: int
-    ) -> Optional[dict]:
-        """The completeness marker of a chunk set, or ``None``.
-
-        ``meta.json`` is written *after* the last chunk file, so its
-        presence (with matching schema/length/block size) certifies the
-        whole set; a crashed partial build leaves no marker and is
-        rebuilt from scratch.
-        """
-        cdir = self._chunk_dir(key, block_size)
-        if cdir is None:
-            return None
-        try:
-            meta = json.loads((cdir / "meta.json").read_text())
-        except (OSError, ValueError):
-            return None
-        if (
-            meta.get("schema") != TRACE_SCHEMA
-            or meta.get("length") != length
-            or meta.get("block_size") != block_size
-        ):
-            return None
-        return meta
-
-    def _read_chunks(
-        self, cdir: pathlib.Path, meta: dict, start_chunk: int = 0
-    ) -> Iterator[TraceBlock]:
-        """Yield blocks from a complete chunk set, one file at a time."""
-        block_size = meta["block_size"]
-        for index in range(start_chunk, meta["chunks"]):
-            piece = load_trace(cdir / f"chunk-{index:06d}.npz")
-            yield TraceBlock(
-                index=index,
-                start=index * block_size,
-                pcs=piece.pcs,
-                addrs=piece.addrs,
-                flags=piece.flags,
-            )
-
-    def _stream_from_chunks(
-        self, key: str, meta: dict, block_size: int
-    ) -> TraceStream:
-        cdir = self._chunk_dir(key, block_size)
-        return TraceStream(
-            name=meta["name"],
-            suite=meta["suite"],
-            length=meta["length"],
-            block_size=block_size,
-            factory=lambda: self._read_chunks(cdir, meta),
-            seek=lambda start: self._read_chunks(cdir, meta, start),
-            metadata=dict(meta.get("metadata") or {}),
-        )
+    # -- streamed traces ----------------------------------------------------
 
     @staticmethod
     def _stream_from_trace(trace: Trace, block_size: int) -> TraceStream:
@@ -276,14 +210,14 @@ class TraceCache:
     def stream(self, spec, length: int, block_size: int) -> TraceStream:
         """The trace for ``(spec, length)`` as a block stream.
 
-        Tier order: a whole trace already in memory or on disk is
-        re-blocked (free); otherwise a complete per-chunk set streams
-        from disk one chunk at a time; otherwise the trace is emitted
-        cold — a genuine ``trace_build`` — with every finished block
-        teed into the chunk set so the next run streams warm.  Only the
-        cold tier ever holds more than one block in memory (one generator
-        sub-batch plus the block being assembled), and none of the tiers
-        materialize the whole trace.
+        Resolution order: a whole trace in the in-memory LRU, then one
+        in the on-disk ``.npz`` tier, is re-blocked (views, no copy);
+        otherwise the trace is emitted cold — a genuine ``trace_build``.
+        A cold stream persists nothing: every traversal (including an
+        ``iter_from`` that must skip a prefix) re-emits from the start,
+        which the vectorized emitters make as cheap as reading stored
+        blocks back.  The cold tier holds one generator sub-batch plus
+        the block being assembled; no tier materializes the trace.
         """
         key = fingerprint(spec, length)
         with self._lock:
@@ -293,100 +227,34 @@ class TraceCache:
                 self.stats.hits += 1
         if cached is not None:
             return self._stream_from_trace(cached, block_size)
-        meta = self._load_chunk_meta(key, length, block_size)
-        if meta is not None:
-            with self._lock:
-                self.stats.chunk_hits += 1
-            return self._stream_from_chunks(key, meta, block_size)
         whole = self._load_from_disk(key, length)
         if whole is not None:
             with self._lock:
                 self.stats.disk_hits += 1
                 self._insert(key, whole)
             return self._stream_from_trace(whole, block_size)
-        return self._stream_cold(spec, key, length, block_size)
+        return self._stream_cold(spec, length, block_size)
 
-    def _stream_cold(
-        self, spec, key: str, length: int, block_size: int
-    ) -> TraceStream:
-        """Cold tier: emit blocks live, teeing each into the chunk set."""
+    def _stream_cold(self, spec, length: int, block_size: int) -> TraceStream:
+        """Cold tier: emit blocks live, counting each traversal a build."""
         raw = spec.stream(length, block_size)
-        cdir = self._chunk_dir(key, block_size)
 
-        def build_iter() -> Iterator[TraceBlock]:
+        def emit() -> Iterator[TraceBlock]:
             with self._lock:
                 self.stats.builds += 1
-            writable = cdir is not None
-            if writable:
-                try:
-                    cdir.mkdir(parents=True, exist_ok=True)
-                except OSError:
-                    writable = False
-            chunks = 0
             with span("trace_build", workload=getattr(spec, "name", "?"),
                       length=length):
-                for block in raw:
-                    if writable:
-                        piece = Trace(
-                            name=raw.name, suite=raw.suite,
-                            pcs=block.pcs, addrs=block.addrs,
-                            flags=block.flags,
-                            metadata={"chunk": block.index,
-                                      "start": block.start},
-                        )
-                        try:
-                            save_trace(piece, cdir / f"chunk-{chunks:06d}")
-                        except OSError:
-                            writable = False
-                    chunks += 1
-                    yield block
+                yield from raw
             # Traversal finished: the emitter's overshoot rename (if
             # any) has landed on ``raw.name``.
             stream.name = raw.name
-            if writable:
-                meta = {
-                    "schema": TRACE_SCHEMA,
-                    "length": length,
-                    "block_size": block_size,
-                    "chunks": chunks,
-                    "name": raw.name,
-                    "suite": raw.suite,
-                    "metadata": dict(raw.metadata),
-                }
-                try:
-                    tmp = cdir / f"meta.json.tmp{os.getpid()}"
-                    tmp.write_text(json.dumps(meta, sort_keys=True))
-                    os.replace(tmp, cdir / "meta.json")
-                except OSError:
-                    pass
-
-        def factory() -> Iterator[TraceBlock]:
-            meta = self._load_chunk_meta(key, length, block_size)
-            if meta is not None:  # a prior traversal completed the set
-                stream.name = meta["name"]
-                with self._lock:
-                    self.stats.chunk_hits += 1
-                return self._read_chunks(cdir, meta)
-            return build_iter()
-
-        def seek(start_chunk: int) -> Iterator[TraceBlock]:
-            meta = self._load_chunk_meta(key, length, block_size)
-            if meta is not None:
-                stream.name = meta["name"]
-                with self._lock:
-                    self.stats.chunk_hits += 1
-                return self._read_chunks(cdir, meta, start_chunk)
-            # no complete chunk set: re-emit from the start and let
-            # TraceStream.iter_from skip up to the target position
-            return build_iter()
 
         stream = TraceStream(
             name=raw.name,
             suite=raw.suite,
             length=length,
             block_size=block_size,
-            factory=factory,
-            seek=seek,
+            factory=emit,
             metadata=dict(raw.metadata),
         )
         return stream
@@ -402,6 +270,7 @@ class TraceCache:
                     entry.unlink()
                 except OSError:
                     pass
+            # a ``chunks/`` subtree left by older versions' per-chunk tier
             chunk_root = self.disk_dir / "chunks"
             if chunk_root.exists():
                 shutil.rmtree(chunk_root, ignore_errors=True)

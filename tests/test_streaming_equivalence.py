@@ -1,8 +1,9 @@
 """Chunk-boundary equivalence battery for the streaming trace substrate.
 
-The streaming path (:mod:`repro.workloads.streaming`, the per-chunk
-cache tier, ``Simulator._run_streamed``, ``_StreamedCoreContext``) must
-be *bit-identical* to the materialized reference at every block size.
+The streaming path (:mod:`repro.workloads.streaming`, the trace
+cache's cold stream tier, ``Simulator._run_streamed``,
+``_StreamedCoreContext``) must be *bit-identical* to the materialized
+reference at every block size.
 This suite pins that invariant from four directions:
 
 - every golden trace digest (``tests/golden/trace_hashes.json``)
@@ -304,14 +305,14 @@ class TestSyncStraddle:
 
 
 # ---------------------------------------------------------------------------
-# the per-chunk disk tier
+# the cold stream tier
 # ---------------------------------------------------------------------------
 
-class TestChunkTier:
+class TestColdStreamTier:
     @pytest.fixture()
     def disk_cache(self, tmp_path):
         cache = reset_trace_cache(
-            TraceCache(max_bytes=1 << 30, disk_dir=tmp_path))
+            TraceCache(max_bytes=1 << 30, disk_dir=tmp_path / "traces"))
         yield cache
         reset_trace_cache()
 
@@ -323,79 +324,47 @@ class TestChunkTier:
         spec = find_workload(self.SPEC_NAME)
         return cache.stream(spec, self.LENGTH, self.BLOCK)
 
-    def _chunk_dir(self, cache):
-        from repro.workloads.tracecache import fingerprint
+    def _built(self):
+        return find_workload(self.SPEC_NAME).build(self.LENGTH)
 
-        spec = find_workload(self.SPEC_NAME)
-        key = fingerprint(spec, self.LENGTH)
-        return cache.disk_dir / "chunks" / f"{key}.b{self.BLOCK}"
-
-    def test_cold_stream_writes_a_complete_chunk_set(self, disk_cache):
+    def test_cold_stream_persists_nothing(self, disk_cache):
         trace = self._stream(disk_cache).materialize()
         assert disk_cache.stats.builds == 1
         assert disk_cache.stats.chunk_hits == 0
-        cdir = self._chunk_dir(disk_cache)
-        chunks = sorted(p.name for p in cdir.glob("chunk-*.npz"))
-        expected = -(-self.LENGTH // self.BLOCK)
-        assert chunks == [f"chunk-{i:06d}.npz" for i in range(expected)]
-        meta = json.loads((cdir / "meta.json").read_text())
-        assert meta["length"] == self.LENGTH
-        assert meta["block_size"] == self.BLOCK
-        assert meta["chunks"] == expected
-        assert trace_goldens.trace_digest(trace) == trace_goldens.\
-            trace_digest(find_workload(self.SPEC_NAME).build(self.LENGTH))
+        disk = disk_cache.disk_dir
+        assert not disk.exists() or not any(disk.iterdir())
+        assert trace_goldens.trace_digest(trace) == \
+            trace_goldens.trace_digest(self._built())
 
-    def test_warm_stream_serves_from_chunks_without_building(
-            self, disk_cache, tmp_path):
-        cold = self._stream(disk_cache).materialize()
-        # a fresh cache over the same directory models a new process:
-        # the in-memory tier is empty, only the chunk set is warm.
-        warm_cache = reset_trace_cache(
-            TraceCache(max_bytes=1 << 30, disk_dir=tmp_path))
-        warm = self._stream(warm_cache).materialize()
-        assert warm_cache.stats.chunk_hits == 1
-        assert warm_cache.stats.builds == 0
-        assert trace_goldens.trace_digest(warm) == \
-            trace_goldens.trace_digest(cold)
+    def test_second_traversal_rebuilds_identical_blocks(self, disk_cache):
+        stream = self._stream(disk_cache)
+        first = list(stream)
+        second = list(stream)
+        assert disk_cache.stats.builds == 2
+        assert [(b.index, b.start) for b in first] == \
+            [(b.index, b.start) for b in second]
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a.pcs, b.pcs)
+            np.testing.assert_array_equal(a.addrs, b.addrs)
+            np.testing.assert_array_equal(a.flags, b.flags)
 
-    def test_missing_meta_means_rebuild(self, disk_cache, tmp_path):
-        self._stream(disk_cache).materialize()
-        (self._chunk_dir(disk_cache) / "meta.json").unlink()
-        fresh = reset_trace_cache(
-            TraceCache(max_bytes=1 << 30, disk_dir=tmp_path))
-        fresh.stream(find_workload(self.SPEC_NAME), self.LENGTH,
-                     self.BLOCK).materialize()
-        assert fresh.stats.chunk_hits == 0
-        assert fresh.stats.builds == 1
-
-    def test_stale_meta_means_rebuild(self, disk_cache, tmp_path):
-        self._stream(disk_cache).materialize()
-        meta_path = self._chunk_dir(disk_cache) / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["length"] = self.LENGTH + 1
-        meta_path.write_text(json.dumps(meta))
-        fresh = reset_trace_cache(
-            TraceCache(max_bytes=1 << 30, disk_dir=tmp_path))
-        fresh.stream(find_workload(self.SPEC_NAME), self.LENGTH,
-                     self.BLOCK).materialize()
-        assert fresh.stats.chunk_hits == 0
-        assert fresh.stats.builds == 1
-
-    def test_chunk_tier_seeks_without_reading_the_prefix(
-            self, disk_cache, tmp_path):
-        reference = self._stream(disk_cache).materialize()
-        warm_cache = reset_trace_cache(
-            TraceCache(max_bytes=1 << 30, disk_dir=tmp_path))
-        stream = self._stream(warm_cache)
-        position = 700  # mid-chunk: chunk 2 must arrive trimmed
-        tail = list(stream.iter_from(position))
+    def test_iter_from_re_emits_and_skips_the_prefix(self, disk_cache):
+        reference = self._built()
+        position = 700  # mid-block: block 2 must arrive trimmed
+        tail = list(self._stream(disk_cache).iter_from(position))
         assert tail[0].start == position
-        got = np.concatenate([b.addrs for b in tail])
-        np.testing.assert_array_equal(got, reference.addrs[position:])
+        assert disk_cache.stats.builds == 1
+        for column in ("pcs", "addrs", "flags"):
+            got = np.concatenate([getattr(b, column) for b in tail])
+            np.testing.assert_array_equal(
+                got, getattr(reference, column)[position:])
 
-    def test_clear_disk_removes_chunk_sets(self, disk_cache):
-        self._stream(disk_cache).materialize()
-        assert self._chunk_dir(disk_cache).exists()
+    def test_clear_disk_removes_legacy_chunk_sets(self, disk_cache):
+        # older versions left per-chunk sets under ``chunks/``
+        legacy = disk_cache.disk_dir / "chunks" / "0123abcd.b256"
+        legacy.mkdir(parents=True)
+        (legacy / "chunk-000000.npz").write_bytes(b"")
+        (legacy / "meta.json").write_text("{}")
         disk_cache.clear(disk=True)
         assert not (disk_cache.disk_dir / "chunks").exists()
 
