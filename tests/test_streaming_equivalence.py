@@ -359,6 +359,57 @@ class TestColdStreamTier:
             np.testing.assert_array_equal(
                 got, getattr(reference, column)[position:])
 
+    def test_cold_stream_leaves_a_new_process_cold(self, disk_cache):
+        self._stream(disk_cache).materialize()
+        # a fresh cache over the same directory models a new process:
+        # the cold stream stored nothing for it to find.
+        fresh = reset_trace_cache(
+            TraceCache(max_bytes=1 << 30, disk_dir=disk_cache.disk_dir))
+        self._stream(fresh).materialize()
+        assert fresh.stats.builds == 1
+        assert fresh.stats.disk_hits == 0
+        assert fresh.stats.hits == 0
+
+    def test_memory_tier_hit_re_blocks_without_building(self, disk_cache):
+        built = disk_cache.get_or_build(
+            find_workload(self.SPEC_NAME), self.LENGTH)
+        stream = self._stream(disk_cache)
+        assert disk_cache.stats.hits == 1
+        assert disk_cache.stats.builds == 1  # the get_or_build only
+        blocks = list(stream)
+        assert [b.start for b in blocks] == \
+            list(range(0, self.LENGTH, self.BLOCK))
+        np.testing.assert_array_equal(
+            np.concatenate([b.addrs for b in blocks]), built.addrs)
+        tail = list(stream.iter_from(700))
+        assert tail[0].start == 700
+        np.testing.assert_array_equal(
+            np.concatenate([b.addrs for b in tail]), built.addrs[700:])
+        assert disk_cache.stats.builds == 1
+
+    def test_whole_trace_disk_tier_serves_a_new_process(self, disk_cache):
+        built = disk_cache.get_or_build(
+            find_workload(self.SPEC_NAME), self.LENGTH)
+        fresh = reset_trace_cache(
+            TraceCache(max_bytes=1 << 30, disk_dir=disk_cache.disk_dir))
+        streamed = self._stream(fresh).materialize()
+        assert fresh.stats.disk_hits == 1
+        assert fresh.stats.builds == 0
+        assert trace_goldens.trace_digest(streamed) == \
+            trace_goldens.trace_digest(built)
+
+    def test_cold_stream_applies_the_overshoot_rename(self, disk_cache):
+        spec = find_workload(self.SPEC_NAME)
+        length = 2_447  # the emitters overshoot this length
+        built = spec.build(length)
+        assert built.name == f"{spec.name}[0:{length}]"
+        stream = disk_cache.stream(spec, length, self.BLOCK)
+        streamed = stream.materialize()
+        assert disk_cache.stats.builds == 1
+        assert stream.name == streamed.name == built.name
+        assert trace_goldens.trace_digest(streamed) == \
+            trace_goldens.trace_digest(built)
+
     def test_clear_disk_removes_legacy_chunk_sets(self, disk_cache):
         # older versions left per-chunk sets under ``chunks/``
         legacy = disk_cache.disk_dir / "chunks" / "0123abcd.b256"
