@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, fields
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.config import AthenaConfig, RewardWeights
 from ..obs.spans import span
@@ -383,14 +383,17 @@ def decode_result(payload: dict) -> Result:
         epochs: List[EpochTelemetry] = [
             EpochTelemetry(**epoch) for epoch in payload["epochs"]
         ]
-        actions: List[CoordinationAction] = [
-            CoordinationAction(
-                prefetchers_enabled=tuple(action["prefetchers_enabled"]),
-                ocp_enabled=action["ocp_enabled"],
-                degree_fraction=action["degree_fraction"],
-            )
-            for action in payload["actions"]
-        ]
+        # A run replays a few distinct actions many times: build each
+        # once and share the frozen instance.
+        distinct: Dict[tuple, CoordinationAction] = {}
+        actions: List[CoordinationAction] = []
+        for action in payload["actions"]:
+            values = (tuple(action["prefetchers_enabled"]),
+                      action["ocp_enabled"], action["degree_fraction"])
+            shared = distinct.get(values)
+            if shared is None:
+                shared = distinct[values] = CoordinationAction(*values)
+            actions.append(shared)
         return SimulationResult(
             workload=payload["workload"],
             stats=_stats_from(payload["stats"]),

@@ -74,10 +74,13 @@ class ExperimentContext:
     ) -> None:
         self.scale = scale if scale is not None else active_scale()
         self.engine = engine if engine is not None else Engine()
-        #: RunRecord wrappers by request key, so repeated ctx.run() calls
-        #: return the identical record object (the engine memoizes the
-        #: underlying result; this keeps the old identity semantics).
-        self._records: Dict[str, RunRecord] = {}
+        #: RunRecord wrappers by :meth:`run` arguments, so a repeated call
+        #: returns the identical record without re-planning or re-hashing
+        #: its request.  ``scale`` is fixed at construction (nothing
+        #: reassigns it), so the arguments determine the request.
+        #: Distinct arguments with one request key still execute once,
+        #: via the engine memo.
+        self._records: Dict[tuple, RunRecord] = {}
 
     # -- request planning ------------------------------------------------------
 
@@ -215,13 +218,14 @@ class ExperimentContext:
         policy_name: str = "none",
         athena_config: Optional[AthenaConfig] = None,
     ) -> RunRecord:
-        request = self.plan_run(spec, design, policy_name, athena_config)
-        key = request.key()
-        record = self._records.get(key)
+        args = (spec, design, policy_name, athena_config)
+        record = self._records.get(args)
         if record is None:
-            result = self.engine.run(request)
+            result = self.engine.run(
+                self.plan_run(spec, design, policy_name, athena_config)
+            )
             record = RunRecord(ipc=result.ipc, result=result)
-            self._records[key] = record
+            self._records[args] = record
         return record
 
     def run_mix(

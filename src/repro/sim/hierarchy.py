@@ -76,9 +76,9 @@ class CacheHierarchy:
                                 if p.level == "l2c"]
         #: Optional per-request prefetch drop filter (used by TLP).
         self.prefetch_filter: Optional[PrefetchFilter] = None
-        #: Recently prefetch-evicted LLC victims, for pollution accounting.
+        #: Recently prefetch-evicted LLC victims, oldest first, for
+        #: pollution accounting.
         self._pollution_victims: dict = {}
-        self._pollution_clock = 0
         #: Observers notified of microarchitectural events (Athena trackers).
         self.observers: List = []
         # Per-method bound-callback cache, rebuilt when the observers list
@@ -369,11 +369,13 @@ class CacheHierarchy:
             self.stats.prefetch_fills_offchip_useless += 1
 
     def _record_pollution_victim(self, line_addr: int) -> None:
-        self._pollution_clock += 1
-        self._pollution_victims[line_addr] = self._pollution_clock
-        if len(self._pollution_victims) > _POLLUTION_WINDOW:
-            oldest = min(self._pollution_victims, key=self._pollution_victims.get)
-            del self._pollution_victims[oldest]
+        # Re-inserting moves the line to the end, so dict order is
+        # recording order and the first key is the oldest victim.
+        victims = self._pollution_victims
+        victims.pop(line_addr, None)
+        victims[line_addr] = None
+        if len(victims) > _POLLUTION_WINDOW:
+            del victims[next(iter(victims))]
 
     def _credit_useful_prefetch(self, cache: Cache, slot: int, line: int,
                                 level: str = "llc") -> None:

@@ -108,6 +108,23 @@ class TestResultCodec:
         assert clone.weighted_speedup(baseline) == \
             result.weighted_speedup(baseline)
 
+    def test_decoded_actions_share_instances(self):
+        request = _request(policy="athena")
+        result = request.execute()
+        payload = json.loads(json.dumps(encode_result(result)))
+        clone = decode_result(payload)
+        assert clone.actions == result.actions
+        assert clone.epochs == result.epochs
+        assert clone.action_distribution() == result.action_distribution()
+        distinct = {}
+        for action in clone.actions:
+            assert distinct.setdefault(action, action) is action
+        assert len(distinct) < len(clone.actions)
+
+        del payload["actions"][-1]["ocp_enabled"]
+        with pytest.raises(StoreDecodeError):
+            decode_result(payload)
+
     def test_decode_rejects_garbage(self):
         with pytest.raises(StoreDecodeError):
             decode_result({"kind": "run"})
@@ -265,6 +282,39 @@ class TestFigureParallelism:
             assert engine.counters.executed == 0
             assert [c.ipc for c in replayed.cores] == \
                 [c.ipc for c in first.cores]
+
+
+class TestExperimentContextRecords:
+    def test_repeated_run_skips_planning(self, monkeypatch):
+        ctx = ExperimentContext(TINY)
+        spec = find_workload("ligra.BFS.0")
+        first = ctx.run(spec, CacheDesign.cd1())
+        planned = []
+        plan_run = ExperimentContext.plan_run
+
+        def counting_plan_run(self, *args, **kwargs):
+            planned.append(args)
+            return plan_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentContext, "plan_run", counting_plan_run)
+        assert ctx.run(spec, CacheDesign.cd1()) is first
+        assert planned == []
+
+    def test_renamed_design_executes_once(self):
+        ctx = ExperimentContext(TINY)
+        spec = find_workload("ligra.BFS.0")
+        design = CacheDesign.cd1()
+        pf_only = design.only_prefetchers()
+        (combo,) = [
+            c for c in ctx.static_combinations(design)
+            if c.prefetcher_names == pf_only.prefetcher_names
+            and c.ocp_name is None
+        ]
+        assert combo.name != pf_only.name
+        first = ctx.run(spec, pf_only)
+        second = ctx.run(spec, combo)
+        assert second.result is first.result
+        assert ctx.engine.counters.executed == 1
 
 
 class TestMakePolicyKwargs:

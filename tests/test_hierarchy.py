@@ -1,9 +1,12 @@
 """Integration tests for the cache hierarchy (demand/prefetch/OCP paths)."""
 
+import random
+
 import pytest
 
 from repro.ocp.base import OffChipPredictor
 from repro.prefetchers.base import Prefetcher
+from repro.sim import hierarchy
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.params import scaled_system
 
@@ -229,6 +232,32 @@ class TestPrefetchPath:
         if not h.llc.probe(victim):
             result = h.load(0x400, addr(victim), t + 1000.0)
             assert result.went_offchip
+
+    def test_pollution_window_evicts_oldest_victim(self, monkeypatch):
+        # The window must always drop the least recently recorded victim,
+        # as a min-by-clock scan would, across re-records and hits.
+        window = 8
+        monkeypatch.setattr(hierarchy, "_POLLUTION_WINDOW", window)
+        h = make_hierarchy()
+        rng = random.Random(1234)
+        reference = {}
+        clock = 0
+        evictions = 0
+        for _ in range(5000):
+            line = rng.randrange(24)
+            if rng.random() < 0.2:
+                # A demand miss on a tracked victim removes it.
+                h._pollution_victims.pop(line, None)
+                reference.pop(line, None)
+            else:
+                h._record_pollution_victim(line)
+                clock += 1
+                reference[line] = clock
+                if len(reference) > window:
+                    del reference[min(reference, key=reference.get)]
+                    evictions += 1
+            assert h._pollution_victims.keys() == reference.keys()
+        assert evictions > 100
 
     def test_degree_fraction_scales_candidates(self):
         pf = NextLinePf()
