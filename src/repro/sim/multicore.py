@@ -24,8 +24,20 @@ a prefix sum.  Each core advances privately to just before its next
 event; the heap then orders events by the same ``(clock before the event
 instruction, core_id)`` key the per-instruction loop would have used, so
 shared-state mutations happen in the identical order and the results are
-bit-identical (pinned by the multicore golden cases in
-``tests/golden/``).
+bit-identical (pinned by the multicore golden cases in ``tests/golden/``
+and by the per-instruction reference in
+``tests/test_multicore_oracle.py``).
+
+Every core reads its trace through one sliding window of blocks: a
+materialized :class:`~repro.workloads.trace.Trace` is a single block, a
+:class:`~repro.workloads.streaming.TraceStream`'s blocks load lazily.
+Each block precomputes its memory positions and, for the private gap
+after each one, the gap's length, branch count and whether it is free of
+mispredicted branches.  The common event — a memory access whose gap
+stays inside its block and short of the next transition — runs fully
+inlined in the loop (``begin``/``finish``, the access, the gap's
+``run_simple`` steps); a block's last memory event, transitions and gaps
+holding a mispredicted branch take the generic path.
 """
 
 from __future__ import annotations
@@ -34,15 +46,14 @@ import heapq
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
-
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
 if TYPE_CHECKING:  # avoid a sim <-> policies import cycle
     from ..policies.base import CoordinationPolicy
-from ..workloads.streaming import TraceStream
+from ..workloads.streaming import TraceStream, blocks_from_trace
 from ..workloads.trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -56,7 +67,7 @@ from .cpu import CoreModel
 from .dram import MainMemory
 from .hierarchy import CacheHierarchy
 from .params import SystemParams
-from .simulator import Simulator
+from .simulator import Simulator, build_epoch_telemetry
 from .stats import SimStats
 
 
@@ -92,285 +103,75 @@ class MultiCoreResult:
 
 #: sentinel index no run ever reaches (schedules nothing)
 _NEVER = 1 << 62
-
-
-class _CoreContext:
-    """Execution state of one core inside the multi-core event loop."""
-
-    #: whether the run loop may take its inlined memory-gap fast path;
-    #: streamed contexts precompute no per-gap aggregates and always go
-    #: through the generic event path.
-    _fast = True
-
-    def __init__(
-        self,
-        core_id: int,
-        trace: Trace,
-        hierarchy: CacheHierarchy,
-        policy: Optional["CoordinationPolicy"],
-        epoch_length: int,
-    ) -> None:
-        self.core_id = core_id
-        self.trace = trace
-        self.hierarchy = hierarchy
-        self.policy = policy
-        self.epoch_length = epoch_length
-        self.core = CoreModel(hierarchy.params.core)
-        self.retired = 0
-        self.warmup_instructions = 0
-        self.measure_start_cycles = 0.0
-        self._warmed = False
-        # Plain-scalar trace columns, converted once (no per-instruction
-        # int(np.int64) conversions on the event path).
-        self._pcs = trace.pcs.tolist()
-        self._addrs = trace.addrs.tolist()
-        self._flags = trace.flags.tolist()
-        self._period = len(self._flags)
-        flags_np = trace.flags
-        mem_np = np.flatnonzero((flags_np & (FLAG_LOAD | FLAG_STORE)) != 0)
-        #: trace positions that touch the shared LLC/DRAM (global events)
-        self._mem_pos = mem_np.tolist()
-        #: non-memory positions needing an individual step (private)
-        self._mispred_pos = np.flatnonzero(
-            ((flags_np & FLAG_MISPRED) != 0)
-            & ((flags_np & (FLAG_LOAD | FLAG_STORE)) == 0)
-        ).tolist()
-        branch_prefix = np.concatenate((
-            np.zeros(1, dtype=np.int64),
-            np.cumsum((flags_np & FLAG_BRANCH) != 0, dtype=np.int64),
-        ))
-        #: branch_prefix[i] = branches among the first i trace positions
-        self._branch_prefix = branch_prefix.tolist()
-        # Per-gap aggregates: for the run of private instructions between
-        # consecutive memory positions (wrapping the replay boundary),
-        # its length, branch count, and whether it needs the generic
-        # mispredicted-branch path.  Indexed by the *leading* memory
-        # position's index in ``_mem_pos``.
-        period = self._period
-        if len(mem_np):
-            nxt = np.roll(mem_np, -1)
-            nxt[-1] += period
-            self._gap_len = (nxt - mem_np - 1).tolist()
-            cut = np.minimum(nxt, period)
-            gap_branches = branch_prefix[cut] - branch_prefix[mem_np + 1]
-            mis_prefix = np.concatenate((
-                np.zeros(1, dtype=np.int64),
-                np.cumsum(
-                    ((flags_np & FLAG_MISPRED) != 0)
-                    & ((flags_np & (FLAG_LOAD | FLAG_STORE)) == 0),
-                    dtype=np.int64,
-                ),
-            ))
-            gap_mispreds = mis_prefix[cut] - mis_prefix[mem_np + 1]
-            if nxt[-1] > period:  # last gap wraps into the next replay
-                wrap = int(nxt[-1] - period)
-                gap_branches[-1] += int(branch_prefix[wrap])
-                gap_mispreds[-1] += int(mis_prefix[wrap])
-            self._gap_branches = gap_branches.tolist()
-            self._gap_clean = (gap_mispreds == 0).tolist()
-        else:
-            self._gap_len = []
-            self._gap_branches = []
-            self._gap_clean = []
-        #: schedule state: global index of the next memory event, the
-        #: index into ``_mem_pos`` it corresponds to, and its replay base
-        self._mem_next = int(mem_np[0]) if len(mem_np) else _NEVER
-        self._mem_ptr = 0
-        self._mem_base = 0
-        #: global indices of the next epoch-/warmup-transition instruction
-        self._next_epoch = epoch_length - 1 if policy is not None else _NEVER
-        self._warm_idx = _NEVER  # set by MultiCoreSimulator
-        self._epoch_snapshot = hierarchy.stats.snapshot()
-        self._epoch_cycles = 0.0
-        self._epoch_busy = hierarchy.dram.busy_cycles
-        self._epoch_kinds = hierarchy.dram.kind_counts()
-        self._epoch_index = 0
-        if policy is not None:
-            policy.attach(hierarchy)
-
-    # -- event schedule -----------------------------------------------------
-
-    def _advance_mem_ptr(self) -> None:
-        """Consume the pending memory event from the schedule."""
-        ptr = self._mem_ptr + 1
-        if ptr == len(self._mem_pos):
-            ptr = 0
-            self._mem_base += self._period
-        self._mem_ptr = ptr
-        self._mem_next = self._mem_base + self._mem_pos[ptr]
-
-    def next_event(self, limit: int) -> int:
-        """Smallest global index >= ``retired`` whose instruction must be
-        globally ordered (memory access, epoch boundary, or warmup end);
-        ``limit`` when the core finishes first."""
-        nxt = self._mem_next
-        if self._next_epoch < nxt:
-            nxt = self._next_epoch
-        if self._warm_idx < nxt:
-            nxt = self._warm_idx
-        return nxt if nxt < limit else limit
-
-    def advance_private(self, start: int, stop: int) -> None:
-        """Bulk-execute global positions ``[start, stop)`` — guaranteed
-        free of events: runs of unit-latency instructions stepped through
-        ``run_simple``, mispredicted branches stepped individually."""
-        if stop <= start:
-            return
-        period = self._period
-        stats = self.hierarchy.stats
-        core = self.core
-        run_simple = core.run_simple
-        step = core.step
-        prefix = self._branch_prefix
-        mispreds = self._mispred_pos
-        g = start
-        while g < stop:
-            i = g % period
-            j = min(i + (stop - g), period)
-            stats.branches += prefix[j] - prefix[i]
-            pos = i
-            for m in mispreds[bisect_left(mispreds, i):
-                              bisect_left(mispreds, j)]:
-                if m > pos:
-                    run_simple(m - pos)
-                step(1.0, False, False, True)
-                stats.mispredicted_branches += 1
-                pos = m + 1
-            if j > pos:
-                run_simple(j - pos)
-            g += j - i
-        stats.instructions += stop - start
-        self.retired = stop
-
-    def execute_event(self) -> None:
-        """Execute the single instruction at ``retired`` (the pending
-        event) plus any epoch/warmup transition it triggers — exactly the
-        per-instruction reference semantics.  This is the generic path;
-        the run loop inlines the common case (a memory access away from
-        any transition boundary)."""
-        event_index = self.retired
-        i = event_index % self._period
-        f = self._flags[i]
-        hierarchy = self.hierarchy
-        core = self.core
-        stats = hierarchy.stats
-        if f & FLAG_LOAD:
-            issue = core.begin((f & FLAG_DEP) != 0)
-            result = hierarchy.load(self._pcs[i], self._addrs[i], issue)
-            core.finish(result.latency, True)
-            stats.loads += 1
-            self._advance_mem_ptr()
-        elif f & FLAG_STORE:
-            issue = core.begin()
-            latency = hierarchy.store(self._pcs[i], self._addrs[i], issue)
-            core.finish(latency)
-            stats.stores += 1
-            self._advance_mem_ptr()
-        elif f & FLAG_BRANCH:
-            mispred = bool(f & FLAG_MISPRED)
-            core.step(1.0, False, False, mispred)
-            stats.branches += 1
-            if mispred:
-                stats.mispredicted_branches += 1
-        else:
-            core.step()
-        stats.instructions += 1
-        self.retired += 1
-        self._post_event(event_index)
-
-    def _post_event(self, event_index: int) -> None:
-        """Apply any warmup-end / epoch-boundary transition triggered by
-        the instruction just executed at ``event_index``."""
-        if event_index == self._warm_idx:
-            self._warm_idx = _NEVER
-            # End of this core's warm-up: caches and predictors stay warm,
-            # measured statistics restart (paper §6.1 methodology).  Only
-            # the private caches' hit counters reset — the shared LLC is
-            # still mid-warmup for other cores.
-            hierarchy = self.hierarchy
-            stats = hierarchy.stats
-            self._warmed = True
-            self.measure_start_cycles = self.core.cycles
-            Simulator._reset_measured_stats(
-                stats, hierarchy, include_shared_caches=False
-            )
-            self._epoch_snapshot = stats.snapshot()
-            self._epoch_cycles = self.core.cycles
-            self._epoch_busy = hierarchy.dram.busy_cycles
-            self._epoch_kinds = hierarchy.dram.kind_counts()
-        if event_index == self._next_epoch:
-            self._next_epoch += self.epoch_length
-            self._end_epoch()
-
-    def _end_epoch(self) -> None:
-        hierarchy = self.hierarchy
-        sim = Simulator.__new__(Simulator)  # reuse telemetry construction
-        sim.hierarchy = hierarchy
-        telemetry = sim._build_telemetry(
-            self._epoch_index,
-            hierarchy.stats,
-            self._epoch_snapshot,
-            self.core.cycles - self._epoch_cycles,
-            hierarchy.dram.busy_cycles - self._epoch_busy,
-            self._epoch_kinds,
-        )
-        action = self.policy.decide(telemetry)
-        hierarchy.set_prefetchers_enabled(action.prefetchers_enabled)
-        hierarchy.set_ocp_enabled(action.ocp_enabled)
-        hierarchy.set_degree_fraction(action.degree_fraction)
-        self._epoch_index += 1
-        self._epoch_snapshot = hierarchy.stats.snapshot()
-        self._epoch_cycles = self.core.cycles
-        self._epoch_busy = hierarchy.dram.busy_cycles
-        self._epoch_kinds = hierarchy.dram.kind_counts()
+_INF = float("inf")
 
 
 class _WindowBlock:
-    """One trace block resident in a streamed context's sliding window,
-    pre-converted to the plain-scalar layout the event loop consumes."""
+    """One trace block resident in a core's sliding window.  The memory
+    instructions' columns are pre-converted to plain scalars for the
+    event loop's fast path; the rest stays in numpy for the generic path.
+    """
 
-    __slots__ = ("start", "stop", "pcs", "addrs", "flags", "mispred",
-                 "branch_prefix")
+    __slots__ = ("start", "stop", "flags", "mispred", "branch_prefix",
+                 "mem", "mem_pcs", "mem_addrs", "mem_flags", "n_gaps",
+                 "gap_len", "gap_clean", "gap_branches")
 
     def __init__(self, start: int, pcs, addrs, flags) -> None:
         self.start = start
         self.stop = start + len(flags)
-        self.pcs = pcs.tolist()
-        self.addrs = addrs.tolist()
-        self.flags = flags.tolist()
+        self.flags = flags
+        is_mem = (flags & (FLAG_LOAD | FLAG_STORE)) != 0
+        mispred = ((flags & FLAG_MISPRED) != 0) & ~is_mem
         #: block-local non-memory mispredicted-branch positions
-        self.mispred = np.flatnonzero(
-            ((flags & FLAG_MISPRED) != 0)
-            & ((flags & (FLAG_LOAD | FLAG_STORE)) == 0)
-        ).tolist()
+        self.mispred = np.flatnonzero(mispred).tolist()
         #: branch_prefix[i] = branches among the first i block positions
-        self.branch_prefix = np.concatenate((
+        self.branch_prefix = branch_prefix = np.concatenate((
             np.zeros(1, dtype=np.int64),
             np.cumsum((flags & FLAG_BRANCH) != 0, dtype=np.int64),
-        )).tolist()
+        ))
+        mem = np.flatnonzero(is_mem)
+        #: global indices of the instructions that touch the shared
+        #: LLC/DRAM, and their pc/addr/flags columns
+        self.mem = (mem + start).tolist()
+        self.mem_pcs = pcs[mem].tolist()
+        self.mem_addrs = addrs[mem].tolist()
+        self.mem_flags = flags[mem].tolist()
+        # Per-gap aggregates for the run of private instructions between
+        # consecutive memory positions, indexed by the leading one: its
+        # length, branch count, and whether it is free of mispredicted
+        # branches.  The block's last memory position has no entry: its
+        # gap crosses a block seam or the replay boundary.
+        lead = mem[:-1] + 1
+        nxt = mem[1:]
+        mis_prefix = np.concatenate((
+            np.zeros(1, dtype=np.int64), np.cumsum(mispred, dtype=np.int64),
+        ))
+        self.gap_len = (nxt - lead).tolist()
+        self.gap_branches = (branch_prefix[nxt] - branch_prefix[lead]).tolist()
+        self.gap_clean = (mis_prefix[nxt] == mis_prefix[lead]).tolist()
+        self.n_gaps = len(self.gap_len)
 
 
-class _StreamedCoreContext(_CoreContext):
-    """Core context fed block-at-a-time from a :class:`TraceStream`.
+class _CoreContext:
+    """Execution state of one core inside the multi-core event loop.
 
-    Holds a sliding window of :class:`_WindowBlock` instead of whole-trace
-    arrays: blocks are pulled lazily as the schedule needs them and
-    evicted once retired past, so peak memory is O(window), not O(trace).
-    Every instruction goes through the generic event path
-    (:meth:`execute_event` / :meth:`advance_private`), which is
-    semantically exact — results stay bit-identical to the materialized
-    contexts, just without their precomputed per-gap fast path.
+    The trace is consumed through a sliding window of
+    :class:`_WindowBlock`: a materialized :class:`Trace` is one block, a
+    :class:`TraceStream`'s blocks are pulled lazily as the schedule needs
+    them and evicted once retired past, so a streamed core's peak memory
+    is O(window), not O(trace).  The schedule tracks the next memory
+    event as a block plus an index into its ``mem`` positions.
     """
-
-    _fast = False
 
     def __init__(
         self,
         core_id: int,
-        trace: TraceStream,
+        trace: Union[Trace, TraceStream],
         hierarchy: CacheHierarchy,
         policy: Optional["CoordinationPolicy"],
         epoch_length: int,
+        warmup_instructions: int,
+        limit: int,
     ) -> None:
         self.core_id = core_id
         self.trace = trace
@@ -379,46 +180,67 @@ class _StreamedCoreContext(_CoreContext):
         self.epoch_length = epoch_length
         self.core = CoreModel(hierarchy.params.core)
         self.retired = 0
-        self.warmup_instructions = 0
+        self.warmup_instructions = warmup_instructions
         self.measure_start_cycles = 0.0
-        self._warmed = False
         self._period = len(trace)
+        if isinstance(trace, TraceStream):
+            self._blocks = trace.__iter__
+        else:
+            self._blocks = partial(blocks_from_trace, trace, len(trace))
+        self._iter = self._blocks()
+        #: blocks covering [window[0].start, _loaded_to), contiguous
+        self._window: deque = deque()
+        self._replay_base = 0
+        self._loaded_to = 0
+        #: the next memory event: its block, its index into ``mem``, and
+        #: its global index (``_NEVER`` while none is loaded at or after
+        #: ``retired``)
+        self._mem_blk: Optional[_WindowBlock] = None
+        self._mem_ptr = 0
+        self._mem_next = _NEVER
+        #: global indices of the next epoch-/warmup-transition instruction
         self._next_epoch = epoch_length - 1 if policy is not None else _NEVER
-        self._warm_idx = _NEVER  # set by MultiCoreSimulator
+        self._warm_idx = (
+            warmup_instructions - 1 if warmup_instructions else _NEVER
+        )
+        #: instructions this core retires before it stops
+        self._limit = limit
+        #: smallest global index no private run may cross: the next
+        #: transition instruction, or ``_limit``
+        self._boundary = min(limit, self._next_epoch, self._warm_idx)
         self._epoch_snapshot = hierarchy.stats.snapshot()
         self._epoch_cycles = 0.0
         self._epoch_busy = hierarchy.dram.busy_cycles
         self._epoch_kinds = hierarchy.dram.kind_counts()
         self._epoch_index = 0
-        #: blocks covering [window[0].start, _loaded_to), contiguous
-        self._window: deque = deque()
-        #: global indices >= retired of pending memory events, in order
-        self._mem_events: deque = deque()
-        self._iter = iter(trace)
-        self._replay_base = 0
-        self._loaded_to = 0
         if policy is not None:
             policy.attach(hierarchy)
 
     # -- block window -------------------------------------------------------
 
     def _load_next_block(self) -> None:
-        """Pull one more block into the window (restarting the stream at
-        the replay boundary) and index its memory events."""
+        """Pull one more block into the window (restarting the trace at the
+        replay boundary), evict blocks retired past, and schedule the new
+        block's first memory event if none is pending."""
         try:
             block = next(self._iter)
         except StopIteration:
             self._replay_base += self._period
-            self._iter = iter(self.trace)
+            self._iter = self._blocks()
             block = next(self._iter)
-        start = self._replay_base + block.start
-        wb = _WindowBlock(start, block.pcs, block.addrs, block.flags)
-        self._window.append(wb)
-        mem = np.flatnonzero(
-            (block.flags & (FLAG_LOAD | FLAG_STORE)) != 0
-        ).tolist()
-        self._mem_events.extend(start + m for m in mem)
+        wb = _WindowBlock(self._replay_base + block.start,
+                          block.pcs, block.addrs, block.flags)
+        window = self._window
+        while window and window[0].stop <= self.retired:
+            window.popleft()
+        window.append(wb)
         self._loaded_to = wb.stop
+        # Blocks load in order and only while no memory event is pending,
+        # so the first one found is the next after ``retired``.
+        if self._mem_next == _NEVER and wb.mem:
+            self._mem_blk = wb
+            self._mem_ptr = 0
+            self._mem_next = wb.mem[0]
 
     def _block_at(self, index: int) -> _WindowBlock:
         """The window block containing global position ``index``, loading
@@ -432,23 +254,31 @@ class _StreamedCoreContext(_CoreContext):
 
     # -- event schedule -----------------------------------------------------
 
-    def next_event(self, limit: int) -> int:
-        cap = limit
-        if self._next_epoch < cap:
-            cap = self._next_epoch
-        if self._warm_idx < cap:
-            cap = self._warm_idx
-        events = self._mem_events
-        retired = self.retired
-        while events and events[0] < retired:
-            events.popleft()
-        while not events and self._loaded_to <= cap:
+    def _advance_mem_ptr(self) -> None:
+        """Consume the pending memory event from the schedule."""
+        ptr = self._mem_ptr + 1
+        blk = self._mem_blk
+        if ptr < len(blk.mem):
+            self._mem_ptr = ptr
+            self._mem_next = blk.mem[ptr]
+        else:  # found lazily by next_event in the blocks that follow
+            self._mem_blk = None
+            self._mem_next = _NEVER
+
+    def next_event(self) -> int:
+        """Smallest global index >= ``retired`` whose instruction must be
+        globally ordered (memory access, epoch boundary, or warmup end);
+        the core's limit when it finishes first."""
+        cap = self._boundary
+        while self._mem_next == _NEVER and self._loaded_to < cap:
             self._load_next_block()
-        if events and events[0] < cap:
-            return events[0]
-        return cap
+        nxt = self._mem_next
+        return nxt if nxt < cap else cap
 
     def advance_private(self, start: int, stop: int) -> None:
+        """Bulk-execute global positions ``[start, stop)`` — guaranteed
+        free of events: runs of unit-latency instructions stepped through
+        ``run_simple``, mispredicted branches stepped individually."""
         if stop <= start:
             return
         stats = self.hierarchy.stats
@@ -461,7 +291,7 @@ class _StreamedCoreContext(_CoreContext):
             i = g - blk.start
             j = min(blk.stop, stop) - blk.start
             prefix = blk.branch_prefix
-            stats.branches += prefix[j] - prefix[i]
+            stats.branches += int(prefix[j] - prefix[i])
             mispreds = blk.mispred
             pos = i
             for m in mispreds[bisect_left(mispreds, i):
@@ -478,41 +308,90 @@ class _StreamedCoreContext(_CoreContext):
         self.retired = stop
 
     def execute_event(self) -> None:
+        """Execute the single instruction at ``retired`` (the pending
+        event) plus any epoch/warmup transition it triggers — exactly the
+        per-instruction reference semantics.  This is the generic path;
+        the run loop inlines the common case (a memory access away from
+        any transition boundary)."""
         event_index = self.retired
+        # (may load the block, scheduling its first memory event)
         blk = self._block_at(event_index)
-        i = event_index - blk.start
-        f = blk.flags[i]
         hierarchy = self.hierarchy
         core = self.core
         stats = hierarchy.stats
-        if f & FLAG_LOAD:
-            issue = core.begin((f & FLAG_DEP) != 0)
-            result = hierarchy.load(blk.pcs[i], blk.addrs[i], issue)
-            core.finish(result.latency, True)
-            stats.loads += 1
-            self._pop_mem_event(event_index)
-        elif f & FLAG_STORE:
-            issue = core.begin()
-            latency = hierarchy.store(blk.pcs[i], blk.addrs[i], issue)
-            core.finish(latency)
-            stats.stores += 1
-            self._pop_mem_event(event_index)
-        elif f & FLAG_BRANCH:
-            mispred = bool(f & FLAG_MISPRED)
-            core.step(1.0, False, False, mispred)
-            stats.branches += 1
-            if mispred:
-                stats.mispredicted_branches += 1
+        if event_index == self._mem_next:
+            ptr = self._mem_ptr
+            f = blk.mem_flags[ptr]
+            pc, addr = blk.mem_pcs[ptr], blk.mem_addrs[ptr]
+            if f & FLAG_LOAD:
+                issue = core.begin((f & FLAG_DEP) != 0)
+                result = hierarchy.load(pc, addr, issue)
+                core.finish(result.latency, True)
+                stats.loads += 1
+            else:
+                issue = core.begin()
+                latency = hierarchy.store(pc, addr, issue)
+                core.finish(latency)
+                stats.stores += 1
+            self._advance_mem_ptr()
         else:
-            core.step()
+            f = int(blk.flags[event_index - blk.start])
+            if f & FLAG_BRANCH:
+                mispred = bool(f & FLAG_MISPRED)
+                core.step(1.0, False, False, mispred)
+                stats.branches += 1
+                if mispred:
+                    stats.mispredicted_branches += 1
+            else:
+                core.step()
         stats.instructions += 1
         self.retired += 1
         self._post_event(event_index)
 
-    def _pop_mem_event(self, event_index: int) -> None:
-        events = self._mem_events
-        if events and events[0] == event_index:
-            events.popleft()
+    def _post_event(self, event_index: int) -> None:
+        """Apply any warmup-end / epoch-boundary transition triggered by
+        the instruction just executed at ``event_index``."""
+        if event_index == self._warm_idx:
+            self._warm_idx = _NEVER
+            # End of this core's warm-up: caches and predictors stay warm,
+            # measured statistics restart (paper §6.1 methodology).  Only
+            # the private caches' hit counters reset — the shared LLC is
+            # still mid-warmup for other cores.
+            hierarchy = self.hierarchy
+            stats = hierarchy.stats
+            self.measure_start_cycles = self.core.cycles
+            Simulator._reset_measured_stats(
+                stats, hierarchy, include_shared_caches=False
+            )
+            self._epoch_snapshot = stats.snapshot()
+            self._epoch_cycles = self.core.cycles
+            self._epoch_busy = hierarchy.dram.busy_cycles
+            self._epoch_kinds = hierarchy.dram.kind_counts()
+        if event_index == self._next_epoch:
+            self._next_epoch += self.epoch_length
+            self._end_epoch()
+        self._boundary = min(self._limit, self._next_epoch, self._warm_idx)
+
+    def _end_epoch(self) -> None:
+        hierarchy = self.hierarchy
+        telemetry = build_epoch_telemetry(
+            hierarchy.dram,
+            self._epoch_index,
+            hierarchy.stats,
+            self._epoch_snapshot,
+            self.core.cycles - self._epoch_cycles,
+            hierarchy.dram.busy_cycles - self._epoch_busy,
+            self._epoch_kinds,
+        )
+        action = self.policy.decide(telemetry)
+        hierarchy.set_prefetchers_enabled(action.prefetchers_enabled)
+        hierarchy.set_ocp_enabled(action.ocp_enabled)
+        hierarchy.set_degree_fraction(action.degree_fraction)
+        self._epoch_index += 1
+        self._epoch_snapshot = hierarchy.stats.snapshot()
+        self._epoch_cycles = self.core.cycles
+        self._epoch_busy = hierarchy.dram.busy_cycles
+        self._epoch_kinds = hierarchy.dram.kind_counts()
 
 
 class MultiCoreSimulator:
@@ -540,101 +419,140 @@ class MultiCoreSimulator:
         self.shared_llc = Cache(params.llc)
         self.shared_dram = MainMemory(params.dram)
         self.instructions_per_core = instructions_per_core
-        self.contexts: List[_CoreContext] = []
-        for core_id, trace in enumerate(traces):
-            hierarchy = hierarchy_factory(
-                params, self.shared_llc, self.shared_dram
-            )
-            context_cls = (
-                _StreamedCoreContext if isinstance(trace, TraceStream)
-                else _CoreContext
-            )
-            context = context_cls(
+        warmup = int(instructions_per_core * warmup_fraction)
+        self.contexts = [
+            _CoreContext(
                 core_id=core_id,
                 trace=trace,
-                hierarchy=hierarchy,
+                hierarchy=hierarchy_factory(
+                    params, self.shared_llc, self.shared_dram
+                ),
                 policy=policy_factory(),
                 epoch_length=epoch_length,
+                warmup_instructions=warmup,
+                limit=instructions_per_core,
             )
-            context.warmup_instructions = int(
-                instructions_per_core * warmup_fraction
-            )
-            context._warmed = context.warmup_instructions == 0
-            context._warm_idx = (
-                _NEVER if context._warmed
-                else context.warmup_instructions - 1
-            )
-            self.contexts.append(context)
+            for core_id, trace in enumerate(traces)
+        ]
 
     def run(self) -> MultiCoreResult:
         limit = self.instructions_per_core
         contexts = self.contexts
         heap = []
         for ctx in contexts:
-            event = ctx.next_event(limit)
+            event = ctx.next_event()
             ctx.advance_private(0, event)
             if event < limit:
                 # key = clock before the event instruction: identical to
                 # the per-instruction heap's key when it pops this
                 # instruction, so events order the same way.
-                heap.append((ctx.core.cycles, ctx.core_id))
+                heap.append((ctx.core._last_commit, ctx.core_id))
         heapq.heapify(heap)
         heappush = heapq.heappush
         heappop = heapq.heappop
+        # Per-core references the fast path needs, hoisted once per run.
+        hot = [
+            (ctx, ctx.core, ctx.core._commit_ring, ctx.core._rob,
+             ctx.core._inv_width, ctx.hierarchy.load, ctx.hierarchy.store,
+             ctx.hierarchy.stats)
+            for ctx in contexts
+        ]
         while heap:
-            key = heappop(heap)
+            cid = heappop(heap)[1]
+            # The heap is untouched while this core holds the minimum, so
+            # the key to beat is read once per turn.
+            if heap:
+                top_clock, top_cid = heap[0]
+            else:
+                top_clock = _INF
+            ctx, core, ring, rob, inv_width, hier_load, hier_store, stats = \
+                hot[cid]
             while True:
-                ctx = contexts[key[1]]
-                r = ctx.retired
-                if ctx._fast and r == ctx._mem_next \
-                        and r < ctx._next_epoch and r < ctx._warm_idx:
+                start = ctx.retired
+                if start == ctx._mem_next and start < ctx._boundary:
                     # Fast path: a memory access away from any transition
                     # boundary, followed by its precomputed private gap.
-                    core = ctx.core
-                    hierarchy = ctx.hierarchy
-                    stats = hierarchy.stats
+                    blk = ctx._mem_blk
                     ptr = ctx._mem_ptr
-                    i = ctx._mem_pos[ptr]
-                    f = ctx._flags[i]
+                    f = blk.mem_flags[ptr]
+                    # Inlined CoreModel.begin/finish around the access.
+                    idx = core._index
+                    pos = idx % rob
+                    slot_time = ring[pos]
+                    next_dispatch = core._next_dispatch
+                    dispatch = next_dispatch
+                    if slot_time > dispatch:
+                        dispatch = slot_time
                     if f & FLAG_LOAD:
-                        issue = core.begin((f & FLAG_DEP) != 0)
-                        result = hierarchy.load(
-                            ctx._pcs[i], ctx._addrs[i], issue
-                        )
-                        core.finish(result.latency, True)
+                        if f & FLAG_DEP:
+                            load_ready = core._last_load_ready
+                            if load_ready > dispatch:
+                                dispatch = load_ready
+                        result = hier_load(
+                            blk.mem_pcs[ptr], blk.mem_addrs[ptr], dispatch)
+                        ready = dispatch + result.latency
+                        core._last_load_ready = ready
                         stats.loads += 1
                     else:
-                        issue = core.begin()
-                        latency = hierarchy.store(
-                            ctx._pcs[i], ctx._addrs[i], issue
-                        )
-                        core.finish(latency)
+                        ready = dispatch + hier_store(
+                            blk.mem_pcs[ptr], blk.mem_addrs[ptr], dispatch)
                         stats.stores += 1
-                    r += 1
-                    ctx._advance_mem_ptr()
-                    gap = ctx._gap_len[ptr]
-                    end = r + gap
-                    if gap and ctx._gap_clean[ptr] and end <= limit \
-                            and end <= ctx._next_epoch \
-                            and end <= ctx._warm_idx:
-                        core.run_simple(gap)
-                        stats.branches += ctx._gap_branches[ptr]
-                        stats.instructions += gap + 1
-                        ctx.retired = end
+                    last_commit = core._last_commit + inv_width
+                    if ready > last_commit:
+                        last_commit = ready
+                    ring[pos] = last_commit
+                    idx += 1
+                    next_dispatch = next_dispatch + inv_width
+                    r = start + 1
+                    if ptr < blk.n_gaps:
+                        # Inlined _advance_mem_ptr within the block.
+                        ctx._mem_ptr = ptr + 1
+                        ctx._mem_next = blk.mem[ptr + 1]
+                        gap = blk.gap_len[ptr]
+                        end = r + gap
+                        if gap and blk.gap_clean[ptr] \
+                                and end <= ctx._boundary:
+                            # Inlined CoreModel.run_simple over the gap.
+                            for _ in range(gap):
+                                pos = idx % rob
+                                slot_time = ring[pos]
+                                dispatch = next_dispatch
+                                if slot_time > dispatch:
+                                    dispatch = slot_time
+                                ready = dispatch + 1.0
+                                commit = last_commit + inv_width
+                                if ready > commit:
+                                    commit = ready
+                                ring[pos] = commit
+                                idx += 1
+                                last_commit = commit
+                                next_dispatch = next_dispatch + inv_width
+                            stats.branches += blk.gap_branches[ptr]
+                            r = end
+                            gap = 0
                     else:
-                        stats.instructions += 1
-                        ctx.retired = r
-                        ctx.advance_private(r, ctx.next_event(limit))
+                        # The block's last memory event: its gap crosses a
+                        # block seam or the replay boundary.
+                        ctx._advance_mem_ptr()
+                        gap = -1
+                    core._index = idx
+                    core._last_commit = last_commit
+                    core._next_dispatch = next_dispatch
+                    stats.instructions += r - start
+                    ctx.retired = r
+                    if gap:
+                        # the gap needs the generic private path
+                        ctx.advance_private(r, ctx.next_event())
                 else:
-                    # Generic path: epoch/warmup transitions, or a gap
-                    # holding a mispredicted branch.
+                    # Generic path: epoch/warmup transitions.
                     ctx.execute_event()
-                    ctx.advance_private(ctx.retired, ctx.next_event(limit))
+                    ctx.advance_private(ctx.retired, ctx.next_event())
                 if ctx.retired >= limit:
                     break
-                key = (ctx.core.cycles, key[1])
-                if heap and key > heap[0]:
-                    heappush(heap, key)
+                clock = core._last_commit
+                if clock > top_clock or (clock == top_clock
+                                         and cid > top_cid):
+                    heappush(heap, (clock, cid))
                     break
                 # this core still holds the minimum event key: continue
                 # with it without touching the heap

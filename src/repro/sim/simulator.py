@@ -39,6 +39,7 @@ from ..workloads.trace import (
     Trace,
 )
 from .cpu import CoreModel
+from .dram import MainMemory
 from .hierarchy import CacheHierarchy
 from .stats import EpochTelemetry, SimStats
 
@@ -92,6 +93,56 @@ class SimCheckpoint:
     epoch_length: int
     warmup_fraction: float
     state: dict
+
+
+def build_epoch_telemetry(
+    dram: MainMemory,
+    epoch_index: int,
+    stats: SimStats,
+    start: SimStats,
+    cycles: float,
+    busy_cycles: float,
+    start_kinds: Tuple[int, int, int, int],
+) -> EpochTelemetry:
+    """One epoch's telemetry (paper Tables 1-2): the counter delta since
+    ``start`` plus the DRAM request mix since ``start_kinds``."""
+    delta = stats.delta_from(start)
+    demand, prefetch, ocp, writeback = (
+        cur - prev
+        for cur, prev in zip(dram.kind_counts(), start_kinds)
+    )
+    total = demand + prefetch + ocp + writeback
+    total_dram = max(1, total)
+    pf_acc = (
+        delta.prefetches_useful / delta.prefetches_issued
+        if delta.prefetches_issued
+        else 0.0
+    )
+    ocp_acc = (
+        delta.ocp_correct / delta.ocp_predictions
+        if delta.ocp_predictions
+        else 0.0
+    )
+    demand_misses = max(1, delta.llc_misses)
+    return EpochTelemetry(
+        epoch_index=epoch_index,
+        instructions=delta.instructions,
+        cycles=cycles,
+        loads=delta.loads,
+        mispredicted_branches=delta.mispredicted_branches,
+        llc_misses=delta.llc_misses,
+        llc_miss_latency_sum=delta.llc_miss_latency_sum,
+        prefetcher_accuracy=min(1.0, pf_acc),
+        ocp_accuracy=min(1.0, ocp_acc),
+        bandwidth_usage=min(1.0, busy_cycles / cycles) if cycles else 0.0,
+        cache_pollution=min(1.0, delta.pollution_misses / demand_misses),
+        prefetch_bandwidth_share=prefetch / total_dram,
+        ocp_bandwidth_share=ocp / total_dram,
+        demand_bandwidth_share=demand / total_dram,
+        prefetches_issued=delta.prefetches_issued,
+        ocp_predictions=delta.ocp_predictions,
+        dram_requests=total,
+    )
 
 
 class Simulator:
@@ -290,7 +341,8 @@ class Simulator:
                 # ``stats.instructions`` is maintained lazily (local
                 # ``count`` is the live value); sync it where it is read.
                 stats.instructions = count
-                telemetry = self._build_telemetry(
+                telemetry = build_epoch_telemetry(
+                    dram,
                     epoch_index,
                     stats,
                     epoch_start_snapshot,
@@ -541,7 +593,8 @@ class Simulator:
 
                 if have_policy and count == next_epoch:
                     stats.instructions = count
-                    telemetry = self._build_telemetry(
+                    telemetry = build_epoch_telemetry(
+                        dram,
                         epoch_index,
                         stats,
                         epoch_start_snapshot,
@@ -620,54 +673,6 @@ class Simulator:
             hierarchy.reset_cache_hit_counters(
                 include_shared=include_shared_caches
             )
-
-    def _build_telemetry(
-        self,
-        epoch_index: int,
-        stats: SimStats,
-        start: SimStats,
-        cycles: float,
-        busy_cycles: float,
-        start_kinds: Tuple[int, int, int, int],
-    ) -> EpochTelemetry:
-        delta = stats.delta_from(start)
-        demand, prefetch, ocp, writeback = (
-            cur - prev
-            for cur, prev in zip(self.hierarchy.dram.kind_counts(),
-                                 start_kinds)
-        )
-        total = demand + prefetch + ocp + writeback
-        total_dram = max(1, total)
-        pf_acc = (
-            delta.prefetches_useful / delta.prefetches_issued
-            if delta.prefetches_issued
-            else 0.0
-        )
-        ocp_acc = (
-            delta.ocp_correct / delta.ocp_predictions
-            if delta.ocp_predictions
-            else 0.0
-        )
-        demand_misses = max(1, delta.llc_misses)
-        return EpochTelemetry(
-            epoch_index=epoch_index,
-            instructions=delta.instructions,
-            cycles=cycles,
-            loads=delta.loads,
-            mispredicted_branches=delta.mispredicted_branches,
-            llc_misses=delta.llc_misses,
-            llc_miss_latency_sum=delta.llc_miss_latency_sum,
-            prefetcher_accuracy=min(1.0, pf_acc),
-            ocp_accuracy=min(1.0, ocp_acc),
-            bandwidth_usage=min(1.0, busy_cycles / cycles) if cycles else 0.0,
-            cache_pollution=min(1.0, delta.pollution_misses / demand_misses),
-            prefetch_bandwidth_share=prefetch / total_dram,
-            ocp_bandwidth_share=ocp / total_dram,
-            demand_bandwidth_share=demand / total_dram,
-            prefetches_issued=delta.prefetches_issued,
-            ocp_predictions=delta.ocp_predictions,
-            dram_requests=total,
-        )
 
     def _apply_action(self, action: "CoordinationAction") -> None:
         self.hierarchy.set_prefetchers_enabled(action.prefetchers_enabled)
