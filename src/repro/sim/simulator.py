@@ -1,21 +1,27 @@
 """Single-core trace-driven simulator with epoch-granularity coordination.
 
-Drives one :class:`~repro.workloads.trace.Trace` through a
+Drives one trace — a materialized :class:`~repro.workloads.trace.Trace`
+or a :class:`~repro.workloads.streaming.TraceStream` — through a
 :class:`~repro.sim.hierarchy.CacheHierarchy` using the analytical core
 timing model.  Every ``epoch_length`` retired instructions the simulator
 snapshots the epoch's telemetry (paper Table 1 features + Table 2 reward
 metrics) and asks the coordination policy for the next epoch's action —
 this is Athena's agent-environment loop (paper Figure 5).
 
-The run loop is chunked: trace positions needing individual handling
-(loads, stores, mispredicted branches) are precomputed with numpy, and
-the runs of unit-latency instructions between them — nops and correctly
-predicted branches — are stepped in bulk through
-:meth:`~repro.sim.cpu.CoreModel.run_simple`, with branch counts taken
-from a prefix sum.  Chunks additionally break at epoch boundaries and at
-the warmup end, so policy decisions and the measurement reset happen at
-exactly the same instruction positions (and with bit-identical timing)
-as the one-instruction-at-a-time loop they replace.
+There is one run loop, and it consumes the trace block by block: a
+materialized trace is a single whole-trace block, a stream's blocks
+arrive lazily.  Each block converts only its slow rows — loads, stores
+and mispredicted branches — to Python scalars and keeps a prefix sum of
+its branches.  The loop walks segments that end at the nearest of the
+block end, the next epoch, the warmup end and the checkpoint position,
+so the warmup reset, the policy decisions and the checkpoint fire only
+at a segment's end, at exactly the instruction positions of a
+one-instruction-at-a-time loop.  Inside a segment each iteration runs
+one slow row with ``CoreModel.begin``/``finish`` and the hierarchy access
+inlined, after the unit-latency rows before it as an inlined
+``CoreModel.run_simple``; the floating-point operation sequence is the
+core model's, so timing is bit-identical to stepping it row by row
+(pinned by ``tests/test_simulator_oracle.py`` and the golden cases).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 if TYPE_CHECKING:  # imported lazily to avoid a sim <-> policies cycle
     from ..policies.base import CoordinationAction, CoordinationPolicy
 
-from ..workloads.streaming import TraceStream
+from ..workloads.streaming import TraceBlock, TraceStream
 from ..workloads.trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -42,6 +48,10 @@ from .cpu import CoreModel
 from .dram import MainMemory
 from .hierarchy import CacheHierarchy
 from .stats import EpochTelemetry, SimStats
+
+_MEM = FLAG_LOAD | FLAG_STORE
+_MISPRED_BRANCH = FLAG_MISPRED | FLAG_BRANCH
+_BRANCH_OR_MEM = FLAG_BRANCH | _MEM
 
 
 @dataclass
@@ -74,14 +84,14 @@ class SimulationResult:
 
 @dataclass
 class SimCheckpoint:
-    """A re-enterable snapshot of a streamed run at one trace position.
+    """A re-enterable snapshot of a run at one trace position.
 
     Captured by ``Simulator.run(checkpoint_at=...)`` after the
     instruction at ``position - 1`` retired (and any warmup/epoch
-    transition at that point fired); :meth:`Simulator.resume` re-enters
-    the run from here against a fresh block stream, so a long trace's
-    measured region is reachable without replaying the prefix trace
-    *simulation* (the stream re-emits and skips the prefix rows, or
+    transition at that point fired), on a materialized or a streamed
+    trace alike; :meth:`Simulator.resume` re-enters the run from here, so
+    a long trace's measured region is reachable without replaying the
+    prefix *simulation* (a stream re-emits and skips the prefix rows, or
     seeks when it re-blocks a cached whole trace).
     ``state`` is one deep-copied object graph — hierarchy, core, policy
     and loop counters together — so every shared reference inside it
@@ -166,226 +176,17 @@ class Simulator:
         self.epoch_length = epoch_length
         self.warmup_fraction = warmup_fraction
         self.core = CoreModel(hierarchy.params.core)
-        #: set by a streamed run when ``checkpoint_at`` is reached
+        #: set by ``run`` when it reaches ``checkpoint_at``
         self.checkpoint: Optional[SimCheckpoint] = None
         if policy is not None:
             policy.attach(hierarchy)
 
     def run(self, checkpoint_at: Optional[int] = None) -> SimulationResult:
-        if isinstance(self.trace, TraceStream):
-            return self._run_streamed(checkpoint_at)
-        if checkpoint_at is not None:
-            raise ValueError("checkpoint_at requires a streamed trace")
-        trace = self.trace
-        hierarchy = self.hierarchy
-        core = self.core
-        stats = hierarchy.stats
-        policy = self.policy
-        epoch_len = self.epoch_length
-        dram = hierarchy.dram
+        """Simulate the whole trace.
 
-        n = len(trace)
-        flags_np = trace.flags
-        # Convert the numpy trace columns to plain Python scalars once,
-        # instead of paying an int(np.int64) conversion per instruction.
-        pcs = trace.pcs.tolist()
-        addrs = trace.addrs.tolist()
-        flags = flags_np.tolist()
-        warmup_end = int(n * self.warmup_fraction)
-
-        # Positions that need individual handling; everything between two
-        # of them is a run of unit-latency non-memory instructions.
-        slow_indices = np.flatnonzero(
-            (flags_np & (FLAG_LOAD | FLAG_STORE | FLAG_MISPRED)) != 0
-        ).tolist()
-        slow_indices.append(n)  # sentinel: no bounds check in the loop
-        # branch_prefix[i] = branches among the first i instructions.
-        branch_prefix = np.concatenate((
-            np.zeros(1, dtype=np.int64),
-            np.cumsum((flags_np & FLAG_BRANCH) != 0, dtype=np.int64),
-        )).tolist()
-
-        epochs: List[EpochTelemetry] = []
-        actions: List["CoordinationAction"] = []
-        epoch_index = 0
-        epoch_start_snapshot = stats.snapshot()
-        epoch_start_cycles = 0.0
-        epoch_start_busy = dram.busy_cycles
-        epoch_start_kinds = dram.kind_counts()
-
-        warmup_stats_reset_done = warmup_end == 0
-        measure_start_cycles = 0.0
-
-        hier_load = hierarchy.load
-        hier_store = hierarchy.store
-        core_step = core.step
-        run_simple = core.run_simple
-        # Stable core internals for the inlined begin/finish below (the
-        # mutable scalars are read/written through ``core`` so the state
-        # stays coherent with run_simple/step).
-        ring = core._commit_ring
-        rob = core._rob
-        inv_width = core._inv_width
-
-        count = stats.instructions  # mirrors stats.instructions
-        have_policy = policy is not None
-        # Next instruction count at which "count % epoch_len == 0" holds
-        # (tracked additively: cheaper than a modulo per instruction).
-        next_epoch = count - count % epoch_len + epoch_len
-        slow_pos = 0
-        i = 0
-        while i < n:
-            next_slow = slow_indices[slow_pos]
-            if next_slow > i:
-                # Bulk-run the simple gap, stopping at the next epoch or
-                # warmup boundary so the per-instruction checks below fire
-                # at exactly the positions the scalar loop checked them.
-                limit = next_slow
-                if have_policy:
-                    boundary = i + next_epoch - count
-                    if boundary < limit:
-                        limit = boundary
-                if not warmup_stats_reset_done:
-                    boundary = i + warmup_end - count
-                    if boundary < limit:
-                        limit = boundary
-                k = limit - i
-                if k == 1:
-                    # Inlined single-step run_simple (1-instruction gaps
-                    # between memory accesses are the common case).
-                    idx = core._index
-                    pos = idx % rob
-                    slot_time = ring[pos]
-                    dispatch = core._next_dispatch
-                    if slot_time > dispatch:
-                        dispatch = slot_time
-                    ready = dispatch + 1.0
-                    commit = core._last_commit + inv_width
-                    if ready > commit:
-                        commit = ready
-                    ring[pos] = commit
-                    core._index = idx + 1
-                    core._last_commit = commit
-                    core._next_dispatch = core._next_dispatch + inv_width
-                else:
-                    run_simple(k)
-                stats.branches += branch_prefix[limit] - branch_prefix[i]
-                count += k
-                i = limit
-            else:
-                f = flags[i]
-                if f & FLAG_LOAD:
-                    # Inlined CoreModel.begin/finish around the load.
-                    idx = core._index
-                    slot_time = ring[idx % rob]
-                    dispatch = core._next_dispatch
-                    if slot_time > dispatch:
-                        dispatch = slot_time
-                    if f & FLAG_DEP:
-                        load_ready = core._last_load_ready
-                        if load_ready > dispatch:
-                            dispatch = load_ready
-                    result = hier_load(pcs[i], addrs[i], dispatch)
-                    ready = dispatch + result.latency
-                    commit = core._last_commit + inv_width
-                    if ready > commit:
-                        commit = ready
-                    ring[idx % rob] = commit
-                    core._index = idx + 1
-                    core._last_commit = commit
-                    core._next_dispatch = core._next_dispatch + inv_width
-                    core._last_load_ready = ready
-                    stats.loads += 1
-                elif f & FLAG_STORE:
-                    idx = core._index
-                    slot_time = ring[idx % rob]
-                    dispatch = core._next_dispatch
-                    if slot_time > dispatch:
-                        dispatch = slot_time
-                    latency = hier_store(pcs[i], addrs[i], dispatch)
-                    ready = dispatch + latency
-                    commit = core._last_commit + inv_width
-                    if ready > commit:
-                        commit = ready
-                    ring[idx % rob] = commit
-                    core._index = idx + 1
-                    core._last_commit = commit
-                    core._next_dispatch = core._next_dispatch + inv_width
-                    stats.stores += 1
-                elif f & FLAG_BRANCH:
-                    mispred = bool(f & FLAG_MISPRED)
-                    core_step(1.0, False, False, mispred)
-                    stats.branches += 1
-                    if mispred:
-                        stats.mispredicted_branches += 1
-                else:
-                    core_step()
-                count += 1
-                i += 1
-                slow_pos += 1
-
-            if not warmup_stats_reset_done and count >= warmup_end:
-                # End of warm-up: caches and predictors stay warm, but the
-                # reported statistics start here (paper §6.1 methodology).
-                measure_start_cycles = core.cycles
-                self._reset_measured_stats(stats, hierarchy)
-                warmup_stats_reset_done = True
-                count = stats.instructions
-                next_epoch = 0  # count just reset: 0 % epoch_len == 0 fires
-                epoch_start_snapshot = stats.snapshot()
-                epoch_start_cycles = core.cycles
-                epoch_start_busy = dram.busy_cycles
-                epoch_start_kinds = dram.kind_counts()
-
-            if have_policy and count == next_epoch:
-                # ``stats.instructions`` is maintained lazily (local
-                # ``count`` is the live value); sync it where it is read.
-                stats.instructions = count
-                telemetry = build_epoch_telemetry(
-                    dram,
-                    epoch_index,
-                    stats,
-                    epoch_start_snapshot,
-                    core.cycles - epoch_start_cycles,
-                    dram.busy_cycles - epoch_start_busy,
-                    epoch_start_kinds,
-                )
-                action = policy.decide(telemetry)
-                self._apply_action(action)
-                epochs.append(telemetry)
-                actions.append(action)
-                epoch_index += 1
-                next_epoch += epoch_len
-                epoch_start_snapshot = stats.snapshot()
-                epoch_start_cycles = core.cycles
-                epoch_start_busy = dram.busy_cycles
-                epoch_start_kinds = dram.kind_counts()
-
-        stats.instructions = count
-        measured_cycles = core.cycles - measure_start_cycles
-        stats.cycles = measured_cycles
-        return SimulationResult(
-            workload=trace.name,
-            stats=stats,
-            instructions=stats.instructions,
-            cycles=measured_cycles,
-            epochs=epochs,
-            actions=actions,
-        )
-
-    # ------------------------------------------------------------ streamed run
-
-    def _run_streamed(
-        self, checkpoint_at: Optional[int] = None
-    ) -> SimulationResult:
-        """Block-at-a-time variant of :meth:`run`.
-
-        Identical loop body, applied per block with a local index: the
-        materialized loop's chunk seams (slow positions, epoch
-        boundaries, warmup end) all express their limits as offsets from
-        the running instruction counter, so adding block edges as extra
-        chunk breaks changes nothing — ``run_simple(k1); run_simple(k2)``
-        is bit-identical to ``run_simple(k1 + k2)``.
+        With ``checkpoint_at``, also capture a :class:`SimCheckpoint` into
+        ``self.checkpoint`` once the instruction at ``checkpoint_at - 1``
+        has retired.
         """
         if checkpoint_at is not None and \
                 not 0 < checkpoint_at <= len(self.trace):
@@ -408,49 +209,54 @@ class Simulator:
             "epoch_start_busy": dram.busy_cycles,
             "epoch_start_kinds": dram.kind_counts(),
         }
-        return self._stream_loop(iter(self.trace), state, checkpoint_at)
+        return self._loop(0, state, checkpoint_at)
 
     @classmethod
     def resume(
-        cls, stream: TraceStream, checkpoint: SimCheckpoint
+        cls, trace: Union[Trace, TraceStream], checkpoint: SimCheckpoint
     ) -> SimulationResult:
-        """Finish a streamed run from a :class:`SimCheckpoint`.
+        """Finish a run from a :class:`SimCheckpoint`.
 
-        The checkpoint's state graph is deep-copied again, so the same
-        checkpoint can be resumed repeatedly (each resume gets private
-        mutable state).  The stream only needs to cover positions from
-        ``checkpoint.position`` on: a cold stream re-emits and skips the
-        prefix rows; one re-blocking a cached whole trace seeks to it.
+        ``trace`` is the checkpointed run's trace, materialized or
+        streamed.  The checkpoint's state graph is deep-copied again, so
+        the same checkpoint can be resumed repeatedly (each resume gets
+        private mutable state).  A stream only needs to cover positions
+        from ``checkpoint.position`` on: a cold stream re-emits and skips
+        the prefix rows; one re-blocking a cached whole trace seeks to it.
         """
         state = copy.deepcopy(checkpoint.state)
         sim = cls.__new__(cls)
-        sim.trace = stream
+        sim.trace = trace
         sim.hierarchy = state.pop("hierarchy")
         sim.policy = state.pop("policy")
         sim.core = state.pop("core")
         sim.epoch_length = checkpoint.epoch_length
         sim.warmup_fraction = checkpoint.warmup_fraction
         sim.checkpoint = None
-        return sim._stream_loop(
-            stream.iter_from(checkpoint.position), state, None
-        )
+        return sim._loop(checkpoint.position, state, None)
 
-    def _stream_loop(
+    def _loop(
         self,
-        blocks,
+        position: int,
         st: dict,
         checkpoint_at: Optional[int],
     ) -> SimulationResult:
-        stream = self.trace
+        """Run the trace from global ``position`` to its end, starting
+        from the loop state ``st``."""
+        trace = self.trace
         hierarchy = self.hierarchy
         core = self.core
         stats = hierarchy.stats
         policy = self.policy
         epoch_len = self.epoch_length
         dram = hierarchy.dram
-
-        n = len(stream)
-        warmup_end = int(n * self.warmup_fraction)
+        warmup_end = int(len(trace) * self.warmup_fraction)
+        if isinstance(trace, TraceStream):
+            blocks = trace.iter_from(position)
+        else:  # a materialized trace is one whole-trace block
+            blocks = (TraceBlock(0, position, trace.pcs[position:],
+                                 trace.addrs[position:],
+                                 trace.flags[position:]),)
 
         epochs: List[EpochTelemetry] = st["epochs"]
         actions: List["CoordinationAction"] = st["actions"]
@@ -461,6 +267,8 @@ class Simulator:
         epoch_start_kinds = st["epoch_start_kinds"]
         warmup_stats_reset_done = st["warmup_stats_reset_done"]
         measure_start_cycles = st["measure_start_cycles"]
+        # ``count`` is the live value of ``stats.instructions``, which is
+        # synced only where it is read.
         count = st["count"]
         next_epoch = st["next_epoch"]
         have_policy = policy is not None
@@ -468,126 +276,132 @@ class Simulator:
 
         hier_load = hierarchy.load
         hier_store = hierarchy.store
-        core_step = core.step
-        run_simple = core.run_simple
         ring = core._commit_ring
         rob = core._rob
         inv_width = core._inv_width
+        penalty = core._penalty
+        # The core's mutable timing state lives in locals; it is written
+        # back for a checkpoint and at the end.
+        idx = core._index
+        next_dispatch = core._next_dispatch
+        last_commit = core._last_commit
+        last_load_ready = core._last_load_ready
 
         for block in blocks:
             base = block.start
             flags_np = block.flags
-            pcs = block.pcs.tolist()
-            addrs = block.addrs.tolist()
-            flags = flags_np.tolist()
-            bn = len(flags)
-            slow_indices = np.flatnonzero(
-                (flags_np & (FLAG_LOAD | FLAG_STORE | FLAG_MISPRED)) != 0
-            ).tolist()
-            slow_indices.append(bn)
+            bn = len(flags_np)
+            # Rows needing individual handling: memory accesses and
+            # mispredicted branches.  Every other row is a unit-latency
+            # step (a mispredict flag without a branch flag redirects
+            # nothing).
+            slow_np = np.flatnonzero(
+                ((flags_np & _MEM) != 0)
+                | ((flags_np & _MISPRED_BRANCH) == _MISPRED_BRANCH)
+            )
+            slow = slow_np.tolist()
+            slow.append(bn)  # sentinel: never below a segment's stop
+            slow_flags = flags_np[slow_np].tolist()
+            slow_pcs = block.pcs[slow_np].tolist()
+            slow_addrs = block.addrs[slow_np].tolist()
+            # branch_prefix[i] = non-memory branches among the first i rows
             branch_prefix = np.concatenate((
                 np.zeros(1, dtype=np.int64),
-                np.cumsum((flags_np & FLAG_BRANCH) != 0, dtype=np.int64),
+                np.cumsum((flags_np & _BRANCH_OR_MEM) == FLAG_BRANCH,
+                          dtype=np.int64),
             )).tolist()
-            slow_pos = 0
+            sp = 0
             il = 0
             while il < bn:
-                next_slow = slow_indices[slow_pos]
-                if next_slow > il:
-                    limit = next_slow
-                    if have_policy:
-                        boundary = il + next_epoch - count
-                        if boundary < limit:
-                            limit = boundary
-                    if not warmup_stats_reset_done:
-                        boundary = il + warmup_end - count
-                        if boundary < limit:
-                            limit = boundary
-                    if not captured:
-                        boundary = checkpoint_at - base
-                        if boundary < limit:
-                            limit = boundary
-                    k = limit - il
-                    if k == 1:
-                        idx = core._index
+                # One segment: up to the nearest of the block end, the next
+                # epoch, the warmup end and the checkpoint.  Transitions
+                # fire only at a segment's end.
+                stop = bn
+                if have_policy:
+                    boundary = il + next_epoch - count
+                    if boundary < stop:
+                        stop = boundary
+                if not warmup_stats_reset_done:
+                    boundary = il + warmup_end - count
+                    if boundary < stop:
+                        stop = boundary
+                if not captured:
+                    boundary = checkpoint_at - base
+                    if boundary < stop:
+                        stop = boundary
+                start = il
+                loads = stores = mispredicts = 0
+                while True:
+                    # Inlined CoreModel.run_simple over the unit-latency
+                    # rows up to the next slow row or the stop.
+                    nxt = slow[sp]
+                    for _ in range((nxt if nxt < stop else stop) - il):
                         pos = idx % rob
-                        slot_time = ring[pos]
-                        dispatch = core._next_dispatch
-                        if slot_time > dispatch:
-                            dispatch = slot_time
+                        slot = ring[pos]
+                        dispatch = next_dispatch if next_dispatch >= slot \
+                            else slot
                         ready = dispatch + 1.0
-                        commit = core._last_commit + inv_width
+                        commit = last_commit + inv_width
                         if ready > commit:
                             commit = ready
                         ring[pos] = commit
-                        core._index = idx + 1
-                        core._last_commit = commit
-                        core._next_dispatch = core._next_dispatch + inv_width
-                    else:
-                        run_simple(k)
-                    stats.branches += branch_prefix[limit] \
-                        - branch_prefix[il]
-                    count += k
-                    il = limit
-                else:
-                    f = flags[il]
+                        idx += 1
+                        last_commit = commit
+                        next_dispatch += inv_width
+                    if nxt >= stop:
+                        break
+                    # Inlined CoreModel.begin/finish around the slow row.
+                    f = slow_flags[sp]
+                    pos = idx % rob
+                    slot = ring[pos]
+                    dispatch = next_dispatch if next_dispatch >= slot \
+                        else slot
                     if f & FLAG_LOAD:
-                        idx = core._index
-                        slot_time = ring[idx % rob]
-                        dispatch = core._next_dispatch
-                        if slot_time > dispatch:
-                            dispatch = slot_time
-                        if f & FLAG_DEP:
-                            load_ready = core._last_load_ready
-                            if load_ready > dispatch:
-                                dispatch = load_ready
-                        result = hier_load(pcs[il], addrs[il], dispatch)
-                        ready = dispatch + result.latency
-                        commit = core._last_commit + inv_width
-                        if ready > commit:
-                            commit = ready
-                        ring[idx % rob] = commit
-                        core._index = idx + 1
-                        core._last_commit = commit
-                        core._next_dispatch = core._next_dispatch + inv_width
-                        core._last_load_ready = ready
-                        stats.loads += 1
+                        if f & FLAG_DEP and last_load_ready > dispatch:
+                            dispatch = last_load_ready
+                        ready = last_load_ready = dispatch + hier_load(
+                            slow_pcs[sp], slow_addrs[sp], dispatch).latency
+                        loads += 1
                     elif f & FLAG_STORE:
-                        idx = core._index
-                        slot_time = ring[idx % rob]
-                        dispatch = core._next_dispatch
-                        if slot_time > dispatch:
-                            dispatch = slot_time
-                        latency = hier_store(pcs[il], addrs[il], dispatch)
-                        ready = dispatch + latency
-                        commit = core._last_commit + inv_width
-                        if ready > commit:
-                            commit = ready
-                        ring[idx % rob] = commit
-                        core._index = idx + 1
-                        core._last_commit = commit
-                        core._next_dispatch = core._next_dispatch + inv_width
-                        stats.stores += 1
-                    elif f & FLAG_BRANCH:
-                        mispred = bool(f & FLAG_MISPRED)
-                        core_step(1.0, False, False, mispred)
-                        stats.branches += 1
-                        if mispred:
-                            stats.mispredicted_branches += 1
+                        ready = dispatch + hier_store(
+                            slow_pcs[sp], slow_addrs[sp], dispatch)
+                        stores += 1
                     else:
-                        core_step()
-                    count += 1
-                    il += 1
-                    slow_pos += 1
+                        ready = dispatch + 1.0
+                    commit = last_commit + inv_width
+                    if ready > commit:
+                        commit = ready
+                    ring[pos] = commit
+                    idx += 1
+                    last_commit = commit
+                    next_dispatch += inv_width
+                    if not f & _MEM:
+                        # The front end refills only after the
+                        # mispredicted branch resolves.
+                        ready += penalty
+                        if ready > next_dispatch:
+                            next_dispatch = ready
+                        mispredicts += 1
+                    sp += 1
+                    il = nxt + 1
+                il = stop
+                count += stop - start
+                stats.branches += branch_prefix[stop] - branch_prefix[start]
+                stats.loads += loads
+                stats.stores += stores
+                stats.mispredicted_branches += mispredicts
 
                 if not warmup_stats_reset_done and count >= warmup_end:
-                    measure_start_cycles = core.cycles
+                    # End of warm-up: caches and predictors stay warm, but
+                    # the reported statistics start here (paper §6.1
+                    # methodology).
+                    measure_start_cycles = last_commit
                     self._reset_measured_stats(stats, hierarchy)
                     warmup_stats_reset_done = True
-                    count = stats.instructions
-                    next_epoch = 0
+                    count = 0
+                    next_epoch = 0  # 0 % epoch_len == 0 fires below
                     epoch_start_snapshot = stats.snapshot()
-                    epoch_start_cycles = core.cycles
+                    epoch_start_cycles = last_commit
                     epoch_start_busy = dram.busy_cycles
                     epoch_start_kinds = dram.kind_counts()
 
@@ -598,7 +412,7 @@ class Simulator:
                         epoch_index,
                         stats,
                         epoch_start_snapshot,
-                        core.cycles - epoch_start_cycles,
+                        last_commit - epoch_start_cycles,
                         dram.busy_cycles - epoch_start_busy,
                         epoch_start_kinds,
                     )
@@ -609,13 +423,17 @@ class Simulator:
                     epoch_index += 1
                     next_epoch += epoch_len
                     epoch_start_snapshot = stats.snapshot()
-                    epoch_start_cycles = core.cycles
+                    epoch_start_cycles = last_commit
                     epoch_start_busy = dram.busy_cycles
                     epoch_start_kinds = dram.kind_counts()
 
                 if not captured and base + il == checkpoint_at:
                     captured = True
                     stats.instructions = count
+                    core._index = idx
+                    core._next_dispatch = next_dispatch
+                    core._last_commit = last_commit
+                    core._last_load_ready = last_load_ready
                     self.checkpoint = SimCheckpoint(
                         position=checkpoint_at,
                         epoch_length=epoch_len,
@@ -639,11 +457,15 @@ class Simulator:
                         }),
                     )
 
+        core._index = idx
+        core._next_dispatch = next_dispatch
+        core._last_commit = last_commit
+        core._last_load_ready = last_load_ready
         stats.instructions = count
-        measured_cycles = core.cycles - measure_start_cycles
+        measured_cycles = last_commit - measure_start_cycles
         stats.cycles = measured_cycles
         return SimulationResult(
-            workload=stream.name,
+            workload=trace.name,
             stats=stats,
             instructions=stats.instructions,
             cycles=measured_cycles,

@@ -1,8 +1,8 @@
 """Chunk-boundary equivalence battery for the streaming trace substrate.
 
 The streaming path (:mod:`repro.workloads.streaming`, the trace
-cache's cold stream tier, ``Simulator._run_streamed``,
-``_StreamedCoreContext``) must be *bit-identical* to the materialized
+cache's cold stream tier, the block loop of ``Simulator`` and of
+``MultiCoreSimulator``) must be *bit-identical* to the materialized
 reference at every block size.
 This suite pins that invariant from four directions:
 
@@ -15,9 +15,9 @@ This suite pins that invariant from four directions:
   and multi-core, at block sizes {1, 64, 1024, full};
 - producer/consumer mixes whose sync events straddle chunk edges
   produce payload-identical results streamed vs materialized;
-- warmup checkpoints re-enter the measured region with stats identical
-  to an uninterrupted run, including through the durable queue after a
-  worker crash.
+- warmup checkpoints, taken on a streamed or a materialized run,
+  re-enter the measured region with stats identical to an uninterrupted
+  run, including through the durable queue after a worker crash.
 """
 
 import json
@@ -494,9 +494,9 @@ class TestWarmupCheckpoint:
     def _stream(self, block=512):
         return find_workload(self.CASE[0]).stream(self.LENGTH, block)
 
-    def _simulator(self, block=512):
+    def _simulator(self, trace=None):
         return Simulator(
-            self._stream(block),
+            self._stream() if trace is None else trace,
             build_hierarchy(CacheDesign.cd1()),
             policy=_build_policy(self.CASE[1], None, ()),
             epoch_length=golden_cases.EPOCH_LENGTH,
@@ -533,14 +533,19 @@ class TestWarmupCheckpoint:
         second = self._payload(Simulator.resume(self._stream(), checkpoint))
         assert first == second == self._golden()
 
-    def test_checkpoint_requires_a_streamed_trace(self):
-        sim = Simulator(
-            find_workload(self.CASE[0]).build(1_000),
-            build_hierarchy(CacheDesign.cd1()),
-            epoch_length=150,
-        )
-        with pytest.raises(ValueError, match="streamed"):
-            sim.run(checkpoint_at=10)
+    @pytest.mark.parametrize("position", (137, 2_100, 5_999),
+                             ids=("mid-warmup", "warmup-end", "last"))
+    def test_materialized_run_checkpoints_and_resumes(self, position):
+        trace = find_workload(self.CASE[0]).build(self.LENGTH)
+        sim = self._simulator(trace)
+        golden = self._golden()
+        assert self._payload(sim.run(checkpoint_at=position)) == golden
+        checkpoint = sim.checkpoint
+        assert checkpoint.position == position
+        assert self._payload(Simulator.resume(trace, checkpoint)) == golden
+        stream = TraceStream(trace.name, trace.suite, len(trace), 512,
+                             lambda: blocks_from_trace(trace, 512))
+        assert self._payload(Simulator.resume(stream, checkpoint)) == golden
 
     @pytest.mark.parametrize("position", (0, -5, LENGTH + 1))
     def test_checkpoint_position_must_be_in_range(self, position):
