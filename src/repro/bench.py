@@ -7,10 +7,7 @@ bound by on a cold store, in three phases (``--phase``):
   single-core (workload x policy) cells on the paper's default CD1
   design;
 * ``traces`` — *trace-build* throughput (instructions emitted per
-  second) per generator family, measured for both the vectorized
-  kernels and the original scalar loops (``scalar_generators()``) in
-  the same process, so ``speedup_vs_scalar`` is a live apples-to-apples
-  number on this machine;
+  second) of the vectorized emitters, per generator family;
 * ``multicore`` — aggregate simulated instructions per second for
   shared-LLC/DRAM mixes through :class:`~repro.sim.multicore.
   MultiCoreSimulator` (traces prebuilt, so the cell isolates the
@@ -169,36 +166,26 @@ def measure_cell(
 
 
 def measure_trace_cell(family: str, trace_length: int, repeats: int) -> dict:
-    """Time cold trace builds of one generator family, vectorized and
-    scalar (the pre-rewrite reference loops) in the same process.
+    """Time cold trace builds of one generator family (best of
+    ``repeats``).
 
     Calls the generator directly — the trace cache is not involved, so
     this is genuine build throughput.
     """
-    from repro.workloads.generators import GENERATORS, scalar_generators
+    from repro.workloads.generators import GENERATORS
 
     make = GENERATORS[family]
     make("bench", "bench", TRACE_SEED, 2_000)  # warm module paths
     best = math.inf
-    scalar_best = math.inf
-    # Interleave the two implementations so transient machine noise hits
-    # both sides of the speedup ratio alike.
     for _ in range(repeats):
         t0 = time.perf_counter()
         make("bench", "bench", TRACE_SEED, trace_length)
         best = min(best, time.perf_counter() - t0)
-        with scalar_generators():
-            t0 = time.perf_counter()
-            make("bench", "bench", TRACE_SEED, trace_length)
-            scalar_best = min(scalar_best, time.perf_counter() - t0)
     return {
         "family": family,
         "trace_length": trace_length,
         "seconds": best,
         "ips": trace_length / best,
-        "scalar_seconds": scalar_best,
-        "scalar_ips": trace_length / scalar_best,
-        "speedup_vs_scalar": scalar_best / best,
     }
 
 
@@ -378,16 +365,6 @@ def run_bench(
             cell["ips_per_mop"] = cell["ips"] / calibration
             trace_cells.append(cell)
         report["trace_cells"] = trace_cells
-        report["geomean_trace_build_speedup"] = geomean(
-            [c["speedup_vs_scalar"] for c in trace_cells]
-        )
-        # The fully-vectorizable regular families (deterministic access
-        # skeleton; the RNG stream is pure filler), reported separately
-        # from the irregular families whose decode is chain-bound.
-        regular = [c["speedup_vs_scalar"] for c in trace_cells
-                   if c["family"] in TRACE_FAMILIES[:3]]
-        if regular:
-            report["geomean_trace_build_speedup_regular"] = geomean(regular)
 
         if progress is not None:
             progress("trace-stream", f"{DEFAULT_WORKLOADS[0]}")
@@ -502,7 +479,6 @@ def history_entry(report: dict) -> dict:
     }
     for key in ("geomean_ips", "geomean_ips_per_mop",
                 "geomean_speedup_vs_reference",
-                "geomean_trace_build_speedup",
                 "streaming_sim_ips"):
         if key in report:
             entry[key] = report[key]
@@ -613,18 +589,13 @@ def format_report(report: dict) -> str:
             lines.append("")
         lines.append(
             f"{'trace build':32s} {'length':>8s} {'ips':>12s} "
-            f"{'norm':>10s} {'vs scalar':>9s}"
+            f"{'norm':>10s}"
         )
         for cell in report["trace_cells"]:
             lines.append(
                 f"{cell['family']:32s} {cell['trace_length']:>8d} "
-                f"{cell['ips']:>12,.0f} {cell['ips_per_mop']:>10,.1f} "
-                f"{cell['speedup_vs_scalar']:>8.2f}x"
+                f"{cell['ips']:>12,.0f} {cell['ips_per_mop']:>10,.1f}"
             )
-        lines.append(
-            f"{'geomean build speedup':32s} {'':8s} {'':12s} {'':10s} "
-            f"{report['geomean_trace_build_speedup']:>8.2f}x"
-        )
     if "streaming_cell" in report:
         cell = report["streaming_cell"]
         if lines:

@@ -67,7 +67,7 @@ from .cpu import CoreModel
 from .dram import MainMemory
 from .hierarchy import CacheHierarchy
 from .params import SystemParams
-from .simulator import Simulator, build_epoch_telemetry
+from .simulator import _MISPRED_BRANCH, Simulator, build_epoch_telemetry
 from .stats import SimStats
 
 
@@ -121,8 +121,9 @@ class _WindowBlock:
         self.stop = start + len(flags)
         self.flags = flags
         is_mem = (flags & (FLAG_LOAD | FLAG_STORE)) != 0
-        mispred = ((flags & FLAG_MISPRED) != 0) & ~is_mem
-        #: block-local non-memory mispredicted-branch positions
+        mispred = ((flags & _MISPRED_BRANCH) == _MISPRED_BRANCH) & ~is_mem
+        #: block-local non-memory mispredicted-branch positions (a
+        #: mispredict flag without a branch flag is a plain step)
         self.mispred = np.flatnonzero(mispred).tolist()
         #: branch_prefix[i] = branches among the first i block positions
         self.branch_prefix = branch_prefix = np.concatenate((

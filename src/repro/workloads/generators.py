@@ -15,43 +15,37 @@ workloads that land in the paper's two behavioural classes:
 All generators draw from a caller-provided ``random.Random`` so workloads
 are fully deterministic given their registry seed.
 
-Two implementations coexist for every pattern family:
+Each pattern family has one emitter, a vectorized numpy kernel
+(``emit_*``).  A kernel decodes the shared ``random.Random``'s
+Mersenne-Twister word stream in bulk (:mod:`repro.workloads.rng`,
+:mod:`repro.workloads.vectorize`) and emits instruction blocks from
+precomputed stride/permutation/hash-chain index arrays.  Its output is
+*byte-identical* to a loop that emits one instruction and draws one value
+at a time, and it leaves the ``random.Random`` in the same state, at any
+budget: a round the budget cuts short is built at full size and
+truncated, and the kernel commits only the words that round's kept rows
+drew.  Those reference loops live on the test side
+(``tests/scalar_oracle.py``); the golden trace digests
+(``tests/test_trace_equivalence``) were recorded from them.
 
-* the original one-instruction-at-a-time **scalar** loops
-  (``_scalar_emit_*``) — the behavioural reference, also used to finish
-  the last budget-clamped rounds of every phase; and
-* **vectorized** numpy kernels (``_vec_emit_*``) that decode the same
-  Mersenne-Twister word stream in bulk (:mod:`repro.workloads.rng`,
-  :mod:`repro.workloads.vectorize`) and emit instruction blocks with
-  precomputed stride/permutation/hash-chain index arrays.
-
-Both produce *byte-identical* ``pcs``/``addrs``/``flags`` arrays — pinned
-by the golden trace-equivalence suite (``tests/test_trace_equivalence``).
-
-Every emitter is a generator of ``(pcs, addrs, flags)`` sub-batches.  The
-vectorized kernels work through a phase ``_SUB_ROWS`` rows at a time,
-with every decode window sized for one sub-batch, and carry the rest
-from one sub-batch to the next: the word position of the shared
-``random.Random`` (one :class:`~repro.workloads.rng.BulkRandom` per
-phase), the round index and emitted count, and the walk state (pointer
-chase node, drifting line cursor, compute stream-element count).  One
-phase-composition generator, :func:`_compose_rows`, drains them in plan
-order; :func:`_compose` concatenates it into a :class:`Trace` and
-:func:`stream_workload` re-blocks it into a
-:class:`~repro.workloads.streaming.TraceStream`, so both tiers run the
-same code and a streamed trace holds O(sub-batch + block) rows at any
-length.
-
-The public ``emit_*`` functions dispatch to the vectorized kernels, or to
-the scalar loops inside :func:`scalar_generators` (the reference the
-tests and ``repro bench`` compare against).
+Every emitter is a generator of ``(pcs, addrs, flags)`` sub-batches.  A
+kernel works through a phase ``_SUB_ROWS`` rows at a time, with every
+decode window sized for one sub-batch, and carries the rest from one
+sub-batch to the next: the word position of the shared ``random.Random``
+(one :class:`~repro.workloads.rng.BulkRandom` per phase), the round index
+and emitted count, and the walk state (pointer chase node, drifting line
+cursor, compute stream-element count).  One phase-composition generator,
+:func:`_compose_rows`, drains them in plan order; :func:`_compose`
+concatenates it into a :class:`Trace` and :func:`stream_workload`
+re-blocks it into a :class:`~repro.workloads.streaming.TraceStream`, so
+both tiers run the same code and a streamed trace holds O(sub-batch +
+block) rows at any length.
 """
 
 from __future__ import annotations
 
 import array
 import random
-from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Tuple
 
 import numpy as np
@@ -86,76 +80,19 @@ Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: distinct PC regions per pattern so PC-indexed predictors can separate them
 _PC_STRIDE = 0x40
 
-#: below this many instructions the vectorized decode setup costs more
-#: than it saves; both paths are byte-identical, so this is pure tuning.
-_VEC_MIN = 512
-
 #: rows per vectorized sub-batch.  Every decode window and scratch array
 #: is sized for one sub-batch, so emission holds O(sub-batch) rows
 #: whatever the phase budget; the output is byte-identical at any value.
 _SUB_ROWS = 2048
-
-#: module switch for the scalar reference implementations (see
-#: :func:`scalar_generators`).
-_use_scalar = False
-
-
-@contextmanager
-def scalar_generators():
-    """Force the scalar reference emitters inside the ``with`` block.
-
-    Used by ``repro bench --phase traces`` to measure the vectorized
-    kernels against the original loops in one process, by the tests as
-    the byte-for-byte oracle, and handy when bisecting a suspected
-    generator divergence.  The switch is read as each phase starts, so
-    consume a stream inside the block too.
-    """
-    global _use_scalar
-    previous = _use_scalar
-    _use_scalar = True
-    try:
-        yield
-    finally:
-        _use_scalar = previous
 
 
 def _pc(block: int, slot: int = 0) -> int:
     return 0x400000 + block * 0x10000 + slot * _PC_STRIDE
 
 
-def _line_to_addr(line: int, offset: int = 0) -> int:
-    return (line << LINE_SHIFT) | (offset & 0x3F)
-
-
-def _filler(
-    builder: TraceBuilder,
-    rng: random.Random,
-    count: int,
-    pc_block: int,
-    mispredict_rate: float,
-) -> None:
-    """Emit ``count`` non-memory instructions (ALU work + branches)."""
-    for _ in range(count):
-        if rng.random() < 0.15:
-            builder.branch(
-                _pc(pc_block, 9), mispredicted=rng.random() < mispredict_rate
-            )
-        else:
-            builder.nop(_pc(pc_block, 8))
-
-
-def _scalar_rows(emit, *args, **kwargs) -> Iterator[Rows]:
-    """Run a scalar emitter into a scratch builder; yield its rows."""
-    builder = TraceBuilder("", "")
-    emit(builder, *args, **kwargs)
-    if len(builder):
-        trace = builder.build()
-        yield trace.pcs, trace.addrs, trace.flags
-
-
-def _vec_filler(rng, count, pc_block, mispredict_rate) -> Iterator[Rows]:
-    """Vectorized :func:`_filler`, decoded in bulk sub-batches (filler is
-    memoryless, so split decodes equal one)."""
+def _filler_rows(rng, count, pc_block, mispredict_rate) -> Iterator[Rows]:
+    """``count`` non-memory instructions (ALU work + branches), decoded in
+    bulk sub-batches (filler is memoryless, so split decodes equal one)."""
     br = BulkRandom(rng)
     for lo in range(0, count, _SUB_ROWS):
         yield bulk_filler(br, min(_SUB_ROWS, count - lo), pc_block,
@@ -164,310 +101,7 @@ def _vec_filler(rng, count, pc_block, mispredict_rate) -> Iterator[Rows]:
 
 
 # --------------------------------------------------------------------------
-# scalar reference emitters (also finish each vectorized trace's tail)
-# --------------------------------------------------------------------------
-
-def _scalar_emit_stream(
-    builder, rng, instructions, base_line, pc_block,
-    stride=1, gap=2, mispredict_rate=0.002, store_every=0,
-    elements_per_line=8, array_lines=0, dep_every_lines=4,
-    _state=None,
-) -> None:
-    if _state is None:
-        line, swept, emitted, i, lines_advanced = base_line, 0, 0, 0, 0
-    else:
-        line, swept, emitted, i, lines_advanced = _state
-    while emitted < instructions:
-        element = i % elements_per_line
-        dependent = (
-            element == 0 and lines_advanced % max(1, dep_every_lines) == 0
-        )
-        builder.load(
-            _pc(pc_block, 0),
-            _line_to_addr(line, element * 8),
-            dependent=dependent,
-        )
-        emitted += 1
-        if store_every and i % store_every == store_every - 1:
-            builder.store(_pc(pc_block, 1), _line_to_addr(line, 8))
-            emitted += 1
-        fill = min(gap, instructions - emitted)
-        _filler(builder, rng, fill, pc_block, mispredict_rate)
-        emitted += fill
-        if element == elements_per_line - 1:
-            line += stride
-            swept += stride
-            lines_advanced += 1
-            if array_lines and swept >= array_lines:
-                line = base_line
-                swept = 0
-        i += 1
-
-
-def _scalar_emit_stencil(
-    builder, rng, instructions, base_line, pc_block,
-    arrays=3, array_gap_lines=1 << 16, mispredict_rate=0.001,
-    elements_per_line=8,
-    _state=None,
-) -> None:
-    emitted, i = (0, 0) if _state is None else _state
-    while emitted < instructions:
-        line_index = i // elements_per_line
-        element = i % elements_per_line
-        for a in range(arrays):
-            if emitted >= instructions:
-                break
-            line = base_line + a * array_gap_lines + line_index
-            if a == arrays - 1:
-                builder.store(_pc(pc_block, a), _line_to_addr(line, element * 8))
-            else:
-                builder.load(_pc(pc_block, a), _line_to_addr(line, element * 8))
-            emitted += 1
-        fill = min(3, instructions - emitted)
-        _filler(builder, rng, fill, pc_block, mispredict_rate)
-        emitted += fill
-        i += 1
-
-
-def _sattolo(rng, working_set_lines: int) -> list:
-    """A uniformly random single-cycle permutation (see the pointer-chase
-    docstring for why a genuine cycle matters)."""
-    perm = list(range(working_set_lines))
-    for i in range(working_set_lines - 1, 0, -1):
-        j = rng.randrange(i)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
-
-
-def _scalar_emit_pointer_chase(
-    builder, rng, instructions, base_line, working_set_lines, pc_block,
-    gap=8, mispredict_rate=0.02, decoy_rate=0.3,
-    _state=None,
-) -> None:
-    if _state is None:
-        perm = _sattolo(rng, working_set_lines)
-        state = rng.randrange(working_set_lines)
-        emitted = 0
-    else:
-        perm, state, emitted = _state
-    while emitted < instructions:
-        line = base_line + state
-        builder.load(_pc(pc_block, 0), _line_to_addr(line), dependent=True)
-        emitted += 1
-        if decoy_rate and rng.random() < decoy_rate:
-            # Payload spill: a 4-line sequential run from one dedicated PC.
-            for step in range(1, 5):
-                if emitted >= instructions:
-                    break
-                builder.load(_pc(pc_block, 2), _line_to_addr(line + step))
-                emitted += 1
-        fill = min(gap, instructions - emitted)
-        _filler(builder, rng, fill, pc_block, mispredict_rate)
-        emitted += fill
-        state = perm[state]
-
-
-def _scalar_emit_hash_probe(
-    builder, rng, instructions, base_line, working_set_lines, pc_block,
-    locality=0.1, gap=8, mispredict_rate=0.015, chain_length=2,
-    decoy_rate=0.25,
-    _emitted=0,
-) -> None:
-    hot_lines = max(8, int(working_set_lines * 0.01))
-    emitted = _emitted
-    while emitted < instructions:
-        if rng.random() < locality:
-            # Hot-set probes come from their own PC (the fast path that
-            # touches resident metadata), as in real hash-table code; a
-            # PC-indexed off-chip predictor can then separate the always-
-            # resident hot path from the always-missing cold probes.
-            line = base_line + rng.randrange(hot_lines)
-            builder.load(_pc(pc_block, 5), _line_to_addr(line))
-        else:
-            line = base_line + rng.randrange(working_set_lines)
-            builder.load(_pc(pc_block, 0), _line_to_addr(line))
-        emitted += 1
-        for hop in range(chain_length):
-            if emitted >= instructions:
-                break
-            line = base_line + (line * 2654435761 + hop) % working_set_lines
-            builder.load(_pc(pc_block, 1), _line_to_addr(line), dependent=True)
-            emitted += 1
-            fill = min(3, instructions - emitted)
-            _filler(builder, rng, fill, pc_block, mispredict_rate)
-            emitted += fill
-        if decoy_rate and rng.random() < decoy_rate:
-            # Bucket scan: a short sequential sweep over the bucket's
-            # neighbouring lines (open addressing / key comparison walk)
-            # that trains stride predictors just long enough to misfire.
-            for step in range(1, 5):
-                if emitted >= instructions:
-                    break
-                builder.load(_pc(pc_block, 3), _line_to_addr(line + step))
-                emitted += 1
-        fill = min(gap, instructions - emitted)
-        _filler(builder, rng, fill, pc_block, mispredict_rate)
-        emitted += fill
-
-
-def _scalar_emit_graph_walk(
-    builder, rng, instructions, base_line, num_vertices_lines, pc_block,
-    neighbors_per_vertex=4, mispredict_rate=0.01, gap=3, clustering=0.3,
-    _state=None,
-) -> None:
-    if _state is None:
-        frontier_line, step, emitted = base_line, 0, 0
-    else:
-        frontier_line, step, emitted = _state
-    vertex_base = base_line + (1 << 20)
-    while emitted < instructions:
-        builder.load(
-            _pc(pc_block, 0), _line_to_addr(frontier_line, (step * 8) & 0x3F)
-        )
-        emitted += 1
-        if step % 8 == 7:
-            frontier_line += 1
-        step += 1
-        hot_vertices = max(16, num_vertices_lines // 64)
-        for _ in range(neighbors_per_vertex):
-            if emitted >= instructions:
-                break
-            # Power-law-ish degree distribution: popular vertices stay hot
-            # in the cache, the long tail goes off-chip.
-            if rng.random() < clustering:
-                target = vertex_base + rng.randrange(hot_vertices)
-            else:
-                target = vertex_base + rng.randrange(num_vertices_lines)
-            builder.load(_pc(pc_block, 1), _line_to_addr(target),
-                         dependent=rng.random() < 0.4)
-            emitted += 1
-            fill = min(gap, instructions - emitted)
-            _filler(builder, rng, fill, pc_block, mispredict_rate)
-            emitted += fill
-        fill = min(gap, instructions - emitted)
-        _filler(builder, rng, fill, pc_block, mispredict_rate)
-        emitted += fill
-
-
-def _scalar_emit_gups(
-    builder, rng, instructions, base_line, working_set_lines, pc_block,
-    mispredict_rate=0.005,
-    _emitted=0,
-) -> None:
-    emitted = _emitted
-    while emitted < instructions:
-        line = base_line + rng.randrange(working_set_lines)
-        builder.load(_pc(pc_block, 0), _line_to_addr(line))
-        emitted += 1
-        if emitted < instructions:
-            builder.store(_pc(pc_block, 1), _line_to_addr(line, 8))
-            emitted += 1
-        fill = min(8, instructions - emitted)
-        _filler(builder, rng, fill, pc_block, mispredict_rate)
-        emitted += fill
-
-
-def _scalar_emit_compute(
-    builder, rng, instructions, base_line, pc_block,
-    memory_ratio=0.08, working_set_lines=4096, mispredict_rate=0.04,
-    streaming_fraction=0.5,
-) -> None:
-    stream_line = base_line
-    element = 0
-    emitted = 0
-    lines_advanced = 0
-    while emitted < instructions:
-        if rng.random() < memory_ratio:
-            if rng.random() < streaming_fraction:
-                # Same software-pipelined dependence as emit_stream: one
-                # dependent advance every fourth line bounds the
-                # prefetcher's upside on the streaming component.
-                dependent = element == 0 and lines_advanced % 4 == 0
-                builder.load(
-                    _pc(pc_block, 0),
-                    _line_to_addr(stream_line, element * 8),
-                    dependent=dependent,
-                )
-                element += 1
-                if element == 8:
-                    element = 0
-                    stream_line += 1
-                    lines_advanced += 1
-            else:
-                line = base_line + (1 << 20) + rng.randrange(working_set_lines)
-                builder.load(_pc(pc_block, 1), _line_to_addr(line))
-            emitted += 1
-        else:
-            _filler(builder, rng, 1, pc_block, mispredict_rate)
-            emitted += 1
-
-
-def _scalar_emit_strided_drift(
-    builder, rng, instructions, base_line, pc_block,
-    base_stride=1, stride_span=4, drift_every=64, gap=2,
-    mispredict_rate=0.002, elements_per_line=8,
-    _state=None,
-) -> None:
-    if _state is None:
-        line, emitted, i = base_line, 0, 0
-    else:
-        line, emitted, i = _state
-    while emitted < instructions:
-        g = i // elements_per_line
-        element = i - g * elements_per_line
-        dependent = element == 0 and g % drift_every == 0
-        builder.load(_pc(pc_block, 0), _line_to_addr(line, element * 8),
-                     dependent=dependent)
-        emitted += 1
-        fill = min(gap, instructions - emitted)
-        _filler(builder, rng, fill, pc_block, mispredict_rate)
-        emitted += fill
-        if element == elements_per_line - 1:
-            line += base_stride + (g // drift_every) % stride_span
-        i += 1
-
-
-def _scalar_emit_producer_consumer(
-    builder, rng, instructions, base_line, pc_block,
-    ring_lines=1 << 12, lag=8, sync_every=16, gap=3,
-    mispredict_rate=0.005,
-    _state=None,
-) -> None:
-    if _state is None:
-        r, emitted = 0, 0
-    else:
-        r, emitted = _state
-    control_line = base_line + ring_lines
-    while emitted < instructions:
-        if sync_every and r % sync_every == 0:
-            # Consumer polls the head counter (the next ring address
-            # comes from its value, so the load is dependent), producer
-            # publishes the new tail.
-            builder.load(_pc(pc_block, 2), _line_to_addr(control_line),
-                         dependent=True)
-            emitted += 1
-            if emitted >= instructions:
-                break
-            builder.store(_pc(pc_block, 3), _line_to_addr(control_line, 8))
-            emitted += 1
-        if emitted >= instructions:
-            break
-        builder.store(_pc(pc_block, 0),
-                      _line_to_addr(base_line + r % ring_lines))
-        emitted += 1
-        if emitted >= instructions:
-            break
-        builder.load(_pc(pc_block, 1),
-                     _line_to_addr(base_line + (r - lag) % ring_lines))
-        emitted += 1
-        fill = min(gap, instructions - emitted)
-        _filler(builder, rng, fill, pc_block, mispredict_rate)
-        emitted += fill
-        r += 1
-
-
-# --------------------------------------------------------------------------
-# vectorized emitters: resumable generators of bounded sub-batches
+# kernel plumbing
 # --------------------------------------------------------------------------
 
 def _load_flags(dep_mask: np.ndarray) -> np.ndarray:
@@ -477,6 +111,22 @@ def _load_flags(dep_mask: np.ndarray) -> np.ndarray:
 def _rounds_per_batch(round_rows: int) -> int:
     """Whole rounds of at most ``round_rows`` rows per sub-batch."""
     return max(1, _SUB_ROWS // round_rows)
+
+
+def _scatter_filler(br, pcs, flags, fpos, total, pc_block, mispredict_rate):
+    """Decode the filler rows at the ascending positions ``fpos`` that lie
+    below ``total`` (the rows the budget keeps) and scatter them in."""
+    kept = fpos[:int(np.searchsorted(fpos, total))]
+    fpc, _, ffl = bulk_filler(br, len(kept), pc_block, mispredict_rate)
+    pcs[kept] = fpc
+    flags[kept] = ffl
+
+
+def _after_fillers(fjmp1: np.ndarray, o, count: int) -> int:
+    """Word offset after ``count`` filler instructions starting at ``o``."""
+    for _ in range(count):
+        o = fjmp1[o]
+    return int(o)
 
 
 def _chain(win: WordWindow, tables, rounds: int, margin: int):
@@ -511,16 +161,38 @@ def _chain(win: WordWindow, tables, rounds: int, margin: int):
         k += 1
 
 
-def _vec_emit_stream(
-    rng, instructions, base_line, pc_block,
-    stride=1, gap=2, mispredict_rate=0.002, store_every=0,
-    elements_per_line=8, array_lines=0, dep_every_lines=4,
-) -> Iterator[Rows]:
-    """Vectorized :func:`emit_stream`: the iteration skeleton (line walk,
-    store cadence, dependence period) is a closed-form function of the
-    iteration index, and the only RNG consumer is the filler — so each
-    sub-batch of *full* iterations is three numpy scatters plus one bulk
-    filler decode, resumed at the next iteration index."""
+# --------------------------------------------------------------------------
+# emitters: resumable generators of bounded sub-batches
+# --------------------------------------------------------------------------
+
+def emit_stream(rng, instructions, base_line, pc_block,
+                stride=1, gap=2, mispredict_rate=0.002, store_every=0,
+                elements_per_line=8, array_lines=0,
+                dep_every_lines=4) -> Iterator[Rows]:
+    """Sequential/strided node scan: the canonical prefetcher-friendly
+    pattern.
+
+    Loads walk 8-byte elements; each cacheline serves ``elements_per_line``
+    consecutive loads.  Every ``dep_every_lines``-th line advance is
+    *address-dependent* on the previous line's data (a sequentially
+    laid-out linked structure whose node spans several lines), which makes
+    the pattern partially latency-bound without prefetching: the periodic
+    dependent advance caps the memory-level parallelism the out-of-order
+    window can extract, and an accurate prefetcher collapses those chains
+    into cache hits.  The period bounds the prefetcher's upside to the
+    paper's observed range (friendly-workload speedups of roughly
+    1.1-1.7x) instead of the unbounded win a fully-serialised stream
+    would show.
+
+    ``array_lines`` > 0 wraps the sweep so the array becomes LLC-resident
+    after the first pass (prefetching then hides on-chip latency without
+    extra DRAM traffic); 0 streams endlessly through cold memory.
+
+    The iteration skeleton (line walk, store cadence, dependence period)
+    is a closed-form function of the iteration index, and the only RNG
+    consumer is the filler — so each sub-batch is three numpy scatters
+    plus one bulk filler decode, resumed at the next iteration index.
+    """
     L = instructions
     epl = elements_per_line
     se = store_every
@@ -538,10 +210,17 @@ def _vec_emit_stream(
             K = mid
         else:
             hi = mid
+    # Budget left after K iterations starts one more whose filler gap is
+    # clamped; its load and store still land, so the store can overshoot.
+    iterations, stop = K, L
+    if emitted_before(K) < L:
+        iterations += 1
+        if se and K % se == se - 1:
+            stop = max(L, emitted_before(K) + 2)
     br = BulkRandom(rng)
     batch = _rounds_per_batch(2 + gap)
-    for i0 in range(0, K, batch):
-        n = min(batch, K - i0)
+    for i0 in range(0, iterations, batch):
+        n = min(batch, iterations - i0)
         i_arr = np.arange(i0, i0 + n, dtype=np.int64)
         s_arr = ((i_arr % se) == se - 1).astype(np.int64) if se else \
             np.zeros(n, dtype=np.int64)
@@ -551,10 +230,11 @@ def _vec_emit_stream(
         line = base_line + stride * (g % period if array_lines else g)
         dep = (element == 0) & (g % max(1, dep_every_lines) == 0)
 
-        total = emitted_before(i0 + n) - emitted_before(i0)
-        pcs = np.empty(total, dtype=np.int64)
-        addrs = np.zeros(total, dtype=np.int64)
-        flags = np.zeros(total, dtype=np.uint8)
+        size = emitted_before(i0 + n) - emitted_before(i0)
+        total = min(emitted_before(i0 + n), stop) - emitted_before(i0)
+        pcs = np.empty(size, dtype=np.int64)
+        addrs = np.zeros(size, dtype=np.int64)
+        flags = np.zeros(size, dtype=np.uint8)
         pcs[pos] = _pc(pc_block, 0)
         addrs[pos] = (line << LINE_SHIFT) | ((element * 8) & 0x3F)
         flags[pos] = _load_flags(dep)
@@ -565,41 +245,30 @@ def _vec_emit_stream(
             addrs[store_pos] = (line[sm] << LINE_SHIFT) | 8
             flags[store_pos] = FLAG_STORE
         if gap:
-            fpc, _, ffl = bulk_filler(br, gap * n, pc_block, mispredict_rate)
             fpos = (
                 (pos + 1 + s_arr)[:, None] + np.arange(gap, dtype=np.int64)
             ).ravel()
-            pcs[fpos] = fpc
-            flags[fpos] = ffl
-        yield pcs, addrs, flags
+            _scatter_filler(br, pcs, flags, fpos, total, pc_block,
+                            mispredict_rate)
+        yield pcs[:total], addrs[:total], flags[:total]
     br.sync()
 
-    # Scalar tail: at most a couple of budget-clamped iterations.
-    g = K // epl
-    adv = g % period if array_lines else g
-    yield from _scalar_rows(
-        _scalar_emit_stream, rng, instructions, base_line, pc_block,
-        stride=stride, gap=gap, mispredict_rate=mispredict_rate,
-        store_every=se, elements_per_line=epl, array_lines=array_lines,
-        dep_every_lines=dep_every_lines,
-        _state=(base_line + stride * adv, stride * adv,
-                emitted_before(K), K, g),
-    )
 
+def emit_stencil(rng, instructions, base_line, pc_block,
+                 arrays=3, array_gap_lines=1 << 16, mispredict_rate=0.001,
+                 elements_per_line=8) -> Iterator[Rows]:
+    """Multiple concurrent unit-stride streams (a[i] = b[i] op c[i]).
 
-def _vec_emit_stencil(
-    rng, instructions, base_line, pc_block,
-    arrays=3, array_gap_lines=1 << 16, mispredict_rate=0.001,
-    elements_per_line=8,
-) -> Iterator[Rows]:
-    """Vectorized :func:`emit_stencil`: uniform rounds of ``arrays``
-    accesses + 3 filler build directly as a ``(rounds, size)`` matrix."""
+    Uniform rounds of ``arrays`` accesses + 3 filler build directly as a
+    ``(rounds, size)`` matrix; the budget keeps a prefix of the last.
+    """
     rs = arrays + 3
-    K = instructions // rs
+    rounds = -(-instructions // rs)
     br = BulkRandom(rng)
     batch = _rounds_per_batch(rs)
-    for k0 in range(0, K, batch):
-        n = min(batch, K - k0)
+    for k0 in range(0, rounds, batch):
+        n = min(batch, rounds - k0)
+        total = min(n * rs, instructions - k0 * rs)
         i_arr = np.arange(k0, k0 + n, dtype=np.int64)
         line_index = i_arr // elements_per_line
         element = i_arr % elements_per_line
@@ -612,77 +281,45 @@ def _vec_emit_stencil(
             pcs[:, a] = _pc(pc_block, a)
             addrs[:, a] = (line << LINE_SHIFT) | offset
             flags[:, a] = FLAG_STORE if a == arrays - 1 else FLAG_LOAD
-        fpc, _, ffl = bulk_filler(br, 3 * n, pc_block, mispredict_rate)
+        # the budget may keep only a prefix of the last round's filler
+        kept = 3 * n - min(3, n * rs - total)
+        fpc = np.zeros(3 * n, dtype=np.int64)
+        ffl = np.zeros(3 * n, dtype=np.uint8)
+        fpc[:kept], _, ffl[:kept] = bulk_filler(br, kept, pc_block,
+                                                mispredict_rate)
         pcs[:, arrays:] = fpc.reshape(n, 3)
         flags[:, arrays:] = ffl.reshape(n, 3)
-        yield pcs.ravel(), addrs.ravel(), flags.ravel()
+        yield (pcs.ravel()[:total], addrs.ravel()[:total],
+               flags.ravel()[:total])
     br.sync()
-    yield from _scalar_rows(
-        _scalar_emit_stencil, rng, instructions, base_line, pc_block,
-        arrays=arrays, array_gap_lines=array_gap_lines,
-        mispredict_rate=mispredict_rate, elements_per_line=elements_per_line,
-        _state=(K * rs, K),
-    )
 
 
-def _vec_emit_gups(
-    rng, instructions, base_line, working_set_lines, pc_block,
-    mispredict_rate=0.005,
-) -> Iterator[Rows]:
-    """Vectorized :func:`emit_gups`: one ``randrange`` + load/store pair +
-    8 filler per round; the word-offset chain walks precomputed
-    randrange/filler jump tables, everything else is gathers."""
-    K = instructions // 10
+def emit_pointer_chase(rng, instructions, base_line, working_set_lines,
+                       pc_block, gap=8, mispredict_rate=0.02,
+                       decoy_rate=0.3) -> Iterator[Rows]:
+    """Dependent random walk: prefetcher-adverse, highly off-chip.
 
-    def tables(win):
-        rr = randrange_tables(win, working_set_lines)
-        fj1 = filler_jump(win)
-        # One whole round — randrange, then an 8-instruction filler
-        # run — as a single composed jump table.
-        return rr, fj1, compose_jump(fj1, 8)[rr.after]
+    Every load's address comes from the previous load's data (FLAG_DEP),
+    so misses serialise — the linked-list traversal of mcf/omnetpp/canneal.
+    With the working set far exceeding the LLC, nearly every access goes
+    off-chip, which is exactly the regime where an OCP shines.
 
-    br = BulkRandom(rng)
-    batch = _rounds_per_batch(10)
-    for k0 in range(0, K, batch):
-        n = min(batch, K - k0)
-        win = WordWindow(br, n * 21 + 256)
-        offs, (rr, fjmp1, G) = _chain(win, tables, n, 64)
-        br.advance_words(int(offs[n]))
-        offs = offs[:n]
-        vals = rr.value_at(offs)
-        fstarts = rr.after[offs]
+    The walk follows a Sattolo single-cycle permutation (a genuine linked
+    list threaded randomly through the working set; a multiplicative LCG
+    walk degenerates into tiny same-set cycles for power-of-two working
+    sets — a conflict-thrash microbenchmark, not a pointer chase).
 
-        pcs = np.empty((n, 10), dtype=np.int64)
-        addrs = np.zeros((n, 10), dtype=np.int64)
-        flags = np.zeros((n, 10), dtype=np.uint8)
-        line = base_line + vals
-        pcs[:, 0] = _pc(pc_block, 0)
-        addrs[:, 0] = line << LINE_SHIFT
-        flags[:, 0] = FLAG_LOAD
-        pcs[:, 1] = _pc(pc_block, 1)
-        addrs[:, 1] = (line << LINE_SHIFT) | 8
-        flags[:, 1] = FLAG_STORE
-        foffs = filler_run_offsets(fjmp1, fstarts, 8)
-        fpc, ffl = filler_at(win, foffs.ravel(), pc_block, mispredict_rate)
-        pcs[:, 2:] = fpc.reshape(n, 8)
-        flags[:, 2:] = ffl.reshape(n, 8)
-        yield pcs.ravel(), addrs.ravel(), flags.ravel()
-        del win, rr, fjmp1, G  # one window at a time (see _chain)
-    br.sync()
-    yield from _scalar_rows(
-        _scalar_emit_gups, rng, instructions, base_line, working_set_lines,
-        pc_block, mispredict_rate=mispredict_rate, _emitted=K * 10,
-    )
+    ``decoy_rate`` controls how often a node visit spills into a short
+    sequential-line burst (reading the node's payload across adjacent
+    lines).  Real irregular workloads are full of such transient runs;
+    they bait stride/delta prefetchers into gaining confidence and then
+    spraying useless prefetch degree past the end of the run — the
+    mechanism behind the paper's prefetcher-adverse degradation.
 
-
-def _vec_emit_pointer_chase(
-    rng, instructions, base_line, working_set_lines, pc_block,
-    gap=8, mispredict_rate=0.02, decoy_rate=0.3,
-) -> Iterator[Rows]:
-    """Vectorized :func:`emit_pointer_chase`: the Sattolo cycle is drawn
-    through the bulk RNG, the walk itself follows the permutation orbit
-    from the carried node, and the decoy/filler decode is an offset
-    chain."""
+    The Sattolo cycle is drawn through the bulk RNG, the walk itself
+    follows the permutation orbit from the carried node, and the
+    decoy/filler decode is an offset chain.
+    """
     L = instructions
     br = BulkRandom(rng)
     # a compact array, not a list: the permutation lives for the whole
@@ -700,15 +337,14 @@ def _vec_emit_pointer_chase(
         # One round: optional decoy-decision double, then the gap run.
         return fj1, fjg[clamped_step(win, 2)] if decoy_rate else fjg
 
-    max_round = 5 + gap
-    batch = _rounds_per_batch(max_round)
+    batch = _rounds_per_batch(5 + gap)
     emitted = 0
-    while emitted <= L - max_round:
+    while emitted < L:
         # Speculatively decode an upper bound of the rounds left (as if
-        # none were budget-clamped), then cut at the round where the
-        # scalar loop would have stopped; only the words of kept rounds
-        # are committed.
-        n = min(batch, (L - max_round - emitted) // (1 + gap) + 1)
+        # none were budget-clamped), then cut at the first round the
+        # budget does not start; only the words of kept rows are
+        # committed.
+        n = min(batch, (L - emitted - 1) // (1 + gap) + 1)
         win = WordWindow(br, n * (2 + gap * 3) + 256)
         offs, (fjmp1, G) = _chain(win, tables, n, 8 + 4 * gap)
         if decoy_rate:
@@ -717,8 +353,7 @@ def _vec_emit_pointer_chase(
             dc_full = np.zeros(n, dtype=bool)
         sizes = np.where(dc_full, 5 + gap, 1 + gap).astype(np.int64)
         off = np.cumsum(sizes) - sizes
-        K = int(np.searchsorted(off, L - max_round - emitted, side="right"))
-        br.advance_words(int(offs[K]))
+        K = int(np.searchsorted(off, L - emitted))
 
         dc_arr = dc_full[:K]
         off = off[:K]
@@ -730,10 +365,20 @@ def _vec_emit_pointer_chase(
             s = perm[s]
         state = s
 
-        total = int(off[-1] + sizes[K - 1])
-        pcs = np.empty(total, dtype=np.int64)
-        addrs = np.zeros(total, dtype=np.int64)
-        flags = np.zeros(total, dtype=np.uint8)
+        size = int(off[-1] + sizes[K - 1])
+        total = min(size, L - emitted)
+        commit = int(offs[K])
+        if total < size:
+            # The budget clamps the last round's decoy burst and filler;
+            # its decoy decision is drawn regardless.
+            head = 5 if dc_arr[-1] else 1
+            commit = _after_fillers(fjmp1, fstarts[-1],
+                                    total - int(off[-1]) - head)
+        br.advance_words(commit)
+
+        pcs = np.empty(size, dtype=np.int64)
+        addrs = np.zeros(size, dtype=np.int64)
+        flags = np.zeros(size, dtype=np.uint8)
         line = base_line + states
         pcs[off] = _pc(pc_block, 0)
         addrs[off] = line << LINE_SHIFT
@@ -755,32 +400,31 @@ def _vec_emit_pointer_chase(
             ).ravel()
             pcs[fpos] = fpc
             flags[fpos] = ffl
-        yield pcs, addrs, flags
+        yield pcs[:total], addrs[:total], flags[:total]
         del win, fjmp1, G  # one window at a time (see _chain)
         emitted += total
-        if K < n:
-            break
     br.sync()
-    yield from _scalar_rows(
-        _scalar_emit_pointer_chase, rng, instructions, base_line,
-        working_set_lines, pc_block, gap=gap,
-        mispredict_rate=mispredict_rate, decoy_rate=decoy_rate,
-        _state=(perm, state, emitted),
-    )
 
 
-def _vec_emit_hash_probe(
-    rng, instructions, base_line, working_set_lines, pc_block,
-    locality=0.1, gap=8, mispredict_rate=0.015, chain_length=2,
-    decoy_rate=0.25,
-) -> Iterator[Rows]:
-    """Vectorized :func:`emit_hash_probe`: hot/cold randrange tables feed
-    a per-round offset chain; the dependent bucket chains are Fibonacci
-    hashes of the probe value, computed as whole index arrays."""
+def emit_hash_probe(rng, instructions, base_line, working_set_lines,
+                    pc_block, locality=0.1, gap=8, mispredict_rate=0.015,
+                    chain_length=2, decoy_rate=0.25) -> Iterator[Rows]:
+    """Random hash probes with dependent bucket chains (xalancbmk-like).
+
+    Each probe lands on a random bucket; collisions walk a short *dependent*
+    chain (``chain_length`` loads whose addresses come from the previous
+    load).  The mix leaves the pattern unprefetchable (random addresses) but
+    partially latency-bound (dependent chains), which is exactly the regime
+    where an accurate off-chip predictor wins and a prefetcher only burns
+    bandwidth — the paper's prefetcher-adverse class.
+
+    Hot/cold randrange tables feed a per-round offset chain; the
+    dependent bucket chains are Fibonacci hashes of the probe value,
+    computed as whole index arrays.
+    """
     L = instructions
     cl = chain_length
     hot_lines = max(8, int(working_set_lines * 0.01))
-    max_round = 1 + 4 * cl + 4 + gap
 
     def tables(win):
         fj1 = filler_jump(win)
@@ -799,11 +443,12 @@ def _vec_emit_hash_probe(
                 fjg[g_start])
 
     br = BulkRandom(rng)
-    batch = _rounds_per_batch(max_round)
+    min_round = 1 + 4 * cl + gap
+    batch = _rounds_per_batch(min_round + 4)
     emitted = 0
-    while emitted <= L - max_round:
+    while emitted < L:
         # speculative decode + cut, as in the pointer chase
-        n = min(batch, (L - max_round - emitted) // (max_round - 4) + 1)
+        n = min(batch, (L - emitted - 1) // min_round + 1)
         win = WordWindow(br, n * (7 + (3 * cl + gap) * 5 // 2) + 256)
         offs, (fjmp1, fjmp3, rrh, rrw, hot_t, r_after, hops_after, G) = \
             _chain(win, tables, n, 16 + 4 * (3 * cl + gap))
@@ -812,10 +457,9 @@ def _vec_emit_hash_probe(
                 ithreshold(decoy_rate)
         else:
             dc_full = np.zeros(n, dtype=bool)
-        sizes = (1 + 4 * cl + gap + np.where(dc_full, 4, 0)).astype(np.int64)
+        sizes = (min_round + np.where(dc_full, 4, 0)).astype(np.int64)
         off = np.cumsum(sizes) - sizes
-        K = int(np.searchsorted(off, L - max_round - emitted, side="right"))
-        br.advance_words(int(offs[K]))
+        K = int(np.searchsorted(off, L - emitted))
 
         ro = offs[:K]
         hot_arr = hot_t[ro]
@@ -825,11 +469,30 @@ def _vec_emit_hash_probe(
             hot_arr, rrh.value_at(o1), rrw.value_at(o1)
         ).astype(np.int64)
         off = off[:K]
-        total = int(off[-1] + sizes[K - 1])
-        pcs = np.empty(total, dtype=np.int64)
-        addrs = np.zeros(total, dtype=np.int64)
-        flags = np.zeros(total, dtype=np.uint8)
+        size = int(off[-1] + sizes[K - 1])
+        total = min(size, L - emitted)
+        commit = int(offs[K])
+        if total < size:
+            # The budget clamps the last round: its hop loop may break
+            # early, yet the decoy decision is drawn after whatever hops
+            # ran; its bucket scan and gap filler are cut.
+            left = total - int(off[-1]) - 1
+            o = r_after[ro[-1]]
+            for _ in range(cl):
+                if not left:
+                    break
+                hop_fill = min(3, left - 1)
+                o = _after_fillers(fjmp1, o, hop_fill)
+                left -= 1 + hop_fill
+            if decoy_rate:
+                o += 2
+                left -= min(4, left) if dc_arr[-1] else 0
+            commit = _after_fillers(fjmp1, o, min(gap, left))
+        br.advance_words(commit)
 
+        pcs = np.empty(size, dtype=np.int64)
+        addrs = np.zeros(size, dtype=np.int64)
+        flags = np.zeros(size, dtype=np.uint8)
         line = base_line + val_arr
         pcs[off] = np.where(hot_arr, _pc(pc_block, 5), _pc(pc_block, 0))
         addrs[off] = line << LINE_SHIFT
@@ -873,33 +536,31 @@ def _vec_emit_hash_probe(
             ).ravel()
             pcs[fpos] = fpc
             flags[fpos] = ffl
-        yield pcs, addrs, flags
+        yield pcs[:total], addrs[:total], flags[:total]
         # one window at a time (see _chain)
         del win, fjmp1, fjmp3, rrh, rrw, hot_t, r_after, hops_after, G
         emitted += total
-        if K < n:
-            break
     br.sync()
-    yield from _scalar_rows(
-        _scalar_emit_hash_probe, rng, instructions, base_line,
-        working_set_lines, pc_block, locality=locality, gap=gap,
-        mispredict_rate=mispredict_rate, chain_length=chain_length,
-        decoy_rate=decoy_rate, _emitted=emitted,
-    )
 
 
-def _vec_emit_graph_walk(
-    rng, instructions, base_line, num_vertices_lines, pc_block,
-    neighbors_per_vertex=4, mispredict_rate=0.01, gap=3, clustering=0.3,
-) -> Iterator[Rows]:
-    """Vectorized :func:`emit_graph_walk`: uniform rounds (frontier scan +
-    ``neighbors_per_vertex`` probes) built as a matrix, with hot/cold
-    vertex randrange tables driving the neighbour targets."""
+def emit_graph_walk(rng, instructions, base_line, num_vertices_lines,
+                    pc_block, neighbors_per_vertex=4, mispredict_rate=0.01,
+                    gap=3, clustering=0.3) -> Iterator[Rows]:
+    """Frontier-driven graph processing (Ligra BFS/PageRank shape).
+
+    Alternates a sequential frontier/offset scan (friendly) with bursts of
+    random vertex-data accesses (adverse); the blend is what makes graph
+    workloads partially prefetchable.
+
+    Uniform rounds (frontier scan + ``neighbors_per_vertex`` probes) build
+    as a matrix, with hot/cold vertex randrange tables driving the
+    neighbour targets; the budget keeps a prefix of the last round.
+    """
     npv = neighbors_per_vertex
     hot_vertices = max(16, num_vertices_lines // 64)
     vertex_base = base_line + (1 << 20)
     rs = 1 + npv * (1 + gap) + gap
-    K = instructions // rs
+    rounds = -(-instructions // rs)
 
     def tables(win):
         fj1 = filler_jump(win)
@@ -919,14 +580,27 @@ def _vec_emit_graph_walk(
 
     br = BulkRandom(rng)
     batch = _rounds_per_batch(rs)
-    for k0 in range(0, K, batch):
-        n = min(batch, K - k0)
+    for k0 in range(0, rounds, batch):
+        n = min(batch, rounds - k0)
+        total = min(n * rs, instructions - k0 * rs)
         win = WordWindow(
             br, n * (npv * (7 + 5 * gap // 2) + 5 * gap // 2) + 256
         )
         offs, (fjmp1, rrh, rrn, hot_t, nb_after, fstart_t, N, G) = \
             _chain(win, tables, n, 16 + (npv + 1) * 4 * gap)
-        br.advance_words(int(offs[n]))
+        commit = int(offs[n])
+        if total < n * rs:
+            # The budget truncates the last round's neighbour list: every
+            # neighbour it starts draws its target, then a clamped filler.
+            o, left = offs[n - 1], total - (n - 1) * rs - 1
+            for _ in range(npv):
+                if not left:
+                    break
+                nb_fill = min(gap, left - 1)
+                o = _after_fillers(fjmp1, fstart_t[o], nb_fill)
+                left -= 1 + nb_fill
+            commit = _after_fillers(fjmp1, o, min(gap, left))
+        br.advance_words(commit)
 
         i_arr = np.arange(k0, k0 + n, dtype=np.int64)
         pcs = np.empty((n, rs), dtype=np.int64)
@@ -962,28 +636,83 @@ def _vec_emit_graph_walk(
                                  mispredict_rate)
             pcs[:, rs - gap:] = fpc.reshape(n, gap)
             flags[:, rs - gap:] = ffl.reshape(n, gap)
-        yield pcs.ravel(), addrs.ravel(), flags.ravel()
+        yield (pcs.ravel()[:total], addrs.ravel()[:total],
+               flags.ravel()[:total])
         # one window at a time (see _chain)
         del win, fjmp1, rrh, rrn, hot_t, nb_after, fstart_t, N, G, cur
     br.sync()
-    yield from _scalar_rows(
-        _scalar_emit_graph_walk, rng, instructions, base_line,
-        num_vertices_lines, pc_block, neighbors_per_vertex=npv,
-        mispredict_rate=mispredict_rate, gap=gap, clustering=clustering,
-        _state=(base_line + K // 8, K, K * rs),
-    )
 
 
-def _vec_emit_compute(
-    rng, instructions, base_line, pc_block,
-    memory_ratio=0.08, working_set_lines=4096, mispredict_rate=0.04,
-    streaming_fraction=0.5,
-) -> Iterator[Rows]:
-    """Vectorized :func:`emit_compute`: every instruction consumes one to
-    three draws, so the decode is a single per-instruction offset chain
-    through one composed transition table; the streaming component's
-    element/line state is a prefix-sum over the stream-load subsequence,
-    resumed from the stream loads of earlier sub-batches."""
+def emit_gups(rng, instructions, base_line, working_set_lines, pc_block,
+              mispredict_rate=0.005) -> Iterator[Rows]:
+    """Random read-modify-write updates (GUPS / streamcluster-like).
+
+    One ``randrange`` + load/store pair + 8 filler per round; the
+    word-offset chain walks precomputed randrange/filler jump tables,
+    everything else is gathers.
+    """
+    rounds = -(-instructions // 10)
+
+    def tables(win):
+        rr = randrange_tables(win, working_set_lines)
+        fj1 = filler_jump(win)
+        # One whole round — randrange, then an 8-instruction filler
+        # run — as a single composed jump table.
+        return rr, fj1, compose_jump(fj1, 8)[rr.after]
+
+    br = BulkRandom(rng)
+    batch = _rounds_per_batch(10)
+    for k0 in range(0, rounds, batch):
+        n = min(batch, rounds - k0)
+        total = min(n * 10, instructions - k0 * 10)
+        win = WordWindow(br, n * 21 + 256)
+        offs, (rr, fjmp1, G) = _chain(win, tables, n, 64)
+        fstarts = rr.after[offs[:n]]
+        commit = int(offs[n])
+        if total < n * 10:
+            # the budget cuts the last round after its load (and store)
+            commit = _after_fillers(fjmp1, fstarts[-1],
+                                    total - (n - 1) * 10 - 2)
+        br.advance_words(commit)
+        vals = rr.value_at(offs[:n])
+
+        pcs = np.empty((n, 10), dtype=np.int64)
+        addrs = np.zeros((n, 10), dtype=np.int64)
+        flags = np.zeros((n, 10), dtype=np.uint8)
+        line = base_line + vals
+        pcs[:, 0] = _pc(pc_block, 0)
+        addrs[:, 0] = line << LINE_SHIFT
+        flags[:, 0] = FLAG_LOAD
+        pcs[:, 1] = _pc(pc_block, 1)
+        addrs[:, 1] = (line << LINE_SHIFT) | 8
+        flags[:, 1] = FLAG_STORE
+        foffs = filler_run_offsets(fjmp1, fstarts, 8)
+        fpc, ffl = filler_at(win, foffs.ravel(), pc_block, mispredict_rate)
+        pcs[:, 2:] = fpc.reshape(n, 8)
+        flags[:, 2:] = ffl.reshape(n, 8)
+        yield (pcs.ravel()[:total], addrs.ravel()[:total],
+               flags.ravel()[:total])
+        del win, rr, fjmp1, G  # one window at a time (see _chain)
+    br.sync()
+
+
+def emit_compute(rng, instructions, base_line, pc_block,
+                 memory_ratio=0.08, working_set_lines=4096,
+                 mispredict_rate=0.04,
+                 streaming_fraction=0.5) -> Iterator[Rows]:
+    """Compute-dominated phases with occasional memory bursts (CVP-like).
+
+    The streaming component walks 8-byte elements of a sequentially-linked
+    structure (periodic dependent line advance, like :func:`emit_stream`);
+    the irregular component probes a random working set.
+
+    Every instruction consumes one to three draws, so the decode is a
+    single per-instruction offset chain through one composed transition
+    table; the streaming component's element/line state is a prefix-sum
+    over the stream-load subsequence, resumed from the stream loads of
+    earlier sub-batches.  With one instruction per round, no budget
+    clamps a round.
+    """
     L = instructions
 
     def tables(win):
@@ -1052,24 +781,35 @@ def _vec_emit_compute(
     br.sync()
 
 
-def _vec_emit_strided_drift(
-    rng, instructions, base_line, pc_block,
-    base_stride=1, stride_span=4, drift_every=64, gap=2,
-    mispredict_rate=0.002, elements_per_line=8,
-) -> Iterator[Rows]:
-    """Vectorized :func:`emit_strided_drift`: the drifting line walk is a
-    prefix-sum over the per-line stride schedule (a pure function of the
-    line index) from the carried line cursor, and the filler is the only
-    RNG consumer — so each sub-batch is one scatter plus one bulk filler
-    decode."""
+def emit_strided_drift(rng, instructions, base_line, pc_block,
+                       base_stride=1, stride_span=4, drift_every=64,
+                       gap=2, mispredict_rate=0.002,
+                       elements_per_line=8) -> Iterator[Rows]:
+    """Strided scan whose stride drifts over time (blocked-matrix walk).
+
+    Like :func:`emit_stream` but the stride steps through
+    ``stride_span`` values, advancing every ``drift_every`` lines —
+    the shape of a tiled traversal whose leading dimension grows (or a
+    structure-of-arrays scan with per-field phases).  Stride
+    prefetchers lock onto each plateau quickly, then misfire across
+    every drift boundary; the boundary's first load is additionally
+    *address-dependent* (the next tile's base pointer), so those
+    misses are serialised and an accurate off-chip predictor still has
+    headroom where the prefetcher stumbles.
+
+    The drifting line walk is a prefix-sum over the per-line stride
+    schedule (a pure function of the line index) from the carried line
+    cursor, and the filler is the only RNG consumer — so each sub-batch
+    is one scatter plus one bulk filler decode.
+    """
     epl = elements_per_line
-    # full iterations: (i + 1) * (1 + gap) <= instructions
-    K = instructions // (1 + gap)
+    # the last iteration's filler gap may be budget-clamped
+    iterations = -(-instructions // (1 + gap))
     br = BulkRandom(rng)
     batch = _rounds_per_batch(1 + gap)
     line = base_line  # the cursor: where line index i0 // epl lies
-    for i0 in range(0, K, batch):
-        n = min(batch, K - i0)
+    for i0 in range(0, iterations, batch):
+        n = min(batch, iterations - i0)
         i_arr = np.arange(i0, i0 + n, dtype=np.int64)
         g = i_arr // epl
         element = i_arr - g * epl
@@ -1086,265 +826,23 @@ def _vec_emit_strided_drift(
         line = int(line_pos[-1])
 
         e_arr = (i_arr - i0) * (1 + gap)
-        total = n * (1 + gap)
-        pcs = np.empty(total, dtype=np.int64)
-        addrs = np.zeros(total, dtype=np.int64)
-        flags = np.zeros(total, dtype=np.uint8)
+        size = n * (1 + gap)
+        total = min(size, instructions - i0 * (1 + gap))
+        pcs = np.empty(size, dtype=np.int64)
+        addrs = np.zeros(size, dtype=np.int64)
+        flags = np.zeros(size, dtype=np.uint8)
         pcs[e_arr] = _pc(pc_block, 0)
         addrs[e_arr] = (line_pos[g - g0] << LINE_SHIFT) | \
             ((element * 8) & 0x3F)
         flags[e_arr] = _load_flags(dep)
         if gap:
-            fpc, _, ffl = bulk_filler(br, gap * n, pc_block, mispredict_rate)
             fpos = (
                 (e_arr + 1)[:, None] + np.arange(gap, dtype=np.int64)
             ).ravel()
-            pcs[fpos] = fpc
-            flags[fpos] = ffl
-        yield pcs, addrs, flags
+            _scatter_filler(br, pcs, flags, fpos, total, pc_block,
+                            mispredict_rate)
+        yield pcs[:total], addrs[:total], flags[:total]
     br.sync()
-    yield from _scalar_rows(
-        _scalar_emit_strided_drift, rng, instructions, base_line, pc_block,
-        base_stride=base_stride, stride_span=stride_span,
-        drift_every=drift_every, gap=gap,
-        mispredict_rate=mispredict_rate, elements_per_line=epl,
-        _state=(line, K * (1 + gap), K),
-    )
-
-
-def _vec_emit_producer_consumer(
-    rng, instructions, base_line, pc_block,
-    ring_lines=1 << 12, lag=8, sync_every=16, gap=3,
-    mispredict_rate=0.005,
-) -> Iterator[Rows]:
-    """Vectorized :func:`emit_producer_consumer`: round sizes (with or
-    without the periodic sync pair) are a pure function of the round
-    index, so offsets are one cumsum and the ring walk two modular index
-    arrays from the carried round index; only the filler touches the
-    RNG."""
-    L = instructions
-    control_line = base_line + ring_lines
-    max_round = 4 + gap
-    br = BulkRandom(rng)
-    batch = _rounds_per_batch(max_round)
-    r0 = 0
-    emitted = 0
-    while emitted <= L - max_round:
-        n = min(batch, (L - max_round - emitted) // (2 + gap) + 1)
-        r_arr = np.arange(r0, r0 + n, dtype=np.int64)
-        if sync_every:
-            sm = r_arr % sync_every == 0
-        else:
-            sm = np.zeros(n, dtype=bool)
-        sizes = (2 + gap + np.where(sm, 2, 0)).astype(np.int64)
-        off = np.cumsum(sizes) - sizes
-        K = int(np.searchsorted(off, L - max_round - emitted, side="right"))
-        sm, off, r_arr = sm[:K], off[:K], r_arr[:K]
-        total = int(off[-1] + sizes[K - 1])
-        pcs = np.empty(total, dtype=np.int64)
-        addrs = np.zeros(total, dtype=np.int64)
-        flags = np.zeros(total, dtype=np.uint8)
-        if sm.any():
-            spos = off[sm]
-            pcs[spos] = _pc(pc_block, 2)
-            addrs[spos] = control_line << LINE_SHIFT
-            flags[spos] = FLAG_LOAD | FLAG_DEP
-            pcs[spos + 1] = _pc(pc_block, 3)
-            addrs[spos + 1] = (control_line << LINE_SHIFT) | 8
-            flags[spos + 1] = FLAG_STORE
-        body = off + np.where(sm, 2, 0)
-        pcs[body] = _pc(pc_block, 0)
-        addrs[body] = (base_line + r_arr % ring_lines) << LINE_SHIFT
-        flags[body] = FLAG_STORE
-        pcs[body + 1] = _pc(pc_block, 1)
-        addrs[body + 1] = (
-            base_line + (r_arr - lag) % ring_lines
-        ) << LINE_SHIFT
-        flags[body + 1] = FLAG_LOAD
-        if gap:
-            fpc, _, ffl = bulk_filler(br, gap * K, pc_block, mispredict_rate)
-            fpos = (
-                (body + 2)[:, None] + np.arange(gap, dtype=np.int64)
-            ).ravel()
-            pcs[fpos] = fpc
-            flags[fpos] = ffl
-        yield pcs, addrs, flags
-        emitted += total
-        r0 += K
-        if K < n:
-            break
-    br.sync()
-    yield from _scalar_rows(
-        _scalar_emit_producer_consumer, rng, instructions, base_line,
-        pc_block, ring_lines=ring_lines, lag=lag, sync_every=sync_every,
-        gap=gap, mispredict_rate=mispredict_rate,
-        _state=(r0, emitted),
-    )
-
-
-# --------------------------------------------------------------------------
-# public emitters (vectorized, scalar under ``scalar_generators()``)
-# --------------------------------------------------------------------------
-
-def _emit(scalar, vec, rng, instructions, *args, **kwargs) -> Iterator[Rows]:
-    """The sub-batches of one phase from the vectorized kernel, or from
-    the scalar loop for short budgets and under :func:`scalar_generators`."""
-    if _use_scalar or instructions < _VEC_MIN:
-        return _scalar_rows(scalar, rng, instructions, *args, **kwargs)
-    return vec(rng, instructions, *args, **kwargs)
-
-
-def emit_stream(rng, instructions, base_line, pc_block,
-                stride=1, gap=2, mispredict_rate=0.002, store_every=0,
-                elements_per_line=8, array_lines=0,
-                dep_every_lines=4) -> Iterator[Rows]:
-    """Sequential/strided node scan: the canonical prefetcher-friendly
-    pattern.
-
-    Loads walk 8-byte elements; each cacheline serves ``elements_per_line``
-    consecutive loads.  Every ``dep_every_lines``-th line advance is
-    *address-dependent* on the previous line's data (a sequentially
-    laid-out linked structure whose node spans several lines), which makes
-    the pattern partially latency-bound without prefetching: the periodic
-    dependent advance caps the memory-level parallelism the out-of-order
-    window can extract, and an accurate prefetcher collapses those chains
-    into cache hits.  The period bounds the prefetcher's upside to the
-    paper's observed range (friendly-workload speedups of roughly
-    1.1-1.7x) instead of the unbounded win a fully-serialised stream
-    would show.
-
-    ``array_lines`` > 0 wraps the sweep so the array becomes LLC-resident
-    after the first pass (prefetching then hides on-chip latency without
-    extra DRAM traffic); 0 streams endlessly through cold memory.
-    """
-    return _emit(_scalar_emit_stream, _vec_emit_stream, rng, instructions,
-                 base_line, pc_block, stride=stride, gap=gap,
-                 mispredict_rate=mispredict_rate, store_every=store_every,
-                 elements_per_line=elements_per_line,
-                 array_lines=array_lines, dep_every_lines=dep_every_lines)
-
-
-def emit_stencil(rng, instructions, base_line, pc_block,
-                 arrays=3, array_gap_lines=1 << 16, mispredict_rate=0.001,
-                 elements_per_line=8) -> Iterator[Rows]:
-    """Multiple concurrent unit-stride streams (a[i] = b[i] op c[i])."""
-    return _emit(_scalar_emit_stencil, _vec_emit_stencil, rng, instructions,
-                 base_line, pc_block, arrays=arrays,
-                 array_gap_lines=array_gap_lines,
-                 mispredict_rate=mispredict_rate,
-                 elements_per_line=elements_per_line)
-
-
-def emit_pointer_chase(rng, instructions, base_line, working_set_lines,
-                       pc_block, gap=8, mispredict_rate=0.02,
-                       decoy_rate=0.3) -> Iterator[Rows]:
-    """Dependent random walk: prefetcher-adverse, highly off-chip.
-
-    Every load's address comes from the previous load's data (FLAG_DEP),
-    so misses serialise — the linked-list traversal of mcf/omnetpp/canneal.
-    With the working set far exceeding the LLC, nearly every access goes
-    off-chip, which is exactly the regime where an OCP shines.
-
-    The walk follows a Sattolo single-cycle permutation (a genuine linked
-    list threaded randomly through the working set; a multiplicative LCG
-    walk degenerates into tiny same-set cycles for power-of-two working
-    sets — a conflict-thrash microbenchmark, not a pointer chase).
-
-    ``decoy_rate`` controls how often a node visit spills into a short
-    sequential-line burst (reading the node's payload across adjacent
-    lines).  Real irregular workloads are full of such transient runs;
-    they bait stride/delta prefetchers into gaining confidence and then
-    spraying useless prefetch degree past the end of the run — the
-    mechanism behind the paper's prefetcher-adverse degradation.
-    """
-    return _emit(_scalar_emit_pointer_chase, _vec_emit_pointer_chase, rng,
-                 instructions, base_line, working_set_lines, pc_block,
-                 gap=gap, mispredict_rate=mispredict_rate,
-                 decoy_rate=decoy_rate)
-
-
-def emit_hash_probe(rng, instructions, base_line, working_set_lines,
-                    pc_block, locality=0.1, gap=8, mispredict_rate=0.015,
-                    chain_length=2, decoy_rate=0.25) -> Iterator[Rows]:
-    """Random hash probes with dependent bucket chains (xalancbmk-like).
-
-    Each probe lands on a random bucket; collisions walk a short *dependent*
-    chain (``chain_length`` loads whose addresses come from the previous
-    load).  The mix leaves the pattern unprefetchable (random addresses) but
-    partially latency-bound (dependent chains), which is exactly the regime
-    where an accurate off-chip predictor wins and a prefetcher only burns
-    bandwidth — the paper's prefetcher-adverse class.
-    """
-    return _emit(_scalar_emit_hash_probe, _vec_emit_hash_probe, rng,
-                 instructions, base_line, working_set_lines, pc_block,
-                 locality=locality, gap=gap,
-                 mispredict_rate=mispredict_rate,
-                 chain_length=chain_length, decoy_rate=decoy_rate)
-
-
-def emit_graph_walk(rng, instructions, base_line, num_vertices_lines,
-                    pc_block, neighbors_per_vertex=4, mispredict_rate=0.01,
-                    gap=3, clustering=0.3) -> Iterator[Rows]:
-    """Frontier-driven graph processing (Ligra BFS/PageRank shape).
-
-    Alternates a sequential frontier/offset scan (friendly) with bursts of
-    random vertex-data accesses (adverse); the blend is what makes graph
-    workloads partially prefetchable.
-    """
-    return _emit(_scalar_emit_graph_walk, _vec_emit_graph_walk, rng,
-                 instructions, base_line, num_vertices_lines, pc_block,
-                 neighbors_per_vertex=neighbors_per_vertex,
-                 mispredict_rate=mispredict_rate, gap=gap,
-                 clustering=clustering)
-
-
-def emit_gups(rng, instructions, base_line, working_set_lines, pc_block,
-              mispredict_rate=0.005) -> Iterator[Rows]:
-    """Random read-modify-write updates (GUPS / streamcluster-like)."""
-    return _emit(_scalar_emit_gups, _vec_emit_gups, rng, instructions,
-                 base_line, working_set_lines, pc_block,
-                 mispredict_rate=mispredict_rate)
-
-
-def emit_compute(rng, instructions, base_line, pc_block,
-                 memory_ratio=0.08, working_set_lines=4096,
-                 mispredict_rate=0.04,
-                 streaming_fraction=0.5) -> Iterator[Rows]:
-    """Compute-dominated phases with occasional memory bursts (CVP-like).
-
-    The streaming component walks 8-byte elements of a sequentially-linked
-    structure (periodic dependent line advance, like :func:`emit_stream`);
-    the irregular component probes a random working set.
-    """
-    return _emit(_scalar_emit_compute, _vec_emit_compute, rng, instructions,
-                 base_line, pc_block, memory_ratio=memory_ratio,
-                 working_set_lines=working_set_lines,
-                 mispredict_rate=mispredict_rate,
-                 streaming_fraction=streaming_fraction)
-
-
-def emit_strided_drift(rng, instructions, base_line, pc_block,
-                       base_stride=1, stride_span=4, drift_every=64,
-                       gap=2, mispredict_rate=0.002,
-                       elements_per_line=8) -> Iterator[Rows]:
-    """Strided scan whose stride drifts over time (blocked-matrix walk).
-
-    Like :func:`emit_stream` but the stride steps through
-    ``stride_span`` values, advancing every ``drift_every`` lines —
-    the shape of a tiled traversal whose leading dimension grows (or a
-    structure-of-arrays scan with per-field phases).  Stride
-    prefetchers lock onto each plateau quickly, then misfire across
-    every drift boundary; the boundary's first load is additionally
-    *address-dependent* (the next tile's base pointer), so those
-    misses are serialised and an accurate off-chip predictor still has
-    headroom where the prefetcher stumbles.
-    """
-    return _emit(_scalar_emit_strided_drift, _vec_emit_strided_drift, rng,
-                 instructions, base_line, pc_block,
-                 base_stride=base_stride, stride_span=stride_span,
-                 drift_every=drift_every, gap=gap,
-                 mispredict_rate=mispredict_rate,
-                 elements_per_line=elements_per_line)
 
 
 def emit_producer_consumer(rng, instructions, base_line, pc_block,
@@ -1363,12 +861,62 @@ def emit_producer_consumer(rng, instructions, base_line, pc_block,
     paper's multicore contention scenario in miniature.  ``ring_lines``
     decides whether the ring is LLC-resident (hits after warmup) or
     streams through DRAM.
+
+    Round sizes (with or without the periodic sync pair) are a pure
+    function of the round index, so offsets are one cumsum and the ring
+    walk two modular index arrays from the carried round index; only the
+    filler touches the RNG.
     """
-    return _emit(_scalar_emit_producer_consumer,
-                 _vec_emit_producer_consumer, rng, instructions, base_line,
-                 pc_block, ring_lines=ring_lines, lag=lag,
-                 sync_every=sync_every, gap=gap,
-                 mispredict_rate=mispredict_rate)
+    L = instructions
+    control_line = base_line + ring_lines
+    br = BulkRandom(rng)
+    batch = _rounds_per_batch(4 + gap)
+    r0 = 0
+    emitted = 0
+    while emitted < L:
+        n = min(batch, (L - emitted - 1) // (2 + gap) + 1)
+        r_arr = np.arange(r0, r0 + n, dtype=np.int64)
+        if sync_every:
+            sm = r_arr % sync_every == 0
+        else:
+            sm = np.zeros(n, dtype=bool)
+        sizes = (2 + gap + np.where(sm, 2, 0)).astype(np.int64)
+        off = np.cumsum(sizes) - sizes
+        # the rounds the budget starts; it keeps a prefix of the last
+        K = int(np.searchsorted(off, L - emitted))
+        sm, off, r_arr = sm[:K], off[:K], r_arr[:K]
+        size = int(off[-1] + sizes[K - 1])
+        total = min(size, L - emitted)
+        pcs = np.empty(size, dtype=np.int64)
+        addrs = np.zeros(size, dtype=np.int64)
+        flags = np.zeros(size, dtype=np.uint8)
+        if sm.any():
+            spos = off[sm]
+            pcs[spos] = _pc(pc_block, 2)
+            addrs[spos] = control_line << LINE_SHIFT
+            flags[spos] = FLAG_LOAD | FLAG_DEP
+            pcs[spos + 1] = _pc(pc_block, 3)
+            addrs[spos + 1] = (control_line << LINE_SHIFT) | 8
+            flags[spos + 1] = FLAG_STORE
+        body = off + np.where(sm, 2, 0)
+        pcs[body] = _pc(pc_block, 0)
+        addrs[body] = (base_line + r_arr % ring_lines) << LINE_SHIFT
+        flags[body] = FLAG_STORE
+        pcs[body + 1] = _pc(pc_block, 1)
+        addrs[body + 1] = (
+            base_line + (r_arr - lag) % ring_lines
+        ) << LINE_SHIFT
+        flags[body + 1] = FLAG_LOAD
+        if gap:
+            fpos = (
+                (body + 2)[:, None] + np.arange(gap, dtype=np.int64)
+            ).ravel()
+            _scatter_filler(br, pcs, flags, fpos, total, pc_block,
+                            mispredict_rate)
+        yield pcs[:total], addrs[:total], flags[:total]
+        emitted += total
+        r0 += K
+    br.sync()
 
 
 # --------------------------------------------------------------------------
@@ -1395,8 +943,8 @@ def _compose_rows(seed, length, phases) -> Iterator[Rows]:
                 emitted += len(rows[0])
                 yield rows
     if emitted < length:
-        yield from _emit(_filler, _vec_filler, rng, length - emitted,
-                         pc_block=0, mispredict_rate=0.0)
+        yield from _filler_rows(rng, length - emitted, pc_block=0,
+                                mispredict_rate=0.0)
 
 
 def _compose(

@@ -78,7 +78,8 @@ class Trace:
 
     @property
     def num_mispredicted_branches(self) -> int:
-        return int(np.count_nonzero(self.flags & FLAG_MISPRED))
+        both = FLAG_BRANCH | FLAG_MISPRED
+        return int(np.count_nonzero((self.flags & both) == both))
 
     def memory_intensity(self) -> float:
         """Fraction of instructions that access memory."""

@@ -1,12 +1,13 @@
 """Decode machinery for the vectorized trace generators.
 
-The scalar generators in :mod:`repro.workloads.generators` interleave
-pattern emission with draws from a ``random.Random``; the number of
-Mersenne-Twister *words* each draw consumes is data-dependent
-(``random()`` takes two words, ``randrange`` takes one word per
-rejection-sampling attempt, a filler instruction takes two or four).  To
-reproduce the byte-exact instruction stream without a per-instruction
-Python loop, the vectorized emitters
+Every workload family is defined by a one-instruction-at-a-time loop
+(``tests/scalar_oracle.py``) that interleaves pattern emission with
+draws from a ``random.Random``; the number of Mersenne-Twister *words*
+each draw consumes is data-dependent (``random()`` takes two words,
+``randrange`` takes one word per rejection-sampling attempt, a filler
+instruction takes two or four).  To reproduce the byte-exact instruction
+stream without a per-instruction Python loop, the emitters of
+:mod:`repro.workloads.generators`
 
 1. peek a *window* of the upcoming word stream (:class:`WordWindow`,
    uncommitted) and precompute vectorized decode tables over every word
@@ -33,8 +34,8 @@ import numpy as np
 from .rng import BulkRandom
 from .trace import FLAG_BRANCH, FLAG_MISPRED
 
-#: ``_filler``'s branch probability — compared exactly, like the scalar
-#: ``rng.random() < 0.15``.
+#: a filler instruction's branch probability — compared exactly, like
+#: the reference loop's ``rng.random() < 0.15``.
 BRANCH_P = 0.15
 
 _RES53_SHIFT = np.uint64(67108864)        # 2**26
@@ -227,12 +228,13 @@ def filler_at(
 
 
 # ---------------------------------------------------------------------------
-# standalone bulk filler (emitters whose only RNG use is _filler)
+# standalone bulk filler (emitters whose only RNG use is the filler)
 # ---------------------------------------------------------------------------
 
 def _filler_starts(below: np.ndarray) -> np.ndarray:
     """Instruction-start mask over a doubles stream consumed only by
-    ``_filler``, given its branch-test mask (``double < BRANCH_P``).
+    filler instructions, given its branch-test mask
+    (``double < BRANCH_P``).
 
     Position ``i`` is a *second* draw (a branch's misprediction test)
     iff the previous position was an instruction start whose double fell
@@ -261,10 +263,11 @@ def bulk_filler(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` filler instructions as ``(pcs, addrs, flags)`` arrays.
 
-    Consumes the wrapped word stream exactly as ``count`` scalar
-    ``_filler`` iterations would (valid whenever *only* filler draws sit
-    between the current position and the last consumed instruction —
-    filler is memoryless, so split calls equal one big call).
+    Consumes the wrapped word stream exactly as ``count`` filler
+    instructions drawn one at a time would (valid whenever *only* filler
+    draws sit between the current position and the last consumed
+    instruction — filler is memoryless, so split calls equal one big
+    call).
     """
     if count <= 0:
         empty = np.empty(0, dtype=np.int64)

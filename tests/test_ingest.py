@@ -16,10 +16,10 @@ import shutil
 import numpy as np
 import pytest
 
+import scalar_oracle
 import trace_goldens
 from repro.api import ExperimentSpec, RunSpec, Session, SpecError
 from repro.api.registry import register_trace_adapter, registry
-from repro.workloads.generators import scalar_generators
 from repro.workloads.ingest import (
     TRACE_ADAPTERS,
     ExternalTraceSpec,
@@ -348,12 +348,11 @@ class TestExtendedFamilies:
         ids=[s.name for s in extended_workloads()],
     )
     def test_scalar_and_vectorized_digests_agree(self, spec):
-        """Digest stability across both emitter implementations, beyond
-        the golden file: rebuild live and compare directly."""
+        """Digest stability between the emitters and the reference loops,
+        beyond the golden file: rebuild live and compare directly."""
         length = 3_111  # deliberately not a golden length
         vectorized = spec.build(length)
-        with scalar_generators():
-            scalar = spec.build(length)
+        scalar = scalar_oracle.build(spec, length)
         assert trace_goldens.trace_digest(vectorized) == \
             trace_goldens.trace_digest(scalar)
         assert len(vectorized) == length

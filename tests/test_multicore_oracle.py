@@ -13,6 +13,7 @@ schedule bit for bit — materialized and streamed at any block size.
 import heapq
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,7 @@ from repro.workloads.trace import (
     FLAG_LOAD,
     FLAG_MISPRED,
     FLAG_STORE,
+    Trace,
 )
 
 FAMILIES = sorted(GENERATORS)
@@ -140,13 +142,28 @@ def event_loop_run(traces, design, policy_name, per_core, epoch, warmup,
     return cores, sim.shared_dram.kind_counts()
 
 
+def _with_stray_mispredicts(trace, rate, seed):
+    """``trace`` with a ``rate`` share of its non-memory rows replaced by
+    rows that carry ``FLAG_MISPRED`` but no ``FLAG_BRANCH``.  No emitter
+    produces them; by the flag contract they are not branches, so both
+    the reference and the event loop must step them as plain rows."""
+    rows = np.random.default_rng(seed).random(len(trace)) < rate
+    rows &= (trace.flags & (FLAG_LOAD | FLAG_STORE)) == 0
+    flags = trace.flags.copy()
+    flags[rows] = FLAG_MISPRED
+    return Trace(trace.name, trace.suite, trace.pcs, trace.addrs, flags)
+
+
 @st.composite
 def scenarios(draw):
     length = draw(st.integers(min_value=500, max_value=3_000))
     n_cores = draw(st.integers(min_value=1, max_value=4))
     traces = [
-        GENERATORS[draw(st.sampled_from(FAMILIES))](
-            f"c{cid}", "oracle", draw(st.integers(0, 10_000)), length)
+        _with_stray_mispredicts(
+            GENERATORS[draw(st.sampled_from(FAMILIES))](
+                f"c{cid}", "oracle", draw(st.integers(0, 10_000)), length),
+            draw(st.sampled_from((0.0, 0.005, 0.05))),
+            draw(st.integers(0, 2**32 - 1)))
         for cid in range(n_cores)
     ]
     if draw(st.booleans()):

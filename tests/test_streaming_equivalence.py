@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 import golden_cases
+import scalar_oracle
 import trace_goldens
 
 from repro.engine import JobQueue, QueueWorker, ResultStore
@@ -43,7 +44,7 @@ from repro.engine.jobs import (
 from repro.experiments.configs import CacheDesign, build_hierarchy
 from repro.sim.simulator import Simulator
 from repro.workloads import generators
-from repro.workloads.generators import WORKLOAD_PLANS, scalar_generators
+from repro.workloads.generators import WORKLOAD_PLANS
 from repro.workloads.streaming import (
     BlockAssembler,
     TraceStream,
@@ -178,7 +179,7 @@ class TestSubBatchSeams:
     sub-batch seam.  The golden lengths cross few production-size seams,
     so more are forced two ways: tiny sub-batches at the golden lengths,
     and long traces across many production sub-batches against the
-    scalar oracle."""
+    reference loops (``tests/scalar_oracle.py``)."""
 
     @pytest.mark.parametrize("sub_rows", (1, 7, 997))
     def test_tiny_sub_batches_reproduce_golden_digests(
@@ -216,8 +217,7 @@ class TestSubBatchSeams:
         ids=[f"{p}:{s.name}" for p, s in _REPS.items()])
     def test_long_trace_matches_the_scalar_oracle(self, spec):
         assert _SEAM_LENGTH > 10 * generators._SUB_ROWS
-        with scalar_generators():
-            want = spec.build(_SEAM_LENGTH)
+        want = scalar_oracle.build(spec, _SEAM_LENGTH)
         built = spec.build(_SEAM_LENGTH)
         streamed = spec.stream(_SEAM_LENGTH, 4_096).materialize()
         for trace in (built, streamed):

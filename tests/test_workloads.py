@@ -43,6 +43,14 @@ class TestTrace:
         assert trace.num_branches == 1
         assert trace.num_mispredicted_branches == 1
 
+    def test_mispredict_flag_without_branch_flag_is_not_counted(self):
+        b = TraceBuilder("t", "test")
+        b.branch(0x400, mispredicted=True)
+        b.add(0x404, 0, FLAG_MISPRED)
+        trace = b.build()
+        assert trace.num_branches == 1
+        assert trace.num_mispredicted_branches == 1
+
     def test_dependent_load_flag(self):
         b = TraceBuilder("t", "test")
         b.load(0x400, 640, dependent=True)

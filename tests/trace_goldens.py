@@ -2,10 +2,11 @@
 
 ``tests/golden/trace_hashes.json`` pins a sha256 digest of the exact
 ``pcs``/``addrs``/``flags`` arrays for every registered workload spec
-(evaluation + tuning + google) at two trace lengths.  The digests were
-recorded from the original one-instruction-at-a-time generator loops;
+(evaluation + tuning + google + extended) at two trace lengths.  The
+digests are recorded from the one-instruction-at-a-time reference loops
+(``tests/scalar_oracle.py``), never from the code under test;
 ``tests/test_trace_equivalence.py`` rebuilds every trace through the
-current (vectorized) generators and asserts digest equality, so a single
+vectorized generators and asserts digest equality, so a single
 differing byte in any array of any workload fails loudly.
 
 The two lengths are deliberately unequal and non-round: emitters truncate
@@ -56,11 +57,14 @@ def case_key(spec, length: int) -> str:
 
 
 def record_all() -> None:
+    import scalar_oracle
+
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     digests = {}
     for spec in all_specs():
         for length in LENGTHS:
-            digests[case_key(spec, length)] = trace_digest(spec.build(length))
+            digests[case_key(spec, length)] = trace_digest(
+                scalar_oracle.build(spec, length))
     GOLDEN_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(digests)} digests to {GOLDEN_PATH}")
 
