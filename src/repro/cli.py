@@ -628,9 +628,9 @@ def _cmd_worker(args) -> int:
     """Standalone queue worker: drain jobs until the queue settles.
 
     Built on a plain Engine (store + telemetry + resilience, *without*
-    a queue route — this process drains the queue, it does not dispatch
-    to it), so executed jobs hit the memo/store/journal through exactly
-    the same `_consume_payload` path as in-process execution.
+    a durable queue — this process drains the queue, it does not
+    dispatch to it), so executed jobs hit the memo/store/journal through
+    exactly the same `_consume_payload` path as the engine's own jobs.
     """
     if not args.queue:
         return _fail("worker needs --queue PATH")

@@ -12,27 +12,28 @@ explicit, hashable *request*:
   both durable subsystems sit on.
 * :mod:`repro.engine.store` — an on-disk SQLite result store mapping run
   keys to serialized results, safe for concurrent writer processes.
-* :mod:`repro.engine.pool` — a ``ProcessPoolExecutor`` scheduler that
-  deduplicates in-flight requests, streams completion progress, and
-  self-heals: worker failures are retried with backoff, hung attempts
-  are timed out, and a broken pool is rebuilt (degrading to inline
-  execution when it cannot be revived).
+* :mod:`repro.engine.pool` — the ``ProcessPoolExecutor`` wrapper that
+  deduplicates in-flight requests by key and rebuilds a broken pool
+  (degrading to inline execution when it cannot be revived), plus the
+  worker entry point that runs one request.
 * :mod:`repro.engine.faults` — the failure model
   (:class:`~repro.engine.faults.RequestFailure`), the retry/timeout
   policy (:class:`~repro.engine.faults.ExecutionPolicy`), and the
   deterministic fault-injection harness
   (:class:`~repro.engine.faults.FaultPlan`, ``REPRO_FAULTS``).
-* :mod:`repro.engine.queue` — a durable SQLite job queue
-  (``pending/leased/done/failed``, content-hash job identity) that
-  makes campaigns crash-resumable across OS processes.
+* :mod:`repro.engine.queue` — the SQLite job queue
+  (``pending/leased/done/failed``, content-hash job identity).  Every
+  miss is a queue job; ``:memory:`` unless ``--queue PATH``, whose
+  durable file makes a campaign crash-resumable across OS processes.
 * :mod:`repro.engine.service` — the lease/heartbeat/reclaim worker
-  (:class:`~repro.engine.service.QueueWorker`) that drains a queue,
-  embedded in ``repro exp run --queue`` or standalone via
+  (:class:`~repro.engine.service.QueueWorker`), the one executor: it
+  settles every attempt (retry, backoff, timeout, pool crash,
+  fail-fast), embedded in every engine batch or standalone via
   ``repro worker``.
 * :mod:`repro.engine.api` — the :class:`~repro.engine.api.Engine` façade
-  (memo → store → execute, with hit/miss counters) and the batch helpers
-  ``run_many`` / ``sweep`` that :class:`repro.experiments.runner.\
-ExperimentContext` delegates to.
+  (memo → store → queue job, with hit/miss counters) and the batch
+  helpers ``run_many`` / ``sweep`` that :class:`repro.experiments.\
+runner.ExperimentContext` delegates to.
 
 Identical requests are executed exactly once per store lifetime: a cold
 ``repro figures --all --jobs N`` fans misses out across N worker

@@ -1,4 +1,4 @@
-"""Batch execution façade: memo → store → (pool | inline) execution.
+"""Batch execution façade: memo → store → queue job.
 
 :class:`Engine` is what the experiment harness talks to.  Every request
 resolves through three tiers:
@@ -7,9 +7,13 @@ resolves through three tiers:
    campaign),
 2. the persistent :class:`~repro.engine.store.ResultStore` (hits replay a
    previous process's work), and
-3. execution — fanned out across worker processes by
-   :class:`~repro.engine.pool.SimulationPool` when ``jobs > 1``, inline
-   otherwise — after which the result is written back to the store.
+3. execution: every miss is a queue job.  The misses of a batch are
+   dispatched to a :class:`~repro.engine.queue.JobQueue` — a fresh
+   ``:memory:`` one unless the engine was given ``queue=PATH`` — and
+   drained by an embedded :class:`~repro.engine.service.QueueWorker`,
+   inline when ``jobs == 1`` and across a
+   :class:`~repro.engine.pool.SimulationPool` otherwise.  Each result
+   is written back to the memo and the store as it settles.
 
 The engine counts hits and misses per tier (:class:`EngineCounters`,
 a typed view over a :class:`~repro.obs.metrics.MetricsRegistry`);
@@ -39,8 +43,9 @@ from ..sim.multicore import MultiCoreResult
 from .faults import (ExecutionError, ExecutionPolicy, FaultPlan,
                      RequestFailure)
 from .jobs import Request, Result, decode_result
-from .pool import BatchExecution, ProgressFn, SimulationPool, iter_serial
+from .pool import ProgressFn, SimulationPool
 from .queue import JobQueue
+from .service import QueueWorker, Settlement, owner_id
 from .store import ResultStore, StoreDecodeError
 
 
@@ -172,11 +177,11 @@ class Engine:
         lease_ttl_s: float = 30.0,
     ) -> None:
         self.store = store
-        # -- durable queue route: misses are dispatched to a JobQueue and
-        #    drained by an embedded QueueWorker (plus any number of
-        #    external `repro worker` processes) instead of being executed
-        #    directly.  The queue outlives this process, which is what
-        #    makes a killed campaign resumable.
+        # -- durable queue: misses go to this JobQueue instead of a fresh
+        #    in-memory one, and any number of external `repro worker`
+        #    processes may drain it alongside the embedded worker.  The
+        #    queue outlives this process, which is what makes a killed
+        #    campaign resumable.
         self._owns_queue = queue is not None and not isinstance(queue,
                                                                 JobQueue)
         self.queue: Optional[JobQueue] = (
@@ -276,36 +281,28 @@ class Engine:
             wall_s=time.perf_counter() - t0, worker=None, spans=[],
         )
 
-    def _harvest_inflight(self) -> None:
-        """Record completed pool futures left by abandoned iterators.
+    def _consume_payload(self, key: str, payload: dict) -> Result:
+        """Record one successful execution payload, once per key.
 
-        An :meth:`as_completed` consumer that stopped iterating leaves
-        pending futures in the pool; once they finish, their payloads
-        are sitting there paid for — fold them into the memo/store so
-        the next batch reuses instead of re-executing them.
+        An interleaved ``run_many()``/``as_completed()`` may have
+        already recorded a shared in-flight key; recording twice would
+        double-count ``executed`` and rewrite the store.  The worker's
+        observability delta is still harvested either way, so those
+        counters reflect work that really happened.
         """
-        if self._pool is None:
-            return
-        for key, future in self._pool.drain_done():
-            if key in self._memo:
-                continue
-            try:
-                self._record(key, future.result())
-            # Harvest of opportunistic in-flight work: failures here
-            # resurface on the explicit run that needs the key.
-            except Exception:  # repro: allow(no-bare-except)
-                continue
-
-    def _record(self, key: str, payload: dict) -> Result:
         obs = payload.pop("_obs", None) or {}
         self.counters.apply_trace_delta(obs.get("trace_cache"))
-        result = decode_result(payload)
+        recorded = self._memo.get(key)
+        result = recorded if recorded is not None \
+            else decode_result(payload)
         spans = obs.get("spans") or []
         if spans:
             # Worker-side spans merge into the parent collector here —
             # and only here, so each executed request contributes its
-            # spans exactly once no matter which engine path records it.
+            # spans exactly once.
             collector().merge(spans)
+        if recorded is not None:
+            return recorded
         if self.store is not None:
             if self._journal is not None:
                 with collector().span("store_write") as write_span:
@@ -324,24 +321,6 @@ class Engine:
                 worker=obs.get("worker"), spans=spans,
             )
         return result
-
-    def _consume_payload(self, key: str, payload: dict) -> Result:
-        """Record one successful execution payload, deduplicating.
-
-        An interleaved ``run()``/``run_many()`` may have already
-        recorded a shared in-flight key; recording twice would
-        double-count ``executed`` and rewrite the store.  The worker's
-        observability delta is still harvested either way, so those
-        counters reflect work that really happened.
-        """
-        result = self._memo.get(key)
-        if result is not None:
-            obs = payload.pop("_obs", None) or {}
-            self.counters.apply_trace_delta(obs.get("trace_cache"))
-            if obs.get("spans"):
-                collector().merge(obs["spans"])
-            return result
-        return self._record(key, payload)
 
     def _note_failure(self, failure: RequestFailure,
                       retrying: bool) -> None:
@@ -373,128 +352,90 @@ class Engine:
         self,
         pairs: Sequence[Tuple[str, Request]],
         progress: Optional[ProgressFn],
-    ) -> List[RequestFailure]:
-        """Execute cache misses with retry/timeout/rebuild resilience.
+    ) -> Iterator[Optional[Settlement]]:
+        """Execute cache misses as queue jobs; yield each settlement.
 
-        Successes land in the memo (and store) as they complete — even
-        when other requests in the batch fail — so a rerun after a
-        failure resumes warm.  Returns the terminal failures.
+        The misses go to the engine's durable queue, else to a fresh
+        ``:memory:`` one that lives as long as this generator, and an
+        embedded :class:`~repro.engine.service.QueueWorker` drains it.
+        Dispatch is idempotent, so a killed campaign on a durable queue
+        resumes where it stopped, alongside any ``repro worker``.
+
+        Primed like the worker's stream (the first item is ``None``),
+        then one ``("ok", key, result)`` or ``("fail", key, failure)``
+        per miss in settlement order, each reported to ``progress`` as
+        ``(settled, len(pairs), key)``.  Successes land in the memo and
+        store as they settle, so a rerun after a failure resumes warm.
         """
-        if self.queue is not None:
-            return self._resolve_via_queue(pairs, progress)
-        failures: List[RequestFailure] = []
-        if self.parallel:
-            _, failures = self.pool.run_batch(
-                pairs, progress=progress, policy=self.resilience,
-                faults=self.faults, on_result=self._consume_payload,
+        queue = self.queue if self.queue is not None \
+            else JobQueue(":memory:")
+        # Only a durable queue is journaled and metered: queue-less
+        # runs keep their journal and counters free of queue events.
+        durable = queue is self.queue
+        try:
+            report = queue.dispatch(
+                pairs, store=self.store,
+                max_retries=self.resilience.max_retries)
+            if durable:
+                self.metrics.counter("queue_dispatched").inc(
+                    len(report.enqueued))
+                self.journal_event(
+                    "dispatch", queue=str(queue.path),
+                    enqueued=len(report.enqueued),
+                    done_from_store=len(report.done_from_store),
+                    already_done=len(report.already_done),
+                    already_queued=len(report.already_queued),
+                    resumed_failed=len(report.resumed_failed))
+            worker = QueueWorker(
+                queue, store=self.store, jobs=self.jobs,
+                pool=self.pool if self.parallel else None,
+                policy=self.resilience, faults=self.faults,
+                lease_ttl_s=self.lease_ttl_s, owner=owner_id(),
+                on_result=self._consume_payload, resolved=self._resolved,
                 on_failure=self._note_failure,
-                on_rebuild=self._note_rebuild)
-        else:
-            done = 0
-            for kind, key, value in iter_serial(
-                    pairs, policy=self.resilience, faults=self.faults,
-                    on_result=self._consume_payload,
-                    on_failure=self._note_failure):
-                if kind == "ok":
-                    done += 1
+                on_rebuild=self._note_rebuild,
+                emit=self.journal_event if durable else None,
+                metrics=self.metrics if durable else None)
+            settlements = worker.settlements([key for key, _ in pairs])
+            try:
+                yield next(settlements)
+                for settled, (kind, key, value) in enumerate(settlements,
+                                                             1):
+                    if kind == "done":
+                        kind, value = self._settle_done(key)
                     if progress is not None:
-                        progress(done, len(pairs), key)
-                else:
-                    failures.append(value)
-        return failures
+                        progress(settled, len(pairs), key)
+                    yield kind, key, value
+            finally:
+                settlements.close()
+        finally:
+            if not durable:
+                queue.close()
 
-    def _resolve_via_queue(
-        self,
-        pairs: Sequence[Tuple[str, Request]],
-        progress: Optional[ProgressFn],
-    ) -> List[RequestFailure]:
-        """Dispatch misses to the durable queue and drain it.
+    def _resolved(self, key: str) -> bool:
+        """Is ``key``'s result already recorded, here or in the store?"""
+        return key in self._memo or (self.store is not None
+                                     and self.store.get(key) is not None)
 
-        The dispatch is idempotent (done keys are no-ops), so rerunning
-        a killed campaign re-dispatches the same spec and picks up
-        exactly where the queue left off.  An embedded
-        :class:`~repro.engine.service.QueueWorker` drains jobs in this
-        process — cooperating with, and reclaiming the expired leases
-        of, any external ``repro worker`` processes on the same queue —
-        until every dispatched key is settled.  Results other workers
-        produced arrive through the store; only keys whose jobs ended
-        ``failed`` come back as failures.
-        """
-        from .service import QueueWorker, owner_id
-
-        report = self.queue.dispatch(
-            pairs, store=self.store,
-            max_retries=self.resilience.max_retries)
-        self.metrics.counter("queue_dispatched").inc(len(report.enqueued))
-        self.journal_event(
-            "dispatch", queue=str(self.queue.path),
-            enqueued=len(report.enqueued),
-            done_from_store=len(report.done_from_store),
-            already_done=len(report.already_done),
-            already_queued=len(report.already_queued),
-            resumed_failed=len(report.resumed_failed))
-        worker = QueueWorker(
-            self.queue, store=self.store, jobs=self.jobs,
-            pool=self.pool if self.parallel else None,
-            policy=self.resilience, faults=self.faults,
-            lease_ttl_s=self.lease_ttl_s, owner=owner_id(),
-            on_result=self._consume_payload,
-            on_failure=self._note_failure,
-            on_rebuild=self._note_rebuild,
-            emit=self.journal_event, metrics=self.metrics,
-            progress=progress)
-        worker.run(watch_keys=[key for key, _ in pairs])
-        failures: List[RequestFailure] = []
-        for key, _ in pairs:
-            if key in self._memo or self._lookup(key) is not None:
-                continue  # done here or by another worker (via store)
-            job = self.queue.get(key)
-            if job is not None and job.error:
-                failures.append(RequestFailure(**job.error))
-            else:
-                failures.append(RequestFailure(
-                    key=key, kind="crash",
-                    error="job left unresolved in the queue "
-                          f"(state={job.state if job else 'missing'})"))
-        return failures
+    def _settle_done(self, key: str) -> Tuple[str, object]:
+        """Replay a job completed without this engine executing it."""
+        result = self._memo.get(key)
+        if result is None:
+            result = self._lookup(key)
+        if result is not None:
+            return "ok", result
+        return "fail", RequestFailure(
+            key=key, kind="crash",
+            error="job left unresolved in the queue (state=done)")
 
     def run(self, request: Request) -> Result:
-        """Resolve one request (inline execution on a miss).
+        """Resolve one request; a miss executes as a one-job batch.
 
-        If a pool worker is already computing this key (left in flight
-        by an abandoned streaming iterator), wait on that future
-        instead of simulating the same thing twice.
-
+        A single request is not a batch: it reports no progress.
         Raises :class:`~repro.engine.faults.ExecutionError` when the
         request still fails after the resilience policy's retries.
         """
-        if self.queue is not None:
-            return self.run_many([request])[0]
-        self._harvest_inflight()
-        key = request.key()
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        if self._pool is not None:
-            future = self._pool.peek(key)
-            if future is not None:
-                self._pool.discard(key)
-                try:
-                    payload = future.result()
-                    return self._consume_payload(key, payload)
-                # repro: allow(no-bare-except)
-                except Exception:
-                    pass  # fall through to the inline retry path
-        failures = []
-        for kind, _, value in iter_serial(
-                [(key, request)], policy=self.resilience,
-                faults=self.faults, on_result=self._consume_payload,
-                on_failure=self._note_failure):
-            if kind == "fail":
-                failures.append(value)
-        if failures:
-            raise ExecutionError(failures)
-        return self._memo[key]
+        return self.run_many([request], progress=lambda *_: None)[0]
 
     def run_many(
         self,
@@ -513,14 +454,17 @@ class Engine:
         """
         if progress is None:
             progress = self.progress
-        self._harvest_inflight()
         keyed: List[Tuple[str, Request]] = [(r.key(), r) for r in requests]
         misses: Dict[str, Request] = {}
         for key, request in keyed:
             if key not in misses and self._lookup(key) is None:
                 misses[key] = request
         if misses:
-            failures = self._resolve_misses(list(misses.items()), progress)
+            settlements = self._resolve_misses(list(misses.items()),
+                                               progress)
+            next(settlements)
+            failures = [value for kind, _, value in settlements
+                        if kind == "fail"]
             if failures:
                 raise ExecutionError(failures)
         return [self._memo[key] for key, _ in keyed]
@@ -534,7 +478,7 @@ class Engine:
 
         Yields one :class:`Completed` per submitted request.  Cache hits
         (memo/store) are yielded first, in submission order; misses
-        follow in completion order — the pool's order when parallel,
+        follow in settlement order — the pool's order when parallel,
         submission order when serial.  Duplicate requests all yield,
         sharing one execution.  Every miss is recorded to the memo/store
         exactly as :meth:`run_many` would, so a consumer that abandons
@@ -546,7 +490,6 @@ class Engine:
         """
         if progress is None:
             progress = self.progress
-        self._harvest_inflight()
         keyed: List[Tuple[str, Request]] = [(r.key(), r) for r in requests]
         miss_indices: Dict[str, List[int]] = {}
         misses: Dict[str, Request] = {}
@@ -561,66 +504,26 @@ class Engine:
             else:
                 misses[key] = request
                 miss_indices[key] = [index]
-        total = len(misses)
-        if misses and self.parallel:
-            # Constructing the execution submits misses to the pool
-            # *before* the hits are yielded: workers simulate while the
-            # consumer processes cached results, which is the whole
-            # point of streaming.  Every yield — including the hit
-            # yields — stays inside the try so abandoning the iterator
-            # at any point still runs the finished-work recording in
-            # finalize().
-            execution = BatchExecution(
-                self.pool, list(misses.items()), policy=self.resilience,
-                faults=self.faults, on_result=self._consume_payload,
-                on_failure=self._note_failure,
-                on_rebuild=self._note_rebuild)
-            try:
-                for index, key, request, cached in hits:
-                    yield Completed(index, key, request, cached,
-                                    cached=True)
-                done_count = 0
-                for kind, key, value in execution.events():
-                    done_count += 1
-                    if progress is not None:
-                        progress(done_count, total, key)
-                    for index in miss_indices[key]:
-                        if kind == "ok":
-                            yield Completed(index, key, keyed[index][1],
-                                            value, cached=False)
-                        else:
-                            yield Completed(index, key, keyed[index][1],
-                                            None, cached=False,
-                                            failure=value)
-            finally:
-                # A consumer abandoning the iterator must not discard
-                # work that already finished in the pool: finalize()
-                # records every completed-but-unyielded future (and
-                # clears it from the in-flight map, where a done future
-                # would otherwise be re-executed by the next submit of
-                # the same key), swallowing exceptions — this can run
-                # during generator GC, after Engine.close() shut the
-                # store, where dropping a cache write is safe and
-                # raising is not.
-                execution.finalize()
-        else:
+        settlements = (self._resolve_misses(list(misses.items()), progress)
+                       if misses else None)
+        # Every yield stays inside the try: abandoning the iterator at
+        # any point closes the settlement stream, which records the
+        # executions that already finished.
+        try:
+            if settlements is not None:
+                # misses run while the consumer processes the hits
+                next(settlements)
             for index, key, request, cached in hits:
                 yield Completed(index, key, request, cached, cached=True)
-            done_count = 0
-            for kind, key, value in iter_serial(
-                    list(misses.items()), policy=self.resilience,
-                    faults=self.faults, on_result=self._consume_payload,
-                    on_failure=self._note_failure):
-                done_count += 1
-                if progress is not None:
-                    progress(done_count, total, key)
+            for kind, key, value in settlements or ():
+                ok = kind == "ok"
                 for index in miss_indices[key]:
-                    if kind == "ok":
-                        yield Completed(index, key, keyed[index][1],
-                                        value, cached=False)
-                    else:
-                        yield Completed(index, key, keyed[index][1],
-                                        None, cached=False, failure=value)
+                    yield Completed(index, key, keyed[index][1],
+                                    value if ok else None, cached=False,
+                                    failure=None if ok else value)
+        finally:
+            if settlements is not None:
+                settlements.close()
 
     def sweep(
         self,

@@ -1,49 +1,34 @@
-"""Process-pool scheduler for simulation requests.
+"""Process-pool wrapper and the worker entry point for simulations.
 
-Executes request misses in worker processes via
-:class:`concurrent.futures.ProcessPoolExecutor`, deduplicating in-flight
-requests by content key (two batches racing for the same key share one
-future) and streaming completion progress to an optional callback.
+:func:`_execute_request` runs one request and returns its *serialized*
+result payload rather than the live object: the parent decodes it
+through the same codec the store uses, so pooled, inline and
+store-replayed runs traverse one code path and stay bit-identical.
 
-Workers return the *serialized* result payload rather than the live
-object: the parent decodes it through the same codec the store uses, so
-parallel and store-replayed runs traverse one code path and stay
-bit-identical to serial execution.
-
-Failure is a first-class outcome here, not an exception path: a batch
-is driven by :class:`BatchExecution`, which turns worker exceptions,
-hung attempts (per-request wall-clock timeout), dead worker processes
-(``BrokenProcessPool`` → pool rebuild + resubmission), and corrupt
-payloads into :class:`~repro.engine.faults.RequestFailure` observations
-with retry/backoff discipline from an
-:class:`~repro.engine.faults.ExecutionPolicy`.  When the pool cannot be
-revived within its rebuild budget it degrades to inline single-process
-execution instead of giving up.
+:class:`SimulationPool` wraps a
+:class:`concurrent.futures.ProcessPoolExecutor`: it deduplicates
+in-flight requests by content key, rebuilds a broken executor, and,
+once its rebuild budget is spent, degrades to inline execution in the
+parent process.  It has no retry or settlement logic of its own.
+Every miss is a job in a :class:`~repro.engine.queue.JobQueue`
+(``:memory:`` unless the engine was given ``queue=PATH``), and the
+:class:`~repro.engine.service.QueueWorker` that drains it is the one
+place where attempts, failures and timeouts are settled.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-import time
-from collections import deque
-from concurrent.futures import (CancelledError, FIRST_COMPLETED, Future,
-                                ProcessPoolExecutor, wait)
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, Optional
 
-from ..obs.spans import collector, set_enabled, spans_enabled, worker_id
-from .faults import ExecutionPolicy, FaultPlan, RequestFailure
+from ..obs.spans import collector, set_enabled, spans_enabled
+from .faults import FaultPlan, RequestFailure
 from .jobs import Request, encode_result
-from .store import StoreDecodeError
 
-#: progress callback: (completed_count, total, request_key)
+#: progress callback: (settled_count, total, request_key)
 ProgressFn = Callable[[int, int, str], None]
-
-#: event stream item: ("ok", key, result) or ("fail", key, RequestFailure)
-Event = Tuple[str, str, object]
 
 #: failure callback: (failure, retrying) — retrying=True means the
 #: request will be attempted again, False means the failure is terminal.
@@ -106,6 +91,24 @@ def _execute_request(request: Request, telemetry: bool = False,
     return payload
 
 
+def run_inline(request: Request, telemetry: bool,
+               faults: Optional[FaultPlan], attempt: int,
+               future: Optional[Future] = None) -> Future:
+    """Execute ``request`` in this process; returns ``future`` (a new
+    one if none is given) completed with the payload or the exception.
+    An injected ``crash`` downgrades to a raise, so the parent survives.
+    """
+    future = future if future is not None else Future()
+    try:
+        payload = _execute_request(request, telemetry, faults, attempt,
+                                   inline=True)
+    except Exception as exc:
+        future.set_exception(exc)
+    else:
+        future.set_result(payload)
+    return future
+
+
 class SimulationPool:
     """Deduplicating, self-healing ProcessPoolExecutor wrapper."""
 
@@ -155,23 +158,24 @@ class SimulationPool:
                attempt: int = 0) -> Future:
         """Submit one request, reusing any in-flight future for ``key``.
 
+        The in-flight future is handed back even when it is already
+        done, so work left behind by an abandoned stream is picked up by
+        the next lease of its key instead of being executed twice.  A
+        future that finished with an exception is dropped and the
+        request re-executed: that failure belonged to nobody's attempt.
+
         In degraded mode the request executes inline (parent process)
         and the returned future is already completed.
         """
         future = self._inflight.get(key)
-        if future is not None and not future.done():
+        if future is not None and not (
+                future.done() and (future.cancelled()
+                                   or future.exception() is not None)):
             return future
         if telemetry is None:
             telemetry = spans_enabled()
         if self.degraded:
-            future = Future()
-            try:
-                payload = _execute_request(request, telemetry, faults,
-                                           attempt, inline=True)
-            except Exception as exc:
-                future.set_exception(exc)
-            else:
-                future.set_result(payload)
+            future = run_inline(request, telemetry, faults, attempt)
         else:
             try:
                 future = self.executor.submit(
@@ -184,73 +188,14 @@ class SimulationPool:
         self._inflight[key] = future
         return future
 
-    def peek(self, key: str) -> Optional[Future]:
-        """The in-flight future for ``key``, if any (no submission)."""
-        return self._inflight.get(key)
-
     def discard(self, key: str) -> None:
         """Drop ``key`` from the in-flight map (its result was consumed).
 
         Callers must discard every future they take a result from: a
-        *done* future left in the map would be re-executed by the next
-        :meth:`submit` of the same key.
+        finished future left in the map is handed back, as is, by the
+        next :meth:`submit` of the same key.
         """
         self._inflight.pop(key, None)
-
-    def drain_done(self) -> List[Tuple[str, Future]]:
-        """Pop and return every completed in-flight (key, future) pair.
-
-        Lets the engine harvest results whose consumer abandoned a
-        streaming iterator: the work already happened in a worker, so
-        recording it beats re-executing it later.
-        """
-        done = [
-            (key, future) for key, future in self._inflight.items()
-            if future.done()
-        ]
-        for key, _ in done:
-            self._inflight.pop(key, None)
-        return done
-
-    def run_batch(
-        self,
-        keyed_requests: Sequence[Tuple[str, Request]],
-        progress: Optional[ProgressFn] = None,
-        *,
-        policy: Optional[ExecutionPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        on_result: Optional[Callable[[str, dict], object]] = None,
-        on_failure: Optional[FailureFn] = None,
-        on_rebuild: Optional[RebuildFn] = None,
-    ) -> Tuple[Dict[str, object], List[RequestFailure]]:
-        """Execute a batch; returns (key→result, terminal failures).
-
-        Duplicate keys inside the batch (or racing with another batch)
-        are executed once.  ``on_result(key, payload)`` converts each
-        successful payload (the engine records it to memo/store here);
-        without it the raw payload is returned.  Failures are retried
-        per ``policy``; only requests whose retries are exhausted (or
-        were cancelled by fail-fast) appear in the failure list — and
-        by then every successful sibling has already been delivered
-        through ``on_result``.
-        """
-        execution = BatchExecution(self, keyed_requests, policy=policy,
-                                   faults=faults, on_result=on_result,
-                                   on_failure=on_failure,
-                                   on_rebuild=on_rebuild)
-        results: Dict[str, object] = {}
-        failures: List[RequestFailure] = []
-        try:
-            for kind, key, value in execution.events():
-                if kind == "ok":
-                    results[key] = value
-                    if progress is not None:
-                        progress(len(results), execution.total, key)
-                else:
-                    failures.append(value)
-        finally:
-            execution.finalize()
-        return results, failures
 
     def close(self) -> None:
         if self._executor is not None:
@@ -263,357 +208,3 @@ class SimulationPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class BatchExecution:
-    """Drives one batch of requests through the pool with resilience.
-
-    Submission starts eagerly in the constructor (so workers overlap
-    with whatever the caller does before consuming events), bounded by
-    a submission window of ``pool.jobs`` when a per-request timeout is
-    active — a queued-but-unstarted task must not burn its wall-clock
-    budget waiting for a worker.
-
-    :meth:`events` yields ``("ok", key, result)`` as requests complete
-    and ``("fail", key, failure)`` for *terminal* failures only;
-    retried failures are reported through the ``on_failure`` callback
-    (``retrying=True``) but never yielded.  The owner must call
-    :meth:`finalize` when done (normally or not): it records any
-    completed-but-unconsumed futures through ``on_result`` and leaves
-    genuinely pending ones in the pool's in-flight map for a later
-    harvest.
-    """
-
-    def __init__(
-        self,
-        pool: SimulationPool,
-        keyed_requests: Sequence[Tuple[str, Request]],
-        *,
-        policy: Optional[ExecutionPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        on_result: Optional[Callable[[str, dict], object]] = None,
-        on_failure: Optional[FailureFn] = None,
-        on_rebuild: Optional[RebuildFn] = None,
-    ) -> None:
-        self.pool = pool
-        self.policy = policy if policy is not None else ExecutionPolicy()
-        self.faults = faults
-        self.on_result = on_result
-        self.on_failure = on_failure
-        self.on_rebuild = on_rebuild
-        self.requests: Dict[str, Request] = {}
-        for key, request in keyed_requests:
-            self.requests.setdefault(key, request)
-        self.total = len(self.requests)
-        #: attempts *started* per key (1 after the first submission).
-        self.attempts: Dict[str, int] = {key: 0 for key in self.requests}
-        self.queue: deque = deque(self.requests)
-        self.retry_at: List[Tuple[float, str]] = []  # heap: (due, key)
-        self.futures: Dict[Future, str] = {}
-        self.deadlines: Dict[Future, float] = {}
-        self.failures: List[RequestFailure] = []
-        self.cancelled = False
-        self._finalized = False
-        self._pump()
-
-    # -- scheduling --------------------------------------------------------
-
-    @property
-    def _window(self) -> Optional[int]:
-        if self.policy.timeout_s is None:
-            return None
-        return max(1, self.pool.jobs)
-
-    def _pump(self) -> None:
-        """Move due retries into the queue; fill the submission window."""
-        now = time.monotonic()
-        while self.retry_at and self.retry_at[0][0] <= now:
-            _, key = heapq.heappop(self.retry_at)
-            self.queue.append(key)
-        window = self._window
-        while self.queue and (window is None
-                              or len(self.futures) < window):
-            key = self.queue.popleft()
-            attempt = self.attempts[key]
-            self.attempts[key] = attempt + 1
-            future = self.pool.submit(key, self.requests[key],
-                                      faults=self.faults, attempt=attempt)
-            self.futures[future] = key
-            if self.policy.timeout_s is not None:
-                self.deadlines[future] = (time.monotonic()
-                                          + self.policy.timeout_s)
-
-    def _rebuild(self) -> None:
-        self.pool.rebuild()
-        if self.pool.rebuilds > self.policy.max_rebuilds:
-            self.pool.degraded = True
-        if self.on_rebuild is not None:
-            self.on_rebuild(self.pool.rebuilds, self.pool.degraded)
-
-    # -- failure bookkeeping -----------------------------------------------
-
-    def _fail(self, key: str, kind: str, error: str,
-              exc: Optional[BaseException] = None,
-              worker: Optional[str] = None) -> List[Event]:
-        attempts = self.attempts[key]
-        if exc is not None:
-            failure = RequestFailure.from_exception(
-                key, exc, kind=kind, worker=worker, attempts=attempts)
-        else:
-            failure = RequestFailure(key=key, kind=kind, error=error,
-                                     worker=worker, attempts=attempts)
-        retrying = (not self.cancelled
-                    and attempts <= self.policy.max_retries)
-        if self.on_failure is not None:
-            self.on_failure(failure, retrying)
-        if retrying:
-            due = time.monotonic() + self.policy.backoff(key, attempts)
-            heapq.heappush(self.retry_at, (due, key))
-            return []
-        self.failures.append(failure)
-        events: List[Event] = [("fail", key, failure)]
-        if self.policy.fail_fast and not self.cancelled:
-            events.extend(self._cancel_pending())
-        return events
-
-    def _cancel_pending(self) -> List[Event]:
-        """Fail-fast: abandon everything not yet in flight."""
-        self.cancelled = True
-        drained = list(self.queue) + [key for _, key in self.retry_at]
-        self.queue.clear()
-        self.retry_at.clear()
-        events: List[Event] = []
-        for key in drained:
-            failure = RequestFailure(
-                key=key, kind="cancelled",
-                error="abandoned after another request's terminal "
-                      "failure (fail-fast)",
-                attempts=self.attempts.get(key, 0))
-            if self.on_failure is not None:
-                self.on_failure(failure, False)
-            self.failures.append(failure)
-            events.append(("fail", key, failure))
-        return events
-
-    # -- consumption -------------------------------------------------------
-
-    def _consume(self, future: Future, key: str) -> Tuple[List[Event], bool]:
-        """Take one future's outcome; returns (events, pool_crashed)."""
-        self.pool.discard(key)
-        try:
-            payload = future.result(timeout=0)
-        except BrokenProcessPool as exc:
-            return (self._fail(key, "crash",
-                               str(exc) or "worker process died",
-                               exc=None), True)
-        except (CancelledError, FutureTimeoutError):
-            return (self._fail(key, "crash",
-                               "worker pool died mid-flight"), True)
-        except StoreDecodeError as exc:
-            return (self._fail(key, "corrupt", str(exc), exc=exc), False)
-        except Exception as exc:
-            return (self._fail(key, "exception", str(exc), exc=exc),
-                    False)
-        try:
-            result = (self.on_result(key, payload)
-                      if self.on_result is not None else payload)
-        except StoreDecodeError as exc:
-            return (self._fail(key, "corrupt", str(exc), exc=exc), False)
-        return ([("ok", key, result)], False)
-
-    def _handle_crash(self) -> List[Event]:
-        """The executor broke: heal it, then settle every tracked future.
-
-        Futures that completed before the break still hold results —
-        consume them normally; the rest observe a ``crash`` failure and
-        re-enter the retry discipline.
-        """
-        remaining = list(self.futures.items())
-        self.futures.clear()
-        self.deadlines.clear()
-        self._rebuild()
-        events: List[Event] = []
-        for future, key in remaining:
-            evs, _ = self._consume(future, key)
-            events.extend(evs)
-        return events
-
-    def _handle_timeouts(self, expired_keys: set) -> List[Event]:
-        """Deadlines expired: kill the hung workers, settle the batch.
-
-        There is no per-task cancellation in ProcessPoolExecutor, so a
-        hung attempt costs a pool rebuild.  Timed-out keys observe a
-        ``timeout`` failure; innocent siblings that were merely
-        in-flight are resubmitted *without* burning retry budget.
-        """
-        remaining = list(self.futures.items())
-        self.futures.clear()
-        self.deadlines.clear()
-        self._rebuild()
-        events: List[Event] = []
-        for future, key in remaining:
-            if future.done() and key not in expired_keys:
-                evs, _ = self._consume(future, key)
-                events.extend(evs)
-            elif key in expired_keys:
-                events.extend(self._fail(
-                    key, "timeout",
-                    f"attempt exceeded {self.policy.timeout_s}s "
-                    f"wall-clock budget"))
-            else:
-                self.attempts[key] -= 1  # innocent: no budget charge
-                self.queue.append(key)
-        return events
-
-    # -- the drive loop ----------------------------------------------------
-
-    def pending(self) -> bool:
-        return bool(self.futures or self.queue or self.retry_at)
-
-    def _step(self) -> List[Event]:
-        self._pump()
-        if not self.futures:
-            if self.retry_at:
-                delay = self.retry_at[0][0] - time.monotonic()
-                if delay > 0:
-                    time.sleep(min(delay, 0.25))
-            return []
-        timeout = None
-        candidates = []
-        if self.deadlines:
-            candidates.append(min(self.deadlines.values()))
-        if self.retry_at:
-            candidates.append(self.retry_at[0][0])
-        if candidates:
-            timeout = max(0.0, min(candidates) - time.monotonic()) + 0.02
-        done, _ = wait(set(self.futures), timeout=timeout,
-                       return_when=FIRST_COMPLETED)
-        events: List[Event] = []
-        crashed = False
-        for future in done:
-            key = self.futures.pop(future, None)
-            if key is None:
-                continue
-            self.deadlines.pop(future, None)
-            evs, was_crash = self._consume(future, key)
-            events.extend(evs)
-            crashed = crashed or was_crash
-        if crashed:
-            events.extend(self._handle_crash())
-            return events
-        if self.deadlines:
-            now = time.monotonic()
-            expired_keys = {
-                key for future, key in self.futures.items()
-                if self.deadlines.get(future, float("inf")) <= now
-                and not future.done()
-            }
-            if expired_keys:
-                events.extend(self._handle_timeouts(expired_keys))
-        return events
-
-    def events(self) -> Iterator[Event]:
-        """Yield outcome events until every request is settled."""
-        while self.pending():
-            for event in self._step():
-                yield event
-
-    def finalize(self) -> None:
-        """Settle abandoned work: record done futures, keep pending ones.
-
-        Safe to call whether :meth:`events` ran to completion or the
-        consumer walked away mid-stream (including during generator GC
-        after the engine closed — every exception is swallowed, since
-        dropping a cache write is safe and raising here is not).
-        Pending futures stay in the pool's in-flight map so a later
-        batch can harvest them once they finish.
-        """
-        if self._finalized:
-            return
-        self._finalized = True
-        for future, key in list(self.futures.items()):
-            if not future.done():
-                continue
-            self.pool.discard(key)
-            try:
-                payload = future.result(timeout=0)
-            # Finalize is best-effort harvest during teardown: a failed
-            # run was already journaled when it failed, so any error
-            # here only means "nothing to salvage".
-            except Exception:  # repro: allow(no-bare-except)
-                continue
-            if self.on_result is not None:
-                try:
-                    self.on_result(key, payload)
-                # Same contract: a result-sink error during teardown
-                # must not lose the remaining harvestable futures.
-                except Exception:  # repro: allow(no-bare-except)
-                    continue
-        self.futures.clear()
-        self.deadlines.clear()
-
-
-def iter_serial(
-    keyed_requests: Sequence[Tuple[str, Request]],
-    *,
-    policy: Optional[ExecutionPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    telemetry: Optional[bool] = None,
-    on_result: Optional[Callable[[str, dict], object]] = None,
-    on_failure: Optional[FailureFn] = None,
-) -> Iterator[Event]:
-    """Serial (in-process) counterpart of :class:`BatchExecution`.
-
-    Same event vocabulary and retry/backoff discipline, executed inline
-    one request at a time.  Per-attempt wall-clock timeouts cannot be
-    enforced without a worker process to kill, so ``timeout_s`` is
-    inert here; injected ``crash`` faults downgrade to raises.
-    """
-    policy = policy if policy is not None else ExecutionPolicy()
-    seen = set()
-    cancelled = False
-    for key, request in keyed_requests:
-        if key in seen:
-            continue
-        seen.add(key)
-        if cancelled:
-            failure = RequestFailure(
-                key=key, kind="cancelled",
-                error="abandoned after another request's terminal "
-                      "failure (fail-fast)",
-                attempts=0)
-            if on_failure is not None:
-                on_failure(failure, False)
-            yield ("fail", key, failure)
-            continue
-        attempt = 0
-        while True:
-            kind = "exception"
-            try:
-                payload = _execute_request(
-                    request,
-                    spans_enabled() if telemetry is None else telemetry,
-                    faults, attempt, inline=True)
-                result = (on_result(key, payload)
-                          if on_result is not None else payload)
-            except StoreDecodeError as exc:
-                kind, error = "corrupt", exc
-            except Exception as exc:
-                error = exc
-            else:
-                yield ("ok", key, result)
-                break
-            attempt += 1
-            failure = RequestFailure.from_exception(
-                key, error, kind=kind, worker=worker_id(),
-                attempts=attempt)
-            retrying = attempt <= policy.max_retries
-            if on_failure is not None:
-                on_failure(failure, retrying)
-            if retrying:
-                time.sleep(policy.backoff(key, attempt))
-                continue
-            yield ("fail", key, failure)
-            if policy.fail_fast:
-                cancelled = True
-            break

@@ -1,13 +1,18 @@
-"""Durable, SQLite-backed job queue for crash-resumable campaigns.
+"""SQLite-backed job queue: every engine miss is one job here.
 
 A job is one engine request — a :class:`~repro.engine.jobs.RunRequest`
 or :class:`~repro.engine.jobs.MixRequest` — identified by the same
 content hash the memo table, the result store, and the trace cache
-already use.  That shared identity is what makes the queue safe to
-operate sloppily: dispatching the same spec twice, two workers racing
-to complete one key, or a crashed worker's job being re-executed after
-its result already landed are all benign, because identical keys imply
-identical results.
+already use.  Every miss the engine executes is a job: in a fresh
+``:memory:`` queue per batch by default, or in a durable file when the
+engine was given ``queue=PATH``, which makes a killed campaign
+resumable across OS processes.
+
+The shared identity is what makes the queue safe to operate sloppily:
+dispatching the same spec twice, two workers racing to complete one
+key, or a crashed worker's job being re-executed after its result
+already landed are all benign, because identical keys imply identical
+results.
 
 Job lifecycle (the DIRAC/fuzzbench pilot-and-lease shape)::
 
@@ -24,21 +29,21 @@ Job lifecycle (the DIRAC/fuzzbench pilot-and-lease shape)::
   them with a fresh budget.
 * ``lease`` hands a batch of pending jobs to one worker under a TTL,
   atomically (``BEGIN IMMEDIATE``): no two workers can lease one job.
-  Leasing charges the attempt budget *up front*, so a worker that is
-  SIGKILLed mid-job has already paid for its attempt.
+  Jobs lease oldest dispatch first, in dispatch order within one
+  dispatch.  Leasing charges the attempt budget *up front*, so a
+  worker SIGKILLed mid-job has already paid for its attempt.
 * ``heartbeat`` extends the TTL while a long simulation runs.
 * ``reclaim`` requeues jobs whose lease expired (worker killed, machine
-  rebooted) — or fails them once the attempt budget (PR 7's
+  rebooted) — or fails them once the attempt budget (the
   :class:`~repro.engine.faults.ExecutionPolicy` ``max_retries``) is
   exhausted, recording a synthetic ``crash``
   :class:`~repro.engine.faults.RequestFailure`.
 
 Attempt accounting: ``attempts`` counts leases taken; a job may be
-attempted ``max_retries + 1`` times before it is failed, matching the
-in-process retry discipline.  ``release`` refunds an attempt for jobs
-that were casualties of *another* job's crash (innocent pool siblings),
-mirroring the BatchExecution rule that being collateral damage does not
-charge your budget.
+attempted ``max_retries + 1`` times before it is failed.  ``release``
+refunds an attempt for jobs that were casualties of *another* job's
+crash or timeout (innocent pool siblings), or of a worker that stopped
+draining early: being collateral damage does not charge your budget.
 """
 
 from __future__ import annotations
@@ -227,7 +232,7 @@ class JobQueue:
             rows = conn.execute(
                 "SELECT key, request, attempts, max_retries FROM jobs "
                 "WHERE state='pending' AND not_before <= ? "
-                "ORDER BY enqueued LIMIT ?",
+                "ORDER BY enqueued, rowid LIMIT ?",
                 (now, limit),
             ).fetchall()
             for key, blob, attempts, max_retries in rows:
@@ -281,9 +286,10 @@ class JobQueue:
         )
 
     def fail(self, key: str, failure: RequestFailure, *,
-             backoff_s: float = 0.0) -> str:
+             backoff_s: float = 0.0, retry: bool = True) -> str:
         """Record a failed attempt; requeue if budget remains.
 
+        ``retry=False`` fails the job whatever its budget (fail-fast).
         Returns the resulting state (``pending`` or ``failed``).  The
         failure is stored as JSON either way, so ``repro queue status``
         can show why a job is waiting or dead.
@@ -298,29 +304,51 @@ class JobQueue:
             if row is None:
                 return "failed"
             attempts, max_retries = row
-            if attempts <= max_retries:
-                state = "pending"
-                conn.execute(
-                    "UPDATE jobs SET state='pending', owner=NULL, "
-                    "lease_expires=NULL, not_before=?, error=?, updated=? "
-                    "WHERE key=?",
-                    (now + backoff_s, error, now, key),
-                )
-            else:
-                state = "failed"
-                conn.execute(
-                    "UPDATE jobs SET state='failed', owner=NULL, "
-                    "lease_expires=NULL, error=?, updated=? WHERE key=?",
-                    (error, now, key),
-                )
+            state = ("pending" if retry and attempts <= max_retries
+                     else "failed")
+            conn.execute(
+                "UPDATE jobs SET state=?, owner=NULL, lease_expires=NULL, "
+                "not_before=?, error=?, updated=? WHERE key=?",
+                (state, now + backoff_s, error, now, key),
+            )
         return state
+
+    def cancel(self, keys: Sequence[str],
+               error: str) -> List[RequestFailure]:
+        """Fail every still-``pending`` job among ``keys`` as cancelled.
+
+        Fail-fast: jobs already leased run on and settle normally.
+        Returns one ``cancelled`` failure per job cancelled, in ``keys``
+        order; a later dispatch resets them like any failed job.
+        """
+        now = time.time()
+        failures: List[RequestFailure] = []
+        with self._backend.transaction() as conn:
+            for key in keys:
+                row = conn.execute(
+                    "SELECT attempts FROM jobs "
+                    "WHERE key=? AND state='pending'", (key,)
+                ).fetchone()
+                if row is None:
+                    continue
+                failure = RequestFailure(key=key, kind="cancelled",
+                                         error=error, attempts=row[0])
+                conn.execute(
+                    "UPDATE jobs SET state='failed', error=?, updated=? "
+                    "WHERE key=?",
+                    (json.dumps(failure.to_dict(), separators=(",", ":")),
+                     now, key),
+                )
+                failures.append(failure)
+        return failures
 
     def release(self, key: str) -> None:
         """Requeue a leased job without charging its attempt budget.
 
         For innocent casualties: the worker's pool broke because a
-        *different* job crashed it, so this job gets its attempt back —
-        the same no-fault rule BatchExecution applies in-process.
+        *different* job crashed it or hung, or the worker stopped
+        draining before the job settled, so this job gets its attempt
+        back.
         """
         with self._backend.transaction() as conn:
             conn.execute(
@@ -360,22 +388,14 @@ class JobQueue:
                 )
                 error = json.dumps(failure.to_dict(),
                                    separators=(",", ":"))
-                if attempts <= max_retries:
-                    conn.execute(
-                        "UPDATE jobs SET state='pending', owner=NULL, "
-                        "lease_expires=NULL, not_before=0, error=?, "
-                        "updated=? WHERE key=?",
-                        (error, now, key),
-                    )
-                    requeued.append(failure)
-                else:
-                    conn.execute(
-                        "UPDATE jobs SET state='failed', owner=NULL, "
-                        "lease_expires=NULL, error=?, updated=? "
-                        "WHERE key=?",
-                        (error, now, key),
-                    )
-                    failed.append(failure)
+                requeue = attempts <= max_retries
+                conn.execute(
+                    "UPDATE jobs SET state=?, owner=NULL, "
+                    "lease_expires=NULL, not_before=0, error=?, "
+                    "updated=? WHERE key=?",
+                    ("pending" if requeue else "failed", error, now, key),
+                )
+                (requeued if requeue else failed).append(failure)
         return requeued, failed
 
     def reset_failed(self) -> List[str]:
@@ -449,9 +469,18 @@ class JobQueue:
         if state is not None:
             sql += " WHERE state=?"
             params = (state,)
-        sql += " ORDER BY enqueued"
+        sql += " ORDER BY enqueued, rowid"
         return [self._record(row)
                 for row in self._backend.execute(sql, params).fetchall()]
+
+    def next_due(self) -> Optional[float]:
+        """Wall-clock time the earliest ``pending`` job becomes leasable
+        (its retry backoff's ``not_before``), or None when none is
+        pending."""
+        (due,) = self._backend.execute(
+            "SELECT MIN(not_before) FROM jobs WHERE state='pending'"
+        ).fetchone()
+        return due
 
     def pending(self) -> int:
         (n,) = self._backend.execute(

@@ -1,14 +1,17 @@
-"""Lease-based worker service over the durable job queue.
+"""Lease-based worker service: the engine's one executor.
 
-:class:`QueueWorker` is the execution half of the dispatcher/worker
-split: it drains a :class:`~repro.engine.queue.JobQueue`, leasing jobs
-under a TTL, heartbeating while simulations run, writing results to the
-shared :class:`~repro.engine.store.ResultStore`, and marking jobs done.
-The same class serves two deployments:
+:class:`QueueWorker` drains a :class:`~repro.engine.queue.JobQueue`:
+it leases jobs under a TTL, heartbeats while simulations run, delivers
+each payload (to the Engine's memo/store/journal, or straight to the
+shared :class:`~repro.engine.store.ResultStore`), and marks jobs done.
+It is the only place where attempts, failures, timeouts and pool
+crashes are settled.  The same class serves two deployments:
 
-* **embedded** — ``repro exp run --queue`` runs one inside the
-  dispatching Engine, so a single command still completes a campaign
-  while leaving the queue behind as its durable progress record;
+* **embedded** — every :class:`~repro.engine.api.Engine` batch
+  dispatches its misses to a queue and drains it with one of these, in
+  process: a fresh ``:memory:`` queue per batch, or the durable file of
+  ``--queue PATH``, which the campaign leaves behind as its progress
+  record;
 * **standalone** — ``repro worker --queue PATH`` runs one per OS
   process; any number of them may point at the same queue file, on the
   strength of the store's benign same-key write races.
@@ -17,12 +20,12 @@ Crash semantics: a worker that dies (SIGKILL, OOM, reboot) simply stops
 heartbeating.  Its leases expire; any surviving process's
 :meth:`~repro.engine.queue.JobQueue.reclaim` requeues them with a
 synthetic ``crash`` :class:`~repro.engine.faults.RequestFailure`, and
-the attempt budget — PR 7's :class:`~repro.engine.faults.
-ExecutionPolicy` ``max_retries`` — bounds how often a poisonous job may
-kill workers before it is marked ``failed``.  A worker killed *between*
-its store write and its ``complete`` mark costs nothing: the next
-worker to lease that key finds the result in the store and completes
-the job without re-executing it.
+the attempt budget (the :class:`~repro.engine.faults.ExecutionPolicy`
+``max_retries``) bounds how often a poisonous job may kill workers
+before it is marked ``failed``.  A worker killed *between* its store
+write and its ``complete`` mark costs nothing: the next worker to lease
+that key finds the result in the store and completes the job without
+re-executing it.
 
 Retry scheduling lives in the queue, not the worker: every lease is
 exactly one attempt, and a failed attempt goes back through
@@ -35,20 +38,26 @@ from __future__ import annotations
 import os
 import socket
 import time
-from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import (Callable, Deque, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import spans_enabled, worker_id
 from .faults import ExecutionPolicy, FaultPlan, RequestFailure
 from .jobs import decode_result
-from .pool import (FailureFn, ProgressFn, RebuildFn, SimulationPool,
-                   _execute_request)
+from .pool import FailureFn, RebuildFn, SimulationPool, run_inline
 from .queue import JobQueue, Lease
 from .store import StoreDecodeError
+
+#: one settled job: ``("ok", key, result)``, ``("fail", key,
+#: RequestFailure)``, or ``("done", key, None)`` for a job that was
+#: completed without this worker executing it (its result is already in
+#: the store, or another worker finished it).
+Settlement = Tuple[str, str, object]
 
 
 def owner_id(suffix: Optional[str] = None) -> str:
@@ -64,14 +73,14 @@ def owner_id(suffix: Optional[str] = None) -> str:
 
 @dataclass
 class WorkerReport:
-    """What one :meth:`QueueWorker.run` drain accomplished."""
+    """What one drain of a :class:`QueueWorker` accomplished."""
 
     owner: str = ""
     leased: int = 0           #: jobs this worker took a lease on
     completed: int = 0        #: jobs executed and marked done
     resumed: int = 0          #: jobs completed from a store hit, no execution
     reclaimed: int = 0        #: expired foreign leases this worker recycled
-    released: int = 0         #: innocent jobs returned uncharged (pool crash)
+    released: int = 0         #: innocent jobs returned uncharged
     retried: int = 0          #: failed attempts requeued within budget
     terminal: int = 0         #: failed attempts that exhausted the budget
     failures: List[RequestFailure] = field(default_factory=list)
@@ -90,6 +99,10 @@ class WorkerReport:
 #: journal-event callback: (event_type, **fields)
 EmitFn = Callable[..., None]
 
+#: why fail-fast cancelled a job.
+CANCELLED = ("abandoned after another request's terminal failure "
+             "(fail-fast)")
+
 
 class QueueWorker:
     """Drains a job queue: lease → heartbeat → execute → complete.
@@ -103,31 +116,32 @@ class QueueWorker:
         worker resume jobs whose result already landed (crash between
         store write and done mark) and is where the default delivery
         path writes results.
-    jobs:
-        In-worker parallelism.  ``1`` executes leased jobs inline in
-        this process; ``>1`` fans them out through a
-        :class:`~repro.engine.pool.SimulationPool`, with per-attempt
-        wall-clock timeouts from ``policy`` enforced by pool rebuild.
+    jobs / pool:
+        ``jobs == 1`` without a ``pool`` executes one lease at a time
+        inline; otherwise up to ``jobs`` leases run in the
+        :class:`~repro.engine.pool.SimulationPool` (created if not
+        given), refilled as each finishes, with the policy's
+        per-attempt timeout enforced by pool rebuild.
     policy / faults:
-        PR 7's retry/timeout discipline and deterministic fault
-        injector.  The queue carries the retry *count* (attempts); the
-        policy supplies the budget and backoff, and the injector sees
-        the queue's attempt number, so chaos campaigns recover across
+        Retry/timeout discipline and deterministic fault injector.  The
+        queue carries the attempt count; the policy supplies the
+        budget, the backoff and fail-fast, and the injector sees the
+        queue's attempt number, so chaos campaigns recover across
         worker processes exactly as they do in-process.
     lease_ttl_s / heartbeat_s / poll_s:
         Lease lifetime, heartbeat period while executing (default
-        ``lease_ttl_s / 3``), and idle polling period.
+        ``lease_ttl_s / 3``), and the longest idle sleep (an idle
+        worker wakes earlier when a retry's backoff runs out).
     on_result:
-        ``fn(key, payload) -> result`` invoked for each executed
-        payload; the embedded deployment passes the Engine's
-        ``_consume_payload`` so queue executions hit memo/store/journal
-        through the same single path as pool executions.  Default:
-        decode-validate, write to ``store``, journal a ``request``
-        event.
-    on_failure / on_rebuild / emit / metrics / progress:
+        ``fn(key, payload) -> result`` for each executed payload (the
+        Engine's ``_consume_payload``).  Default: decode-validate,
+        write to ``store``, journal a ``request`` event.
+    resolved:
+        ``fn(key) -> bool``: a leased job whose key is resolved
+        completes without executing.  Default: the key is in ``store``.
+    on_failure / on_rebuild / emit / metrics:
         The Engine's observability hooks (failure + rebuild notes,
-        journal events, metric registry, progress callback); all
-        optional.
+        journal events, metric registry); all optional.
     """
 
     def __init__(
@@ -144,11 +158,11 @@ class QueueWorker:
         poll_s: float = 0.2,
         owner: Optional[str] = None,
         on_result: Optional[Callable[[str, dict], object]] = None,
+        resolved: Optional[Callable[[str], bool]] = None,
         on_failure: Optional[FailureFn] = None,
         on_rebuild: Optional[RebuildFn] = None,
         emit: Optional[EmitFn] = None,
         metrics: Optional[MetricsRegistry] = None,
-        progress: Optional[ProgressFn] = None,
     ) -> None:
         self.queue = queue if isinstance(queue, JobQueue) \
             else JobQueue(queue)
@@ -156,6 +170,8 @@ class QueueWorker:
         self.jobs = max(1, int(jobs))
         self._pool = pool
         self._owns_pool = pool is None
+        #: no pool: one lease at a time, executed in this process.
+        self._inline = self.jobs <= 1 and pool is None
         self.policy = policy if policy is not None \
             else ExecutionPolicy.from_env()
         self.faults = faults if faults is not None \
@@ -166,11 +182,14 @@ class QueueWorker:
         self.poll_s = float(poll_s)
         self.owner = owner if owner else owner_id()
         self.on_result = on_result
+        self.resolved = resolved if resolved is not None \
+            else self._in_store
         self.on_failure = on_failure
         self.on_rebuild = on_rebuild
         self.emit = emit
         self.metrics = metrics
-        self.progress = progress
+        #: what the latest drain accomplished.
+        self.report = WorkerReport(owner=self.owner)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -179,6 +198,9 @@ class QueueWorker:
         if self._pool is None:
             self._pool = SimulationPool(jobs=self.jobs)
         return self._pool
+
+    def _in_store(self, key: str) -> bool:
+        return self.store is not None and self.store.get(key) is not None
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None and amount:
@@ -201,129 +223,261 @@ class QueueWorker:
 
     def run(self, watch_keys: Optional[Sequence[str]] = None,
             max_idle_s: Optional[float] = None) -> WorkerReport:
-        """Drain the queue; returns a :class:`WorkerReport`.
+        """Drain like :meth:`settlements`; returns the drain's report."""
+        for _ in self.settlements(watch_keys, max_idle_s=max_idle_s):
+            pass
+        return self.report
 
-        Without ``watch_keys`` the worker runs until the queue is
-        *drained* — no job pending or leased; it outlives other
-        workers' leases on purpose, staying around to reclaim them if
-        their owners die.  With ``watch_keys`` (the embedded
-        deployment) it instead runs until every watched key is settled
-        (``done`` or ``failed``), even if unrelated jobs remain.
-        ``max_idle_s`` bounds how long the worker idles without
-        obtaining a single lease before giving up.
+    def settlements(
+        self,
+        watch_keys: Optional[Sequence[str]] = None,
+        *,
+        max_idle_s: Optional[float] = None,
+    ) -> Iterator[Optional[Settlement]]:
+        """Drain the queue, yielding each job as it settles.
+
+        The first item is ``None``, yielded once the first jobs are
+        leased and submitted: a consumer that primes the stream with
+        ``next()`` overlaps its own work with their execution.  Then
+        come :data:`Settlement` items; a retried attempt is not one.
+
+        Without ``watch_keys`` the worker settles every job it leases
+        and runs until the queue is *drained* (nothing pending or
+        leased), outliving other workers' leases so it can reclaim
+        them if their owners die.  With ``watch_keys`` it yields one
+        settlement per watched key, including keys settled elsewhere,
+        and stops once all are settled.  Under ``fail_fast`` a terminal
+        failure cancels every watched key still pending.
+        ``max_idle_s`` bounds how long the worker idles without a
+        lease before giving up.
+
+        Closing the generator early records finished executions and
+        releases the other leases; executions still running stay in the
+        pool, where the next lease of their key picks them up.
         """
-        watch: Optional[Set[str]] = (set(watch_keys)
-                                     if watch_keys is not None else None)
-        report = WorkerReport(owner=self.owner)
-        idle_since: Optional[float] = None
+        unsettled = (None if watch_keys is None
+                     else dict.fromkeys(watch_keys))
+        self.report = WorkerReport(owner=self.owner)
+        self._cancelled = False
+        slots = 1 if self._inline else self.jobs
+        running: Dict[Future, Lease] = {}
+        deadlines: Dict[Future, float] = {}
+        events: Deque[Settlement] = deque()
         try:
+            self._refill(slots, running, deadlines, events, unsettled)
+            yield None
+            next_beat = time.monotonic() + self.heartbeat_s
+            idle_since: Optional[float] = None
             while True:
-                self._reclaim(report)
-                self._update_depth()
-                if watch is not None and self._settled(watch):
+                while events:
+                    event = events.popleft()
+                    kind, key, _ = event
+                    if unsettled is not None:
+                        if key not in unsettled:
+                            continue
+                        del unsettled[key]
+                    yield event
+                    if (kind == "fail" and self.policy.fail_fast
+                            and unsettled and not self._cancelled):
+                        events.extend(self._cancel(unsettled))
+                if unsettled is not None and not unsettled \
+                        and not running:
                     break
-                leases = self.queue.lease(
-                    self.owner, ttl_s=self.lease_ttl_s,
-                    limit=self.jobs)
-                if not leases:
-                    if watch is None and self.queue.drained():
+                events.extend(self._reclaim())
+                self._update_depth()
+                due = self._refill(slots, running, deadlines, events,
+                                   unsettled)
+                if events or running:
+                    idle_since = None
+                if events:
+                    continue
+                if running:
+                    horizon = [next_beat] + list(deadlines.values())
+                    if due is not None:
+                        horizon.append(time.monotonic() + due
+                                       - time.time())
+                    timeout = max(0.0, min(horizon)
+                                  - time.monotonic()) + 0.01
+                    events.extend(self._wait(running, deadlines,
+                                             timeout))
+                    if running and time.monotonic() >= next_beat:
+                        self.queue.heartbeat(
+                            [lease.key for lease in running.values()],
+                            self.owner, ttl_s=self.lease_ttl_s)
+                        next_beat = time.monotonic() + self.heartbeat_s
+                    continue
+                events.extend(self._settled_elsewhere(unsettled))
+                if events:
+                    continue
+                if unsettled is None and self.queue.drained():
+                    break
+                if max_idle_s is not None:
+                    if idle_since is None:
+                        idle_since = time.monotonic()
+                    elif time.monotonic() - idle_since >= max_idle_s:
                         break
-                    if max_idle_s is not None:
-                        if idle_since is None:
-                            idle_since = time.monotonic()
-                        elif time.monotonic() - idle_since >= max_idle_s:
-                            break
-                    time.sleep(self.poll_s)
-                    continue
-                idle_since = None
-                report.leased += len(leases)
-                self._count("leased", len(leases))
-                self._emit("lease", owner=self.owner, count=len(leases),
-                           keys=[lease.key for lease in leases])
-                leases = self._resume_from_store(leases, report)
-                if not leases:
-                    continue
-                if self.jobs <= 1 and self._pool is None:
-                    self._execute_inline(leases, report)
-                else:
-                    self._execute_pool(leases, report)
-        finally:
+                delay = self.poll_s
+                if due is not None:
+                    delay = min(delay, max(0.0, due - time.time()))
+                time.sleep(delay)
             self._update_depth()
+        finally:
+            self._abandon(running)
             if self._owns_pool and self._pool is not None:
                 self._pool.close()
                 self._pool = None
-        return report
 
-    def _settled(self, watch: Set[str]) -> bool:
-        states = self.queue.states(list(watch))
-        return all(states.get(key) in ("done", "failed") for key in watch)
+    def _refill(self, slots: int, running: Dict[Future, Lease],
+                deadlines: Dict[Future, float],
+                events: Deque[Settlement],
+                unsettled: Optional[dict]) -> Optional[float]:
+        """Lease jobs into every free slot and start them.
 
-    def _reclaim(self, report: WorkerReport) -> None:
-        requeued, failed = self.queue.reclaim()
-        if not requeued and not failed:
-            return
-        report.reclaimed += len(requeued) + len(failed)
-        self._count("reclaimed", len(requeued) + len(failed))
-        self._emit("reclaim", owner=self.owner,
-                   requeued=[f.key for f in requeued],
-                   failed=[f.key for f in failed])
-        if self.on_failure is not None:
-            for failure in requeued:
-                self.on_failure(failure, True)
-            for failure in failed:
-                self.on_failure(failure, False)
-        report.failures.extend(failed)
-
-    def _resume_from_store(self, leases: List[Lease],
-                           report: WorkerReport) -> List[Lease]:
-        """Complete leased jobs whose result is already stored.
-
-        Covers the crash window between a dead worker's store write and
-        its done mark: the re-leased job costs a store lookup, not a
-        simulation.
+        Returns the wall-clock time the next pending job becomes
+        leasable when slots are left free (a retry still backing off),
+        else None.  Stops leasing once every watched key is settled or
+        fail-fast has cancelled the batch.
         """
-        if self.store is None:
-            return leases
-        remaining: List[Lease] = []
+        free = slots - len(running)
+        if free <= 0 or self._cancelled or (
+                unsettled is not None and not unsettled):
+            return None
+        leases = self.queue.lease(self.owner, ttl_s=self.lease_ttl_s,
+                                  limit=free)
+        if leases:
+            self.report.leased += len(leases)
+            self._count("leased", len(leases))
+            self._emit("lease", owner=self.owner, count=len(leases),
+                       keys=[lease.key for lease in leases])
         for lease in leases:
-            if self.store.get(lease.key) is not None:
+            if self.resolved(lease.key):
+                # The crash window between a dead worker's store write
+                # and its done mark: a lookup, not a simulation.
                 self.queue.complete(lease.key, self.owner)
-                report.resumed += 1
+                self.report.resumed += 1
                 self._count("resumed")
+                events.append(("done", lease.key, None))
+                continue
+            if self._inline:
+                future: Future = Future()  # executed by _wait
             else:
-                remaining.append(lease)
-        return remaining
+                future = self.pool.submit(lease.key, lease.request,
+                                          faults=self.faults,
+                                          attempt=lease.attempt)
+                if self.policy.timeout_s is not None:
+                    deadlines[future] = (time.monotonic()
+                                         + self.policy.timeout_s)
+            running[future] = lease
+        return self.queue.next_due() if len(leases) < free else None
 
-    # -- delivery / outcome bookkeeping ------------------------------------
+    def _wait(self, running: Dict[Future, Lease],
+              deadlines: Dict[Future, float],
+              timeout: float) -> List[Settlement]:
+        """Settle what finishes within ``timeout``.
 
-    def _deliver(self, key: str, payload: dict) -> None:
+        Inline, that is the one leased job, executed now.  In the pool,
+        a dead worker process or an expired deadline costs a pool
+        rebuild (ProcessPoolExecutor cannot cancel one task): expired
+        attempts fail with ``timeout``, finished ones settle normally,
+        and the innocent rest are released uncharged.
+        """
+        if self._inline:
+            [(future, lease)] = running.items()
+            run_inline(lease.request, spans_enabled(), self.faults,
+                       lease.attempt, future)
+            done = {future}
+        else:
+            done, _ = wait(set(running), timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+        events: List[Settlement] = []
+        crashed = False
+        for future in done:
+            lease = running.pop(future)
+            deadlines.pop(future, None)
+            settled, broke = self._consume(future, lease)
+            events.extend(settled)
+            crashed = crashed or broke
+        now = time.monotonic()
+        expired = {future for future, due in deadlines.items()
+                   if due <= now and not future.done()}
+        if not crashed and not expired:
+            return events
+        survivors = list(running.items())
+        finished = {future for future, _ in survivors if future.done()}
+        running.clear()
+        deadlines.clear()
+        self._rebuild_pool()
+        for future, lease in survivors:
+            if future in expired:
+                events.extend(self._fail(
+                    lease, "timeout",
+                    f"attempt exceeded {self.policy.timeout_s}s "
+                    f"wall-clock budget"))
+            elif future in finished:
+                events.extend(self._consume(future, lease)[0])
+            else:
+                self.queue.release(lease.key)
+                self.report.released += 1
+                self._count("released")
+        return events
+
+    def _rebuild_pool(self) -> None:
+        self.pool.rebuild()
+        if self.pool.rebuilds > self.policy.max_rebuilds:
+            self.pool.degraded = True
+        if self.on_rebuild is not None:
+            self.on_rebuild(self.pool.rebuilds, self.pool.degraded)
+
+    # -- settling one job --------------------------------------------------
+
+    def _consume(self, future: Future,
+                 lease: Lease) -> Tuple[List[Settlement], bool]:
+        """Settle one finished future; the flag is True when the pool
+        crashed under it."""
+        if self._pool is not None:
+            self._pool.discard(lease.key)
+        try:
+            payload = future.result(timeout=0)
+        except BrokenProcessPool as exc:
+            return self._fail(lease, "crash",
+                              str(exc) or "worker process died"), True
+        except CancelledError:
+            return self._fail(lease, "crash",
+                              "worker pool died mid-flight"), True
+        except StoreDecodeError as exc:
+            return self._fail(lease, "corrupt", str(exc), exc=exc), False
+        except Exception as exc:
+            return self._fail(lease, "exception", str(exc),
+                              exc=exc), False
+        try:
+            result = self._deliver(lease.key, payload)
+        except StoreDecodeError as exc:
+            return self._fail(lease, "corrupt", str(exc), exc=exc), False
+        self.queue.complete(lease.key, self.owner)
+        self.report.completed += 1
+        self._count("completed")
+        return [("ok", lease.key, result)], False
+
+    def _deliver(self, key: str, payload: dict) -> object:
         """Route one executed payload to its consumer.
 
         Raises :class:`~repro.engine.store.StoreDecodeError` when the
         payload fails validation (the ``corrupt`` failure path).
         """
         if self.on_result is not None:
-            self.on_result(key, payload)
-            return
+            return self.on_result(key, payload)
         obs = payload.pop("_obs", None) or {}
-        decode_result(payload)  # validates; raises StoreDecodeError
+        result = decode_result(payload)  # validates; raises StoreDecodeError
         if self.store is not None:
             self.store.put(key, payload)
         self._emit("request", key=key, outcome="executed",
                    kind=payload.get("kind"), wall_s=obs.get("wall_s"),
                    worker=obs.get("worker"), spans=obs.get("spans") or [])
-
-    def _complete(self, lease: Lease, report: WorkerReport) -> None:
-        self.queue.complete(lease.key, self.owner)
-        report.completed += 1
-        self._count("completed")
-        if self.progress is not None:
-            self.progress(report.completed + report.resumed,
-                          report.leased, lease.key)
+        return result
 
     def _fail(self, lease: Lease, kind: str, error: str,
-              exc: Optional[BaseException] = None,
-              report: Optional[WorkerReport] = None) -> None:
+              exc: Optional[BaseException] = None) -> List[Settlement]:
+        """Record one failed attempt; a settlement only if terminal."""
         attempts = lease.attempt + 1
         if exc is not None:
             failure = RequestFailure.from_exception(
@@ -334,166 +488,84 @@ class QueueWorker:
                                      worker=worker_id(), attempts=attempts)
         state = self.queue.fail(
             lease.key, failure,
-            backoff_s=self.policy.backoff(lease.key, attempts))
+            backoff_s=self.policy.backoff(lease.key, attempts),
+            retry=not self._cancelled)
         retrying = state == "pending"
-        if report is not None:
-            if retrying:
-                report.retried += 1
-            else:
-                report.terminal += 1
-                report.failures.append(failure)
         self._count("failed_attempts")
         if self.on_failure is not None:
             self.on_failure(failure, retrying)
+        if retrying:
+            self.report.retried += 1
+            return []
+        self.report.terminal += 1
+        self.report.failures.append(failure)
+        return [("fail", lease.key, failure)]
 
-    def _rebuild_pool(self) -> None:
-        self.pool.rebuild()
-        if self.pool.rebuilds > self.policy.max_rebuilds:
-            self.pool.degraded = True
-        if self.on_rebuild is not None:
-            self.on_rebuild(self.pool.rebuilds, self.pool.degraded)
+    def _cancel(self, unsettled: dict) -> List[Settlement]:
+        """Fail-fast: cancel every watched job still pending."""
+        self._cancelled = True
+        failures = self.queue.cancel(list(unsettled), CANCELLED)
+        for failure in failures:
+            if self.on_failure is not None:
+                self.on_failure(failure, False)
+            self.report.failures.append(failure)
+        return [("fail", failure.key, failure) for failure in failures]
 
-    # -- execution paths ---------------------------------------------------
+    def _reclaim(self) -> List[Settlement]:
+        """Requeue expired leases; settle the ones out of budget."""
+        requeued, failed = self.queue.reclaim()
+        if not requeued and not failed:
+            return []
+        self.report.reclaimed += len(requeued) + len(failed)
+        self._count("reclaimed", len(requeued) + len(failed))
+        self._emit("reclaim", owner=self.owner,
+                   requeued=[f.key for f in requeued],
+                   failed=[f.key for f in failed])
+        if self.on_failure is not None:
+            for failure in requeued:
+                self.on_failure(failure, True)
+            for failure in failed:
+                self.on_failure(failure, False)
+        self.report.failures.extend(failed)
+        return [("fail", failure.key, failure) for failure in failed]
 
-    def _execute_inline(self, leases: List[Lease],
-                        report: WorkerReport) -> None:
-        """Run leased jobs one at a time in this process.
+    def _settled_elsewhere(
+            self, unsettled: Optional[dict]) -> List[Settlement]:
+        """Watched keys another worker (or dispatch, from the store)
+        already brought to ``done`` or ``failed``."""
+        if not unsettled:
+            return []
+        states = self.queue.states(list(unsettled))
+        events: List[Settlement] = []
+        for key in unsettled:
+            state = states.get(key)
+            if state == "done":
+                events.append(("done", key, None))
+            elif state == "failed":
+                job = self.queue.get(key)
+                events.append(("fail", key, RequestFailure(**job.error)))
+        return events
 
-        No per-attempt timeout here (there is no worker process to
-        kill); an injected ``crash`` fault downgrades to a raise, same
-        as :func:`~repro.engine.pool.iter_serial`.
+    def _abandon(self, running: Dict[Future, Lease]) -> None:
+        """Settle a drain that stopped early.
+
+        Finished executions are recorded; every other lease goes back
+        to the queue uncharged.  Futures still running stay in the
+        pool.  Best effort: this can run during generator GC, after the
+        engine closed its store, where dropping a cache write is safe
+        and raising is not.
         """
-        pending = list(leases)
-        while pending:
-            lease = pending.pop(0)
-            if pending:  # keep the rest alive while this one runs
-                self.queue.heartbeat([l.key for l in pending],
-                                     self.owner, ttl_s=self.lease_ttl_s)
+        for future, lease in running.items():
             try:
-                payload = _execute_request(
-                    lease.request, spans_enabled(), self.faults,
-                    attempt=lease.attempt, inline=True)
-                self._deliver(lease.key, payload)
-            except StoreDecodeError as exc:
-                self._fail(lease, "corrupt", str(exc), exc=exc,
-                           report=report)
-            except Exception as exc:
-                self._fail(lease, "exception", str(exc), exc=exc,
-                           report=report)
-            else:
-                self._complete(lease, report)
-
-    def _consume_future(self, future, lease: Lease,
-                        report: WorkerReport) -> bool:
-        """Settle one finished future; True when the pool crashed."""
-        self.pool.discard(lease.key)
-        try:
-            payload = future.result(timeout=0)
-        except BrokenProcessPool as exc:
-            self._fail(lease, "crash", str(exc) or "worker process died",
-                       report=report)
-            return True
-        except (CancelledError, FutureTimeoutError):
-            self._fail(lease, "crash", "worker pool died mid-flight",
-                       report=report)
-            return True
-        except StoreDecodeError as exc:
-            self._fail(lease, "corrupt", str(exc), exc=exc, report=report)
-            return False
-        except Exception as exc:
-            self._fail(lease, "exception", str(exc), exc=exc,
-                       report=report)
-            return False
-        try:
-            self._deliver(lease.key, payload)
-        except StoreDecodeError as exc:
-            self._fail(lease, "corrupt", str(exc), exc=exc, report=report)
-            return False
-        self._complete(lease, report)
-        return False
-
-    def _settle_survivors(self, survivors, expired, report) -> None:
-        """After a pool teardown: keep finished work, refund the rest.
-
-        Finished futures still hold real results — consume them.
-        Expired ones observe a ``timeout`` failure (charged).  The
-        merely in-flight are *innocent*: released back to pending with
-        their attempt refunded, the cross-process analogue of
-        BatchExecution's no-fault resubmission.
-        """
-        for future, lease in survivors:
-            if future in expired:
-                self._fail(
-                    lease, "timeout",
-                    f"attempt exceeded {self.policy.timeout_s}s "
-                    f"wall-clock budget", report=report)
-            elif future.done():
-                self._consume_future(future, lease, report)
-            else:
-                self.pool.discard(lease.key)
-                self.queue.release(lease.key)
-                report.released += 1
-                self._count("released")
-
-    def _execute_pool(self, leases: List[Lease],
-                      report: WorkerReport) -> None:
-        """Fan leased jobs out through the worker pool.
-
-        Heartbeats fire on ``heartbeat_s`` while futures run; the
-        policy's per-attempt wall-clock timeout is enforced the only
-        way ProcessPoolExecutor allows — tearing the pool down — with
-        innocent siblings released uncharged.
-        """
-        futures: Dict[object, Lease] = {}
-        deadlines: Dict[object, float] = {}
-        for lease in leases:
-            future = self.pool.submit(lease.key, lease.request,
-                                      faults=self.faults,
-                                      attempt=lease.attempt)
-            futures[future] = lease
-            if self.policy.timeout_s is not None:
-                deadlines[future] = (time.monotonic()
-                                     + self.policy.timeout_s)
-        next_beat = time.monotonic() + self.heartbeat_s
-        while futures:
-            horizon = [next_beat]
-            if deadlines:
-                horizon.append(min(deadlines.values()))
-            timeout = max(0.02, min(horizon) - time.monotonic())
-            done, _ = wait(set(futures), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            crashed = False
-            for future in done:
-                lease = futures.pop(future, None)
-                if lease is None:
-                    continue
-                deadlines.pop(future, None)
-                crashed = self._consume_future(future, lease, report) \
-                    or crashed
-            if crashed:
-                survivors = list(futures.items())
-                futures.clear()
-                deadlines.clear()
-                self._rebuild_pool()
-                self._settle_survivors(survivors, expired=set(),
-                                       report=report)
-                return
-            if deadlines:
-                now = time.monotonic()
-                expired = {
-                    future for future, due in deadlines.items()
-                    if due <= now and not future.done()
-                }
-                if expired:
-                    survivors = list(futures.items())
-                    futures.clear()
-                    deadlines.clear()
-                    self._rebuild_pool()
-                    self._settle_survivors(survivors, expired=expired,
-                                           report=report)
-                    return
-            if futures and time.monotonic() >= next_beat:
-                self.queue.heartbeat(
-                    [lease.key for lease in futures.values()],
-                    self.owner, ttl_s=self.lease_ttl_s)
-                next_beat = time.monotonic() + self.heartbeat_s
+                if future.done() and self._pool is not None:
+                    self._pool.discard(lease.key)
+                if future.done() and future.exception() is None:
+                    self._deliver(lease.key, future.result())
+                    self.queue.complete(lease.key, self.owner)
+                else:
+                    self.queue.release(lease.key)
+            # Teardown harvest: a failed run has nothing to salvage,
+            # and its job is retried by whoever leases it next.
+            except Exception:  # repro: allow(no-bare-except)
+                continue
+        running.clear()

@@ -239,6 +239,12 @@ class TestEngine:
         )
         assert seen == [(1, 2), (2, 2)]
 
+    def test_single_run_reports_no_progress(self):
+        seen = []
+        engine = Engine(progress=lambda *args: seen.append(args))
+        engine.run(_request())
+        assert seen == []
+
 
 class TestFigureParallelism:
     """The acceptance property: parallel == serial, warm == zero runs."""

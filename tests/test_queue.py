@@ -163,6 +163,17 @@ class TestLeaseLifecycle:
             leases = q.lease("w", ttl_s=30, limit=2)
             assert [l.key for l in leases] == ["k1", "k2"]
 
+    def test_lease_order_is_dispatch_order(self, tmp_path):
+        # one dispatch stamps every row with the same time: the rowid
+        # tie-break keeps the lease order deterministic
+        keys = [f"k{(i * 37) % 50:02d}" for i in range(50)]
+        assert keys != sorted(keys)
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            q.dispatch([(key, key) for key in keys])
+            leased = [lease.key for _ in keys
+                      for lease in q.lease("w", ttl_s=30, limit=1)]
+            assert leased == keys
+
     def test_heartbeat_extends_only_own_leases(self, tmp_path):
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch([("k1", "r1"), ("k2", "r2")])
@@ -466,6 +477,22 @@ class TestQueueWorker:
             assert q.get(mine.key()).state == "done"
             assert report.completed >= 1
 
+    def test_idle_wait_follows_the_retry_backoff(self, tmp_path):
+        # a 0.05 s backoff must not wait out a 5 s poll period
+        request = _request()
+        policy = ExecutionPolicy(max_retries=1, backoff_s=0.05,
+                                 jitter_fraction=0.0)
+        faults = FaultPlan(rates=(("raise", 1.0),), times=1)
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            q.dispatch(_keyed([request]), max_retries=1)
+            worker = QueueWorker(q, policy=policy, faults=faults,
+                                 poll_s=5.0)
+            start = time.monotonic()
+            report = worker.run()
+            assert time.monotonic() - start < 4.0
+            assert report.retried == 1
+            assert report.completed == 1
+
     def test_max_idle_bounds_an_empty_queue_wait(self, tmp_path):
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch([("k1", "r1")])
@@ -548,6 +575,40 @@ class TestEngineQueueRoute:
         with JobQueue(tmp_path / "q.sqlite") as q:
             assert q.get(request.key()).state == "failed"
 
+    def test_fail_fast_cancels_pending_jobs(self, tmp_path):
+        policy = ExecutionPolicy(max_retries=0, backoff_s=0.0,
+                                 fail_fast=True)
+        faults = FaultPlan(rates=(("raise", 1.0),), times=99)
+        with Engine(queue=tmp_path / "q.sqlite", resilience=policy,
+                    faults=faults) as engine:
+            with pytest.raises(ExecutionError) as info:
+                engine.run_many(_requests(3))
+        kinds = [f.kind for f in info.value.failures]
+        assert kinds == ["exception", "cancelled", "cancelled"]
+
+    def test_progress_reports_settled_of_total(self, tmp_path):
+        seen = []
+        with Engine(queue=tmp_path / "q.sqlite",
+                    resilience=FAST) as engine:
+            engine.run_many(
+                _requests(2),
+                progress=lambda done, total, key: seen.append(
+                    (done, total)))
+        assert seen == [(1, 2), (2, 2)]
+
+    def test_as_completed_streams_through_the_queue(self, tmp_path):
+        requests = _requests(2)
+        with Engine(store=ResultStore(tmp_path / "s.sqlite"),
+                    queue=tmp_path / "q.sqlite",
+                    resilience=FAST) as engine:
+            engine.run(requests[0])
+            settled = [(c.key, c.cached)
+                       for c in engine.as_completed(requests)]
+        assert settled == [(requests[0].key(), True),
+                           (requests[1].key(), False)]
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            assert q.counts()["done"] == 2
+
     def test_parallel_engine_shares_pool_with_queue_worker(self, tmp_path):
         requests = _requests(3)
         with Engine(store=ResultStore(tmp_path / "s.sqlite"),
@@ -558,6 +619,19 @@ class TestEngineQueueRoute:
             assert engine.counters.executed == 3
         with JobQueue(tmp_path / "q.sqlite") as q:
             assert q.counts()["done"] == 3
+
+    def test_queueless_journal_has_no_queue_events(self, tmp_path):
+        from repro.obs import journal as obs_journal
+
+        jpath = tmp_path / "run.jsonl"
+        with Engine(telemetry=jpath, resilience=FAST) as engine:
+            engine.run_many(_requests(2))
+        events = [e for _, e in obs_journal.read_journal(jpath)]
+        types = {e["type"] for e in events}
+        assert not types & {"dispatch", "lease", "reclaim"}
+        [summary] = [e for e in events if e["type"] == "summary"]
+        assert not [name for kind in summary["metrics"].values()
+                    for name in kind if name.startswith("queue_")]
 
     def test_queue_dispatch_journal_event(self, tmp_path):
         from repro.obs import journal as obs_journal

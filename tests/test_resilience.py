@@ -436,7 +436,6 @@ class TestPoolSelfHealing:
             future = pool.submit(request.key(), request)
             pool.rebuild()
             # the stale future must not be handed out again
-            assert pool.peek(request.key()) is None
             fresh = pool.submit(request.key(), request)
             assert fresh is not future
             payload = fresh.result(timeout=120)
