@@ -265,8 +265,8 @@ class QueueWorker:
         events: Deque[Settlement] = deque()
         try:
             self._refill(slots, running, deadlines, events, unsettled)
-            yield None
             next_beat = time.monotonic() + self.heartbeat_s
+            yield None
             idle_since: Optional[float] = None
             while True:
                 while events:
@@ -283,6 +283,13 @@ class QueueWorker:
                 if unsettled is not None and not unsettled \
                         and not running:
                     break
+                if running and time.monotonic() >= next_beat:
+                    # Before reclaiming: a consumer that paused between
+                    # pulls must find its own leases alive.
+                    self.queue.heartbeat(
+                        [lease.key for lease in running.values()],
+                        self.owner, ttl_s=self.lease_ttl_s)
+                    next_beat = time.monotonic() + self.heartbeat_s
                 events.extend(self._reclaim())
                 self._update_depth()
                 due = self._refill(slots, running, deadlines, events,
@@ -300,11 +307,6 @@ class QueueWorker:
                                   - time.monotonic()) + 0.01
                     events.extend(self._wait(running, deadlines,
                                              timeout))
-                    if running and time.monotonic() >= next_beat:
-                        self.queue.heartbeat(
-                            [lease.key for lease in running.values()],
-                            self.owner, ttl_s=self.lease_ttl_s)
-                        next_beat = time.monotonic() + self.heartbeat_s
                     continue
                 events.extend(self._settled_elsewhere(unsettled))
                 if events:

@@ -795,6 +795,28 @@ class TestEngineAsCompleted:
             assert engine.counters.executed == len(requests)
             assert first.key in engine._memo
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_slow_consumer_keeps_its_leases(self, jobs):
+        # a consumer that pauses longer than the lease TTL between
+        # pulls (at the cached hit too) must not see its own live
+        # leases reclaimed as crashes
+        import time
+
+        from repro.engine import ExecutionPolicy
+
+        requests = self.make_requests()
+        with Engine(jobs=jobs, lease_ttl_s=0.05,
+                    resilience=ExecutionPolicy(max_retries=0)) as engine:
+            engine.run(requests[0])
+            completed = []
+            for item in engine.as_completed(requests):
+                completed.append(item)
+                time.sleep(0.2)
+            assert [c.failure for c in completed] == [None] * 3
+            assert engine.counters.retries == 0
+            assert engine.counters.failures == 0
+            assert engine.counters.executed == 3
+
     def test_abandoned_iterator_survives_closed_engine(self, tmp_path):
         # Generator finalization can run after Engine.close() shut the
         # store; the cleanup block must swallow that, not raise from
