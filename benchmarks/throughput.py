@@ -1,30 +1,18 @@
-"""Runnable wrapper around :mod:`repro.bench` (the throughput harness).
+"""Runnable shim for the ``repro bench`` throughput harness.
 
 Usage (equivalent to ``python -m repro bench``)::
 
     PYTHONPATH=src python benchmarks/throughput.py [--quick]
 
-The measurement logic lives in ``src/repro/bench.py`` so the ``repro
-bench`` CLI command can import it; this wrapper exists so the benchmark
-is discoverable next to the figure benchmarks and runnable standalone.
+The measurement logic lives in ``src/repro/bench.py``; this shim keeps
+the benchmark discoverable next to the figure benchmarks.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.bench import (  # noqa: F401  (re-exported for importers)
-    DEFAULT_POLICIES,
-    DEFAULT_WORKLOADS,
-    SEED_BASELINE_PATH,
-    check_regression,
-    format_report,
-    geomean,
-    measure_cell,
-    run_bench,
-)
+from repro.cli import main
 
 if __name__ == "__main__":
-    from repro.cli import main
-
     sys.exit(main(["bench", *sys.argv[1:]]))

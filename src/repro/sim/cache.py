@@ -1,4 +1,4 @@
-"""Set-associative cache model with prefetch/dirty/reuse metadata.
+"""Set-associative cache model with its LRU and SHiP replacement state.
 
 The cache is a *functional* model: it tracks which lines are resident, their
 prefetch bits (for accuracy accounting), dirty bits (for writeback traffic)
@@ -8,12 +8,25 @@ hierarchy / core model; the cache itself only reports hits and evictions.
 
 Storage is struct-of-arrays: one flat parallel array per line attribute
 (tag/valid/dirty/prefetched/reused/fill-pc/from-dram/ready-time), indexed
-by ``set_index * ways + way``.  The hot paths — :meth:`lookup_slot`,
-:meth:`fill_fast` and :meth:`find_slot` — are allocation-free: they return
-slot integers (or a per-cache scratch :class:`EvictedLine` reused across
-fills) and callers read line attributes straight out of the arrays.  The
-object-returning :meth:`lookup` / :meth:`fill` wrappers preserve the
-original interface for tests and non-critical callers.
+by ``set_index * ways + way``.  :meth:`lookup_slot` and :meth:`fill_fast`
+are allocation-free: they return slot integers (or a per-cache scratch
+:class:`EvictedLine` reused across fills) and callers read line attributes
+straight out of the arrays.
+
+Replacement is part of the cache, selected by ``CacheParams.replacement``:
+
+* ``lru`` (L1D/L2C): a clock and one stamp per slot; the victim is the
+  first slot of the set with the smallest stamp.
+* ``ship`` (LLC, paper Table 5): SHiP-PC [Wu+, MICRO'11] over 2-bit RRIP,
+  the configuration ChampSim ships.  Per-set ``bytearray`` RRPV rows, one
+  PC signature per slot and a Signature History Counter Table (SHCT) of
+  saturating counters that learns, per signature, whether the lines it
+  inserts are re-referenced.  Prefetches and lines from "no-reuse"
+  signatures are inserted at distant RRPV, everything else at
+  intermediate; a hit promotes to RRPV 0.
+
+Only the chosen policy's state is allocated.  The L1 lookup inlined in
+``CacheHierarchy.load`` is the one other reader of the LRU state.
 """
 
 from __future__ import annotations
@@ -22,78 +35,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .params import CacheParams
-from .replacement import make_replacement
 
-
-class CacheLineView:
-    """Live view of one resident line (compatibility for :meth:`Cache.lookup`).
-
-    Attribute reads and writes go straight to the cache's backing arrays,
-    so mutating a view (e.g. clearing ``prefetched``) behaves exactly like
-    mutating the old per-line dataclass did.
-    """
-
-    __slots__ = ("_cache", "_slot")
-
-    def __init__(self, cache: "Cache", slot: int) -> None:
-        self._cache = cache
-        self._slot = slot
-
-    @property
-    def tag(self) -> int:
-        return self._cache._tags[self._slot]
-
-    @property
-    def valid(self) -> bool:
-        return bool(self._cache._valid[self._slot])
-
-    @property
-    def dirty(self) -> bool:
-        return bool(self._cache._dirty[self._slot])
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._cache._dirty[self._slot] = 1 if value else 0
-
-    @property
-    def prefetched(self) -> bool:
-        return bool(self._cache._prefetched[self._slot])
-
-    @prefetched.setter
-    def prefetched(self, value: bool) -> None:
-        self._cache._prefetched[self._slot] = 1 if value else 0
-
-    @property
-    def reused(self) -> bool:
-        return bool(self._cache._reused[self._slot])
-
-    @reused.setter
-    def reused(self, value: bool) -> None:
-        self._cache._reused[self._slot] = 1 if value else 0
-
-    @property
-    def fill_pc(self) -> int:
-        return self._cache._fill_pc[self._slot]
-
-    @fill_pc.setter
-    def fill_pc(self, value: int) -> None:
-        self._cache._fill_pc[self._slot] = value
-
-    @property
-    def filled_from_dram(self) -> bool:
-        return bool(self._cache._from_dram[self._slot])
-
-    @filled_from_dram.setter
-    def filled_from_dram(self, value: bool) -> None:
-        self._cache._from_dram[self._slot] = 1 if value else 0
-
-    @property
-    def ready_time(self) -> float:
-        return self._cache._ready[self._slot]
-
-    @ready_time.setter
-    def ready_time(self, value: float) -> None:
-        self._cache._ready[self._slot] = value
+#: SHiP: the distant re-reference value (2-bit RRPV counters).
+SHIP_RRPV_MAX = 3
+#: SHiP: saturation value of each 3-bit SHCT counter.
+SHIP_SHCT_MAX = (1 << 3) - 1
+#: SHiP: number of SHCT entries (PC signatures).
+SHIP_SHCT_SIZE = 16384
 
 
 @dataclass
@@ -107,13 +55,6 @@ class EvictedLine:
     evicted_for_prefetch: bool
 
 
-@dataclass
-class FillResult:
-    """Outcome of inserting a line: the victim, if a valid one existed."""
-
-    evicted: Optional[EvictedLine]
-
-
 class Cache:
     """One cache level (L1D, L2C or LLC)."""
 
@@ -124,6 +65,11 @@ class Cache:
             raise ValueError(
                 f"{params.name}: set count {params.num_sets} must be a power "
                 f"of two (size/ways/line_size mismatch)"
+            )
+        replacement = params.replacement.lower()
+        if replacement not in ("lru", "ship"):
+            raise ValueError(
+                f"unknown replacement policy {params.replacement!r}"
             )
         self.params = params
         self.num_sets = params.num_sets
@@ -149,19 +95,18 @@ class Cache:
         self._slot_get = self._slot_of.get  # rebound in __setstate__
         #: valid lines per set; a full set skips the invalid-way scan.
         self._set_valid = bytearray(self.num_sets)
-        self._replacement = make_replacement(
-            params.replacement, self.num_sets, self.ways
-        )
-        # Inlined fast paths for the two stock policies (state layouts are
-        # theirs; behaviour is identical to calling their methods).
-        from .replacement import LruPolicy, ShipPolicy
-        self._lru = self._replacement \
-            if type(self._replacement) is LruPolicy else None
-        self._ship = self._replacement \
-            if type(self._replacement) is ShipPolicy else None
-        self._ship_shct_limit = (1 << ShipPolicy.SHCT_BITS) - 1
-        self._ship_shct_size = ShipPolicy.SHCT_SIZE
-        self._ship_distant = ShipPolicy.RRPV_MAX - 1
+        #: True for LRU, False for SHiP.
+        self._lru = replacement == "lru"
+        if self._lru:
+            self._clock = 0
+            self._stamps = [0] * total
+        else:
+            self._rrpv = [
+                bytearray([SHIP_RRPV_MAX] * self.ways)
+                for _ in range(self.num_sets)
+            ]
+            self._sig = [0] * total
+            self._shct = [1] * SHIP_SHCT_SIZE
         self._resident = 0
         self._evicted_scratch = EvictedLine(0, False, False, False, False)
         self.hits = 0
@@ -182,18 +127,6 @@ class Cache:
         self.__dict__.update(state)
         self._slot_get = self._slot_of.get
 
-    # -- addressing -------------------------------------------------------
-
-    def _set_index(self, line_addr: int) -> int:
-        return line_addr & self._set_mask
-
-    def _tag(self, line_addr: int) -> int:
-        return line_addr >> self._tag_shift
-
-    def find_slot(self, line_addr: int) -> int:
-        """Slot of ``line_addr`` if resident, else -1.  No side effects."""
-        return self._slot_get(line_addr, -1)
-
     # -- lookups ----------------------------------------------------------
 
     def lookup_slot(self, line_addr: int, pc: int = 0,
@@ -212,35 +145,17 @@ class Cache:
         self._reused[slot] = 1
         if is_write:
             self._dirty[slot] = 1
-        lru = self._lru
-        if lru is not None:
-            lru._clock += 1
-            lru._timestamp[slot] = lru._clock
-        elif self._ship is not None:
-            set_index = line_addr & self._set_mask
-            self._ship._rrpv[set_index][slot - set_index * self.ways] = 0
+        if self._lru:
+            self._clock += 1
+            self._stamps[slot] = self._clock
         else:
             set_index = line_addr & self._set_mask
-            self._replacement.on_hit(
-                set_index, slot - set_index * self.ways, pc
-            )
+            self._rrpv[set_index][slot - set_index * self.ways] = 0
         return slot
-
-    def lookup(self, line_addr: int, pc: int = 0, is_write: bool = False):
-        """Demand lookup.  Returns a live :class:`CacheLineView` or ``None``.
-
-        On a hit the replacement state is updated; clearing the view's
-        prefetch bit writes through to the cache, so each prefetch counts
-        as useful at most once (hierarchy semantics).
-        """
-        slot = self.lookup_slot(line_addr, pc, is_write)
-        if slot < 0:
-            return None
-        return CacheLineView(self, slot)
 
     def probe(self, line_addr: int) -> bool:
         """Presence check with no state side effects (used by prefetch/OCP)."""
-        return self.find_slot(line_addr) >= 0
+        return line_addr in self._slot_of
 
     # -- fills -------------------------------------------------------------
 
@@ -273,13 +188,12 @@ class Cache:
         set_index = line_addr & self._set_mask
         base = set_index * ways
         tags = self._tags
+        lru = self._lru
         evicted = None
         if self._set_valid[set_index] == ways:
-            lru = self._lru
-            ship = self._ship
-            if lru is not None:
-                # Inlined LruPolicy.victim (first-minimum timestamp scan).
-                stamps = lru._timestamp
+            if lru:
+                # First slot with the minimum stamp.
+                stamps = self._stamps
                 victim = base
                 best_stamp = stamps[base]
                 for slot in range(base + 1, base + ways):
@@ -287,36 +201,30 @@ class Cache:
                     if stamp < best_stamp:
                         best_stamp = stamp
                         victim = slot
-            elif ship is not None:
-                # Inlined ShipPolicy.victim (RRIP scan with aging).
-                rrpvs = ship._rrpv[set_index]
+            else:
+                # RRIP: first way at distant RRPV, aging the set until one
+                # is (2-bit counters get there within SHIP_RRPV_MAX rounds).
+                rrpvs = self._rrpv[set_index]
+                rrpv_max = SHIP_RRPV_MAX
                 victim = -1
                 while victim < 0:
                     for way in range(ways):
-                        if rrpvs[way] >= 3:
+                        if rrpvs[way] >= rrpv_max:
                             victim = base + way
                             break
                     else:
                         for way in range(ways):
                             rrpvs[way] += 1
-            else:
-                victim = base + self._replacement.victim(set_index)
             reused = self._reused[victim]
-            if ship is not None:
-                # Inlined ShipPolicy.on_eviction (SHCT training).
-                sig = ship._sig[victim]
-                count = ship._shct[sig]
+            if not lru:
+                # SHCT training: reward reused signatures, punish dead ones.
+                sig = self._sig[victim]
+                count = self._shct[sig]
                 if reused:
-                    if count < self._ship_shct_limit:
-                        ship._shct[sig] = count + 1
+                    if count < SHIP_SHCT_MAX:
+                        self._shct[sig] = count + 1
                 elif count > 0:
-                    ship._shct[sig] = count - 1
-            elif lru is None:
-                self._replacement.on_eviction(
-                    set_index, victim - base,
-                    was_reused=bool(reused),
-                    fill_pc=self._fill_pc[victim],
-                )
+                    self._shct[sig] = count - 1
             old_line = (tags[victim] << self._tag_shift) | set_index
             del slot_of[old_line]
             evicted = self._evicted_scratch
@@ -342,59 +250,21 @@ class Cache:
         self._fill_pc[victim] = pc
         self._from_dram[victim] = 1 if from_dram else 0
         self._ready[victim] = ready_time
-        lru = self._lru
-        if lru is not None:
-            # Inlined LruPolicy.on_fill.
-            lru._clock += 1
-            lru._timestamp[victim] = lru._clock
-        elif self._ship is not None:
-            # Inlined ShipPolicy.on_fill (signature + RRPV insertion).
-            ship = self._ship
-            sig = (pc ^ (pc >> 14) ^ (pc >> 28)) % self._ship_shct_size
-            ship._sig[victim] = sig
-            if is_prefetch or ship._shct[sig] <= 0:
-                ship._rrpv[set_index][victim - base] = self._ship_distant
-            else:
-                ship._rrpv[set_index][victim - base] = 1
+        if lru:
+            self._clock += 1
+            self._stamps[victim] = self._clock
         else:
-            self._replacement.on_fill(
-                set_index, victim - base, pc, is_prefetch
-            )
+            # SHiP insertion: signature, then distant or intermediate RRPV.
+            sig = (pc ^ (pc >> 14) ^ (pc >> 28)) % SHIP_SHCT_SIZE
+            self._sig[victim] = sig
+            if is_prefetch or self._shct[sig] <= 0:
+                self._rrpv[set_index][victim - base] = SHIP_RRPV_MAX - 1
+            else:
+                self._rrpv[set_index][victim - base] = 1
         return evicted
 
-    def fill(
-        self,
-        line_addr: int,
-        pc: int = 0,
-        is_prefetch: bool = False,
-        dirty: bool = False,
-        from_dram: bool = False,
-        ready_time: float = 0.0,
-    ) -> FillResult:
-        """Insert ``line_addr``; returns eviction info for the victim.
-
-        Object-returning wrapper around :meth:`fill_fast`; the returned
-        victim is an independent copy that stays valid across later fills.
-        """
-        evicted = self.fill_fast(
-            line_addr, pc, is_prefetch=is_prefetch, dirty=dirty,
-            from_dram=from_dram, ready_time=ready_time,
-        )
-        if evicted is None:
-            return FillResult(evicted=None)
-        return FillResult(evicted=EvictedLine(
-            line_addr=evicted.line_addr,
-            dirty=evicted.dirty,
-            prefetched=evicted.prefetched,
-            reused=evicted.reused,
-            evicted_for_prefetch=evicted.evicted_for_prefetch,
-        ))
-
-    def _reconstruct_addr(self, set_index: int, tag: int) -> int:
-        return (tag << self._tag_shift) | set_index
-
     def invalidate(self, line_addr: int) -> bool:
-        """Remove a line if present (used by tests and TTP mirroring)."""
+        """Remove a line if present (tests and diagnostics)."""
         slot = self._slot_of.pop(line_addr, -1)
         if slot < 0:
             return False

@@ -10,37 +10,21 @@ bandwidth-constrained configurations (paper §2.1.1, Figure 14).
 Per-bank row-buffer state provides the row-hit/row-miss latency split
 (tCAS vs tRP+tRCD+tCAS) of Table 5.
 
-Request counts are kept as four scalar counters; :meth:`kind_counts`
-snapshots them as a tuple (no per-epoch dict copies) and the
-``requests_by_kind`` property materializes the legacy dict on demand.
+:meth:`MainMemory.access_time` is the one request path.  It maps a line to
+its row and bank with a shift and a mask when the geometry is a power of
+two, and with ``//`` and ``%`` otherwise.  Request counts are four scalar
+counters; :meth:`MainMemory.kind_counts` snapshots them as a tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .params import DramParams
 
 
-@dataclass
-class DramAccessResult:
-    completion_time: float
-    queue_delay: float
-    row_hit: bool
-
-
-#: Order of per-kind counters in :meth:`MainMemory.kind_counts` tuples.
-KIND_ORDER = ("demand", "prefetch", "ocp", "writeback")
-
-
 class MainMemory:
     """Single-channel DRAM shared by all requestors of one (or more) cores."""
-
-    DEMAND = "demand"
-    PREFETCH = "prefetch"
-    OCP = "ocp"
-    WRITEBACK = "writeback"
 
     def __init__(self, params: DramParams) -> None:
         self.params = params
@@ -69,64 +53,16 @@ class MainMemory:
         self._t_rp_rcd_cas = params.t_rp + params.t_rcd + params.t_cas
         self._transfer = params.line_transfer_cycles
 
-    def access(self, now: float, line_addr: int, kind: str) -> DramAccessResult:
-        """Issue one line transfer at time ``now``; returns completion time.
+    def access_time(self, now: float, line_addr: int, kind: str) -> float:
+        """Issue one line transfer of ``kind`` at ``now``; returns its
+        completion time.
 
         The request first waits for its bank (row activation), then for the
         shared data bus.  Both resources are modelled as next-free-time
         scalars, so a burst of requests sees linearly growing queue delay —
-        the bandwidth wall.
+        the bandwidth wall.  ``kind`` is ``"demand"``, ``"prefetch"``,
+        ``"ocp"`` or ``"writeback"``.
         """
-        if kind == "demand":
-            self._demand_requests += 1
-        elif kind == "prefetch":
-            self._prefetch_requests += 1
-        elif kind == "ocp":
-            self._ocp_requests += 1
-        elif kind == "writeback":
-            self._writeback_requests += 1
-        else:
-            raise ValueError(f"unknown DRAM request kind {kind!r}")
-
-        row = line_addr // self._lines_per_row
-        bank = row % self._num_banks
-        open_rows = self._open_row
-        bank_free = self._bank_free
-
-        free_at = bank_free[bank]
-        bank_ready = now if now >= free_at else free_at
-        open_row = open_rows[bank]
-        if open_row == row:
-            access_latency = self._t_cas
-            row_hit = True
-        elif open_row == -1:
-            access_latency = self._t_rcd_cas
-            row_hit = False
-        else:
-            access_latency = self._t_rp_rcd_cas
-            row_hit = False
-        open_rows[bank] = row
-
-        data_ready = bank_ready + access_latency
-        bus_free = self._bus_free
-        transfer_start = data_ready if data_ready >= bus_free else bus_free
-        transfer = self._transfer
-        completion = transfer_start + transfer
-
-        self._bus_free = completion
-        bank_free[bank] = data_ready
-        self._busy_cycles += transfer
-
-        queue_delay = completion - now - access_latency - transfer
-        return DramAccessResult(
-            completion_time=completion,
-            queue_delay=max(0.0, queue_delay),
-            row_hit=row_hit,
-        )
-
-    def access_time(self, now: float, line_addr: int, kind: str) -> float:
-        """Hot-path :meth:`access`: same state updates, returns only the
-        completion time (no per-request result object)."""
         if kind == "demand":
             self._demand_requests += 1
         elif kind == "prefetch":
@@ -181,16 +117,6 @@ class MainMemory:
         )
 
     @property
-    def requests_by_kind(self) -> Dict[str, int]:
-        """Per-kind request counts as a dict (legacy interface)."""
-        return {
-            self.DEMAND: self._demand_requests,
-            self.PREFETCH: self._prefetch_requests,
-            self.OCP: self._ocp_requests,
-            self.WRITEBACK: self._writeback_requests,
-        }
-
-    @property
     def next_bus_free(self) -> float:
         """Earliest time a new transfer could start on the data bus."""
         return self._bus_free
@@ -212,8 +138,3 @@ class MainMemory:
         if elapsed_cycles <= 0:
             return 0.0
         return min(1.0, self._busy_cycles / elapsed_cycles)
-
-    def snapshot(self) -> dict:
-        snap = dict(self.requests_by_kind)
-        snap["busy_cycles"] = self._busy_cycles
-        return snap

@@ -99,7 +99,7 @@ class CacheHierarchy:
         self._l2c_lookup = self.l2c.lookup_slot
         self._llc_lookup = self.llc.lookup_slot
         # L1 demand lookups are inlined in load() when L1 runs LRU (the
-        # stock configuration); None falls back to the generic path.
+        # stock configuration); otherwise load() calls lookup_slot.
         self._l1_lru = self.l1d._lru
         self._l1_slot_get = self.l1d._slot_get
         self._load_result = LoadResult(0.0, False)
@@ -163,15 +163,14 @@ class CacheHierarchy:
         # 2. Walk the hierarchy.
         went_offchip = False
         l1d = self.l1d
-        lru = self._l1_lru
-        if lru is not None:
+        if self._l1_lru:
             # Inlined Cache.lookup_slot for the L1-LRU fast path.
             slot = self._l1_slot_get(line, -1)
             if slot >= 0:
                 l1d.hits += 1
                 l1d._reused[slot] = 1
-                lru._clock += 1
-                lru._timestamp[slot] = lru._clock
+                l1d._clock += 1
+                l1d._stamps[slot] = l1d._clock
             else:
                 l1d.misses += 1
         else:
@@ -356,17 +355,6 @@ class CacheHierarchy:
             if evicted.dirty:
                 nxt = self.l2c if cache is self.l1d else self.llc
                 nxt.fill_fast(evicted.line_addr, pc, False, True)
-        if evicted.prefetched and evicted.line_addr != line:
-            # Prefetched line evicted without ever being demanded.
-            if cache.params.name in ("L1D", "L2C"):
-                self._account_dead_prefetch(evicted)
-
-    def _account_dead_prefetch(self, evicted) -> None:
-        if evicted.reused:
-            return
-        # The line's prefetch bit survived until eviction => never used.
-        if getattr(evicted, "filled_from_dram", False):
-            self.stats.prefetch_fills_offchip_useless += 1
 
     def _record_pollution_victim(self, line_addr: int) -> None:
         # Re-inserting moves the line to the end, so dict order is
@@ -490,7 +478,3 @@ class LoadResult:
     def __init__(self, latency: float, went_offchip: bool) -> None:
         self.latency = latency
         self.went_offchip = went_offchip
-
-
-def _ignore(*_args) -> None:
-    """Default no-op observer method."""

@@ -42,6 +42,8 @@ class SimStats:
     prefetches_issued: int = 0
     prefetches_useful: int = 0
     prefetch_fills_offchip: int = 0
+    #: Always 0: nothing writes it (docs/architecture.md, "Simulator
+    #: approximations"); ``offchip_fill_inaccuracy`` derives the quantity.
     prefetch_fills_offchip_useless: int = 0
     prefetches_useful_offchip: int = 0
     prefetch_fills_offchip_l1d: int = 0

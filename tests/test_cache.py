@@ -1,10 +1,16 @@
-"""Tests for the set-associative cache model."""
+"""Tests for the set-associative cache model and its LRU/SHiP replacement.
+
+Every case goes through the simulator's own entry points,
+``lookup_slot``/``fill_fast``, and reads line state from the slot arrays.
+``fill_fast`` returns a per-cache scratch victim, so each case reads it
+before the next fill.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cache import Cache
+from repro.sim.cache import SHIP_RRPV_MAX, SHIP_SHCT_MAX, Cache
 from repro.sim.params import CacheParams
 
 
@@ -13,6 +19,12 @@ def small_cache(ways=2, sets=4, replacement="lru"):
         name="T", size_bytes=64 * ways * sets, ways=ways,
         latency=5, replacement=replacement,
     ))
+
+
+def victim_of(cache, line, **kwargs):
+    """Fill ``line``; return the evicted line address (None if no victim)."""
+    evicted = cache.fill_fast(line, **kwargs)
+    return None if evicted is None else evicted.line_addr
 
 
 class TestConstruction:
@@ -26,19 +38,36 @@ class TestConstruction:
         assert cache.num_sets == 4
         assert cache.ways == 2
 
+    @pytest.mark.parametrize("kind,lru", [
+        ("lru", True), ("LRU", True), ("ship", False), ("ShIP", False),
+    ])
+    def test_replacement_kind_is_case_insensitive(self, kind, lru):
+        assert small_cache(replacement=kind)._lru is lru
+
+    def test_unknown_replacement_kind_rejected(self):
+        with pytest.raises(ValueError, match="random"):
+            small_cache(replacement="random")
+
+    def test_only_the_chosen_policy_state_is_allocated(self):
+        lru = small_cache(replacement="lru")
+        ship = small_cache(replacement="ship")
+        assert hasattr(lru, "_stamps") and not hasattr(lru, "_rrpv")
+        assert hasattr(ship, "_rrpv") and not hasattr(ship, "_stamps")
+        assert not hasattr(lru, "_shct") and not hasattr(ship, "_clock")
+
 
 class TestLookupAndFill:
     def test_miss_then_hit(self):
         cache = small_cache()
-        assert cache.lookup(100) is None
-        cache.fill(100)
-        assert cache.lookup(100) is not None
+        assert cache.lookup_slot(100) == -1
+        assert cache.fill_fast(100) is None
+        assert cache.lookup_slot(100) >= 0
         assert cache.hits == 1
         assert cache.misses == 1
 
     def test_probe_has_no_side_effects(self):
         cache = small_cache()
-        cache.fill(100)
+        cache.fill_fast(100)
         assert cache.probe(100)
         assert not cache.probe(101)
         assert cache.hits == 0
@@ -46,90 +75,173 @@ class TestLookupAndFill:
 
     def test_fill_existing_line_merges_dirty(self):
         cache = small_cache()
-        cache.fill(100)
-        result = cache.fill(100, dirty=True)
-        assert result.evicted is None
-        line = cache.lookup(100, is_write=False)
-        assert line.dirty
+        cache.fill_fast(100)
+        assert cache.fill_fast(100, dirty=True) is None
+        slot = cache.lookup_slot(100, is_write=False)
+        assert cache._dirty[slot]
 
     def test_write_sets_dirty(self):
         cache = small_cache()
-        cache.fill(100)
-        cache.lookup(100, is_write=True)
-        cache.fill(100)  # no-op
-        assert cache.lookup(100).dirty
+        cache.fill_fast(100)
+        slot = cache.lookup_slot(100, is_write=True)
+        cache.fill_fast(100)  # merge of a clean fill keeps the dirty bit
+        assert cache._dirty[slot]
+        assert cache.lookup_slot(100) == slot
 
     def test_eviction_reports_victim_address(self):
         cache = small_cache(ways=1, sets=1)
-        cache.fill(10)
-        result = cache.fill(20)
-        assert result.evicted is not None
-        assert result.evicted.line_addr == 10
+        cache.fill_fast(10)
+        assert victim_of(cache, 20) == 10
 
     def test_eviction_reports_dirty_flag(self):
         cache = small_cache(ways=1, sets=1)
-        cache.fill(10, dirty=True)
-        result = cache.fill(20)
-        assert result.evicted.dirty
+        cache.fill_fast(10, dirty=True)
+        evicted = cache.fill_fast(20)
+        assert evicted.dirty
+        assert not cache.fill_fast(30).dirty
 
     def test_eviction_for_prefetch_flagged(self):
         cache = small_cache(ways=1, sets=1)
-        cache.fill(10)
-        result = cache.fill(20, is_prefetch=True)
-        assert result.evicted.evicted_for_prefetch
+        cache.fill_fast(10)
+        evicted = cache.fill_fast(20, is_prefetch=True)
+        assert evicted.evicted_for_prefetch
+        assert not evicted.prefetched
+        evicted = cache.fill_fast(30)
+        assert evicted.prefetched and not evicted.evicted_for_prefetch
 
-    def test_prefetch_bit_cleared_on_hit(self):
+    def test_eviction_reports_reuse(self):
+        cache = small_cache(ways=1, sets=1)
+        cache.fill_fast(10)
+        cache.lookup_slot(10)
+        assert cache.fill_fast(20).reused
+        assert not cache.fill_fast(30).reused
+
+    def test_victim_is_a_scratch_reused_by_the_next_fill(self):
+        cache = small_cache(ways=1, sets=1)
+        cache.fill_fast(10)
+        first = cache.fill_fast(20)
+        assert first.line_addr == 10
+        assert cache.fill_fast(30) is first
+        assert first.line_addr == 20
+
+    def test_prefetch_bit_survives_lookup_until_cleared(self):
         cache = small_cache()
-        cache.fill(100, is_prefetch=True)
-        line = cache.lookup(100)
-        assert line.prefetched  # reported once...
-        line.prefetched = False
-        assert not cache.lookup(100).prefetched
+        cache.fill_fast(100, is_prefetch=True)
+        slot = cache.lookup_slot(100)
+        assert cache._prefetched[slot]  # reported once...
+        cache._prefetched[slot] = 0     # ...as the hierarchy credits it
+        cache.fill_fast(100, is_prefetch=True)  # merge: bit stays clear
+        assert cache.lookup_slot(100) == slot
+        assert not cache._prefetched[slot]
 
     def test_ready_time_stored_and_merged(self):
         cache = small_cache()
-        cache.fill(100, ready_time=500.0)
-        assert cache.lookup(100).ready_time == 500.0
-        cache.fill(100, ready_time=100.0)
-        assert cache.lookup(100).ready_time == 100.0
+        cache.fill_fast(100, ready_time=500.0)
+        slot = cache.lookup_slot(100)
+        assert cache._ready[slot] == 500.0
+        cache.fill_fast(100, ready_time=800.0)  # later arrival: no change
+        assert cache._ready[slot] == 500.0
+        cache.fill_fast(100, ready_time=100.0)
+        assert cache._ready[slot] == 100.0
 
 
 class TestLruReplacement:
-    def test_lru_evicts_least_recent(self):
-        cache = small_cache(ways=2, sets=1)
-        cache.fill(1)
-        cache.fill(2)
-        cache.lookup(1)     # 2 becomes LRU
-        result = cache.fill(3)
-        assert result.evicted.line_addr == 2
-
-    def test_invalid_ways_used_first(self):
+    def test_victim_is_oldest_fill(self):
         cache = small_cache(ways=4, sets=1)
         for line in range(4):
-            assert cache.fill(line).evicted is None
-        assert cache.fill(10).evicted is not None
+            assert cache.fill_fast(line) is None  # invalid ways used first
+        assert victim_of(cache, 10) == 0
+        assert victim_of(cache, 11) == 1
+
+    @pytest.mark.parametrize("ways", [2, 4])
+    def test_hit_refreshes_recency(self, ways):
+        cache = small_cache(ways=ways, sets=1)
+        for line in range(ways):
+            cache.fill_fast(line)
+        cache.lookup_slot(0)     # 1 becomes LRU
+        assert victim_of(cache, 10) == 1
+
+    def test_sets_are_independent(self):
+        cache = small_cache(ways=2, sets=2)  # set = line & 1
+        cache.fill_fast(0)   # set 0, oldest
+        cache.fill_fast(1)   # set 1, oldest
+        cache.fill_fast(3)   # set 1
+        cache.fill_fast(2)   # set 0
+        cache.lookup_slot(1)  # refreshes set 1 only
+        assert victim_of(cache, 4) == 0
+        assert victim_of(cache, 5) == 3
 
 
 class TestShipReplacement:
-    def test_prefetch_fills_inserted_for_early_eviction(self):
-        """SHiP inserts prefetches at distant RRPV: a prefetch fill should
-        be evicted before a demanded-and-reused line."""
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_hit_promotes_to_rrpv_zero(self, prefetch):
+        """A reused demand line outlives a later demand or prefetch fill."""
         cache = small_cache(ways=2, sets=1, replacement="ship")
-        cache.fill(1, pc=0x10)
-        cache.lookup(1, pc=0x10)      # promote line 1 (reused)
-        cache.fill(2, pc=0x20, is_prefetch=True)
-        result = cache.fill(3, pc=0x30)
-        assert result.evicted.line_addr == 2
+        cache.fill_fast(1, pc=0x10)
+        slot = cache.lookup_slot(1, pc=0x10)
+        assert cache._rrpv[0][slot] == 0
+        cache.fill_fast(2, pc=0x20, is_prefetch=prefetch)
+        assert victim_of(cache, 3, pc=0x30) == 2
+
+    def test_prefetch_inserted_at_distant_rrpv(self):
+        cache = small_cache(ways=2, sets=1, replacement="ship")
+        cache.fill_fast(1, pc=0x10)
+        cache.fill_fast(2, pc=0x10, is_prefetch=True)
+        assert cache._rrpv[0][cache._slot_of[1]] == 1
+        assert cache._rrpv[0][cache._slot_of[2]] == SHIP_RRPV_MAX - 1
+        assert victim_of(cache, 3, pc=0x30) == 2
+
+    def test_shct_learns_dead_signature(self):
+        cache = small_cache(ways=1, sets=1, replacement="ship")
+        dead_pc = 0x400
+        cache.fill_fast(0, pc=dead_pc)
+        sig = cache._sig[0]
+        assert cache._rrpv[0][0] == 1  # untrained: intermediate insertion
+        # Fill+evict without reuse drives the counter to zero and holds it.
+        for line in range(1, 5):
+            cache.fill_fast(line, pc=dead_pc)
+        assert cache._shct[sig] == 0
+        # Fills from the dead signature now land at distant RRPV.
+        assert cache._rrpv[0][0] == SHIP_RRPV_MAX - 1
+
+    def test_shct_rewards_reused_signature(self):
+        cache = small_cache(ways=1, sets=1, replacement="ship")
+        pc = 0x800
+        for line in range(4):
+            cache.fill_fast(line, pc=pc)
+            cache.lookup_slot(line, pc=pc)
+        sig = cache._sig[0]
+        assert cache._shct[sig] == 1 + 3  # three reused evictions
+        for line in range(4, 20):
+            cache.fill_fast(line, pc=pc)
+            cache.lookup_slot(line, pc=pc)
+        assert cache._shct[sig] == SHIP_SHCT_MAX  # saturates
+
+    def test_signatures_train_independently(self):
+        cache = small_cache(ways=1, sets=1, replacement="ship")
+        cache.fill_fast(0, pc=0x400)
+        dead = cache._sig[0]
+        cache.fill_fast(1, pc=0x800)
+        live = cache._sig[0]
+        assert dead != live
+        assert cache._shct[dead] == 0
+        assert cache._shct[live] == 1
+
+    def test_aging_always_finds_a_victim(self):
+        cache = small_cache(ways=4, sets=1, replacement="ship")
+        for line in range(4):
+            cache.fill_fast(line, pc=line)
+            cache.lookup_slot(line, pc=line)  # all at RRPV 0
+        assert victim_of(cache, 10, pc=0x99) in range(4)
+        assert cache.occupancy() == 4
+        assert cache.probe(10)
 
     def test_ship_learns_no_reuse_signature(self):
         cache = small_cache(ways=2, sets=1, replacement="ship")
-        bad_pc = 0x99
-        # Fill many never-reused lines from bad_pc to train its SHCT down.
         for line in range(100, 140):
-            cache.fill(line, pc=bad_pc)
-        # A fresh set state: one reused line + one bad-pc line.
-        cache2_lines = list(cache.resident_lines())
-        assert len(cache2_lines) <= 2
+            cache.fill_fast(line, pc=0x99)
+        assert len(list(cache.resident_lines())) == 2
+        assert cache._shct[cache._sig[0]] == 0
 
 
 class TestIntrospection:
@@ -137,29 +249,39 @@ class TestIntrospection:
         cache = small_cache(ways=2, sets=4)
         assert cache.occupancy() == 0
         for line in range(5):
-            cache.fill(line)
+            cache.fill_fast(line)
         assert cache.occupancy() == 5
 
     def test_resident_lines_roundtrip(self):
         cache = small_cache(ways=2, sets=4)
         lines = {0, 1, 2, 3}  # one line per set: no capacity evictions
         for line in lines:
-            cache.fill(line)
+            cache.fill_fast(line)
         assert set(cache.resident_lines()) == lines
 
     def test_invalidate(self):
         cache = small_cache()
-        cache.fill(42)
+        cache.fill_fast(42)
         assert cache.invalidate(42)
         assert not cache.probe(42)
         assert not cache.invalidate(42)
+        assert cache.occupancy() == 0
 
     def test_hit_rate(self):
         cache = small_cache()
-        cache.fill(1)
-        cache.lookup(1)
-        cache.lookup(2)
+        cache.fill_fast(1)
+        cache.lookup_slot(1)
+        cache.lookup_slot(2)
         assert cache.hit_rate == pytest.approx(0.5)
+
+    def test_reset_hit_counters(self):
+        cache = small_cache()
+        cache.fill_fast(1)
+        cache.lookup_slot(1)
+        cache.lookup_slot(2)
+        cache.reset_hit_counters()
+        assert (cache.hits, cache.misses) == (0, 0)
+        assert cache.probe(1)
 
 
 class TestPropertyBased:
@@ -168,7 +290,7 @@ class TestPropertyBased:
     def test_occupancy_never_exceeds_capacity(self, lines):
         cache = small_cache(ways=2, sets=4)
         for line in lines:
-            cache.fill(line)
+            cache.fill_fast(line)
         assert cache.occupancy() <= 8
 
     @given(st.lists(st.integers(min_value=0, max_value=500), max_size=200))
@@ -177,7 +299,7 @@ class TestPropertyBased:
         """Address reconstruction from (set, tag) must be lossless."""
         cache = small_cache(ways=4, sets=8)
         for line in lines:
-            cache.fill(line)
+            cache.fill_fast(line)
         for resident in cache.resident_lines():
             assert cache.probe(resident)
 
@@ -189,5 +311,8 @@ class TestPropertyBased:
     def test_fill_then_probe_invariant(self, lines, replacement):
         cache = small_cache(ways=2, sets=4, replacement=replacement)
         for line in lines:
-            cache.fill(line)
+            evicted = cache.fill_fast(line)
             assert cache.probe(line)
+            if evicted is not None:
+                assert not cache.probe(evicted.line_addr)
+                assert evicted.line_addr & 3 == line & 3  # same set

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.configs import CacheDesign, build_hierarchy
 from repro.ocp.base import OffChipPredictor
 from repro.prefetchers.base import Prefetcher
 from repro.sim import hierarchy
@@ -291,3 +294,41 @@ class TestObservers:
         h = make_hierarchy()
         h.observers.append(Empty())
         h.load(0x400, addr(100), 0.0)  # must not raise
+
+
+class TestL1LookupPaths:
+    """``load`` inlines the L1-LRU lookup; every other L1 goes through
+    ``Cache.lookup_slot``.  Both must agree access for access."""
+
+    @given(st.lists(
+        st.tuples(
+            st.booleans(),                            # store?
+            st.sampled_from([0x400, 0x404, 0x8a0]),   # pc
+            st.integers(min_value=0, max_value=95),    # line: 6 per L1 set
+            st.integers(min_value=0, max_value=300),   # cycles since last
+        ),
+        min_size=50, max_size=400,
+    ))
+    @settings(max_examples=25, deadline=None)
+    def test_inlined_and_generic_l1_lookup_agree(self, accesses):
+        def access(h, is_store, pc, line, now):
+            if is_store:
+                return h.store(pc, addr(line, 8), now)
+            result = h.load(pc, addr(line, 8), now)
+            return result.latency, result.went_offchip
+
+        inlined = build_hierarchy(CacheDesign.cd1())
+        generic = build_hierarchy(CacheDesign.cd1())
+        assert inlined._l1_lru
+        generic._l1_lru = False
+        now = 0.0
+        for is_store, pc, line, gap in accesses:
+            now += gap
+            assert access(generic, is_store, pc, line, now) == \
+                access(inlined, is_store, pc, line, now)
+        assert generic.stats == inlined.stats
+        assert (generic.l1d.hits, generic.l1d.misses) == \
+            (inlined.l1d.hits, inlined.l1d.misses)
+        # The L1 state the paths update: reuse bits and LRU stamps.
+        assert generic.l1d._reused == inlined.l1d._reused
+        assert generic.l1d._stamps == inlined.l1d._stamps

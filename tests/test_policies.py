@@ -183,7 +183,7 @@ class TestTlp:
         policy.attach(h)
         # Fill line 999 into the L2C: now the L1D prefetch would be an
         # on-chip pull-up, which TLP never filters.
-        h.l2c.fill(999, pc=0x800)
+        h.l2c.fill_fast(999, pc=0x800)
         assert policy._filter(0x800, 999, "l1d")
         assert policy.allowed_prefetches == 1
 
