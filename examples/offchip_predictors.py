@@ -18,7 +18,7 @@ WORKLOADS = (
                                  # off-chip-ness highly predictable
     "spec06.libquantum_like.0",  # streaming: prefetcher territory
 )
-OCPS = ("popet", "hmp", "ttp")
+OCP_NAMES = ("popet", "hmp", "ttp")
 
 
 def simulate(workload, ocp_name):
@@ -36,7 +36,7 @@ def main():
         print(f"\n{workload}  (baseline IPC {baseline.ipc:.4f})")
         print(f"  {'OCP':6s} {'predictions':>12s} {'accuracy':>9s} "
               f"{'speedup':>8s}")
-        for ocp in OCPS:
+        for ocp in OCP_NAMES:
             result = simulate(workload, ocp)
             stats = result.stats
             accuracy = (
@@ -49,7 +49,7 @@ def main():
           "HMP 11 KB, TTP ~L2-sized metadata.")
     from repro.ocp import make_ocp
 
-    for ocp in OCPS:
+    for ocp in OCP_NAMES:
         print(f"  {ocp}: {make_ocp(ocp).storage_kib():.1f} KiB")
 
 

@@ -123,7 +123,7 @@ def quick_run(workload: str = "ligra.BFS.0", policy: str = "athena",
     from .api.registry import make_design
     from .engine.jobs import _trace_for
     from .experiments.configs import build_hierarchy
-    from .policies.registry import make_policy
+    from .policies import make_policy
     from .workloads.suites import find_workload
 
     cache_design = make_design(design)

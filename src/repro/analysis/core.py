@@ -273,12 +273,3 @@ def apply_suppressions(findings: Sequence[Finding],
                         encoding="utf-8")
         changed[rel] = len(lines)
     return changed
-
-
-def parse_ok(source: str) -> bool:
-    """Whether ``source`` is syntactically valid python (doc helper)."""
-    try:
-        ast.parse(source)
-    except SyntaxError:
-        return False
-    return True

@@ -2,11 +2,9 @@
 designs, workload suites, and trace adapters behind one
 schema-validated factory.
 
-Before this module each component family had its own shape — policies a
-dict with bespoke athena handling, prefetchers a validation-free dict,
-workload suites plain functions — so every consumer (CLI, spec files,
-figure drivers) re-implemented name validation and error wording.  The
-:class:`ComponentRegistry` centralizes all of it:
+This is the only name → factory table in the library.  The
+:class:`ComponentRegistry` owns name validation and error wording for
+every consumer (CLI, spec files, figure drivers, the engine):
 
 * ``create(kind, name, **params)`` validates the name *and* the keyword
   parameters against the component's schema, raising :exc:`ValueError`
@@ -17,17 +15,15 @@ figure drivers) re-implemented name validation and error wording.  The
   and spec validation share one source of truth, and
 * decorator hooks (:func:`register_policy`, :func:`register_prefetcher`,
   …) let plugins — e.g. ``examples/custom_policy.py`` — add components
-  without editing core files.  Registrations also update the legacy
-  family dicts (``POLICY_FACTORIES``, ``PREFETCHERS``, ``OCPS``) so
-  in-process consumers of those stay consistent.  Note that worker
-  *processes* re-import the library from scratch: a plugin component is
-  only visible to a parallel engine if its defining module is importable
-  by workers; otherwise run with ``jobs=1``.
+  without editing core files.  Note that worker *processes* re-import
+  the library from scratch: a plugin component is only visible to a
+  parallel engine if its defining module is importable by workers;
+  otherwise run with ``jobs=1``.
 
-The legacy entry points (``make_policy``, ``make_prefetcher``,
-``make_ocp``) now delegate here, which is what brought
-``make_prefetcher`` to parity with ``make_policy`` (kwargs accepted,
-``ValueError`` on unknown names/options).
+The lower layers reach this table through one-line lazy helpers
+(:func:`repro.policies.make_policy`, :func:`repro.prefetchers.make_prefetcher`,
+:func:`repro.ocp.make_ocp`, :func:`make_design`), so importing them does
+not import the api package.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: sentinel default for parameters that must be supplied by the caller.
 REQUIRED = object()
@@ -201,11 +197,6 @@ class ComponentRegistry:
 
     def __init__(self) -> None:
         self._components: Dict[Tuple[str, str], Component] = {}
-        #: per-kind hooks that surface legacy-dict entries added behind
-        #: the registry's back (tests and older plugins mutate
-        #: POLICY_FACTORIES & co. directly).
-        self._fallbacks: Dict[str, Callable[[str], Optional[Component]]] = {}
-        self._fallback_names: Dict[str, Callable[[], Iterable[str]]] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -237,55 +228,19 @@ class ComponentRegistry:
         self._components[key] = component
         return component
 
-    def set_fallback(
-        self,
-        kind: str,
-        hook: Callable[[str], Optional[Component]],
-        names: Optional[Callable[[], Iterable[str]]] = None,
-    ) -> None:
-        """Install a legacy-dict resolver for ``kind``.
-
-        ``names`` enumerates the same source so listings and
-        unknown-name error messages include everything that would
-        actually resolve.
-        """
-        self._fallbacks[kind] = hook
-        if names is not None:
-            self._fallback_names[kind] = names
-
     # -- lookup ------------------------------------------------------------
 
     def kinds(self) -> List[str]:
         return sorted({kind for kind, _ in self._components})
 
     def names(self, kind: str) -> List[str]:
-        out = {name for k, name in self._components if k == kind}
-        names_hook = self._fallback_names.get(kind)
-        if names_hook is not None:
-            out.update(names_hook())
-        return sorted(out)
+        return sorted(name for k, name in self._components if k == kind)
 
     def __contains__(self, key: Tuple[str, str]) -> bool:
-        kind, name = key
-        return self._lookup(kind, name) is not None
-
-    def _lookup(self, kind: str, name: str) -> Optional[Component]:
-        # Precedence: explicitly registered components (built-ins,
-        # decorator plugins) win over legacy-dict state — mutating or
-        # deleting a *built-in's* dict entry does not affect it.  The
-        # fallback covers names known only to the legacy dict, and its
-        # hits are NOT cached: the hook re-reads the dict every time,
-        # so deleting such an entry (test teardown, monkeypatch) makes
-        # the name unknown again immediately.
-        component = self._components.get((kind, name))
-        if component is None:
-            hook = self._fallbacks.get(kind)
-            if hook is not None:
-                component = hook(name)
-        return component
+        return key in self._components
 
     def get(self, kind: str, name: str) -> Component:
-        component = self._lookup(kind, name)
+        component = self._components.get((kind, name))
         if component is None:
             raise ValueError(
                 f"unknown {kind} {name!r}; valid: {self.names(kind)}"
@@ -401,7 +356,10 @@ def build_athena_config(params: dict):
 def _register_policies() -> None:
     from ..core.config import AthenaConfig
     from ..policies.athena import AthenaPolicy
-    from ..policies.registry import POLICY_FACTORIES
+    from ..policies.base import NaivePolicy
+    from ..policies.hpac import HpacPolicy
+    from ..policies.mab import MabPolicy
+    from ..policies.tlp import TlpPolicy
 
     def make_athena(**kwargs):
         if not kwargs:
@@ -431,46 +389,36 @@ def _register_policies() -> None:
         description="no coordination: every mechanism always on",
         options_error=none_error, replace=True,
     )
-    for name, factory in POLICY_FACTORIES.items():
-        if name in ("athena", "none"):
-            continue
-        registry.register("policy", name, factory, replace=True)
-
-    _install_legacy_fallback("policy", POLICY_FACTORIES)
-
-
-def _install_legacy_fallback(kind: str, legacy: Dict[str, Callable]) -> None:
-    """One fallback resolver per (kind, legacy dict) pair.
-
-    Surfaces entries added to the legacy dict behind the registry's
-    back — same Component shape everywhere, so fallback semantics can
-    only change in one place.
-    """
-    def hook(name: str) -> Optional[Component]:
-        factory = legacy.get(name)
-        if factory is None:
-            return None
-        return Component(kind, name, factory,
-                         schema_from_callable(factory),
-                         open_options=_accepts_any_keyword(factory))
-
-    registry.set_fallback(kind, hook, names=legacy.keys)
+    for name, cls in (("naive", NaivePolicy), ("hpac", HpacPolicy),
+                      ("mab", MabPolicy), ("tlp", TlpPolicy)):
+        registry.register("policy", name, cls, replace=True)
 
 
 def _register_prefetchers() -> None:
-    from ..prefetchers import PREFETCHERS
+    from ..prefetchers.berti import BertiPrefetcher
+    from ..prefetchers.ipcp import IpcpPrefetcher
+    from ..prefetchers.mlop import MlopPrefetcher
+    from ..prefetchers.pythia import PythiaPrefetcher
+    from ..prefetchers.sms import SmsPrefetcher
+    from ..prefetchers.spp_ppf import SppPpfPrefetcher
+    from ..prefetchers.streamer import StreamPrefetcher
 
-    for name, cls in PREFETCHERS.items():
+    for name, cls in (("ipcp", IpcpPrefetcher), ("berti", BertiPrefetcher),
+                      ("pythia", PythiaPrefetcher),
+                      ("spp_ppf", SppPpfPrefetcher),
+                      ("mlop", MlopPrefetcher), ("sms", SmsPrefetcher),
+                      ("streamer", StreamPrefetcher)):
         registry.register("prefetcher", name, cls, replace=True)
-    _install_legacy_fallback("prefetcher", PREFETCHERS)
 
 
 def _register_ocps() -> None:
-    from ..ocp import OCPS
+    from ..ocp.hmp import HmpPredictor
+    from ..ocp.popet import PopetPredictor
+    from ..ocp.ttp import TtpPredictor
 
-    for name, cls in OCPS.items():
+    for name, cls in (("popet", PopetPredictor), ("hmp", HmpPredictor),
+                      ("ttp", TtpPredictor)):
         registry.register("ocp", name, cls, replace=True)
-    _install_legacy_fallback("ocp", OCPS)
 
 
 def _register_designs() -> None:
@@ -488,15 +436,14 @@ def _register_designs() -> None:
 
 
 def _register_trace_adapters() -> None:
-    from ..workloads.ingest import TRACE_ADAPTERS
+    from ..workloads.ingest import MemtraceAdapter, NpzAdapter
 
-    for name, cls in TRACE_ADAPTERS.items():
+    for cls in (MemtraceAdapter, NpzAdapter):
         doc = (cls.__doc__ or "").strip().splitlines()
         registry.register(
-            "trace_adapter", name, cls,
+            "trace_adapter", cls.name, cls,
             description=doc[0] if doc else "", replace=True,
         )
-    _install_legacy_fallback("trace_adapter", TRACE_ADAPTERS)
 
 
 def _register_suites() -> None:
@@ -546,77 +493,45 @@ _populate_default_registry()
 # plugin decorators
 # ---------------------------------------------------------------------------
 
-def _plugin_decorator(kind: str, legacy_import: Optional[Callable]):
-    """Build one ``@register_<kind>`` decorator.
-
-    All four share the same behavior: register with the unified
-    registry (refusing to clobber an existing name unless
-    ``replace=True``) and mirror into the kind's legacy dict when one
-    exists, so in-process consumers of those dicts stay consistent.
-    """
+def _plugin_decorator(kind: str):
+    """Build one ``@register_<kind>`` decorator: register with the
+    registry, refusing to clobber an existing name unless
+    ``replace=True``."""
     def register_fn(name: str, description: str = "",
                     replace: bool = False):
         def decorate(factory):
             registry.register(kind, name, factory,
                               description=description, replace=replace)
-            if legacy_import is not None:
-                legacy_import()[name] = factory
             return factory
         return decorate
     return register_fn
-
-
-def _policy_dict():
-    from ..policies.registry import POLICY_FACTORIES
-
-    return POLICY_FACTORIES
-
-
-def _prefetcher_dict():
-    from ..prefetchers import PREFETCHERS
-
-    return PREFETCHERS
-
-
-def _ocp_dict():
-    from ..ocp import OCPS
-
-    return OCPS
-
-
-def _trace_adapter_dict():
-    from ..workloads.ingest import TRACE_ADAPTERS
-
-    return TRACE_ADAPTERS
 
 
 #: Class/factory decorator adding a coordination policy by name::
 #:
 #:     @register_policy("accuracy_gated")
 #:     class AccuracyGatedPolicy(CoordinationPolicy): ...
-register_policy = _plugin_decorator("policy", _policy_dict)
+register_policy = _plugin_decorator("policy")
 #: Class/factory decorator adding a prefetcher by name.
-register_prefetcher = _plugin_decorator("prefetcher", _prefetcher_dict)
+register_prefetcher = _plugin_decorator("prefetcher")
 #: Class/factory decorator adding an off-chip predictor by name.
-register_ocp = _plugin_decorator("ocp", _ocp_dict)
+register_ocp = _plugin_decorator("ocp")
 #: Factory decorator adding a cache-design preset by name.
-register_design = _plugin_decorator("design", None)
+register_design = _plugin_decorator("design")
 #: Class/factory decorator adding an external-trace format by name::
 #:
 #:     @register_trace_adapter("champsimish")
 #:     class ChampSimishAdapter:
 #:         def peek_length(self, path): ...
 #:         def load(self, path) -> Trace: ...
-register_trace_adapter = _plugin_decorator(
-    "trace_adapter", _trace_adapter_dict
-)
+register_trace_adapter = _plugin_decorator("trace_adapter")
 #: Class decorator adding an invariant-linter rule by id (see
 #: :mod:`repro.analysis`); the built-in rules register themselves when
 #: the analysis package is imported::
 #:
 #:     @register_lint_rule("no-print-statements")
 #:     class NoPrints(LintRule): ...
-register_lint_rule = _plugin_decorator("lint_rule", None)
+register_lint_rule = _plugin_decorator("lint_rule")
 
 
 def make_design(name: str, **params):

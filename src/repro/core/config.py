@@ -100,13 +100,6 @@ class AthenaConfig:
     def with_updates(self, **kwargs) -> "AthenaConfig":
         return replace(self, **kwargs)
 
-    def scaled_for_trace(self, trace_length: int) -> "AthenaConfig":
-        """Scale the epoch length to the trace so the agent gets a
-        decision count comparable to the paper's (2K instructions out of
-        500M => ~250K epochs; here: ~1/80 of the trace, min 100)."""
-        epoch = max(100, trace_length // 80)
-        return self.with_updates(epoch_length=epoch)
-
 
 #: The paper's exact Table 3 configuration (alpha = gamma = 0.6,
 #: epsilon = 0, tau = 0.12), DSE-selected on 500M-instruction traces.

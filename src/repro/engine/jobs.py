@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..core.config import AthenaConfig, RewardWeights
 from ..obs.spans import span
 from ..policies.base import CoordinationAction
-from ..policies.registry import make_policy
+from ..policies import make_policy
 from ..sim.multicore import CoreResult, MultiCoreResult, MultiCoreSimulator
 from ..sim.simulator import SimulationResult, Simulator
 from ..sim.stats import EpochTelemetry, SimStats

@@ -1,9 +1,10 @@
 """Experiment harness: cache designs, runner, figure drivers, DSE."""
 
+from ..policies import make_policy
 from .configs import CacheDesign, build_hierarchy, system_for
 from .dse import DseResult, run_dse
 from .figures import FIGURES, FigureResult
-from .runner import ExperimentContext, geomean, make_policy
+from .runner import ExperimentContext, geomean
 
 __all__ = [
     "CacheDesign",

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import AthenaConfig
 from ..engine.api import Engine
 from ..engine.jobs import MixRequest, Request, RunRequest
-from ..policies.registry import POLICY_FACTORIES, PolicyFactory, make_policy
 from ..sim.multicore import MultiCoreResult
 from ..sim.simulator import SimulationResult
 from ..workloads.mixes import WorkloadMix
@@ -36,11 +35,8 @@ from .configs import CacheDesign
 
 __all__ = [
     "ExperimentContext",
-    "POLICY_FACTORIES",
-    "PolicyFactory",
     "RunRecord",
     "geomean",
-    "make_policy",
 ]
 
 

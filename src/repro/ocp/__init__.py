@@ -5,13 +5,6 @@ from .hmp import HmpPredictor
 from .popet import PopetPredictor
 from .ttp import TtpPredictor
 
-#: registry keyed by the names used in experiment configurations.
-OCPS = {
-    "popet": PopetPredictor,
-    "hmp": HmpPredictor,
-    "ttp": TtpPredictor,
-}
-
 
 def make_ocp(name: str, **kwargs) -> OffChipPredictor:
     """Instantiate an off-chip predictor by registry name.
@@ -27,7 +20,6 @@ def make_ocp(name: str, **kwargs) -> OffChipPredictor:
 
 __all__ = [
     "HmpPredictor",
-    "OCPS",
     "OffChipPredictor",
     "PopetPredictor",
     "TtpPredictor",

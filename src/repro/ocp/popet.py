@@ -17,8 +17,6 @@ same-line element accesses (which hit) under the same PC.
 
 from __future__ import annotations
 
-from typing import List
-
 from .base import OffChipPredictor
 
 _TABLE_SIZE = 1024
@@ -29,12 +27,6 @@ _ACTIVATION_THRESHOLD = 2
 _TRAINING_MARGIN = 8
 
 _PAGE_SHIFT = 6  # lines per page
-
-
-def _hash(value: int) -> int:
-    value = (value * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    value ^= value >> 31
-    return value % _TABLE_SIZE
 
 
 class PopetPredictor(OffChipPredictor):
@@ -60,19 +52,6 @@ class PopetPredictor(OffChipPredictor):
         # repeated PCs/pages in loops hit it constantly.  Bounded by a
         # deterministic clear, so results never depend on its size.
         self._hash_memo: dict = {}
-
-    @staticmethod
-    def _feature_indices(pc: int, line_addr: int, byte_offset: int) -> List[int]:
-        ip = pc >> 2
-        page = line_addr >> _PAGE_SHIFT
-        offset = line_addr & ((1 << _PAGE_SHIFT) - 1)
-        return [
-            _hash(ip),
-            _hash((ip << 7) ^ byte_offset),
-            _hash((ip << 6) ^ offset),
-            _hash(line_addr),
-            _hash(page),
-        ]
 
     def _score_and_cache(self, pc: int, line_addr: int,
                          byte_offset: int) -> int:

@@ -9,17 +9,6 @@ from .sms import SmsPrefetcher
 from .spp_ppf import SppPpfPrefetcher
 from .streamer import StreamPrefetcher
 
-#: registry keyed by the names used in experiment configurations.
-PREFETCHERS = {
-    "ipcp": IpcpPrefetcher,
-    "berti": BertiPrefetcher,
-    "pythia": PythiaPrefetcher,
-    "spp_ppf": SppPpfPrefetcher,
-    "mlop": MlopPrefetcher,
-    "sms": SmsPrefetcher,
-    "streamer": StreamPrefetcher,
-}
-
 
 def make_prefetcher(name: str, **kwargs) -> Prefetcher:
     """Instantiate a prefetcher by registry name.
@@ -27,8 +16,8 @@ def make_prefetcher(name: str, **kwargs) -> Prefetcher:
     Keyword arguments map onto the prefetcher's constructor parameters
     (e.g. ``streamer``'s ``table_size``, ``pythia``'s ``seed``); unknown
     names and unsupported options raise :exc:`ValueError`, exactly like
-    :func:`repro.policies.registry.make_policy`.  Validation lives in
-    the unified :class:`repro.api.registry.ComponentRegistry`.
+    :func:`repro.policies.make_policy`.  Validation lives in the unified
+    :class:`repro.api.registry.ComponentRegistry`.
     """
     from ..api.registry import registry
 
@@ -39,7 +28,6 @@ __all__ = [
     "BertiPrefetcher",
     "IpcpPrefetcher",
     "MlopPrefetcher",
-    "PREFETCHERS",
     "Prefetcher",
     "PythiaPrefetcher",
     "SmsPrefetcher",

@@ -2,7 +2,6 @@
 plus external trace ingestion (:mod:`repro.workloads.ingest`)."""
 
 from .ingest import (
-    TRACE_ADAPTERS,
     ExternalTraceSpec,
     MemtraceAdapter,
     NpzAdapter,
@@ -49,7 +48,6 @@ __all__ = [
     "representative_subset",
     "tuning_workloads",
     "workloads_by_suite",
-    "TRACE_ADAPTERS",
     "ExternalTraceSpec",
     "MemtraceAdapter",
     "NpzAdapter",

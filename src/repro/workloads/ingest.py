@@ -37,7 +37,7 @@ import hashlib
 import pathlib
 import urllib.parse
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple, Type, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -317,34 +317,28 @@ class NpzAdapter:
         return reblock(self.iter_rows(path), block_size)
 
 
-#: adapter registry keyed by format name.  :mod:`repro.api.registry`
-#: mirrors this dict as the ``trace_adapter`` component kind and the
-#: ``@register_trace_adapter`` decorator writes new formats back here,
-#: so both lookups always agree.
-TRACE_ADAPTERS: Dict[str, Type] = {
-    MemtraceAdapter.name: MemtraceAdapter,
-    NpzAdapter.name: NpzAdapter,
-}
-
-
 def adapter_for_path(path: PathLike) -> str:
     """Pick an adapter name from the file suffix (memtrace fallback)."""
+    from ..api.registry import registry
+
     suffix = pathlib.Path(path).suffix.lower()
-    for name, cls in TRACE_ADAPTERS.items():
-        if suffix in getattr(cls, "suffixes", ()):
-            return name
+    for component in registry.components("trace_adapter"):
+        if suffix in getattr(component.factory, "suffixes", ()):
+            return component.name
     return MemtraceAdapter.name
 
 
 def make_adapter(name: str, params: Optional[dict] = None):
     """Instantiate a registered adapter, validating name and options."""
-    cls = TRACE_ADAPTERS.get(name)
-    if cls is None:
+    from ..api.registry import registry
+
+    if ("trace_adapter", name) not in registry:
         raise TraceImportError(
-            f"unknown trace adapter {name!r}; valid: {sorted(TRACE_ADAPTERS)}"
+            f"unknown trace adapter {name!r}; valid: "
+            f"{registry.names('trace_adapter')}"
         )
     try:
-        return cls(**(params or {}))
+        return registry.get("trace_adapter", name).factory(**(params or {}))
     except TypeError as exc:
         raise TraceImportError(
             f"bad options for trace adapter {name!r}: {exc}"

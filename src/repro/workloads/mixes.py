@@ -92,52 +92,3 @@ def build_mixes(
             )
     return mixes
 
-
-def build_sharing_mixes(
-    num_cores: int,
-    mixes_per_category: int = 10,
-    seed: int = 0x5AAE5,
-) -> List[WorkloadMix]:
-    """Producer-consumer *sharing* mixes: every core of a mix works the
-    same ring-buffer region.
-
-    The classic mix categories co-run independent address spaces, so
-    cores only compete for capacity and bandwidth.  Here each mix pins
-    one ``region_seed`` across all of its cores — the
-    ``producer_consumer`` generator derives the ring's base address
-    from it — so the cores genuinely share LLC lines and hit each
-    other's freshly written data.  Per-core seeds still differ, so
-    filler/branch noise is not lock-stepped.
-    """
-    if num_cores < 1:
-        raise ValueError("num_cores must be >= 1")
-    if mixes_per_category < 1:
-        raise ValueError("mixes_per_category must be >= 1")
-    mixes: List[WorkloadMix] = []
-    for index in range(mixes_per_category):
-        region = seed + 101 * index
-        # Ring size alternates LLC-resident and DRAM-streaming mixes.
-        ring_lines = 1 << (10 + 2 * (index % 2))
-        workloads = tuple(
-            WorkloadSpec(
-                name=f"share.pc.{index}.{core}",
-                suite="extended",
-                pattern="producer_consumer",
-                seed=seed + 1000 * index + core,
-                params=(
-                    ("lag", 4 + 4 * core),
-                    ("region_seed", region),
-                    ("ring_lines", ring_lines),
-                    ("sync_every", 8 + 8 * (core % 2)),
-                ),
-            )
-            for core in range(num_cores)
-        )
-        mixes.append(
-            WorkloadMix(
-                name=f"mix{num_cores}c.sharing.{index}",
-                category="sharing",
-                workloads=workloads,
-            )
-        )
-    return mixes

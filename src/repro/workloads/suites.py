@@ -356,8 +356,9 @@ def extended_workloads() -> Tuple[WorkloadSpec, ...]:
             sync_every=8 << (i % 3),
         )
         if i == 3:
-            # One spec pins the explicit shared-region spelling used by
-            # sharing mixes, so that path is golden-digested too.
+            # One spec pins an explicit shared region, the spelling a
+            # sharing mix passes to every core, so that path is
+            # golden-digested too.
             params["region_seed"] = 424242
         out.append(_spec(
             f"ext.producer_consumer.{i}", "extended", "producer_consumer",

@@ -1,5 +1,12 @@
 """Shared pytest configuration for the repository test suite."""
 
+import pytest
+
+# Importing the analysis package registers the built-in lint rules, so
+# they are part of every registry snapshot taken below.
+import repro.analysis  # noqa: F401
+from repro.api.registry import registry
+
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -8,3 +15,12 @@ def pytest_configure(config):
         "(scaled down by default; set REPRO_MEMTEST_FULL=1 for the full "
         "10x-trace-length run)",
     )
+
+
+@pytest.fixture(autouse=True)
+def isolated_registry():
+    """Undo every plugin registration a test makes, pass or fail."""
+    saved = dict(registry._components)
+    yield
+    registry._components.clear()
+    registry._components.update(saved)

@@ -216,7 +216,7 @@ class TestDriver:
         assert "# repro: allow(key-purity, no-bare-except)" in line
 
     def test_custom_rule_via_registry(self):
-        from repro.api.registry import register_lint_rule, registry
+        from repro.api.registry import register_lint_rule
 
         @register_lint_rule("no-todo-test-rule")
         class NoTodo(LintRule):
@@ -227,12 +227,9 @@ class TestDriver:
                     if "TODO" in line:
                         yield self.finding(module, lineno, "todo found")
 
-        try:
-            findings = lint_source("x = 1  # TODO later\n",
-                                   rule_ids=["no-todo-test-rule"])
-            assert [f.rule for f in findings] == ["no-todo-test-rule"]
-        finally:
-            del registry._components[("lint_rule", "no-todo-test-rule")]
+        findings = lint_source("x = 1  # TODO later\n",
+                               rule_ids=["no-todo-test-rule"])
+        assert [f.rule for f in findings] == ["no-todo-test-rule"]
 
 
 class TestModuleIndex:

@@ -115,55 +115,78 @@ class TestRegistry:
 
     def test_plugin_decorator_registers_everywhere(self):
         from repro.api import register_policy
+        from repro.policies import make_policy
         from repro.policies.base import NaivePolicy
-        from repro.policies.registry import POLICY_FACTORIES, make_policy
 
         name = "unit_test_plugin_policy"
-        assert name not in POLICY_FACTORIES
-        try:
-            @register_policy(name)
-            class PluginPolicy(NaivePolicy):
-                pass
+        assert name not in registry.names("policy")
 
-            assert isinstance(make_policy(name), PluginPolicy)
-            assert name in registry.names("policy")
-            assert POLICY_FACTORIES[name] is PluginPolicy
-            # a RunSpec naming the plugin validates
-            RunSpec(workload="ligra.BFS.0", policy=name)
-        finally:
-            POLICY_FACTORIES.pop(name, None)
-            registry._components.pop(("policy", name), None)
+        @register_policy(name)
+        class PluginPolicy(NaivePolicy):
+            pass
+
+        assert isinstance(make_policy(name), PluginPolicy)
+        assert name in registry.names("policy")
+        assert registry.get("policy", name).factory is PluginPolicy
+        # a RunSpec naming the plugin validates
+        RunSpec(workload="ligra.BFS.0", policy=name)
 
     def test_plugin_decorator_refuses_builtin_clobber(self):
         from repro.api import register_policy
+        from repro.policies import make_policy
         from repro.policies.athena import AthenaPolicy
-        from repro.policies.registry import POLICY_FACTORIES
 
         with pytest.raises(ValueError, match="already registered"):
             @register_policy("athena")
             class ImpostorPolicy:
                 pass
         # the built-in survives untouched
-        assert POLICY_FACTORIES["athena"] is AthenaPolicy
+        assert isinstance(make_policy("athena"), AthenaPolicy)
 
-    def test_legacy_dict_mutation_still_resolves(self):
-        # Older plugins insert into POLICY_FACTORIES directly; the
-        # registry picks those up through its fallback hook.
-        from repro.policies.base import NaivePolicy
-        from repro.policies.registry import POLICY_FACTORIES, make_policy
+    def test_prefetcher_plugin_reaches_make_prefetcher(self):
+        from repro.api import register_prefetcher
+        from repro.prefetchers import make_prefetcher
+        from repro.prefetchers.streamer import StreamPrefetcher
 
-        name = "unit_test_legacy_policy"
-        POLICY_FACTORIES[name] = NaivePolicy
-        try:
-            assert isinstance(make_policy(name), NaivePolicy)
-            assert ("policy", name) in registry
-        finally:
-            POLICY_FACTORIES.pop(name, None)
-        # fallback hits are not cached: removing the legacy entry makes
-        # the name unknown again immediately
-        assert ("policy", name) not in registry
-        with pytest.raises(ValueError, match="unknown policy"):
-            make_policy(name)
+        @register_prefetcher("unit_test_plugin_prefetcher")
+        class PluginPrefetcher(StreamPrefetcher):
+            pass
+
+        pf = make_prefetcher("unit_test_plugin_prefetcher", table_size=16)
+        assert isinstance(pf, PluginPrefetcher)
+        assert pf.table_size == 16
+
+    def test_ocp_plugin_reaches_make_ocp(self):
+        from repro.api import register_ocp
+        from repro.ocp import make_ocp
+        from repro.ocp.hmp import HmpPredictor
+
+        @register_ocp("unit_test_plugin_ocp")
+        class PluginOcp(HmpPredictor):
+            pass
+
+        assert isinstance(make_ocp("unit_test_plugin_ocp"), PluginOcp)
+        assert "unit_test_plugin_ocp" in registry.names("ocp")
+
+    def test_registry_is_the_only_name_table(self):
+        # Component names live in the registry alone: no family package
+        # keeps a second name -> factory dict, and the registry consults
+        # no fallback tables.
+        import importlib
+
+        import repro.ocp
+        import repro.prefetchers
+        import repro.workloads
+        import repro.workloads.ingest
+        from repro.api.registry import ComponentRegistry
+
+        assert not hasattr(ComponentRegistry, "set_fallback")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.policies.registry")
+        assert not hasattr(repro.prefetchers, "PREFETCHERS")
+        assert not hasattr(repro.ocp, "OCPS")
+        assert not hasattr(repro.workloads.ingest, "TRACE_ADAPTERS")
+        assert not hasattr(repro.workloads, "TRACE_ADAPTERS")
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +246,6 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="at least one workload"):
             SweepSpec(workloads=[])
 
-    def test_sweep_accepts_legacy_dict_policy(self):
-        # the fallback hook must apply to sweep validation too, not
-        # just single-name lookups
-        from repro.policies.base import NaivePolicy
-        from repro.policies.registry import POLICY_FACTORIES
-
-        name = "unit_test_sweep_legacy_policy"
-        POLICY_FACTORIES[name] = NaivePolicy
-        try:
-            SweepSpec(workloads=["ligra.BFS.0"], policies=[name])
-        finally:
-            POLICY_FACTORIES.pop(name, None)
-
     def test_figure_spec_unknown(self):
         with pytest.raises(SpecError, match="unknown figures"):
             FigureSpec(figures=["Fig99"])
@@ -271,21 +281,17 @@ class TestSpecValidation:
         # a plugin with a required constructor arg must fail validation,
         # not TypeError at lowering time
         from repro.api import register_policy
-        from repro.policies.registry import POLICY_FACTORIES
 
         name = "unit_test_required_arg_policy"
-        try:
-            @register_policy(name)
-            class NeedsBarPolicy:
-                def __init__(self, bar):
-                    self.bar = bar
 
-            with pytest.raises(ValueError, match="missing required"):
-                registry.create("policy", name)
-            assert registry.create("policy", name, bar=3).bar == 3
-        finally:
-            POLICY_FACTORIES.pop(name, None)
-            registry._components.pop(("policy", name), None)
+        @register_policy(name)
+        class NeedsBarPolicy:
+            def __init__(self, bar):
+                self.bar = bar
+
+        with pytest.raises(ValueError, match="missing required"):
+            registry.create("policy", name)
+        assert registry.create("policy", name, bar=3).bar == 3
 
     def test_constructor_errors_surface_undisguised(self):
         # a range error from the constructor must not be rewritten
@@ -311,35 +317,19 @@ class TestSpecValidation:
 
     def test_kwargs_factories_accept_any_option(self):
         # a **kwargs plugin must not be rejected by schema validation
-        # (the old POLICY_FACTORIES path accepted arbitrary kwargs)
         from repro.api import register_policy
-        from repro.policies.registry import POLICY_FACTORIES, make_policy
+        from repro.policies import make_policy
 
         name = "unit_test_kwargs_policy"
-        try:
-            @register_policy(name)
-            class FlexPolicy:
-                def __init__(self, **kw):
-                    self.kw = kw
 
-            assert make_policy(name, gain=2).kw == {"gain": 2}
-            RunSpec(workload="ligra.BFS.0", policy=name,
-                    policy_params={"gain": 2})
-        finally:
-            POLICY_FACTORIES.pop(name, None)
-            registry._components.pop(("policy", name), None)
+        @register_policy(name)
+        class FlexPolicy:
+            def __init__(self, **kw):
+                self.kw = kw
 
-    def test_names_include_legacy_dict_entries(self):
-        from repro.policies.base import NaivePolicy
-        from repro.policies.registry import POLICY_FACTORIES
-
-        name = "unit_test_listed_legacy_policy"
-        POLICY_FACTORIES[name] = NaivePolicy
-        try:
-            assert name in registry.names("policy")
-        finally:
-            POLICY_FACTORIES.pop(name, None)
-        assert name not in registry.names("policy")
+        assert make_policy(name, gain=2).kw == {"gain": 2}
+        RunSpec(workload="ligra.BFS.0", policy=name,
+                policy_params={"gain": 2})
 
     def test_dataclass_param_round_trips(self):
         # object-built and file-built specs must compare equal and

@@ -325,7 +325,7 @@ class TestExperimentContextRecords:
 
 class TestMakePolicyKwargs:
     def test_unsupported_kwargs_raise(self):
-        from repro.policies.registry import make_policy
+        from repro.policies import make_policy
 
         with pytest.raises(ValueError, match="unsupported"):
             make_policy("naive", seed=1)
@@ -337,7 +337,7 @@ class TestMakePolicyKwargs:
             make_policy("athena", wibble=2)
 
     def test_supported_kwargs_are_forwarded(self):
-        from repro.policies.registry import make_policy
+        from repro.policies import make_policy
 
         athena = make_policy("athena", seed=7, alpha=0.4)
         assert athena.config.seed == 7

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.experiments.configs import CacheDesign, build_hierarchy, system_for
-from repro.experiments.runner import (
-    ExperimentContext,
-    POLICY_FACTORIES,
-    geomean,
-    make_policy,
-)
+from repro.api.registry import registry
+from repro.experiments.runner import ExperimentContext, geomean
+from repro.policies import make_policy
 from repro.workloads.suites import ReproScale, find_workload
 
 TINY = ReproScale("test", trace_length=3000, workloads_per_figure=4,
@@ -73,7 +70,7 @@ class TestRunner:
             geomean([1.0, 0.0])
 
     def test_policy_registry(self):
-        for name in POLICY_FACTORIES:
+        for name in registry.names("policy"):
             make_policy(name)  # must not raise
         with pytest.raises(ValueError):
             make_policy("oracle")

@@ -11,7 +11,7 @@ from repro.core.config import AthenaConfig
 from repro.core.features import StateQuantizer
 from repro.core.qvstore import QVStore
 from repro.experiments.configs import CacheDesign, build_hierarchy
-from repro.experiments.runner import make_policy
+from repro.policies import make_policy
 from repro.policies.base import CoordinationAction, CoordinationPolicy
 from repro.sim.simulator import Simulator
 from repro.workloads.suites import build_trace, find_workload

@@ -10,6 +10,7 @@ simulations), and the new extended workload families' scalar/vectorized
 digest stability.
 """
 
+import dataclasses
 import pathlib
 import shutil
 
@@ -21,17 +22,16 @@ import trace_goldens
 from repro.api import ExperimentSpec, RunSpec, Session, SpecError
 from repro.api.registry import register_trace_adapter, registry
 from repro.workloads.ingest import (
-    TRACE_ADAPTERS,
     ExternalTraceSpec,
     MemtraceAdapter,
     NpzAdapter,
     TraceImportError,
+    adapter_for_path,
     import_trace,
     parse_trace_source,
     resolve_trace_source,
     trace_source,
 )
-from repro.workloads.mixes import build_sharing_mixes
 from repro.workloads.suites import (
     build_trace,
     extended_workloads,
@@ -315,6 +315,16 @@ class TestEngineKeys:
 
 
 class TestAdapterPlugins:
+    def test_adapter_for_path_reads_plugin_suffixes(self, tmp_path):
+        @register_trace_adapter("unit_test_suffix_adapter")
+        class SuffixAdapter(NpzAdapter):
+            suffixes = (".unittest",)
+
+        assert adapter_for_path(tmp_path / "x.UNITTEST") == \
+            "unit_test_suffix_adapter"
+        assert adapter_for_path(tmp_path / "x.npz") == "npz"
+        assert adapter_for_path(tmp_path / "x.unknown") == "memtrace"
+
     def test_register_trace_adapter_decorator(self, tmp_path):
         @register_trace_adapter("constant", replace=True)
         class ConstantAdapter:
@@ -331,15 +341,22 @@ class TestAdapterPlugins:
                              np.full(4, 64, np.int64),
                              np.full(4, FLAG_LOAD, np.uint8))
 
-        try:
-            assert "constant" in TRACE_ADAPTERS
-            assert ("trace_adapter", "constant") in registry
-            path = tmp_path / "x.anything"
-            path.write_text("ignored")
-            outcome = import_trace(str(path), adapter="constant")
-            assert len(outcome.trace) == 4
-        finally:
-            del TRACE_ADAPTERS["constant"]
+        assert ("trace_adapter", "constant") in registry
+        path = tmp_path / "x.anything"
+        path.write_text("ignored")
+        outcome = import_trace(str(path), adapter="constant")
+        assert len(outcome.trace) == 4
+
+    def test_plugin_registration_does_not_leak(self, tmp_path):
+        # Runs right after the decorator test above: its "constant"
+        # adapter must be gone, or the registry listing (and every test
+        # pinning it, such as test_api's test_kinds_populated) depends
+        # on file order.
+        assert registry.names("trace_adapter") == ["memtrace", "npz"]
+        path = tmp_path / "x.anything"
+        path.write_text("ignored")
+        with pytest.raises(TraceImportError, match="unknown trace adapter"):
+            import_trace(str(path), adapter="constant")
 
 
 class TestExtendedFamilies:
@@ -364,21 +381,28 @@ class TestExtendedFamilies:
         assert suite == extended_workloads()
 
     def test_sharing_mixes_share_ring_lines(self):
-        mixes = build_sharing_mixes(2, mixes_per_category=3)
-        assert len(mixes) == 3
-        for mix in mixes:
-            assert mix.category == "sharing"
-            assert mix.num_cores == 2
-            traces = [build_trace(w, 2_000) for w in mix.workloads]
-            ring = [
-                set((t.addrs[(t.flags & FLAG_STORE) != 0] >> 6).tolist())
-                for t in traces
-            ]
-            # producers on different cores write overlapping lines
-            assert ring[0] & ring[1]
+        # A producer_consumer ring's base comes from region_seed when it
+        # is set: a peer core pinning the same region (own seed) writes
+        # overlapping lines, while specs on their own seeds do not.
+        def ring(spec):
+            trace = build_trace(spec, 2_000)
+            stores = (trace.flags & FLAG_STORE) != 0
+            return set((trace.addrs[stores] >> 6).tolist())
+
+        pinned = find_workload("ext.producer_consumer.3")
+        assert dict(pinned.params)["region_seed"] == 424242
+        peer = dataclasses.replace(pinned, name="ext.producer_consumer.peer",
+                                   seed=pinned.seed + 1)
+        assert ring(pinned) & ring(peer)
+        assert not ring(find_workload("ext.producer_consumer.0")) \
+            & ring(find_workload("ext.producer_consumer.2"))
 
     def test_sharing_mix_specs_are_content_addressable(self):
-        mix = build_sharing_mixes(2, mixes_per_category=1)[0]
-        for spec in mix.workloads:
-            key = fingerprint(spec, 1_000)
-            assert fingerprint(spec, 1_000) == key
+        # both cores of a shared-ring pair stay content-addressable,
+        # with distinct identities
+        pinned = find_workload("ext.producer_consumer.3")
+        peer = dataclasses.replace(pinned, name="ext.producer_consumer.peer",
+                                   seed=pinned.seed + 1)
+        for spec in (pinned, peer):
+            assert fingerprint(spec, 1_000) == fingerprint(spec, 1_000)
+        assert fingerprint(pinned, 1_000) != fingerprint(peer, 1_000)

@@ -9,7 +9,7 @@ import pytest
 
 from repro import quick_run
 from repro.experiments.configs import CacheDesign, build_hierarchy
-from repro.experiments.runner import make_policy
+from repro.policies import make_policy
 from repro.sim.simulator import Simulator
 from repro.workloads.suites import build_trace, find_workload
 

@@ -19,8 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.configs import CacheDesign, build_hierarchy, system_for
+from repro.policies import make_policy
 from repro.policies.base import NaivePolicy
-from repro.policies.registry import make_policy
 from repro.sim.cache import Cache
 from repro.sim.cpu import CoreModel
 from repro.sim.dram import MainMemory
@@ -217,7 +217,7 @@ def _mix_run(policy_factory, warmup):
     return sim, sim.run()
 
 
-POLICY_FACTORIES = {
+POLICY_MAKERS = {
     "none": lambda: None,
     "naive": NaivePolicy,
     "athena": lambda: make_policy("athena"),
@@ -225,10 +225,10 @@ POLICY_FACTORIES = {
 
 
 @pytest.mark.parametrize("warmup", (0.0, 0.25))
-@pytest.mark.parametrize("policy", sorted(POLICY_FACTORIES))
+@pytest.mark.parametrize("policy", sorted(POLICY_MAKERS))
 class TestAccountingLaws:
     def test_per_core_counters_balance(self, policy, warmup):
-        _, result = _mix_run(POLICY_FACTORIES[policy], warmup)
+        _, result = _mix_run(POLICY_MAKERS[policy], warmup)
         for core in result.cores:
             stats = core.stats
             assert core.instructions == LENGTH - int(LENGTH * warmup)
@@ -237,10 +237,10 @@ class TestAccountingLaws:
             assert stats.l2c_hits + stats.l2c_misses == stats.l1d_misses
 
 
-@pytest.mark.parametrize("policy", sorted(POLICY_FACTORIES))
+@pytest.mark.parametrize("policy", sorted(POLICY_MAKERS))
 def test_per_core_dram_kinds_sum_to_the_shared_channel(policy):
     # Only without warmup: cores reset their counters at different times.
-    sim, result = _mix_run(POLICY_FACTORIES[policy], 0.0)
+    sim, result = _mix_run(POLICY_MAKERS[policy], 0.0)
     per_core = [
         sum(getattr(c.stats, f"dram_{kind}_requests") for c in result.cores)
         for kind in ("demand", "prefetch", "ocp", "writeback")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.ocp import OCPS, make_ocp
+from repro.api.registry import registry
+from repro.ocp import make_ocp
 from repro.ocp.hmp import HmpPredictor
 from repro.ocp.popet import PopetPredictor
 from repro.ocp.ttp import TtpPredictor
@@ -16,10 +17,10 @@ def train_uniform(ocp, pc, lines, outcome, rounds=3):
 
 class TestRegistry:
     def test_all_paper_ocps_present(self):
-        assert set(OCPS) == {"popet", "hmp", "ttp"}
+        assert registry.names("ocp") == ["hmp", "popet", "ttp"]
 
     def test_factory(self):
-        for name in OCPS:
+        for name in registry.names("ocp"):
             ocp = make_ocp(name)
             assert ocp.storage_bits() > 0
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.prefetchers import PREFETCHERS, make_prefetcher
+from repro.api.registry import registry
+from repro.prefetchers import make_prefetcher
 from repro.prefetchers.berti import BertiPrefetcher
 from repro.prefetchers.ipcp import IpcpPrefetcher
 from repro.prefetchers.mlop import MlopPrefetcher
@@ -31,12 +32,12 @@ def feed_random(pf, n=64, pc=0x400, seed=7):
 
 class TestRegistry:
     def test_all_paper_prefetchers_present(self):
-        assert set(PREFETCHERS) >= {
+        assert set(registry.names("prefetcher")) >= {
             "ipcp", "berti", "pythia", "spp_ppf", "mlop", "sms", "streamer"
         }
 
     def test_factory_instantiates(self):
-        for name in PREFETCHERS:
+        for name in registry.names("prefetcher"):
             pf = make_prefetcher(name)
             assert pf.level in ("l1d", "l2c")
             assert pf.storage_bits() > 0

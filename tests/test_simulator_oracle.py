@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import golden_cases
 from repro.engine.jobs import encode_result
 from repro.experiments.configs import CacheDesign, build_hierarchy
-from repro.policies.registry import make_policy
+from repro.policies import make_policy
 from repro.sim.cpu import CoreModel
 from repro.sim.params import CoreParams
 from repro.sim.simulator import (
