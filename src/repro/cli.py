@@ -678,6 +678,7 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_queue(args) -> int:
+    from .engine.jobs import lockstep_groups
     from .engine.queue import JOB_STATES, JobQueue
 
     if args.queue_command == "status":
@@ -742,10 +743,11 @@ def _cmd_queue(args) -> int:
         except ValueError as exc:
             return _fail(str(exc))
         with queue:
+            keyed = [(request.key(), request) for request in requests]
             report = queue.dispatch(
-                [(request.key(), request) for request in requests],
-                store=session.engine.store,
-                max_retries=session.engine.resilience.max_retries)
+                keyed, store=session.engine.store,
+                max_retries=session.engine.resilience.max_retries,
+                groups=lockstep_groups(keyed))
             session.engine.journal_event(
                 "dispatch", queue=str(queue.path),
                 enqueued=len(report.enqueued),

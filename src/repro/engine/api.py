@@ -12,8 +12,11 @@ resolves through three tiers:
    ``:memory:`` one unless the engine was given ``queue=PATH`` — and
    drained by an embedded :class:`~repro.engine.service.QueueWorker`,
    inline when ``jobs == 1`` and across a
-   :class:`~repro.engine.pool.SimulationPool` otherwise.  Each result
-   is written back to the memo and the store as it settles.
+   :class:`~repro.engine.pool.SimulationPool` otherwise.  Misses that
+   share a lockstep group key (Athena runs differing only in the agent
+   seed, :func:`~repro.engine.jobs.group_key`) run as one job: one
+   simulation, fanned out into one payload per member key.  Each
+   result is written back to the memo and the store as it settles.
 
 The engine counts hits and misses per tier (:class:`EngineCounters`,
 a typed view over a :class:`~repro.obs.metrics.MetricsRegistry`);
@@ -26,7 +29,9 @@ append-only JSONL run journal (:class:`~repro.obs.journal.RunJournal`):
 content key, the tier that served it, wall time, worker id, and phase
 spans — worker-side spans ride back on the result payload and merge
 into the parent exactly once, the same mechanism as the trace-cache
-delta.  ``repro obs summary`` aggregates the journal offline.
+delta.  A lockstep group's spans ride on its leader's event only, and
+every member's event names the leader as ``group``.  ``repro obs
+summary`` aggregates the journal offline.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from ..obs.spans import collector, set_enabled
 from ..sim.multicore import MultiCoreResult
 from .faults import (ExecutionError, ExecutionPolicy, FaultPlan,
                      RequestFailure)
-from .jobs import Request, Result, decode_result
+from .jobs import Request, Result, decode_result, lockstep_groups
 from .pool import ProgressFn, SimulationPool
 from .queue import JobQueue
 from .service import QueueWorker, Settlement, owner_id
@@ -315,10 +320,11 @@ class Engine:
         self.executed_keys.add(key)
         self.counters.executed += 1
         if self._journal is not None:
+            group = {"group": obs["group"]} if "group" in obs else {}
             self._journal.event(
                 "request", key=key, outcome="executed",
                 kind=payload.get("kind"), wall_s=obs.get("wall_s"),
-                worker=obs.get("worker"), spans=spans,
+                worker=obs.get("worker"), spans=spans, **group,
             )
         return result
 
@@ -358,6 +364,8 @@ class Engine:
         The misses go to the engine's durable queue, else to a fresh
         ``:memory:`` one that lives as long as this generator, and an
         embedded :class:`~repro.engine.service.QueueWorker` drains it.
+        Misses sharing a lockstep group key are dispatched as one group
+        and run as one job.
         Dispatch is idempotent, so a killed campaign on a durable queue
         resumes where it stopped, alongside any ``repro worker``.
 
@@ -375,7 +383,8 @@ class Engine:
         try:
             report = queue.dispatch(
                 pairs, store=self.store,
-                max_retries=self.resilience.max_retries)
+                max_retries=self.resilience.max_retries,
+                groups=lockstep_groups(pairs))
             if durable:
                 self.metrics.counter("queue_dispatched").inc(
                     len(report.enqueued))

@@ -12,6 +12,11 @@ handle for in-flight work.
 Requests are plain frozen dataclasses: picklable (they cross the process
 boundary to pool workers) and executable anywhere via :meth:`execute`.
 
+Athena requests that differ only in the agent seed share a *group key*
+(:func:`group_key`); :func:`execute_group` runs such requests as one
+lockstep simulation that forks only where their agents disagree, and
+:meth:`RunRequest.execute` is a group of one.
+
 The module also holds the JSON codecs that serialize
 :class:`~repro.sim.simulator.SimulationResult` /
 :class:`~repro.sim.multicore.MultiCoreResult` for the store.  JSON floats
@@ -25,7 +30,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.config import AthenaConfig, RewardWeights
 from ..obs.spans import span
@@ -228,21 +233,7 @@ class RunRequest:
 
     def execute(self) -> SimulationResult:
         """Run the simulation described by this request."""
-        from ..experiments.configs import build_hierarchy
-
-        trace = _trace_for(self.spec, self.trace_length)
-        hierarchy = build_hierarchy(self.design)
-        policy = _build_policy(self.policy_name, self.athena_config,
-                               self.policy_options)
-        with span("simulate", workload=self.spec.name,
-                  policy=self.policy_name):
-            return Simulator(
-                trace,
-                hierarchy,
-                policy=policy,
-                epoch_length=self.epoch_length,
-                warmup_fraction=self.warmup_fraction,
-            ).run()
+        return execute_group((self,))[0]
 
 
 @dataclass(frozen=True)
@@ -306,6 +297,70 @@ class MixRequest:
 
 Request = Union[RunRequest, MixRequest]
 Result = Union[SimulationResult, MultiCoreResult]
+
+
+# ---------------------------------------------------------------------------
+# lockstep groups
+# ---------------------------------------------------------------------------
+
+def group_key(request: Request) -> Optional[str]:
+    """The key Athena runs differing only in the agent seed share.
+
+    It is :meth:`RunRequest.canonical` without ``config.seed``, hashed,
+    and memoized like :meth:`RunRequest.key`.  Other policies and mixes
+    have none: different policies on one design part at the first
+    decision, so running them in lockstep would only add fork copies.
+    """
+    if not isinstance(request, RunRequest) or \
+            request.policy_name != "athena":
+        return None
+    group = request.__dict__.get("_group")
+    if group is None:
+        canonical = request.canonical()
+        canonical["config"] = {name: value for name, value
+                               in canonical["config"].items()
+                               if name != "seed"}
+        group = _digest(canonical)
+        object.__setattr__(request, "_group", group)
+    return group
+
+
+def lockstep_groups(keyed: Sequence[Tuple[str, Request]]) -> Dict[str, str]:
+    """``{member key: leader key}`` for every group key that two or more
+    distinct keys among the ``(key, request)`` pairs share; the leader
+    is the first member."""
+    members: Dict[str, Dict[str, None]] = {}
+    for key, request in keyed:
+        group = group_key(request)
+        if group is not None:
+            members.setdefault(group, {})[key] = None
+    return {key: next(iter(keys)) for keys in members.values()
+            if len(keys) > 1 for key in keys}
+
+
+def execute_group(requests: Sequence[RunRequest]) -> List[SimulationResult]:
+    """Run requests sharing a :func:`group_key` (or one request) as one
+    lockstep simulation; one result per request, each bit-identical to
+    running that request alone."""
+    from ..experiments.configs import build_hierarchy
+
+    leader = requests[0]
+    trace = _trace_for(leader.spec, leader.trace_length)
+    hierarchy = build_hierarchy(leader.design)
+    policies = [_build_policy(request.policy_name, request.athena_config,
+                              request.policy_options)
+                for request in requests]
+    with span("simulate", workload=leader.spec.name,
+              policy=leader.policy_name):
+        sim = Simulator(
+            trace,
+            hierarchy,
+            epoch_length=leader.epoch_length,
+            warmup_fraction=leader.warmup_fraction,
+            riders=[policy for policy in policies if policy is not None],
+        )
+        sim.run()
+    return sim.results
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Process-pool wrapper and the worker entry point for simulations.
 
-:func:`_execute_request` runs one request and returns its *serialized*
-result payload rather than the live object: the parent decodes it
-through the same codec the store uses, so pooled, inline and
-store-replayed runs traverse one code path and stay bit-identical.
+:func:`_execute_job` runs one job — a request, or a lockstep group of
+requests (:func:`~repro.engine.jobs.execute_group`) — and returns its
+*serialized* result payloads rather than the live objects: the parent
+decodes them through the same codec the store uses, so pooled, inline
+and store-replayed runs traverse one code path and stay bit-identical.
 
 :class:`SimulationPool` wraps a
 :class:`concurrent.futures.ProcessPoolExecutor`: it deduplicates
@@ -21,11 +22,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs.spans import collector, set_enabled, spans_enabled
 from .faults import FaultPlan, RequestFailure
-from .jobs import Request, encode_result
+from .jobs import Request, encode_result, execute_group
 
 #: progress callback: (settled_count, total, request_key)
 ProgressFn = Callable[[int, int, str], None]
@@ -38,30 +39,43 @@ FailureFn = Callable[[RequestFailure, bool], None]
 RebuildFn = Callable[[int, bool], None]
 
 
-def _execute_request(request: Request, telemetry: bool = False,
-                     faults: Optional[FaultPlan] = None,
-                     attempt: int = 0, inline: bool = False) -> dict:
-    """Worker entry point: run the simulation, return its payload.
+def _execute_job(requests: Sequence[Request], telemetry: bool = False,
+                 faults: Optional[FaultPlan] = None,
+                 attempts: Sequence[int] = (),
+                 inline: bool = False) -> List[dict]:
+    """Worker entry point: run one job, return one payload per request.
 
-    The worker's observability delta rides back on the payload under
-    ``_obs`` (stripped by the engine before the payload is stored or
-    decoded): the compiled-trace-cache hit/build counts always, plus —
-    when ``telemetry`` is on — the request's phase spans, worker id,
-    and wall time, so parent-side counters, spans, and journal events
-    see work that happened in worker processes.
+    A job is one request, or requests sharing a lockstep group key,
+    executed as one simulation.  The job's observability delta rides
+    back on the first payload under ``_obs`` (stripped by the engine
+    before the payload is stored or decoded): the compiled-trace-cache
+    hit/build counts always, plus — when ``telemetry`` is on — the
+    job's phase spans, worker id, and wall time, so parent-side
+    counters, spans, and journal events see work that happened in
+    worker processes, once per job.  Every payload of a group carries
+    the leader's (first request's) key as ``_obs["group"]``.
 
-    With a :class:`FaultPlan`, the plan's verdict for this
-    (key, attempt) is applied here: pre-execution faults (crash /
-    raise / hang) before the simulation runs, payload corruption after.
-    ``inline=True`` marks parent-process execution, where a ``crash``
-    fault downgrades to a raise so the parent survives to retry.
+    With a :class:`FaultPlan`, the plan's verdict for each (key,
+    attempt) is applied here: pre-execution faults (crash / raise /
+    hang) before the simulation runs, so a fault on any member fails
+    the whole job, and payload corruption after.  ``inline=True``
+    marks parent-process execution, where a ``crash`` fault downgrades
+    to a raise so the parent survives to retry.
     """
+    attempts = tuple(attempts) or (0,) * len(requests)
     if faults is not None:
-        faults.pre_execute(request.key(), attempt, inline)
+        for request, attempt in zip(requests, attempts):
+            faults.pre_execute(request.key(), attempt, inline)
     from ..workloads.tracecache import trace_cache
+
+    def execute() -> List[dict]:
+        results = execute_group(requests) if len(requests) > 1 \
+            else [requests[0].execute()]
+        return [encode_result(result) for result in results]
 
     stats = trace_cache().stats
     hits0, disk0, builds0 = stats.hits, stats.disk_hits, stats.builds
+    member_obs: dict = {}
     if telemetry:
         # The parent's enablement travels as this submit-time argument
         # (environment inheritance would break under spawn); idempotent
@@ -70,42 +84,49 @@ def _execute_request(request: Request, telemetry: bool = False,
         col = collector()
         mark = len(col)
         with col.span("request") as request_span:
-            payload = encode_result(request.execute())
+            payloads = execute()
         obs = {
-            # take_since: exactly this request's spans, leaving anything
+            # take_since: exactly this job's spans, leaving anything
             # recorded before (e.g. parent spans inherited via fork).
             "spans": col.take_since(mark),
             "wall_s": request_span["wall_s"],
             "worker": request_span["worker"],
         }
+        member_obs["worker"] = obs["worker"]
     else:
-        payload = encode_result(request.execute())
+        payloads = execute()
         obs = {}
     obs["trace_cache"] = {
         "hits": stats.hits + stats.disk_hits - hits0 - disk0,
         "builds": stats.builds - builds0,
     }
+    if len(requests) > 1:
+        obs["group"] = member_obs["group"] = requests[0].key()
     if faults is not None:
-        payload = faults.post_execute(request.key(), attempt, payload)
-    payload["_obs"] = obs
-    return payload
+        payloads = [faults.post_execute(request.key(), attempt, payload)
+                    for request, attempt, payload
+                    in zip(requests, attempts, payloads)]
+    for index, payload in enumerate(payloads):
+        payload["_obs"] = dict(member_obs) if index else obs
+    return payloads
 
 
-def run_inline(request: Request, telemetry: bool,
-               faults: Optional[FaultPlan], attempt: int,
+def run_inline(requests: Sequence[Request], telemetry: bool,
+               faults: Optional[FaultPlan], attempts: Sequence[int],
                future: Optional[Future] = None) -> Future:
-    """Execute ``request`` in this process; returns ``future`` (a new
-    one if none is given) completed with the payload or the exception.
-    An injected ``crash`` downgrades to a raise, so the parent survives.
+    """Execute the job ``requests`` in this process; returns ``future``
+    (a new one if none is given) completed with the payloads or the
+    exception.  An injected ``crash`` downgrades to a raise, so the
+    parent survives.
     """
     future = future if future is not None else Future()
     try:
-        payload = _execute_request(request, telemetry, faults, attempt,
-                                   inline=True)
+        payloads = _execute_job(requests, telemetry, faults, attempts,
+                                inline=True)
     except Exception as exc:
         future.set_exception(exc)
     else:
-        future.set_result(payload)
+        future.set_result(payloads)
     return future
 
 
@@ -152,11 +173,15 @@ class SimulationPool:
         self._inflight.clear()
         self.rebuilds += 1
 
-    def submit(self, key: str, request: Request,
+    def submit(self, key: str, requests: Sequence[Request],
                telemetry: Optional[bool] = None, *,
                faults: Optional[FaultPlan] = None,
-               attempt: int = 0) -> Future:
-        """Submit one request, reusing any in-flight future for ``key``.
+               attempts: Sequence[int] = ()) -> Future:
+        """Submit one job, reusing any in-flight future for ``key``.
+
+        The future's result is the job's list of payloads, one per
+        request; ``attempts`` are the requests' attempt numbers
+        (default: all first attempts).
 
         The in-flight future is handed back even when it is already
         done, so work left behind by an abandoned stream is picked up by
@@ -164,8 +189,8 @@ class SimulationPool:
         future that finished with an exception is dropped and the
         request re-executed: that failure belonged to nobody's attempt.
 
-        In degraded mode the request executes inline (parent process)
-        and the returned future is already completed.
+        In degraded mode the job executes inline (parent process) and
+        the returned future is already completed.
         """
         future = self._inflight.get(key)
         if future is not None and not (
@@ -175,16 +200,16 @@ class SimulationPool:
         if telemetry is None:
             telemetry = spans_enabled()
         if self.degraded:
-            future = run_inline(request, telemetry, faults, attempt)
+            future = run_inline(requests, telemetry, faults, attempts)
         else:
             try:
                 future = self.executor.submit(
-                    _execute_request, request, telemetry, faults, attempt)
+                    _execute_job, requests, telemetry, faults, attempts)
             except BrokenProcessPool:
                 # The executor died between batches; heal and resubmit.
                 self.rebuild()
                 future = self.executor.submit(
-                    _execute_request, request, telemetry, faults, attempt)
+                    _execute_job, requests, telemetry, faults, attempts)
         self._inflight[key] = future
         return future
 

@@ -30,8 +30,12 @@ Job lifecycle (the DIRAC/fuzzbench pilot-and-lease shape)::
 * ``lease`` hands a batch of pending jobs to one worker under a TTL,
   atomically (``BEGIN IMMEDIATE``): no two workers can lease one job.
   Jobs lease oldest dispatch first, in dispatch order within one
-  dispatch.  Leasing charges the attempt budget *up front*, so a
-  worker SIGKILLed mid-job has already paid for its attempt.
+  dispatch.  A job dispatched into a lockstep group (requests that
+  differ only in the agent seed, see
+  :func:`~repro.engine.jobs.lockstep_groups`) brings every pending job
+  of its group along, and the worker runs them as one simulation.
+  Leasing charges the attempt budget *up front*, so a worker SIGKILLed
+  mid-job has already paid for its attempt.
 * ``heartbeat`` extends the TTL while a long simulation runs.
 * ``reclaim`` requeues jobs whose lease expired (worker killed, machine
   rebooted) — or fails them once the attempt budget (the
@@ -93,14 +97,16 @@ class Lease:
     """A job handed to a worker: the request plus attempt bookkeeping.
 
     ``attempt`` is zero-based (first try is attempt 0) to match the
-    ``attempt=`` argument of :func:`repro.engine.pool._execute_request`
-    and the fault injector's per-attempt ``times`` bound.
+    ``attempts=`` argument of :func:`repro.engine.pool._execute_job`
+    and the fault injector's per-attempt ``times`` bound.  ``group`` is
+    the lockstep group's leader key, or None for a job of its own.
     """
 
     key: str
     request: object
     attempt: int
     max_retries: int
+    group: Optional[str] = None
 
 
 @dataclass
@@ -159,6 +165,12 @@ class JobQueue:
         );
         CREATE INDEX IF NOT EXISTS jobs_by_state
             ON jobs (state, not_before);
+        CREATE TABLE IF NOT EXISTS job_groups (
+            key   TEXT PRIMARY KEY,
+            grp   TEXT NOT NULL
+        );
+        CREATE INDEX IF NOT EXISTS job_groups_by_grp
+            ON job_groups (grp);
     """
 
     def __init__(self, path: PathLike, *,
@@ -170,12 +182,15 @@ class JobQueue:
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self, keyed_requests: Iterable[Tuple[str, object]], *,
-                 store=None, max_retries: int = 2) -> DispatchReport:
+                 store=None, max_retries: int = 2,
+                 groups: Optional[Dict[str, str]] = None) -> DispatchReport:
         """Lower keyed requests into the queue, idempotently.
 
         ``store`` (a ResultStore) lets the dispatcher skip work that a
         previous campaign already finished: keys with a stored result
-        are recorded ``done`` without ever being leased.
+        are recorded ``done`` without ever being leased.  ``groups``
+        maps member keys to their lockstep group's leader key; the
+        keys this dispatch makes pending join that group.
         """
         report = DispatchReport()
         now = time.time()
@@ -214,13 +229,21 @@ class JobQueue:
                     report.done_from_store.append(key)
                 else:
                     report.enqueued.append(key)
+            if groups:
+                conn.executemany(
+                    "INSERT OR REPLACE INTO job_groups (key, grp) "
+                    "VALUES (?, ?)",
+                    [(key, groups[key])
+                     for key in report.enqueued + report.resumed_failed
+                     if key in groups])
         return report
 
     # -- worker side -------------------------------------------------------
 
     def lease(self, owner: str, *, ttl_s: float = 30.0,
               limit: int = 1) -> List[Lease]:
-        """Atomically claim up to ``limit`` pending jobs for ``owner``.
+        """Atomically claim up to ``limit`` pending jobs for ``owner``,
+        each with every other pending job of its lockstep group.
 
         The claim charges the attempt budget immediately: a worker that
         dies after this call has consumed one attempt, which is what
@@ -230,12 +253,24 @@ class JobQueue:
         leases: List[Lease] = []
         with self._backend.transaction() as conn:
             rows = conn.execute(
-                "SELECT key, request, attempts, max_retries FROM jobs "
+                "SELECT jobs.key, request, attempts, max_retries, grp "
+                "FROM jobs LEFT JOIN job_groups USING (key) "
                 "WHERE state='pending' AND not_before <= ? "
-                "ORDER BY enqueued, rowid LIMIT ?",
+                "ORDER BY enqueued, jobs.rowid LIMIT ?",
                 (now, limit),
             ).fetchall()
-            for key, blob, attempts, max_retries in rows:
+            for group in dict.fromkeys(row[4] for row in rows
+                                       if row[4] is not None):
+                # A group's members ride along even while backing off:
+                # they fail and retry together anyway.
+                rows += conn.execute(
+                    "SELECT jobs.key, request, attempts, max_retries, grp "
+                    "FROM job_groups JOIN jobs USING (key) "
+                    "WHERE grp = ? AND state='pending' "
+                    "ORDER BY enqueued, jobs.rowid", (group,),
+                ).fetchall()
+            rows = list({row[0]: row for row in rows}.values())
+            for key, blob, attempts, max_retries, group in rows:
                 conn.execute(
                     "UPDATE jobs SET state='leased', owner=?, "
                     "lease_expires=?, attempts=attempts+1, updated=? "
@@ -245,7 +280,8 @@ class JobQueue:
                 leases.append(Lease(key=key,
                                     request=pickle.loads(blob),
                                     attempt=attempts,
-                                    max_retries=max_retries))
+                                    max_retries=max_retries,
+                                    group=group))
         return leases
 
     def heartbeat(self, keys: Sequence[str], owner: str, *,

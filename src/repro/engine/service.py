@@ -31,6 +31,12 @@ Retry scheduling lives in the queue, not the worker: every lease is
 exactly one attempt, and a failed attempt goes back through
 ``queue.fail`` with the policy's deterministic backoff as ``not_before``
 — which is what lets a *different* worker pick up the retry.
+
+The worker executes *jobs*: one lease, or the leases of one lockstep
+group (the queue hands a group's pending members out together), run as
+one simulation.  A job succeeds or fails as a whole — a fault on any
+member fails every member, each with its own failure record — and each
+member key settles once.
 """
 
 from __future__ import annotations
@@ -98,6 +104,16 @@ class WorkerReport:
 
 #: journal-event callback: (event_type, **fields)
 EmitFn = Callable[..., None]
+
+#: one executed unit: a lease, or the leases of one lockstep group.
+Job = Tuple[Lease, ...]
+
+
+def _job_key(job: Job) -> str:
+    """The pool's in-flight key for ``job``: a lone lease's key, else
+    the member keys joined, so a regrouped retry never reuses a future
+    computed for other members."""
+    return "+".join(lease.key for lease in job)
 
 #: why fail-fast cancelled a job.
 CANCELLED = ("abandoned after another request's terminal failure "
@@ -260,7 +276,7 @@ class QueueWorker:
         self.report = WorkerReport(owner=self.owner)
         self._cancelled = False
         slots = 1 if self._inline else self.jobs
-        running: Dict[Future, Lease] = {}
+        running: Dict[Future, Job] = {}
         deadlines: Dict[Future, float] = {}
         events: Deque[Settlement] = deque()
         try:
@@ -287,7 +303,8 @@ class QueueWorker:
                     # Before reclaiming: a consumer that paused between
                     # pulls must find its own leases alive.
                     self.queue.heartbeat(
-                        [lease.key for lease in running.values()],
+                        [lease.key for job in running.values()
+                         for lease in job],
                         self.owner, ttl_s=self.lease_ttl_s)
                     next_beat = time.monotonic() + self.heartbeat_s
                 events.extend(self._reclaim())
@@ -329,7 +346,7 @@ class QueueWorker:
                 self._pool.close()
                 self._pool = None
 
-    def _refill(self, slots: int, running: Dict[Future, Lease],
+    def _refill(self, slots: int, running: Dict[Future, Job],
                 deadlines: Dict[Future, float],
                 events: Deque[Settlement],
                 unsettled: Optional[dict]) -> Optional[float]:
@@ -351,6 +368,7 @@ class QueueWorker:
             self._count("leased", len(leases))
             self._emit("lease", owner=self.owner, count=len(leases),
                        keys=[lease.key for lease in leases])
+        jobs: Dict[str, List[Lease]] = {}
         for lease in leases:
             if self.resolved(lease.key):
                 # The crash window between a dead worker's store write
@@ -360,19 +378,22 @@ class QueueWorker:
                 self._count("resumed")
                 events.append(("done", lease.key, None))
                 continue
+            jobs.setdefault(lease.group or lease.key, []).append(lease)
+        for job in jobs.values():
             if self._inline:
                 future: Future = Future()  # executed by _wait
             else:
-                future = self.pool.submit(lease.key, lease.request,
-                                          faults=self.faults,
-                                          attempt=lease.attempt)
+                future = self.pool.submit(
+                    _job_key(job), [lease.request for lease in job],
+                    faults=self.faults,
+                    attempts=[lease.attempt for lease in job])
                 if self.policy.timeout_s is not None:
                     deadlines[future] = (time.monotonic()
                                          + self.policy.timeout_s)
-            running[future] = lease
-        return self.queue.next_due() if len(leases) < free else None
+            running[future] = tuple(job)
+        return self.queue.next_due() if len(jobs) < free else None
 
-    def _wait(self, running: Dict[Future, Lease],
+    def _wait(self, running: Dict[Future, Job],
               deadlines: Dict[Future, float],
               timeout: float) -> List[Settlement]:
         """Settle what finishes within ``timeout``.
@@ -384,9 +405,10 @@ class QueueWorker:
         and the innocent rest are released uncharged.
         """
         if self._inline:
-            [(future, lease)] = running.items()
-            run_inline(lease.request, spans_enabled(), self.faults,
-                       lease.attempt, future)
+            [(future, job)] = running.items()
+            run_inline([lease.request for lease in job], spans_enabled(),
+                       self.faults, [lease.attempt for lease in job],
+                       future)
             done = {future}
         else:
             done, _ = wait(set(running), timeout=timeout,
@@ -394,9 +416,9 @@ class QueueWorker:
         events: List[Settlement] = []
         crashed = False
         for future in done:
-            lease = running.pop(future)
+            job = running.pop(future)
             deadlines.pop(future, None)
-            settled, broke = self._consume(future, lease)
+            settled, broke = self._consume(future, job)
             events.extend(settled)
             crashed = crashed or broke
         now = time.monotonic()
@@ -409,18 +431,19 @@ class QueueWorker:
         running.clear()
         deadlines.clear()
         self._rebuild_pool()
-        for future, lease in survivors:
+        for future, job in survivors:
             if future in expired:
                 events.extend(self._fail(
-                    lease, "timeout",
+                    job, "timeout",
                     f"attempt exceeded {self.policy.timeout_s}s "
                     f"wall-clock budget"))
             elif future in finished:
-                events.extend(self._consume(future, lease)[0])
+                events.extend(self._consume(future, job)[0])
             else:
-                self.queue.release(lease.key)
-                self.report.released += 1
-                self._count("released")
+                for lease in job:
+                    self.queue.release(lease.key)
+                self.report.released += len(job)
+                self._count("released", len(job))
         return events
 
     def _rebuild_pool(self) -> None:
@@ -433,75 +456,94 @@ class QueueWorker:
     # -- settling one job --------------------------------------------------
 
     def _consume(self, future: Future,
-                 lease: Lease) -> Tuple[List[Settlement], bool]:
-        """Settle one finished future; the flag is True when the pool
+                 job: Job) -> Tuple[List[Settlement], bool]:
+        """Settle one finished job; the flag is True when the pool
         crashed under it."""
         if self._pool is not None:
-            self._pool.discard(lease.key)
+            self._pool.discard(_job_key(job))
         try:
-            payload = future.result(timeout=0)
+            payloads = future.result(timeout=0)
         except BrokenProcessPool as exc:
-            return self._fail(lease, "crash",
+            return self._fail(job, "crash",
                               str(exc) or "worker process died"), True
         except CancelledError:
-            return self._fail(lease, "crash",
+            return self._fail(job, "crash",
                               "worker pool died mid-flight"), True
         except StoreDecodeError as exc:
-            return self._fail(lease, "corrupt", str(exc), exc=exc), False
+            return self._fail(job, "corrupt", str(exc), exc=exc), False
         except Exception as exc:
-            return self._fail(lease, "exception", str(exc),
+            return self._fail(job, "exception", str(exc),
                               exc=exc), False
         try:
-            result = self._deliver(lease.key, payload)
+            results = self._deliver(job, payloads)
         except StoreDecodeError as exc:
-            return self._fail(lease, "corrupt", str(exc), exc=exc), False
-        self.queue.complete(lease.key, self.owner)
-        self.report.completed += 1
-        self._count("completed")
-        return [("ok", lease.key, result)], False
+            return self._fail(job, "corrupt", str(exc), exc=exc), False
+        settled: List[Settlement] = []
+        for lease, result in zip(job, results):
+            self.queue.complete(lease.key, self.owner)
+            settled.append(("ok", lease.key, result))
+        self.report.completed += len(job)
+        self._count("completed", len(job))
+        return settled, False
 
-    def _deliver(self, key: str, payload: dict) -> object:
-        """Route one executed payload to its consumer.
+    def _deliver(self, job: Job, payloads: List[dict]) -> list:
+        """Route one executed job's payloads to their consumer.
 
-        Raises :class:`~repro.engine.store.StoreDecodeError` when the
-        payload fails validation (the ``corrupt`` failure path).
+        Raises :class:`~repro.engine.store.StoreDecodeError` when a
+        payload fails validation (the ``corrupt`` failure path); a
+        group's payloads are all validated before any is delivered, so
+        a group is delivered whole or not at all.
         """
+        if len(job) > 1:
+            for payload in payloads:
+                decode_result(payload)
+        return [self._deliver_one(lease.key, payload)
+                for lease, payload in zip(job, payloads)]
+
+    def _deliver_one(self, key: str, payload: dict) -> object:
         if self.on_result is not None:
             return self.on_result(key, payload)
         obs = payload.pop("_obs", None) or {}
         result = decode_result(payload)  # validates; raises StoreDecodeError
         if self.store is not None:
             self.store.put(key, payload)
+        group = {"group": obs["group"]} if "group" in obs else {}
         self._emit("request", key=key, outcome="executed",
                    kind=payload.get("kind"), wall_s=obs.get("wall_s"),
-                   worker=obs.get("worker"), spans=obs.get("spans") or [])
+                   worker=obs.get("worker"), spans=obs.get("spans") or [],
+                   **group)
         return result
 
-    def _fail(self, lease: Lease, kind: str, error: str,
+    def _fail(self, job: Job, kind: str, error: str,
               exc: Optional[BaseException] = None) -> List[Settlement]:
-        """Record one failed attempt; a settlement only if terminal."""
-        attempts = lease.attempt + 1
-        if exc is not None:
-            failure = RequestFailure.from_exception(
-                lease.key, exc, kind=kind, worker=worker_id(),
-                attempts=attempts)
-        else:
-            failure = RequestFailure(key=lease.key, kind=kind, error=error,
-                                     worker=worker_id(), attempts=attempts)
-        state = self.queue.fail(
-            lease.key, failure,
-            backoff_s=self.policy.backoff(lease.key, attempts),
-            retry=not self._cancelled)
-        retrying = state == "pending"
-        self._count("failed_attempts")
-        if self.on_failure is not None:
-            self.on_failure(failure, retrying)
-        if retrying:
-            self.report.retried += 1
-            return []
-        self.report.terminal += 1
-        self.report.failures.append(failure)
-        return [("fail", lease.key, failure)]
+        """Record one failed attempt of every member of ``job``; a
+        settlement for each member whose failure is terminal."""
+        settled: List[Settlement] = []
+        for lease in job:
+            attempts = lease.attempt + 1
+            if exc is not None:
+                failure = RequestFailure.from_exception(
+                    lease.key, exc, kind=kind, worker=worker_id(),
+                    attempts=attempts)
+            else:
+                failure = RequestFailure(key=lease.key, kind=kind,
+                                         error=error, worker=worker_id(),
+                                         attempts=attempts)
+            state = self.queue.fail(
+                lease.key, failure,
+                backoff_s=self.policy.backoff(lease.key, attempts),
+                retry=not self._cancelled)
+            retrying = state == "pending"
+            self._count("failed_attempts")
+            if self.on_failure is not None:
+                self.on_failure(failure, retrying)
+            if retrying:
+                self.report.retried += 1
+                continue
+            self.report.terminal += 1
+            self.report.failures.append(failure)
+            settled.append(("fail", lease.key, failure))
+        return settled
 
     def _cancel(self, unsettled: dict) -> List[Settlement]:
         """Fail-fast: cancel every watched job still pending."""
@@ -548,7 +590,7 @@ class QueueWorker:
                 events.append(("fail", key, RequestFailure(**job.error)))
         return events
 
-    def _abandon(self, running: Dict[Future, Lease]) -> None:
+    def _abandon(self, running: Dict[Future, Job]) -> None:
         """Settle a drain that stopped early.
 
         Finished executions are recorded; every other lease goes back
@@ -557,15 +599,17 @@ class QueueWorker:
         engine closed its store, where dropping a cache write is safe
         and raising is not.
         """
-        for future, lease in running.items():
+        for future, job in running.items():
             try:
                 if future.done() and self._pool is not None:
-                    self._pool.discard(lease.key)
+                    self._pool.discard(_job_key(job))
                 if future.done() and future.exception() is None:
-                    self._deliver(lease.key, future.result())
-                    self.queue.complete(lease.key, self.owner)
+                    self._deliver(job, future.result())
+                    for lease in job:
+                        self.queue.complete(lease.key, self.owner)
                 else:
-                    self.queue.release(lease.key)
+                    for lease in job:
+                        self.queue.release(lease.key)
             # Teardown harvest: a failed run has nothing to salvage,
             # and its job is retried by whoever leases it next.
             except Exception:  # repro: allow(no-bare-except)

@@ -217,12 +217,20 @@ class ExperimentContext:
         args = (spec, design, policy_name, athena_config)
         record = self._records.get(args)
         if record is None:
-            result = self.engine.run(
-                self.plan_run(spec, design, policy_name, athena_config)
-            )
-            record = RunRecord(ipc=result.ipc, result=result)
-            self._records[args] = record
+            [record] = self._resolve([args])
         return record
+
+    def _resolve(self, runs: Sequence[tuple]) -> List[RunRecord]:
+        """Record unrecorded :meth:`run` argument tuples, resolved as one
+        engine batch, so an Athena seed set runs as one lockstep job.
+        Like ``Engine.run``, it reports no progress."""
+        results = self.engine.run_many(
+            [self.plan_run(*args) for args in runs],
+            progress=lambda *_: None)
+        records = [RunRecord(ipc=result.ipc, result=result)
+                   for result in results]
+        self._records.update(zip(runs, records))
+        return records
 
     def run_mix(
         self, mix: WorkloadMix, design: CacheDesign, policy_name: str = "none"
@@ -253,11 +261,16 @@ class ExperimentContext:
             # policy, and the paper's 250K-epoch runs average that noise
             # away internally.
             config = athena_config if athena_config is not None else AthenaConfig()
-            ipcs = []
-            for offset in self._SEED_STREAM[: max(1, self.scale.policy_seeds)]:
-                seeded = config.with_updates(seed=config.seed ^ offset)
-                ipcs.append(self.run(spec, design, policy_name, seeded).ipc)
-            return geomean(ipcs) / base
+            runs = [(spec, design, policy_name,
+                     config.with_updates(seed=config.seed ^ offset))
+                    for offset in self._SEED_STREAM[: max(1, self.scale.policy_seeds)]]
+            records = [self._records.get(args) for args in runs]
+            missing = [args for args, record in zip(runs, records)
+                       if record is None]
+            if missing:
+                resolved = iter(self._resolve(missing))
+                records = [record or next(resolved) for record in records]
+            return geomean([record.ipc for record in records]) / base
         record = self.run(spec, design, policy_name, athena_config)
         return record.ipc / base
 

@@ -7,7 +7,7 @@ fill" statistic of paper Figure 3).  Timing is handled analytically by the
 hierarchy / core model; the cache itself only reports hits and evictions.
 
 Storage is struct-of-arrays: one flat parallel array per line attribute
-(tag/valid/dirty/prefetched/reused/fill-pc/from-dram/ready-time), indexed
+(tag/valid/dirty/prefetched/reused/from-dram/ready-time), indexed
 by ``set_index * ways + way``.  :meth:`lookup_slot` and :meth:`fill_fast`
 are allocation-free: they return slot integers (or a per-cache scratch
 :class:`EvictedLine` reused across fills) and callers read line attributes
@@ -50,8 +50,6 @@ class EvictedLine:
 
     line_addr: int
     dirty: bool
-    prefetched: bool
-    reused: bool
     evicted_for_prefetch: bool
 
 
@@ -84,7 +82,6 @@ class Cache:
         self._prefetched = bytearray(total)
         self._reused = bytearray(total)
         self._from_dram = bytearray(total)
-        self._fill_pc = [0] * total
         #: time the line's data actually arrives (in-flight fills; a demand
         #: hit on a line still in flight waits until this time — MSHR merge).
         self._ready = [0.0] * total
@@ -108,7 +105,7 @@ class Cache:
             self._sig = [0] * total
             self._shct = [1] * SHIP_SHCT_SIZE
         self._resident = 0
-        self._evicted_scratch = EvictedLine(0, False, False, False, False)
+        self._evicted_scratch = EvictedLine(0, False, False)
         self.hits = 0
         self.misses = 0
 
@@ -215,12 +212,11 @@ class Cache:
                     else:
                         for way in range(ways):
                             rrpvs[way] += 1
-            reused = self._reused[victim]
             if not lru:
                 # SHCT training: reward reused signatures, punish dead ones.
                 sig = self._sig[victim]
                 count = self._shct[sig]
-                if reused:
+                if self._reused[victim]:
                     if count < SHIP_SHCT_MAX:
                         self._shct[sig] = count + 1
                 elif count > 0:
@@ -230,8 +226,6 @@ class Cache:
             evicted = self._evicted_scratch
             evicted.line_addr = old_line
             evicted.dirty = bool(self._dirty[victim])
-            evicted.prefetched = bool(self._prefetched[victim])
-            evicted.reused = bool(reused)
             evicted.evicted_for_prefetch = is_prefetch
         else:
             valid = self._valid
@@ -247,7 +241,6 @@ class Cache:
         self._dirty[victim] = 1 if dirty else 0
         self._prefetched[victim] = 1 if is_prefetch else 0
         self._reused[victim] = 0
-        self._fill_pc[victim] = pc
         self._from_dram[victim] = 1 if from_dram else 0
         self._ready[victim] = ready_time
         if lru:

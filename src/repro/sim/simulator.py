@@ -22,13 +22,26 @@ inlined, after the unit-latency rows before it as an inlined
 ``CoreModel.run_simple``; the floating-point operation sequence is the
 core model's, so timing is bit-identical to stepping it row by row
 (pinned by ``tests/test_simulator_oracle.py`` and the golden cases).
+
+One run can carry several coordination policies, its *riders*, in
+lockstep.  Every rider decides on the same epoch telemetry; while they
+all choose the same action the run continues as one.  At the first epoch
+where they disagree, the riders are grouped by action: the first group
+continues this run, and every other group gets a fork — a deep copy of
+the run, captured by the same code as a checkpoint, with the other
+riders and their observers dropped and the group's own action applied —
+that resumes once this run ends.  A fork may fork again.  Riders must
+touch the hierarchy only through their actions and read-only observers
+(Athena's feature tracker); then each rider's result is bit-identical to
+running it alone, and a run with one policy is simply a group of one.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -93,10 +106,11 @@ class SimCheckpoint:
     a long trace's measured region is reachable without replaying the
     prefix *simulation* (a stream re-emits and skips the prefix rows, or
     seeks when it re-blocks a cached whole trace).
-    ``state`` is one deep-copied object graph — hierarchy, core, policy
+    ``state`` is one deep-copied object graph — hierarchy, core, riders
     and loop counters together — so every shared reference inside it
-    (``stats`` *is* ``hierarchy.stats``; the policy is attached to the
-    hierarchy) survives intact.
+    (``stats`` *is* ``hierarchy.stats``; a rider's observers are attached
+    to the hierarchy) survives intact.  A lockstep fork is a checkpoint
+    too, holding only the riders that took the fork's action.
     """
 
     position: int
@@ -155,8 +169,18 @@ def build_epoch_telemetry(
     )
 
 
+@dataclass(eq=False)
+class Rider:
+    """One coordination policy riding a run: its index among the run's
+    policies and the observers its ``attach`` added to the hierarchy."""
+
+    member: int
+    policy: "CoordinationPolicy"
+    observers: tuple
+
+
 class Simulator:
-    """Runs one workload on one core."""
+    """Runs one workload on one core, for one or more riders."""
 
     def __init__(
         self,
@@ -165,28 +189,41 @@ class Simulator:
         policy: Optional["CoordinationPolicy"] = None,
         epoch_length: int = 250,
         warmup_fraction: float = 0.2,
+        *,
+        riders: Sequence["CoordinationPolicy"] = (),
     ) -> None:
         if epoch_length <= 0:
             raise ValueError("epoch_length must be positive")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
+        if policy is not None and riders:
+            raise ValueError("pass one policy or riders, not both")
         self.trace = trace
         self.hierarchy = hierarchy
-        self.policy = policy
         self.epoch_length = epoch_length
         self.warmup_fraction = warmup_fraction
         self.core = CoreModel(hierarchy.params.core)
         #: set by ``run`` when it reaches ``checkpoint_at``
         self.checkpoint: Optional[SimCheckpoint] = None
-        if policy is not None:
-            policy.attach(hierarchy)
+        #: set by ``run``: one result per rider
+        self.results: List[SimulationResult] = []
+        self.riders: List[Rider] = []
+        for member, rider in enumerate(
+                riders if policy is None else (policy,)):
+            before = len(hierarchy.observers)
+            rider.attach(hierarchy)
+            self.riders.append(Rider(member, rider,
+                                     tuple(hierarchy.observers[before:])))
 
     def run(self, checkpoint_at: Optional[int] = None) -> SimulationResult:
-        """Simulate the whole trace.
+        """Simulate the whole trace for every rider, forking where they
+        disagree; returns the first rider's result.
 
-        With ``checkpoint_at``, also capture a :class:`SimCheckpoint` into
-        ``self.checkpoint`` once the instruction at ``checkpoint_at - 1``
-        has retired.
+        ``self.results`` then holds one result per rider, in rider order
+        (one result for a run without a policy); riders that never
+        parted share one result object.  With ``checkpoint_at``, also
+        capture a :class:`SimCheckpoint` into ``self.checkpoint`` once
+        the instruction at ``checkpoint_at - 1`` has retired.
         """
         if checkpoint_at is not None and \
                 not 0 < checkpoint_at <= len(self.trace):
@@ -209,13 +246,16 @@ class Simulator:
             "epoch_start_busy": dram.busy_cycles,
             "epoch_start_kinds": dram.kind_counts(),
         }
-        return self._loop(0, state, checkpoint_at)
+        results = self._loop(0, state, checkpoint_at)
+        self.results = [results[member] for member in sorted(results)]
+        return self.results[0]
 
     @classmethod
     def resume(
         cls, trace: Union[Trace, TraceStream], checkpoint: SimCheckpoint
     ) -> SimulationResult:
-        """Finish a run from a :class:`SimCheckpoint`.
+        """Finish a run from a :class:`SimCheckpoint`; the result of its
+        first rider.
 
         ``trace`` is the checkpointed run's trace, materialized or
         streamed.  The checkpoint's state graph is deep-copied again, so
@@ -224,30 +264,69 @@ class Simulator:
         from ``checkpoint.position`` on: a cold stream re-emits and skips
         the prefix rows; one re-blocking a cached whole trace seeks to it.
         """
-        state = copy.deepcopy(checkpoint.state)
+        results = cls._enter(trace, checkpoint,
+                             copy.deepcopy(checkpoint.state))
+        return results[min(results)]
+
+    @classmethod
+    def _enter(
+        cls, trace: Union[Trace, TraceStream], checkpoint: SimCheckpoint,
+        state: dict,
+    ) -> Dict[int, SimulationResult]:
+        """Run a checkpoint's private ``state`` to the end of ``trace``;
+        results by rider index."""
         sim = cls.__new__(cls)
         sim.trace = trace
         sim.hierarchy = state.pop("hierarchy")
-        sim.policy = state.pop("policy")
+        sim.riders = state.pop("riders")
         sim.core = state.pop("core")
         sim.epoch_length = checkpoint.epoch_length
         sim.warmup_fraction = checkpoint.warmup_fraction
         sim.checkpoint = None
         return sim._loop(checkpoint.position, state, None)
 
+    def _capture(self, position: int, st: dict,
+                 riders: List[Rider]) -> SimCheckpoint:
+        """Deep-copy the run at ``position`` (loop state ``st``, the core
+        already synced) for ``riders`` only: the observers of this run's
+        other riders are left out of the copy."""
+        hierarchy = self.hierarchy
+        observers = hierarchy.observers
+        hierarchy.observers = self._observers_for(riders)
+        try:
+            state = copy.deepcopy(dict(st, hierarchy=hierarchy,
+                                       core=self.core, riders=riders))
+        finally:
+            hierarchy.observers = observers
+        return SimCheckpoint(position=position,
+                             epoch_length=self.epoch_length,
+                             warmup_fraction=self.warmup_fraction,
+                             state=state)
+
+    def _observers_for(self, riders: List[Rider]) -> list:
+        """The hierarchy's observers without those of this run's riders
+        outside ``riders``."""
+        kept = {id(rider) for rider in riders}
+        dropped = {id(obs) for rider in self.riders
+                   if id(rider) not in kept for obs in rider.observers}
+        return [obs for obs in self.hierarchy.observers
+                if id(obs) not in dropped]
+
     def _loop(
         self,
         position: int,
         st: dict,
         checkpoint_at: Optional[int],
-    ) -> SimulationResult:
+    ) -> Dict[int, SimulationResult]:
         """Run the trace from global ``position`` to its end, starting
-        from the loop state ``st``."""
+        from the loop state ``st``, then resume every fork taken on the
+        way; results by rider index."""
         trace = self.trace
         hierarchy = self.hierarchy
         core = self.core
         stats = hierarchy.stats
-        policy = self.policy
+        riders = self.riders
+        forks: List[SimCheckpoint] = []
         epoch_len = self.epoch_length
         dram = hierarchy.dram
         warmup_end = int(len(trace) * self.warmup_fraction)
@@ -271,7 +350,7 @@ class Simulator:
         # synced only where it is read.
         count = st["count"]
         next_epoch = st["next_epoch"]
-        have_policy = policy is not None
+        have_policy = bool(riders)
         captured = checkpoint_at is None
 
         hier_load = hierarchy.load
@@ -405,6 +484,7 @@ class Simulator:
                     epoch_start_busy = dram.busy_cycles
                     epoch_start_kinds = dram.kind_counts()
 
+                parted = ()
                 if have_policy and count == next_epoch:
                     stats.instructions = count
                     telemetry = build_epoch_telemetry(
@@ -416,8 +496,14 @@ class Simulator:
                         dram.busy_cycles - epoch_start_busy,
                         epoch_start_kinds,
                     )
-                    action = policy.decide(telemetry)
-                    self._apply_action(action)
+                    # Every rider decides on the same telemetry; riders
+                    # are grouped by action, in rider order.
+                    decided: Dict["CoordinationAction", List[Rider]] = {}
+                    for rider in riders:
+                        decided.setdefault(rider.policy.decide(telemetry),
+                                           []).append(rider)
+                    (action, riders), *parted = decided.items()
+                    self._apply_action(hierarchy, action)
                     epochs.append(telemetry)
                     actions.append(action)
                     epoch_index += 1
@@ -427,35 +513,42 @@ class Simulator:
                     epoch_start_busy = dram.busy_cycles
                     epoch_start_kinds = dram.kind_counts()
 
-                if not captured and base + il == checkpoint_at:
-                    captured = True
+                at_checkpoint = not captured and base + il == checkpoint_at
+                if parted or at_checkpoint:
                     stats.instructions = count
                     core._index = idx
                     core._next_dispatch = next_dispatch
                     core._last_commit = last_commit
                     core._last_load_ready = last_load_ready
-                    self.checkpoint = SimCheckpoint(
-                        position=checkpoint_at,
-                        epoch_length=epoch_len,
-                        warmup_fraction=self.warmup_fraction,
-                        state=copy.deepcopy({
-                            "hierarchy": hierarchy,
-                            "core": core,
-                            "policy": policy,
-                            "count": count,
-                            "next_epoch": next_epoch,
-                            "epoch_index": epoch_index,
-                            "epochs": epochs,
-                            "actions": actions,
-                            "warmup_stats_reset_done":
-                                warmup_stats_reset_done,
-                            "measure_start_cycles": measure_start_cycles,
-                            "epoch_start_snapshot": epoch_start_snapshot,
-                            "epoch_start_cycles": epoch_start_cycles,
-                            "epoch_start_busy": epoch_start_busy,
-                            "epoch_start_kinds": epoch_start_kinds,
-                        }),
-                    )
+                    loop_state = {
+                        "count": count,
+                        "next_epoch": next_epoch,
+                        "epoch_index": epoch_index,
+                        "epochs": epochs,
+                        "actions": actions,
+                        "warmup_stats_reset_done": warmup_stats_reset_done,
+                        "measure_start_cycles": measure_start_cycles,
+                        "epoch_start_snapshot": epoch_start_snapshot,
+                        "epoch_start_cycles": epoch_start_cycles,
+                        "epoch_start_busy": epoch_start_busy,
+                        "epoch_start_kinds": epoch_start_kinds,
+                    }
+                    # A fork is this run with the other group's riders,
+                    # whose action replaces this run's last one.
+                    for fork_action, fork_riders in parted:
+                        fork = self._capture(base + il, loop_state,
+                                             fork_riders)
+                        self._apply_action(fork.state["hierarchy"],
+                                           fork_action)
+                        fork.state["actions"][-1] = fork_action
+                        forks.append(fork)
+                    if parted:
+                        hierarchy.observers[:] = self._observers_for(riders)
+                        self.riders = riders
+                    if at_checkpoint:
+                        captured = True
+                        self.checkpoint = self._capture(
+                            checkpoint_at, loop_state, riders)
 
         core._index = idx
         core._next_dispatch = next_dispatch
@@ -464,7 +557,7 @@ class Simulator:
         stats.instructions = count
         measured_cycles = last_commit - measure_start_cycles
         stats.cycles = measured_cycles
-        return SimulationResult(
+        result = SimulationResult(
             workload=trace.name,
             stats=stats,
             instructions=stats.instructions,
@@ -472,6 +565,10 @@ class Simulator:
             epochs=epochs,
             actions=actions,
         )
+        results = {rider.member: result for rider in riders} or {0: result}
+        for fork in forks:
+            results.update(self._enter(trace, fork, fork.state))
+        return results
 
     # ------------------------------------------------------------------ helpers
 
@@ -496,7 +593,9 @@ class Simulator:
                 include_shared=include_shared_caches
             )
 
-    def _apply_action(self, action: "CoordinationAction") -> None:
-        self.hierarchy.set_prefetchers_enabled(action.prefetchers_enabled)
-        self.hierarchy.set_ocp_enabled(action.ocp_enabled)
-        self.hierarchy.set_degree_fraction(action.degree_fraction)
+    @staticmethod
+    def _apply_action(hierarchy: CacheHierarchy,
+                      action: "CoordinationAction") -> None:
+        hierarchy.set_prefetchers_enabled(action.prefetchers_enabled)
+        hierarchy.set_ocp_enabled(action.ocp_enabled)
+        hierarchy.set_degree_fraction(action.degree_fraction)

@@ -756,7 +756,7 @@ class TestEngineAsCompleted:
         requests = self.make_requests(1)
         with Engine(jobs=2) as engine:
             key = requests[0].key()
-            future = engine.pool.submit(key, requests[0])
+            future = engine.pool.submit(key, [requests[0]])
             futures_wait([future])  # worker finished; nothing recorded
             engine.run_many(requests)
             # harvested: recorded once from the worker payload, and the
@@ -767,7 +767,7 @@ class TestEngineAsCompleted:
     def test_run_waits_on_inflight_future_instead_of_reexecuting(self):
         requests = self.make_requests(1)
         with Engine(jobs=2) as engine:
-            engine.pool.submit(requests[0].key(), requests[0])
+            engine.pool.submit(requests[0].key(), [requests[0]])
             result = engine.run(requests[0])
             assert result is not None
             assert engine.counters.executed == 1

@@ -103,18 +103,21 @@ class TestLookupAndFill:
     def test_eviction_for_prefetch_flagged(self):
         cache = small_cache(ways=1, sets=1)
         cache.fill_fast(10)
+        assert not cache._prefetched[cache._slot_of[10]]  # the victim's bit
         evicted = cache.fill_fast(20, is_prefetch=True)
         assert evicted.evicted_for_prefetch
-        assert not evicted.prefetched
+        assert cache._prefetched[cache._slot_of[20]]
         evicted = cache.fill_fast(30)
-        assert evicted.prefetched and not evicted.evicted_for_prefetch
+        assert not evicted.evicted_for_prefetch
 
     def test_eviction_reports_reuse(self):
         cache = small_cache(ways=1, sets=1)
         cache.fill_fast(10)
         cache.lookup_slot(10)
-        assert cache.fill_fast(20).reused
-        assert not cache.fill_fast(30).reused
+        assert cache._reused[cache._slot_of[10]]  # the victim's bit
+        cache.fill_fast(20)
+        assert not cache._reused[cache._slot_of[20]]
+        cache.fill_fast(30)
 
     def test_victim_is_a_scratch_reused_by_the_next_fill(self):
         cache = small_cache(ways=1, sets=1)

@@ -433,12 +433,12 @@ class TestPoolSelfHealing:
         pool = SimulationPool(jobs=2)
         try:
             request = _request()
-            future = pool.submit(request.key(), request)
+            future = pool.submit(request.key(), [request])
             pool.rebuild()
             # the stale future must not be handed out again
-            fresh = pool.submit(request.key(), request)
+            fresh = pool.submit(request.key(), [request])
             assert fresh is not future
-            payload = fresh.result(timeout=120)
+            [payload] = fresh.result(timeout=120)
             assert payload["kind"] == "run"
         finally:
             pool.close()
@@ -449,9 +449,9 @@ class TestPoolSelfHealing:
             request = _request()
             # Mark the executor broken, as a dead worker would.
             pool.executor._broken = "a worker died unexpectedly"
-            future = pool.submit(request.key(), request)
+            future = pool.submit(request.key(), [request])
             assert pool.rebuilds == 1
-            assert future.result(timeout=120)["kind"] == "run"
+            assert future.result(timeout=120)[0]["kind"] == "run"
         finally:
             pool.close()
 
@@ -460,9 +460,9 @@ class TestPoolSelfHealing:
         try:
             pool.degraded = True
             request = _request()
-            future = pool.submit(request.key(), request)
+            future = pool.submit(request.key(), [request])
             assert future.done()  # executed synchronously, no workers
-            assert future.result()["kind"] == "run"
+            assert future.result()[0]["kind"] == "run"
             assert pool._executor is None
         finally:
             pool.close()
