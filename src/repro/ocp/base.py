@@ -15,43 +15,47 @@ from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 
 class OffChipPredictor(abc.ABC):
     """Base class for POPET, HMP and TTP."""
 
     def __init__(self) -> None:
         self.enabled = True
-        self.predictions = 0
-        self.positive_predictions = 0
 
     @property
     def name(self) -> str:
         return type(self).__name__
 
-    def predict(self, pc: int, line_addr: int, byte_offset: int = 0) -> bool:
+    def block_keys(self, pcs: np.ndarray, addrs: np.ndarray) -> list:
+        """One prediction key per trace row of the int64 ``pcs``/``addrs``
+        columns, for :meth:`predict` and :meth:`train` of that row's load.
+
+        A key holds whatever the predictor derives from the row alone
+        (POPET: its five table indices), so the run loops compute it per
+        trace block, off the per-access path.  Predictors that derive
+        nothing return ``None`` keys and ignore them.
+        """
+        return [None] * len(pcs)
+
+    @abc.abstractmethod
+    def predict(self, pc: int, line_addr: int, byte_offset: int = 0,
+                key=None) -> bool:
         """Predict whether the load at ``pc``/``line_addr`` goes off-chip.
 
         ``byte_offset`` is the load's offset within its cacheline — one of
         POPET's program features (element position separates the first
-        touch of a line from subsequent same-line accesses).
+        touch of a line from subsequent same-line accesses).  ``key`` is
+        the row's :meth:`block_keys` entry; ``None`` derives it here.
 
         Returns ``False`` unconditionally while disabled (the coordination
         action gates speculative requests, not learning).
         """
-        self.predictions += 1
-        outcome = self._predict(pc, line_addr, byte_offset)
-        if outcome and self.enabled:
-            self.positive_predictions += 1
-            return True
-        return False
-
-    @abc.abstractmethod
-    def _predict(self, pc: int, line_addr: int, byte_offset: int) -> bool:
-        ...
 
     @abc.abstractmethod
     def train(self, pc: int, line_addr: int, went_offchip: bool,
-              byte_offset: int = 0) -> None:
+              byte_offset: int = 0, key=None) -> None:
         """Update predictor state with the resolved outcome."""
 
     def on_fill(self, line_addr: int) -> None:

@@ -76,7 +76,10 @@ class HmpPredictor(OffChipPredictor):
         gskew_vote = sum(skew_votes) >= 2
         return local_vote, gshare_vote, gskew_vote
 
-    def _predict(self, pc: int, line_addr: int, byte_offset: int) -> bool:
+    def predict(self, pc: int, line_addr: int, byte_offset: int = 0,
+                key=None) -> bool:
+        if not self.enabled:
+            return False
         local_vote, gshare_vote, gskew_vote = self._component_votes(
             pc, byte_offset
         )
@@ -87,7 +90,7 @@ class HmpPredictor(OffChipPredictor):
         return gskew_vote if gshare_vote != gskew_vote else gshare_vote
 
     def train(self, pc: int, line_addr: int, went_offchip: bool,
-              byte_offset: int = 0) -> None:
+              byte_offset: int = 0, key=None) -> None:
         local_vote, gshare_vote, gskew_vote = self._component_votes(
             pc, byte_offset
         )

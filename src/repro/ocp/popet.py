@@ -13,10 +13,19 @@ the page address, each hashed into a 1K-entry table of 5-bit weights
 (4 KB total, Table 8).  The byte-offset feature is load-bearing: it
 separates the first touch of a line (which misses) from subsequent
 same-line element accesses (which hit) under the same PC.
+
+All five indices depend only on the load's trace row, so
+:meth:`PopetPredictor.block_keys` hashes them for a whole trace block at
+once in numpy, and :meth:`~PopetPredictor.predict` and
+:meth:`~PopetPredictor.train` only read and update the five weights a
+row's key names.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..sim.params import LINE_SHIFT
 from .base import OffChipPredictor
 
 _TABLE_SIZE = 1024
@@ -25,117 +34,112 @@ _WEIGHT_MAX = 15
 _WEIGHT_MIN = -16
 _ACTIVATION_THRESHOLD = 2
 _TRAINING_MARGIN = 8
+#: training stops once the score is this far past the threshold on the
+#: side of the outcome (perceptron-with-margin)
+_CONFIDENT_OFFCHIP = _ACTIVATION_THRESHOLD + _TRAINING_MARGIN
+_CONFIDENT_ONCHIP = _ACTIVATION_THRESHOLD - _TRAINING_MARGIN
 
 _PAGE_SHIFT = 6  # lines per page
+
+_U64 = np.uint64
+_GOLDEN = _U64(0x9E3779B97F4A7C15)
+
+
+def _index(values: np.ndarray) -> list:
+    """Each feature value's table index: a golden-ratio multiply in
+    wrapping uint64, its high bits folded down, masked to the table."""
+    v = values.view(_U64) * _GOLDEN
+    return ((v ^ (v >> _U64(31))) & _U64(_TABLE_SIZE - 1)).tolist()
+
+
+def _keys(pcs: np.ndarray, lines: np.ndarray, offsets: np.ndarray) -> list:
+    """The five table indices of each row of int64 columns, as tuples.
+
+    The right shifts run in int64, so they are arithmetic like Python's
+    on negative values (addresses >= 2**63 in external traces); the left
+    shifts run in uint64, where they wrap, which the hash cannot tell
+    apart from Python's unbounded ints since it reads only the low 64
+    bits of its operand.
+    """
+    ip = pcs >> 2
+    uip = ip.view(_U64)
+    return list(zip(
+        _index(ip),
+        _index((uip << _U64(7)) ^ offsets.view(_U64)),
+        _index((uip << _U64(6)) ^ (lines & 63).view(_U64)),
+        _index(lines),
+        _index(lines >> _PAGE_SHIFT),
+    ))
 
 
 class PopetPredictor(OffChipPredictor):
     """Hashed-perceptron off-chip predictor.
 
-    The five hashes and the weight sum are fused into one allocation-free
-    pass, and the score computed by :meth:`_predict` is remembered so the
-    matching :meth:`train` call for the same load (weights unchanged in
-    between) reuses it instead of rehashing.
+    :meth:`predict` and :meth:`train` each read the weights a row's key
+    names, so no state carries from one call to the other; a call
+    without a key hashes its one row through the same kernel.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._weights = [[0] * _TABLE_SIZE for _ in range(_NUM_FEATURES)]
-        # (pc, line_addr, byte_offset) of the last scored access, or None.
-        self._cached_pc = -1
-        self._cached_line = -1
-        self._cached_offset = -1
-        self._cached_indices = (0, 0, 0, 0, 0)
-        self._cached_score = 0
-        # value -> table index memo for the (pure) feature hash.  All five
-        # features share one hash function, so one memo serves them all;
-        # repeated PCs/pages in loops hit it constantly.  Bounded by a
-        # deterministic clear, so results never depend on its size.
-        self._hash_memo: dict = {}
 
-    def _score_and_cache(self, pc: int, line_addr: int,
-                         byte_offset: int) -> int:
-        """Fused hash + weight sum; caches the result for :meth:`train`.
+    def block_keys(self, pcs: np.ndarray, addrs: np.ndarray) -> list:
+        return _keys(pcs, addrs >> LINE_SHIFT,
+                     addrs & ((1 << LINE_SHIFT) - 1))
 
-        ``% _TABLE_SIZE`` is written ``& (_TABLE_SIZE - 1)`` (the table is
-        a power of two and the hashes are non-negative, so the values are
-        identical).
-        """
+    @staticmethod
+    def _row_key(pc: int, line_addr: int, byte_offset: int) -> tuple:
+        return _keys(np.array([pc], np.int64),
+                     np.array([line_addr], np.int64),
+                     np.array([byte_offset], np.int64))[0]
+
+    def predict(self, pc: int, line_addr: int, byte_offset: int = 0,
+                key=None) -> bool:
+        if not self.enabled:
+            return False
+        if key is None:
+            key = self._row_key(pc, line_addr, byte_offset)
+        i0, i1, i2, i3, i4 = key
         w0, w1, w2, w3, w4 = self._weights
-        memo = self._hash_memo
-        if len(memo) > 65536:
-            memo.clear()
-        mget = memo.get
-        ip = pc >> 2
-        i0 = mget(ip)
-        if i0 is None:
-            v = (ip * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            memo[ip] = i0 = (v ^ (v >> 31)) & 1023
-        key = (ip << 7) ^ byte_offset
-        i1 = mget(key)
-        if i1 is None:
-            v = (key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            memo[key] = i1 = (v ^ (v >> 31)) & 1023
-        key = (ip << 6) ^ (line_addr & 63)
-        i2 = mget(key)
-        if i2 is None:
-            v = (key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            memo[key] = i2 = (v ^ (v >> 31)) & 1023
-        # The line-address feature is mostly unique (no memo value).
-        v = (line_addr * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        i3 = (v ^ (v >> 31)) & 1023
-        page = line_addr >> _PAGE_SHIFT
-        i4 = mget(page)
-        if i4 is None:
-            v = (page * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            memo[page] = i4 = (v ^ (v >> 31)) & 1023
-        score = w0[i0] + w1[i1] + w2[i2] + w3[i3] + w4[i4]
-        self._cached_pc = pc
-        self._cached_line = line_addr
-        self._cached_offset = byte_offset
-        self._cached_indices = (i0, i1, i2, i3, i4)
-        self._cached_score = score
-        return score
-
-    def _score(self, pc: int, line_addr: int, byte_offset: int) -> int:
-        return self._score_and_cache(pc, line_addr, byte_offset)
-
-    def _predict(self, pc: int, line_addr: int, byte_offset: int) -> bool:
-        return (
-            self._score_and_cache(pc, line_addr, byte_offset)
-            >= _ACTIVATION_THRESHOLD
-        )
-
-    def predict(self, pc: int, line_addr: int, byte_offset: int = 0) -> bool:
-        """Fused override of :meth:`OffChipPredictor.predict` (same
-        bookkeeping, one call fewer on the per-load path)."""
-        self.predictions += 1
-        if (self._score_and_cache(pc, line_addr, byte_offset)
-                >= _ACTIVATION_THRESHOLD) and self.enabled:
-            self.positive_predictions += 1
-            return True
-        return False
+        return (w0[i0] + w1[i1] + w2[i2] + w3[i3] + w4[i4]
+                >= _ACTIVATION_THRESHOLD)
 
     def train(self, pc: int, line_addr: int, went_offchip: bool,
-              byte_offset: int = 0) -> None:
-        if (pc == self._cached_pc and line_addr == self._cached_line
-                and byte_offset == self._cached_offset):
-            # The hierarchy trains with the outcome of the access it just
-            # asked a prediction for; weights cannot have changed between
-            # the two calls, so the cached score is exact.
-            score = self._cached_score
+              byte_offset: int = 0, key=None) -> None:
+        if key is None:
+            key = self._row_key(pc, line_addr, byte_offset)
+        i0, i1, i2, i3, i4 = key
+        w0, w1, w2, w3, w4 = self._weights
+        score = w0[i0] + w1[i1] + w2[i2] + w3[i3] + w4[i4]
+        # Nudge every contributing weight toward the outcome unless the
+        # prediction was right with margin to spare.
+        if went_offchip:
+            if score > _CONFIDENT_OFFCHIP:
+                return
+            if w0[i0] < _WEIGHT_MAX:
+                w0[i0] += 1
+            if w1[i1] < _WEIGHT_MAX:
+                w1[i1] += 1
+            if w2[i2] < _WEIGHT_MAX:
+                w2[i2] += 1
+            if w3[i3] < _WEIGHT_MAX:
+                w3[i3] += 1
+            if w4[i4] < _WEIGHT_MAX:
+                w4[i4] += 1
         else:
-            score = self._score_and_cache(pc, line_addr, byte_offset)
-        predicted = score >= _ACTIVATION_THRESHOLD
-        confident = abs(score - _ACTIVATION_THRESHOLD) > _TRAINING_MARGIN
-        if predicted == went_offchip and confident:
-            return
-        step = 1 if went_offchip else -1
-        indices = self._cached_indices
-        self._cached_pc = -1  # weights change: invalidate the cached score
-        for f, i in enumerate(indices):
-            w = self._weights[f][i] + step
-            self._weights[f][i] = max(_WEIGHT_MIN, min(_WEIGHT_MAX, w))
+            if score < _CONFIDENT_ONCHIP:
+                return
+            if w0[i0] > _WEIGHT_MIN:
+                w0[i0] -= 1
+            if w1[i1] > _WEIGHT_MIN:
+                w1[i1] -= 1
+            if w2[i2] > _WEIGHT_MIN:
+                w2[i2] -= 1
+            if w3[i3] > _WEIGHT_MIN:
+                w3[i3] -= 1
+            if w4[i4] > _WEIGHT_MIN:
+                w4[i4] -= 1
 
     def storage_bits(self) -> int:
         return _NUM_FEATURES * _TABLE_SIZE * 5  # 5-bit weights

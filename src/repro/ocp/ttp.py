@@ -30,14 +30,15 @@ class TtpPredictor(OffChipPredictor):
         self.capacity_lines = capacity_lines
         self._tags: "OrderedDict[int, None]" = OrderedDict()
 
-    def _predict(self, pc: int, line_addr: int, byte_offset: int) -> bool:
+    def predict(self, pc: int, line_addr: int, byte_offset: int = 0,
+                key=None) -> bool:
         present = line_addr in self._tags
         if present:
             self._tags.move_to_end(line_addr)
-        return not present
+        return not present and self.enabled
 
     def train(self, pc: int, line_addr: int, went_offchip: bool,
-              byte_offset: int = 0) -> None:
+              byte_offset: int = 0, key=None) -> None:
         # TTP has no learned state: residency updates arrive via fill and
         # eviction notifications.  Nothing to train.
         return

@@ -32,7 +32,6 @@ class Prefetcher(abc.ABC):
     def __init__(self) -> None:
         self.enabled = True
         self.degree_fraction = 1.0
-        self.issued = 0
 
     @property
     def name(self) -> str:
@@ -67,9 +66,7 @@ class Prefetcher(abc.ABC):
         # Inline of the effective_degree property (hot path) — keep the
         # clamping rule in lockstep with it.
         degree = int(self.degree_fraction * self.max_degree)
-        out = candidates[: degree if degree > 1 else 1]
-        self.issued += len(out)
-        return out
+        return candidates[: degree if degree > 1 else 1]
 
     @abc.abstractmethod
     def _train_and_predict(self, pc: int, line_addr: int, hit: bool) -> List[int]:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
 from ..ocp.base import OffChipPredictor
 from ..prefetchers.base import Prefetcher
 from .cache import Cache
@@ -135,11 +137,22 @@ class CacheHierarchy:
 
     # ------------------------------------------------------------------ demand
 
-    def load(self, pc: int, addr: int, now: float) -> "LoadResult":
+    def block_keys(self, pcs: np.ndarray, addrs: np.ndarray) -> list:
+        """The OCP's keys for trace rows (see
+        :meth:`~repro.ocp.base.OffChipPredictor.block_keys`); ``None``
+        each without an OCP."""
+        ocp = self.ocp
+        return [None] * len(pcs) if ocp is None else \
+            ocp.block_keys(pcs, addrs)
+
+    def load(self, pc: int, addr: int, now: float,
+             key=None) -> "LoadResult":
         """Perform a demand load; returns its latency and outcome.
 
-        The returned :class:`LoadResult` is a scratch object reused by the
-        next load on this hierarchy — consume it before calling again.
+        ``key`` is the load's row entry of :meth:`block_keys`, handed to
+        the OCP (``None`` lets the OCP derive it).  The returned
+        :class:`LoadResult` is a scratch object reused by the next load
+        on this hierarchy — consume it before calling again.
         """
         line = addr >> LINE_SHIFT
         byte_offset = addr & _LINE_MASK
@@ -151,7 +164,7 @@ class CacheHierarchy:
         ocp_predicted = False
         ocp_completion = None
         if ocp is not None:
-            if ocp.predict(pc, line, byte_offset):
+            if ocp.predict(pc, line, byte_offset, key):
                 ocp_predicted = True
                 stats.ocp_predictions += 1
                 ocp_completion = self._dram_access_time(
@@ -228,7 +241,7 @@ class CacheHierarchy:
 
         # 3. Resolve OCP training and accuracy accounting.
         if ocp is not None:
-            ocp.train(pc, line, went_offchip, byte_offset)
+            ocp.train(pc, line, went_offchip, byte_offset, key)
             if ocp_predicted and went_offchip:
                 stats.ocp_correct += 1
                 if observers:

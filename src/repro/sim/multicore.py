@@ -29,15 +29,17 @@ and by the per-instruction reference in
 ``tests/test_multicore_oracle.py``).
 
 Every core reads its trace through one sliding window of blocks: a
-materialized :class:`~repro.workloads.trace.Trace` is a single block, a
-:class:`~repro.workloads.streaming.TraceStream`'s blocks load lazily.
-Each block precomputes its memory positions and, for the private gap
-after each one, the gap's length, branch count and whether it is free of
-mispredicted branches.  The common event — a memory access whose gap
-stays inside its block and short of the next transition — runs fully
-inlined in the loop (``begin``/``finish``, the access, the gap's
-``run_simple`` steps); a block's last memory event, transitions and gaps
-holding a mispredicted branch take the generic path.
+materialized :class:`~repro.workloads.trace.Trace` in blocks of
+:data:`~repro.workloads.streaming.TRACE_BLOCK_ROWS` rows, a
+:class:`~repro.workloads.streaming.TraceStream` in its own; either way
+blocks load lazily.  Each block precomputes its memory positions, their
+OCP keys and, for the private gap after each one, the gap's length,
+branch count and whether it is free of mispredicted branches.  The
+common event — a memory access whose gap stays inside its block and
+short of the next transition — runs fully inlined in the loop
+(``begin``/``finish``, the access, the gap's ``run_simple`` steps); a
+block's last memory event, transitions and gaps holding a mispredicted
+branch take the generic path.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # avoid a sim <-> policies import cycle
     from ..policies.base import CoordinationPolicy
-from ..workloads.streaming import TraceStream, blocks_from_trace
+from ..workloads.streaming import TraceStream, trace_blocks
 from ..workloads.trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -108,15 +110,16 @@ _INF = float("inf")
 
 class _WindowBlock:
     """One trace block resident in a core's sliding window.  The memory
-    instructions' columns are pre-converted to plain scalars for the
-    event loop's fast path; the rest stays in numpy for the generic path.
+    instructions' columns are pre-converted to plain scalars, and their
+    OCP keys computed by ``block_keys``, for the event loop's fast path;
+    the rest stays in numpy for the generic path.
     """
 
     __slots__ = ("start", "stop", "flags", "mispred", "branch_prefix",
-                 "mem", "mem_pcs", "mem_addrs", "mem_flags", "n_gaps",
-                 "gap_len", "gap_clean", "gap_branches")
+                 "mem", "mem_pcs", "mem_addrs", "mem_flags", "mem_keys",
+                 "n_gaps", "gap_len", "gap_clean", "gap_branches")
 
-    def __init__(self, start: int, pcs, addrs, flags) -> None:
+    def __init__(self, start: int, pcs, addrs, flags, block_keys) -> None:
         self.start = start
         self.stop = start + len(flags)
         self.flags = flags
@@ -134,9 +137,12 @@ class _WindowBlock:
         #: global indices of the instructions that touch the shared
         #: LLC/DRAM, and their pc/addr/flags columns
         self.mem = (mem + start).tolist()
-        self.mem_pcs = pcs[mem].tolist()
-        self.mem_addrs = addrs[mem].tolist()
+        mem_pcs = pcs[mem]
+        mem_addrs = addrs[mem]
+        self.mem_pcs = mem_pcs.tolist()
+        self.mem_addrs = mem_addrs.tolist()
         self.mem_flags = flags[mem].tolist()
+        self.mem_keys = block_keys(mem_pcs, mem_addrs)
         # Per-gap aggregates for the run of private instructions between
         # consecutive memory positions, indexed by the leading one: its
         # length, branch count, and whether it is free of mispredicted
@@ -157,11 +163,11 @@ class _CoreContext:
     """Execution state of one core inside the multi-core event loop.
 
     The trace is consumed through a sliding window of
-    :class:`_WindowBlock`: a materialized :class:`Trace` is one block, a
-    :class:`TraceStream`'s blocks are pulled lazily as the schedule needs
-    them and evicted once retired past, so a streamed core's peak memory
-    is O(window), not O(trace).  The schedule tracks the next memory
-    event as a block plus an index into its ``mem`` positions.
+    :class:`_WindowBlock`: blocks of a materialized :class:`Trace` or a
+    :class:`TraceStream` are pulled lazily as the schedule needs them and
+    evicted once retired past, so the per-block lists stay O(window), not
+    O(trace).  The schedule tracks the next memory event as a block plus
+    an index into its ``mem`` positions.
     """
 
     def __init__(
@@ -187,7 +193,7 @@ class _CoreContext:
         if isinstance(trace, TraceStream):
             self._blocks = trace.__iter__
         else:
-            self._blocks = partial(blocks_from_trace, trace, len(trace))
+            self._blocks = partial(trace_blocks, trace)
         self._iter = self._blocks()
         #: blocks covering [window[0].start, _loaded_to), contiguous
         self._window: deque = deque()
@@ -230,7 +236,8 @@ class _CoreContext:
             self._iter = self._blocks()
             block = next(self._iter)
         wb = _WindowBlock(self._replay_base + block.start,
-                          block.pcs, block.addrs, block.flags)
+                          block.pcs, block.addrs, block.flags,
+                          self.hierarchy.block_keys)
         window = self._window
         while window and window[0].stop <= self.retired:
             window.popleft()
@@ -326,7 +333,7 @@ class _CoreContext:
             pc, addr = blk.mem_pcs[ptr], blk.mem_addrs[ptr]
             if f & FLAG_LOAD:
                 issue = core.begin((f & FLAG_DEP) != 0)
-                result = hierarchy.load(pc, addr, issue)
+                result = hierarchy.load(pc, addr, issue, blk.mem_keys[ptr])
                 core.finish(result.latency, True)
                 stats.loads += 1
             else:
@@ -490,7 +497,8 @@ class MultiCoreSimulator:
                             if load_ready > dispatch:
                                 dispatch = load_ready
                         result = hier_load(
-                            blk.mem_pcs[ptr], blk.mem_addrs[ptr], dispatch)
+                            blk.mem_pcs[ptr], blk.mem_addrs[ptr], dispatch,
+                            blk.mem_keys[ptr])
                         ready = dispatch + result.latency
                         core._last_load_ready = ready
                         stats.loads += 1

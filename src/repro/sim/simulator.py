@@ -9,16 +9,18 @@ metrics) and asks the coordination policy for the next epoch's action —
 this is Athena's agent-environment loop (paper Figure 5).
 
 There is one run loop, and it consumes the trace block by block: a
-materialized trace is a single whole-trace block, a stream's blocks
-arrive lazily.  Each block converts only its slow rows — loads, stores
-and mispredicted branches — to Python scalars and keeps a prefix sum of
-its branches.  The loop walks segments that end at the nearest of the
-block end, the next epoch, the warmup end and the checkpoint position,
-so the warmup reset, the policy decisions and the checkpoint fire only
-at a segment's end, at exactly the instruction positions of a
-one-instruction-at-a-time loop.  Inside a segment each iteration runs
-one slow row with ``CoreModel.begin``/``finish`` and the hierarchy access
-inlined, after the unit-latency rows before it as an inlined
+materialized trace is read in blocks of
+:data:`~repro.workloads.streaming.TRACE_BLOCK_ROWS` rows, a stream's
+blocks arrive lazily.  Each block converts only its slow rows — loads,
+stores and mispredicted branches — to Python scalars, hashes their OCP
+keys (:meth:`~repro.sim.hierarchy.CacheHierarchy.block_keys`) and keeps
+a prefix sum of its branches.  The loop walks segments that end at the
+nearest of the block end, the next epoch, the warmup end and the
+checkpoint position, so the warmup reset, the policy decisions and the
+checkpoint fire only at a segment's end, at exactly the instruction
+positions of a one-instruction-at-a-time loop.  Inside a segment each
+iteration runs one slow row with ``CoreModel.begin``/``finish`` and the
+hierarchy access inlined, after the unit-latency rows before it as an inlined
 ``CoreModel.run_simple``; the floating-point operation sequence is the
 core model's, so timing is bit-identical to stepping it row by row
 (pinned by ``tests/test_simulator_oracle.py`` and the golden cases).
@@ -48,7 +50,7 @@ import numpy as np
 if TYPE_CHECKING:  # imported lazily to avoid a sim <-> policies cycle
     from ..policies.base import CoordinationAction, CoordinationPolicy
 
-from ..workloads.streaming import TraceBlock, TraceStream
+from ..workloads.streaming import TraceStream, trace_blocks
 from ..workloads.trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -332,10 +334,8 @@ class Simulator:
         warmup_end = int(len(trace) * self.warmup_fraction)
         if isinstance(trace, TraceStream):
             blocks = trace.iter_from(position)
-        else:  # a materialized trace is one whole-trace block
-            blocks = (TraceBlock(0, position, trace.pcs[position:],
-                                 trace.addrs[position:],
-                                 trace.flags[position:]),)
+        else:
+            blocks = trace_blocks(trace, position)
 
         epochs: List[EpochTelemetry] = st["epochs"]
         actions: List["CoordinationAction"] = st["actions"]
@@ -355,6 +355,7 @@ class Simulator:
 
         hier_load = hierarchy.load
         hier_store = hierarchy.store
+        block_keys = hierarchy.block_keys
         ring = core._commit_ring
         rob = core._rob
         inv_width = core._inv_width
@@ -381,8 +382,11 @@ class Simulator:
             slow = slow_np.tolist()
             slow.append(bn)  # sentinel: never below a segment's stop
             slow_flags = flags_np[slow_np].tolist()
-            slow_pcs = block.pcs[slow_np].tolist()
-            slow_addrs = block.addrs[slow_np].tolist()
+            slow_pcs_np = block.pcs[slow_np]
+            slow_addrs_np = block.addrs[slow_np]
+            slow_pcs = slow_pcs_np.tolist()
+            slow_addrs = slow_addrs_np.tolist()
+            slow_keys = block_keys(slow_pcs_np, slow_addrs_np)
             # branch_prefix[i] = non-memory branches among the first i rows
             branch_prefix = np.concatenate((
                 np.zeros(1, dtype=np.int64),
@@ -439,7 +443,8 @@ class Simulator:
                         if f & FLAG_DEP and last_load_ready > dispatch:
                             dispatch = last_load_ready
                         ready = last_load_ready = dispatch + hier_load(
-                            slow_pcs[sp], slow_addrs[sp], dispatch).latency
+                            slow_pcs[sp], slow_addrs[sp], dispatch,
+                            slow_keys[sp]).latency
                         loads += 1
                     elif f & FLAG_STORE:
                         ready = dispatch + hier_store(

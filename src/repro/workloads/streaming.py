@@ -32,6 +32,11 @@ import numpy as np
 
 from .trace import Trace
 
+#: Rows per block in which the simulators read a materialized trace.  It
+#: bounds the per-block lists their run loops build (slow rows, branch
+#: prefix sums, OCP keys); results do not depend on it.
+TRACE_BLOCK_ROWS = 4096
+
 
 @dataclass
 class TraceBlock:
@@ -117,20 +122,7 @@ class TraceStream:
             blocks = self._seek(position // self.block_size)
         else:
             blocks = self._factory()
-        for block in blocks:
-            if block.stop <= position:
-                continue
-            if block.start < position:
-                cut = position - block.start
-                yield TraceBlock(
-                    index=block.index,
-                    start=position,
-                    pcs=block.pcs[cut:],
-                    addrs=block.addrs[cut:],
-                    flags=block.flags[cut:],
-                )
-            else:
-                yield block
+        yield from _trimmed(blocks, position)
 
     def materialize(self) -> Trace:
         """Assemble the whole stream into an in-memory :class:`Trace`.
@@ -285,6 +277,37 @@ def blocks_from_trace(
             addrs=trace.addrs[lo:hi],
             flags=trace.flags[lo:hi],
         )
+
+
+def _trimmed(
+    blocks: Iterable[TraceBlock], position: int
+) -> Iterator[TraceBlock]:
+    """``blocks`` from global ``position`` on: earlier blocks are skipped
+    and the one straddling ``position`` is cut to begin there (its
+    ``start`` reflects the cut)."""
+    for block in blocks:
+        if block.stop <= position:
+            continue
+        if block.start < position:
+            cut = position - block.start
+            yield TraceBlock(
+                index=block.index,
+                start=position,
+                pcs=block.pcs[cut:],
+                addrs=block.addrs[cut:],
+                flags=block.flags[cut:],
+            )
+        else:
+            yield block
+
+
+def trace_blocks(trace: Trace, position: int = 0) -> Iterator[TraceBlock]:
+    """A materialized trace as the simulators read it: views of
+    :data:`TRACE_BLOCK_ROWS` rows from global ``position`` on (the first
+    one cut to begin there)."""
+    rows = TRACE_BLOCK_ROWS
+    return _trimmed(blocks_from_trace(trace, rows, position // rows),
+                    position)
 
 
 def reblock(

@@ -17,10 +17,10 @@ from repro.sim.params import scaled_system
 class AlwaysOffchipOcp(OffChipPredictor):
     """Test double: predicts off-chip unconditionally."""
 
-    def _predict(self, pc, line_addr, byte_offset):
-        return True
+    def predict(self, pc, line_addr, byte_offset=0, key=None):
+        return self.enabled
 
-    def train(self, pc, line_addr, went_offchip, byte_offset=0):
+    def train(self, pc, line_addr, went_offchip, byte_offset=0, key=None):
         self.last_outcome = went_offchip
 
     def storage_bits(self):
@@ -28,10 +28,10 @@ class AlwaysOffchipOcp(OffChipPredictor):
 
 
 class NeverOffchipOcp(OffChipPredictor):
-    def _predict(self, pc, line_addr, byte_offset):
+    def predict(self, pc, line_addr, byte_offset=0, key=None):
         return False
 
-    def train(self, pc, line_addr, went_offchip, byte_offset=0):
+    def train(self, pc, line_addr, went_offchip, byte_offset=0, key=None):
         pass
 
     def storage_bits(self):

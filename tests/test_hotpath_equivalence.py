@@ -11,6 +11,7 @@ cache/hierarchy/core/DRAM/predictor stack fails the suite.
 Covers 3 workloads x 3 policies single-core plus one two-core mix.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -59,3 +60,23 @@ def test_case_matrix_is_large_enough():
     policies = {p for _, p in golden_cases.RUN_CASES}
     assert len(workloads) >= 3
     assert len(policies) >= 2
+
+
+#: sha256 of ``tests/golden/`` for each ``ENGINE_SCHEMA``.  Request keys
+#: hash the schema, not the simulator code, so a golden refresh (a
+#: behaviour change) without a schema bump would let every warm result
+#: store serve stale payloads.  A refresh adds its schema's digest here.
+GOLDEN_DIGESTS = {
+    1: "15f759b3426f4ad5a78ec08a45751858fa7f53c3d5a7994b2cda3f8aefc616b3",
+}
+
+
+def test_golden_refresh_bumps_engine_schema():
+    from repro.engine.jobs import ENGINE_SCHEMA
+
+    digest = hashlib.sha256()
+    for path in sorted(golden_cases.GOLDEN_DIR.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert GOLDEN_DIGESTS.get(ENGINE_SCHEMA) == digest.hexdigest(), (
+        "tests/golden/ changed: bump repro.engine.jobs.ENGINE_SCHEMA and "
+        "pin the new digest under it")

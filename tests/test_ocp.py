@@ -7,6 +7,8 @@ from repro.ocp import make_ocp
 from repro.ocp.hmp import HmpPredictor
 from repro.ocp.popet import PopetPredictor
 from repro.ocp.ttp import TtpPredictor
+from repro.sim.hierarchy import CacheHierarchy
+from repro.sim.params import scaled_system
 
 
 def train_uniform(ocp, pc, lines, outcome, rounds=3):
@@ -140,9 +142,10 @@ class TestTtp:
         assert TtpPredictor().storage_kib() > 100.0
 
     def test_prediction_accounting(self):
-        ocp = TtpPredictor()
-        ocp.predict(0x400, 1)
-        ocp.on_fill(2)
-        ocp.predict(0x400, 2)
-        assert ocp.predictions == 2
-        assert ocp.positive_predictions == 1
+        """Only positive predictions count: the first load's absent tag
+        predicts off-chip, the second finds the tag its miss filled."""
+        h = CacheHierarchy(scaled_system(), ocp=TtpPredictor())
+        h.load(0x400, 1 << 6, 0.0)
+        h.load(0x400, 1 << 6, 1000.0)
+        assert h.stats.ocp_predictions == 1
+        assert h.stats.ocp_correct == 1

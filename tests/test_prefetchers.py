@@ -11,6 +11,8 @@ from repro.prefetchers.pythia import PythiaPrefetcher
 from repro.prefetchers.sms import SmsPrefetcher
 from repro.prefetchers.spp_ppf import SppPpfPrefetcher
 from repro.prefetchers.streamer import StreamPrefetcher
+from repro.sim.hierarchy import CacheHierarchy
+from repro.sim.params import scaled_system
 
 
 def feed_stream(pf, n=64, pc=0x400, base=1000, stride=1):
@@ -80,9 +82,10 @@ class TestBaseBehaviour:
         assert pf.effective_degree == 0
 
     def test_issued_counter(self):
-        pf = StreamPrefetcher()
-        feed_stream(pf, n=32)
-        assert pf.issued > 0
+        h = CacheHierarchy(scaled_system(), prefetchers=[StreamPrefetcher()])
+        for i in range(32):
+            h.load(0x400, (1000 + i) << 6, i * 1000.0)
+        assert h.stats.prefetches_issued > 0
 
 
 class TestStreamer:
