@@ -522,8 +522,8 @@ register_design = _plugin_decorator("design")
 #:
 #:     @register_trace_adapter("champsimish")
 #:     class ChampSimishAdapter:
-#:         def peek_length(self, path): ...
-#:         def load(self, path) -> Trace: ...
+#:         def peek_length(self, path) -> int: ...
+#:         def iter_rows(self, path): ...  # (pcs, addrs, flags) arrays
 register_trace_adapter = _plugin_decorator("trace_adapter")
 #: Class decorator adding an invariant-linter rule by id (see
 #: :mod:`repro.analysis`); the built-in rules register themselves when

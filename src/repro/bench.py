@@ -169,17 +169,17 @@ def measure_trace_cell(family: str, trace_length: int, repeats: int) -> dict:
     """Time cold trace builds of one generator family (best of
     ``repeats``).
 
-    Calls the generator directly — the trace cache is not involved, so
+    Builds the spec directly — the trace cache is not involved, so
     this is genuine build throughput.
     """
-    from repro.workloads.generators import GENERATORS
+    from repro.workloads.suites import WorkloadSpec
 
-    make = GENERATORS[family]
-    make("bench", "bench", TRACE_SEED, 2_000)  # warm module paths
+    spec = WorkloadSpec("bench", "bench", family, TRACE_SEED)
+    spec.build(2_000)  # warm module paths
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        make("bench", "bench", TRACE_SEED, trace_length)
+        spec.build(trace_length)
         best = min(best, time.perf_counter() - t0)
     return {
         "family": family,

@@ -190,10 +190,7 @@ class _CoreContext:
         self.warmup_instructions = warmup_instructions
         self.measure_start_cycles = 0.0
         self._period = len(trace)
-        if isinstance(trace, TraceStream):
-            self._blocks = trace.__iter__
-        else:
-            self._blocks = partial(trace_blocks, trace)
+        self._blocks = partial(trace_blocks, trace)
         self._iter = self._blocks()
         #: blocks covering [window[0].start, _loaded_to), contiguous
         self._window: deque = deque()

@@ -332,10 +332,7 @@ class Simulator:
         epoch_len = self.epoch_length
         dram = hierarchy.dram
         warmup_end = int(len(trace) * self.warmup_fraction)
-        if isinstance(trace, TraceStream):
-            blocks = trace.iter_from(position)
-        else:
-            blocks = trace_blocks(trace, position)
+        blocks = trace_blocks(trace, position)
 
         epochs: List[EpochTelemetry] = st["epochs"]
         actions: List["CoordinationAction"] = st["actions"]

@@ -35,11 +35,12 @@ sub-batch to the next: the word position of the shared ``random.Random``
 (one :class:`~repro.workloads.rng.BulkRandom` per phase), the round index
 and emitted count, and the walk state (pointer chase node, drifting line
 cursor, compute stream-element count).  One phase-composition generator,
-:func:`_compose_rows`, drains them in plan order; :func:`_compose`
-concatenates it into a :class:`Trace` and :func:`stream_workload`
-re-blocks it into a :class:`~repro.workloads.streaming.TraceStream`, so
-both tiers run the same code and a streamed trace holds O(sub-batch +
-block) rows at any length.
+:func:`_compose_rows`, drains them in the order of a family's phase plan
+(:data:`WORKLOAD_PLANS`).  Those rows are a synthetic
+:class:`~repro.workloads.suites.WorkloadSpec`'s trace: its ``build``
+concatenates them and its ``stream`` re-blocks them, so both tiers run
+the same code and a streamed trace holds O(sub-batch + block) rows at
+any length.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from typing import Callable, Dict, Iterator, Tuple
 import numpy as np
 
 from .rng import BulkRandom
-from .streaming import TraceStream, reblock
 from .trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -59,8 +59,6 @@ from .trace import (
     FLAG_MISPRED,
     FLAG_STORE,
     LINE_SHIFT,
-    Trace,
-    TraceBuilder,
 )
 from .vectorize import (
     WordWindow,
@@ -855,8 +853,7 @@ def emit_producer_consumer(rng, instructions, base_line, pc_block,
     shared control line (a dependent load of the head counter plus a
     store publishing the tail) — the communication skeleton of
     pipeline-parallel PARSEC workloads.  Run on several cores of a mix
-    with the same ring region (see
-    :func:`repro.workloads.generators.make_producer_consumer_workload`'s
+    with the same ring region (see :func:`_plan_producer_consumer`'s
     ``region_seed``), the cores genuinely share LLC lines, which is the
     paper's multicore contention scenario in miniature.  ``ring_lines``
     decides whether the ring is LLC-resident (hits after warmup) or
@@ -927,8 +924,9 @@ def _compose_rows(seed, length, phases) -> Iterator[Rows]:
     """Yield one workload's sub-batches: each (weight, emit_fn, kwargs)
     phase for its share of ``length``, then the pad to ``length``.
 
-    The one composition path of both tiers: :func:`_compose`
-    concatenates it, :func:`stream_workload` re-blocks it.  Emitters may
+    The rows of every synthetic
+    :class:`~repro.workloads.suites.WorkloadSpec`, which concatenates
+    them in ``build`` and re-blocks them in ``stream``.  Emitters may
     land a few instructions past their budget (a burst or a store
     straddling the boundary), so the rows can overshoot ``length``;
     consumers truncate.
@@ -947,26 +945,8 @@ def _compose_rows(seed, length, phases) -> Iterator[Rows]:
                                 mispredict_rate=0.0)
 
 
-def _compose(
-    name: str,
-    suite: str,
-    seed: int,
-    length: int,
-    phases,
-) -> Trace:
-    """Materialize one workload trace from its phase plan."""
-    builder = TraceBuilder(name, suite)
-    for rows in _compose_rows(seed, length, phases):
-        builder.extend(*rows)
-    trace = builder.build(metadata={"seed": seed, "length": length})
-    if len(trace) > length:
-        trace = trace.slice(0, length)
-    return trace
-
-
 # Phase plans: the (weight, emitter, kwargs) list for one workload as a
-# pure function of (seed, family params) — what ``_compose_rows`` walks
-# for both the materialized builders and ``stream_workload``.
+# pure function of (seed, family params) — what ``_compose_rows`` walks.
 
 def _plan_streaming(seed, stride=1):
     return [
@@ -1030,6 +1010,7 @@ def _plan_compute(seed, memory_ratio=0.12, streaming_fraction=0.5,
 
 
 def _plan_phased(seed, working_set_lines=1 << 14):
+    """Alternating friendly/adverse phases (gcc/astar-like)."""
     base = (seed % 953) << 14
     return [
         (0.35, emit_stream, dict(base_line=base, pc_block=1, store_every=16)),
@@ -1045,6 +1026,7 @@ def _plan_phased(seed, working_set_lines=1 << 14):
 
 
 def _plan_datacenter(seed, irregular_fraction=0.6):
+    """Google/DPC4-like: bursty irregular traffic + moderate streaming."""
     base = (seed % 947) << 14
     regular = max(0.05, 1.0 - irregular_fraction)
     return [
@@ -1062,6 +1044,14 @@ def _plan_datacenter(seed, irregular_fraction=0.6):
 
 
 def _plan_phase_shift(seed, working_set_lines=1 << 14, phases=5):
+    """Phase-shifting composite: friendly/adverse alternation with a
+    drifting blend (later phases run longer and stride differently).
+
+    Where :func:`_plan_phased` pins four fixed phases, this family
+    sweeps the friendly/adverse balance across ``phases`` segments —
+    the regime a per-epoch coordination policy must track without
+    oscillating.
+    """
     base = (seed % 937) << 14
     plan = []
     for p in range(phases):
@@ -1093,6 +1083,9 @@ def _plan_strided_drift(seed, base_stride=1, stride_span=4, drift_every=64):
 
 def _plan_producer_consumer(seed, ring_lines=1 << 12, lag=8, sync_every=16,
                             region_seed=None):
+    """Producer-consumer ring traffic; ``region_seed`` pins the ring's
+    address region so several mix members can share the same lines
+    (pass one value to every core of a sharing mix)."""
     base_seed = seed if region_seed is None else region_seed
     return [
         (1.0, emit_producer_consumer,
@@ -1101,123 +1094,9 @@ def _plan_producer_consumer(seed, ring_lines=1 << 12, lag=8, sync_every=16,
     ]
 
 
-def make_streaming_workload(name, suite, seed, length, stride=1) -> Trace:
-    return _compose(name, suite, seed, length,
-                    _plan_streaming(seed, stride=stride))
-
-
-def make_stencil_workload(name, suite, seed, length) -> Trace:
-    return _compose(name, suite, seed, length, _plan_stencil(seed))
-
-
-def make_pointer_chase_workload(name, suite, seed, length,
-                                working_set_lines=1 << 14,
-                                decoy_rate=0.3) -> Trace:
-    return _compose(name, suite, seed, length, _plan_pointer_chase(
-        seed, working_set_lines=working_set_lines, decoy_rate=decoy_rate))
-
-
-def make_hash_probe_workload(name, suite, seed, length,
-                             working_set_lines=1 << 14,
-                             decoy_rate=0.25) -> Trace:
-    return _compose(name, suite, seed, length, _plan_hash_probe(
-        seed, working_set_lines=working_set_lines, decoy_rate=decoy_rate))
-
-
-def make_graph_workload(name, suite, seed, length,
-                        num_vertices_lines=1 << 14,
-                        neighbors_per_vertex=4) -> Trace:
-    return _compose(name, suite, seed, length, _plan_graph(
-        seed, num_vertices_lines=num_vertices_lines,
-        neighbors_per_vertex=neighbors_per_vertex))
-
-
-def make_gups_workload(name, suite, seed, length,
-                       working_set_lines=1 << 14) -> Trace:
-    return _compose(name, suite, seed, length,
-                    _plan_gups(seed, working_set_lines=working_set_lines))
-
-
-def make_compute_workload(name, suite, seed, length,
-                          memory_ratio=0.12,
-                          streaming_fraction=0.5,
-                          mispredict_rate=0.04,
-                          working_set_lines=2048) -> Trace:
-    return _compose(name, suite, seed, length, _plan_compute(
-        seed, memory_ratio=memory_ratio,
-        streaming_fraction=streaming_fraction,
-        mispredict_rate=mispredict_rate,
-        working_set_lines=working_set_lines))
-
-
-def make_phased_workload(name, suite, seed, length,
-                         working_set_lines=1 << 14) -> Trace:
-    """Alternating friendly/adverse phases (gcc/astar-like)."""
-    return _compose(name, suite, seed, length,
-                    _plan_phased(seed, working_set_lines=working_set_lines))
-
-
-def make_datacenter_workload(name, suite, seed, length,
-                             irregular_fraction=0.6) -> Trace:
-    """Google/DPC4-like: bursty irregular traffic + moderate streaming."""
-    return _compose(name, suite, seed, length, _plan_datacenter(
-        seed, irregular_fraction=irregular_fraction))
-
-
-def make_phase_shift_workload(name, suite, seed, length,
-                              working_set_lines=1 << 14,
-                              phases=5) -> Trace:
-    """Phase-shifting composite: friendly/adverse alternation with a
-    drifting blend (later phases run longer and stride differently).
-
-    Where :func:`make_phased_workload` pins four fixed phases, this
-    family sweeps the friendly/adverse balance across ``phases``
-    segments — the regime a per-epoch coordination policy must track
-    without oscillating.
-    """
-    return _compose(name, suite, seed, length, _plan_phase_shift(
-        seed, working_set_lines=working_set_lines, phases=phases))
-
-
-def make_strided_drift_workload(name, suite, seed, length,
-                                base_stride=1, stride_span=4,
-                                drift_every=64) -> Trace:
-    return _compose(name, suite, seed, length, _plan_strided_drift(
-        seed, base_stride=base_stride, stride_span=stride_span,
-        drift_every=drift_every))
-
-
-def make_producer_consumer_workload(name, suite, seed, length,
-                                    ring_lines=1 << 12, lag=8,
-                                    sync_every=16,
-                                    region_seed=None) -> Trace:
-    """Producer-consumer ring traffic; ``region_seed`` pins the ring's
-    address region so several mix members can share the same lines
-    (pass one value to every core of a sharing mix)."""
-    return _compose(name, suite, seed, length, _plan_producer_consumer(
-        seed, ring_lines=ring_lines, lag=lag, sync_every=sync_every,
-        region_seed=region_seed))
-
-
-#: generator registry keyed by pattern family name (used by the suites).
-GENERATORS: Dict[str, Callable[..., Trace]] = {
-    "streaming": make_streaming_workload,
-    "stencil": make_stencil_workload,
-    "pointer_chase": make_pointer_chase_workload,
-    "hash_probe": make_hash_probe_workload,
-    "graph": make_graph_workload,
-    "gups": make_gups_workload,
-    "compute": make_compute_workload,
-    "phased": make_phased_workload,
-    "datacenter": make_datacenter_workload,
-    "phase_shift": make_phase_shift_workload,
-    "strided_drift": make_strided_drift_workload,
-    "producer_consumer": make_producer_consumer_workload,
-}
-
-#: phase-plan registry, parallel to :data:`GENERATORS` (same keys); the
-#: plan is the workload recipe minus the execution strategy, which is
-#: what the streaming path needs.
+#: the workload families: pattern name -> phase plan.  A
+#: :class:`~repro.workloads.suites.WorkloadSpec`'s ``pattern`` names its
+#: plan, and its ``params`` are the plan's keyword arguments.
 WORKLOAD_PLANS: Dict[str, Callable[..., list]] = {
     "streaming": _plan_streaming,
     "stencil": _plan_stencil,
@@ -1232,35 +1111,3 @@ WORKLOAD_PLANS: Dict[str, Callable[..., list]] = {
     "strided_drift": _plan_strided_drift,
     "producer_consumer": _plan_producer_consumer,
 }
-
-
-def stream_workload(
-    pattern, name, suite, seed, length, block_size, **params
-) -> "TraceStream":
-    """Emit one workload as a :class:`~repro.workloads.streaming.TraceStream`.
-
-    Each traversal drains the same phase-composition generator as the
-    materialized :func:`_compose` — identical phase budgets and RNG
-    consumption — and re-blocks its sub-batches synchronously, so every
-    block is a byte-exact window of the materialized trace.  Extra
-    keyword arguments are the family's usual parameters.
-    """
-    plan = WORKLOAD_PLANS[pattern](seed, **params)
-
-    def factory() -> Iterator:
-        offered = yield from reblock(
-            _compose_rows(seed, length, plan), block_size, limit=length
-        )
-        if offered > length:
-            # mirror the materialized path's truncation rename
-            stream.name = f"{name}[0:{length}]"
-
-    stream = TraceStream(
-        name=name,
-        suite=suite,
-        length=length,
-        block_size=block_size,
-        factory=factory,
-        metadata={"seed": seed, "length": length},
-    )
-    return stream

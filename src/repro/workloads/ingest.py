@@ -6,11 +6,15 @@ datacenter captures, mixed multicore workloads — is ultimately defined
 by *real* traces.  This module lets externally produced trace files flow
 through the exact same machinery as the synthetic suite:
 
-* a :class:`TraceAdapter` protocol (``load``/``peek_length``) with two
-  concrete adapters — :class:`MemtraceAdapter` for a simple
+* an adapter protocol of two methods — ``peek_length(path)``, the
+  file's instruction count, and ``iter_rows(path)``, its
+  ``(pcs, addrs, flags)`` rows in order, in arrays of any size — with
+  two concrete adapters: :class:`MemtraceAdapter` for a simple
   newline/CSV memtrace format and :class:`NpzAdapter` for the repo's
   own canonical ``.npz`` export (:mod:`repro.workloads.traceio`);
 * :class:`ExternalTraceSpec`, a :class:`~repro.workloads.suites.WorkloadSpec`
+  whose rows are the adapter's, replayed to the requested length (so
+  ``build`` and ``stream`` serve every adapter alike), and
   whose *content identity* is the workload name plus the file's sha256,
   the adapter, and its parameters — the file's *directory path* is only
   a resolution hint and is excluded from every fingerprint, so moving a
@@ -41,7 +45,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from .streaming import TraceBlock, TraceStream, reblock
+from .generators import Rows
 from .suites import WorkloadSpec
 from .trace import (
     FLAG_BRANCH,
@@ -124,6 +128,38 @@ def _parse_int(text: str) -> int:
     return int(text, 0)  # accepts decimal and 0x... hex
 
 
+def _row_arrays(pcs: list, addrs: list, flags: list) -> Rows:
+    return (np.asarray(pcs, dtype=np.int64),
+            np.asarray(addrs, dtype=np.int64),
+            np.asarray(flags, dtype=np.uint8))
+
+
+def _text_lines(path: pathlib.Path) -> Iterator[Tuple[int, str]]:
+    """A memtrace file's ``(lineno, line)`` pairs, read incrementally:
+    comments stripped, blank lines skipped."""
+    try:
+        handle = open(path, "r")
+    except OSError as exc:
+        raise TraceImportError(
+            f"cannot read trace file {path}: {exc}"
+        ) from None
+    with handle:
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line
+        except OSError as exc:
+            raise TraceImportError(
+                f"cannot read trace file {path}: {exc}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            raise TraceImportError(
+                f"{path}: not a text memtrace file ({exc}); "
+                f"use the 'npz' adapter for binary archives"
+            ) from None
+
+
 class MemtraceAdapter:
     """Newline/CSV memtrace files: one instruction per line.
 
@@ -148,26 +184,9 @@ class MemtraceAdapter:
     def __init__(self, delimiter: str = "") -> None:
         self.delimiter = delimiter
 
-    def _lines(self, path: pathlib.Path):
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise TraceImportError(
-                f"cannot read trace file {path}: {exc}"
-            ) from None
-        except UnicodeDecodeError as exc:
-            raise TraceImportError(
-                f"{path}: not a text memtrace file ({exc}); "
-                f"use the 'npz' adapter for binary archives"
-            ) from None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
-
     def peek_length(self, path: PathLike) -> int:
         """Instruction count without parsing fields (one line each)."""
-        return sum(1 for _ in self._lines(pathlib.Path(path)))
+        return sum(1 for _ in _text_lines(pathlib.Path(path)))
 
     def _parse_line(self, path: pathlib.Path, lineno: int,
                     line: str) -> Tuple[int, int, int]:
@@ -204,79 +223,27 @@ class MemtraceAdapter:
             )
         return pc, addr, _MEMTRACE_OPS[op]
 
-    def load(self, path: PathLike) -> Trace:
-        path = pathlib.Path(path)
-        pcs, addrs, flags = [], [], []
-        for lineno, line in self._lines(path):
-            pc, addr, flag = self._parse_line(path, lineno, line)
-            pcs.append(pc)
-            addrs.append(addr)
-            flags.append(flag)
-        if not pcs:
-            raise TraceImportError(f"{path}: empty memtrace (no instructions)")
-        return Trace(
-            name=path.stem,
-            suite="external",
-            pcs=np.asarray(pcs, dtype=np.int64),
-            addrs=np.asarray(addrs, dtype=np.int64),
-            flags=np.asarray(flags, dtype=np.uint8),
-            metadata={"source_format": self.name},
-        )
-
-    def iter_rows(self, path: PathLike, batch: int = 4096):
+    def iter_rows(self, path: PathLike,
+                  batch: int = 4096) -> Iterator[Rows]:
         """Parse incrementally: yield ``(pcs, addrs, flags)`` array
         triples of at most ``batch`` rows, holding O(batch) memory
         instead of the whole file."""
         path = pathlib.Path(path)
         pcs, addrs, flags = [], [], []
-        lineno = 0
-        try:
-            handle = open(path, "r")
-        except OSError as exc:
-            raise TraceImportError(
-                f"cannot read trace file {path}: {exc}"
-            ) from None
-        with handle:
-            while True:
-                try:
-                    raw = handle.readline()
-                except OSError as exc:
-                    raise TraceImportError(
-                        f"cannot read trace file {path}: {exc}"
-                    ) from None
-                except UnicodeDecodeError as exc:
-                    raise TraceImportError(
-                        f"{path}: not a text memtrace file ({exc}); "
-                        f"use the 'npz' adapter for binary archives"
-                    ) from None
-                if not raw:
-                    break
-                lineno += 1
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                pc, addr, flag = self._parse_line(path, lineno, line)
-                pcs.append(pc)
-                addrs.append(addr)
-                flags.append(flag)
-                if len(pcs) >= batch:
-                    yield (
-                        np.asarray(pcs, dtype=np.int64),
-                        np.asarray(addrs, dtype=np.int64),
-                        np.asarray(flags, dtype=np.uint8),
-                    )
-                    pcs, addrs, flags = [], [], []
+        empty = True
+        for lineno, line in _text_lines(path):
+            pc, addr, flag = self._parse_line(path, lineno, line)
+            pcs.append(pc)
+            addrs.append(addr)
+            flags.append(flag)
+            if len(pcs) >= batch:
+                yield _row_arrays(pcs, addrs, flags)
+                pcs, addrs, flags = [], [], []
+                empty = False
         if pcs:
-            yield (
-                np.asarray(pcs, dtype=np.int64),
-                np.asarray(addrs, dtype=np.int64),
-                np.asarray(flags, dtype=np.uint8),
-            )
-
-    def iter_blocks(self, path: PathLike,
-                    block_size: int) -> Iterator[TraceBlock]:
-        """The file as fixed-size :class:`TraceBlock`\\ s (streaming)."""
-        return reblock(self.iter_rows(path), block_size)
+            yield _row_arrays(pcs, addrs, flags)
+        elif empty:
+            raise TraceImportError(f"{path}: empty memtrace (no instructions)")
 
 
 class NpzAdapter:
@@ -294,27 +261,19 @@ class NpzAdapter:
             with np.load(path) as archive:
                 header = json.loads(bytes(archive["header"]).decode("utf-8"))
             return int(header["num_instructions"])
-        except Exception as exc:  # delegate error wording to load()
+        except Exception as exc:
             raise TraceImportError(
                 f"{path}: not a trace archive ({exc})"
             ) from None
 
-    def load(self, path: PathLike) -> Trace:
-        try:
-            return load_trace(path)
-        except TraceFormatError as exc:
-            raise TraceImportError(str(exc)) from None
-
-    def iter_rows(self, path: PathLike):
+    def iter_rows(self, path: PathLike) -> Iterator[Rows]:
         """One triple covering the whole archive (``.npz`` members are
         compressed monoliths, so there is no cheaper unit to read)."""
-        trace = self.load(path)
+        try:
+            trace = load_trace(path)
+        except TraceFormatError as exc:
+            raise TraceImportError(str(exc)) from None
         yield trace.pcs, trace.addrs, trace.flags
-
-    def iter_blocks(self, path: PathLike,
-                    block_size: int) -> Iterator[TraceBlock]:
-        """The archive as fixed-size :class:`TraceBlock`\\ s."""
-        return reblock(self.iter_rows(path), block_size)
 
 
 def adapter_for_path(path: PathLike) -> str:
@@ -356,9 +315,9 @@ class ExternalTraceSpec(WorkloadSpec):
     Identity (``canonical_recipe()``, trace-cache fingerprints, engine
     content keys) comes from the inherited fields — ``name`` plus
     ``params`` carrying the adapter name, its options, and the file's
-    sha256.  ``path`` is a *resolution hint only*: it tells ``build``
-    where to read the bytes, it is re-verified against the recorded
-    sha256 on every build, and it never enters any hash — moving a
+    sha256.  ``path`` is a *resolution hint only*: it tells
+    :meth:`rows` where to read the bytes, it is re-verified against the
+    recorded sha256 on every pass, and it never enters any hash — moving a
     trace file does not orphan its cached results.  (Renaming the file
     is different: the default ``name`` is the file stem, so a rename
     changes the identity unless the source pins ``?name=...``.)
@@ -366,54 +325,44 @@ class ExternalTraceSpec(WorkloadSpec):
 
     path: str = ""
 
-    def build(self, length: int) -> Trace:
-        return build_external_trace(self, length)
+    def rows(self, length: int) -> Iterator[Rows]:
+        """The file's rows, replayed back to back until exactly
+        ``length`` instructions, the last batch cut.
 
-    def stream(self, length: int, block_size: int) -> TraceStream:
-        return stream_external_trace(self, length, block_size)
+        Mirrors the paper's methodology for short traces: "replayed as
+        needed to ensure all cores reach the required number of
+        simulated instructions".  The file is re-verified against the
+        recorded sha256 before its first row is read.
+        """
+        if length <= 0:
+            raise TraceImportError(
+                f"trace length must be positive, got {length}")
+        params, _ = _verify_content(self)
+        adapter = make_adapter(params["adapter"], _adapter_params(params))
+        emitted = 0
+        while True:
+            produced = 0
+            for pcs, addrs, flags in adapter.iter_rows(self.path):
+                produced += len(pcs)
+                keep = min(len(pcs), length - emitted)
+                emitted += keep
+                yield pcs[:keep], addrs[:keep], flags[:keep]
+                if emitted == length:
+                    return
+            if produced == 0:
+                raise TraceImportError(
+                    f"{self.path}: empty trace (no instructions)"
+                )
+            _NATIVE_LENGTHS.setdefault(self.params, produced)
 
-
-def _fit_to_length(trace: Trace, length: int) -> Trace:
-    """Replay/truncate a native-length trace to ``length`` instructions.
-
-    Mirrors the paper's methodology for short traces: "replayed as
-    needed to ensure all cores reach the required number of simulated
-    instructions".
-    """
-    if length <= 0:
-        raise TraceImportError(f"trace length must be positive, got {length}")
-    if len(trace) < length:
-        trace = trace.repeated(-(-length // len(trace)))
-    return trace if len(trace) == length else Trace(
-        name=trace.name,
-        suite=trace.suite,
-        pcs=trace.pcs[:length].copy(),
-        addrs=trace.addrs[:length].copy(),
-        flags=trace.flags[:length].copy(),
-        metadata=dict(trace.metadata),
-    )
-
-
-def build_external_trace(spec: ExternalTraceSpec, length: int) -> Trace:
-    """Load ``spec``'s file, verify its content hash, fit to ``length``."""
-    params, digest = _verify_content(spec)
-    adapter = make_adapter(params["adapter"], _adapter_params(params))
-    native = adapter.load(spec.path)
-    _NATIVE_LENGTHS[spec.params] = len(native)
-    fitted = _fit_to_length(native, length)
-    return Trace(
-        name=spec.name,
-        suite=spec.suite,
-        pcs=fitted.pcs,
-        addrs=fitted.addrs,
-        flags=fitted.flags,
-        metadata={
-            "source": str(spec.path),
+    def metadata(self, length: int) -> dict:
+        params, digest = _verify_content(self)
+        return {
+            "source": str(self.path),
             "sha256": digest,
             "adapter": params["adapter"],
-            "native_length": len(native),
-        },
-    )
+            "native_length": _native_length(self),
+        }
 
 
 def _verify_content(spec: ExternalTraceSpec) -> Tuple[dict, str]:
@@ -429,54 +378,6 @@ def _verify_content(spec: ExternalTraceSpec) -> Tuple[dict, str]:
             f"re-import to refresh the workload identity"
         )
     return params, digest
-
-
-def stream_external_trace(
-    spec: ExternalTraceSpec, length: int, block_size: int
-) -> TraceStream:
-    """Stream ``spec``'s file as fixed-size blocks fitted to ``length``.
-
-    The streamed counterpart of :func:`build_external_trace`: the file's
-    content hash is verified the same way, the native rows replay
-    cyclically until ``length`` instructions have been emitted
-    (:func:`_fit_to_length` semantics), and — for line-oriented
-    adapters — only O(batch + block_size) rows are resident at a time.
-    """
-    if length <= 0:
-        raise TraceImportError(f"trace length must be positive, got {length}")
-    params, digest = _verify_content(spec)
-    adapter = make_adapter(params["adapter"], _adapter_params(params))
-
-    def rows():
-        emitted = 0
-        while emitted < length:
-            produced = 0
-            for triple in adapter.iter_rows(spec.path):
-                n = len(triple[0])
-                produced += n
-                emitted += n
-                yield triple
-                if emitted >= length:
-                    return
-            if produced == 0:
-                raise TraceImportError(
-                    f"{spec.path}: empty trace (no instructions)"
-                )
-            _NATIVE_LENGTHS.setdefault(spec.params, produced)
-
-    return TraceStream(
-        name=spec.name,
-        suite=spec.suite,
-        length=length,
-        block_size=block_size,
-        factory=lambda: reblock(rows(), block_size, limit=length),
-        metadata={
-            "source": str(spec.path),
-            "sha256": digest,
-            "adapter": params["adapter"],
-            "native_length": _native_length(spec),
-        },
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,17 @@ pool traffic.  This module is the streaming substrate: a trace becomes a
 simulators (whose run loops already consume the trace through a pre-chunk
 seam) hold only O(block_size) instructions at a time.
 
-Generated workloads stream through the same code as materialized ones:
-the generators' phase-composition generator yields vectorized
-``(pcs, addrs, flags)`` sub-batches with every phase's *full* instruction
-budget (the budget-clamped filler near the end of a phase consumes RNG
-draws as a function of the total budget, so carving the budget into
-per-block pieces would change the stream), and :func:`reblock` slices
-them into blocks in the consumer, synchronously.  Resident memory is one
-generator sub-batch plus the block being assembled, whatever the trace
-length.
+Every workload streams through the same code as it materializes: a
+:class:`~repro.workloads.suites.WorkloadSpec` defines its trace once, as
+an iterator of ``(pcs, addrs, flags)`` rows (a synthetic family's
+phase-composition generator, or an external file's adapter), and
+:func:`reblock` slices those rows into blocks in the consumer,
+synchronously.  A synthetic phase is emitted with its *full*
+instruction budget (the budget-clamped filler near the end of a phase
+consumes RNG draws as a function of the total budget, so carving the
+budget into per-block pieces would change the stream).  Resident memory
+is one sub-batch of rows plus the block being assembled, whatever the
+trace length.
 
 Equivalence with the materialized path at every block size is pinned by
 ``tests/test_streaming_equivalence.py`` against the 288 golden trace
@@ -25,8 +27,10 @@ digests and the golden simulation outputs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Iterator, List, Optional
+from typing import (Callable, Generator, Iterable, Iterator, List, Optional,
+                    Union)
 
 import numpy as np
 
@@ -71,9 +75,10 @@ class TraceStream:
     there; without it :meth:`iter_from` falls back to skipping from the
     start.
 
-    ``name`` is deliberately mutable: the materialized composer renames an
-    overshooting trace on truncation (``name[0:length]``), which a stream
-    only discovers once emission finishes, so producers update it on
+    ``name`` is deliberately mutable: a synthetic workload whose rows
+    overshoot ``length`` is renamed ``name[0:length]``, which a stream
+    only discovers once emission finishes, so
+    :meth:`~repro.workloads.suites.WorkloadSpec.stream` updates it on
     completion.
     """
 
@@ -152,110 +157,6 @@ class TraceStream:
         )
 
 
-class BlockAssembler:
-    """Slices a run of ``(pcs, addrs, flags)`` arrays into fixed-size
-    blocks.
-
-    Whenever a full ``block_size`` worth of rows has accumulated through
-    :meth:`extend`, the assembler hands one :class:`TraceBlock` to
-    ``emit`` and drops its rows.
-
-    ``__len__`` counts *every* row ever offered — including rows past
-    ``limit``, which are dropped rather than buffered.  That matches the
-    materialized composer's arithmetic exactly: there the builder keeps
-    overshoot rows and ``_compose`` truncates with ``trace.slice``; here
-    the truncation happens at append time, but the count (and with it
-    the truncation rename) is the same.
-    """
-
-    def __init__(
-        self,
-        block_size: int,
-        emit: Callable[[TraceBlock], None],
-        limit: Optional[int] = None,
-    ) -> None:
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        self._block_size = block_size
-        self._emit = emit
-        self._limit = limit
-        self._count = 0  # total rows offered
-        self._kept = 0  # rows not dropped by the limit
-        self._segments: list = []  # buffered (pcs, addrs, flags) triples
-        self._buffered = 0
-        self._next_index = 0
-        self._next_start = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def extend(
-        self, pcs: np.ndarray, addrs: np.ndarray, flags: np.ndarray
-    ) -> None:
-        if not (len(pcs) == len(addrs) == len(flags)):
-            raise ValueError("extend() arrays must be parallel")
-        n = len(pcs)
-        self._count += n
-        if n == 0:
-            return
-        if self._limit is not None:
-            room = self._limit - self._kept
-            if room <= 0:
-                return
-            if n > room:
-                pcs, addrs, flags, n = pcs[:room], addrs[:room], \
-                    flags[:room], room
-        self._kept += n
-        self._segments.append((
-            np.asarray(pcs, dtype=np.int64),
-            np.asarray(addrs, dtype=np.int64),
-            np.asarray(flags, dtype=np.uint8),
-        ))
-        self._buffered += n
-        while self._buffered >= self._block_size:
-            self._emit(self._pop_block(self._block_size))
-
-    def _pop_block(self, size: int) -> TraceBlock:
-        """Assemble exactly ``size`` rows from the front of the buffer."""
-        parts: list = []
-        need = size
-        while need:
-            seg = self._segments[0]
-            avail = len(seg[0])
-            if avail <= need:
-                parts.append(seg)
-                self._segments.pop(0)
-                need -= avail
-            else:
-                parts.append(tuple(col[:need] for col in seg))
-                self._segments[0] = tuple(col[need:] for col in seg)
-                need = 0
-        if len(parts) == 1:
-            pcs, addrs, flags = parts[0]
-        else:
-            pcs, addrs, flags = (
-                np.concatenate([seg[col] for seg in parts])
-                for col in range(3)
-            )
-        block = TraceBlock(
-            index=self._next_index,
-            start=self._next_start,
-            pcs=pcs,
-            addrs=addrs,
-            flags=flags,
-        )
-        self._next_index += 1
-        self._next_start += size
-        self._buffered -= size
-        return block
-
-    def finish(self) -> int:
-        """Flush the partial tail block; return the total row count."""
-        if self._buffered:
-            self._emit(self._pop_block(self._buffered))
-        return self._count
-
-
 def blocks_from_trace(
     trace: Trace, block_size: int, start_index: int = 0
 ) -> Iterator[TraceBlock]:
@@ -301,10 +202,17 @@ def _trimmed(
             yield block
 
 
-def trace_blocks(trace: Trace, position: int = 0) -> Iterator[TraceBlock]:
-    """A materialized trace as the simulators read it: views of
-    :data:`TRACE_BLOCK_ROWS` rows from global ``position`` on (the first
-    one cut to begin there)."""
+def trace_blocks(
+    trace: Union[Trace, TraceStream], position: int = 0
+) -> Iterator[TraceBlock]:
+    """A trace as the simulators read it, from global ``position`` on
+    (the first block cut to begin there).
+
+    A materialized trace is served as views of :data:`TRACE_BLOCK_ROWS`
+    rows; a stream as its own blocks, through :meth:`TraceStream.iter_from`.
+    """
+    if isinstance(trace, TraceStream):
+        return trace.iter_from(position)
     rows = TRACE_BLOCK_ROWS
     return _trimmed(blocks_from_trace(trace, rows, position // rows),
                     position)
@@ -314,18 +222,65 @@ def reblock(
     rows: Iterable, block_size: int, limit: Optional[int] = None
 ) -> Generator[TraceBlock, None, int]:
     """Repack arbitrary ``(pcs, addrs, flags)`` array triples into
-    fixed-size blocks: the generators' sub-batches, or external trace
-    files in whatever chunks the parser found convenient.
+    fixed-size blocks: a workload spec's rows, in whatever sub-batches
+    its generator or adapter found convenient.
 
-    Rows past ``limit`` are drained and dropped; the generator's return
-    value is the total row count offered, dropped rows included.
+    A block is handed out as soon as ``block_size`` rows have
+    accumulated; the partial tail block comes last.  Rows past
+    ``limit`` are drained and dropped; the generator's return value is
+    the total row count offered, dropped rows included, so a caller can
+    tell that the rows overshot ``limit``.
     """
-    collected: list = []
-    assembler = BlockAssembler(block_size, collected.append, limit=limit)
+    if block_size <= 0:
+        raise ValueError("block_size must be positive")
+    offered = 0
+    room = limit
+    #: buffered (pcs, addrs, flags) triples, oldest first
+    pending: deque = deque()
+    buffered = 0
+    index = 0
+
+    def take(size: int) -> TraceBlock:
+        """Assemble exactly ``size`` rows from the front of the buffer."""
+        parts = []
+        need = size
+        while need:
+            seg = pending[0]
+            if len(seg[0]) <= need:
+                parts.append(pending.popleft())
+                need -= len(seg[0])
+            else:
+                parts.append(tuple(col[:need] for col in seg))
+                pending[0] = tuple(col[need:] for col in seg)
+                need = 0
+        if len(parts) == 1:
+            pcs, addrs, flags = parts[0]
+        else:
+            pcs, addrs, flags = (
+                np.concatenate([seg[col] for seg in parts])
+                for col in range(3)
+            )
+        return TraceBlock(index=index, start=index * block_size,
+                          pcs=pcs, addrs=addrs, flags=flags)
+
     for pcs, addrs, flags in rows:
-        assembler.extend(pcs, addrs, flags)
-        yield from collected
-        collected.clear()
-    total = assembler.finish()
-    yield from collected
-    return total
+        n = len(pcs)
+        if not len(addrs) == len(flags) == n:
+            raise ValueError("row arrays must be parallel")
+        offered += n
+        if room is not None:
+            n = min(n, room)
+            room -= n
+        if n <= 0:
+            continue
+        pending.append((np.asarray(pcs[:n], dtype=np.int64),
+                        np.asarray(addrs[:n], dtype=np.int64),
+                        np.asarray(flags[:n], dtype=np.uint8)))
+        buffered += n
+        while buffered >= block_size:
+            yield take(block_size)
+            buffered -= block_size
+            index += 1
+    if buffered:
+        yield take(buffered)
+    return offered

@@ -20,22 +20,23 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .generators import GENERATORS
-from .trace import Trace
-
-if TYPE_CHECKING:
-    from .streaming import TraceStream
+from .generators import WORKLOAD_PLANS, Rows, _compose_rows
+from .streaming import TraceStream, reblock
+from .trace import Trace, TraceBuilder
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
     """Recipe for one deterministic workload.
 
-    For synthetic workloads the recipe is (pattern, seed, params) —
-    :meth:`build` dispatches to the registered generator.  External
-    traces subclass this
+    A spec defines its trace once, as an iterator of
+    ``(pcs, addrs, flags)`` rows (:meth:`rows`) plus the trace's
+    metadata (:meth:`metadata`); :meth:`build` concatenates the rows and
+    :meth:`stream` re-blocks them.  For synthetic workloads the recipe
+    is (pattern, seed, params) and the rows come from the pattern's
+    phase plan.  External traces subclass this
     (:class:`repro.workloads.ingest.ExternalTraceSpec`) with params
     carrying the file's sha256 and adapter, so the same canonical
     recipe drives both the trace cache and the engine's result keys.
@@ -47,24 +48,54 @@ class WorkloadSpec:
     seed: int
     params: Tuple[Tuple[str, object], ...] = ()
 
-    def build(self, length: int) -> Trace:
-        generator = GENERATORS[self.pattern]
-        return generator(
-            self.name, self.suite, self.seed, length, **dict(self.params)
-        )
+    def rows(self, length: int) -> Iterator[Rows]:
+        """This workload's rows for a ``length``-instruction trace.
 
-    def stream(self, length: int, block_size: int) -> "TraceStream":
+        They may overshoot ``length``; :meth:`build` and :meth:`stream`
+        cut them there.
+        """
+        plan = WORKLOAD_PLANS[self.pattern](self.seed, **dict(self.params))
+        return _compose_rows(self.seed, length, plan)
+
+    def metadata(self, length: int) -> dict:
+        """The metadata of this workload's ``length``-instruction trace."""
+        return {"seed": self.seed, "length": length}
+
+    def build(self, length: int) -> Trace:
+        """Materialize the trace: the rows concatenated and cut to
+        ``length`` (an overshooting trace is renamed ``name[0:length]``).
+        """
+        builder = TraceBuilder(self.name, self.suite)
+        for rows in self.rows(length):
+            builder.extend(*rows)
+        trace = builder.build(metadata=self.metadata(length))
+        if len(trace) > length:
+            trace = trace.slice(0, length)
+        return trace
+
+    def stream(self, length: int, block_size: int) -> TraceStream:
         """Emit this workload as fixed-size blocks (raw, uncached).
 
-        Byte-identical to :meth:`build` at every block size; route
-        through :func:`stream_trace` to reuse the trace cache's tiers.
+        Each traversal re-blocks a fresh pass over the same rows, so the
+        stream is byte-identical to :meth:`build` at every block size,
+        name included; route through :func:`stream_trace` to reuse the
+        trace cache's tiers.
         """
-        from .generators import stream_workload
+        def factory() -> Iterator:
+            offered = yield from reblock(self.rows(length), block_size,
+                                         limit=length)
+            if offered > length:
+                stream.name = f"{self.name}[0:{length}]"
 
-        return stream_workload(
-            self.pattern, self.name, self.suite, self.seed, length,
-            block_size, **dict(self.params)
+        stream = TraceStream(
+            name=self.name,
+            suite=self.suite,
+            length=length,
+            block_size=block_size,
+            factory=factory,
+            metadata=self.metadata(length),
         )
+        return stream
 
     def canonical_recipe(self) -> dict:
         """The JSON-able identity every content hash derives from.
@@ -469,7 +500,7 @@ def build_trace(spec: WorkloadSpec, length: int) -> Trace:
 
 def stream_trace(
     spec: WorkloadSpec, length: int, block_size: int
-) -> "TraceStream":
+) -> TraceStream:
     """Serve the trace for ``(spec, length)`` as fixed-size blocks.
 
     The streaming analogue of :func:`build_trace`: resolves through the

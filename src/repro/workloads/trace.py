@@ -104,27 +104,9 @@ class Trace:
             metadata=dict(self.metadata),
         )
 
-    def repeated(self, times: int) -> "Trace":
-        """Replay the trace ``times`` times back to back.
-
-        Mirrors the paper's multi-core methodology where workloads "are
-        replayed as needed to ensure all cores reach the required number of
-        simulated instructions".
-        """
-        if times < 1:
-            raise ValueError("times must be >= 1")
-        return Trace(
-            name=self.name,
-            suite=self.suite,
-            pcs=np.tile(self.pcs, times),
-            addrs=np.tile(self.addrs, times),
-            flags=np.tile(self.flags, times),
-            metadata=dict(self.metadata),
-        )
-
 
 class TraceBuilder:
-    """Incrementally build a :class:`Trace` (used by the generators).
+    """Incrementally build a :class:`Trace` (used by ``WorkloadSpec.build``).
 
     Accepts both scalar appends (one instruction at a time) and bulk
     numpy blocks (:meth:`extend`); segments of either kind interleave

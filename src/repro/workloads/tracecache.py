@@ -23,7 +23,7 @@ changes *deliberately*) orphans every stale entry at once.
 
 Cached traces are shared objects: treat them as immutable (the
 simulators already do; use :meth:`~repro.workloads.trace.Trace.slice`
-or :meth:`~repro.workloads.trace.Trace.repeated` for derived copies).
+for derived copies).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import hashlib
 import json
 import os
 import pathlib
-import shutil
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -270,10 +269,6 @@ class TraceCache:
                     entry.unlink()
                 except OSError:
                     pass
-            # a ``chunks/`` subtree left by older versions' per-chunk tier
-            chunk_root = self.disk_dir / "chunks"
-            if chunk_root.exists():
-                shutil.rmtree(chunk_root, ignore_errors=True)
 
     def __len__(self) -> int:
         return len(self._entries)

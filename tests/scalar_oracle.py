@@ -347,7 +347,7 @@ def build(spec, length: int) -> Trace:
     Walks the spec's phase plan like ``generators._compose_rows``: one
     shared ``random.Random(seed)``, each phase for its share of
     ``length``, a filler pad up to ``length``, and the same overshoot
-    truncation (and rename) as ``generators._compose``.
+    truncation (and rename) as ``WorkloadSpec.build``.
     """
     plan = generators.WORKLOAD_PLANS[spec.pattern](
         spec.seed, **dict(spec.params))

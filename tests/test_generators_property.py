@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.generators import GENERATORS
+from repro.workloads.generators import WORKLOAD_PLANS
+from repro.workloads.suites import WorkloadSpec
 from repro.workloads.trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -20,7 +21,7 @@ from repro.workloads.trace import (
     LINE_SHIFT,
 )
 
-PATTERNS = sorted(GENERATORS)
+PATTERNS = sorted(WORKLOAD_PLANS)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 lengths = st.integers(min_value=500, max_value=4_000)
@@ -31,7 +32,7 @@ class TestStructuralValidity:
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds, length=lengths)
     def test_exact_length_and_flags(self, pattern, seed, length):
-        trace = GENERATORS[pattern]("t", "prop", seed, length)
+        trace = WorkloadSpec("t", "prop", pattern, seed).build(length)
         assert len(trace) == length
         flags = trace.flags
         # LOAD and STORE are mutually exclusive.
@@ -50,7 +51,7 @@ class TestStructuralValidity:
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds, length=lengths)
     def test_memory_ops_have_addresses(self, pattern, seed, length):
-        trace = GENERATORS[pattern]("t", "prop", seed, length)
+        trace = WorkloadSpec("t", "prop", pattern, seed).build(length)
         mem = (trace.flags & (FLAG_LOAD | FLAG_STORE)) != 0
         assert mem.any()
         # Line addresses fit a realistic physical address space.
@@ -59,8 +60,8 @@ class TestStructuralValidity:
     @settings(max_examples=8, deadline=None)
     @given(seed=seeds)
     def test_deterministic_per_seed(self, pattern, seed):
-        a = GENERATORS[pattern]("t", "prop", seed, 1_500)
-        b = GENERATORS[pattern]("t", "prop", seed, 1_500)
+        a = WorkloadSpec("t", "prop", pattern, seed).build(1_500)
+        b = WorkloadSpec("t", "prop", pattern, seed).build(1_500)
         assert np.array_equal(a.addrs, b.addrs)
         assert np.array_equal(a.flags, b.flags)
         assert np.array_equal(a.pcs, b.pcs)
@@ -68,8 +69,8 @@ class TestStructuralValidity:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**30))
     def test_different_seeds_differ(self, pattern, seed):
-        a = GENERATORS[pattern]("t", "prop", seed, 1_500)
-        b = GENERATORS[pattern]("t", "prop", seed + 12_345, 1_500)
+        a = WorkloadSpec("t", "prop", pattern, seed).build(1_500)
+        b = WorkloadSpec("t", "prop", pattern, seed + 12_345).build(1_500)
         if pattern in ("streaming", "stencil"):
             # Regular sweeps may only differ in their base address.
             assert not np.array_equal(a.addrs, b.addrs)
@@ -83,7 +84,7 @@ class TestStructuralValidity:
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_generator_has_memory_traffic(pattern):
     """Every family is a *memory* workload (paper: >= 3 LLC MPKI)."""
-    trace = GENERATORS[pattern]("t", "prop", 7, 4_000)
+    trace = WorkloadSpec("t", "prop", pattern, 7).build(4_000)
     assert trace.num_loads > 4_000 * 0.03
 
 
@@ -91,26 +92,26 @@ class TestBehaviouralContracts:
     """Pattern families must land in their intended behaviour class."""
 
     def test_streaming_spatial_locality(self):
-        trace = GENERATORS["streaming"]("t", "prop", 3, 4_000)
+        trace = WorkloadSpec("t", "prop", "streaming", 3).build(4_000)
         lines = trace.addrs[(trace.flags & FLAG_LOAD) != 0] >> LINE_SHIFT
         jumps = np.abs(np.diff(lines.astype(np.int64)))
         # Almost every consecutive load pair is within one line.
         assert (jumps <= 1).mean() > 0.95
 
     def test_pointer_chase_unpredictable(self):
-        trace = GENERATORS["pointer_chase"]("t", "prop", 3, 4_000,
-                                            decoy_rate=0.0)
+        trace = WorkloadSpec("t", "prop", "pointer_chase", 3,
+                             (("decoy_rate", 0.0),)).build(4_000)
         lines = trace.addrs[(trace.flags & FLAG_LOAD) != 0] >> LINE_SHIFT
         jumps = np.abs(np.diff(lines.astype(np.int64)))
         assert np.median(jumps) > 16  # long random hops dominate
 
     def test_hash_probe_has_dependent_chains(self):
-        trace = GENERATORS["hash_probe"]("t", "prop", 3, 4_000)
+        trace = WorkloadSpec("t", "prop", "hash_probe", 3).build(4_000)
         dep = ((trace.flags & FLAG_DEP) != 0).sum()
         assert dep > 0
 
     def test_phased_changes_behaviour_mid_trace(self):
-        trace = GENERATORS["phased"]("t", "prop", 3, 6_000)
+        trace = WorkloadSpec("t", "prop", "phased", 3).build(6_000)
         lines = trace.addrs[(trace.flags & FLAG_LOAD) != 0] >> LINE_SHIFT
         half = len(lines) // 2
         first = np.abs(np.diff(lines[:half].astype(np.int64)))
@@ -119,14 +120,14 @@ class TestBehaviouralContracts:
         assert ((first > 8).mean() != (second > 8).mean())
 
     def test_compute_low_memory_intensity(self):
-        trace = GENERATORS["compute"]("t", "prop", 3, 6_000)
+        trace = WorkloadSpec("t", "prop", "compute", 3).build(6_000)
         assert trace.memory_intensity() < 0.5
 
     def test_decoy_rate_increases_sequential_runs(self):
-        quiet = GENERATORS["pointer_chase"]("t", "p", 5, 6_000,
-                                            decoy_rate=0.0)
-        noisy = GENERATORS["pointer_chase"]("t", "p", 5, 6_000,
-                                            decoy_rate=1.0)
+        quiet = WorkloadSpec("t", "p", "pointer_chase", 5,
+                             (("decoy_rate", 0.0),)).build(6_000)
+        noisy = WorkloadSpec("t", "p", "pointer_chase", 5,
+                             (("decoy_rate", 1.0),)).build(6_000)
 
         def sequential_pairs(trace):
             lines = trace.addrs[(trace.flags & FLAG_LOAD) != 0] >> LINE_SHIFT
@@ -139,15 +140,7 @@ class TestTraceMethodsOnGenerated:
     @settings(max_examples=6, deadline=None)
     @given(seed=seeds)
     def test_slice_roundtrip(self, seed):
-        trace = GENERATORS["graph"]("t", "prop", seed, 2_000)
+        trace = WorkloadSpec("t", "prop", "graph", seed).build(2_000)
         part = trace.slice(100, 600)
         assert len(part) == 500
         assert np.array_equal(part.addrs, trace.addrs[100:600])
-
-    @settings(max_examples=6, deadline=None)
-    @given(seed=seeds, times=st.integers(min_value=2, max_value=4))
-    def test_repeated_multiplies_length(self, seed, times):
-        trace = GENERATORS["gups"]("t", "prop", seed, 1_000)
-        rep = trace.repeated(times)
-        assert len(rep) == times * len(trace)
-        assert np.array_equal(rep.addrs[: len(trace)], trace.addrs)

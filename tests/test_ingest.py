@@ -36,6 +36,7 @@ from repro.workloads.suites import (
     build_trace,
     extended_workloads,
     find_workload,
+    stream_trace,
 )
 from repro.workloads.trace import (
     FLAG_BRANCH,
@@ -79,9 +80,15 @@ def memtrace_file(tmp_path):
     return path
 
 
+def _parse(path, length, adapter=None):
+    """The first ``length`` instructions of ``path`` through the one
+    external-trace producer: the spec's replay of its adapter's rows."""
+    return resolve_trace_source(str(path), adapter=adapter).build(length)
+
+
 class TestMemtraceAdapter:
     def test_parses_every_op(self, memtrace_file):
-        trace = MemtraceAdapter().load(memtrace_file)
+        trace = _parse(memtrace_file, 7)
         assert len(trace) == 7
         assert trace.pcs.tolist() == [
             0x400000, 0x400004, 0x400008, 0x40000C, 0x400010, 0x400014, 1024,
@@ -97,14 +104,16 @@ class TestMemtraceAdapter:
     def test_whitespace_delimited(self, tmp_path):
         path = tmp_path / "ws.trace"
         path.write_text("0x400000 L 0x10000\n0x400004  N\n")
-        trace = MemtraceAdapter().load(path)
+        trace = _parse(path, 2)
         assert len(trace) == 2
         assert trace.flags.tolist() == [FLAG_LOAD, 0]
 
-    def test_peek_length_matches_load(self, memtrace_file):
+    def test_peek_length_matches_the_rows(self, memtrace_file):
         adapter = MemtraceAdapter()
-        assert adapter.peek_length(memtrace_file) == \
-            len(adapter.load(memtrace_file))
+        assert adapter.peek_length(memtrace_file) == 7
+        assert sum(len(pcs) for pcs, _, _ in
+                   adapter.iter_rows(memtrace_file, batch=3)) == 7
+        assert _parse(memtrace_file, 7).metadata["native_length"] == 7
 
     @pytest.mark.parametrize("line,match", [
         ("0x400000,L", "requires an ADDR"),
@@ -118,27 +127,27 @@ class TestMemtraceAdapter:
         path = tmp_path / "bad.csv"
         path.write_text("0x400000,N\n" + line + "\n")
         with pytest.raises(TraceImportError, match=match) as excinfo:
-            MemtraceAdapter().load(path)
+            _parse(path, 2)
         assert "bad.csv:2" in str(excinfo.value)
 
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# only comments\n\n")
         with pytest.raises(TraceImportError, match="empty memtrace"):
-            MemtraceAdapter().load(path)
+            _parse(path, 1)
 
     def test_binary_file_is_a_clean_error(self, tmp_path):
         path = tmp_path / "binary.csv"
         path.write_bytes(bytes(range(256)) * 4)
         with pytest.raises(TraceImportError, match="not a text memtrace"):
-            MemtraceAdapter().load(path)
+            _parse(path, 1)
 
 
 class TestNpzAdapter:
     def test_round_trip_from_synthetic(self, tmp_path):
         original = build_trace(find_workload("ligra.BFS.0"), 2_000)
         path = save_trace(original, tmp_path / "bfs.npz")
-        loaded = NpzAdapter().load(path)
+        loaded = _parse(path, 2_000)
         assert np.array_equal(loaded.pcs, original.pcs)
         assert np.array_equal(loaded.addrs, original.addrs)
         assert np.array_equal(loaded.flags, original.flags)
@@ -148,7 +157,7 @@ class TestNpzAdapter:
         path = tmp_path / "corrupt.npz"
         path.write_bytes(b"PK\x03\x04 definitely not a trace")
         with pytest.raises(TraceImportError, match="not a trace archive"):
-            NpzAdapter().load(path)
+            _parse(path, 1)
         with pytest.raises(TraceImportError, match="not a trace archive"):
             NpzAdapter().peek_length(path)
 
@@ -333,13 +342,9 @@ class TestAdapterPlugins:
             def peek_length(self, path):
                 return 4
 
-            def load(self, path):
-                from repro.workloads.trace import Trace
-
-                return Trace("const", "external",
-                             np.full(4, 7, np.int64),
-                             np.full(4, 64, np.int64),
-                             np.full(4, FLAG_LOAD, np.uint8))
+            def iter_rows(self, path):
+                yield (np.full(4, 7, np.int64), np.full(4, 64, np.int64),
+                       np.full(4, FLAG_LOAD, np.uint8))
 
         assert ("trace_adapter", "constant") in registry
         path = tmp_path / "x.anything"
@@ -357,6 +362,41 @@ class TestAdapterPlugins:
         path.write_text("ignored")
         with pytest.raises(TraceImportError, match="unknown trace adapter"):
             import_trace(str(path), adapter="constant")
+
+    def test_plugin_adapter_imports_builds_and_streams(self, tmp_path):
+        """The adapter protocol is ``peek_length`` + ``iter_rows``: a
+        plugin implementing only those serves every consumer."""
+
+        @register_trace_adapter("counting", replace=True)
+        class CountingAdapter:
+            """Loads of consecutive lines, 3 rows per batch."""
+
+            def peek_length(self, path):
+                return 10
+
+            def iter_rows(self, path):
+                for lo in range(0, 10, 3):
+                    pcs = np.arange(lo, min(lo + 3, 10), dtype=np.int64)
+                    yield (pcs, pcs << 6,
+                           np.full(len(pcs), FLAG_LOAD, np.uint8))
+
+        path = tmp_path / "x.count"
+        path.write_text("ignored")
+        outcome = import_trace(str(path), adapter="counting")
+        assert outcome.trace.pcs.tolist() == list(range(10))
+        spec = find_workload(f"trace://{path}?adapter=counting")
+        built = spec.build(25)
+        assert built.pcs.tolist() == (list(range(10)) * 3)[:25]
+        assert built.metadata["native_length"] == 10
+        for block in (1, 4, 25):
+            stream = spec.stream(25, block)
+            assert all(len(b) == block for b in list(stream)[:-1])
+            streamed = stream.materialize()
+            assert streamed.name == built.name
+            assert streamed.metadata == built.metadata
+            np.testing.assert_array_equal(streamed.addrs, built.addrs)
+        stream = stream_trace(spec, 25, 4)
+        assert sum(len(b) for b in stream) == 25
 
 
 class TestExtendedFamilies:

@@ -5,12 +5,13 @@ import pytest
 from repro.experiments.configs import CacheDesign, build_hierarchy, system_for
 from repro.policies.athena import AthenaPolicy
 from repro.sim.multicore import MultiCoreResult, MultiCoreSimulator
-from repro.workloads.generators import GENERATORS
+from repro.workloads.suites import WorkloadSpec
 
 
 def traces(n, pattern="streaming", length=2000):
     return [
-        GENERATORS[pattern](f"t{i}", "test", 10 + i, length) for i in range(n)
+        WorkloadSpec(f"t{i}", "test", pattern, 10 + i).build(length)
+        for i in range(n)
     ]
 
 

@@ -26,9 +26,9 @@ from repro.sim.cpu import CoreModel
 from repro.sim.dram import MainMemory
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator, build_epoch_telemetry
-from repro.workloads.generators import GENERATORS
+from repro.workloads.generators import WORKLOAD_PLANS
 from repro.workloads.streaming import TraceStream, blocks_from_trace
-from repro.workloads.suites import build_trace, find_workload
+from repro.workloads.suites import WorkloadSpec, build_trace, find_workload
 from repro.workloads.trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -38,7 +38,7 @@ from repro.workloads.trace import (
     Trace,
 )
 
-FAMILIES = sorted(GENERATORS)
+FAMILIES = sorted(WORKLOAD_PLANS)
 POLICIES = ("none", "naive", "hpac", "mab", "athena", "tlp")
 STREAM_BLOCKS = (1, 7, 997)
 
@@ -160,8 +160,9 @@ def scenarios(draw):
     n_cores = draw(st.integers(min_value=1, max_value=4))
     traces = [
         _with_stray_mispredicts(
-            GENERATORS[draw(st.sampled_from(FAMILIES))](
-                f"c{cid}", "oracle", draw(st.integers(0, 10_000)), length),
+            WorkloadSpec(f"c{cid}", "oracle",
+                         draw(st.sampled_from(FAMILIES)),
+                         draw(st.integers(0, 10_000))).build(length),
             draw(st.sampled_from((0.0, 0.005, 0.05))),
             draw(st.integers(0, 2**32 - 1)))
         for cid in range(n_cores)

@@ -8,12 +8,11 @@ from repro.ocp.ttp import TtpPredictor
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.params import scaled_system
 from repro.sim.simulator import Simulator
-from repro.workloads.generators import GENERATORS
-from repro.workloads.suites import build_trace, find_workload
+from repro.workloads.suites import WorkloadSpec, build_trace, find_workload
 
 
 def make_trace(pattern="streaming", length=3000, seed=5):
-    return GENERATORS[pattern]("t", "test", seed, length)
+    return WorkloadSpec("t", "test", pattern, seed).build(length)
 
 
 def make_hierarchy(prefetch=True, ocp=True):

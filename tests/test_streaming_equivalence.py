@@ -22,6 +22,7 @@ This suite pins that invariant from four directions:
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -45,14 +46,16 @@ from repro.experiments.configs import CacheDesign, build_hierarchy
 from repro.sim.simulator import Simulator
 from repro.workloads import generators
 from repro.workloads.generators import WORKLOAD_PLANS
+from repro.workloads.ingest import resolve_trace_source
 from repro.workloads.streaming import (
-    BlockAssembler,
     TraceStream,
     blocks_from_trace,
     reblock,
+    trace_blocks,
 )
 from repro.workloads.suites import find_workload
 from repro.workloads.tracecache import TraceCache, reset_trace_cache
+from repro.workloads.traceio import save_trace
 from test_hotpath_equivalence import _describe_diff
 
 GOLDEN_DIGESTS = json.loads(trace_goldens.GOLDEN_PATH.read_text())
@@ -410,15 +413,6 @@ class TestColdStreamTier:
         assert trace_goldens.trace_digest(streamed) == \
             trace_goldens.trace_digest(built)
 
-    def test_clear_disk_removes_legacy_chunk_sets(self, disk_cache):
-        # older versions left per-chunk sets under ``chunks/``
-        legacy = disk_cache.disk_dir / "chunks" / "0123abcd.b256"
-        legacy.mkdir(parents=True)
-        (legacy / "chunk-000000.npz").write_bytes(b"")
-        (legacy / "meta.json").write_text("{}")
-        disk_cache.clear(disk=True)
-        assert not (disk_cache.disk_dir / "chunks").exists()
-
 
 # ---------------------------------------------------------------------------
 # stream primitives
@@ -461,16 +455,51 @@ class TestStreamPrimitives:
         got = np.concatenate([b.addrs for b in stream.iter_from(0)])
         np.testing.assert_array_equal(got, trace.addrs)
 
-    def test_assembler_truncates_at_the_limit(self):
+    def test_trace_blocks_starts_a_stream_through_its_iter(
+            self, monkeypatch):
+        """Both simulators read a stream through ``trace_blocks``; a
+        traversal from position 0 must go through ``__iter__``, which
+        the benchmark harness wraps for its block timers and
+        checkpoints."""
+        trace = self._trace(100)
+        stream = TraceStream(
+            name=trace.name, suite=trace.suite, length=100, block_size=32,
+            factory=lambda: blocks_from_trace(trace, 32))
+        calls = []
+        iterate = TraceStream.__iter__
+
+        def counted(self):
+            calls.append(self)
+            return iterate(self)
+
+        monkeypatch.setattr(TraceStream, "__iter__", counted)
+        got = np.concatenate([b.addrs for b in trace_blocks(stream)])
+        np.testing.assert_array_equal(got, trace.addrs)
+        assert calls == [stream]
+        tail = list(trace_blocks(stream, 70))
+        assert tail[0].start == 70
+        np.testing.assert_array_equal(
+            np.concatenate([b.addrs for b in tail]), trace.addrs[70:])
+
+    def test_reblock_truncates_uneven_pieces_at_the_limit(self):
+        def pieces():  # uneven 3-row pieces straddle block edges
+            for lo in range(0, 40, 3):
+                rows = np.arange(lo, min(lo + 3, 40), dtype=np.int64)
+                yield rows, 100 + rows, np.zeros(len(rows), np.uint8)
+
+        blocks = reblock(pieces(), 10, limit=25)
         out = []
-        asm = BlockAssembler(10, emit=out.append, limit=25)
-        for lo in range(0, 40, 3):  # uneven pieces straddle block edges
-            rows = np.arange(lo, min(lo + 3, 40), dtype=np.int64)
-            asm.extend(rows, 100 + rows, np.zeros(len(rows), np.uint8))
-        total = asm.finish()
-        assert sum(len(b) for b in out) == 25
-        assert total == len(asm) == 40  # counts all offered rows
+        with pytest.raises(StopIteration) as done:
+            while True:
+                out.append(next(blocks))
+        assert done.value.value == 40  # counts all offered rows
+        assert [len(b) for b in out] == [10, 10, 5]
         assert [b.start for b in out] == [0, 10, 20]
+        assert [b.index for b in out] == [0, 1, 2]
+        np.testing.assert_array_equal(
+            np.concatenate([b.pcs for b in out]), np.arange(25))
+        np.testing.assert_array_equal(
+            np.concatenate([b.addrs for b in out]), 100 + np.arange(25))
 
     def test_reblock_respects_the_limit(self):
         trace = self._trace(100)
@@ -552,6 +581,93 @@ class TestWarmupCheckpoint:
         sim = self._simulator()
         with pytest.raises(ValueError, match="checkpoint_at"):
             sim.run(checkpoint_at=position)
+
+
+# ---------------------------------------------------------------------------
+# external traces: the adapter's rows, built and streamed
+# ---------------------------------------------------------------------------
+
+EXAMPLE_TRACE = (pathlib.Path(__file__).resolve().parents[1]
+                 / "examples" / "example_trace.csv")
+
+#: native instruction count of the memtrace fixture below
+_MEMTRACE_NATIVE = 37
+_NPZ_NATIVE = 50
+
+
+def _memtrace_text(rows):
+    ops = ("L,0x{:x}", "N", "S,0x{:x}", "B", "D,0x{:x}", "M")
+    lines = ["# pc,op[,addr]"]
+    for i in range(rows):
+        op = ops[i % len(ops)].format(0x10000 + 64 * (i * 7 % 13))
+        lines.append(f"0x{0x400000 + 4 * i:x},{op}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def external_specs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("external")
+    csv = directory / "ext.csv"
+    csv.write_text(_memtrace_text(_MEMTRACE_NATIVE))
+    npz = save_trace(find_workload("ligra.BFS.0").build(_NPZ_NATIVE),
+                     directory / "ext.npz")
+    return {
+        "memtrace": (resolve_trace_source(str(csv)), _MEMTRACE_NATIVE),
+        "npz": (resolve_trace_source(str(npz)), _NPZ_NATIVE),
+    }
+
+
+class TestExternalStreams:
+    """An external spec has one producer, its adapter's rows replayed to
+    the requested length: ``build(n)`` is the native trace tiled and cut
+    to ``n``, and ``stream(n, b).materialize()`` equals it below, at and
+    above the native length, at any block size."""
+
+    @pytest.mark.parametrize("adapter", ("memtrace", "npz"))
+    def test_stream_materializes_to_the_build(
+            self, adapter, external_specs, fresh_cache):
+        spec, native = external_specs[adapter]
+        once = spec.build(native)
+        # below, equal, a multiple above, and two non-multiples above
+        for length in (native - 10, native, 2 * native, 2 * native + 5,
+                       3 * native + 1):
+            built = spec.build(length)
+            for column in ("pcs", "addrs", "flags"):
+                tiled = np.tile(getattr(once, column), 4)
+                np.testing.assert_array_equal(getattr(built, column),
+                                              tiled[:length])
+            assert built.name == spec.name
+            assert built.metadata["native_length"] == native
+            assert built.metadata["adapter"] == adapter
+            for block in (1, 7, length):
+                streamed = spec.stream(length, block).materialize()
+                where = f"{adapter} length={length} block={block}"
+                assert streamed.name == built.name, where
+                assert streamed.suite == built.suite, where
+                assert streamed.metadata == built.metadata, where
+                for column in ("pcs", "addrs", "flags"):
+                    np.testing.assert_array_equal(
+                        getattr(streamed, column), getattr(built, column),
+                        err_msg=where)
+
+    def test_streamed_run_payload_matches_materialized(
+            self, monkeypatch, fresh_cache):
+        request = RunRequest(
+            spec=find_workload(f"trace://{EXAMPLE_TRACE}"),
+            trace_length=1_500,
+            design=CacheDesign.cd1(),
+            policy_name="athena",
+            epoch_length=150,
+            warmup_fraction=0.35,
+        )
+        monkeypatch.delenv("REPRO_STREAM_BLOCK", raising=False)
+        want = json.dumps(encode_result(request.execute()), sort_keys=True)
+        for block in (97, 1_500):
+            reset_trace_cache(TraceCache(max_bytes=1 << 30, disk_dir=None))
+            monkeypatch.setenv("REPRO_STREAM_BLOCK", str(block))
+            got = json.dumps(encode_result(request.execute()),
+                             sort_keys=True)
+            assert got == want, f"block={block}"
 
 
 # ---------------------------------------------------------------------------

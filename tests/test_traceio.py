@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.generators import GENERATORS
+from repro.workloads.generators import WORKLOAD_PLANS
+from repro.workloads.suites import WorkloadSpec
 from repro.workloads.traceio import (
     FORMAT_VERSION,
     TraceFormatError,
@@ -15,7 +16,7 @@ from repro.workloads.traceio import (
 
 
 def make(pattern="graph", seed=3, length=1_200):
-    return GENERATORS[pattern]("io-test", "test", seed, length)
+    return WorkloadSpec("io-test", "test", pattern, seed).build(length)
 
 
 class TestRoundTrip:
@@ -58,7 +59,7 @@ class TestRoundTrip:
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**20),
-           pattern=st.sampled_from(sorted(GENERATORS)))
+           pattern=st.sampled_from(sorted(WORKLOAD_PLANS)))
     def test_every_pattern_roundtrips(self, tmp_path_factory, seed, pattern):
         trace = make(pattern, seed, 800)
         path = save_trace(

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.generators import GENERATORS
+from repro.workloads.generators import WORKLOAD_PLANS
 from repro.workloads.mixes import build_mixes, pattern_class
 from repro.workloads.suites import (
     GOOGLE_CATEGORIES,
     SCALES,
+    WorkloadSpec,
     build_trace,
     evaluation_workloads,
     find_workload,
@@ -84,50 +85,42 @@ class TestTrace:
         assert len(sliced) == 3
         assert sliced.addrs[0] == 2 * 64
 
-    def test_repeated(self):
-        b = TraceBuilder("t", "test")
-        b.load(0x400, 64)
-        trace = b.build().repeated(3)
-        assert len(trace) == 3
-        with pytest.raises(ValueError):
-            trace.repeated(0)
-
 
 class TestGenerators:
-    @pytest.mark.parametrize("pattern", sorted(GENERATORS))
+    @pytest.mark.parametrize("pattern", sorted(WORKLOAD_PLANS))
     def test_generator_produces_requested_length(self, pattern):
-        trace = GENERATORS[pattern](f"t.{pattern}", "test", 42, 2000)
+        trace = WorkloadSpec(f"t.{pattern}", "test", pattern, 42).build(2000)
         assert abs(len(trace) - 2000) <= 64
 
-    @pytest.mark.parametrize("pattern", sorted(GENERATORS))
+    @pytest.mark.parametrize("pattern", sorted(WORKLOAD_PLANS))
     def test_generator_deterministic(self, pattern):
-        a = GENERATORS[pattern]("t", "test", 7, 1000)
-        b = GENERATORS[pattern]("t", "test", 7, 1000)
+        a = WorkloadSpec("t", "test", pattern, 7).build(1000)
+        b = WorkloadSpec("t", "test", pattern, 7).build(1000)
         assert np.array_equal(a.addrs, b.addrs)
         assert np.array_equal(a.flags, b.flags)
 
-    @pytest.mark.parametrize("pattern", sorted(GENERATORS))
+    @pytest.mark.parametrize("pattern", sorted(WORKLOAD_PLANS))
     def test_generator_seed_sensitive(self, pattern):
-        a = GENERATORS[pattern]("t", "test", 7, 1000)
-        b = GENERATORS[pattern]("t", "test", 8, 1000)
+        a = WorkloadSpec("t", "test", pattern, 7).build(1000)
+        b = WorkloadSpec("t", "test", pattern, 8).build(1000)
         assert not np.array_equal(a.addrs, b.addrs)
 
-    @pytest.mark.parametrize("pattern", sorted(GENERATORS))
+    @pytest.mark.parametrize("pattern", sorted(WORKLOAD_PLANS))
     def test_generator_memory_intensive(self, pattern):
-        trace = GENERATORS[pattern]("t", "test", 3, 4000)
+        trace = WorkloadSpec("t", "test", pattern, 3).build(4000)
         assert trace.memory_intensity() > 0.03
 
     def test_pointer_chase_is_dependent(self):
         # Without decoy payload runs, every chase load is dependent.
-        trace = GENERATORS["pointer_chase"]("t", "test", 1, 2000,
-                                            decoy_rate=0.0)
+        trace = WorkloadSpec("t", "test", "pointer_chase", 1,
+                             (("decoy_rate", 0.0),)).build(2000)
         deps = np.count_nonzero(trace.flags & FLAG_DEP)
         loads = trace.num_loads
         assert deps > 0.9 * loads
 
     def test_pointer_chase_decoy_runs_are_sequential(self):
-        trace = GENERATORS["pointer_chase"]("t", "test", 1, 4000,
-                                            decoy_rate=1.0)
+        trace = WorkloadSpec("t", "test", "pointer_chase", 1,
+                             (("decoy_rate", 1.0),)).build(4000)
         # Decoy payload loads come from a dedicated PC and walk
         # consecutive lines (they bait stride prefetchers).
         load_mask = (trace.flags & FLAG_LOAD) != 0
@@ -137,13 +130,13 @@ class TestGenerators:
         assert decoy_pcs, "decoy runs must emit independent loads"
 
     def test_streaming_line_advance_is_dependent(self):
-        trace = GENERATORS["streaming"]("t", "test", 1, 2000)
+        trace = WorkloadSpec("t", "test", "streaming", 1).build(2000)
         deps = np.count_nonzero(trace.flags & FLAG_DEP)
         assert deps > 0
         assert deps < trace.num_loads  # only the line-advance loads
 
     def test_streaming_addresses_monotone(self):
-        trace = GENERATORS["streaming"]("t", "test", 1, 2000)
+        trace = WorkloadSpec("t", "test", "streaming", 1).build(2000)
         load_addrs = trace.addrs[(trace.flags & FLAG_LOAD) != 0] >> 6
         assert (np.diff(load_addrs) >= 0).all()
 
