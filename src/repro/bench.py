@@ -1,7 +1,8 @@
 """Simulation-throughput benchmark harness (``repro bench``).
 
 Measures the throughput of the three stages every figure regeneration is
-bound by on a cold store, in three phases (``--phase``):
+bound by on a cold store, and of the result store a warm one replays, in
+four phases (``--phase``):
 
 * ``sim`` — *simulated instructions per second* for a small matrix of
   single-core (workload x policy) cells on the paper's default CD1
@@ -11,7 +12,11 @@ bound by on a cold store, in three phases (``--phase``):
 * ``multicore`` — aggregate simulated instructions per second for
   shared-LLC/DRAM mixes through :class:`~repro.sim.multicore.
   MultiCoreSimulator` (traces prebuilt, so the cell isolates the
-  multi-core event loop).
+  multi-core event loop);
+* ``store`` — *payloads per second* through a temporary
+  :class:`~repro.engine.store.ResultStore`: Fig 7-shaped run payloads
+  encoded, written, read back and decoded the way a warm replay decodes
+  them (reading IPC, not the per-epoch telemetry).
 
 Everything is written to ``BENCH_sim_throughput.json``.  Three kinds of
 numbers live in the output:
@@ -41,6 +46,7 @@ import json
 import math
 import pathlib
 import platform
+import tempfile
 import time
 from typing import List, Optional, Sequence, Tuple
 
@@ -49,7 +55,7 @@ BENCH_SCHEMA = 2
 #: schema of one ``BENCH_history.jsonl`` line (see :func:`history_entry`).
 HISTORY_SCHEMA = 1
 
-PHASES = ("sim", "traces", "multicore")
+PHASES = ("sim", "traces", "multicore", "store")
 
 #: Default benchmark matrix: one streaming, one pointer-chasing, one
 #: graph workload — the memory behaviours that stress different parts of
@@ -87,6 +93,12 @@ DEFAULT_MIXES = (
     (("spec06.libquantum_like.0", "spec06.mcf_like.0",
       "ligra.BFS.0", "spec06.xalancbmk_like.0"), "tlp"),
 )
+
+#: Store phase: run payloads shaped like a Fig 7 Athena run (40 epochs:
+#: a 12k-instruction trace at epoch length 300).
+STORE_PAYLOADS = 400
+STORE_TRACE_LENGTH = 12_000
+STORE_EPOCH_LENGTH = 300
 
 #: Checked-in pre-optimization measurements (recorded on the machine that
 #: landed the SoA core), used as the before/after reference in reports.
@@ -285,6 +297,54 @@ def measure_multicore_cell(
     }
 
 
+def measure_store_cell(payloads: int, repeats: int) -> dict:
+    """Time ``payloads`` run results through a fresh temporary
+    :class:`~repro.engine.store.ResultStore` (best of ``repeats``).
+
+    One Athena result is simulated untimed, then each repeat encodes
+    and ``put``s it under ``payloads`` distinct keys (the write half,
+    as a cold run stores its results), and ``get``s and decodes every
+    key, reading only IPC (the read half, as a warm replay does).
+    """
+    from repro.engine.jobs import RunRequest, decode_result, encode_result
+    from repro.engine.store import ResultStore
+    from repro.experiments.configs import CacheDesign
+    from repro.workloads.suites import find_workload
+
+    result = RunRequest(
+        spec=find_workload(DEFAULT_WORKLOADS[2]),
+        trace_length=STORE_TRACE_LENGTH,
+        design=CacheDesign.cd1(),
+        policy_name="athena",
+        epoch_length=STORE_EPOCH_LENGTH,
+    ).execute()
+    keys = [f"bench-{i}" for i in range(payloads)]
+    best_write = best_read = math.inf
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ResultStore(pathlib.Path(tmp) / "store.sqlite")
+            try:
+                t0 = time.perf_counter()
+                for key in keys:
+                    store.put(key, encode_result(result))
+                t1 = time.perf_counter()
+                for key in keys:
+                    decode_result(store.get(key)).ipc
+                t2 = time.perf_counter()
+            finally:
+                store.close()
+        best_write = min(best_write, t1 - t0)
+        best_read = min(best_read, t2 - t1)
+    return {
+        "payloads": payloads,
+        "epochs": len(result.epochs),
+        "write_seconds": best_write,
+        "read_seconds": best_read,
+        "read_payloads_per_s": payloads / best_read,
+        "payloads_per_s": payloads / (best_write + best_read),
+    }
+
+
 def geomean(values: List[float]) -> float:
     if not values:
         return 0.0
@@ -310,6 +370,7 @@ def run_bench(
     trace_families = TRACE_FAMILIES
     trace_build_length = TRACE_LENGTH
     mixes = DEFAULT_MIXES
+    store_payloads = STORE_PAYLOADS
     if quick:
         workloads = workloads[:2]
         trace_length = min(trace_length, 12_000)
@@ -318,6 +379,7 @@ def run_bench(
         trace_families = TRACE_FAMILIES[:3]
         trace_build_length = 24_000
         mixes = DEFAULT_MIXES[:1]
+        store_payloads = STORE_PAYLOADS // 8
 
     from repro.obs.journal import provenance
 
@@ -388,6 +450,16 @@ def run_bench(
             cell["ips_per_mop"] = cell["ips"] / calibration
             multicore_cells.append(cell)
         report["multicore_cells"] = multicore_cells
+
+    if "store" in phases:
+        if progress is not None:
+            progress("store", f"{store_payloads} payloads")
+        store_cell = measure_store_cell(store_payloads, repeats)
+        store_cell["payloads_per_mop"] = (
+            store_cell["payloads_per_s"] / calibration
+        )
+        report["store_cell"] = store_cell
+        report["store_payloads_per_s"] = store_cell["payloads_per_s"]
 
     if reference_path is not None and pathlib.Path(reference_path).exists():
         reference = json.loads(pathlib.Path(reference_path).read_text())
@@ -479,7 +551,7 @@ def history_entry(report: dict) -> dict:
     }
     for key in ("geomean_ips", "geomean_ips_per_mop",
                 "geomean_speedup_vs_reference",
-                "streaming_sim_ips"):
+                "streaming_sim_ips", "store_payloads_per_s"):
         if key in report:
             entry[key] = report[key]
     return entry
@@ -625,5 +697,19 @@ def format_report(report: dict) -> str:
                 f"{cell['ips']:>12,.0f} {cell['ips_per_mop']:>10,.1f} "
                 f"{speedup and f'{speedup:.2f}x' or '-':>8s}"
             )
+    if "store_cell" in report:
+        cell = report["store_cell"]
+        if lines:
+            lines.append("")
+        lines.append(
+            f"{'result store':32s} {'epochs':>8s} {'payloads/s':>12s} "
+            f"{'norm':>10s} {'read/s':>12s}"
+        )
+        lines.append(
+            f"{str(cell['payloads']) + ' run payloads':32s} "
+            f"{cell['epochs']:>8d} {cell['payloads_per_s']:>12,.0f} "
+            f"{cell['payloads_per_mop']:>10,.1f} "
+            f"{cell['read_payloads_per_s']:>12,.0f}"
+        )
     lines.append(f"calibration: {report['calibration_mops']:.1f} Mops/s")
     return "\n".join(lines)

@@ -271,8 +271,8 @@ def _build_parser():
     bench.add_argument("--quick", action="store_true",
                        help="smaller matrix and single repeat (CI smoke)")
     bench.add_argument("--phase", default="all", metavar="PHASES",
-                       help="comma-separated subset of sim,traces,multicore "
-                            "(default: all)")
+                       help="comma-separated subset of sim,traces,"
+                            "multicore,store (default: all)")
     bench.add_argument("--output", default="BENCH_sim_throughput.json",
                        metavar="PATH", help="report path (default: "
                        "BENCH_sim_throughput.json)")

@@ -29,8 +29,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import abc
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.config import AthenaConfig, RewardWeights
 from ..obs.spans import span
@@ -410,11 +411,77 @@ def encode_result(result: Result) -> dict:
     }
 
 
+class _Deferred(abc.Sequence):
+    """A read-only list whose items are built on first access.
+
+    Most consumers of a decoded run read only its totals (a warm Fig 7
+    replay reads IPC), so :func:`decode_result` validates the epoch and
+    action rows up front and hands them over unbuilt.  Not a ``list``
+    subclass: C-level list operations (slicing, ``==``, ``list(x)``)
+    read a list's own storage and would skip the deferred build.
+    """
+
+    __slots__ = ("_build", "_rows", "_items")
+
+    def __init__(self, build: Callable[[list], list], rows: list) -> None:
+        self._build = build
+        self._rows = rows
+        self._items: Optional[list] = None
+
+    def _list(self) -> list:
+        if self._items is None:
+            self._items = self._build(self._rows)
+            self._build = self._rows = None
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._rows if self._items is None else self._items)
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        if isinstance(other, _Deferred):
+            other = other._list()
+        return self._list() == other if isinstance(other, list) \
+            else NotImplemented
+
+    def __reduce__(self):
+        return list, (self._list(),)
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
+_EPOCH_FIELDS = frozenset(f.name for f in fields(EpochTelemetry))
+
+
+def _epochs_from(rows: list) -> List[EpochTelemetry]:
+    return [EpochTelemetry(**epoch) for epoch in rows]
+
+
+def _action_values(action: dict) -> tuple:
+    return (tuple(action["prefetchers_enabled"]), action["ocp_enabled"],
+            action["degree_fraction"])
+
+
+def _actions_from(values: list) -> List[CoordinationAction]:
+    # A run replays a few distinct actions many times: build each once
+    # and share the frozen instance.
+    shared = {value: CoordinationAction(*value) for value in set(values)}
+    return [shared[value] for value in values]
+
+
 def decode_result(payload: dict) -> Result:
     """Rebuild a result from :func:`encode_result` output.
 
     Raises :exc:`~repro.engine.store.StoreDecodeError` on any malformed
-    or stale payload so callers treat the entry as a cache miss.
+    or stale payload so callers treat the entry as a cache miss.  A
+    run's epochs and actions are validated here but built only when
+    first read.
     """
     try:
         if payload.get("schema") != ENGINE_SCHEMA:
@@ -435,27 +502,23 @@ def decode_result(payload: dict) -> Result:
             return MultiCoreResult(cores=cores)
         if kind != "run":
             raise StoreDecodeError(f"unknown payload kind {kind!r}")
-        epochs: List[EpochTelemetry] = [
-            EpochTelemetry(**epoch) for epoch in payload["epochs"]
-        ]
-        # A run replays a few distinct actions many times: build each
-        # once and share the frozen instance.
-        distinct: Dict[tuple, CoordinationAction] = {}
-        actions: List[CoordinationAction] = []
-        for action in payload["actions"]:
-            values = (tuple(action["prefetchers_enabled"]),
-                      action["ocp_enabled"], action["degree_fraction"])
-            shared = distinct.get(values)
-            if shared is None:
-                shared = distinct[values] = CoordinationAction(*values)
-            actions.append(shared)
+        # Reject here every row the deferred builds would reject: each
+        # epoch a dict keyed by EpochTelemetry fields (checked over the
+        # union of all rows' keys, in C), each action hashable.
+        epochs = payload["epochs"]
+        if not isinstance(epochs, list) \
+                or not set(map(type, epochs)) <= {dict} \
+                or not set().union(*epochs) <= _EPOCH_FIELDS:
+            raise StoreDecodeError("malformed epoch telemetry")
+        actions = [_action_values(action) for action in payload["actions"]]
+        set(actions)
         return SimulationResult(
             workload=payload["workload"],
             stats=_stats_from(payload["stats"]),
             instructions=payload["instructions"],
             cycles=payload["cycles"],
-            epochs=epochs,
-            actions=actions,
+            epochs=_Deferred(_epochs_from, epochs),
+            actions=_Deferred(_actions_from, actions),
         )
     except StoreDecodeError:
         raise

@@ -3,8 +3,8 @@
 Pythia formulates prefetching itself as reinforcement learning: the *state*
 is a program feature (we use the paper's default — PC+delta path signature),
 the *actions* are prefetch offsets (including "no prefetch"), and the
-*reward* scores each issued prefetch by accuracy and timeliness, with a
-penalty structure that makes Pythia bandwidth-aware.
+*reward* scores each issued prefetch by accuracy and timeliness.  Its only
+bandwidth awareness is a windowed accuracy self-throttle.
 
 Q-values live in two hashed "vaults" (the same partitioned-table idea Athena
 generalises into its QVStore).  Issued prefetches enter an evaluation queue
@@ -32,7 +32,6 @@ _EQ_CAPACITY = 64
 
 _REWARD_ACCURATE = 20.0
 _REWARD_INACCURATE = -14.0
-_REWARD_INACCURATE_HIGH_BW = -22.0
 _REWARD_SILENCE_NO_LOSS = 12.0
 _REWARD_SILENCE_COVERAGE_LOSS = -6.0
 
@@ -89,7 +88,6 @@ class PythiaPrefetcher(Prefetcher):
         self._pages: OrderedDict = OrderedDict()
         self._rng_state = seed & 0xFFFFFFFF
         self._last_state_action = None
-        self.high_bandwidth_pressure = False
 
     # -- tiny xorshift RNG so the prefetcher is self-contained/deterministic --
 
@@ -212,14 +210,9 @@ class PythiaPrefetcher(Prefetcher):
         if len(self._eq) >= _EQ_CAPACITY:
             _, (old_state, old_action) = self._eq.popitem(last=False)
             self._pending_updates.append(
-                (old_state, old_action, self._inaccuracy_penalty())
+                (old_state, old_action, _REWARD_INACCURATE)
             )
         self._eq[line] = (state, action_index)
-
-    def _inaccuracy_penalty(self) -> float:
-        if self.high_bandwidth_pressure:
-            return _REWARD_INACCURATE_HIGH_BW
-        return _REWARD_INACCURATE
 
     def _drain_rewards(self, next_state: int) -> None:
         """Apply queued rewards with a SARSA-style bootstrapped target."""
@@ -247,10 +240,6 @@ class PythiaPrefetcher(Prefetcher):
             self._throttled = accuracy < 0.25
             self._window_issued = 0
             self._window_useful = 0
-
-    def set_bandwidth_pressure(self, high: bool) -> None:
-        """Built-in bandwidth awareness hook (paper §2.1.1 footnote)."""
-        self.high_bandwidth_pressure = bool(high)
 
     def storage_bits(self) -> int:
         q_entry = 16

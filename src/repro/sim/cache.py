@@ -2,9 +2,11 @@
 
 The cache is a *functional* model: it tracks which lines are resident, their
 prefetch bits (for accuracy accounting), dirty bits (for writeback traffic)
-and reuse bits (for SHiP training and the "inaccurate off-chip prefetch
-fill" statistic of paper Figure 3).  Timing is handled analytically by the
-hierarchy / core model; the cache itself only reports hits and evictions.
+and reuse bits (read only by SHiP's SHCT training; the Figure 3 "inaccurate
+off-chip prefetch fill" statistic is derived from counters by
+``SimStats.offchip_fill_inaccuracy``).  Timing is handled analytically by
+the hierarchy / core model; the cache itself only reports hits and
+evictions.
 
 Storage is struct-of-arrays: one flat parallel array per line attribute
 (tag/valid/dirty/prefetched/reused/from-dram/ready-time), indexed

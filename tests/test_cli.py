@@ -312,6 +312,20 @@ class TestBenchTrend:
                      "--history", str(tmp_path / "nope.jsonl")]) == 2
         assert "no bench history" in capsys.readouterr().err
 
+    def test_store_phase_reports_payloads_per_second(self, capsys,
+                                                     tmp_path):
+        output = tmp_path / "bench.json"
+        assert main(["bench", "--quick", "--phase", "store",
+                     "--output", str(output)]) == 0
+        assert "result store" in capsys.readouterr().out
+        report = json.loads(output.read_text())
+        cell = report["store_cell"]
+        assert cell["payloads"] == 50 and cell["epochs"] == 40
+        assert cell["read_payloads_per_s"] > cell["payloads_per_s"] > 0
+        history = (tmp_path / "BENCH_history.jsonl").read_text()
+        assert json.loads(history)["store_payloads_per_s"] == \
+            cell["payloads_per_s"]
+
 
 class TestArgparse:
     def test_no_command_is_an_error(self):

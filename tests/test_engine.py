@@ -1,6 +1,7 @@
 """Tests for the parallel experiment engine and its result store."""
 
 import json
+import pickle
 
 import pytest
 
@@ -12,11 +13,14 @@ from repro.engine import (
     RunRequest,
     run_many,
 )
+from repro.engine import jobs
 from repro.engine.jobs import decode_result, encode_result
 from repro.engine.store import StoreDecodeError
 from repro.experiments.configs import CacheDesign
-from repro.experiments.figures import fig02_naive_vs_staticbest
+from repro.experiments.figures import fig02_naive_vs_staticbest, fig07_cd1
 from repro.experiments.runner import ExperimentContext
+from repro.policies.base import CoordinationAction
+from repro.sim.stats import EpochTelemetry
 from repro.workloads.mixes import build_mixes
 from repro.workloads.suites import ReproScale, find_workload
 
@@ -35,6 +39,25 @@ def _request(policy="naive", workload="ligra.BFS.0", **overrides):
     )
     defaults.update(overrides)
     return RunRequest(**defaults)
+
+
+def _payload(result) -> dict:
+    return json.loads(json.dumps(encode_result(result)))
+
+
+def _count_telemetry_builds(monkeypatch) -> list:
+    """Record each EpochTelemetry/CoordinationAction the codec builds."""
+    built = []
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return build
+
+    for cls in (EpochTelemetry, CoordinationAction):
+        monkeypatch.setattr(jobs, cls.__name__, counting(cls))
+    return built
 
 
 class TestRunRequestKeys:
@@ -130,6 +153,62 @@ class TestResultCodec:
             decode_result({"kind": "run"})
         with pytest.raises(StoreDecodeError):
             decode_result({"schema": -1, "kind": "run"})
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: p["epochs"][3].update(bogus=1),
+        lambda p: p["epochs"].__setitem__(2, [1, 2]),
+        lambda p: p["actions"][5].pop("degree_fraction"),
+        lambda p: p["actions"][0].__setitem__("ocp_enabled", [True]),
+        lambda p: p.__setitem__("epochs", {"0": {}}),
+        lambda p: p.__setitem__("epochs", None),
+    ], ids=["unknown-epoch-key", "epoch-not-a-dict", "missing-action-key",
+            "unhashable-action", "epochs-a-dict", "epochs-null"])
+    def test_decode_validates_rows_up_front(self, corrupt):
+        payload = _payload(_request(policy="athena").execute())
+        corrupt(payload)
+        with pytest.raises(StoreDecodeError):
+            decode_result(payload)
+
+    def test_decode_defers_epochs_and_actions(self, monkeypatch):
+        built = _count_telemetry_builds(monkeypatch)
+        result = _request(policy="athena").execute()
+        clone = decode_result(_payload(result))
+        assert built == []
+        assert clone.ipc == result.ipc
+        assert len(clone.epochs) == len(result.epochs)
+        assert built == []
+        assert clone.epochs == result.epochs
+        assert built.count("EpochTelemetry") == len(result.epochs)
+        assert "CoordinationAction" not in built
+        assert clone.actions == result.actions
+        assert 0 < built.count("CoordinationAction") < len(result.actions)
+
+    def test_reencoding_a_decoded_payload_is_byte_identical(self):
+        mix = build_mixes(2, 1)[0]
+        results = [
+            _request(policy="athena").execute(),
+            MixRequest(workloads=tuple(mix.workloads), trace_length=1500,
+                       design=CacheDesign.cd1(), policy_name="naive",
+                       epoch_length=150).execute(),
+        ]
+        for result in results:
+            payload = _payload(result)
+            assert json.dumps(encode_result(decode_result(payload))) == \
+                json.dumps(payload)
+
+    def test_deferred_rows_behave_like_lists(self):
+        result = _request(policy="athena").execute()
+        clone = decode_result(_payload(result))
+        for got, want in ((clone.epochs, result.epochs),
+                          (clone.actions, result.actions)):
+            assert not isinstance(got, list)
+            assert len(got) == len(want)
+            assert got[-1] == want[-1] and got[0] == want[0]
+            assert got[2:5] == want[2:5] and got[:] == want
+            assert list(got) == want and [x for x in got] == want
+            assert got == want and want == got and not got != want
+            assert got != want[:-1] and got != tuple(want)
+            assert pickle.loads(pickle.dumps(got)) == want
 
 
 class TestResultStore:
@@ -271,6 +350,21 @@ class TestFigureParallelism:
             assert warm_engine.counters.executed == 0
             assert warm_engine.counters.store_hits > 0
         assert warm == serial
+
+    def test_warm_fig7_replay_builds_no_telemetry(self, tmp_path,
+                                                  monkeypatch):
+        store_path = tmp_path / "s.sqlite"
+        scale = ReproScale("test", trace_length=1500,
+                           workloads_per_figure=2, epoch_length=150)
+        with Engine(store=ResultStore(store_path)) as engine:
+            cold = fig07_cd1(ExperimentContext(scale, engine=engine))
+        built = _count_telemetry_builds(monkeypatch)
+        with Engine(store=ResultStore(store_path)) as engine:
+            warm = fig07_cd1(ExperimentContext(scale, engine=engine))
+            assert engine.counters.executed == 0
+            assert engine.counters.store_hits > 0
+        assert warm.format_table() == cold.format_table()
+        assert built == []
 
     def test_multicore_mix_goes_through_engine(self, tmp_path):
         mix = build_mixes(2, 1)[0]

@@ -122,6 +122,27 @@ class TestDemandPath:
             t += 100.0
         assert h.stats.dram_writeback_requests >= 1
 
+    def test_l1d_writeback_drops_the_dirty_l2c_line_it_displaces(self):
+        """Pins a known approximation (docs/architecture.md, "Simulator
+        approximations"): a dirty L1D victim is written into L2C with a
+        bare fill whose own victim is ignored, so a dirty L2C line it
+        displaces reaches neither the LLC nor DRAM."""
+        h = make_hierarchy()
+        l2c, l1d = h.l2c, h.l1d
+        displaced = l2c.num_sets
+        for way in range(1, l2c.ways + 1):
+            l2c.fill_fast(l2c.num_sets * way, 0x400, False, True)
+        # Maps to set 0 of both L1D and L2C, and is in neither yet.
+        written_back = l2c.num_sets * (l2c.ways + 1)
+        l1d.fill_fast(written_back, 0x400, False, True)
+        for way in range(1, l1d.ways + 1):
+            h._fill_level(l1d, written_back + l1d.num_sets * way, 0x400)
+        assert not l1d.probe(written_back)
+        assert l2c.probe(written_back)
+        assert not l2c.probe(displaced)
+        assert not h.llc.probe(displaced)
+        assert h.stats.dram_writeback_requests == 0
+
 
 class TestOcpPath:
     def test_correct_prediction_faster_than_plain_miss(self):
