@@ -166,10 +166,6 @@ class ExecutionPolicy:
                                                           attempt)
         return base + jitter
 
-    def retryable(self, attempt: int) -> bool:
-        """True when attempt number ``attempt`` (0-based) may be retried."""
-        return attempt < self.max_retries
-
 
 def _parse_spec_fields(spec: str) -> Dict[str, str]:
     fields: Dict[str, str] = {}

@@ -13,10 +13,11 @@ Two properties matter for the paper's comparison (§2.1.3, §7.1):
 * TLP has **no control over prefetchers beyond the L1D**, so an L2C
   prefetcher (e.g. Pythia in CD4) runs unthrottled.
 
-The filter here uses its own hashed perceptron (same feature construction
-as the first level) trained on the resolved off-chip outcome of demand
-loads, with the thresholds (tau_low/tau_high/tau_pref) acting as the
-prediction and filtering cut-offs.
+The paper reports TLP's first-level fill-source prediction as highly
+accurate, so the filter models it exactly: an on-chip presence probe of
+the prefetch address (see :meth:`TlpPolicy._filter`).  No perceptron is
+simulated; :meth:`TlpPolicy.storage_bits` still reports the hardware's
+table budget for the storage comparison.
 """
 
 from __future__ import annotations
@@ -26,17 +27,6 @@ from .base import CoordinationAction, CoordinationPolicy
 
 _TABLE_SIZE = 1024
 _NUM_FEATURES = 4
-_WEIGHT_MAX = 15
-_WEIGHT_MIN = -16
-_TAU_LOW = -4
-_TAU_HIGH = 10
-_TAU_PREF = 2
-
-
-def _hash(value: int) -> int:
-    value = (value * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    value ^= value >> 31
-    return value % _TABLE_SIZE
 
 
 class TlpPolicy(CoordinationPolicy):
@@ -44,50 +34,14 @@ class TlpPolicy(CoordinationPolicy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._weights = [[0] * _TABLE_SIZE for _ in range(_NUM_FEATURES)]
         self.filtered_prefetches = 0
         self.allowed_prefetches = 0
-
-    # -- perceptron ---------------------------------------------------------------
-
-    @staticmethod
-    def _features(pc: int, line_addr: int):
-        ip = pc >> 2
-        offset = line_addr & 0x3F
-        return (
-            _hash(ip),
-            _hash(line_addr),
-            _hash(ip ^ (offset << 16)),
-            _hash(line_addr >> 6),
-        )
-
-    def _score(self, pc: int, line_addr: int) -> int:
-        return sum(
-            self._weights[f][i]
-            for f, i in enumerate(self._features(pc, line_addr))
-        )
-
-    def _train(self, pc: int, line_addr: int, went_offchip: bool) -> None:
-        score = self._score(pc, line_addr)
-        if went_offchip and score > _TAU_HIGH:
-            return
-        if not went_offchip and score < _TAU_LOW:
-            return
-        step = 1 if went_offchip else -1
-        for f, i in enumerate(self._features(pc, line_addr)):
-            w = self._weights[f][i] + step
-            self._weights[f][i] = max(_WEIGHT_MIN, min(_WEIGHT_MAX, w))
 
     # -- hierarchy hooks ------------------------------------------------------------
 
     def attach(self, hierarchy) -> None:
         super().attach(hierarchy)
         hierarchy.prefetch_filter = self._filter
-        hierarchy.observers.append(self)
-
-    def on_demand_load(self, pc: int, line_addr: int, went_offchip: bool) -> None:
-        """Observer hook: train the perceptron on resolved outcomes."""
-        self._train(pc, line_addr, went_offchip)
 
     def _filter(self, pc: int, line_addr: int, level: str) -> bool:
         """Return False to drop the prefetch (L1D only, per the design).
@@ -104,8 +58,6 @@ class TlpPolicy(CoordinationPolicy):
         workloads (off-chip junk prefetches are dropped) and lose on
         prefetcher-friendly ones (useful first-touch stream prefetches
         are *also* off-chip fills, and are dropped too — paper §7.1.2).
-        The perceptron is still trained on resolved demand outcomes; its
-        prediction drives the OCP-side statistics and the storage audit.
         """
         if level != "l1d":
             return True

@@ -294,8 +294,6 @@ class CacheHierarchy:
         if line in pollution:
             stats.pollution_misses += 1
             del pollution[line]
-            if self.observers:
-                self._notify("on_pollution_miss", line)
         if self.observers:
             self._notify("on_llc_demand_miss", line)
 
@@ -391,8 +389,6 @@ class CacheHierarchy:
                 stats.prefetches_useful_offchip_l2c += 1
         for pf in self.prefetchers:
             pf.on_prefetch_useful(line)
-        if self.observers:
-            self._notify("on_prefetch_useful", line)
 
     # ------------------------------------------------------------------ prefetch
 

@@ -13,63 +13,40 @@ the smallest ``(clock, core_id)`` executes its next instruction, so DRAM
 and LLC see an (approximately) time-ordered request stream and bandwidth
 contention behaves like a shared channel.
 
-The run loop reproduces that schedule at *event* granularity.  Only
-instructions that touch shared state or sample it — loads/stores (LLC +
-DRAM) and the epoch-boundary/warmup-reset transitions (which read shared
-DRAM telemetry) — need global ordering; everything between two events of
-one core is private (nops, predicted branches, mispredicted branches),
-touches nothing shared, and is bulk-stepped through
-:meth:`~repro.sim.cpu.CoreModel.run_simple` with branch counts taken from
-a prefix sum.  Each core advances privately to just before its next
-event; the heap then orders events by the same ``(clock before the event
-instruction, core_id)`` key the per-instruction loop would have used, so
-shared-state mutations happen in the identical order and the results are
-bit-identical (pinned by the multicore golden cases in ``tests/golden/``
-and by the per-instruction reference in
-``tests/test_multicore_oracle.py``).
-
-Every core reads its trace through one sliding window of blocks: a
-materialized :class:`~repro.workloads.trace.Trace` in blocks of
-:data:`~repro.workloads.streaming.TRACE_BLOCK_ROWS` rows, a
-:class:`~repro.workloads.streaming.TraceStream` in its own; either way
-blocks load lazily.  Each block precomputes its memory positions, their
-OCP keys and, for the private gap after each one, the gap's length,
-branch count and whether it is free of mispredicted branches.  The
-common event — a memory access whose gap stays inside its block and
-short of the next transition — runs fully inlined in the loop
-(``begin``/``finish``, the access, the gap's ``run_simple`` steps); a
-block's last memory event, transitions and gaps holding a mispredicted
-branch take the generic path.
+Each core is a generator, :meth:`_CoreContext.events`, that runs the
+single-core simulator's block/segment loop over its trace (replaying it
+from the start while the core is short of its quota).  Only instructions
+that touch shared state or sample it need global ordering: loads and
+stores (shared LLC and DRAM), and the instructions whose retirement ends
+an epoch or the warmup (the transitions read shared DRAM telemetry).  The
+generator yields its clock before each of them and executes it when
+resumed; everything in between — unit-latency rows and mispredicted
+branches — is private to the core and runs inlined without a yield.
+:meth:`MultiCoreSimulator.run` keeps a heap of ``(clock, core_id)`` and
+always resumes the smallest entry, which is the key the per-instruction
+heap would pop that instruction with, so shared-state mutations happen
+in the identical order and the results are bit-identical (pinned by the
+multicore golden cases in ``tests/golden/`` and by the per-instruction
+reference in ``tests/test_multicore_oracle.py``, materialized and
+streamed at any block size).
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # avoid a sim <-> policies import cycle
     from ..policies.base import CoordinationPolicy
 from ..workloads.streaming import TraceStream, trace_blocks
-from ..workloads.trace import (
-    FLAG_BRANCH,
-    FLAG_DEP,
-    FLAG_LOAD,
-    FLAG_MISPRED,
-    FLAG_STORE,
-    Trace,
-)
+from ..workloads.trace import FLAG_DEP, FLAG_LOAD, FLAG_STORE, Trace
 from .cache import Cache
 from .cpu import CoreModel
 from .dram import MainMemory
 from .hierarchy import CacheHierarchy
 from .params import SystemParams
-from .simulator import _MISPRED_BRANCH, Simulator, build_epoch_telemetry
+from .simulator import _MEM, Simulator, _slow_rows, build_epoch_telemetry
 from .stats import SimStats
 
 
@@ -103,300 +80,193 @@ class MultiCoreResult:
         return product ** (1.0 / len(self.cores))
 
 
-#: sentinel index no run ever reaches (schedules nothing)
+#: a count no run ever reaches (schedules nothing)
 _NEVER = 1 << 62
-_INF = float("inf")
-
-
-class _WindowBlock:
-    """One trace block resident in a core's sliding window.  The memory
-    instructions' columns are pre-converted to plain scalars, and their
-    OCP keys computed by ``block_keys``, for the event loop's fast path;
-    the rest stays in numpy for the generic path.
-    """
-
-    __slots__ = ("start", "stop", "flags", "mispred", "branch_prefix",
-                 "mem", "mem_pcs", "mem_addrs", "mem_flags", "mem_keys",
-                 "n_gaps", "gap_len", "gap_clean", "gap_branches")
-
-    def __init__(self, start: int, pcs, addrs, flags, block_keys) -> None:
-        self.start = start
-        self.stop = start + len(flags)
-        self.flags = flags
-        is_mem = (flags & (FLAG_LOAD | FLAG_STORE)) != 0
-        mispred = ((flags & _MISPRED_BRANCH) == _MISPRED_BRANCH) & ~is_mem
-        #: block-local non-memory mispredicted-branch positions (a
-        #: mispredict flag without a branch flag is a plain step)
-        self.mispred = np.flatnonzero(mispred).tolist()
-        #: branch_prefix[i] = branches among the first i block positions
-        self.branch_prefix = branch_prefix = np.concatenate((
-            np.zeros(1, dtype=np.int64),
-            np.cumsum((flags & FLAG_BRANCH) != 0, dtype=np.int64),
-        ))
-        mem = np.flatnonzero(is_mem)
-        #: global indices of the instructions that touch the shared
-        #: LLC/DRAM, and their pc/addr/flags columns
-        self.mem = (mem + start).tolist()
-        mem_pcs = pcs[mem]
-        mem_addrs = addrs[mem]
-        self.mem_pcs = mem_pcs.tolist()
-        self.mem_addrs = mem_addrs.tolist()
-        self.mem_flags = flags[mem].tolist()
-        self.mem_keys = block_keys(mem_pcs, mem_addrs)
-        # Per-gap aggregates for the run of private instructions between
-        # consecutive memory positions, indexed by the leading one: its
-        # length, branch count, and whether it is free of mispredicted
-        # branches.  The block's last memory position has no entry: its
-        # gap crosses a block seam or the replay boundary.
-        lead = mem[:-1] + 1
-        nxt = mem[1:]
-        mis_prefix = np.concatenate((
-            np.zeros(1, dtype=np.int64), np.cumsum(mispred, dtype=np.int64),
-        ))
-        self.gap_len = (nxt - lead).tolist()
-        self.gap_branches = (branch_prefix[nxt] - branch_prefix[lead]).tolist()
-        self.gap_clean = (mis_prefix[nxt] == mis_prefix[lead]).tolist()
-        self.n_gaps = len(self.gap_len)
 
 
 class _CoreContext:
-    """Execution state of one core inside the multi-core event loop.
-
-    The trace is consumed through a sliding window of
-    :class:`_WindowBlock`: blocks of a materialized :class:`Trace` or a
-    :class:`TraceStream` are pulled lazily as the schedule needs them and
-    evicted once retired past, so the per-block lists stay O(window), not
-    O(trace).  The schedule tracks the next memory event as a block plus
-    an index into its ``mem`` positions.
-    """
+    """One core of a multi-core run: its trace, private hierarchy, core
+    model and coordination policy."""
 
     def __init__(
         self,
-        core_id: int,
         trace: Union[Trace, TraceStream],
         hierarchy: CacheHierarchy,
         policy: Optional["CoordinationPolicy"],
-        epoch_length: int,
-        warmup_instructions: int,
-        limit: int,
     ) -> None:
-        self.core_id = core_id
         self.trace = trace
         self.hierarchy = hierarchy
         self.policy = policy
-        self.epoch_length = epoch_length
         self.core = CoreModel(hierarchy.params.core)
-        self.retired = 0
-        self.warmup_instructions = warmup_instructions
         self.measure_start_cycles = 0.0
-        self._period = len(trace)
-        self._blocks = partial(trace_blocks, trace)
-        self._iter = self._blocks()
-        #: blocks covering [window[0].start, _loaded_to), contiguous
-        self._window: deque = deque()
-        self._replay_base = 0
-        self._loaded_to = 0
-        #: the next memory event: its block, its index into ``mem``, and
-        #: its global index (``_NEVER`` while none is loaded at or after
-        #: ``retired``)
-        self._mem_blk: Optional[_WindowBlock] = None
-        self._mem_ptr = 0
-        self._mem_next = _NEVER
-        #: global indices of the next epoch-/warmup-transition instruction
-        self._next_epoch = epoch_length - 1 if policy is not None else _NEVER
-        self._warm_idx = (
-            warmup_instructions - 1 if warmup_instructions else _NEVER
-        )
-        #: instructions this core retires before it stops
-        self._limit = limit
-        #: smallest global index no private run may cross: the next
-        #: transition instruction, or ``_limit``
-        self._boundary = min(limit, self._next_epoch, self._warm_idx)
-        self._epoch_snapshot = hierarchy.stats.snapshot()
-        self._epoch_cycles = 0.0
-        self._epoch_busy = hierarchy.dram.busy_cycles
-        self._epoch_kinds = hierarchy.dram.kind_counts()
-        self._epoch_index = 0
         if policy is not None:
             policy.attach(hierarchy)
 
-    # -- block window -------------------------------------------------------
+    def events(self, epoch_length: int, warmup: int,
+               limit: int) -> Iterator[float]:
+        """Run this core's first ``limit`` instructions, replaying its
+        trace as often as needed.
 
-    def _load_next_block(self) -> None:
-        """Pull one more block into the window (restarting the trace at the
-        replay boundary), evict blocks retired past, and schedule the new
-        block's first memory event if none is pending."""
-        try:
-            block = next(self._iter)
-        except StopIteration:
-            self._replay_base += self._period
-            self._iter = self._blocks()
-            block = next(self._iter)
-        wb = _WindowBlock(self._replay_base + block.start,
-                          block.pcs, block.addrs, block.flags,
-                          self.hierarchy.block_keys)
-        window = self._window
-        while window and window[0].stop <= self.retired:
-            window.popleft()
-        window.append(wb)
-        self._loaded_to = wb.stop
-        # Blocks load in order and only while no memory event is pending,
-        # so the first one found is the next after ``retired``.
-        if self._mem_next == _NEVER and wb.mem:
-            self._mem_blk = wb
-            self._mem_ptr = 0
-            self._mem_next = wb.mem[0]
+        Yields the core's clock before each instruction that must be
+        globally ordered, and executes that instruction when resumed:
+        loads and stores (they reach the shared LLC and DRAM) and the
+        instructions whose retirement ends an epoch or the ``warmup``
+        (the transitions read the shared DRAM's telemetry).  The rows in
+        between are private to the core and run without a yield.
 
-    def _block_at(self, index: int) -> _WindowBlock:
-        """The window block containing global position ``index``, loading
-        forward and evicting fully-retired blocks as needed."""
-        while self._loaded_to <= index:
-            self._load_next_block()
-        window = self._window
-        while window[0].stop <= index:
-            window.popleft()
-        return window[0]
-
-    # -- event schedule -----------------------------------------------------
-
-    def _advance_mem_ptr(self) -> None:
-        """Consume the pending memory event from the schedule."""
-        ptr = self._mem_ptr + 1
-        blk = self._mem_blk
-        if ptr < len(blk.mem):
-            self._mem_ptr = ptr
-            self._mem_next = blk.mem[ptr]
-        else:  # found lazily by next_event in the blocks that follow
-            self._mem_blk = None
-            self._mem_next = _NEVER
-
-    def next_event(self) -> int:
-        """Smallest global index >= ``retired`` whose instruction must be
-        globally ordered (memory access, epoch boundary, or warmup end);
-        the core's limit when it finishes first."""
-        cap = self._boundary
-        while self._mem_next == _NEVER and self._loaded_to < cap:
-            self._load_next_block()
-        nxt = self._mem_next
-        return nxt if nxt < cap else cap
-
-    def advance_private(self, start: int, stop: int) -> None:
-        """Bulk-execute global positions ``[start, stop)`` — guaranteed
-        free of events: runs of unit-latency instructions stepped through
-        ``run_simple``, mispredicted branches stepped individually."""
-        if stop <= start:
-            return
-        stats = self.hierarchy.stats
-        core = self.core
-        run_simple = core.run_simple
-        step = core.step
-        g = start
-        while g < stop:
-            blk = self._block_at(g)
-            i = g - blk.start
-            j = min(blk.stop, stop) - blk.start
-            prefix = blk.branch_prefix
-            stats.branches += int(prefix[j] - prefix[i])
-            mispreds = blk.mispred
-            pos = i
-            for m in mispreds[bisect_left(mispreds, i):
-                              bisect_left(mispreds, j)]:
-                if m > pos:
-                    run_simple(m - pos)
-                step(1.0, False, False, True)
-                stats.mispredicted_branches += 1
-                pos = m + 1
-            if j > pos:
-                run_simple(j - pos)
-            g = blk.start + j
-        stats.instructions += stop - start
-        self.retired = stop
-
-    def execute_event(self) -> None:
-        """Execute the single instruction at ``retired`` (the pending
-        event) plus any epoch/warmup transition it triggers — exactly the
-        per-instruction reference semantics.  This is the generic path;
-        the run loop inlines the common case (a memory access away from
-        any transition boundary)."""
-        event_index = self.retired
-        # (may load the block, scheduling its first memory event)
-        blk = self._block_at(event_index)
+        The loop is :meth:`Simulator._loop`'s: per block, the slow rows
+        from :func:`~repro.sim.simulator._slow_rows`, and segments that
+        end at the block end, the next transition or ``limit``.
+        """
+        trace = self.trace
         hierarchy = self.hierarchy
+        policy = self.policy
         core = self.core
         stats = hierarchy.stats
-        if event_index == self._mem_next:
-            ptr = self._mem_ptr
-            f = blk.mem_flags[ptr]
-            pc, addr = blk.mem_pcs[ptr], blk.mem_addrs[ptr]
-            if f & FLAG_LOAD:
-                issue = core.begin((f & FLAG_DEP) != 0)
-                result = hierarchy.load(pc, addr, issue, blk.mem_keys[ptr])
-                core.finish(result.latency, True)
-                stats.loads += 1
-            else:
-                issue = core.begin()
-                latency = hierarchy.store(pc, addr, issue)
-                core.finish(latency)
-                stats.stores += 1
-            self._advance_mem_ptr()
-        else:
-            f = int(blk.flags[event_index - blk.start])
-            if f & FLAG_BRANCH:
-                mispred = bool(f & FLAG_MISPRED)
-                core.step(1.0, False, False, mispred)
-                stats.branches += 1
-                if mispred:
-                    stats.mispredicted_branches += 1
-            else:
-                core.step()
-        stats.instructions += 1
-        self.retired += 1
-        self._post_event(event_index)
+        dram = hierarchy.dram
+        hier_load = hierarchy.load
+        hier_store = hierarchy.store
+        block_keys = hierarchy.block_keys
+        ring = core._commit_ring
+        rob = core._rob
+        inv_width = core._inv_width
+        penalty = core._penalty
+        # The core's timing state lives in locals until the core finishes.
+        idx = core._index
+        next_dispatch = core._next_dispatch
+        last_commit = core._last_commit
+        last_load_ready = core._last_load_ready
 
-    def _post_event(self, event_index: int) -> None:
-        """Apply any warmup-end / epoch-boundary transition triggered by
-        the instruction just executed at ``event_index``."""
-        if event_index == self._warm_idx:
-            self._warm_idx = _NEVER
-            # End of this core's warm-up: caches and predictors stay warm,
-            # measured statistics restart (paper §6.1 methodology).  Only
-            # the private caches' hit counters reset — the shared LLC is
-            # still mid-warmup for other cores.
-            hierarchy = self.hierarchy
-            stats = hierarchy.stats
-            self.measure_start_cycles = self.core.cycles
-            Simulator._reset_measured_stats(
-                stats, hierarchy, include_shared_caches=False
-            )
-            self._epoch_snapshot = stats.snapshot()
-            self._epoch_cycles = self.core.cycles
-            self._epoch_busy = hierarchy.dram.busy_cycles
-            self._epoch_kinds = hierarchy.dram.kind_counts()
-        if event_index == self._next_epoch:
-            self._next_epoch += self.epoch_length
-            self._end_epoch()
-        self._boundary = min(self._limit, self._next_epoch, self._warm_idx)
+        count = 0  # instructions retired, replays included
+        # the counts whose instruction ends the next epoch / the warmup
+        next_epoch = epoch_length if policy is not None else _NEVER
+        warm_end = warmup or _NEVER
+        epoch_index = 0
+        mark = (stats.snapshot(), last_commit, dram.busy_cycles,
+                dram.kind_counts())
+        while True:  # one pass over the trace per replay
+            for block in trace_blocks(trace):
+                bn = len(block)
+                slow, slow_flags, slow_pcs, slow_addrs, slow_keys, \
+                    branch_prefix = _slow_rows(block, block_keys)
+                sp = 0
+                il = 0
+                while il < bn:
+                    # One segment, up to the nearest of the block end, the
+                    # next transition and the limit.  ``edge`` is the
+                    # position of the segment's transition instruction,
+                    # ``stop`` when it has none.
+                    stop = il + (next_epoch if next_epoch < warm_end
+                                 else warm_end) - count
+                    if stop <= bn:
+                        edge = stop - 1
+                    else:
+                        stop = edge = bn
+                    if il + limit - count < stop:
+                        stop = edge = il + limit - count
+                    start = il
+                    loads = stores = mispredicts = 0
+                    while True:
+                        # Inlined CoreModel.run_simple over the unit-latency
+                        # rows up to the next slow row or the edge.
+                        nxt = slow[sp]
+                        cut = nxt if nxt < edge else edge
+                        for _ in range(cut - il):
+                            pos = idx % rob
+                            slot = ring[pos]
+                            dispatch = next_dispatch \
+                                if next_dispatch >= slot else slot
+                            ready = dispatch + 1.0
+                            commit = last_commit + inv_width
+                            if ready > commit:
+                                commit = ready
+                            ring[pos] = commit
+                            idx += 1
+                            last_commit = commit
+                            next_dispatch += inv_width
+                        if cut == stop:
+                            break
+                        # The row at ``cut``: a slow row, or else the
+                        # transition instruction as a unit-latency row.
+                        # (A slow row's flags are never 0.)
+                        f = slow_flags[sp] if cut == nxt else 0
+                        if f & _MEM or cut == edge:
+                            yield last_commit
+                        # Inlined CoreModel.begin/finish around the row.
+                        pos = idx % rob
+                        slot = ring[pos]
+                        dispatch = next_dispatch if next_dispatch >= slot \
+                            else slot
+                        if f & FLAG_LOAD:
+                            if f & FLAG_DEP and last_load_ready > dispatch:
+                                dispatch = last_load_ready
+                            ready = last_load_ready = dispatch + hier_load(
+                                slow_pcs[sp], slow_addrs[sp], dispatch,
+                                slow_keys[sp]).latency
+                            loads += 1
+                        elif f & FLAG_STORE:
+                            ready = dispatch + hier_store(
+                                slow_pcs[sp], slow_addrs[sp], dispatch)
+                            stores += 1
+                        else:
+                            ready = dispatch + 1.0
+                        commit = last_commit + inv_width
+                        if ready > commit:
+                            commit = ready
+                        ring[pos] = commit
+                        idx += 1
+                        last_commit = commit
+                        next_dispatch += inv_width
+                        if f:
+                            sp += 1
+                            if not f & _MEM:
+                                # The front end refills only after the
+                                # mispredicted branch resolves.
+                                ready += penalty
+                                if ready > next_dispatch:
+                                    next_dispatch = ready
+                                mispredicts += 1
+                        il = cut + 1
+                        if il == stop:
+                            break
+                    il = stop
+                    count += stop - start
+                    stats.instructions += stop - start
+                    stats.branches += branch_prefix[stop] \
+                        - branch_prefix[start]
+                    stats.loads += loads
+                    stats.stores += stores
+                    stats.mispredicted_branches += mispredicts
 
-    def _end_epoch(self) -> None:
-        hierarchy = self.hierarchy
-        telemetry = build_epoch_telemetry(
-            hierarchy.dram,
-            self._epoch_index,
-            hierarchy.stats,
-            self._epoch_snapshot,
-            self.core.cycles - self._epoch_cycles,
-            hierarchy.dram.busy_cycles - self._epoch_busy,
-            self._epoch_kinds,
-        )
-        action = self.policy.decide(telemetry)
-        hierarchy.set_prefetchers_enabled(action.prefetchers_enabled)
-        hierarchy.set_ocp_enabled(action.ocp_enabled)
-        hierarchy.set_degree_fraction(action.degree_fraction)
-        self._epoch_index += 1
-        self._epoch_snapshot = hierarchy.stats.snapshot()
-        self._epoch_cycles = self.core.cycles
-        self._epoch_busy = hierarchy.dram.busy_cycles
-        self._epoch_kinds = hierarchy.dram.kind_counts()
+                    if count == warm_end:
+                        # End of this core's warmup: caches and predictors
+                        # stay warm, measured statistics restart (paper
+                        # §6.1).  Only the private caches' hit counters
+                        # reset: the shared LLC is still mid-warmup for
+                        # other cores.
+                        warm_end = _NEVER
+                        self.measure_start_cycles = last_commit
+                        Simulator._reset_measured_stats(
+                            stats, hierarchy, include_shared_caches=False)
+                        mark = (stats.snapshot(), last_commit,
+                                dram.busy_cycles, dram.kind_counts())
+                    if count == next_epoch:
+                        next_epoch += epoch_length
+                        snapshot, cycles, busy, kinds = mark
+                        Simulator._apply_action(hierarchy, policy.decide(
+                            build_epoch_telemetry(
+                                dram, epoch_index, stats, snapshot,
+                                last_commit - cycles,
+                                dram.busy_cycles - busy, kinds)))
+                        epoch_index += 1
+                        mark = (stats.snapshot(), last_commit,
+                                dram.busy_cycles, dram.kind_counts())
+                    if count == limit:
+                        core._index = idx
+                        core._next_dispatch = next_dispatch
+                        core._last_commit = last_commit
+                        core._last_load_ready = last_load_ready
+                        return
 
 
 class MultiCoreSimulator:
@@ -418,150 +288,50 @@ class MultiCoreSimulator:
         (or returns ``None`` for uncoordinated runs)."""
         if not traces:
             raise ValueError("need at least one trace")
+        if not all(len(trace) for trace in traces):
+            raise ValueError("cannot replay an empty trace")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         self.params = params
         self.shared_llc = Cache(params.llc)
         self.shared_dram = MainMemory(params.dram)
         self.instructions_per_core = instructions_per_core
-        warmup = int(instructions_per_core * warmup_fraction)
+        self.epoch_length = epoch_length
+        self.warmup_instructions = int(instructions_per_core
+                                       * warmup_fraction)
         self.contexts = [
             _CoreContext(
-                core_id=core_id,
                 trace=trace,
                 hierarchy=hierarchy_factory(
                     params, self.shared_llc, self.shared_dram
                 ),
                 policy=policy_factory(),
-                epoch_length=epoch_length,
-                warmup_instructions=warmup,
-                limit=instructions_per_core,
             )
-            for core_id, trace in enumerate(traces)
+            for trace in traces
         ]
 
     def run(self) -> MultiCoreResult:
         limit = self.instructions_per_core
-        contexts = self.contexts
+        warmup = self.warmup_instructions
+        cores = [ctx.events(self.epoch_length, warmup, limit)
+                 for ctx in self.contexts]
         heap = []
-        for ctx in contexts:
-            event = ctx.next_event()
-            ctx.advance_private(0, event)
-            if event < limit:
-                # key = clock before the event instruction: identical to
-                # the per-instruction heap's key when it pops this
-                # instruction, so events order the same way.
-                heap.append((ctx.core._last_commit, ctx.core_id))
+        for cid, events in enumerate(cores):
+            clock = next(events, None)
+            if clock is not None:
+                heap.append((clock, cid))
         heapq.heapify(heap)
-        heappush = heapq.heappush
+        heapreplace = heapq.heapreplace
         heappop = heapq.heappop
-        # Per-core references the fast path needs, hoisted once per run.
-        hot = [
-            (ctx, ctx.core, ctx.core._commit_ring, ctx.core._rob,
-             ctx.core._inv_width, ctx.hierarchy.load, ctx.hierarchy.store,
-             ctx.hierarchy.stats)
-            for ctx in contexts
-        ]
         while heap:
-            cid = heappop(heap)[1]
-            # The heap is untouched while this core holds the minimum, so
-            # the key to beat is read once per turn.
-            if heap:
-                top_clock, top_cid = heap[0]
+            # The core with the smallest (clock, core_id) executes its
+            # pending instruction and runs on to its next one.
+            cid = heap[0][1]
+            clock = next(cores[cid], None)
+            if clock is None:
+                heappop(heap)
             else:
-                top_clock = _INF
-            ctx, core, ring, rob, inv_width, hier_load, hier_store, stats = \
-                hot[cid]
-            while True:
-                start = ctx.retired
-                if start == ctx._mem_next and start < ctx._boundary:
-                    # Fast path: a memory access away from any transition
-                    # boundary, followed by its precomputed private gap.
-                    blk = ctx._mem_blk
-                    ptr = ctx._mem_ptr
-                    f = blk.mem_flags[ptr]
-                    # Inlined CoreModel.begin/finish around the access.
-                    idx = core._index
-                    pos = idx % rob
-                    slot_time = ring[pos]
-                    next_dispatch = core._next_dispatch
-                    dispatch = next_dispatch
-                    if slot_time > dispatch:
-                        dispatch = slot_time
-                    if f & FLAG_LOAD:
-                        if f & FLAG_DEP:
-                            load_ready = core._last_load_ready
-                            if load_ready > dispatch:
-                                dispatch = load_ready
-                        result = hier_load(
-                            blk.mem_pcs[ptr], blk.mem_addrs[ptr], dispatch,
-                            blk.mem_keys[ptr])
-                        ready = dispatch + result.latency
-                        core._last_load_ready = ready
-                        stats.loads += 1
-                    else:
-                        ready = dispatch + hier_store(
-                            blk.mem_pcs[ptr], blk.mem_addrs[ptr], dispatch)
-                        stats.stores += 1
-                    last_commit = core._last_commit + inv_width
-                    if ready > last_commit:
-                        last_commit = ready
-                    ring[pos] = last_commit
-                    idx += 1
-                    next_dispatch = next_dispatch + inv_width
-                    r = start + 1
-                    if ptr < blk.n_gaps:
-                        # Inlined _advance_mem_ptr within the block.
-                        ctx._mem_ptr = ptr + 1
-                        ctx._mem_next = blk.mem[ptr + 1]
-                        gap = blk.gap_len[ptr]
-                        end = r + gap
-                        if gap and blk.gap_clean[ptr] \
-                                and end <= ctx._boundary:
-                            # Inlined CoreModel.run_simple over the gap.
-                            for _ in range(gap):
-                                pos = idx % rob
-                                slot_time = ring[pos]
-                                dispatch = next_dispatch
-                                if slot_time > dispatch:
-                                    dispatch = slot_time
-                                ready = dispatch + 1.0
-                                commit = last_commit + inv_width
-                                if ready > commit:
-                                    commit = ready
-                                ring[pos] = commit
-                                idx += 1
-                                last_commit = commit
-                                next_dispatch = next_dispatch + inv_width
-                            stats.branches += blk.gap_branches[ptr]
-                            r = end
-                            gap = 0
-                    else:
-                        # The block's last memory event: its gap crosses a
-                        # block seam or the replay boundary.
-                        ctx._advance_mem_ptr()
-                        gap = -1
-                    core._index = idx
-                    core._last_commit = last_commit
-                    core._next_dispatch = next_dispatch
-                    stats.instructions += r - start
-                    ctx.retired = r
-                    if gap:
-                        # the gap needs the generic private path
-                        ctx.advance_private(r, ctx.next_event())
-                else:
-                    # Generic path: epoch/warmup transitions.
-                    ctx.execute_event()
-                    ctx.advance_private(ctx.retired, ctx.next_event())
-                if ctx.retired >= limit:
-                    break
-                clock = core._last_commit
-                if clock > top_clock or (clock == top_clock
-                                         and cid > top_cid):
-                    heappush(heap, (clock, cid))
-                    break
-                # this core still holds the minimum event key: continue
-                # with it without touching the heap
+                heapreplace(heap, (clock, cid))
         result = MultiCoreResult()
         for ctx in self.contexts:
             measured_cycles = ctx.core.cycles - ctx.measure_start_cycles
@@ -569,7 +339,7 @@ class MultiCoreSimulator:
             result.cores.append(
                 CoreResult(
                     workload=ctx.trace.name,
-                    instructions=ctx.retired - ctx.warmup_instructions,
+                    instructions=limit - warmup,
                     cycles=measured_cycles,
                     stats=ctx.hierarchy.stats,
                 )

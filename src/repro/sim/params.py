@@ -109,9 +109,6 @@ class SystemParams:
     def with_ocp_issue_latency(self, cycles: int) -> "SystemParams":
         return replace(self, ocp_issue_latency=cycles)
 
-    def with_llc_size(self, size_bytes: int) -> "SystemParams":
-        return replace(self, llc=replace(self.llc, size_bytes=size_bytes))
-
 
 def default_system(bandwidth_gbps: float = 3.2) -> SystemParams:
     """The paper's default bandwidth-constrained single-core system."""

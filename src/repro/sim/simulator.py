@@ -14,7 +14,8 @@ materialized trace is read in blocks of
 blocks arrive lazily.  Each block converts only its slow rows — loads,
 stores and mispredicted branches — to Python scalars, hashes their OCP
 keys (:meth:`~repro.sim.hierarchy.CacheHierarchy.block_keys`) and keeps
-a prefix sum of its branches.  The loop walks segments that end at the
+a prefix sum of its branches (:func:`_slow_rows`, which the multi-core
+loop shares).  The loop walks segments that end at the
 nearest of the block end, the next epoch, the warmup end and the
 checkpoint position, so the warmup reset, the policy decisions and the
 checkpoint fire only at a segment's end, at exactly the instruction
@@ -50,7 +51,7 @@ import numpy as np
 if TYPE_CHECKING:  # imported lazily to avoid a sim <-> policies cycle
     from ..policies.base import CoordinationAction, CoordinationPolicy
 
-from ..workloads.streaming import TraceStream, trace_blocks
+from ..workloads.streaming import TraceBlock, TraceStream, trace_blocks
 from ..workloads.trace import (
     FLAG_BRANCH,
     FLAG_DEP,
@@ -169,6 +170,35 @@ def build_epoch_telemetry(
         ocp_predictions=delta.ocp_predictions,
         dram_requests=total,
     )
+
+
+def _slow_rows(block: TraceBlock, block_keys) -> tuple:
+    """The rows of ``block`` a run loop executes one at a time: memory
+    accesses and mispredicted branches.  Every other row is a
+    unit-latency step (a mispredict flag without a branch flag redirects
+    nothing).
+
+    Returns ``(positions, flags, pcs, addrs, keys, branch_prefix)``: the
+    block-local positions of those rows followed by the sentinel
+    ``len(block)``; their flags, pcs and addrs as Python scalars; their
+    OCP keys from ``block_keys``; and ``branch_prefix[i]``, the
+    non-memory branches among the block's first ``i`` rows.
+    """
+    flags = block.flags
+    rows = np.flatnonzero(
+        ((flags & _MEM) != 0)
+        | ((flags & _MISPRED_BRANCH) == _MISPRED_BRANCH)
+    )
+    pcs = block.pcs[rows]
+    addrs = block.addrs[rows]
+    branch_prefix = np.concatenate((
+        np.zeros(1, dtype=np.int64),
+        np.cumsum((flags & _BRANCH_OR_MEM) == FLAG_BRANCH, dtype=np.int64),
+    ))
+    positions = rows.tolist()
+    positions.append(len(flags))
+    return (positions, flags[rows].tolist(), pcs.tolist(), addrs.tolist(),
+            block_keys(pcs, addrs), branch_prefix.tolist())
 
 
 @dataclass(eq=False)
@@ -366,30 +396,9 @@ class Simulator:
 
         for block in blocks:
             base = block.start
-            flags_np = block.flags
-            bn = len(flags_np)
-            # Rows needing individual handling: memory accesses and
-            # mispredicted branches.  Every other row is a unit-latency
-            # step (a mispredict flag without a branch flag redirects
-            # nothing).
-            slow_np = np.flatnonzero(
-                ((flags_np & _MEM) != 0)
-                | ((flags_np & _MISPRED_BRANCH) == _MISPRED_BRANCH)
-            )
-            slow = slow_np.tolist()
-            slow.append(bn)  # sentinel: never below a segment's stop
-            slow_flags = flags_np[slow_np].tolist()
-            slow_pcs_np = block.pcs[slow_np]
-            slow_addrs_np = block.addrs[slow_np]
-            slow_pcs = slow_pcs_np.tolist()
-            slow_addrs = slow_addrs_np.tolist()
-            slow_keys = block_keys(slow_pcs_np, slow_addrs_np)
-            # branch_prefix[i] = non-memory branches among the first i rows
-            branch_prefix = np.concatenate((
-                np.zeros(1, dtype=np.int64),
-                np.cumsum((flags_np & _BRANCH_OR_MEM) == FLAG_BRANCH,
-                          dtype=np.int64),
-            )).tolist()
+            bn = len(block)
+            slow, slow_flags, slow_pcs, slow_addrs, slow_keys, \
+                branch_prefix = _slow_rows(block, block_keys)
             sp = 0
             il = 0
             while il < bn:

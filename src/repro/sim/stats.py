@@ -162,24 +162,6 @@ class EpochTelemetry:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def feature(self, name: str) -> float:
-        """Look up one of the seven candidate state features by name."""
-        mapping = {
-            "prefetcher_accuracy": self.prefetcher_accuracy,
-            "ocp_accuracy": self.ocp_accuracy,
-            "bandwidth_usage": self.bandwidth_usage,
-            "cache_pollution": self.cache_pollution,
-            "prefetch_bandwidth": self.prefetch_bandwidth_share,
-            "ocp_bandwidth": self.ocp_bandwidth_share,
-            "demand_bandwidth": self.demand_bandwidth_share,
-        }
-        try:
-            return mapping[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown feature {name!r}; valid: {sorted(mapping)}"
-            ) from None
-
 
 #: The seven candidate features of paper Table 1, in paper order.
 CANDIDATE_FEATURES = (

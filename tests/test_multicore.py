@@ -50,6 +50,19 @@ class TestBasics:
                 instructions_per_core=100,
             )
 
+    def test_zero_length_trace_rejected(self):
+        # a core replays its trace until it retires its quota: an empty
+        # trace could never get there
+        design = CacheDesign.cd1()
+        with pytest.raises(ValueError, match="empty trace"):
+            MultiCoreSimulator(
+                traces=traces(1) + traces(1, length=0),
+                params=system_for(design),
+                hierarchy_factory=lambda p, llc, dram: None,
+                policy_factory=lambda: None,
+                instructions_per_core=100,
+            )
+
     def test_short_trace_replayed(self):
         design = CacheDesign.cd1().without_mechanisms()
         params = system_for(design)

@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.configs import CacheDesign, build_hierarchy, system_for
@@ -154,17 +154,21 @@ def _with_stray_mispredicts(trace, rate, seed):
     return Trace(trace.name, trace.suite, trace.pcs, trace.addrs, flags)
 
 
+def _core_trace(cid, family, seed, length, stray_rate, stray_seed):
+    return _with_stray_mispredicts(
+        WorkloadSpec(f"c{cid}", "oracle", family, seed).build(length),
+        stray_rate, stray_seed)
+
+
 @st.composite
 def scenarios(draw):
     length = draw(st.integers(min_value=500, max_value=3_000))
     n_cores = draw(st.integers(min_value=1, max_value=4))
     traces = [
-        _with_stray_mispredicts(
-            WorkloadSpec(f"c{cid}", "oracle",
-                         draw(st.sampled_from(FAMILIES)),
-                         draw(st.integers(0, 10_000))).build(length),
-            draw(st.sampled_from((0.0, 0.005, 0.05))),
-            draw(st.integers(0, 2**32 - 1)))
+        _core_trace(cid, draw(st.sampled_from(FAMILIES)),
+                    draw(st.integers(0, 10_000)), length,
+                    draw(st.sampled_from((0.0, 0.005, 0.05))),
+                    draw(st.integers(0, 2**32 - 1)))
         for cid in range(n_cores)
     ]
     if draw(st.booleans()):
@@ -182,11 +186,40 @@ def scenarios(draw):
     }
 
 
+def _edge_case(families, length, stray_rate, **knobs):
+    return dict(knobs, traces=[
+        _core_trace(cid, family, cid, length, stray_rate, cid)
+        for cid, family in enumerate(families)
+    ])
+
+
+#: Scenarios every run checks, whatever hypothesis draws.
+EDGE_CASES = (
+    # Epoch 1: every instruction ends an epoch, so transitions land on
+    # loads, stores, mispredicted branches, block seams and the replay
+    # seam.
+    _edge_case(("gups", "producer_consumer", "compute"), 600, 0.05,
+               design=CacheDesign.cd1(), policy_name="mab",
+               per_core=600 + 333, epoch=1, warmup=0.2),
+    # A quota that ends partway through the first replay.
+    _edge_case(("stencil", "streaming", "pointer_chase"), 1_500, 0.0,
+               design=CacheDesign.cd2(), policy_name="hpac",
+               per_core=1_500 + 333, epoch=97, warmup=0.35),
+    # Four Athena agents sharing the LLC and DRAM.
+    _edge_case(("graph", "gups", "phase_shift", "hash_probe"), 2_000, 0.005,
+               design=CacheDesign.cd1(), policy_name="athena",
+               per_core=4_000, epoch=150, warmup=0.2),
+)
+
+
 class TestReferenceScheduler:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     @given(scenario=scenarios())
+    @example(scenario=EDGE_CASES[0])
+    @example(scenario=EDGE_CASES[1])
+    @example(scenario=EDGE_CASES[2])
     def test_event_loop_matches_per_instruction_heap(self, scenario):
         want = reference_run(**scenario)
         assert event_loop_run(**scenario) == want

@@ -187,15 +187,6 @@ class TestTlp:
         assert policy._filter(0x800, 999, "l1d")
         assert policy.allowed_prefetches == 1
 
-    def test_perceptron_trains_on_demand_outcomes(self):
-        policy = TlpPolicy()
-        for line in range(200):
-            policy.on_demand_load(0x400, line, True)
-        assert policy._score(0x400, 5) > 0
-        for line in range(200):
-            policy.on_demand_load(0x900, line, False)
-        assert policy._score(0x900, 5) < 0
-
 
 class TestAthenaPolicy:
     def test_attach_registers_tracker_observer(self):
