@@ -46,7 +46,8 @@ from .policies.base import CoordinationAction, NaivePolicy
 from .policies.hpac import HpacPolicy
 from .policies.mab import MabPolicy
 from .policies.tlp import TlpPolicy
-from .sim.simulator import SimulationResult, Simulator
+from .sim.region import SimulationResult
+from .sim.simulator import Simulator
 
 __version__ = "1.0.0"
 

@@ -37,8 +37,9 @@ from ..core.config import AthenaConfig, RewardWeights
 from ..obs.spans import span
 from ..policies.base import CoordinationAction
 from ..policies import make_policy
-from ..sim.multicore import CoreResult, MultiCoreResult, MultiCoreSimulator
-from ..sim.simulator import SimulationResult, Simulator
+from ..sim.multicore import MultiCoreResult, MultiCoreSimulator
+from ..sim.region import SimulationResult
+from ..sim.simulator import Simulator
 from ..sim.stats import EpochTelemetry, SimStats
 from ..workloads.suites import WorkloadSpec, build_trace, stream_trace
 from .store import StoreDecodeError
@@ -372,33 +373,28 @@ def _dataclass_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _stats_from(payload: dict) -> SimStats:
-    return SimStats(**payload)
+def _core_payload(core: SimulationResult) -> dict:
+    """A core's totals: all of a mix core's payload, and the head of a
+    run's."""
+    return {"workload": core.workload, "instructions": core.instructions,
+            "cycles": core.cycles, "stats": _dataclass_dict(core.stats)}
+
+
+def _core_from(payload: dict, **history) -> SimulationResult:
+    return SimulationResult(payload["workload"], SimStats(**payload["stats"]),
+                            payload["instructions"], payload["cycles"],
+                            **history)
 
 
 def encode_result(result: Result) -> dict:
     """Serialize a simulation result into a JSON-able payload."""
     if isinstance(result, MultiCoreResult):
-        return {
-            "schema": ENGINE_SCHEMA,
-            "kind": "mix",
-            "cores": [
-                {
-                    "workload": core.workload,
-                    "instructions": core.instructions,
-                    "cycles": core.cycles,
-                    "stats": _dataclass_dict(core.stats),
-                }
-                for core in result.cores
-            ],
-        }
+        return {"schema": ENGINE_SCHEMA, "kind": "mix",
+                "cores": [_core_payload(core) for core in result.cores]}
     return {
         "schema": ENGINE_SCHEMA,
         "kind": "run",
-        "workload": result.workload,
-        "instructions": result.instructions,
-        "cycles": result.cycles,
-        "stats": _dataclass_dict(result.stats),
+        **_core_payload(result),
         "epochs": [_dataclass_dict(epoch) for epoch in result.epochs],
         "actions": [
             {
@@ -490,16 +486,8 @@ def decode_result(payload: dict) -> Result:
             )
         kind = payload["kind"]
         if kind == "mix":
-            cores = [
-                CoreResult(
-                    workload=core["workload"],
-                    instructions=core["instructions"],
-                    cycles=core["cycles"],
-                    stats=_stats_from(core["stats"]),
-                )
-                for core in payload["cores"]
-            ]
-            return MultiCoreResult(cores=cores)
+            return MultiCoreResult(
+                cores=[_core_from(core) for core in payload["cores"]])
         if kind != "run":
             raise StoreDecodeError(f"unknown payload kind {kind!r}")
         # Reject here every row the deferred builds would reject: each
@@ -512,14 +500,9 @@ def decode_result(payload: dict) -> Result:
             raise StoreDecodeError("malformed epoch telemetry")
         actions = [_action_values(action) for action in payload["actions"]]
         set(actions)
-        return SimulationResult(
-            workload=payload["workload"],
-            stats=_stats_from(payload["stats"]),
-            instructions=payload["instructions"],
-            cycles=payload["cycles"],
-            epochs=_Deferred(_epochs_from, epochs),
-            actions=_Deferred(_actions_from, actions),
-        )
+        return _core_from(payload,
+                          epochs=_Deferred(_epochs_from, epochs),
+                          actions=_Deferred(_actions_from, actions))
     except StoreDecodeError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -397,16 +397,21 @@ class JobQueue:
 
     # -- janitor -----------------------------------------------------------
 
-    def reclaim(self) -> Tuple[List[RequestFailure], List[RequestFailure]]:
+    def reclaim(self, live: Sequence[str] = ()
+                ) -> Tuple[List[RequestFailure], List[RequestFailure]]:
         """Requeue (or fail) every job whose lease has expired.
 
         Any process may call this — dispatcher, worker, or `repro queue
         status`; the transaction makes concurrent reclaims safe.
-        Returns ``(requeued, failed)`` as lists of the synthetic
+        ``live`` names the caller's own leases that it is still working
+        on: they are never reclaimed, whatever their expiry says (a
+        worker that stalls between its heartbeat and this call is not
+        dead).  Returns ``(requeued, failed)`` as lists of the synthetic
         ``crash`` :class:`~repro.engine.faults.RequestFailure` records
         written to the affected jobs.
         """
         now = time.time()
+        live = frozenset(live)
         requeued: List[RequestFailure] = []
         failed: List[RequestFailure] = []
         with self._backend.transaction() as conn:
@@ -416,6 +421,8 @@ class JobQueue:
                 (now,),
             ).fetchall()
             for key, attempts, max_retries, owner in rows:
+                if key in live:
+                    continue
                 failure = RequestFailure(
                     key=key, kind="crash",
                     error=(f"lease expired (worker {owner or '?'} "

@@ -194,7 +194,7 @@ class QueueWorker:
             else FaultPlan.from_env()
         self.lease_ttl_s = float(lease_ttl_s)
         self.heartbeat_s = (float(heartbeat_s) if heartbeat_s is not None
-                            else max(0.05, self.lease_ttl_s / 3.0))
+                            else self.lease_ttl_s / 3.0)
         self.poll_s = float(poll_s)
         self.owner = owner if owner else owner_id()
         self.on_result = on_result
@@ -299,15 +299,16 @@ class QueueWorker:
                 if unsettled is not None and not unsettled \
                         and not running:
                     break
-                if running and time.monotonic() >= next_beat:
-                    # Before reclaiming: a consumer that paused between
-                    # pulls must find its own leases alive.
-                    self.queue.heartbeat(
-                        [lease.key for job in running.values()
-                         for lease in job],
-                        self.owner, ttl_s=self.lease_ttl_s)
+                live = [lease.key for job in running.values()
+                        for lease in job]
+                if live and time.monotonic() >= next_beat:
+                    self.queue.heartbeat(live, self.owner,
+                                         ttl_s=self.lease_ttl_s)
                     next_beat = time.monotonic() + self.heartbeat_s
-                events.extend(self._reclaim())
+                # A consumer that paused between pulls, or a stall after
+                # the heartbeat, must not reclaim this worker's own
+                # leases as crashes.
+                events.extend(self._reclaim(live))
                 self._update_depth()
                 due = self._refill(slots, running, deadlines, events,
                                    unsettled)
@@ -555,9 +556,10 @@ class QueueWorker:
             self.report.failures.append(failure)
         return [("fail", failure.key, failure) for failure in failures]
 
-    def _reclaim(self) -> List[Settlement]:
-        """Requeue expired leases; settle the ones out of budget."""
-        requeued, failed = self.queue.reclaim()
+    def _reclaim(self, live: Sequence[str]) -> List[Settlement]:
+        """Requeue expired leases other than this worker's ``live`` ones;
+        settle the ones out of budget."""
+        requeued, failed = self.queue.reclaim(live)
         if not requeued and not failed:
             return []
         self.report.reclaimed += len(requeued) + len(failed)

@@ -22,7 +22,7 @@ from ..core.config import AthenaConfig
 from ..engine.api import Engine
 from ..engine.jobs import MixRequest, Request, RunRequest
 from ..sim.multicore import MultiCoreResult
-from ..sim.simulator import SimulationResult
+from ..sim.region import SimulationResult
 from ..workloads.mixes import WorkloadMix
 from ..workloads.suites import (
     ReproScale,

@@ -17,16 +17,13 @@ The paper reports TLP's first-level fill-source prediction as highly
 accurate, so the filter models it exactly: an on-chip presence probe of
 the prefetch address (see :meth:`TlpPolicy._filter`).  No perceptron is
 simulated; :meth:`TlpPolicy.storage_bits` still reports the hardware's
-table budget for the storage comparison.
+budget for the storage comparison.
 """
 
 from __future__ import annotations
 
 from ..sim.stats import EpochTelemetry
 from .base import CoordinationAction, CoordinationPolicy
-
-_TABLE_SIZE = 1024
-_NUM_FEATURES = 4
 
 
 class TlpPolicy(CoordinationPolicy):
@@ -81,5 +78,9 @@ class TlpPolicy(CoordinationPolicy):
         return action
 
     def storage_bits(self) -> int:
-        """Paper Table 8 lists TLP at 6.98 KB."""
-        return _NUM_FEATURES * _TABLE_SIZE * 5 + 512
+        """Paper Table 8 lists TLP at 6.98 KB (57,180 bits), for both of
+        its perceptron levels: the off-chip predictor and the L1D
+        prefetch filter.  Neither table is simulated here (see the
+        module docstring), so this is the paper's budget, not a count
+        of modelled tables."""
+        return 57_180

@@ -12,7 +12,8 @@ from .params import (
     default_system,
     scaled_system,
 )
-from .simulator import SimulationResult, Simulator
+from .region import SimulationResult
+from .simulator import Simulator
 from .stats import EpochTelemetry, SimStats
 
 __all__ = [

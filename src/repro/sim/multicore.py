@@ -29,6 +29,12 @@ in the identical order and the results are bit-identical (pinned by the
 multicore golden cases in ``tests/golden/`` and by the per-instruction
 reference in ``tests/test_multicore_oracle.py``, materialized and
 streamed at any block size).
+
+The warmup reset, each epoch's telemetry and each core's
+:class:`~repro.sim.region.SimulationResult` come from the core's
+:class:`~repro.sim.region.MeasuredRegion`, the owner of the measured
+region that the single-core loop uses too; the generator keeps only its
+epoch schedule.
 """
 
 from __future__ import annotations
@@ -46,27 +52,16 @@ from .cpu import CoreModel
 from .dram import MainMemory
 from .hierarchy import CacheHierarchy
 from .params import SystemParams
-from .simulator import _MEM, Simulator, _slow_rows, build_epoch_telemetry
-from .stats import SimStats
-
-
-@dataclass
-class CoreResult:
-    """Per-core outcome of a multi-core run."""
-
-    workload: str
-    instructions: int
-    cycles: float
-    stats: SimStats
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
+from .region import MeasuredRegion, SimulationResult
+from .simulator import _MEM, Simulator, _slow_rows
 
 
 @dataclass
 class MultiCoreResult:
-    cores: List[CoreResult] = field(default_factory=list)
+    """One :class:`~repro.sim.region.SimulationResult` per core, without
+    epochs or actions."""
+
+    cores: List[SimulationResult] = field(default_factory=list)
 
     def weighted_speedup(self, baseline: "MultiCoreResult") -> float:
         """Geometric-mean per-core speedup against a baseline run."""
@@ -98,7 +93,7 @@ class _CoreContext:
         self.hierarchy = hierarchy
         self.policy = policy
         self.core = CoreModel(hierarchy.params.core)
-        self.measure_start_cycles = 0.0
+        self.region = MeasuredRegion(hierarchy, shared_llc=True)
         if policy is not None:
             policy.attach(hierarchy)
 
@@ -122,8 +117,8 @@ class _CoreContext:
         hierarchy = self.hierarchy
         policy = self.policy
         core = self.core
+        region = self.region
         stats = hierarchy.stats
-        dram = hierarchy.dram
         hier_load = hierarchy.load
         hier_store = hierarchy.store
         block_keys = hierarchy.block_keys
@@ -141,9 +136,6 @@ class _CoreContext:
         # the counts whose instruction ends the next epoch / the warmup
         next_epoch = epoch_length if policy is not None else _NEVER
         warm_end = warmup or _NEVER
-        epoch_index = 0
-        mark = (stats.snapshot(), last_commit, dram.busy_cycles,
-                dram.kind_counts())
         while True:  # one pass over the trace per replay
             for block in trace_blocks(trace):
                 bn = len(block)
@@ -239,28 +231,15 @@ class _CoreContext:
                     stats.mispredicted_branches += mispredicts
 
                     if count == warm_end:
-                        # End of this core's warmup: caches and predictors
-                        # stay warm, measured statistics restart (paper
-                        # §6.1).  Only the private caches' hit counters
-                        # reset: the shared LLC is still mid-warmup for
-                        # other cores.
+                        # End of this core's warmup (paper §6.1); the
+                        # shared LLC's hit counters are left alone, since
+                        # it is still mid-warmup for other cores.
                         warm_end = _NEVER
-                        self.measure_start_cycles = last_commit
-                        Simulator._reset_measured_stats(
-                            stats, hierarchy, include_shared_caches=False)
-                        mark = (stats.snapshot(), last_commit,
-                                dram.busy_cycles, dram.kind_counts())
+                        region.end_warmup(last_commit)
                     if count == next_epoch:
                         next_epoch += epoch_length
-                        snapshot, cycles, busy, kinds = mark
                         Simulator._apply_action(hierarchy, policy.decide(
-                            build_epoch_telemetry(
-                                dram, epoch_index, stats, snapshot,
-                                last_commit - cycles,
-                                dram.busy_cycles - busy, kinds)))
-                        epoch_index += 1
-                        mark = (stats.snapshot(), last_commit,
-                                dram.busy_cycles, dram.kind_counts())
+                            region.end_epoch(last_commit)))
                     if count == limit:
                         core._index = idx
                         core._next_dispatch = next_dispatch
@@ -311,9 +290,8 @@ class MultiCoreSimulator:
         ]
 
     def run(self) -> MultiCoreResult:
-        limit = self.instructions_per_core
-        warmup = self.warmup_instructions
-        cores = [ctx.events(self.epoch_length, warmup, limit)
+        cores = [ctx.events(self.epoch_length, self.warmup_instructions,
+                            self.instructions_per_core)
                  for ctx in self.contexts]
         heap = []
         for cid, events in enumerate(cores):
@@ -332,16 +310,7 @@ class MultiCoreSimulator:
                 heappop(heap)
             else:
                 heapreplace(heap, (clock, cid))
-        result = MultiCoreResult()
-        for ctx in self.contexts:
-            measured_cycles = ctx.core.cycles - ctx.measure_start_cycles
-            ctx.hierarchy.stats.cycles = measured_cycles
-            result.cores.append(
-                CoreResult(
-                    workload=ctx.trace.name,
-                    instructions=limit - warmup,
-                    cycles=measured_cycles,
-                    stats=ctx.hierarchy.stats,
-                )
-            )
-        return result
+        return MultiCoreResult(cores=[
+            ctx.region.result(ctx.trace.name, ctx.core.cycles)
+            for ctx in self.contexts
+        ])

@@ -1,0 +1,176 @@
+"""The measured region of a core's run, owned in one place.
+
+Every reported statistic starts at the warmup end (paper §6.1), and a
+policy decides on each epoch's telemetry (paper §5).  Both run loops —
+``Simulator._loop`` and each multi-core core's ``_CoreContext.events`` —
+keep their own epoch schedule but cross those boundaries through one
+:class:`MeasuredRegion`.  The per-instruction reference loops of the
+oracle tests call its primitives, :func:`build_epoch_telemetry` and
+:func:`reset_measured_stats`, directly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Sequence, Tuple
+
+if TYPE_CHECKING:  # imported lazily to avoid a sim <-> policies cycle
+    from ..policies.base import CoordinationAction
+
+from .dram import MainMemory
+from .hierarchy import CacheHierarchy
+from .stats import EpochTelemetry, SimStats
+
+
+@dataclass
+class SimulationResult:
+    """Outcome of one core's run: a single-core run, or one core of a
+    mix (which records no epochs or actions)."""
+
+    workload: str
+    stats: SimStats
+    instructions: int
+    cycles: float
+    epochs: Sequence[EpochTelemetry] = field(default_factory=list)
+    actions: Sequence["CoordinationAction"] = field(default_factory=list)
+
+    @property
+    def ipc(self) -> float:
+        return self.instructions / self.cycles if self.cycles else 0.0
+
+    def action_distribution(self) -> dict:
+        """Fraction of epochs spent in each (prefetchers, ocp) combination.
+
+        This is the statistic behind the paper's Figure 17 case study.
+        """
+        counts: dict = {}
+        for action in self.actions:
+            key = (action.prefetchers_enabled, action.ocp_enabled)
+            counts[key] = counts.get(key, 0) + 1
+        total = max(1, len(self.actions))
+        return {k: v / total for k, v in counts.items()}
+
+
+def build_epoch_telemetry(
+    dram: MainMemory,
+    epoch_index: int,
+    stats: SimStats,
+    start: SimStats,
+    cycles: float,
+    busy_cycles: float,
+    start_kinds: Tuple[int, int, int, int],
+) -> EpochTelemetry:
+    """One epoch's telemetry (paper Tables 1-2): the counter delta since
+    ``start`` plus the DRAM request mix since ``start_kinds``."""
+    delta = stats.delta_from(start)
+    demand, prefetch, ocp, writeback = (
+        cur - prev
+        for cur, prev in zip(dram.kind_counts(), start_kinds)
+    )
+    total = demand + prefetch + ocp + writeback
+    total_dram = max(1, total)
+    pf_acc = (
+        delta.prefetches_useful / delta.prefetches_issued
+        if delta.prefetches_issued
+        else 0.0
+    )
+    ocp_acc = (
+        delta.ocp_correct / delta.ocp_predictions
+        if delta.ocp_predictions
+        else 0.0
+    )
+    demand_misses = max(1, delta.llc_misses)
+    return EpochTelemetry(
+        epoch_index=epoch_index,
+        instructions=delta.instructions,
+        cycles=cycles,
+        loads=delta.loads,
+        mispredicted_branches=delta.mispredicted_branches,
+        llc_misses=delta.llc_misses,
+        llc_miss_latency_sum=delta.llc_miss_latency_sum,
+        prefetcher_accuracy=min(1.0, pf_acc),
+        ocp_accuracy=min(1.0, ocp_acc),
+        bandwidth_usage=min(1.0, busy_cycles / cycles) if cycles else 0.0,
+        cache_pollution=min(1.0, delta.pollution_misses / demand_misses),
+        prefetch_bandwidth_share=prefetch / total_dram,
+        ocp_bandwidth_share=ocp / total_dram,
+        demand_bandwidth_share=demand / total_dram,
+        prefetches_issued=delta.prefetches_issued,
+        ocp_predictions=delta.ocp_predictions,
+        dram_requests=total,
+    )
+
+
+def reset_measured_stats(hierarchy: CacheHierarchy,
+                         include_shared_caches: bool = True) -> None:
+    """Zero every measured counter of ``hierarchy`` at the warmup end.
+
+    Also restarts the per-:class:`~repro.sim.cache.Cache` hit/miss
+    counters, so post-warmup ``hit_rate`` reflects the measured region
+    only; ``include_shared_caches=False`` leaves a shared LLC's alone.
+    """
+    stats = hierarchy.stats
+    for f in fields(SimStats):
+        setattr(stats, f.name, f.default)
+    hierarchy.reset_cache_hit_counters(include_shared=include_shared_caches)
+
+
+class MeasuredRegion:
+    """One core's measured region: the clock it starts at, the number of
+    epochs ended so far, and the mark (stats snapshot, clock, DRAM busy
+    cycles and request-kind counts) the current epoch's telemetry is
+    taken from.
+
+    A checkpoint or a lockstep fork deep-copies a region together with
+    its hierarchy.  With ``shared_llc`` (a multi-core run, where other
+    cores may still be warming up) the warmup reset leaves the LLC's hit
+    counters alone.
+    """
+
+    __slots__ = ("hierarchy", "shared_llc", "start_cycles", "epochs_ended",
+                 "_stats", "_cycles", "_busy", "_kinds")
+
+    def __init__(self, hierarchy: CacheHierarchy,
+                 shared_llc: bool = False) -> None:
+        self.hierarchy = hierarchy
+        self.shared_llc = shared_llc
+        self.start_cycles = 0.0
+        self.epochs_ended = 0
+        self._mark(0.0)
+
+    def _mark(self, cycles: float) -> None:
+        dram = self.hierarchy.dram
+        self._stats = self.hierarchy.stats.snapshot()
+        self._cycles = cycles
+        self._busy = dram.busy_cycles
+        self._kinds = dram.kind_counts()
+
+    def end_warmup(self, cycles: float) -> None:
+        """End the warmup at clock ``cycles``: caches and predictors stay
+        warm; the measured counters and the epoch restart."""
+        self.start_cycles = cycles
+        reset_measured_stats(self.hierarchy,
+                             include_shared_caches=not self.shared_llc)
+        self._mark(cycles)
+
+    def end_epoch(self, cycles: float) -> EpochTelemetry:
+        """The telemetry since the mark, re-marked at clock ``cycles``."""
+        dram = self.hierarchy.dram
+        telemetry = build_epoch_telemetry(
+            dram, self.epochs_ended, self.hierarchy.stats, self._stats,
+            cycles - self._cycles, dram.busy_cycles - self._busy,
+            self._kinds)
+        self.epochs_ended += 1
+        self._mark(cycles)
+        return telemetry
+
+    def result(self, workload: str, cycles: float,
+               epochs: Sequence[EpochTelemetry] = (),
+               actions: Sequence["CoordinationAction"] = (),
+               ) -> SimulationResult:
+        """The core's result at clock ``cycles``: the measured counters
+        and the cycles since the warmup end."""
+        stats = self.hierarchy.stats
+        stats.cycles = cycles - self.start_cycles
+        return SimulationResult(workload, stats, stats.instructions,
+                                stats.cycles, list(epochs), list(actions))

@@ -25,6 +25,10 @@ hierarchy access inlined, after the unit-latency rows before it as an inlined
 ``CoreModel.run_simple``; the floating-point operation sequence is the
 core model's, so timing is bit-identical to stepping it row by row
 (pinned by ``tests/test_simulator_oracle.py`` and the golden cases).
+The loop keeps only the schedule of those transitions: the warmup reset,
+each epoch's telemetry and the run's result come from the run's
+:class:`~repro.sim.region.MeasuredRegion`, the one owner of the measured
+region that the multi-core loop uses too.
 
 One run can carry several coordination policies, its *riders*, in
 lockstep.  Every rider decides on the same epoch telemetry; while they
@@ -42,9 +46,8 @@ running it alone, and a run with one policy is simply a group of one.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,41 +64,13 @@ from ..workloads.trace import (
     Trace,
 )
 from .cpu import CoreModel
-from .dram import MainMemory
 from .hierarchy import CacheHierarchy
-from .stats import EpochTelemetry, SimStats
+from .region import MeasuredRegion, SimulationResult
+from .stats import EpochTelemetry
 
 _MEM = FLAG_LOAD | FLAG_STORE
 _MISPRED_BRANCH = FLAG_MISPRED | FLAG_BRANCH
 _BRANCH_OR_MEM = FLAG_BRANCH | _MEM
-
-
-@dataclass
-class SimulationResult:
-    """Outcome of one simulation run."""
-
-    workload: str
-    stats: SimStats
-    instructions: int
-    cycles: float
-    epochs: Sequence[EpochTelemetry] = field(default_factory=list)
-    actions: Sequence["CoordinationAction"] = field(default_factory=list)
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    def action_distribution(self) -> dict:
-        """Fraction of epochs spent in each (prefetchers, ocp) combination.
-
-        This is the statistic behind the paper's Figure 17 case study.
-        """
-        counts: dict = {}
-        for action in self.actions:
-            key = (action.prefetchers_enabled, action.ocp_enabled)
-            counts[key] = counts.get(key, 0) + 1
-        total = max(1, len(self.actions))
-        return {k: v / total for k, v in counts.items()}
 
 
 @dataclass
@@ -120,56 +95,6 @@ class SimCheckpoint:
     epoch_length: int
     warmup_fraction: float
     state: dict
-
-
-def build_epoch_telemetry(
-    dram: MainMemory,
-    epoch_index: int,
-    stats: SimStats,
-    start: SimStats,
-    cycles: float,
-    busy_cycles: float,
-    start_kinds: Tuple[int, int, int, int],
-) -> EpochTelemetry:
-    """One epoch's telemetry (paper Tables 1-2): the counter delta since
-    ``start`` plus the DRAM request mix since ``start_kinds``."""
-    delta = stats.delta_from(start)
-    demand, prefetch, ocp, writeback = (
-        cur - prev
-        for cur, prev in zip(dram.kind_counts(), start_kinds)
-    )
-    total = demand + prefetch + ocp + writeback
-    total_dram = max(1, total)
-    pf_acc = (
-        delta.prefetches_useful / delta.prefetches_issued
-        if delta.prefetches_issued
-        else 0.0
-    )
-    ocp_acc = (
-        delta.ocp_correct / delta.ocp_predictions
-        if delta.ocp_predictions
-        else 0.0
-    )
-    demand_misses = max(1, delta.llc_misses)
-    return EpochTelemetry(
-        epoch_index=epoch_index,
-        instructions=delta.instructions,
-        cycles=cycles,
-        loads=delta.loads,
-        mispredicted_branches=delta.mispredicted_branches,
-        llc_misses=delta.llc_misses,
-        llc_miss_latency_sum=delta.llc_miss_latency_sum,
-        prefetcher_accuracy=min(1.0, pf_acc),
-        ocp_accuracy=min(1.0, ocp_acc),
-        bandwidth_usage=min(1.0, busy_cycles / cycles) if cycles else 0.0,
-        cache_pollution=min(1.0, delta.pollution_misses / demand_misses),
-        prefetch_bandwidth_share=prefetch / total_dram,
-        ocp_bandwidth_share=ocp / total_dram,
-        demand_bandwidth_share=demand / total_dram,
-        prefetches_issued=delta.prefetches_issued,
-        ocp_predictions=delta.ocp_predictions,
-        dram_requests=total,
-    )
 
 
 def _slow_rows(block: TraceBlock, block_keys) -> tuple:
@@ -260,23 +185,16 @@ class Simulator:
         if checkpoint_at is not None and \
                 not 0 < checkpoint_at <= len(self.trace):
             raise ValueError("checkpoint_at must be in (0, len(trace)]")
-        stats = self.hierarchy.stats
-        dram = self.hierarchy.dram
-        count = stats.instructions
+        count = self.hierarchy.stats.instructions
         state = {
             "count": count,
             "next_epoch": count - count % self.epoch_length
             + self.epoch_length,
-            "epoch_index": 0,
             "epochs": [],
             "actions": [],
             "warmup_stats_reset_done":
                 int(len(self.trace) * self.warmup_fraction) == 0,
-            "measure_start_cycles": 0.0,
-            "epoch_start_snapshot": stats.snapshot(),
-            "epoch_start_cycles": 0.0,
-            "epoch_start_busy": dram.busy_cycles,
-            "epoch_start_kinds": dram.kind_counts(),
+            "region": MeasuredRegion(self.hierarchy),
         }
         results = self._loop(0, state, checkpoint_at)
         self.results = [results[member] for member in sorted(results)]
@@ -360,19 +278,13 @@ class Simulator:
         riders = self.riders
         forks: List[SimCheckpoint] = []
         epoch_len = self.epoch_length
-        dram = hierarchy.dram
         warmup_end = int(len(trace) * self.warmup_fraction)
         blocks = trace_blocks(trace, position)
 
         epochs: List[EpochTelemetry] = st["epochs"]
         actions: List["CoordinationAction"] = st["actions"]
-        epoch_index = st["epoch_index"]
-        epoch_start_snapshot = st["epoch_start_snapshot"]
-        epoch_start_cycles = st["epoch_start_cycles"]
-        epoch_start_busy = st["epoch_start_busy"]
-        epoch_start_kinds = st["epoch_start_kinds"]
         warmup_stats_reset_done = st["warmup_stats_reset_done"]
-        measure_start_cycles = st["measure_start_cycles"]
+        region: MeasuredRegion = st["region"]
         # ``count`` is the live value of ``stats.instructions``, which is
         # synced only where it is read.
         count = st["count"]
@@ -485,28 +397,15 @@ class Simulator:
                     # End of warm-up: caches and predictors stay warm, but
                     # the reported statistics start here (paper §6.1
                     # methodology).
-                    measure_start_cycles = last_commit
-                    self._reset_measured_stats(stats, hierarchy)
+                    region.end_warmup(last_commit)
                     warmup_stats_reset_done = True
                     count = 0
                     next_epoch = 0  # 0 % epoch_len == 0 fires below
-                    epoch_start_snapshot = stats.snapshot()
-                    epoch_start_cycles = last_commit
-                    epoch_start_busy = dram.busy_cycles
-                    epoch_start_kinds = dram.kind_counts()
 
                 parted = ()
                 if have_policy and count == next_epoch:
                     stats.instructions = count
-                    telemetry = build_epoch_telemetry(
-                        dram,
-                        epoch_index,
-                        stats,
-                        epoch_start_snapshot,
-                        last_commit - epoch_start_cycles,
-                        dram.busy_cycles - epoch_start_busy,
-                        epoch_start_kinds,
-                    )
+                    telemetry = region.end_epoch(last_commit)
                     # Every rider decides on the same telemetry; riders
                     # are grouped by action, in rider order.
                     decided: Dict["CoordinationAction", List[Rider]] = {}
@@ -517,12 +416,7 @@ class Simulator:
                     self._apply_action(hierarchy, action)
                     epochs.append(telemetry)
                     actions.append(action)
-                    epoch_index += 1
                     next_epoch += epoch_len
-                    epoch_start_snapshot = stats.snapshot()
-                    epoch_start_cycles = last_commit
-                    epoch_start_busy = dram.busy_cycles
-                    epoch_start_kinds = dram.kind_counts()
 
                 at_checkpoint = not captured and base + il == checkpoint_at
                 if parted or at_checkpoint:
@@ -531,19 +425,11 @@ class Simulator:
                     core._next_dispatch = next_dispatch
                     core._last_commit = last_commit
                     core._last_load_ready = last_load_ready
-                    loop_state = {
-                        "count": count,
-                        "next_epoch": next_epoch,
-                        "epoch_index": epoch_index,
-                        "epochs": epochs,
-                        "actions": actions,
-                        "warmup_stats_reset_done": warmup_stats_reset_done,
-                        "measure_start_cycles": measure_start_cycles,
-                        "epoch_start_snapshot": epoch_start_snapshot,
-                        "epoch_start_cycles": epoch_start_cycles,
-                        "epoch_start_busy": epoch_start_busy,
-                        "epoch_start_kinds": epoch_start_kinds,
-                    }
+                    # The epochs, the actions and the region are
+                    # ``st``'s own objects, updated in place.
+                    loop_state = dict(
+                        st, count=count, next_epoch=next_epoch,
+                        warmup_stats_reset_done=warmup_stats_reset_done)
                     # A fork is this run with the other group's riders,
                     # whose action replaces this run's last one.
                     for fork_action, fork_riders in parted:
@@ -566,43 +452,13 @@ class Simulator:
         core._last_commit = last_commit
         core._last_load_ready = last_load_ready
         stats.instructions = count
-        measured_cycles = last_commit - measure_start_cycles
-        stats.cycles = measured_cycles
-        result = SimulationResult(
-            workload=trace.name,
-            stats=stats,
-            instructions=stats.instructions,
-            cycles=measured_cycles,
-            epochs=epochs,
-            actions=actions,
-        )
+        result = region.result(trace.name, last_commit, epochs, actions)
         results = {rider.member: result for rider in riders} or {0: result}
         for fork in forks:
             results.update(self._enter(trace, fork, fork.state))
         return results
 
     # ------------------------------------------------------------------ helpers
-
-    @staticmethod
-    def _reset_measured_stats(
-        stats: SimStats, hierarchy: Optional[CacheHierarchy] = None,
-        include_shared_caches: bool = True,
-    ) -> None:
-        """Zero every measured counter at the warmup boundary.
-
-        Also restarts the per-:class:`~repro.sim.cache.Cache` hit/miss
-        counters (when a ``hierarchy`` is given) so post-warmup
-        ``hit_rate`` reflects the measured region only.
-        """
-        preserved_instructions = 0  # measurement restarts from zero
-        fresh = SimStats()
-        for f in fields(fresh):
-            setattr(stats, f.name, getattr(fresh, f.name))
-        stats.instructions = preserved_instructions
-        if hierarchy is not None:
-            hierarchy.reset_cache_hit_counters(
-                include_shared=include_shared_caches
-            )
 
     @staticmethod
     def _apply_action(hierarchy: CacheHierarchy,

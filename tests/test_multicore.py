@@ -1,11 +1,15 @@
 """Tests for the multi-core simulator (shared LLC + DRAM)."""
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.engine.jobs import MixRequest, RunRequest
 from repro.experiments.configs import CacheDesign, build_hierarchy, system_for
 from repro.policies.athena import AthenaPolicy
+from repro.policies.base import NaivePolicy
 from repro.sim.multicore import MultiCoreResult, MultiCoreSimulator
-from repro.workloads.suites import WorkloadSpec
+from repro.workloads.suites import WorkloadSpec, find_workload
 
 
 def traces(n, pattern="streaming", length=2000):
@@ -121,3 +125,67 @@ class TestSharedResources:
         assert len(policies) == 2
         assert policies[0].agent is not policies[1].agent
         assert policies[0].action_history
+
+
+class TestOneCoreMixIsASingleCoreRun:
+    """With the warmup a whole number of epochs, a one-core mix and a
+    single-core run of the same trace are the same simulation."""
+
+    @pytest.mark.parametrize("policy", ["none", "naive", "hpac", "athena"])
+    @pytest.mark.parametrize("workload", [
+        "spec06.mcf_like.0", "ligra.BFS.0", "spec06.libquantum_like.0"])
+    def test_same_stats_and_cycles(self, workload, policy):
+        fields = dict(trace_length=6000, design=CacheDesign.cd1(),
+                      policy_name=policy, epoch_length=150,
+                      warmup_fraction=0.35)
+        assert int(6000 * 0.35) % 150 == 0
+        spec = find_workload(workload)
+        single = RunRequest(spec=spec, **fields).execute()
+        [core] = MixRequest(workloads=(spec,), **fields).execute().cores
+        assert asdict(core.stats) == asdict(single.stats)
+        assert core.cycles == single.cycles
+        assert core.instructions == single.instructions
+
+
+class _RecordingNaive(NaivePolicy):
+    def __init__(self):
+        super().__init__()
+        self.telemetries = []
+
+    def decide(self, telemetry):
+        self.telemetries.append(telemetry)
+        return super().decide(telemetry)
+
+
+class TestWarmupBoundaryEpoch:
+    """Pins today's warmup boundary: the reset runs before the epoch
+    ending at the same instruction closes, so each core's policy decides
+    once on an empty epoch.  ROADMAP item 2 closes the last warmup epoch
+    before the reset; this pin flips with that fix."""
+
+    def test_each_core_sees_one_empty_epoch_at_its_warmup_end(self):
+        design = CacheDesign.cd1()
+        policies = []
+
+        def factory():
+            policies.append(_RecordingNaive())
+            return policies[-1]
+
+        sim = MultiCoreSimulator(
+            traces=traces(2, "hash_probe", 3000),
+            params=system_for(design),
+            hierarchy_factory=lambda p, llc, dram: build_hierarchy(
+                design, params=p, llc=llc, dram=dram
+            ),
+            policy_factory=factory,
+            instructions_per_core=3000,
+            epoch_length=150,
+            warmup_fraction=0.35,
+        )
+        sim.run()
+        warmup_epochs = sim.warmup_instructions // 150
+        assert warmup_epochs == 7
+        for policy in policies:
+            empty = [t for t in policy.telemetries if t.instructions == 0]
+            assert [(t.epoch_index, t.cycles) for t in empty] == \
+                [(warmup_epochs - 1, 0.0)]

@@ -25,7 +25,7 @@ from repro.sim.cache import Cache
 from repro.sim.cpu import CoreModel
 from repro.sim.dram import MainMemory
 from repro.sim.multicore import MultiCoreSimulator
-from repro.sim.simulator import Simulator, build_epoch_telemetry
+from repro.sim.region import build_epoch_telemetry, reset_measured_stats
 from repro.workloads.generators import WORKLOAD_PLANS
 from repro.workloads.streaming import TraceStream, blocks_from_trace
 from repro.workloads.suites import WorkloadSpec, build_trace, find_workload
@@ -94,8 +94,7 @@ def reference_run(traces, design, policy_name, per_core, epoch, warmup):
         c["retired"] = idx + 1
         if warm and idx == warm - 1:
             c["start"] = core.cycles
-            Simulator._reset_measured_stats(
-                stats, h, include_shared_caches=False)
+            reset_measured_stats(h, include_shared_caches=False)
             c["mark"] = (stats.snapshot(), core.cycles, dram.busy_cycles,
                          dram.kind_counts())
         if c["policy"] is not None and (idx + 1) % epoch == 0:

@@ -265,6 +265,16 @@ class TestReclaim:
             assert q.reclaim() == ([], [])
             assert q.get("k1").state == "leased"
 
+    def test_reclaim_spares_the_callers_live_leases(self, tmp_path):
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            q.dispatch([("k1", "r1"), ("k2", "r2")])
+            q.lease("w", ttl_s=0.0, limit=2)
+            time.sleep(0.01)
+            requeued, failed = q.reclaim(live=["k1"])
+            assert [f.key for f in requeued] == ["k2"]
+            assert failed == []
+            assert q.get("k1").state == "leased"
+
     def test_reset_failed_grants_a_fresh_budget(self, tmp_path):
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch([("k1", "r1")], max_retries=0)
@@ -411,6 +421,40 @@ class TestQueueWorker:
             for r in requests:
                 assert store.get(r.key()) is not None
         store.close()
+
+    def test_stall_after_heartbeat_keeps_own_leases(self, tmp_path):
+        # The worker renews its lease, then stalls past the TTL before
+        # it reclaims: the lease it holds is live, not a crash.
+        class StallingQueue(JobQueue):
+            def heartbeat(self, keys, owner, *, ttl_s=30.0):
+                extended = super().heartbeat(keys, owner, ttl_s=ttl_s)
+                self._backend.commit(
+                    "UPDATE jobs SET lease_expires=? WHERE state='leased'",
+                    (time.time() - 1.0,))
+                return extended
+
+        request = _request()
+        store = ResultStore(tmp_path / "s.sqlite")
+        with StallingQueue(tmp_path / "q.sqlite") as q:
+            q.dispatch(_keyed([request]), max_retries=0)
+            worker = QueueWorker(
+                q, store=store, lease_ttl_s=0.05, heartbeat_s=0.0,
+                policy=ExecutionPolicy(max_retries=0))
+            settlements = worker.settlements()
+            assert next(settlements) is None  # leased, heartbeat due
+            kind, key, _ = next(settlements)
+            assert (kind, key) == ("ok", request.key())
+            assert list(settlements) == []
+            assert worker.report.reclaimed == 0
+            assert q.get(request.key()).state == "done"
+        store.close()
+
+    def test_default_heartbeat_renews_well_within_the_ttl(self, tmp_path):
+        # a period as long as the TTL lets a sibling worker reclaim a
+        # live lease between two heartbeats
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            worker = QueueWorker(q, lease_ttl_s=0.05)
+            assert worker.heartbeat_s == pytest.approx(0.05 / 3)
 
     def test_worker_resumes_from_store_without_executing(self, tmp_path):
         # the crash window: result stored, done mark missing.

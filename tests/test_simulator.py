@@ -2,13 +2,20 @@
 
 import pytest
 
+from repro.engine.jobs import RunRequest
+from repro.experiments.configs import CacheDesign
 from repro.policies.base import CoordinationAction, CoordinationPolicy, NaivePolicy
 from repro.prefetchers.streamer import StreamPrefetcher
 from repro.ocp.ttp import TtpPredictor
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.params import scaled_system
 from repro.sim.simulator import Simulator
-from repro.workloads.suites import WorkloadSpec, build_trace, find_workload
+from repro.workloads.suites import (
+    SCALES,
+    WorkloadSpec,
+    build_trace,
+    find_workload,
+)
 
 
 def make_trace(pattern="streaming", length=3000, seed=5):
@@ -167,3 +174,29 @@ class TestBehaviouralShape:
         trace = build_trace(find_workload("spec06.mcf_like.0"), 4000)
         result = Simulator(trace, make_hierarchy()).run()
         assert result.stats.llc_mpki > 3.0  # paper's inclusion criterion
+
+
+class TestWarmupBoundaryEpoch:
+    """Pins today's warmup boundary: the reset runs before the epoch
+    ending at the same instruction closes, so the policy decides on an
+    empty epoch and the last warmup epoch is never reported.  ROADMAP
+    item 2 closes that epoch before the reset; this pin flips with the
+    fix."""
+
+    @pytest.mark.parametrize("policy", ["hpac", "athena"])
+    def test_small_scale_run_has_an_empty_epoch_at_the_warmup_end(
+            self, policy):
+        scale = SCALES["small"]
+        result = RunRequest(
+            spec=find_workload("spec06.mcf_like.0"),
+            trace_length=scale.trace_length,
+            design=CacheDesign.cd1(),
+            policy_name=policy,
+            epoch_length=scale.epoch_length,
+            warmup_fraction=scale.warmup_fraction,
+        ).execute()
+        warmup = int(scale.trace_length * scale.warmup_fraction)
+        assert warmup // scale.epoch_length == 14
+        empty = [e for e in result.epochs if e.instructions == 0]
+        assert [(e.epoch_index, e.cycles) for e in empty] == [(13, 0.0)]
+        assert result.epochs[13] is empty[0]

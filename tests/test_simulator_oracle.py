@@ -23,11 +23,12 @@ from repro.experiments.configs import CacheDesign, build_hierarchy
 from repro.policies import make_policy
 from repro.sim.cpu import CoreModel
 from repro.sim.params import CoreParams
-from repro.sim.simulator import (
+from repro.sim.region import (
     SimulationResult,
-    Simulator,
     build_epoch_telemetry,
+    reset_measured_stats,
 )
+from repro.sim.simulator import Simulator
 from repro.workloads.streaming import TraceStream, blocks_from_trace
 from repro.workloads.trace import (
     FLAG_BRANCH,
@@ -90,7 +91,7 @@ def reference_run(trace, design, policy_name, epoch, warmup):
         stats.instructions += 1
         if i == warm - 1:
             start = core.cycles
-            Simulator._reset_measured_stats(stats, h)
+            reset_measured_stats(h)
             mark = _mark(stats, core.cycles, dram)
         if policy is not None and stats.instructions % epoch == 0:
             snap, cycles, busy, kinds = mark

@@ -79,4 +79,8 @@ class TestTable8OcpsAndPolicies:
         tlp = TlpPolicy()
         assert mab.storage_bits() < hpac.storage_bits()
         assert hpac.storage_bits() < athena_bits
-        assert athena_bits < tlp.storage_bits() * 2  # same class
+        assert athena_bits < tlp.storage_bits()
+
+    def test_tlp_reports_the_paper_budget(self):
+        """Table 8: TLP's two perceptron levels take 6.98 KB."""
+        assert TlpPolicy().storage_bits() == 57_180
