@@ -13,28 +13,30 @@ the smallest ``(clock, core_id)`` executes its next instruction, so DRAM
 and LLC see an (approximately) time-ordered request stream and bandwidth
 contention behaves like a shared channel.
 
-Each core is a generator, :meth:`_CoreContext.events`, that runs the
-single-core simulator's block/segment loop over its trace (replaying it
-from the start while the core is short of its quota).  Only instructions
-that touch shared state or sample it need global ordering: loads and
-stores (shared LLC and DRAM), and the instructions whose retirement ends
-an epoch or the warmup (the transitions read shared DRAM telemetry).  The
-generator yields its clock before each of them and executes it when
-resumed; everything in between — unit-latency rows and mispredicted
-branches — is private to the core and runs inlined without a yield.
-:meth:`MultiCoreSimulator.run` keeps a heap of ``(clock, core_id)`` and
-always resumes the smallest entry, which is the key the per-instruction
-heap would pop that instruction with, so shared-state mutations happen
-in the identical order and the results are bit-identical (pinned by the
-multicore golden cases in ``tests/golden/`` and by the per-instruction
-reference in ``tests/test_multicore_oracle.py``, materialized and
-streamed at any block size).
+Each core is a generator, :meth:`_CoreContext.events`: the timing loop
+both simulators share, :func:`~repro.sim.simulator.segment_loop`, over
+the core's trace (replayed from the start while the core is short of its
+quota).  Only instructions that touch shared state or sample it need
+global ordering: loads and stores (shared LLC and DRAM), and the
+instructions whose retirement ends an epoch or the warmup (the
+transitions read shared DRAM telemetry).  The loop yields the core's
+clock before each of them and executes it when resumed; everything in
+between — unit-latency rows and mispredicted branches — is private to
+the core and runs without a yield.  :meth:`MultiCoreSimulator.run` keeps
+a heap of ``(clock, core_id)`` and always resumes the smallest entry,
+which is the key the per-instruction heap would pop that instruction
+with, so shared-state mutations happen in the identical order and the
+results are bit-identical (pinned by the multicore golden cases in
+``tests/golden/`` and by the per-instruction reference in
+``tests/test_multicore_oracle.py``, materialized and streamed at any
+block size).
 
-The warmup reset, each epoch's telemetry and each core's
-:class:`~repro.sim.region.SimulationResult` come from the core's
-:class:`~repro.sim.region.MeasuredRegion`, the owner of the measured
-region that the single-core loop uses too; the generator keeps only its
-epoch schedule.
+A core keeps only its stop schedule: the warmup end and an epoch every
+``epoch_length`` instructions, both counted over every instruction it
+retires, replays included.  The warmup reset, each epoch's telemetry and
+each core's :class:`~repro.sim.region.SimulationResult` come from the
+core's :class:`~repro.sim.region.MeasuredRegion`, the owner of the
+measured region that the single-core simulator uses too.
 """
 
 from __future__ import annotations
@@ -45,15 +47,15 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # avoid a sim <-> policies import cycle
     from ..policies.base import CoordinationPolicy
-from ..workloads.streaming import TraceStream, trace_blocks
-from ..workloads.trace import FLAG_DEP, FLAG_LOAD, FLAG_STORE, Trace
+from ..workloads.streaming import TraceBlock, TraceStream, trace_blocks
+from ..workloads.trace import Trace
 from .cache import Cache
 from .cpu import CoreModel
 from .dram import MainMemory
 from .hierarchy import CacheHierarchy
 from .params import SystemParams
 from .region import MeasuredRegion, SimulationResult
-from .simulator import _MEM, Simulator, _slow_rows
+from .simulator import _NEVER, Simulator, segment_loop
 
 
 @dataclass
@@ -73,10 +75,6 @@ class MultiCoreResult:
                 raise ValueError(f"baseline IPC is zero for {base.workload}")
             product *= mine.ipc / base.ipc
         return product ** (1.0 / len(self.cores))
-
-
-#: a count no run ever reaches (schedules nothing)
-_NEVER = 1 << 62
 
 
 class _CoreContext:
@@ -100,152 +98,54 @@ class _CoreContext:
     def events(self, epoch_length: int, warmup: int,
                limit: int) -> Iterator[float]:
         """Run this core's first ``limit`` instructions, replaying its
-        trace as often as needed.
+        trace as often as needed: :func:`~repro.sim.simulator.segment_loop`
+        over the replayed blocks, yielding the core's clock before each
+        instruction that must be globally ordered.
 
-        Yields the core's clock before each instruction that must be
-        globally ordered, and executes that instruction when resumed:
-        loads and stores (they reach the shared LLC and DRAM) and the
-        instructions whose retirement ends an epoch or the ``warmup``
-        (the transitions read the shared DRAM's telemetry).  The rows in
-        between are private to the core and run without a yield.
-
-        The loop is :meth:`Simulator._loop`'s: per block, the slow rows
-        from :func:`~repro.sim.simulator._slow_rows`, and segments that
-        end at the block end, the next transition or ``limit``.
+        Keeps the multi-core stop schedule: the ``warmup`` end and one
+        epoch every ``epoch_length`` instructions, both counted over
+        every instruction the core retires (replays included).
         """
-        trace = self.trace
         hierarchy = self.hierarchy
         policy = self.policy
-        core = self.core
         region = self.region
-        stats = hierarchy.stats
-        hier_load = hierarchy.load
-        hier_store = hierarchy.store
-        block_keys = hierarchy.block_keys
-        ring = core._commit_ring
-        rob = core._rob
-        inv_width = core._inv_width
-        penalty = core._penalty
-        # The core's timing state lives in locals until the core finishes.
-        idx = core._index
-        next_dispatch = core._next_dispatch
-        last_commit = core._last_commit
-        last_load_ready = core._last_load_ready
-
         count = 0  # instructions retired, replays included
         # the counts whose instruction ends the next epoch / the warmup
         next_epoch = epoch_length if policy is not None else _NEVER
         warm_end = warmup or _NEVER
-        while True:  # one pass over the trace per replay
-            for block in trace_blocks(trace):
-                bn = len(block)
-                slow, slow_flags, slow_pcs, slow_addrs, slow_keys, \
-                    branch_prefix = _slow_rows(block, block_keys)
-                sp = 0
-                il = 0
-                while il < bn:
-                    # One segment, up to the nearest of the block end, the
-                    # next transition and the limit.  ``edge`` is the
-                    # position of the segment's transition instruction,
-                    # ``stop`` when it has none.
-                    stop = il + (next_epoch if next_epoch < warm_end
-                                 else warm_end) - count
-                    if stop <= bn:
-                        edge = stop - 1
-                    else:
-                        stop = edge = bn
-                    if il + limit - count < stop:
-                        stop = edge = il + limit - count
-                    start = il
-                    loads = stores = mispredicts = 0
-                    while True:
-                        # Inlined CoreModel.run_simple over the unit-latency
-                        # rows up to the next slow row or the edge.
-                        nxt = slow[sp]
-                        cut = nxt if nxt < edge else edge
-                        for _ in range(cut - il):
-                            pos = idx % rob
-                            slot = ring[pos]
-                            dispatch = next_dispatch \
-                                if next_dispatch >= slot else slot
-                            ready = dispatch + 1.0
-                            commit = last_commit + inv_width
-                            if ready > commit:
-                                commit = ready
-                            ring[pos] = commit
-                            idx += 1
-                            last_commit = commit
-                            next_dispatch += inv_width
-                        if cut == stop:
-                            break
-                        # The row at ``cut``: a slow row, or else the
-                        # transition instruction as a unit-latency row.
-                        # (A slow row's flags are never 0.)
-                        f = slow_flags[sp] if cut == nxt else 0
-                        if f & _MEM or cut == edge:
-                            yield last_commit
-                        # Inlined CoreModel.begin/finish around the row.
-                        pos = idx % rob
-                        slot = ring[pos]
-                        dispatch = next_dispatch if next_dispatch >= slot \
-                            else slot
-                        if f & FLAG_LOAD:
-                            if f & FLAG_DEP and last_load_ready > dispatch:
-                                dispatch = last_load_ready
-                            ready = last_load_ready = dispatch + hier_load(
-                                slow_pcs[sp], slow_addrs[sp], dispatch,
-                                slow_keys[sp]).latency
-                            loads += 1
-                        elif f & FLAG_STORE:
-                            ready = dispatch + hier_store(
-                                slow_pcs[sp], slow_addrs[sp], dispatch)
-                            stores += 1
-                        else:
-                            ready = dispatch + 1.0
-                        commit = last_commit + inv_width
-                        if ready > commit:
-                            commit = ready
-                        ring[pos] = commit
-                        idx += 1
-                        last_commit = commit
-                        next_dispatch += inv_width
-                        if f:
-                            sp += 1
-                            if not f & _MEM:
-                                # The front end refills only after the
-                                # mispredicted branch resolves.
-                                ready += penalty
-                                if ready > next_dispatch:
-                                    next_dispatch = ready
-                                mispredicts += 1
-                        il = cut + 1
-                        if il == stop:
-                            break
-                    il = stop
-                    count += stop - start
-                    stats.instructions += stop - start
-                    stats.branches += branch_prefix[stop] \
-                        - branch_prefix[start]
-                    stats.loads += loads
-                    stats.stores += stores
-                    stats.mispredicted_branches += mispredicts
 
-                    if count == warm_end:
-                        # End of this core's warmup (paper §6.1); the
-                        # shared LLC's hit counters are left alone, since
-                        # it is still mid-warmup for other cores.
-                        warm_end = _NEVER
-                        region.end_warmup(last_commit)
-                    if count == next_epoch:
-                        next_epoch += epoch_length
-                        Simulator._apply_action(hierarchy, policy.decide(
-                            region.end_epoch(last_commit)))
-                    if count == limit:
-                        core._index = idx
-                        core._next_dispatch = next_dispatch
-                        core._last_commit = last_commit
-                        core._last_load_ready = last_load_ready
-                        return
+        def cross(retired: int, clock: float) -> int:
+            nonlocal count, next_epoch, warm_end
+            count += retired
+            if count == warm_end:
+                # End of this core's warmup (paper §6.1); the shared
+                # LLC's hit counters are left alone, since it is still
+                # mid-warmup for other cores.
+                warm_end = _NEVER
+                region.end_warmup(clock)
+            if count == next_epoch:
+                next_epoch += epoch_length
+                Simulator._apply_action(hierarchy, policy.decide(
+                    region.end_epoch(clock)))
+            return (next_epoch if next_epoch < warm_end else warm_end) \
+                - count
+
+        return segment_loop(self.core, hierarchy,
+                            _replayed(self.trace, limit), cross)
+
+
+def _replayed(trace: Union[Trace, TraceStream],
+              limit: int) -> Iterator[TraceBlock]:
+    """The blocks of ``trace`` replayed back to back up to ``limit``
+    rows in all; the last block is cut to end there."""
+    while True:  # one pass over the trace per replay
+        for block in trace_blocks(trace):
+            if len(block) >= limit:
+                yield TraceBlock(block.index, block.start, block.pcs[:limit],
+                                 block.addrs[:limit], block.flags[:limit])
+                return
+            limit -= len(block)
+            yield block
 
 
 class MultiCoreSimulator:
@@ -269,6 +169,8 @@ class MultiCoreSimulator:
             raise ValueError("need at least one trace")
         if not all(len(trace) for trace in traces):
             raise ValueError("cannot replay an empty trace")
+        if epoch_length <= 0:
+            raise ValueError("epoch_length must be positive")
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         self.params = params

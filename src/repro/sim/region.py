@@ -1,9 +1,10 @@
 """The measured region of a core's run, owned in one place.
 
 Every reported statistic starts at the warmup end (paper §6.1), and a
-policy decides on each epoch's telemetry (paper §5).  Both run loops —
-``Simulator._loop`` and each multi-core core's ``_CoreContext.events`` —
-keep their own epoch schedule but cross those boundaries through one
+policy decides on each epoch's telemetry (paper §5).  Both simulators
+drive one timing loop, ``segment_loop``; each keeps its own epoch
+schedule (``Simulator._loop`` and each multi-core core's
+``_CoreContext.events``) but crosses those boundaries through one
 :class:`MeasuredRegion`.  The per-instruction reference loops of the
 oracle tests call its primitives, :func:`build_epoch_telemetry` and
 :func:`reset_measured_stats`, directly.

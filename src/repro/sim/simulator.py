@@ -8,27 +8,32 @@ snapshots the epoch's telemetry (paper Table 1 features + Table 2 reward
 metrics) and asks the coordination policy for the next epoch's action —
 this is Athena's agent-environment loop (paper Figure 5).
 
-There is one run loop, and it consumes the trace block by block: a
-materialized trace is read in blocks of
-:data:`~repro.workloads.streaming.TRACE_BLOCK_ROWS` rows, a stream's
-blocks arrive lazily.  Each block converts only its slow rows — loads,
-stores and mispredicted branches — to Python scalars, hashes their OCP
-keys (:meth:`~repro.sim.hierarchy.CacheHierarchy.block_keys`) and keeps
-a prefix sum of its branches (:func:`_slow_rows`, which the multi-core
-loop shares).  The loop walks segments that end at the
-nearest of the block end, the next epoch, the warmup end and the
-checkpoint position, so the warmup reset, the policy decisions and the
-checkpoint fire only at a segment's end, at exactly the instruction
-positions of a one-instruction-at-a-time loop.  Inside a segment each
-iteration runs one slow row with ``CoreModel.begin``/``finish`` and the
-hierarchy access inlined, after the unit-latency rows before it as an inlined
-``CoreModel.run_simple``; the floating-point operation sequence is the
-core model's, so timing is bit-identical to stepping it row by row
-(pinned by ``tests/test_simulator_oracle.py`` and the golden cases).
-The loop keeps only the schedule of those transitions: the warmup reset,
-each epoch's telemetry and the run's result come from the run's
-:class:`~repro.sim.region.MeasuredRegion`, the one owner of the measured
-region that the multi-core loop uses too.
+Both simulators time instructions in one loop, :func:`segment_loop`,
+which consumes a trace block by block: a materialized trace is read in
+blocks of :data:`~repro.workloads.streaming.TRACE_BLOCK_ROWS` rows, a
+stream's blocks arrive lazily.  Each block converts only its slow rows
+— loads, stores and mispredicted branches — to Python scalars, hashes
+their OCP keys (:meth:`~repro.sim.hierarchy.CacheHierarchy.block_keys`)
+and keeps a prefix sum of its branches (:func:`_slow_rows`).  The loop
+walks segments that end at the nearest of the block end and the
+driver's next transition, so transitions fire only at a segment's end,
+at exactly the instruction positions of a one-instruction-at-a-time
+loop.  Inside a segment each iteration runs one slow row with
+``CoreModel.begin``/``finish`` and the hierarchy access inlined, after
+the unit-latency rows before it as an inlined ``CoreModel.run_simple``;
+the floating-point operation sequence is the core model's, so timing is
+bit-identical to stepping it row by row (pinned by
+``tests/test_simulator_oracle.py``, ``tests/test_multicore_oracle.py``
+and the golden cases).  The loop yields the core's clock before every
+load, store and transition instruction, which the multi-core simulator
+orders its cores by; a single-core run drops the clocks.
+
+Each driver keeps only its own stop schedule and transitions.  Here
+(:meth:`Simulator._loop`) they are the warmup end, after which the
+epoch count restarts, each epoch's policy decision and the checkpoint
+position; the warmup reset, each epoch's telemetry and the run's result
+come from the run's :class:`~repro.sim.region.MeasuredRegion`, the one
+owner of the measured region that the multi-core simulator uses too.
 
 One run can carry several coordination policies, its *riders*, in
 lockstep.  Every rider decides on the same epoch telemetry; while they
@@ -46,8 +51,10 @@ running it alone, and a run with one policy is simply a group of one.
 from __future__ import annotations
 
 import copy
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Union)
 
 import numpy as np
 
@@ -71,6 +78,8 @@ from .stats import EpochTelemetry
 _MEM = FLAG_LOAD | FLAG_STORE
 _MISPRED_BRANCH = FLAG_MISPRED | FLAG_BRANCH
 _BRANCH_OR_MEM = FLAG_BRANCH | _MEM
+#: a count no run ever reaches (schedules nothing)
+_NEVER = 1 << 62
 
 
 @dataclass
@@ -124,6 +133,143 @@ def _slow_rows(block: TraceBlock, block_keys) -> tuple:
     positions.append(len(flags))
     return (positions, flags[rows].tolist(), pcs.tolist(), addrs.tolist(),
             block_keys(pcs, addrs), branch_prefix.tolist())
+
+
+def segment_loop(
+    core: CoreModel,
+    hierarchy: CacheHierarchy,
+    blocks: Iterable[TraceBlock],
+    cross: Callable[[int, float], int],
+) -> Iterator[float]:
+    """Run ``blocks`` on ``core`` and ``hierarchy``: the timing loop of
+    both simulators.
+
+    Each block is walked in segments that end at the nearest of the
+    block end and the driver's next transition.  After every segment
+    (and once before the first) the core's timing state is written back
+    and ``cross(retired, clock)`` is called with the segment's
+    instruction count and the core's clock: it fires the driver's
+    transitions due there (warmup end, epoch, checkpoint) and returns
+    how many instructions remain to its next transition, at least 1.
+
+    Yields the core's clock before each instruction that other cores
+    must be ordered against, and executes that instruction when
+    resumed: loads and stores (they reach the LLC and DRAM) and the
+    instruction whose retirement reaches a transition (the transition
+    reads the DRAM's telemetry; a load or store there is yielded twice
+    at one clock, which a clock-ordered scheduler resumes back to back).
+    The rows in between run without a yield: unit-latency rows as an
+    inlined ``CoreModel.run_simple``, mispredicted branches with
+    ``CoreModel.begin``/``finish`` inlined.
+    The floating-point operation sequence is the core model's, so timing
+    is bit-identical to stepping it row by row.
+    """
+    stats = hierarchy.stats
+    hier_load = hierarchy.load
+    hier_store = hierarchy.store
+    block_keys = hierarchy.block_keys
+    ring = core._commit_ring
+    rob = core._rob
+    inv_width = core._inv_width
+    penalty = core._penalty
+    # The core's mutable timing state lives in locals; it is written back
+    # before every ``cross``.
+    idx = core._index
+    next_dispatch = core._next_dispatch
+    last_commit = core._last_commit
+    last_load_ready = core._last_load_ready
+
+    togo = cross(0, last_commit)
+    for block in blocks:
+        bn = len(block)
+        slow, slow_flags, slow_pcs, slow_addrs, slow_keys, \
+            branch_prefix = _slow_rows(block, block_keys)
+        sp = 0
+        il = 0
+        while il < bn:
+            # One segment, up to the nearest of the block end and the next
+            # transition.  ``edge`` is the position of the segment's
+            # transition instruction, ``stop`` when it has none.
+            stop = il + togo
+            if stop <= bn:
+                edge = stop - 1
+            else:
+                stop = edge = bn
+            start = il
+            loads = stores = mispredicts = 0
+            while True:
+                # Inlined CoreModel.run_simple over the unit-latency rows
+                # up to the next slow row or the edge.
+                nxt = slow[sp]
+                for _ in range((nxt if nxt < edge else edge) - il):
+                    pos = idx % rob
+                    slot = ring[pos]
+                    dispatch = next_dispatch if next_dispatch >= slot \
+                        else slot
+                    ready = dispatch + 1.0
+                    commit = last_commit + inv_width
+                    if ready > commit:
+                        commit = ready
+                    ring[pos] = commit
+                    idx += 1
+                    last_commit = commit
+                    next_dispatch += inv_width
+                if nxt >= edge:
+                    if edge == stop:
+                        break
+                    # The transition instruction is next; it runs as
+                    # the slow or unit-latency row it is.
+                    yield last_commit
+                    il = edge
+                    edge = stop
+                    continue
+                # Inlined CoreModel.begin/finish around the slow row.
+                f = slow_flags[sp]
+                pos = idx % rob
+                slot = ring[pos]
+                dispatch = next_dispatch if next_dispatch >= slot else slot
+                if f & FLAG_LOAD:
+                    if f & FLAG_DEP and last_load_ready > dispatch:
+                        dispatch = last_load_ready
+                    yield last_commit
+                    ready = last_load_ready = dispatch + hier_load(
+                        slow_pcs[sp], slow_addrs[sp], dispatch,
+                        slow_keys[sp]).latency
+                    loads += 1
+                elif f & FLAG_STORE:
+                    yield last_commit
+                    ready = dispatch + hier_store(
+                        slow_pcs[sp], slow_addrs[sp], dispatch)
+                    stores += 1
+                else:
+                    ready = dispatch + 1.0
+                commit = last_commit + inv_width
+                if ready > commit:
+                    commit = ready
+                ring[pos] = commit
+                idx += 1
+                last_commit = commit
+                next_dispatch += inv_width
+                if not f & _MEM:
+                    # The front end refills only after the mispredicted
+                    # branch resolves.
+                    ready += penalty
+                    if ready > next_dispatch:
+                        next_dispatch = ready
+                    mispredicts += 1
+                sp += 1
+                il = nxt + 1
+            il = stop
+            stats.instructions += stop - start
+            stats.branches += branch_prefix[stop] - branch_prefix[start]
+            stats.loads += loads
+            stats.stores += stores
+            stats.mispredicted_branches += mispredicts
+            core._index = idx
+            core._next_dispatch = next_dispatch
+            core._last_commit = last_commit
+            core._last_load_ready = last_load_ready
+            togo = cross(stop - start, last_commit)
 
 
 @dataclass(eq=False)
@@ -187,7 +333,6 @@ class Simulator:
             raise ValueError("checkpoint_at must be in (0, len(trace)]")
         count = self.hierarchy.stats.instructions
         state = {
-            "count": count,
             "next_epoch": count - count % self.epoch_length
             + self.epoch_length,
             "epochs": [],
@@ -270,189 +415,92 @@ class Simulator:
     ) -> Dict[int, SimulationResult]:
         """Run the trace from global ``position`` to its end, starting
         from the loop state ``st``, then resume every fork taken on the
-        way; results by rider index."""
+        way; results by rider index.
+
+        The timing is :func:`segment_loop`'s; this loop keeps the
+        single-core stop schedule: the warmup end, after which the epoch
+        count restarts, each epoch (with rider grouping and forks) and
+        ``checkpoint_at``.
+        """
         trace = self.trace
         hierarchy = self.hierarchy
-        core = self.core
         stats = hierarchy.stats
         riders = self.riders
         forks: List[SimCheckpoint] = []
         epoch_len = self.epoch_length
         warmup_end = int(len(trace) * self.warmup_fraction)
-        blocks = trace_blocks(trace, position)
 
         epochs: List[EpochTelemetry] = st["epochs"]
         actions: List["CoordinationAction"] = st["actions"]
         warmup_stats_reset_done = st["warmup_stats_reset_done"]
         region: MeasuredRegion = st["region"]
-        # ``count`` is the live value of ``stats.instructions``, which is
-        # synced only where it is read.
-        count = st["count"]
         next_epoch = st["next_epoch"]
         have_policy = bool(riders)
         captured = checkpoint_at is None
 
-        hier_load = hierarchy.load
-        hier_store = hierarchy.store
-        block_keys = hierarchy.block_keys
-        ring = core._commit_ring
-        rob = core._rob
-        inv_width = core._inv_width
-        penalty = core._penalty
-        # The core's mutable timing state lives in locals; it is written
-        # back for a checkpoint and at the end.
-        idx = core._index
-        next_dispatch = core._next_dispatch
-        last_commit = core._last_commit
-        last_load_ready = core._last_load_ready
+        def cross(retired: int, clock: float) -> int:
+            nonlocal position, riders, warmup_stats_reset_done, \
+                next_epoch, captured
+            position += retired
+            count = stats.instructions
+            if not warmup_stats_reset_done and count >= warmup_end:
+                # End of warm-up: caches and predictors stay warm, but
+                # the reported statistics start here (paper §6.1
+                # methodology).
+                region.end_warmup(clock)
+                warmup_stats_reset_done = True
+                count = 0
+                next_epoch = 0  # 0 % epoch_len == 0 fires below
 
-        for block in blocks:
-            base = block.start
-            bn = len(block)
-            slow, slow_flags, slow_pcs, slow_addrs, slow_keys, \
-                branch_prefix = _slow_rows(block, block_keys)
-            sp = 0
-            il = 0
-            while il < bn:
-                # One segment: up to the nearest of the block end, the next
-                # epoch, the warmup end and the checkpoint.  Transitions
-                # fire only at a segment's end.
-                stop = bn
-                if have_policy:
-                    boundary = il + next_epoch - count
-                    if boundary < stop:
-                        stop = boundary
-                if not warmup_stats_reset_done:
-                    boundary = il + warmup_end - count
-                    if boundary < stop:
-                        stop = boundary
-                if not captured:
-                    boundary = checkpoint_at - base
-                    if boundary < stop:
-                        stop = boundary
-                start = il
-                loads = stores = mispredicts = 0
-                while True:
-                    # Inlined CoreModel.run_simple over the unit-latency
-                    # rows up to the next slow row or the stop.
-                    nxt = slow[sp]
-                    for _ in range((nxt if nxt < stop else stop) - il):
-                        pos = idx % rob
-                        slot = ring[pos]
-                        dispatch = next_dispatch if next_dispatch >= slot \
-                            else slot
-                        ready = dispatch + 1.0
-                        commit = last_commit + inv_width
-                        if ready > commit:
-                            commit = ready
-                        ring[pos] = commit
-                        idx += 1
-                        last_commit = commit
-                        next_dispatch += inv_width
-                    if nxt >= stop:
-                        break
-                    # Inlined CoreModel.begin/finish around the slow row.
-                    f = slow_flags[sp]
-                    pos = idx % rob
-                    slot = ring[pos]
-                    dispatch = next_dispatch if next_dispatch >= slot \
-                        else slot
-                    if f & FLAG_LOAD:
-                        if f & FLAG_DEP and last_load_ready > dispatch:
-                            dispatch = last_load_ready
-                        ready = last_load_ready = dispatch + hier_load(
-                            slow_pcs[sp], slow_addrs[sp], dispatch,
-                            slow_keys[sp]).latency
-                        loads += 1
-                    elif f & FLAG_STORE:
-                        ready = dispatch + hier_store(
-                            slow_pcs[sp], slow_addrs[sp], dispatch)
-                        stores += 1
-                    else:
-                        ready = dispatch + 1.0
-                    commit = last_commit + inv_width
-                    if ready > commit:
-                        commit = ready
-                    ring[pos] = commit
-                    idx += 1
-                    last_commit = commit
-                    next_dispatch += inv_width
-                    if not f & _MEM:
-                        # The front end refills only after the
-                        # mispredicted branch resolves.
-                        ready += penalty
-                        if ready > next_dispatch:
-                            next_dispatch = ready
-                        mispredicts += 1
-                    sp += 1
-                    il = nxt + 1
-                il = stop
-                count += stop - start
-                stats.branches += branch_prefix[stop] - branch_prefix[start]
-                stats.loads += loads
-                stats.stores += stores
-                stats.mispredicted_branches += mispredicts
+            parted = ()
+            if have_policy and count == next_epoch:
+                telemetry = region.end_epoch(clock)
+                # Every rider decides on the same telemetry; riders are
+                # grouped by action, in rider order.
+                decided: Dict["CoordinationAction", List[Rider]] = {}
+                for rider in riders:
+                    decided.setdefault(rider.policy.decide(telemetry),
+                                       []).append(rider)
+                (action, riders), *parted = decided.items()
+                self._apply_action(hierarchy, action)
+                epochs.append(telemetry)
+                actions.append(action)
+                next_epoch += epoch_len
 
-                if not warmup_stats_reset_done and count >= warmup_end:
-                    # End of warm-up: caches and predictors stay warm, but
-                    # the reported statistics start here (paper §6.1
-                    # methodology).
-                    region.end_warmup(last_commit)
-                    warmup_stats_reset_done = True
-                    count = 0
-                    next_epoch = 0  # 0 % epoch_len == 0 fires below
+            at_checkpoint = not captured and position == checkpoint_at
+            if parted or at_checkpoint:
+                # The epochs, the actions and the region are ``st``'s
+                # own objects, updated in place.
+                loop_state = dict(
+                    st, next_epoch=next_epoch,
+                    warmup_stats_reset_done=warmup_stats_reset_done)
+                # A fork is this run with the other group's riders,
+                # whose action replaces this run's last one.
+                for fork_action, fork_riders in parted:
+                    fork = self._capture(position, loop_state, fork_riders)
+                    self._apply_action(fork.state["hierarchy"], fork_action)
+                    fork.state["actions"][-1] = fork_action
+                    forks.append(fork)
+                if parted:
+                    hierarchy.observers[:] = self._observers_for(riders)
+                    self.riders = riders
+                if at_checkpoint:
+                    captured = True
+                    self.checkpoint = self._capture(
+                        checkpoint_at, loop_state, riders)
 
-                parted = ()
-                if have_policy and count == next_epoch:
-                    stats.instructions = count
-                    telemetry = region.end_epoch(last_commit)
-                    # Every rider decides on the same telemetry; riders
-                    # are grouped by action, in rider order.
-                    decided: Dict["CoordinationAction", List[Rider]] = {}
-                    for rider in riders:
-                        decided.setdefault(rider.policy.decide(telemetry),
-                                           []).append(rider)
-                    (action, riders), *parted = decided.items()
-                    self._apply_action(hierarchy, action)
-                    epochs.append(telemetry)
-                    actions.append(action)
-                    next_epoch += epoch_len
+            togo = next_epoch - count if have_policy else _NEVER
+            if not warmup_stats_reset_done and warmup_end - count < togo:
+                togo = warmup_end - count
+            if not captured and checkpoint_at - position < togo:
+                togo = checkpoint_at - position
+            return togo
 
-                at_checkpoint = not captured and base + il == checkpoint_at
-                if parted or at_checkpoint:
-                    stats.instructions = count
-                    core._index = idx
-                    core._next_dispatch = next_dispatch
-                    core._last_commit = last_commit
-                    core._last_load_ready = last_load_ready
-                    # The epochs, the actions and the region are
-                    # ``st``'s own objects, updated in place.
-                    loop_state = dict(
-                        st, count=count, next_epoch=next_epoch,
-                        warmup_stats_reset_done=warmup_stats_reset_done)
-                    # A fork is this run with the other group's riders,
-                    # whose action replaces this run's last one.
-                    for fork_action, fork_riders in parted:
-                        fork = self._capture(base + il, loop_state,
-                                             fork_riders)
-                        self._apply_action(fork.state["hierarchy"],
-                                           fork_action)
-                        fork.state["actions"][-1] = fork_action
-                        forks.append(fork)
-                    if parted:
-                        hierarchy.observers[:] = self._observers_for(riders)
-                        self.riders = riders
-                    if at_checkpoint:
-                        captured = True
-                        self.checkpoint = self._capture(
-                            checkpoint_at, loop_state, riders)
-
-        core._index = idx
-        core._next_dispatch = next_dispatch
-        core._last_commit = last_commit
-        core._last_load_ready = last_load_ready
-        stats.instructions = count
-        result = region.result(trace.name, last_commit, epochs, actions)
+        # One run has no other core to interleave with: the clocks the
+        # loop yields are dropped.
+        deque(segment_loop(self.core, hierarchy,
+                           trace_blocks(trace, position), cross), maxlen=0)
+        result = region.result(trace.name, self.core.cycles, epochs, actions)
         results = {rider.member: result for rider in riders} or {0: result}
         for fork in forks:
             results.update(self._enter(trace, fork, fork.state))

@@ -1,7 +1,8 @@
 """Results do not depend on the block size a materialized trace is read in.
 
-Both run loops read a materialized trace in blocks of
-``repro.workloads.streaming.TRACE_BLOCK_ROWS`` rows and build their
+Both simulators run one timing loop, ``segment_loop``, which reads a
+materialized trace in blocks of
+``repro.workloads.streaming.TRACE_BLOCK_ROWS`` rows and builds its
 per-block lists (slow rows, branch prefix sums, OCP keys) per block.
 Every block size — one row, an odd 997 rows, the whole trace in one
 block — must give byte-identical ``encode_result`` payloads for a

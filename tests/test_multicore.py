@@ -67,6 +67,27 @@ class TestBasics:
                 instructions_per_core=100,
             )
 
+    def test_nonpositive_epoch_length_rejected(self):
+        # an epoch of no instructions would end at the same instruction
+        # forever; the multi-core simulator refuses it as the single-core
+        # one does
+        design = CacheDesign.cd1()
+        with pytest.raises(ValueError, match="epoch_length must be positive"):
+            MultiCoreSimulator(
+                traces=traces(1, length=500),
+                params=system_for(design),
+                hierarchy_factory=lambda p, llc, dram: build_hierarchy(
+                    design, params=p, llc=llc, dram=dram),
+                policy_factory=NaivePolicy,
+                instructions_per_core=500,
+                epoch_length=0,
+            )
+        request = MixRequest(workloads=(find_workload("ligra.BFS.0"),),
+                             trace_length=500, design=design,
+                             policy_name="naive", epoch_length=0)
+        with pytest.raises(ValueError, match="epoch_length must be positive"):
+            request.execute()
+
     def test_short_trace_replayed(self):
         design = CacheDesign.cd1().without_mechanisms()
         params = system_for(design)

@@ -2,6 +2,7 @@
 engine telemetry, and the bench history trend."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -253,8 +254,23 @@ class TestJournal:
         info = provenance(tmp_path)  # not a git repo
         assert info["git_commit"] is None
         assert info["hostname"]
-        here = provenance(".")
-        assert here["git_commit"] is not None
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        git = ["git", "-c", "user.name=Test",
+               "-c", "user.email=test@example.com",
+               "-c", "commit.gpgsign=false"]
+        subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+        (repo / "tracked.txt").write_text("tracked\n")
+        subprocess.run(git + ["add", "tracked.txt"], cwd=repo, check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "initial"], cwd=repo,
+                       check=True)
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo,
+                              check=True, capture_output=True, text=True)
+        clean = provenance(repo)
+        assert clean["git_commit"] == head.stdout.strip()
+        assert clean["git_dirty"] is False
+        (repo / "untracked.txt").write_text("new\n")
+        assert provenance(repo)["git_dirty"] is True
 
 
 # ---------------------------------------------------------------------------
