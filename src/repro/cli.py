@@ -328,7 +328,8 @@ def _add_engine_args(parser) -> None:
                              "(default 1: in-process)")
     parser.add_argument("--store", default=None, metavar="PATH",
                         help="result-store path (default: $REPRO_STORE or "
-                             "~/.cache/repro/results.sqlite)")
+                             "~/.cache/repro/results-<source hash>.sqlite, "
+                             "one per source tree)")
     parser.add_argument("--no-store", action="store_true",
                         help="run without a persistent result store")
     parser.add_argument("--telemetry", default=None, metavar="PATH",

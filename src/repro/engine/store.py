@@ -21,6 +21,8 @@ file or undecodable row is discarded and the run recomputed.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import pathlib
@@ -37,15 +39,36 @@ class StoreDecodeError(RuntimeError):
     """A store payload could not be decoded (corrupt or stale entry)."""
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 over the ``repro`` package's ``.py`` files, each hashed
+    with its path relative to the package; computed on first use."""
+    package = pathlib.Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for rel, path in sorted((path.relative_to(package).as_posix(), path)
+                            for path in package.rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def default_store_path() -> pathlib.Path:
-    """``$REPRO_STORE`` if set, else ``~/.cache/repro/results.sqlite``."""
+    """``$REPRO_STORE`` if set, else
+    ``~/.cache/repro/results-<12 hex>.sqlite``.
+
+    Keys cover a request's inputs, not the simulator's code, so the
+    default store is per source tree: the hex is the start of
+    :func:`_source_digest`, and two checkouts that differ in any module
+    never read each other's results.
+    """
     env = os.environ.get("REPRO_STORE")
     if env:
         return pathlib.Path(env)
     cache_home = os.environ.get("XDG_CACHE_HOME")
     base = pathlib.Path(cache_home) if cache_home \
         else pathlib.Path.home() / ".cache"
-    return base / "repro" / "results.sqlite"
+    return base / "repro" / f"results-{_source_digest()[:12]}.sqlite"
 
 
 class ResultStore:

@@ -87,7 +87,6 @@ class PythiaPrefetcher(Prefetcher):
         # interleaved streams do not scramble each other's deltas.
         self._pages: OrderedDict = OrderedDict()
         self._rng_state = seed & 0xFFFFFFFF
-        self._last_state_action = None
 
     # -- tiny xorshift RNG so the prefetcher is self-contained/deterministic --
 
@@ -173,7 +172,6 @@ class PythiaPrefetcher(Prefetcher):
 
         action_index = self._select_action(state)
         offset = ACTIONS[action_index]
-        self._last_state_action = (state, action_index)
 
         if offset == _NO_PREFETCH:
             # Pythia's two-sided silence reward: staying silent on an

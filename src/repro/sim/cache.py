@@ -2,15 +2,16 @@
 
 The cache is a *functional* model: it tracks which lines are resident, their
 prefetch bits (for accuracy accounting), dirty bits (for writeback traffic)
-and reuse bits (read only by SHiP's SHCT training; the Figure 3 "inaccurate
-off-chip prefetch fill" statistic is derived from counters by
+and, under SHiP, reuse bits (read only by its SHCT training; the Figure 3
+"inaccurate off-chip prefetch fill" statistic is derived from counters by
 ``SimStats.offchip_fill_inaccuracy``).  Timing is handled analytically by
 the hierarchy / core model; the cache itself only reports hits and
-evictions.
+evictions, and counts neither (the hierarchy's ``SimStats`` does).
 
 Storage is struct-of-arrays: one flat parallel array per line attribute
-(tag/valid/dirty/prefetched/reused/from-dram/ready-time), indexed
-by ``set_index * ways + way``.  :meth:`lookup_slot` and :meth:`fill_fast`
+(line address, ``None`` when the slot is invalid; dirty; prefetched;
+from-DRAM; ready time; under SHiP also the reuse bit), indexed by
+``set_index * ways + way``.  :meth:`lookup_slot` and :meth:`fill_fast`
 are allocation-free: they return slot integers (or a per-cache scratch
 :class:`EvictedLine` reused across fills) and callers read line attributes
 straight out of the arrays.
@@ -21,9 +22,9 @@ Replacement is part of the cache, selected by ``CacheParams.replacement``:
   first slot of the set with the smallest stamp.
 * ``ship`` (LLC, paper Table 5): SHiP-PC [Wu+, MICRO'11] over 2-bit RRIP,
   the configuration ChampSim ships.  Per-set ``bytearray`` RRPV rows, one
-  PC signature per slot and a Signature History Counter Table (SHCT) of
-  saturating counters that learns, per signature, whether the lines it
-  inserts are re-referenced.  Prefetches and lines from "no-reuse"
+  PC signature and one reuse bit per slot and a Signature History
+  Counter Table (SHCT) of saturating counters that learns, per
+  signature, whether the lines it inserts are re-referenced.  Prefetches and lines from "no-reuse"
   signatures are inserted at distant RRPV, everything else at
   intermediate; a hit promotes to RRPV 0.
 
@@ -52,7 +53,6 @@ class EvictedLine:
 
     line_addr: int
     dirty: bool
-    evicted_for_prefetch: bool
 
 
 class Cache:
@@ -75,25 +75,23 @@ class Cache:
         self.num_sets = params.num_sets
         self.ways = params.ways
         self._set_mask = self.num_sets - 1
-        self._tag_shift = self.num_sets.bit_length() - 1
         total = self.num_sets * self.ways
         # Struct-of-arrays line storage, indexed by set_index*ways + way.
-        self._tags = [-1] * total
-        self._valid = bytearray(total)
+        #: the resident line address, ``None`` for an invalid slot
+        #: (external traces carry negative line addresses).
+        self._line: list = [None] * total
         self._dirty = bytearray(total)
         self._prefetched = bytearray(total)
-        self._reused = bytearray(total)
         self._from_dram = bytearray(total)
         #: time the line's data actually arrives (in-flight fills; a demand
         #: hit on a line still in flight waits until this time — MSHR merge).
         self._ready = [0.0] * total
-        #: line_addr -> slot index of every resident line.  (set, tag) <->
-        #: line_addr is a bijection, so the dict mirrors the arrays exactly
-        #: and turns the per-way tag scan into one O(1) lookup.
+        #: line_addr -> slot index of every resident line: the inverse of
+        #: ``_line``, which turns the per-way scan into one O(1) lookup.
         self._slot_of: dict = {}
         self._slot_get = self._slot_of.get  # rebound in __setstate__
-        #: valid lines per set; a full set skips the invalid-way scan.
-        self._set_valid = bytearray(self.num_sets)
+        #: resident lines per set; a full set skips the invalid-way scan.
+        self._set_lines = bytearray(self.num_sets)
         #: True for LRU, False for SHiP.
         self._lru = replacement == "lru"
         if self._lru:
@@ -104,12 +102,11 @@ class Cache:
                 bytearray([SHIP_RRPV_MAX] * self.ways)
                 for _ in range(self.num_sets)
             ]
+            #: reuse bit per slot, read by the SHCT training on eviction.
+            self._reused = bytearray(total)
             self._sig = [0] * total
             self._shct = [1] * SHIP_SHCT_SIZE
-        self._resident = 0
-        self._evicted_scratch = EvictedLine(0, False, False)
-        self.hits = 0
-        self.misses = 0
+        self._evicted_scratch = EvictedLine(0, False)
 
     # -- copy/pickle -------------------------------------------------------
 
@@ -128,26 +125,24 @@ class Cache:
 
     # -- lookups ----------------------------------------------------------
 
-    def lookup_slot(self, line_addr: int, pc: int = 0,
-                    is_write: bool = False) -> int:
+    def lookup_slot(self, line_addr: int, *, is_write: bool = False) -> int:
         """Demand lookup; returns the hit slot or -1 (allocation-free).
 
-        On a hit the replacement state is updated and the reuse bit set;
-        the caller reads/clears line attributes directly from the arrays
-        (e.g. ``cache._prefetched[slot]``).
+        A miss changes nothing.  On a hit the replacement state is
+        updated (and, under SHiP, the reuse bit set); the caller
+        reads/clears line attributes directly from the arrays (e.g.
+        ``cache._prefetched[slot]``).
         """
         slot = self._slot_get(line_addr, -1)
         if slot < 0:
-            self.misses += 1
             return -1
-        self.hits += 1
-        self._reused[slot] = 1
         if is_write:
             self._dirty[slot] = 1
         if self._lru:
             self._clock += 1
             self._stamps[slot] = self._clock
         else:
+            self._reused[slot] = 1
             set_index = line_addr & self._set_mask
             self._rrpv[set_index][slot - set_index * self.ways] = 0
         return slot
@@ -186,10 +181,10 @@ class Cache:
         ways = self.ways
         set_index = line_addr & self._set_mask
         base = set_index * ways
-        tags = self._tags
+        line_of = self._line
         lru = self._lru
         evicted = None
-        if self._set_valid[set_index] == ways:
+        if self._set_lines[set_index] == ways:
             if lru:
                 # First slot with the minimum stamp.
                 stamps = self._stamps
@@ -223,26 +218,21 @@ class Cache:
                         self._shct[sig] = count + 1
                 elif count > 0:
                     self._shct[sig] = count - 1
-            old_line = (tags[victim] << self._tag_shift) | set_index
+            old_line = line_of[victim]
             del slot_of[old_line]
             evicted = self._evicted_scratch
             evicted.line_addr = old_line
             evicted.dirty = bool(self._dirty[victim])
-            evicted.evicted_for_prefetch = is_prefetch
         else:
-            valid = self._valid
             victim = base
-            while valid[victim]:
+            while line_of[victim] is not None:
                 victim += 1
-            self._set_valid[set_index] += 1
-            self._resident += 1
-            valid[victim] = 1
+            self._set_lines[set_index] += 1
 
-        tags[victim] = line_addr >> self._tag_shift
+        line_of[victim] = line_addr
         slot_of[line_addr] = victim
         self._dirty[victim] = 1 if dirty else 0
         self._prefetched[victim] = 1 if is_prefetch else 0
-        self._reused[victim] = 0
         self._from_dram[victim] = 1 if from_dram else 0
         self._ready[victim] = ready_time
         if lru:
@@ -250,6 +240,7 @@ class Cache:
             self._stamps[victim] = self._clock
         else:
             # SHiP insertion: signature, then distant or intermediate RRPV.
+            self._reused[victim] = 0
             sig = (pc ^ (pc >> 14) ^ (pc >> 28)) % SHIP_SHCT_SIZE
             self._sig[victim] = sig
             if is_prefetch or self._shct[sig] <= 0:
@@ -263,32 +254,17 @@ class Cache:
         slot = self._slot_of.pop(line_addr, -1)
         if slot < 0:
             return False
-        self._valid[slot] = 0
-        self._tags[slot] = -1
-        self._set_valid[line_addr & self._set_mask] -= 1
-        self._resident -= 1
+        self._line[slot] = None
+        self._set_lines[line_addr & self._set_mask] -= 1
         return True
 
     # -- introspection ------------------------------------------------------
 
     def occupancy(self) -> int:
-        """Number of resident lines — O(1), maintained on fill/invalidate."""
-        return self._resident
+        """Number of resident lines."""
+        return len(self._slot_of)
 
     def resident_lines(self):
-        """Yield all resident line addresses (diagnostics and tests)."""
-        ways = self.ways
-        tag_shift = self._tag_shift
-        for slot in range(self.num_sets * ways):
-            if self._valid[slot]:
-                yield (self._tags[slot] << tag_shift) | (slot // ways)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset_hit_counters(self) -> None:
-        """Restart ``hits``/``misses`` (warmup-end measurement boundary)."""
-        self.hits = 0
-        self.misses = 0
+        """Yield all resident line addresses in slot order (diagnostics
+        and tests)."""
+        return (line for line in self._line if line is not None)

@@ -18,8 +18,8 @@ drives.  It implements the mechanisms the paper's observations rest on:
 The demand path is allocation-free: cache lookups/fills return slot
 indices / reused scratch objects (struct-of-arrays caches), the per-level
 latencies are precomputed floats, observer notifications are skipped when
-no observer is attached, and :meth:`load` returns a single reused
-:class:`LoadResult` scratch consumed immediately by the caller.
+no observer is attached, and :meth:`load` returns the load's latency as a
+float.
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ class CacheHierarchy:
         # stock configuration); otherwise load() calls lookup_slot.
         self._l1_lru = self.l1d._lru
         self._l1_slot_get = self.l1d._slot_get
-        self._load_result = LoadResult(0.0, False)
 
     def __getstate__(self) -> dict:
         # ``_l1_slot_get`` aliases the L1 cache's bound ``dict.get``,
@@ -145,14 +144,11 @@ class CacheHierarchy:
         return [None] * len(pcs) if ocp is None else \
             ocp.block_keys(pcs, addrs)
 
-    def load(self, pc: int, addr: int, now: float,
-             key=None) -> "LoadResult":
-        """Perform a demand load; returns its latency and outcome.
+    def load(self, pc: int, addr: int, now: float, key=None) -> float:
+        """Perform a demand load; returns its latency.
 
         ``key`` is the load's row entry of :meth:`block_keys`, handed to
-        the OCP (``None`` lets the OCP derive it).  The returned
-        :class:`LoadResult` is a scratch object reused by the next load
-        on this hierarchy — consume it before calling again.
+        the OCP (``None`` lets the OCP derive it).
         """
         line = addr >> LINE_SHIFT
         byte_offset = addr & _LINE_MASK
@@ -180,14 +176,10 @@ class CacheHierarchy:
             # Inlined Cache.lookup_slot for the L1-LRU fast path.
             slot = self._l1_slot_get(line, -1)
             if slot >= 0:
-                l1d.hits += 1
-                l1d._reused[slot] = 1
                 l1d._clock += 1
                 l1d._stamps[slot] = l1d._clock
-            else:
-                l1d.misses += 1
         else:
-            slot = self._l1d_lookup(line, pc)
+            slot = self._l1d_lookup(line)
         if slot >= 0:
             stats.l1d_hits += 1
             lat = self._lat_l1
@@ -202,7 +194,7 @@ class CacheHierarchy:
             if self._l1_prefetchers:
                 self._train_l1_prefetchers(pc, line, False, now)
             l2c = self.l2c
-            slot = self._l2c_lookup(line, pc)
+            slot = self._l2c_lookup(line)
             if slot >= 0:
                 stats.l2c_hits += 1
                 ready = l2c._ready[slot]
@@ -220,7 +212,7 @@ class CacheHierarchy:
                 if self._l2_prefetchers:
                     self._train_l2_prefetchers(pc, line, False, now)
                 llc = self.llc
-                slot = self._llc_lookup(line, pc)
+                slot = self._llc_lookup(line)
                 if slot >= 0:
                     stats.llc_hits += 1
                     ready = llc._ready[slot]
@@ -257,10 +249,7 @@ class CacheHierarchy:
             else:
                 for callback in callbacks:
                     callback(pc, line, went_offchip)
-        result = self._load_result
-        result.latency = latency
-        result.went_offchip = went_offchip
-        return result
+        return latency
 
     def _serve_offchip_load(
         self,
@@ -313,20 +302,17 @@ class CacheHierarchy:
         stores retire through the store queue off the critical path.
         """
         line = addr >> LINE_SHIFT
-        slot = self._l1d_lookup(line, pc, True)
-        if slot < 0:
-            if self.l2c.probe(line):
-                self.l2c.lookup_slot(line, pc)
-            elif self.llc.probe(line):
-                self.llc.lookup_slot(line, pc)
-                self._fill_level(self.l2c, line, pc)
-            else:
-                self.dram.access_time(now, line, "demand")
-                self.stats.dram_demand_requests += 1
-                self._fill_level(self.llc, line, pc, False, False, True)
-                self._fill_level(self.l2c, line, pc, False, False, True)
-                if self.ocp is not None:
-                    self.ocp.on_fill(line)
+        if self._l1d_lookup(line, is_write=True) < 0:
+            if self._l2c_lookup(line) < 0:
+                if self._llc_lookup(line) >= 0:
+                    self._fill_level(self.l2c, line, pc)
+                else:
+                    self.dram.access_time(now, line, "demand")
+                    self.stats.dram_demand_requests += 1
+                    self._fill_level(self.llc, line, pc, False, False, True)
+                    self._fill_level(self.l2c, line, pc, False, False, True)
+                    if self.ocp is not None:
+                        self.ocp.on_fill(line)
             self._fill_level(self.l1d, line, pc, False, True)
         return 1.0
 
@@ -355,7 +341,7 @@ class CacheHierarchy:
                 self.stats.dram_writeback_requests += 1
             if self.ocp is not None:
                 self.ocp.on_eviction(evicted.line_addr)
-            if evicted.evicted_for_prefetch:
+            if is_prefetch:
                 self._record_pollution_victim(evicted.line_addr)
                 if self.observers:
                     self._notify("on_prefetch_eviction", evicted.line_addr)
@@ -465,25 +451,3 @@ class CacheHierarchy:
     def set_degree_fraction(self, fraction: float) -> None:
         for pf in self.prefetchers:
             pf.set_degree_fraction(fraction)
-
-    def reset_cache_hit_counters(self, include_shared: bool = True) -> None:
-        """Restart the per-cache hit/miss counters (warmup-end boundary).
-
-        ``include_shared=False`` leaves the (possibly shared) LLC alone —
-        multi-core runs reset only private levels, since cores reach their
-        warmup boundary at different times.
-        """
-        self.l1d.reset_hit_counters()
-        self.l2c.reset_hit_counters()
-        if include_shared:
-            self.llc.reset_hit_counters()
-
-
-class LoadResult:
-    """Latency and outcome of one demand load."""
-
-    __slots__ = ("latency", "went_offchip")
-
-    def __init__(self, latency: float, went_offchip: bool) -> None:
-        self.latency = latency
-        self.went_offchip = went_offchip

@@ -91,7 +91,7 @@ class _CoreContext:
         self.hierarchy = hierarchy
         self.policy = policy
         self.core = CoreModel(hierarchy.params.core)
-        self.region = MeasuredRegion(hierarchy, shared_llc=True)
+        self.region = MeasuredRegion(hierarchy)
         if policy is not None:
             policy.attach(hierarchy)
 
@@ -118,9 +118,7 @@ class _CoreContext:
             nonlocal count, next_epoch, warm_end
             count += retired
             if count == warm_end:
-                # End of this core's warmup (paper §6.1); the shared
-                # LLC's hit counters are left alone, since it is still
-                # mid-warmup for other cores.
+                # End of this core's warmup (paper §6.1).
                 warm_end = _NEVER
                 region.end_warmup(clock)
             if count == next_epoch:

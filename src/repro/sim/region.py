@@ -5,7 +5,10 @@ policy decides on each epoch's telemetry (paper §5).  Both simulators
 drive one timing loop, ``segment_loop``; each keeps its own epoch
 schedule (``Simulator._loop`` and each multi-core core's
 ``_CoreContext.events``) but crosses those boundaries through one
-:class:`MeasuredRegion`.  The per-instruction reference loops of the
+:class:`MeasuredRegion`, built alike for a single-core run and for each
+core of a mix: its warmup reset zeroes only the core's own
+:class:`SimStats`, so a core ending its warmup leaves the shared LLC and
+DRAM exactly as they are.  The per-instruction reference loops of the
 oracle tests call its primitives, :func:`build_epoch_telemetry` and
 :func:`reset_measured_stats`, directly.
 """
@@ -102,18 +105,17 @@ def build_epoch_telemetry(
     )
 
 
-def reset_measured_stats(hierarchy: CacheHierarchy,
-                         include_shared_caches: bool = True) -> None:
+def reset_measured_stats(hierarchy: CacheHierarchy) -> None:
     """Zero every measured counter of ``hierarchy`` at the warmup end.
 
-    Also restarts the per-:class:`~repro.sim.cache.Cache` hit/miss
-    counters, so post-warmup ``hit_rate`` reflects the measured region
-    only; ``include_shared_caches=False`` leaves a shared LLC's alone.
+    The counters are the hierarchy's :class:`SimStats` alone: caches,
+    DRAM and predictors keep their state, so a core of a mix resets
+    exactly what a single-core run does and leaves the shared LLC and
+    DRAM alone.
     """
     stats = hierarchy.stats
     for f in fields(SimStats):
         setattr(stats, f.name, f.default)
-    hierarchy.reset_cache_hit_counters(include_shared=include_shared_caches)
 
 
 class MeasuredRegion:
@@ -123,18 +125,15 @@ class MeasuredRegion:
     taken from.
 
     A checkpoint or a lockstep fork deep-copies a region together with
-    its hierarchy.  With ``shared_llc`` (a multi-core run, where other
-    cores may still be warming up) the warmup reset leaves the LLC's hit
-    counters alone.
+    its hierarchy.  A single-core run and each core of a mix build their
+    region alike.
     """
 
-    __slots__ = ("hierarchy", "shared_llc", "start_cycles", "epochs_ended",
+    __slots__ = ("hierarchy", "start_cycles", "epochs_ended",
                  "_stats", "_cycles", "_busy", "_kinds")
 
-    def __init__(self, hierarchy: CacheHierarchy,
-                 shared_llc: bool = False) -> None:
+    def __init__(self, hierarchy: CacheHierarchy) -> None:
         self.hierarchy = hierarchy
-        self.shared_llc = shared_llc
         self.start_cycles = 0.0
         self.epochs_ended = 0
         self._mark(0.0)
@@ -150,8 +149,7 @@ class MeasuredRegion:
         """End the warmup at clock ``cycles``: caches and predictors stay
         warm; the measured counters and the epoch restart."""
         self.start_cycles = cycles
-        reset_measured_stats(self.hierarchy,
-                             include_shared_caches=not self.shared_llc)
+        reset_measured_stats(self.hierarchy)
         self._mark(cycles)
 
     def end_epoch(self, cycles: float) -> EpochTelemetry:

@@ -234,7 +234,7 @@ def segment_loop(
                     yield last_commit
                     ready = last_load_ready = dispatch + hier_load(
                         slow_pcs[sp], slow_addrs[sp], dispatch,
-                        slow_keys[sp]).latency
+                        slow_keys[sp])
                     loads += 1
                 elif f & FLAG_STORE:
                     yield last_commit

@@ -6,6 +6,8 @@ Every case goes through the simulator's own entry points,
 before the next fill.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,13 @@ def victim_of(cache, line, **kwargs):
     """Fill ``line``; return the evicted line address (None if no victim)."""
     evicted = cache.fill_fast(line, **kwargs)
     return None if evicted is None else evicted.line_addr
+
+
+def state_of(cache):
+    """Every attribute of ``cache`` but the bound ``dict.get`` alias,
+    which a deep copy rebinds."""
+    return {name: value for name, value in vars(cache).items()
+            if name != "_slot_get"}
 
 
 class TestConstruction:
@@ -54,6 +63,8 @@ class TestConstruction:
         assert hasattr(lru, "_stamps") and not hasattr(lru, "_rrpv")
         assert hasattr(ship, "_rrpv") and not hasattr(ship, "_stamps")
         assert not hasattr(lru, "_shct") and not hasattr(ship, "_clock")
+        # The reuse bit's one reader is SHiP's SHCT training.
+        assert hasattr(ship, "_reused") and not hasattr(lru, "_reused")
 
 
 class TestLookupAndFill:
@@ -61,17 +72,27 @@ class TestLookupAndFill:
         cache = small_cache()
         assert cache.lookup_slot(100) == -1
         assert cache.fill_fast(100) is None
-        assert cache.lookup_slot(100) >= 0
-        assert cache.hits == 1
-        assert cache.misses == 1
+        assert cache.lookup_slot(100) == cache._slot_of[100]
 
     def test_probe_has_no_side_effects(self):
         cache = small_cache()
         cache.fill_fast(100)
+        before = copy.deepcopy(cache)
         assert cache.probe(100)
         assert not cache.probe(101)
-        assert cache.hits == 0
-        assert cache.misses == 0
+        assert state_of(cache) == state_of(before)
+
+    @pytest.mark.parametrize("replacement", ["lru", "ship"])
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_lookup_miss_has_no_side_effects(self, replacement, is_write):
+        """A missing store lookup can stand in for a presence probe."""
+        cache = small_cache(ways=2, sets=2, replacement=replacement)
+        for line in (0, 1, 2, 5):
+            cache.fill_fast(line, pc=line, dirty=line == 2)
+        cache.lookup_slot(2)
+        before = copy.deepcopy(cache)
+        assert cache.lookup_slot(7, is_write=is_write) == -1
+        assert state_of(cache) == state_of(before)
 
     def test_fill_existing_line_merges_dirty(self):
         cache = small_cache()
@@ -100,18 +121,17 @@ class TestLookupAndFill:
         assert evicted.dirty
         assert not cache.fill_fast(30).dirty
 
-    def test_eviction_for_prefetch_flagged(self):
+    def test_fill_sets_prefetch_bit(self):
         cache = small_cache(ways=1, sets=1)
         cache.fill_fast(10)
-        assert not cache._prefetched[cache._slot_of[10]]  # the victim's bit
-        evicted = cache.fill_fast(20, is_prefetch=True)
-        assert evicted.evicted_for_prefetch
+        assert not cache._prefetched[cache._slot_of[10]]
+        assert victim_of(cache, 20, is_prefetch=True) == 10
         assert cache._prefetched[cache._slot_of[20]]
-        evicted = cache.fill_fast(30)
-        assert not evicted.evicted_for_prefetch
+        assert victim_of(cache, 30) == 20
+        assert not cache._prefetched[cache._slot_of[30]]
 
     def test_eviction_reports_reuse(self):
-        cache = small_cache(ways=1, sets=1)
+        cache = small_cache(ways=1, sets=1, replacement="ship")
         cache.fill_fast(10)
         cache.lookup_slot(10)
         assert cache._reused[cache._slot_of[10]]  # the victim's bit
@@ -181,7 +201,7 @@ class TestShipReplacement:
         """A reused demand line outlives a later demand or prefetch fill."""
         cache = small_cache(ways=2, sets=1, replacement="ship")
         cache.fill_fast(1, pc=0x10)
-        slot = cache.lookup_slot(1, pc=0x10)
+        slot = cache.lookup_slot(1)
         assert cache._rrpv[0][slot] == 0
         cache.fill_fast(2, pc=0x20, is_prefetch=prefetch)
         assert victim_of(cache, 3, pc=0x30) == 2
@@ -212,12 +232,12 @@ class TestShipReplacement:
         pc = 0x800
         for line in range(4):
             cache.fill_fast(line, pc=pc)
-            cache.lookup_slot(line, pc=pc)
+            cache.lookup_slot(line)
         sig = cache._sig[0]
         assert cache._shct[sig] == 1 + 3  # three reused evictions
         for line in range(4, 20):
             cache.fill_fast(line, pc=pc)
-            cache.lookup_slot(line, pc=pc)
+            cache.lookup_slot(line)
         assert cache._shct[sig] == SHIP_SHCT_MAX  # saturates
 
     def test_signatures_train_independently(self):
@@ -234,7 +254,7 @@ class TestShipReplacement:
         cache = small_cache(ways=4, sets=1, replacement="ship")
         for line in range(4):
             cache.fill_fast(line, pc=line)
-            cache.lookup_slot(line, pc=line)  # all at RRPV 0
+            cache.lookup_slot(line)  # all at RRPV 0
         assert victim_of(cache, 10, pc=0x99) in range(4)
         assert cache.occupancy() == 4
         assert cache.probe(10)
@@ -270,21 +290,19 @@ class TestIntrospection:
         assert not cache.invalidate(42)
         assert cache.occupancy() == 0
 
-    def test_hit_rate(self):
-        cache = small_cache()
-        cache.fill_fast(1)
-        cache.lookup_slot(1)
-        cache.lookup_slot(2)
-        assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_reset_hit_counters(self):
-        cache = small_cache()
-        cache.fill_fast(1)
-        cache.lookup_slot(1)
-        cache.lookup_slot(2)
-        cache.reset_hit_counters()
-        assert (cache.hits, cache.misses) == (0, 0)
-        assert cache.probe(1)
+    def test_negative_line_addresses(self):
+        """External traces carry negative line addresses; one is a line
+        like any other, never an empty slot."""
+        cache = small_cache(ways=2, sets=2)
+        for line in (-1, -3, -2):
+            cache.fill_fast(line, dirty=True)
+        assert set(cache.resident_lines()) == {-3, -2, -1}
+        assert cache.occupancy() == 3
+        assert cache.fill_fast(-4) is None  # set 0 still has a free way
+        evicted = cache.fill_fast(-5)  # set 1's least recent line goes
+        assert (evicted.line_addr, evicted.dirty) == (-1, True)
+        assert cache.invalidate(-5)
+        assert sorted(cache.resident_lines()) == [-4, -3, -2]
 
 
 class TestPropertyBased:
@@ -299,11 +317,13 @@ class TestPropertyBased:
     @given(st.lists(st.integers(min_value=0, max_value=500), max_size=200))
     @settings(max_examples=40, deadline=None)
     def test_resident_addresses_reconstruct_exactly(self, lines):
-        """Address reconstruction from (set, tag) must be lossless."""
+        """Every reported resident line is present, and none twice."""
         cache = small_cache(ways=4, sets=8)
         for line in lines:
             cache.fill_fast(line)
-        for resident in cache.resident_lines():
+        residents = list(cache.resident_lines())
+        assert len(set(residents)) == len(residents) == cache.occupancy()
+        for resident in residents:
             assert cache.probe(resident)
 
     @given(

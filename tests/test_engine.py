@@ -15,6 +15,7 @@ from repro.engine import (
 )
 from repro.engine import jobs
 from repro.engine.jobs import decode_result, encode_result
+from repro.engine import store as store_module
 from repro.engine.store import StoreDecodeError
 from repro.experiments.configs import CacheDesign
 from repro.experiments.figures import fig02_naive_vs_staticbest, fig07_cd1
@@ -250,6 +251,28 @@ class TestResultStore:
         with ResultStore(path) as writer, ResultStore(path) as reader:
             writer.put("k", {"a": 1})
             assert reader.get("k") == {"a": 1}
+
+
+class TestDefaultStorePath:
+    """Keys cover a request's inputs, not the code: each source tree
+    gets its own default store."""
+
+    def test_two_source_digests_give_two_paths(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        paths = []
+        for digest in ("ab" * 32, "cd" * 32):
+            monkeypatch.setattr(store_module, "_source_digest",
+                                lambda digest=digest: digest)
+            paths.append(store_module.default_store_path())
+        assert paths == [tmp_path / "repro" / "results-abababababab.sqlite",
+                         tmp_path / "repro" / "results-cdcdcdcdcdcd.sqlite"]
+
+    def test_env_store_wins(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "mine.sqlite"))
+        monkeypatch.setattr(store_module, "_source_digest",
+                            lambda: pytest.fail("digest computed"))
+        assert store_module.default_store_path() == tmp_path / "mine.sqlite"
 
 
 class TestEngine:

@@ -1,5 +1,6 @@
 """Tests for the multi-core simulator (shared LLC + DRAM)."""
 
+import copy
 from dataclasses import asdict
 
 import pytest
@@ -9,6 +10,8 @@ from repro.experiments.configs import CacheDesign, build_hierarchy, system_for
 from repro.policies.athena import AthenaPolicy
 from repro.policies.base import NaivePolicy
 from repro.sim.multicore import MultiCoreResult, MultiCoreSimulator
+from repro.sim.region import MeasuredRegion
+from repro.sim.stats import SimStats
 from repro.workloads.suites import WorkloadSpec, find_workload
 
 
@@ -210,3 +213,44 @@ class TestWarmupBoundaryEpoch:
             empty = [t for t in policy.telemetries if t.instructions == 0]
             assert [(t.epoch_index, t.cycles) for t in empty] == \
                 [(warmup_epochs - 1, 0.0)]
+
+
+class TestWarmupEndLeavesSharedStateAlone:
+    """A core's warmup reset zeroes its own counters only: the shared
+    LLC and DRAM are exactly as they were, so a mix core's measured
+    region is built like a single-core run's."""
+
+    def test_shared_llc_and_dram_unchanged_across_each_warmup_end(
+            self, monkeypatch):
+        design = CacheDesign.cd1()
+        sim = MultiCoreSimulator(
+            traces=traces(2, "hash_probe", 1500),
+            params=system_for(design),
+            hierarchy_factory=lambda p, llc, dram: build_hierarchy(
+                design, params=p, llc=llc, dram=dram),
+            policy_factory=NaivePolicy,
+            instructions_per_core=1500,
+            epoch_length=100,
+            warmup_fraction=0.3,
+        )
+
+        def shared_state():
+            llc = {name: value for name, value in vars(sim.shared_llc).items()
+                   if name != "_slot_get"}  # a bound dict.get alias
+            return copy.deepcopy((llc, vars(sim.shared_dram)))
+
+        end_warmup = MeasuredRegion.end_warmup
+        clocks = []
+
+        def checked_end_warmup(region, cycles):
+            before = shared_state()
+            end_warmup(region, cycles)
+            assert shared_state() == before
+            assert region.hierarchy.stats == SimStats()
+            clocks.append(cycles)
+
+        monkeypatch.setattr(MeasuredRegion, "end_warmup",
+                            checked_end_warmup)
+        sim.run()
+        assert len(clocks) == 2 and clocks[0] != clocks[1]
+        assert sim.shared_llc.occupancy() > 0

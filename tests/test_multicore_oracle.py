@@ -78,7 +78,7 @@ def reference_run(traces, design, policy_name, per_core, epoch, warmup):
         pc, addr, f = c["rows"][idx % len(c["rows"])]
         if f & FLAG_LOAD:
             issue = core.begin((f & FLAG_DEP) != 0)
-            core.finish(h.load(pc, addr, issue).latency, True)
+            core.finish(h.load(pc, addr, issue), True)
             stats.loads += 1
         elif f & FLAG_STORE:
             core.finish(h.store(pc, addr, core.begin()))
@@ -94,7 +94,7 @@ def reference_run(traces, design, policy_name, per_core, epoch, warmup):
         c["retired"] = idx + 1
         if warm and idx == warm - 1:
             c["start"] = core.cycles
-            reset_measured_stats(h, include_shared_caches=False)
+            reset_measured_stats(h)
             c["mark"] = (stats.snapshot(), core.cycles, dram.busy_cycles,
                          dram.kind_counts())
         if c["policy"] is not None and (idx + 1) % epoch == 0:

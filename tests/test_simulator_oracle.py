@@ -76,7 +76,7 @@ def reference_run(trace, design, policy_name, epoch, warmup):
     for i, (pc, addr, f) in enumerate(rows):
         if f & FLAG_LOAD:
             issue = core.begin((f & FLAG_DEP) != 0)
-            core.finish(h.load(pc, addr, issue).latency, True)
+            core.finish(h.load(pc, addr, issue), True)
             stats.loads += 1
         elif f & FLAG_STORE:
             core.finish(h.store(pc, addr, core.begin()))
