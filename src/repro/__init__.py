@@ -8,8 +8,8 @@ The package is organised as:
   (analytical OoO core, three-level caches, banked bandwidth-limited DRAM).
 * :mod:`repro.prefetchers` — IPCP, Berti, Pythia, SPP+PPF, MLOP, SMS.
 * :mod:`repro.ocp` — POPET, HMP, TTP off-chip predictors.
-* :mod:`repro.core` — Athena itself: QVStore, Bloom-filter feature
-  trackers, composite reward, SARSA agent.
+* :mod:`repro.core` — Athena itself: QVStore, epoch feature tracker,
+  composite reward, SARSA agent.
 * :mod:`repro.policies` — coordination policies: Athena, TLP, HPAC, MAB,
   Naive, fixed-action (StaticBest oracle building block).
 * :mod:`repro.workloads` — deterministic synthetic trace suite standing in

@@ -1,7 +1,6 @@
 """Athena's RL core: QVStore, feature measurement, reward, SARSA agent."""
 
 from .agent import AgentDecision, AthenaAgent
-from .bloom import BloomFilter
 from .config import AthenaConfig, PAPER_CONFIG, RewardWeights
 from .features import FeatureTracker, StateQuantizer
 from .qvstore import QVStore
@@ -11,7 +10,6 @@ __all__ = [
     "AgentDecision",
     "AthenaAgent",
     "AthenaConfig",
-    "BloomFilter",
     "CompositeReward",
     "FeatureTracker",
     "IpcOnlyReward",

@@ -1,15 +1,21 @@
 """State measurement and quantization (paper §4.1, §5.2).
 
-:class:`FeatureTracker` is the hardware-faithful measurement unit: it
-observes hierarchy events through the observer interface and maintains
+:class:`FeatureTracker` is Athena's measurement unit: it observes
+hierarchy events through the observer interface and maintains
 
-* a 4096-bit Bloom filter for prefetcher-accuracy tracking (§5.2.1),
+* the set of lines prefetched this epoch, for prefetcher accuracy
+  (§5.2.1),
 * two counters for OCP accuracy (§5.2.2), and
-* a 4096-bit Bloom filter + counter for prefetch-induced LLC pollution
-  (§5.2.3),
+* the set of lines a prefetch evicted from the LLC this epoch, plus a
+  counter, for prefetch-induced LLC pollution (§5.2.3),
 
 all reset at the end of every epoch.  Bandwidth-usage features come from
 the DRAM bus-occupancy telemetry the simulator already computes.
+
+The paper's hardware keeps the two sets in 4096-bit, 2-hash Bloom
+filters (Table 4).  The simulator needs only their membership answers,
+so it keeps exact sets, and the filters' budget lives only in
+:meth:`FeatureTracker.storage_bits`.
 
 :class:`StateQuantizer` turns the measured feature vector into the integer
 state the QVStore hashes (paper Figure 6, stage 1: concatenate feature
@@ -21,20 +27,17 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..sim.stats import CANDIDATE_FEATURES, EpochTelemetry
-from .bloom import BloomFilter
+
+#: Paper Table 4: each of the two tracker filters is 4096 bits (0.5 KB).
+FILTER_BITS = 4096
 
 
 class FeatureTracker:
-    """Bloom-filter-based epoch feature measurement (attach as observer)."""
+    """Exact-set epoch feature measurement (attach as observer)."""
 
-    def __init__(
-        self,
-        accuracy_filter_bits: int = 4096,
-        pollution_filter_bits: int = 4096,
-        num_hashes: int = 2,
-    ) -> None:
-        self._accuracy_filter = BloomFilter(accuracy_filter_bits, num_hashes)
-        self._pollution_filter = BloomFilter(pollution_filter_bits, num_hashes)
+    def __init__(self) -> None:
+        self._prefetched = set()
+        self._prefetch_victims = set()
         self._prefetches_issued = 0
         self._prefetch_hits = 0
         self._ocp_predictions = 0
@@ -45,27 +48,11 @@ class FeatureTracker:
     # -- observer interface (called by the hierarchy) -------------------------
 
     def on_prefetch_issued(self, line_addr: int) -> None:
-        self._accuracy_filter.insert(line_addr)
+        self._prefetched.add(line_addr)
         self._prefetches_issued += 1
 
     def on_demand_load(self, pc: int, line_addr: int, went_offchip: bool) -> None:
-        # Inlined BloomFilter.query for the per-load accuracy probe (the
-        # generic path handles non-default hash counts).
-        f = self._accuracy_filter
-        if f._two_hashes:
-            bits = f._bits
-            n = f.num_bits
-            h = (line_addr * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-            h ^= h >> 33
-            h = (h * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
-            if not bits[(h ^ (h >> 29)) % n]:
-                return
-            h = (line_addr * 0xC2B2AE3D27D4EB4F) & 0xFFFFFFFFFFFFFFFF
-            h ^= h >> 33
-            h = (h * 0xFF51AFD7ED558CCD) & 0xFFFFFFFFFFFFFFFF
-            if bits[(h ^ (h >> 29)) % n]:
-                self._prefetch_hits += 1
-        elif f.query(line_addr):
+        if line_addr in self._prefetched:
             self._prefetch_hits += 1
 
     def on_ocp_request(self, line_addr: int) -> None:
@@ -75,11 +62,11 @@ class FeatureTracker:
         self._ocp_correct += 1
 
     def on_prefetch_eviction(self, line_addr: int) -> None:
-        self._pollution_filter.insert(line_addr)
+        self._prefetch_victims.add(line_addr)
 
     def on_llc_demand_miss(self, line_addr: int) -> None:
         self._demand_misses += 1
-        if self._pollution_filter.query(line_addr):
+        if line_addr in self._prefetch_victims:
             self._pollution_hits += 1
 
     # -- epoch boundary -----------------------------------------------------------
@@ -112,9 +99,9 @@ class FeatureTracker:
         }
 
     def reset_epoch(self) -> None:
-        """Reset filters and counters (end of every epoch, §5.2)."""
-        self._accuracy_filter.reset()
-        self._pollution_filter.reset()
+        """Reset sets and counters (end of every epoch, §5.2)."""
+        self._prefetched.clear()
+        self._prefetch_victims.clear()
         self._prefetches_issued = 0
         self._prefetch_hits = 0
         self._ocp_predictions = 0
@@ -123,12 +110,8 @@ class FeatureTracker:
         self._demand_misses = 0
 
     def storage_bits(self) -> int:
-        counters = 6 * 16
-        return (
-            self._accuracy_filter.storage_bits()
-            + self._pollution_filter.storage_bits()
-            + counters
-        )
+        """Paper Table 4: two 4096-bit filters plus six 16-bit counters."""
+        return 2 * FILTER_BITS + 6 * 16
 
 
 class StateQuantizer:

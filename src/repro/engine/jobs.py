@@ -47,7 +47,7 @@ from .store import StoreDecodeError
 #: bump when the simulator's observable behaviour or the payload layout
 #: changes: it is mixed into every request key, so old store entries
 #: become unreachable (and are recomputed) instead of serving stale data.
-ENGINE_SCHEMA = 1
+ENGINE_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Wraps :class:`~repro.core.agent.AthenaAgent` behind the
 :class:`~repro.policies.base.CoordinationPolicy` interface.  On attach it
-registers the agent's Bloom-filter feature tracker as a hierarchy observer
-(so features are measured the way the hardware would measure them) and
+registers the agent's feature tracker as a hierarchy observer (so
+features are measured from the events the hardware would see) and
 builds the discrete action space: four actions for one prefetcher + OCP,
 eight for two prefetchers + OCP, and the OCP-less variants for the
 prefetcher-only management study (paper §7.6).

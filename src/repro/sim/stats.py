@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 @dataclass(slots=True)
 class SimStats:
-    """Cumulative simulation counters (exact, not Bloom-approximated)."""
+    """Cumulative, exact simulation counters."""
 
     instructions: int = 0
     cycles: float = 0.0

@@ -76,6 +76,20 @@ class TestFeatureTracker:
         assert features["ocp_accuracy"] == 0.0
         assert features["cache_pollution"] == 0.0
 
+    def test_distinct_lines_never_alias(self):
+        """The tracker keeps exact sets: a full filter's worth of lines
+        gives no false positive for any other line."""
+        tracker = FeatureTracker()
+        for line in range(4096):
+            tracker.on_prefetch_issued(line)
+            tracker.on_prefetch_eviction(line)
+        for line in range(4096, 8192):
+            tracker.on_demand_load(0x400, line, False)
+            tracker.on_llc_demand_miss(line)
+        features = tracker.epoch_features(telemetry())
+        assert features["prefetcher_accuracy"] == 0.0
+        assert features["cache_pollution"] == 0.0
+
     def test_storage_is_about_1_kib(self):
         """Table 4: two 4096-bit filters = 1 KB plus small counters."""
         tracker = FeatureTracker()
@@ -85,6 +99,145 @@ class TestFeatureTracker:
         tracker = FeatureTracker()
         features = tracker.epoch_features(telemetry())
         assert set(features) == set(CANDIDATE_FEATURES)
+
+
+lines = st.lists(st.integers(min_value=0, max_value=2**48), max_size=200)
+
+
+class TestExactSetMembership:
+    """The tracker's two sets answer membership exactly, per epoch."""
+
+    def test_takes_no_parameters(self):
+        with pytest.raises(TypeError):
+            FeatureTracker(4096)
+
+    def test_storage_does_not_grow_with_use(self):
+        """The hardware budget is fixed, whatever the sets hold."""
+        tracker = FeatureTracker()
+        before = tracker.storage_bits()
+        for line in range(10_000):
+            tracker.on_prefetch_issued(line)
+            tracker.on_prefetch_eviction(line)
+        assert tracker.storage_bits() == before == 2 * 4096 + 6 * 16
+
+    def test_high_address_bits_distinguish_lines(self):
+        tracker = FeatureTracker()
+        tracker.on_prefetch_issued(5)
+        tracker.on_prefetch_eviction(5)
+        for high in range(3, 48):
+            line = 5 | (1 << high)
+            tracker.on_demand_load(0x400, line, False)
+            tracker.on_llc_demand_miss(line)
+        features = tracker.epoch_features(telemetry())
+        assert features["prefetcher_accuracy"] == 0.0
+        assert features["cache_pollution"] == 0.0
+
+    def test_repeated_issue_of_one_line_counts_each_issue(self):
+        tracker = FeatureTracker()
+        tracker.on_prefetch_issued(7)
+        tracker.on_prefetch_issued(7)
+        tracker.on_demand_load(0x400, 7, False)
+        features = tracker.epoch_features(telemetry())
+        assert features["prefetcher_accuracy"] == pytest.approx(0.5)
+
+    def test_accuracy_clamped_when_hits_exceed_issues(self):
+        tracker = FeatureTracker()
+        tracker.on_prefetch_issued(7)
+        for _ in range(3):
+            tracker.on_demand_load(0x400, 7, False)
+        features = tracker.epoch_features(telemetry())
+        assert features["prefetcher_accuracy"] == 1.0
+
+    def test_offchip_demand_still_counts_as_hit(self):
+        tracker = FeatureTracker()
+        tracker.on_prefetch_issued(7)
+        tracker.on_demand_load(0x400, 7, True)
+        features = tracker.epoch_features(telemetry())
+        assert features["prefetcher_accuracy"] == 1.0
+
+    def test_prefetched_set_does_not_feed_pollution(self):
+        tracker = FeatureTracker()
+        tracker.on_prefetch_issued(9)
+        tracker.on_llc_demand_miss(9)
+        features = tracker.epoch_features(telemetry())
+        assert features["cache_pollution"] == 0.0
+
+    def test_victim_set_does_not_feed_accuracy(self):
+        tracker = FeatureTracker()
+        tracker.on_prefetch_issued(1)
+        tracker.on_prefetch_eviction(9)
+        tracker.on_demand_load(0x400, 9, False)
+        features = tracker.epoch_features(telemetry())
+        assert features["prefetcher_accuracy"] == 0.0
+
+    def test_each_miss_on_a_victim_is_polluted(self):
+        tracker = FeatureTracker()
+        tracker.on_prefetch_eviction(9)
+        tracker.on_llc_demand_miss(9)
+        tracker.on_llc_demand_miss(9)
+        tracker.on_llc_demand_miss(10)
+        tracker.on_llc_demand_miss(11)
+        features = tracker.epoch_features(telemetry())
+        assert features["cache_pollution"] == pytest.approx(0.5)
+
+    def test_ocp_accuracy_zero_without_predictions(self):
+        tracker = FeatureTracker()
+        tracker.on_ocp_correct(3)
+        features = tracker.epoch_features(telemetry())
+        assert features["ocp_accuracy"] == 0.0
+
+    def test_lines_from_last_epoch_are_forgotten(self):
+        tracker = FeatureTracker()
+        tracker.on_prefetch_issued(1)
+        tracker.on_prefetch_eviction(2)
+        tracker.reset_epoch()
+        tracker.on_prefetch_issued(3)
+        tracker.on_demand_load(0x400, 1, False)
+        tracker.on_llc_demand_miss(2)
+        features = tracker.epoch_features(telemetry())
+        assert features["prefetcher_accuracy"] == 0.0
+        assert features["cache_pollution"] == 0.0
+
+    @given(lines, lines)
+    @settings(max_examples=50, deadline=None)
+    def test_accuracy_matches_exact_membership(self, issued, demanded):
+        tracker = FeatureTracker()
+        for line in issued:
+            tracker.on_prefetch_issued(line)
+        for line in demanded:
+            tracker.on_demand_load(0x400, line, False)
+        hits = sum(1 for line in demanded if line in set(issued))
+        expected = min(1.0, hits / len(issued)) if issued else 0.0
+        features = tracker.epoch_features(telemetry())
+        assert features["prefetcher_accuracy"] == pytest.approx(expected)
+
+    @given(lines, lines)
+    @settings(max_examples=50, deadline=None)
+    def test_pollution_matches_exact_membership(self, victims, missed):
+        tracker = FeatureTracker()
+        for line in victims:
+            tracker.on_prefetch_eviction(line)
+        for line in missed:
+            tracker.on_llc_demand_miss(line)
+        polluted = sum(1 for line in missed if line in set(victims))
+        expected = polluted / len(missed) if missed else 0.0
+        features = tracker.epoch_features(telemetry())
+        assert features["cache_pollution"] == pytest.approx(expected)
+
+    @given(lines)
+    @settings(max_examples=50, deadline=None)
+    def test_reset_restores_fresh_tracker(self, keys):
+        tracker = FeatureTracker()
+        for line in keys:
+            tracker.on_prefetch_issued(line)
+            tracker.on_demand_load(0x400, line, False)
+            tracker.on_ocp_request(line)
+            tracker.on_ocp_correct(line)
+            tracker.on_prefetch_eviction(line)
+            tracker.on_llc_demand_miss(line)
+        tracker.reset_epoch()
+        t = telemetry()
+        assert tracker.epoch_features(t) == FeatureTracker().epoch_features(t)
 
 
 class TestStateQuantizer:
@@ -154,27 +307,3 @@ class TestStateQuantizer:
         for shift in (0.0, 0.01, 0.1):
             assert 0 <= q.quantize_value(value, shift) < 8
 
-
-class TestInlinedBloomProbe:
-    """Pin FeatureTracker.on_demand_load's inlined Bloom probe to the
-    filter's own query(): the two must never diverge."""
-
-    def test_on_demand_load_matches_filter_query(self):
-        import random
-
-        from repro.core.features import FeatureTracker
-
-        rng = random.Random(7)
-        tracker = FeatureTracker()
-        reference = FeatureTracker()
-        lines = [rng.randrange(1 << 40) for _ in range(400)]
-        for line in lines[::3]:
-            tracker.on_prefetch_issued(line)
-            reference.on_prefetch_issued(line)
-        expected_hits = sum(
-            1 for line in lines
-            if reference._accuracy_filter.query(line)
-        )
-        for line in lines:
-            tracker.on_demand_load(0x400, line, False)
-        assert tracker._prefetch_hits == expected_hits

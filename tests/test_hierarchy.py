@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.features import FeatureTracker
 from repro.experiments.configs import CacheDesign, build_hierarchy
 from repro.ocp.base import OffChipPredictor
 from repro.prefetchers.base import Prefetcher
 from repro.sim import hierarchy
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.params import scaled_system
+from repro.sim.stats import EpochTelemetry
 
 
 class AlwaysOffchipOcp(OffChipPredictor):
@@ -51,6 +53,24 @@ class NextLinePf(Prefetcher):
 
 class L1NextLinePf(NextLinePf):
     level = "l1d"
+
+
+class ScriptedPf(Prefetcher):
+    """Test double: issues the lines in ``script`` on its next lookup."""
+
+    level = "l2c"
+    max_degree = 8
+
+    def __init__(self):
+        super().__init__()
+        self.script = []
+
+    def _train_and_predict(self, pc, line_addr, hit):
+        script, self.script = self.script, []
+        return script
+
+    def storage_bits(self):
+        return 0
 
 
 def make_hierarchy(**kwargs):
@@ -239,24 +259,63 @@ class TestPrefetchPath:
         h.load(0x400, addr(100), 1000.0)  # 101/102 already resident
         assert h.stats.prefetches_issued == issued
 
-    def test_pollution_tracked_on_prefetch_eviction(self):
-        h = make_hierarchy(prefetchers=[NextLinePf()])
-        sets = h.llc.num_sets
-        victim = 7
-        h.load(0x400, addr(victim), 0.0)
-        h.l1d.invalidate(victim)
-        h.l2c.invalidate(victim)
-        # Flood the victim's LLC set with prefetch fills until evicted.
-        t = 100.0
-        k = 1
-        while h.llc.probe(victim) and k < 32:
-            h.load(0x500, addr(victim + sets * k * 4 + 1024 * 512), t)
-            t += 200.0
-            k += 1
-        if not h.llc.probe(victim):
-            misses = h.stats.llc_misses
-            h.load(0x400, addr(victim), t + 1000.0)
-            assert h.stats.llc_misses == misses + 1
+    def test_prefetch_credited_at_l2c_and_again_at_llc(self):
+        """Pins a known fault (ROADMAP item 2): the LLC copy of a DRAM
+        prefetch keeps its prefetched mark after the L2C copy is
+        credited, so one prefetch is credited twice."""
+        pf = ScriptedPf()
+        h = make_hierarchy(prefetchers=[pf])
+        pf.script = [101]
+        h.load(0x400, addr(100), 0.0)  # prefetches 101 from DRAM
+        h.load(0x400, addr(101), 1000.0)  # L2C hit: credited
+        h.l1d.invalidate(101)
+        h.l2c.invalidate(101)
+        h.load(0x400, addr(101), 2000.0)  # LLC hit: credited again
+        assert h.stats.prefetches_issued == 1
+        assert h.stats.prefetch_fills_offchip == 1
+        assert h.stats.prefetches_useful == 2
+        assert h.stats.prefetches_useful_offchip == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_pollution_tracked_on_prefetch_eviction(self, k):
+        """k live lines evicted by prefetch fills and then demanded give
+        exactly k pollution misses, and an attached FeatureTracker
+        counts the same k in its epoch."""
+        pf = ScriptedPf()
+        h = make_hierarchy(prefetchers=[pf])
+        tracker = FeatureTracker()
+        h.observers.append(tracker)
+        # Fill LLC sets 1..k with demand lines, then prefetch one new
+        # line into each: each prefetch fill evicts one live line.
+        sets, ways = h.llc.num_sets, h.llc.ways
+        t = 0.0
+        resident = []
+        for s in range(1, k + 1):
+            for way in range(ways):
+                line = s + sets * way
+                h.load(0x400, addr(line), t)
+                resident.append(line)
+                t += 1000.0
+        pf.script = [s + sets * ways for s in range(1, k + 1)]
+        h.load(0x500, addr(sets * 4 * ways), t)  # set 0: the trigger
+        victims = [line for line in resident if not h.llc.probe(line)]
+        assert len(victims) == k
+        assert h.stats.pollution_misses == 0
+        misses = h.stats.llc_misses
+        t = 1e7
+        for line in victims:
+            h.l1d.invalidate(line)
+            h.l2c.invalidate(line)
+            h.load(0x400, addr(line), t)
+            t += 1000.0
+        assert h.stats.llc_misses == misses + k
+        assert h.stats.pollution_misses == k
+        # One epoch since the tracker was attached: k of its demand
+        # misses are polluted.
+        features = tracker.epoch_features(
+            EpochTelemetry(instructions=1, cycles=1.0))
+        assert features["cache_pollution"] == pytest.approx(
+            k / h.stats.llc_misses)
 
     def test_pollution_window_evicts_oldest_victim(self, monkeypatch):
         # The window must always drop the least recently recorded victim,

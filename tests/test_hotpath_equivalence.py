@@ -68,6 +68,7 @@ def test_case_matrix_is_large_enough():
 #: store serve stale payloads.  A refresh adds its schema's digest here.
 GOLDEN_DIGESTS = {
     1: "15f759b3426f4ad5a78ec08a45751858fa7f53c3d5a7994b2cda3f8aefc616b3",
+    2: "322b363845776d7765ead247108e1a97d4e4b1ecd0a6b65a0b4509c82ab2404f",
 }
 
 

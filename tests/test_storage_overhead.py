@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.agent import AthenaAgent
-from repro.core.bloom import BloomFilter
+from repro.core.features import FILTER_BITS, FeatureTracker
 from repro.core.qvstore import QVStore
 from repro.ocp import make_ocp
 from repro.policies.hpac import HpacPolicy
@@ -21,7 +21,8 @@ class TestTable4:
         assert store.storage_kib() == pytest.approx(2.0)
 
     def test_each_tracker_filter_half_kib(self):
-        assert BloomFilter(4096, 2).storage_bits() == 4096  # 0.5 KB
+        assert FILTER_BITS == 4096  # 0.5 KB
+        assert FeatureTracker().storage_bits() == 2 * 4096 + 6 * 16
 
     def test_total_athena_3kib(self):
         agent = AthenaAgent(num_actions=4)
