@@ -15,8 +15,8 @@ four phases (``--phase``):
   multi-core event loop);
 * ``store`` — *payloads per second* through a temporary
   :class:`~repro.engine.store.ResultStore`: Fig 7-shaped run payloads
-  encoded, written, read back and decoded the way a warm replay decodes
-  them (reading IPC, not the per-epoch telemetry).
+  encoded and written, then replayed through a warm engine (reading
+  IPC, not the per-epoch telemetry).
 
 Everything is written to ``BENCH_sim_throughput.json``.  Three kinds of
 numbers live in the output:
@@ -302,37 +302,45 @@ def measure_store_cell(payloads: int, repeats: int) -> dict:
     :class:`~repro.engine.store.ResultStore` (best of ``repeats``).
 
     One Athena result is simulated untimed, then each repeat encodes
-    and ``put``s it under ``payloads`` distinct keys (the write half,
-    as a cold run stores its results), and ``get``s and decodes every
-    key, reading only IPC (the read half, as a warm replay does).
+    and ``put``s it under the keys of ``payloads`` requests that differ
+    only in the agent seed (the write half, as a cold run stores its
+    results), and replays every request through a fresh
+    :class:`~repro.engine.api.Engine` on that store, reading only IPC
+    (the read half: a warm replay's lookup, which parses each run's
+    summary and leaves its epoch history unparsed).
     """
-    from repro.engine.jobs import RunRequest, decode_result, encode_result
+    from dataclasses import replace
+
+    from repro.core.config import AthenaConfig
+    from repro.engine.api import Engine
+    from repro.engine.jobs import RunRequest, encode_result
     from repro.engine.store import ResultStore
     from repro.experiments.configs import CacheDesign
     from repro.workloads.suites import find_workload
 
-    result = RunRequest(
+    request = RunRequest(
         spec=find_workload(DEFAULT_WORKLOADS[2]),
         trace_length=STORE_TRACE_LENGTH,
         design=CacheDesign.cd1(),
         policy_name="athena",
         epoch_length=STORE_EPOCH_LENGTH,
-    ).execute()
-    keys = [f"bench-{i}" for i in range(payloads)]
+    )
+    result = request.execute()
+    requests = [replace(request, athena_config=AthenaConfig(seed=seed))
+                for seed in range(payloads)]
+    keys = [request.key() for request in requests]
     best_write = best_read = math.inf
     for _ in range(repeats):
         with tempfile.TemporaryDirectory() as tmp:
             store = ResultStore(pathlib.Path(tmp) / "store.sqlite")
-            try:
+            with Engine(store=store, jobs=1) as engine:
                 t0 = time.perf_counter()
                 for key in keys:
                     store.put(key, encode_result(result))
                 t1 = time.perf_counter()
-                for key in keys:
-                    decode_result(store.get(key)).ipc
+                for replayed in engine.run_many(requests):
+                    replayed.ipc
                 t2 = time.perf_counter()
-            finally:
-                store.close()
         best_write = min(best_write, t1 - t0)
         best_read = min(best_read, t2 - t1)
     return {
@@ -460,6 +468,8 @@ def run_bench(
         )
         report["store_cell"] = store_cell
         report["store_payloads_per_s"] = store_cell["payloads_per_s"]
+        report["store_read_payloads_per_s"] = \
+            store_cell["read_payloads_per_s"]
 
     if reference_path is not None and pathlib.Path(reference_path).exists():
         reference = json.loads(pathlib.Path(reference_path).read_text())
@@ -551,7 +561,8 @@ def history_entry(report: dict) -> dict:
     }
     for key in ("geomean_ips", "geomean_ips_per_mop",
                 "geomean_speedup_vs_reference",
-                "streaming_sim_ips", "store_payloads_per_s"):
+                "streaming_sim_ips", "store_payloads_per_s",
+                "store_read_payloads_per_s"):
         if key in report:
             entry[key] = report[key]
     return entry

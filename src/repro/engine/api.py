@@ -248,7 +248,7 @@ class Engine:
             self._journal_hit(key, "memo", cached, t0)
             return cached
         if self.store is not None:
-            payload = self.store.get(key)
+            payload = self.store.get(key, summary=True)
             if payload is not None:
                 try:
                     result = decode_result(payload)
@@ -424,7 +424,7 @@ class Engine:
     def _resolved(self, key: str) -> bool:
         """Is ``key``'s result already recorded, here or in the store?"""
         return key in self._memo or (self.store is not None
-                                     and self.store.get(key) is not None)
+                                     and key in self.store)
 
     def _settle_done(self, key: str) -> Tuple[str, object]:
         """Replay a job completed without this engine executing it."""

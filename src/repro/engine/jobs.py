@@ -21,7 +21,10 @@ The module also holds the JSON codecs that serialize
 :class:`~repro.sim.simulator.SimulationResult` /
 :class:`~repro.sim.multicore.MultiCoreResult` for the store.  JSON floats
 round-trip exactly (``repr`` semantics), so a decoded result reproduces
-the original tables byte for byte.
+the original tables byte for byte.  A decoded run defers its per-epoch
+history: a warm lookup reads only the stored summary, and the history
+is parsed, validated and built on the first read of its epochs or
+actions.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from ..sim.region import SimulationResult
 from ..sim.simulator import Simulator
 from ..sim.stats import EpochTelemetry, SimStats
 from ..workloads.suites import WorkloadSpec, build_trace, stream_trace
-from .store import StoreDecodeError
+from .store import HISTORY_TEXT, StoreDecodeError
 
 #: bump when the simulator's observable behaviour or the payload layout
 #: changes: it is mixed into every request key, so old store entries
@@ -407,31 +410,65 @@ def encode_result(result: Result) -> dict:
     }
 
 
+class _History:
+    """A run's validated epoch rows and action values.
+
+    Rows from a whole payload are validated when it is decoded; a
+    history read with ``ResultStore.get(key, summary=True)`` arrives as
+    unparsed JSON text and is parsed and validated, by the same rules,
+    on first use.
+    """
+
+    __slots__ = ("_text", "_rows")
+
+    def __init__(self, text: Optional[str] = None,
+                 rows: Optional[Tuple[list, list]] = None) -> None:
+        self._text = text
+        self._rows = rows
+
+    def rows(self) -> Tuple[list, list]:
+        if self._rows is None:
+            try:
+                history = json.loads(self._text)
+            except ValueError as exc:
+                raise StoreDecodeError(f"malformed run history: {exc}") \
+                    from exc
+            self._rows = _history_rows(history)
+            self._text = None
+        return self._rows
+
+
 class _Deferred(abc.Sequence):
     """A read-only list whose items are built on first access.
 
     Most consumers of a decoded run read only its totals (a warm Fig 7
-    replay reads IPC), so :func:`decode_result` validates the epoch and
-    action rows up front and hands them over unbuilt.  Not a ``list``
-    subclass: C-level list operations (slicing, ``==``, ``list(x)``)
-    read a list's own storage and would skip the deferred build.
+    replay reads IPC), so :func:`decode_result` hands a run's epochs and
+    actions over unbuilt, and, when the history came from the store
+    unparsed, unparsed too: the first read parses and validates it
+    (:class:`_History`).  Not a ``list`` subclass: C-level list
+    operations (slicing, ``==``, ``list(x)``) read a list's own storage
+    and would skip the deferred build.
     """
 
-    __slots__ = ("_build", "_rows", "_items")
+    __slots__ = ("_build", "_history", "_index", "_items")
 
-    def __init__(self, build: Callable[[list], list], rows: list) -> None:
+    def __init__(self, build: Callable[[list], list], history: _History,
+                 index: int) -> None:
         self._build = build
-        self._rows = rows
+        self._history = history
+        self._index = index
         self._items: Optional[list] = None
 
     def _list(self) -> list:
         if self._items is None:
-            self._items = self._build(self._rows)
-            self._build = self._rows = None
+            self._items = self._build(self._history.rows()[self._index])
+            self._build = self._history = None
         return self._items
 
     def __len__(self) -> int:
-        return len(self._rows if self._items is None else self._items)
+        if self._items is None:
+            return len(self._history.rows()[self._index])
+        return len(self._items)
 
     def __getitem__(self, index):
         return self._list()[index]
@@ -471,13 +508,37 @@ def _actions_from(values: list) -> List[CoordinationAction]:
     return [shared[value] for value in values]
 
 
+def _history_rows(history: dict) -> Tuple[list, list]:
+    """A run's epoch rows and action values, rejecting every row the
+    deferred builds would reject: each epoch a dict keyed by
+    EpochTelemetry fields (checked over the union of all rows' keys, in
+    C), each action hashable."""
+    try:
+        epochs = history["epochs"]
+        if not isinstance(epochs, list) \
+                or not set(map(type, epochs)) <= {dict} \
+                or not set().union(*epochs) <= _EPOCH_FIELDS:
+            raise StoreDecodeError("malformed epoch telemetry")
+        actions = [_action_values(action) for action in history["actions"]]
+        set(actions)
+    except StoreDecodeError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StoreDecodeError(f"malformed run history: {exc}") from exc
+    return epochs, actions
+
+
 def decode_result(payload: dict) -> Result:
-    """Rebuild a result from :func:`encode_result` output.
+    """Rebuild a result from :func:`encode_result` output, or from a
+    run's summary read with ``ResultStore.get(key, summary=True)``.
 
     Raises :exc:`~repro.engine.store.StoreDecodeError` on any malformed
-    or stale payload so callers treat the entry as a cache miss.  A
-    run's epochs and actions are validated here but built only when
-    first read.
+    or stale payload so callers treat the entry as a cache miss.  The
+    schema, kind and totals are checked here.  A whole run payload's
+    epochs and actions are validated here too, and built when first
+    read; a summary's history text is parsed, validated and built when
+    its epochs or actions are first read, and a malformed one raises
+    :exc:`~repro.engine.store.StoreDecodeError` there.
     """
     try:
         if payload.get("schema") != ENGINE_SCHEMA:
@@ -490,19 +551,12 @@ def decode_result(payload: dict) -> Result:
                 cores=[_core_from(core) for core in payload["cores"]])
         if kind != "run":
             raise StoreDecodeError(f"unknown payload kind {kind!r}")
-        # Reject here every row the deferred builds would reject: each
-        # epoch a dict keyed by EpochTelemetry fields (checked over the
-        # union of all rows' keys, in C), each action hashable.
-        epochs = payload["epochs"]
-        if not isinstance(epochs, list) \
-                or not set(map(type, epochs)) <= {dict} \
-                or not set().union(*epochs) <= _EPOCH_FIELDS:
-            raise StoreDecodeError("malformed epoch telemetry")
-        actions = [_action_values(action) for action in payload["actions"]]
-        set(actions)
+        text = payload.get(HISTORY_TEXT)
+        history = _History(text=text) if isinstance(text, str) \
+            else _History(rows=_history_rows(payload))
         return _core_from(payload,
-                          epochs=_Deferred(_epochs_from, epochs),
-                          actions=_Deferred(_actions_from, actions))
+                          epochs=_Deferred(_epochs_from, history, 0),
+                          actions=_Deferred(_actions_from, history, 1))
     except StoreDecodeError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -216,7 +216,7 @@ class JobQueue:
                         report.already_queued.append(key)
                     continue
                 state = "pending"
-                if store is not None and store.get(key) is not None:
+                if store is not None and key in store:
                     state = "done"
                 conn.execute(
                     "INSERT INTO jobs (key, request, kind, state, attempts,"

@@ -216,7 +216,7 @@ class QueueWorker:
         return self._pool
 
     def _in_store(self, key: str) -> bool:
-        return self.store is not None and self.store.get(key) is not None
+        return self.store is not None and key in self.store
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None and amount:

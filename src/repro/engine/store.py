@@ -2,7 +2,15 @@
 
 A thin SQLite key→payload table: the key is a request's content hash
 (:meth:`repro.engine.jobs.RunRequest.key`), the payload is the JSON
-serialization of its result.  The database plumbing — WAL mode, busy
+serialization of its result.  A run payload is stored as two compact
+JSON documents split at the first newline (compact JSON has none): its
+*summary* (every field but the per-epoch ``epochs`` and ``actions``, plus
+the CRC-32 of the history text) and then its *history* (those fields).
+A warm lookup reads with ``summary=True`` and parses only the summary;
+the history is parsed on the first read of a run's epochs or actions
+(see :func:`repro.engine.jobs.decode_result`).  Mix payloads have no
+history and stay one document, as do rows written before the split,
+which read exactly as before.  The database plumbing — WAL mode, busy
 timeout, bounded retry when a concurrent writer holds the lock, the
 foreign-file guard — is the shared
 :class:`~repro.engine.backend.SQLiteBackend` seam, the same abstraction
@@ -28,6 +36,7 @@ import os
 import pathlib
 import sqlite3
 import time
+import zlib
 from typing import Iterator, Optional, Union
 
 from .backend import SQLiteBackend, commit_with_retry, execute_with_retry
@@ -37,6 +46,33 @@ PathLike = Union[str, pathlib.Path]
 
 class StoreDecodeError(RuntimeError):
     """A store payload could not be decoded (corrupt or stale entry)."""
+
+
+#: A run payload's per-epoch fields, stored after its summary.
+_HISTORY_FIELDS = ("epochs", "actions")
+
+#: Summary field holding the CRC-32 of the row's history text.
+_HISTORY_CRC = "history_crc"
+
+#: Field of a ``get(key, summary=True)`` payload holding the unparsed
+#: history text.
+HISTORY_TEXT = "history"
+
+
+def _compact(payload: dict) -> str:
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _encode_row(payload: dict) -> str:
+    """The stored text of ``payload``: summary and history for a run,
+    one document for anything else."""
+    if not all(field in payload for field in _HISTORY_FIELDS):
+        return _compact(payload)
+    summary = {name: value for name, value in payload.items()
+               if name not in _HISTORY_FIELDS}
+    history = _compact({field: payload[field] for field in _HISTORY_FIELDS})
+    summary[_HISTORY_CRC] = zlib.crc32(history.encode())
+    return _compact(summary) + "\n" + history
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,12 +135,19 @@ class ResultStore:
 
     # -- raw access --------------------------------------------------------
 
-    def get(self, key: str) -> Optional[dict]:
+    def get(self, key: str, *, summary: bool = False) -> Optional[dict]:
         """The decoded JSON payload for ``key``, or ``None``.
 
-        A row whose payload is not valid JSON is deleted and reported as
-        a miss — partial writes from a killed process must never crash a
-        later reader.  Database-level corruption discovered at read time
+        With ``summary``, a run row's history is checked against its
+        CRC-32 but not parsed: the payload holds the summary's fields
+        and the history's JSON text under :data:`HISTORY_TEXT`.  Rows without
+        a history (mixes, and runs stored in the one-document layout)
+        come back whole either way.
+
+        A row whose summary or history is not valid JSON, or whose
+        history fails its CRC, is deleted and reported as a miss —
+        partial writes from a killed process must never crash a later
+        reader.  Database-level corruption discovered at read time
         (pages torn after the header was validated) is likewise a miss:
         the store is a cache, never a source of truth.
         """
@@ -118,11 +161,19 @@ class ResultStore:
         if row is None:
             return None
         try:
-            payload = json.loads(row[0])
-        except (json.JSONDecodeError, TypeError):
-            self.delete(key)
-            return None
-        if not isinstance(payload, dict):
+            head, split, history = row[0].partition("\n")
+            payload = json.loads(head)
+            if not isinstance(payload, dict):
+                raise ValueError("payload is not a JSON object")
+            if split:
+                crc = payload.pop(_HISTORY_CRC, None)
+                if crc != zlib.crc32(history.encode()):
+                    raise ValueError("history CRC mismatch")
+                if summary:
+                    payload[HISTORY_TEXT] = history
+                else:
+                    payload.update(json.loads(history))
+        except (ValueError, TypeError):
             self.delete(key)
             return None
         return payload
@@ -130,11 +181,10 @@ class ResultStore:
     def put(self, key: str, payload: dict) -> None:
         """Write one payload; retried when a concurrent worker holds
         the write lock (bounded, see :mod:`repro.engine.backend`)."""
-        blob = json.dumps(payload, separators=(",", ":"))
         self._commit(
             "INSERT OR REPLACE INTO results (key, payload, created) "
             "VALUES (?, ?, ?)",
-            (key, blob, time.time()),
+            (key, _encode_row(payload), time.time()),
         )
 
     def delete(self, key: str) -> None:
@@ -158,7 +208,7 @@ class ResultStore:
         return count
 
     def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
+        return self.get(key, summary=True) is not None
 
     def clear(self) -> None:
         self._commit("DELETE FROM results")

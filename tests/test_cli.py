@@ -322,9 +322,10 @@ class TestBenchTrend:
         cell = report["store_cell"]
         assert cell["payloads"] == 50 and cell["epochs"] == 40
         assert cell["read_payloads_per_s"] > cell["payloads_per_s"] > 0
-        history = (tmp_path / "BENCH_history.jsonl").read_text()
-        assert json.loads(history)["store_payloads_per_s"] == \
-            cell["payloads_per_s"]
+        entry = json.loads((tmp_path / "BENCH_history.jsonl").read_text())
+        assert entry["store_payloads_per_s"] == cell["payloads_per_s"]
+        assert entry["store_read_payloads_per_s"] == \
+            cell["read_payloads_per_s"]
 
 
 class TestArgparse:

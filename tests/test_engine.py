@@ -61,6 +61,32 @@ def _count_telemetry_builds(monkeypatch) -> list:
     return built
 
 
+def _count_history_parses(monkeypatch) -> list:
+    """Record each JSON text parsed that holds a run's epoch history."""
+    parsed = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        if '"epochs":' in text:
+            parsed.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return parsed
+
+
+def _row_text(store: ResultStore, key: str) -> str:
+    (text,) = store._conn.execute(
+        "SELECT payload FROM results WHERE key = ?", (key,)).fetchone()
+    return text
+
+
+def _write_row(store: ResultStore, key: str, text: str) -> None:
+    store._conn.execute(
+        "INSERT OR REPLACE INTO results VALUES (?, ?, 0.0)", (key, text))
+    store._conn.commit()
+
+
 class TestRunRequestKeys:
     def test_key_is_stable(self):
         assert _request().key() == _request().key()
@@ -253,6 +279,98 @@ class TestResultStore:
             assert reader.get("k") == {"a": 1}
 
 
+class TestSplitRows:
+    """A run row is its summary, a newline and its history; the warm
+    lookup parses only the summary."""
+
+    def _mix_payload(self) -> dict:
+        mix = build_mixes(2, 1)[0]
+        return _payload(MixRequest(
+            workloads=tuple(mix.workloads), trace_length=1500,
+            design=CacheDesign.cd1(), policy_name="naive",
+            epoch_length=150).execute())
+
+    def test_get_returns_exactly_the_encoded_payload(self, tmp_path):
+        run = _payload(_request(policy="athena").execute())
+        mix = self._mix_payload()
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put("run", run)
+            store.put("mix", mix)
+            for key, payload in (("run", run), ("mix", mix)):
+                got = store.get(key)
+                assert got == payload
+                assert json.dumps(got) == json.dumps(payload)
+            head, _, history = _row_text(store, "run").partition("\n")
+            assert '"epochs"' not in head and '"stats"' not in history
+            assert "\n" not in _row_text(store, "mix")
+            assert store.get("mix", summary=True) == mix
+
+    def test_summary_read_leaves_the_history_unparsed(self, tmp_path,
+                                                      monkeypatch):
+        result = _request(policy="athena").execute()
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put("k", encode_result(result))
+            parsed = _count_history_parses(monkeypatch)
+            clone = decode_result(store.get("k", summary=True))
+            assert clone.ipc == result.ipc and clone.stats == result.stats
+            assert "k" in store
+            assert parsed == []
+            assert clone.epochs == result.epochs
+            assert clone.actions == result.actions
+            assert len(parsed) == 1
+
+    def test_altered_history_is_a_miss_and_executes_once(self, tmp_path):
+        request = _request(policy="athena")
+        path = tmp_path / "s.sqlite"
+        with Engine(store=ResultStore(path)) as engine:
+            expected = engine.run(request)
+        key = request.key()
+        with ResultStore(path) as store:
+            text = _row_text(store, key)
+            digit = next(i for i in range(text.index("\n"), len(text))
+                         if text[i].isdigit())
+            altered = text[:digit] + str((int(text[digit]) + 1) % 10) \
+                + text[digit + 1:]
+            _write_row(store, key, altered)
+            assert key not in store
+            assert len(store) == 0  # the damaged row was evicted
+            _write_row(store, key, altered)
+        with Engine(store=ResultStore(path)) as engine:
+            recomputed = engine.run(request)
+            assert engine.counters.executed == 1
+            assert engine.counters.store_hits == 0
+            assert recomputed.epochs == expected.epochs
+            assert engine.store.get(key) == encode_result(expected)
+
+    def test_single_document_row_replays_without_simulating(self, tmp_path,
+                                                             monkeypatch):
+        request = _request(policy="athena")
+        result = request.execute()
+        path = tmp_path / "s.sqlite"
+        with ResultStore(path) as store:
+            _write_row(store, request.key(), json.dumps(
+                encode_result(result), separators=(",", ":")))
+        with Engine(store=ResultStore(path)) as engine:
+            replayed = engine.run(request)
+            assert engine.counters.executed == 0
+            assert engine.counters.store_hits == 1
+            assert replayed.ipc == result.ipc
+            assert replayed.epochs == result.epochs
+            assert replayed.actions == result.actions
+
+    def test_unknown_epoch_key_raises_on_first_read(self, tmp_path):
+        payload = _payload(_request(policy="athena").execute())
+        payload["epochs"][3]["bogus"] = 1
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put("k", payload)  # the CRC covers the bad history
+            clone = decode_result(store.get("k", summary=True))
+        assert clone.ipc > 0
+        with pytest.raises(StoreDecodeError):
+            list(clone.epochs)
+        with pytest.raises(StoreDecodeError):
+            len(clone.actions)
+
+
 class TestDefaultStorePath:
     """Keys cover a request's inputs, not the code: each source tree
     gets its own default store."""
@@ -382,12 +500,14 @@ class TestFigureParallelism:
         with Engine(store=ResultStore(store_path)) as engine:
             cold = fig07_cd1(ExperimentContext(scale, engine=engine))
         built = _count_telemetry_builds(monkeypatch)
+        parsed = _count_history_parses(monkeypatch)
         with Engine(store=ResultStore(store_path)) as engine:
             warm = fig07_cd1(ExperimentContext(scale, engine=engine))
             assert engine.counters.executed == 0
             assert engine.counters.store_hits > 0
         assert warm.format_table() == cold.format_table()
         assert built == []
+        assert parsed == []
 
     def test_multicore_mix_goes_through_engine(self, tmp_path):
         mix = build_mixes(2, 1)[0]

@@ -94,8 +94,8 @@ class TestDispatch:
 
     def test_dispatch_consults_the_store(self, tmp_path):
         class FakeStore:
-            def get(self, key):
-                return {"kind": "run"} if key == "warm" else None
+            def __contains__(self, key):
+                return key == "warm"
 
         with JobQueue(tmp_path / "q.sqlite") as q:
             report = q.dispatch([("warm", "r1"), ("cold", "r2")],
