@@ -1,6 +1,6 @@
 """Ablation benches beyond the paper (design choices called out in
-DESIGN.md): epoch-length sensitivity, QVStore plane-count sensitivity,
-and composite-reward weight sensitivity.
+docs/reproduction.md): epoch-length sensitivity, QVStore plane-count
+sensitivity, and composite-reward weight sensitivity.
 """
 
 from conftest import RESULTS_DIR, run_once

@@ -14,7 +14,8 @@ TOL = 0.02
 #: adverse (the paper's IPCP loses ~5% on the adverse set), so Naive has
 #: almost nothing to lose in CD2 and Athena's learning overhead cannot be
 #: recouped there.  Athena must still stay within this band of Naive and
-#: beat every *coordination* policy outright.  See EXPERIMENTS.md (Fig 9).
+#: beat every *coordination* policy outright.  See docs/reproduction.md
+#: (Fig 9).
 NAIVE_TOL = 0.06
 #: TLP degenerates to POPET-only on the adverse set (its fill-source
 #: filter drops every off-chip L1D prefetch), and POPET is near-oracle

@@ -25,7 +25,7 @@ def test_fig11(benchmark, ctx, save_result):
     # TLP on the adverse set).  In our substrate Pythia's built-in
     # throttle mutes most of that damage and TLP inherits POPET's
     # near-oracle adverse behaviour, so Athena only has to stay within
-    # the oracle-tracking band (see EXPERIMENTS.md, Fig 9/11).
+    # the oracle-tracking band (see docs/reproduction.md, Fig 9/11).
     assert adverse["Athena"] > adverse["TLP"] - 0.07
     # Two uncoordinated prefetchers: Naive's adverse damage is severe.
     assert adverse["Naive"] < 1.0

@@ -20,7 +20,7 @@ def test_fig12b(benchmark, ctx, save_result):
     for label, row in result.rows:
         # Coordination-policy rivals; Naive is checked separately below
         # because in our shallow-adversity substrate always-on is close
-        # to optimal in CD1 (see EXPERIMENTS.md).
+        # to optimal in CD1 (see docs/reproduction.md, Fig 12b).
         best_rival = max(row["HPAC"], row["MAB"])
         if row["Athena"] >= best_rival - TOL:
             wins += 1

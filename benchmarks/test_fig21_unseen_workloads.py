@@ -21,7 +21,7 @@ def test_fig21(benchmark, ctx, save_result):
     # phase flips instantly, which our ~10-epochs-per-phase runs cannot
     # give an RL agent time to match (the paper's phases span ~50K
     # epochs and its HPAC *loses* 1.3% on this suite).  Documented in
-    # EXPERIMENTS.md (Fig 21).
+    # docs/reproduction.md (Fig 21).
     best_rival = max(overall["Naive"], overall["TLP"], overall["MAB"])
     assert overall["Athena"] >= best_rival - TOL
     # 12 categories + the overall row.

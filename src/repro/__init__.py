@@ -37,54 +37,31 @@ or, through the SDK::
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .core.agent import AthenaAgent
-from .core.config import AthenaConfig, PAPER_CONFIG
-from .policies.athena import AthenaPolicy
-from .policies.base import CoordinationAction, NaivePolicy
-from .policies.hpac import HpacPolicy
-from .policies.mab import MabPolicy
-from .policies.tlp import TlpPolicy
-from .sim.region import SimulationResult
-from .sim.simulator import Simulator
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .sim.region import SimulationResult
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AthenaAgent",
-    "AthenaConfig",
-    "AthenaPolicy",
-    "CoordinationAction",
-    "HpacPolicy",
-    "MabPolicy",
-    "NaivePolicy",
-    "PAPER_CONFIG",
-    "SimulationResult",
-    "Simulator",
-    "TlpPolicy",
-    "QuickRunResult",
-    "quick_run",
-    # lazily re-exported from repro.api (PEP 562):
-    "ExperimentSpec",
-    "MixSpec",
-    "RunSpec",
-    "Session",
-    "SweepSpec",
-]
-
-#: SDK names resolved on first access so ``import repro`` stays light.
-_API_EXPORTS = frozenset(
-    {"Session", "RunSpec", "MixSpec", "SweepSpec", "ExperimentSpec"}
-)
-
-
-def __getattr__(name: str):
-    if name in _API_EXPORTS:
-        from . import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: every name resolves on first access, so ``import repro`` loads no
+#: simulator, policy or SDK module until one is used.
+_EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".api": ("ExperimentSpec", "MixSpec", "RunSpec", "Session", "SweepSpec"),
+    ".core.agent": ("AthenaAgent",),
+    ".core.config": ("AthenaConfig", "PAPER_CONFIG"),
+    ".policies.athena": ("AthenaPolicy",),
+    ".policies.base": ("NaivePolicy",),
+    ".policies.hpac": ("HpacPolicy",),
+    ".policies.mab": ("MabPolicy",),
+    ".policies.tlp": ("TlpPolicy",),
+    ".sim.region": ("SimulationResult",),
+    ".sim.simulator": ("Simulator",),
+    ".sim.stats": ("CoordinationAction",),
+})
+__all__ = _EXPORTS + ["QuickRunResult", "quick_run"]
 
 
 class QuickRunResult:
@@ -125,6 +102,7 @@ def quick_run(workload: str = "ligra.BFS.0", policy: str = "athena",
     from .engine.jobs import _trace_for
     from .experiments.configs import build_hierarchy
     from .policies import make_policy
+    from .sim.simulator import Simulator
     from .workloads.suites import find_workload
 
     cache_design = make_design(design)

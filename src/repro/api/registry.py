@@ -193,10 +193,23 @@ class ComponentRegistry:
     values *without* instantiating, :meth:`create` validates then
     builds, and :meth:`schema` feeds ``repro list`` and spec-file
     validation from the same source of truth.
+
+    ``loaders`` register a kind's built-in components on the kind's
+    first use, so a process that validates a policy name imports no
+    prefetcher, and one that only replays stored results imports none
+    of them.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, loaders: Optional[Dict[str, Callable[[], None]]]
+                 = None) -> None:
         self._components: Dict[Tuple[str, str], Component] = {}
+        self._loaders = dict(loaders or {})
+
+    def _load(self, kind: str) -> None:
+        # Popped before it runs: the loader registers through register().
+        loader = self._loaders.pop(kind, None)
+        if loader is not None:
+            loader()
 
     # -- registration ------------------------------------------------------
 
@@ -210,6 +223,7 @@ class ComponentRegistry:
         options_error: Optional[Callable[[List[str]], str]] = None,
         replace: bool = False,
     ) -> Component:
+        self._load(kind)
         key = (kind, name)
         if key in self._components and not replace:
             raise ValueError(f"{kind} {name!r} is already registered")
@@ -231,15 +245,20 @@ class ComponentRegistry:
     # -- lookup ------------------------------------------------------------
 
     def kinds(self) -> List[str]:
+        for kind in list(self._loaders):
+            self._load(kind)
         return sorted({kind for kind, _ in self._components})
 
     def names(self, kind: str) -> List[str]:
+        self._load(kind)
         return sorted(name for k, name in self._components if k == kind)
 
     def __contains__(self, key: Tuple[str, str]) -> bool:
+        self._load(key[0])
         return key in self._components
 
     def get(self, kind: str, name: str) -> Component:
+        self._load(kind)
         component = self._components.get((kind, name))
         if component is None:
             raise ValueError(
@@ -322,10 +341,8 @@ class ComponentRegistry:
 
 
 # ---------------------------------------------------------------------------
-# the default registry, pre-populated from the component families
+# the default registry: each component family registers on first use
 # ---------------------------------------------------------------------------
-
-registry = ComponentRegistry()
 
 
 def build_athena_config(params: dict):
@@ -477,16 +494,14 @@ def _register_suites() -> None:
     )
 
 
-def _populate_default_registry() -> None:
-    _register_policies()
-    _register_prefetchers()
-    _register_ocps()
-    _register_designs()
-    _register_suites()
-    _register_trace_adapters()
-
-
-_populate_default_registry()
+registry = ComponentRegistry(loaders={
+    "policy": _register_policies,
+    "prefetcher": _register_prefetchers,
+    "ocp": _register_ocps,
+    "design": _register_designs,
+    "suite": _register_suites,
+    "trace_adapter": _register_trace_adapters,
+})
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class RunResult(ResultExportMixin):
     ``ipc`` is the policy run's IPC (geomean across agent seeds for
     athena), ``speedup`` its ratio over the matching no-mechanism
     baseline — the paper's per-workload metric.  ``results`` holds the
-    full :class:`~repro.sim.simulator.SimulationResult` objects
+    full :class:`~repro.sim.region.SimulationResult` objects
     (baseline first) for epoch-level inspection; ``cached`` is True when
     every underlying request came from the memo/store.
 

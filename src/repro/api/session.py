@@ -25,13 +25,12 @@ and closes the store.  Ten-line quickstart::
 
 from __future__ import annotations
 
+import os
 import pathlib
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
 
 from ..engine.api import Engine
 from ..engine.faults import ExecutionPolicy, FaultPlan, RequestFailure
-from ..engine.pool import ProgressFn
-from ..engine.queue import JobQueue
 from ..engine.store import ResultStore
 from ..obs.spans import span
 from ..experiments.runner import ExperimentContext, geomean
@@ -45,6 +44,10 @@ from .results import (
     attach_sweep_table,
 )
 from .spec import ExperimentSpec, FigureSpec, MixSpec, RunSpec, SweepSpec
+
+if TYPE_CHECKING:  # imported where a miss is dispatched
+    from ..engine.pool import ProgressFn
+    from ..engine.queue import JobQueue
 
 StoreLike = Union[ResultStore, str, pathlib.Path, None]
 
@@ -416,16 +419,19 @@ class Session:
         """
         if queue is None:
             return self._run_experiment(spec)
-        owns = not isinstance(queue, JobQueue)
-        attached = queue if isinstance(queue, JobQueue) else JobQueue(queue)
+        owns = isinstance(queue, (str, os.PathLike))
+        if owns:
+            from ..engine.queue import JobQueue
+
+            queue = JobQueue(queue)
         saved = self.engine.queue
-        self.engine.queue = attached
+        self.engine.queue = queue
         try:
             return self._run_experiment(spec)
         finally:
             self.engine.queue = saved
             if owns:
-                attached.close()
+                queue.close()
 
     def _run_experiment(self, spec: ExperimentSpec) -> ExperimentResult:
         ctx, planned_sections, requests = self._plan_experiment(spec)

@@ -8,7 +8,7 @@ short synthetic traces scale it down via ``epoch_length`` so the agent
 sees a comparable number of decisions per program phase.
 
 A few reproduction-specific knobs deviate deliberately (all documented in
-DESIGN.md):
+docs/reproduction.md):
 
 * ``explore_rounds`` forces a short round-robin warm-start over the action
   space.  The paper's ~250K-epoch runs can afford incidental exploration;

@@ -41,43 +41,17 @@ processes, and a warm rerun replays everything from the store without
 executing a single simulation.
 """
 
-from .api import Completed, Engine, EngineCounters, run_many, sweep
-from .backend import SQLiteBackend
-from .faults import (ExecutionError, ExecutionPolicy, FaultPlan,
-                     InjectedFault, RequestFailure, format_failures)
-from .jobs import ENGINE_SCHEMA, MixRequest, RunRequest
-from .pool import SimulationPool
-from .queue import (JOB_STATES, DispatchReport, JobQueue, JobRecord,
-                    Lease)
-from .service import QueueWorker, WorkerReport, owner_id
-from .store import ResultStore, StoreDecodeError, default_store_path
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_SCHEMA",
-    "JOB_STATES",
-    "Completed",
-    "DispatchReport",
-    "Engine",
-    "EngineCounters",
-    "ExecutionError",
-    "ExecutionPolicy",
-    "FaultPlan",
-    "InjectedFault",
-    "JobQueue",
-    "JobRecord",
-    "Lease",
-    "MixRequest",
-    "QueueWorker",
-    "RequestFailure",
-    "ResultStore",
-    "RunRequest",
-    "SQLiteBackend",
-    "SimulationPool",
-    "StoreDecodeError",
-    "WorkerReport",
-    "default_store_path",
-    "format_failures",
-    "owner_id",
-    "run_many",
-    "sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".api": ("Completed", "Engine", "EngineCounters", "run_many", "sweep"),
+    ".backend": ("SQLiteBackend",),
+    ".faults": ("ExecutionError", "ExecutionPolicy", "FaultPlan",
+                "InjectedFault", "RequestFailure", "format_failures"),
+    ".jobs": ("ENGINE_SCHEMA", "MixRequest", "RunRequest"),
+    ".pool": ("SimulationPool",),
+    ".queue": ("JOB_STATES", "DispatchReport", "JobQueue", "JobRecord",
+               "Lease"),
+    ".service": ("QueueWorker", "WorkerReport", "owner_id"),
+    ".store": ("ResultStore", "StoreDecodeError", "default_store_path"),
+})

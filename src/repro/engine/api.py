@@ -39,19 +39,22 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
-from ..obs.journal import RunJournal, provenance
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import collector, set_enabled
-from ..sim.multicore import MultiCoreResult
+from ..sim.region import MultiCoreResult
 from .faults import (ExecutionError, ExecutionPolicy, FaultPlan,
                      RequestFailure)
 from .jobs import Request, Result, decode_result, lockstep_groups
-from .pool import ProgressFn, SimulationPool
-from .queue import JobQueue
-from .service import QueueWorker, Settlement, owner_id
 from .store import ResultStore, StoreDecodeError
+
+if TYPE_CHECKING:  # imported where a miss is dispatched or a journal opened
+    from ..obs.journal import RunJournal
+    from .pool import ProgressFn, SimulationPool
+    from .queue import JobQueue
+    from .service import Settlement
 
 
 @dataclass(frozen=True)
@@ -187,11 +190,12 @@ class Engine:
         #    processes may drain it alongside the embedded worker.  The
         #    queue outlives this process, which is what makes a killed
         #    campaign resumable.
-        self._owns_queue = queue is not None and not isinstance(queue,
-                                                                JobQueue)
-        self.queue: Optional[JobQueue] = (
-            queue if isinstance(queue, JobQueue) or queue is None
-            else JobQueue(queue))
+        self._owns_queue = isinstance(queue, (str, os.PathLike))
+        if self._owns_queue:
+            from .queue import JobQueue
+
+            queue = JobQueue(queue)
+        self.queue: Optional[JobQueue] = queue
         self.lease_ttl_s = float(lease_ttl_s)
         self.jobs = max(1, int(jobs)) if pool is None else (pool.jobs or 1)
         self._pool = pool
@@ -218,6 +222,8 @@ class Engine:
         self._journal: Optional[RunJournal] = None
         self._owns_journal = False
         if telemetry is not None:
+            from ..obs.journal import RunJournal, provenance
+
             if isinstance(telemetry, RunJournal):
                 self._journal = telemetry
             else:
@@ -236,6 +242,8 @@ class Engine:
     @property
     def pool(self) -> SimulationPool:
         if self._pool is None:
+            from .pool import SimulationPool
+
             self._pool = SimulationPool(jobs=self.jobs)
         return self._pool
 
@@ -375,6 +383,9 @@ class Engine:
         ``(settled, len(pairs), key)``.  Successes land in the memo and
         store as they settle, so a rerun after a failure resumes warm.
         """
+        from .queue import JobQueue
+        from .service import QueueWorker, owner_id
+
         queue = self.queue if self.queue is not None \
             else JobQueue(":memory:")
         # Only a durable queue is journaled and metered: queue-less

@@ -11,6 +11,9 @@ handle for in-flight work.
 
 Requests are plain frozen dataclasses: picklable (they cross the process
 boundary to pool workers) and executable anywhere via :meth:`execute`.
+Keys and codecs need no simulator: the simulator, the policies and the
+memory model are imported where a request executes
+(:data:`EXECUTION_MODULES`), so planning and warm replay never load them.
 
 Athena requests that differ only in the agent seed share a *group key*
 (:func:`group_key`); :func:`execute_group` runs such requests as one
@@ -18,8 +21,8 @@ lockstep simulation that forks only where their agents disagree, and
 :meth:`RunRequest.execute` is a group of one.
 
 The module also holds the JSON codecs that serialize
-:class:`~repro.sim.simulator.SimulationResult` /
-:class:`~repro.sim.multicore.MultiCoreResult` for the store.  JSON floats
+:class:`~repro.sim.region.SimulationResult` /
+:class:`~repro.sim.region.MultiCoreResult` for the store.  JSON floats
 round-trip exactly (``repr`` semantics), so a decoded result reproduces
 the original tables byte for byte.  A decoded run defers its per-epoch
 history: a warm lookup reads only the stored summary, and the history
@@ -30,6 +33,7 @@ actions.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 from collections import abc
@@ -38,12 +42,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.config import AthenaConfig, RewardWeights
 from ..obs.spans import span
-from ..policies.base import CoordinationAction
-from ..policies import make_policy
-from ..sim.multicore import MultiCoreResult, MultiCoreSimulator
-from ..sim.region import SimulationResult
-from ..sim.simulator import Simulator
-from ..sim.stats import EpochTelemetry, SimStats
+from ..sim.region import MultiCoreResult, SimulationResult
+from ..sim.stats import CoordinationAction, EpochTelemetry, SimStats
 from ..workloads.suites import WorkloadSpec, build_trace, stream_trace
 from .store import HISTORY_TEXT, StoreDecodeError
 
@@ -51,6 +51,24 @@ from .store import HISTORY_TEXT, StoreDecodeError
 #: changes: it is mixed into every request key, so old store entries
 #: become unreachable (and are recomputed) instead of serving stale data.
 ENGINE_SCHEMA = 2
+
+#: what executing a request imports beyond this module: the simulators
+#: (and with them the memory model and the trace substrate), every
+#: policy, prefetcher and OCP, the component registry that builds them,
+#: and the trace generators and trace files a cold trace needs.
+EXECUTION_MODULES = (
+    "repro.sim.simulator", "repro.sim.multicore", "repro.policies",
+    "repro.prefetchers", "repro.ocp", "repro.api.registry",
+    "repro.workloads.generators", "repro.workloads.traceio",
+)
+
+
+def load_execution_modules() -> None:
+    """Import :data:`EXECUTION_MODULES`.  A worker pool calls this before
+    it starts its workers, so forked workers inherit the modules instead
+    of each importing them again."""
+    for name in EXECUTION_MODULES:
+        importlib.import_module(name)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +187,8 @@ def _build_policy(
         from ..policies.athena import AthenaPolicy
 
         return AthenaPolicy(athena_config)
+    from ..policies import make_policy
+
     return make_policy(policy_name, **dict(policy_options))
 
 
@@ -278,6 +298,7 @@ class MixRequest:
 
     def execute(self) -> MultiCoreResult:
         from ..experiments.configs import build_hierarchy, system_for
+        from ..sim.multicore import MultiCoreSimulator
 
         params = system_for(self.design)
         traces = [_trace_for(s, self.trace_length) for s in self.workloads]
@@ -348,6 +369,7 @@ def execute_group(requests: Sequence[RunRequest]) -> List[SimulationResult]:
     lockstep simulation; one result per request, each bit-identical to
     running that request alone."""
     from ..experiments.configs import build_hierarchy
+    from ..sim.simulator import Simulator
 
     leader = requests[0]
     trace = _trace_for(leader.spec, leader.trace_length)

@@ -26,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs.spans import collector, set_enabled, spans_enabled
 from .faults import FaultPlan, RequestFailure
-from .jobs import Request, encode_result, execute_group
+from .jobs import (Request, encode_result, execute_group,
+                   load_execution_modules)
 
 #: progress callback: (settled_count, total, request_key)
 ProgressFn = Callable[[int, int, str], None]
@@ -146,6 +147,9 @@ class SimulationPool:
     @property
     def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # Forked workers inherit what the parent has imported: load
+            # what a job executes once here, not once in every worker.
+            load_execution_modules()
             self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         return self._executor
 

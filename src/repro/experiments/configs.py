@@ -7,19 +7,20 @@ Paper Table 7::
     CD3  OCP + 2 L2C prefetchers           (default: POPET + SMS + Pythia)
     CD4  OCP + 1 L1D + 1 L2C prefetcher    (default: POPET + IPCP + Pythia)
 
-Experiments run on the scaled system (DESIGN.md scaling argument) with the
-paper's default 3.2 GB/s per-core bandwidth unless a sweep overrides it.
+Experiments run on the scaled system (docs/reproduction.md, "The scaled
+system") with the paper's default 3.2 GB/s per-core bandwidth unless a sweep
+overrides it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..ocp import make_ocp
-from ..prefetchers import make_prefetcher
-from ..sim.hierarchy import CacheHierarchy
 from ..sim.params import SystemParams, scaled_system
+
+if TYPE_CHECKING:  # imported where a hierarchy is built
+    from ..sim.hierarchy import CacheHierarchy
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,10 @@ def build_hierarchy(
     dram=None,
 ) -> CacheHierarchy:
     """Instantiate a fresh hierarchy for one run of ``design``."""
+    from ..ocp import make_ocp
+    from ..prefetchers import make_prefetcher
+    from ..sim.hierarchy import CacheHierarchy
+
     if params is None:
         params = system_for(design)
     prefetchers = [make_prefetcher(name) for name in design.prefetcher_names]

@@ -3,7 +3,8 @@
 One function per table/figure of the paper's evaluation.  Every function
 returns a :class:`FigureResult` whose rows are the series the paper plots,
 so the benchmark harness can print exactly the numbers the corresponding
-figure reports.  See DESIGN.md for the experiment index.
+figure reports.  docs/reproduction.md records where the drivers deviate
+from the paper and which claims hold only within a tolerance.
 
 Scaling: the drivers run at the :class:`~repro.workloads.suites.ReproScale`
 of their :class:`~repro.experiments.runner.ExperimentContext` — absolute

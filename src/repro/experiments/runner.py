@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.config import AthenaConfig
 from ..engine.api import Engine
 from ..engine.jobs import MixRequest, Request, RunRequest
-from ..sim.multicore import MultiCoreResult
-from ..sim.region import SimulationResult
+from ..sim.region import MultiCoreResult, SimulationResult
 from ..workloads.mixes import WorkloadMix
 from ..workloads.suites import (
     ReproScale,

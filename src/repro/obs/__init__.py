@@ -22,56 +22,15 @@ See ``docs/observability.md`` for the span model, the journal schema,
 and worked examples.
 """
 
-from .journal import (
-    JOURNAL_SCHEMA,
-    RunJournal,
-    aggregate_spans,
-    format_spans,
-    format_summary,
-    provenance,
-    read_journal,
-    summarize_journal,
-    validate_event,
-    validate_journal,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    prometheus_text,
-)
-from .spans import (
-    SpanCollector,
-    collector,
-    reset_collector,
-    set_enabled,
-    span,
-    spans_enabled,
-    worker_id,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "JOURNAL_SCHEMA",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RunJournal",
-    "SpanCollector",
-    "aggregate_spans",
-    "collector",
-    "format_spans",
-    "format_summary",
-    "prometheus_text",
-    "provenance",
-    "read_journal",
-    "reset_collector",
-    "set_enabled",
-    "span",
-    "spans_enabled",
-    "summarize_journal",
-    "validate_event",
-    "validate_journal",
-    "worker_id",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".journal": ("JOURNAL_SCHEMA", "RunJournal", "aggregate_spans",
+                 "format_spans", "format_summary", "provenance",
+                 "read_journal", "summarize_journal", "validate_event",
+                 "validate_journal"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "prometheus_text"),
+    ".spans": ("SpanCollector", "collector", "reset_collector",
+               "set_enabled", "span", "spans_enabled", "worker_id"),
+})

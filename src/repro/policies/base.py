@@ -14,24 +14,9 @@ from __future__ import annotations
 
 import abc
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..sim.stats import EpochTelemetry
-
-
-@dataclass(frozen=True)
-class CoordinationAction:
-    """One coordination decision, applied for the next epoch."""
-
-    prefetchers_enabled: Tuple[bool, ...]
-    ocp_enabled: bool
-    degree_fraction: float = 1.0
-
-    def describe(self) -> str:
-        pf = "".join("P" if on else "-" for on in self.prefetchers_enabled)
-        ocp = "O" if self.ocp_enabled else "-"
-        return f"<{pf}|{ocp}|d={self.degree_fraction:.2f}>"
+from ..sim.stats import CoordinationAction, EpochTelemetry
 
 
 def enumerate_actions(num_prefetchers: int, with_ocp: bool = True):

@@ -42,8 +42,7 @@ measured region that the single-core simulator uses too.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # avoid a sim <-> policies import cycle
     from ..policies.base import CoordinationPolicy
@@ -54,27 +53,8 @@ from .cpu import CoreModel
 from .dram import MainMemory
 from .hierarchy import CacheHierarchy
 from .params import SystemParams
-from .region import MeasuredRegion, SimulationResult
+from .region import MeasuredRegion, MultiCoreResult, SimulationResult
 from .simulator import _NEVER, Simulator, segment_loop
-
-
-@dataclass
-class MultiCoreResult:
-    """One :class:`~repro.sim.region.SimulationResult` per core, without
-    epochs or actions."""
-
-    cores: List[SimulationResult] = field(default_factory=list)
-
-    def weighted_speedup(self, baseline: "MultiCoreResult") -> float:
-        """Geometric-mean per-core speedup against a baseline run."""
-        if len(self.cores) != len(baseline.cores):
-            raise ValueError("core count mismatch between runs")
-        product = 1.0
-        for mine, base in zip(self.cores, baseline.cores):
-            if base.ipc <= 0:
-                raise ValueError(f"baseline IPC is zero for {base.workload}")
-            product *= mine.ipc / base.ipc
-        return product ** (1.0 / len(self.cores))
 
 
 class _CoreContext:

@@ -11,19 +11,22 @@ core of a mix: its warmup reset zeroes only the core's own
 DRAM exactly as they are.  The per-instruction reference loops of the
 oracle tests call its primitives, :func:`build_epoch_telemetry` and
 :func:`reset_measured_stats`, directly.
+
+The results a region yields, :class:`SimulationResult` and a mix's
+:class:`MultiCoreResult`, live here too, so a stored result decodes
+without importing the memory model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-if TYPE_CHECKING:  # imported lazily to avoid a sim <-> policies cycle
-    from ..policies.base import CoordinationAction
+from .stats import CoordinationAction, EpochTelemetry, SimStats
 
-from .dram import MainMemory
-from .hierarchy import CacheHierarchy
-from .stats import EpochTelemetry, SimStats
+if TYPE_CHECKING:  # the results decode without the memory model
+    from .dram import MainMemory
+    from .hierarchy import CacheHierarchy
 
 
 @dataclass
@@ -36,7 +39,7 @@ class SimulationResult:
     instructions: int
     cycles: float
     epochs: Sequence[EpochTelemetry] = field(default_factory=list)
-    actions: Sequence["CoordinationAction"] = field(default_factory=list)
+    actions: Sequence[CoordinationAction] = field(default_factory=list)
 
     @property
     def ipc(self) -> float:
@@ -53,6 +56,25 @@ class SimulationResult:
             counts[key] = counts.get(key, 0) + 1
         total = max(1, len(self.actions))
         return {k: v / total for k, v in counts.items()}
+
+
+@dataclass
+class MultiCoreResult:
+    """One :class:`SimulationResult` per core of a mix, without epochs
+    or actions."""
+
+    cores: List[SimulationResult] = field(default_factory=list)
+
+    def weighted_speedup(self, baseline: "MultiCoreResult") -> float:
+        """Geometric-mean per-core speedup against a baseline run."""
+        if len(self.cores) != len(baseline.cores):
+            raise ValueError("core count mismatch between runs")
+        product = 1.0
+        for mine, base in zip(self.cores, baseline.cores):
+            if base.ipc <= 0:
+                raise ValueError(f"baseline IPC is zero for {base.workload}")
+            product *= mine.ipc / base.ipc
+        return product ** (1.0 / len(self.cores))
 
 
 def build_epoch_telemetry(
@@ -165,7 +187,7 @@ class MeasuredRegion:
 
     def result(self, workload: str, cycles: float,
                epochs: Sequence[EpochTelemetry] = (),
-               actions: Sequence["CoordinationAction"] = (),
+               actions: Sequence[CoordinationAction] = (),
                ) -> SimulationResult:
         """The core's result at clock ``cycles``: the measured counters
         and the cycles since the warmup end."""

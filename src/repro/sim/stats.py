@@ -8,11 +8,16 @@ Two layers of counters exist:
   policies.  This mirrors the information Athena's hardware observes during
   one epoch (paper §4.1/§4.3): feature numerators/denominators plus the
   reward-constituent metrics of Table 2.
+
+A policy answers each epoch's telemetry with a :class:`CoordinationAction`;
+it lives here, next to what it answers, so a stored run's history decodes
+without importing any policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Tuple
 
 
 @dataclass(slots=True)
@@ -161,6 +166,20 @@ class EpochTelemetry:
     @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
+
+
+@dataclass(frozen=True)
+class CoordinationAction:
+    """One coordination decision, applied for the next epoch."""
+
+    prefetchers_enabled: Tuple[bool, ...]
+    ocp_enabled: bool
+    degree_fraction: float = 1.0
+
+    def describe(self) -> str:
+        pf = "".join("P" if on else "-" for on in self.prefetchers_enabled)
+        ocp = "O" if self.ocp_enabled else "-"
+        return f"<{pf}|{ocp}|d={self.degree_fraction:.2f}>"
 
 
 #: The seven candidate features of paper Table 1, in paper order.

@@ -1,7 +1,7 @@
 """Synthetic memory-access pattern generators.
 
 These stand in for the paper's 100 SPEC / PARSEC / Ligra / CVP traces (see
-DESIGN.md, substitution table).  Each generator emits an instruction
+docs/reproduction.md, "The scaled system").  Each generator emits an instruction
 stream with a characteristic access pattern; suites compose them into
 workloads that land in the paper's two behavioural classes:
 

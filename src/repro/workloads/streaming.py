@@ -29,12 +29,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Generator, Iterable, Iterator, List, Optional,
-                    Union)
+from typing import (TYPE_CHECKING, Callable, Generator, Iterable, Iterator,
+                    List, Optional, Union)
 
-import numpy as np
+if TYPE_CHECKING:  # numpy and the trace are imported where rows are read
+    import numpy as np
 
-from .trace import Trace
+    from .trace import Trace
 
 #: Rows per block in which the simulators read a materialized trace.  It
 #: bounds the per-block lists their run loops build (slow rows, branch
@@ -134,6 +135,10 @@ class TraceStream:
 
         Debug/reference helper — it defeats the memory bound on purpose.
         """
+        import numpy as np
+
+        from .trace import Trace
+
         pcs: List[np.ndarray] = []
         addrs: List[np.ndarray] = []
         flags: List[np.ndarray] = []
@@ -233,6 +238,8 @@ def reblock(
     """
     if block_size <= 0:
         raise ValueError("block_size must be positive")
+    import numpy as np
+
     offered = 0
     room = limit
     #: buffered (pcs, addrs, flags) triples, oldest first

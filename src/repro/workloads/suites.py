@@ -12,7 +12,7 @@ The composition mirrors paper Table 6:
 Every workload is produced by a seeded generator, so the whole registry is
 deterministic.  Trace length is a parameter (`ReproScale`) because the
 paper's 150M-500M instruction traces are far beyond interactive Python
-simulation; DESIGN.md documents the scaling argument.
+simulation; docs/reproduction.md documents the scaling argument.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from .generators import WORKLOAD_PLANS, Rows, _compose_rows
 from .streaming import TraceStream, reblock
-from .trace import Trace, TraceBuilder
+
+if TYPE_CHECKING:  # the generators run where a trace is built
+    from .generators import Rows
+    from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,8 @@ class WorkloadSpec:
         They may overshoot ``length``; :meth:`build` and :meth:`stream`
         cut them there.
         """
+        from .generators import WORKLOAD_PLANS, _compose_rows
+
         plan = WORKLOAD_PLANS[self.pattern](self.seed, **dict(self.params))
         return _compose_rows(self.seed, length, plan)
 
@@ -65,6 +69,8 @@ class WorkloadSpec:
         """Materialize the trace: the rows concatenated and cut to
         ``length`` (an overshooting trace is renamed ``name[0:length]``).
         """
+        from .trace import TraceBuilder
+
         builder = TraceBuilder(self.name, self.suite)
         for rows in self.rows(length):
             builder.extend(*rows)

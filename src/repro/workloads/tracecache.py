@@ -35,12 +35,13 @@ import pathlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..obs.spans import span
 from .streaming import TraceBlock, TraceStream, blocks_from_trace
-from .trace import Trace
-from .traceio import TraceFormatError, load_trace, save_trace
+
+if TYPE_CHECKING:  # imported where a trace is built or read
+    from .trace import Trace
 
 #: bump when generator behaviour changes deliberately (new golden trace
 #: hashes): every fingerprint changes, orphaning stale disk entries.
@@ -145,6 +146,8 @@ class TraceCache:
         real = path.with_name(path.name + ".npz")
         if not real.exists():
             return None
+        from .traceio import TraceFormatError, load_trace
+
         try:
             trace = load_trace(real)
         except TraceFormatError:
@@ -157,6 +160,8 @@ class TraceCache:
         path = self._disk_path(key)
         if path is None:
             return
+        from .traceio import save_trace
+
         try:
             save_trace(trace, path)
         except OSError:  # a full/read-only disk never fails the build

@@ -2,10 +2,14 @@
 
 import pytest
 
-# Importing the analysis package registers the built-in lint rules, so
-# they are part of every registry snapshot taken below.
+# Importing the analysis package registers the built-in lint rules, and
+# listing the kinds registers every built-in component family (each
+# otherwise registers on first use), so all of them are part of every
+# registry snapshot taken below.
 import repro.analysis  # noqa: F401
 from repro.api.registry import registry
+
+registry.kinds()
 
 
 def pytest_configure(config):

@@ -118,7 +118,8 @@ class TestScales:
 
 
 class TestWarmupCoversExploration:
-    """The scale contract the agent's warm-start relies on (DESIGN.md):
+    """The scale contract the agent's warm-start relies on
+    (docs/reproduction.md):
     at every scale, 8 forced-exploration epochs fit inside warm-up."""
 
     @pytest.mark.parametrize("name", sorted(SCALES))

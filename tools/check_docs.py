@@ -30,6 +30,7 @@ REQUIRED_DOCS = (
     "docs/robustness.md",
     "docs/distributed.md",
     "docs/static-analysis.md",
+    "docs/reproduction.md",
 )
 
 #: [text](target) and ![alt](target), ignoring code spans.
