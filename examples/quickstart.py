@@ -5,7 +5,8 @@ This is the 60-second tour of the SDK: open a :class:`repro.api.Session`,
 describe each measurement as a typed :class:`repro.api.RunSpec` (design
 variant × coordination policy), and read tidy results back.  Every run
 resolves through the engine's content-addressed cache, so re-running
-this script against a store (``Session(store=...)``) executes nothing.
+this script against a store
+(``Session(Engine(store=ResultStore(path)))``) executes nothing.
 
 Run:
     python examples/quickstart.py [workload] [trace_length]

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Optional
 from ._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from .sim.region import SimulationResult
+    from .api.results import RunResult
 
 __version__ = "1.0.0"
 
@@ -61,34 +61,12 @@ _EXPORTS, __getattr__, __dir__ = lazy_exports(globals(), {
     ".sim.simulator": ("Simulator",),
     ".sim.stats": ("CoordinationAction",),
 })
-__all__ = _EXPORTS + ["QuickRunResult", "quick_run"]
-
-
-class QuickRunResult:
-    """Summary of a :func:`quick_run`: the policy run plus its baseline.
-
-    Attributes mirror what the paper reports per workload: ``ipc``,
-    ``baseline_ipc`` (no prefetching, no OCP), and their ratio
-    ``speedup``.  The full :class:`SimulationResult` is available as
-    ``result`` for epoch-level inspection.
-    """
-
-    def __init__(self, result: SimulationResult, baseline_ipc: float) -> None:
-        self.result = result
-        self.ipc = result.ipc
-        self.baseline_ipc = baseline_ipc
-        self.speedup = result.ipc / baseline_ipc if baseline_ipc else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"QuickRunResult({self.result.workload!r}, ipc={self.ipc:.4f}, "
-            f"speedup={self.speedup:.4f})"
-        )
+__all__ = _EXPORTS + ["quick_run"]
 
 
 def quick_run(workload: str = "ligra.BFS.0", policy: str = "athena",
               design: str = "cd1", length: int = 24_000,
-              policy_options: Optional[dict] = None) -> QuickRunResult:
+              policy_options: Optional[dict] = None) -> RunResult:
     """Run one workload under one policy and report IPC + speedup.
 
     ``design`` selects the paper's cache design (``cd1`` ... ``cd4``);
@@ -97,28 +75,22 @@ def quick_run(workload: str = "ligra.BFS.0", policy: str = "athena",
     ``policy_options`` are forwarded to the policy constructor (for
     ``athena`` they become :class:`AthenaConfig` fields, e.g.
     ``{"seed": 7}``); unsupported options raise :exc:`ValueError`.
-    """
-    from .api.registry import make_design
-    from .engine.jobs import _trace_for
-    from .experiments.configs import build_hierarchy
-    from .policies import make_policy
-    from .sim.simulator import Simulator
-    from .workloads.suites import find_workload
 
-    cache_design = make_design(design)
-    spec = find_workload(workload)
+    A one-off run: a :class:`RunSpec` resolved by a store-less
+    :class:`Session` at warmup 0.2 and one Athena seed.  The result's
+    ``ipc``, ``baseline_ipc`` and ``speedup`` are the paper's
+    per-workload numbers; ``result`` is the policy run's
+    :class:`SimulationResult`, for epoch-level inspection.
+    """
+    from .api import RunSpec, Session
+    from .workloads.suites import ReproScale
+
     epoch_length = max(100, length // 40)
-    # _trace_for honours the REPRO_STREAM_BLOCK execution-time gate, so
-    # one-off runs stream exactly like engine-routed requests.
-    result = Simulator(
-        _trace_for(spec, length),
-        build_hierarchy(cache_design),
-        policy=make_policy(policy, **(policy_options or {})),
-        epoch_length=epoch_length,
-    ).run()
-    baseline = Simulator(
-        _trace_for(spec, length),
-        build_hierarchy(cache_design.without_mechanisms()),
-        epoch_length=epoch_length,
-    ).run()
-    return QuickRunResult(result, baseline.ipc)
+    spec = RunSpec(workload=workload, design=design, policy=policy,
+                   policy_params=policy_options or {},
+                   trace_length=length, epoch_length=epoch_length,
+                   warmup_fraction=0.2)
+    scale = ReproScale("run", trace_length=length, workloads_per_figure=1,
+                       epoch_length=epoch_length, policy_seeds=1)
+    with Session(scale=scale) as session:
+        return session.run(spec)

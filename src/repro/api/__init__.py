@@ -5,10 +5,10 @@ The single programmatic front door to the toolkit: typed specs
 :class:`FigureSpec`, :class:`ExperimentSpec`) that serialize to
 JSON/TOML and lower onto the parallel engine's content-addressed
 requests; a unified schema-validated :data:`registry` of policies,
-prefetchers, OCPs, cache designs, and workload suites (with
+prefetchers, OCPs, cache designs, and trace adapters (with
 :func:`register_policy`-style plugin decorators); and a
-:class:`Session` facade with blocking, streaming, and whole-experiment
-execution.  The CLI is a thin shell over this module.
+:class:`Session` facade over an engine, with blocking, streaming, and
+whole-experiment execution.  The CLI is a thin shell over this module.
 """
 
 from ..engine.faults import (ExecutionError, ExecutionPolicy, FaultPlan,

@@ -1,6 +1,5 @@
 """Unified component registry: policies, prefetchers, OCPs, cache
-designs, workload suites, and trace adapters behind one
-schema-validated factory.
+designs and trace adapters behind one schema-validated factory.
 
 This is the only name → factory table in the library.  The
 :class:`ComponentRegistry` owns name validation and error wording for
@@ -187,7 +186,7 @@ class ComponentRegistry:
     """Name → factory registry across every component kind.
 
     Kinds in the default registry: ``policy``, ``prefetcher``, ``ocp``,
-    ``design``, ``suite``, and ``trace_adapter``.  Each component pairs
+    ``design``, and ``trace_adapter``.  Each component pairs
     a factory with a parameter schema (usually derived from its
     constructor signature); :meth:`validate` checks names and option
     values *without* instantiating, :meth:`create` validates then
@@ -463,43 +462,11 @@ def _register_trace_adapters() -> None:
         )
 
 
-def _register_suites() -> None:
-    from ..workloads.suites import (
-        evaluation_workloads,
-        extended_workloads,
-        google_workloads,
-        tuning_workloads,
-    )
-
-    registry.register(
-        "suite", "evaluation", evaluation_workloads, schema={},
-        description="the 100 evaluation workloads (paper Table 6)",
-        replace=True,
-    )
-    registry.register(
-        "suite", "tuning", tuning_workloads, schema={},
-        description="20 DSE tuning workloads, disjoint from evaluation",
-        replace=True,
-    )
-    registry.register(
-        "suite", "google", google_workloads, schema={},
-        description="unseen datacenter-like workloads (paper Figure 21)",
-        replace=True,
-    )
-    registry.register(
-        "suite", "extended", extended_workloads, schema={},
-        description="extended families: phase-shift, strided-drift, "
-                    "producer-consumer",
-        replace=True,
-    )
-
-
 registry = ComponentRegistry(loaders={
     "policy": _register_policies,
     "prefetcher": _register_prefetchers,
     "ocp": _register_ocps,
     "design": _register_designs,
-    "suite": _register_suites,
     "trace_adapter": _register_trace_adapters,
 })
 

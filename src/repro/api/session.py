@@ -1,7 +1,7 @@
 """Session: the SDK's execution facade.
 
-A :class:`Session` owns the engine/store/pool lifecycle and turns typed
-specs into tidy results:
+A :class:`Session` wraps an :class:`~repro.engine.api.Engine` and turns
+typed specs into tidy results:
 
 * :meth:`run` / :meth:`run_mix` — one spec, blocking,
 * :meth:`sweep` — a cross-product, one parallel batch,
@@ -12,12 +12,14 @@ specs into tidy results:
   every run/mix/sweep request prefetched as one batch so the full
   experiment fans out across the worker pool at once.
 
-Sessions are context managers; closing one shuts the worker pool down
-and closes the store.  Ten-line quickstart::
+Sessions are context managers; closing one closes its engine, which
+shuts the worker pool down and closes the store.  Quickstart::
 
     from repro.api import RunSpec, Session
+    from repro.engine import Engine, ResultStore
 
-    with Session(jobs=4, store="results.sqlite") as session:
+    engine = Engine(store=ResultStore("results.sqlite"), jobs=4)
+    with Session(engine) as session:
         result = session.run(RunSpec(workload="ligra.BFS.0",
                                      policy="athena"))
         print(result.speedup, result.to_rows())
@@ -25,13 +27,10 @@ and closes the store.  Ten-line quickstart::
 
 from __future__ import annotations
 
-import os
-import pathlib
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from ..engine.api import Engine
-from ..engine.faults import ExecutionPolicy, FaultPlan, RequestFailure
-from ..engine.store import ResultStore
+from ..engine.faults import RequestFailure
 from ..obs.spans import span
 from ..experiments.runner import ExperimentContext, geomean
 from ..workloads.suites import SCALES, ReproScale, active_scale
@@ -45,72 +44,28 @@ from .results import (
 )
 from .spec import ExperimentSpec, FigureSpec, MixSpec, RunSpec, SweepSpec
 
-if TYPE_CHECKING:  # imported where a miss is dispatched
-    from ..engine.pool import ProgressFn
-    from ..engine.queue import JobQueue
-
-StoreLike = Union[ResultStore, str, pathlib.Path, None]
-
 
 class Session:
-    """Engine + store + scale bundled behind the spec-level API.
+    """Spec-level API over an :class:`~repro.engine.api.Engine`.
 
     Parameters
     ----------
-    store:
-        A :class:`~repro.engine.store.ResultStore`, a path to create
-        one at, or ``None`` for no persistence (results are still
-        memoized in-process for the session's lifetime).
-    jobs:
-        Worker processes for simulation misses; ``1`` executes
-        in-process.
+    engine:
+        The engine every spec resolves through; it carries the store,
+        worker count, progress callback, telemetry, resilience policy,
+        fault plan and queue.  Defaults to ``Engine()``: in-process, no
+        persistent store (results are still memoized for the session's
+        lifetime).  Closing the session closes the engine.
     scale:
         A :class:`~repro.workloads.suites.ReproScale` or its name
         (``tiny``/``small``/``medium``/``full``); defaults to the
         ``REPRO_SCALE`` environment variable, then ``small``.
-    engine:
-        Adopt an existing engine instead — mutually exclusive with
-        ``store``/``jobs``/``progress``, and the session then does not
-        close it.
-    progress:
-        ``fn(done, total, key)`` callback invoked as batch simulations
-        finish.
-    telemetry:
-        Path for an append-only JSONL run journal (one event per
-        engine request; see :mod:`repro.obs.journal`).  Defaults to the
-        ``REPRO_TELEMETRY`` environment variable; ``None`` with the
-        variable unset means no journal and no span collection.
-    resilience:
-        An :class:`~repro.engine.faults.ExecutionPolicy` controlling
-        retries, per-request timeouts, and pool-rebuild budgets;
-        defaults to the environment (``REPRO_MAX_RETRIES``,
-        ``REPRO_TIMEOUT_S``).
-    faults:
-        A :class:`~repro.engine.faults.FaultPlan` injecting
-        deterministic failures (testing only); defaults to
-        ``REPRO_FAULTS``.
-    queue:
-        A :class:`~repro.engine.queue.JobQueue` (or a path to one)
-        routing execution misses through the durable queue: specs are
-        dispatched as jobs, drained by an embedded worker plus any
-        external ``repro worker`` processes, and the campaign survives
-        a kill -9 of any participant (rerun to resume).
-    lease_ttl_s:
-        Queue lease lifetime for the embedded worker (seconds).
     """
 
     def __init__(
         self,
-        store: StoreLike = None,
-        jobs: int = 1,
-        scale: Union[ReproScale, str, None] = None,
         engine: Optional[Engine] = None,
-        progress: Optional[ProgressFn] = None,
-        telemetry: Union[str, pathlib.Path, None] = None,
-        resilience: Optional[ExecutionPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        queue: Union[JobQueue, str, pathlib.Path, None] = None,
-        lease_ttl_s: float = 30.0,
+        scale: Union[ReproScale, str, None] = None,
     ) -> None:
         if isinstance(scale, str):
             try:
@@ -120,25 +75,7 @@ class Session:
                     f"unknown scale {scale!r}; valid: {sorted(SCALES)}"
                 ) from None
         self.scale = scale if scale is not None else active_scale()
-        if engine is not None:
-            if store is not None or jobs != 1 or progress is not None \
-                    or telemetry is not None or resilience is not None \
-                    or faults is not None or queue is not None:
-                raise ValueError(
-                    "Session(engine=...) already carries its own store/"
-                    "jobs/progress/telemetry/resilience/faults/queue; "
-                    "passing them too would silently ignore them"
-                )
-            self.engine = engine
-            self._owns_engine = False
-        else:
-            if store is not None and not isinstance(store, ResultStore):
-                store = ResultStore(store)
-            self.engine = Engine(store=store, jobs=jobs, progress=progress,
-                                 telemetry=telemetry,
-                                 resilience=resilience, faults=faults,
-                                 queue=queue, lease_ttl_s=lease_ttl_s)
-            self._owns_engine = True
+        self.engine = engine if engine is not None else Engine()
         self._ctx = ExperimentContext(scale=self.scale, engine=self.engine)
 
     # -- plumbing ----------------------------------------------------------
@@ -153,8 +90,7 @@ class Session:
         return self.engine.counters
 
     def close(self) -> None:
-        if self._owns_engine:
-            self.engine.close()
+        self.engine.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -401,39 +337,16 @@ class Session:
         _, _, requests = self._plan_experiment(spec)
         return requests
 
-    def run_experiment(self, spec: ExperimentSpec,
-                       queue: Union[JobQueue, str, pathlib.Path,
-                                    None] = None) -> ExperimentResult:
+    def run_experiment(self, spec: ExperimentSpec) -> ExperimentResult:
         """Execute a whole experiment spec.
 
         All run/mix/sweep requests are planned up front and submitted as
         one batch, so a parallel engine fans the *entire* experiment out
-        at once; figures prefetch their own batches as they run.
-
-        ``queue`` routes this experiment's execution through a durable
-        :class:`~repro.engine.queue.JobQueue` (overriding, for this
-        call, whatever queue the session was built with): jobs are
-        dispatched idempotently, drained by an embedded worker plus any
-        external ``repro worker`` processes, and a killed run resumes
-        from the queue+store on the next invocation.
+        at once; figures prefetch their own batches as they run.  An
+        engine built with a durable ``queue`` dispatches that batch as
+        queue jobs, and a killed run resumes from the queue and store on
+        the next invocation.
         """
-        if queue is None:
-            return self._run_experiment(spec)
-        owns = isinstance(queue, (str, os.PathLike))
-        if owns:
-            from ..engine.queue import JobQueue
-
-            queue = JobQueue(queue)
-        saved = self.engine.queue
-        self.engine.queue = queue
-        try:
-            return self._run_experiment(spec)
-        finally:
-            self.engine.queue = saved
-            if owns:
-                queue.close()
-
-    def _run_experiment(self, spec: ExperimentSpec) -> ExperimentResult:
         ctx, planned_sections, requests = self._plan_experiment(spec)
         executed_before = set(self.engine.executed_keys)
         if requests:

@@ -8,7 +8,9 @@ Commands
     policies, prefetchers, OCPs, cache designs — with their parameter
     schemas.
 ``run``
-    Simulate one workload under one policy and print the result row.
+    Simulate one workload under one policy and print the result row: a
+    one-off :class:`~repro.api.RunSpec` at warmup 0.2, resolved with
+    no result store.
 ``figure``
     Regenerate one paper figure (same drivers as the benchmarks).
 ``figures``
@@ -57,9 +59,9 @@ Commands
 The CLI is a thin shell over :mod:`repro.api`: every command builds the
 same typed specs (:class:`~repro.api.RunSpec`,
 :class:`~repro.api.SweepSpec`, …) a library consumer would, and resolves
-them through a :class:`~repro.api.Session` — so a CLI invocation and the
-equivalent spec file produce identical engine content-hash keys and
-share one result store (``--jobs N`` fans misses across N worker
+them through a :class:`~repro.api.Session` — so ``figures``, ``sweep``
+and the equivalent spec file produce identical engine content-hash keys
+and share one result store (``--jobs N`` fans misses across N worker
 processes; ``--store PATH`` persists every result so a rerun executes
 nothing).
 
@@ -107,7 +109,7 @@ def _build_parser():
                           "(e.g. --policy-config alpha=0.4)")
 
     fig = sub.add_parser("figure", help="regenerate one paper figure")
-    fig.add_argument("figure_id", help="e.g. Fig7, Fig12a, Tab3")
+    fig.add_argument("figure_id", help="e.g. Fig7, Fig12a, Fig15")
 
     figs = sub.add_parser(
         "figures",
@@ -373,15 +375,14 @@ def _add_engine_args(parser) -> None:
 EXIT_EXECUTION_FAILURE = 3
 
 
-def _make_session(args):
-    """A Session wired to the command's --jobs/--store flags."""
-    from .api import Session
+def _make_engine(args, queue=None, progress=None):
+    """An Engine wired to the command's engine flags (see
+    :func:`_add_engine_args`); ``queue`` is the durable queue it
+    dispatches misses to, if any."""
+    from .engine.api import Engine
     from .engine.faults import ExecutionPolicy, FaultPlan
-    from .engine.store import default_store_path
+    from .engine.store import ResultStore, default_store_path
 
-    # Session coerces a path to a ResultStore; None means no store, so
-    # the default path must be made explicit when --store is omitted.
-    store = None if args.no_store else (args.store or default_store_path())
     resilience = ExecutionPolicy.from_env(
         max_retries=args.max_retries,
         timeout_s=args.timeout,
@@ -389,10 +390,19 @@ def _make_session(args):
     )
     faults = (FaultPlan.parse(args.faults) if args.faults
               else FaultPlan.from_env())
-    return Session(store=store, jobs=args.jobs, progress=_progress,
-                   telemetry=args.telemetry, resilience=resilience,
-                   faults=faults, queue=getattr(args, "queue", None),
-                   lease_ttl_s=getattr(args, "lease_ttl", 30.0))
+    store = None if args.no_store else ResultStore(
+        args.store or default_store_path())
+    return Engine(store=store, jobs=args.jobs, progress=progress,
+                  telemetry=args.telemetry, resilience=resilience,
+                  faults=faults, queue=queue, lease_ttl_s=args.lease_ttl)
+
+
+def _make_session(args):
+    """A Session over :func:`_make_engine`, dispatching to ``--queue``."""
+    from .api import Session
+
+    return Session(_make_engine(args, queue=args.queue,
+                                progress=_progress))
 
 
 def _fail_execution(session, exc) -> int:
@@ -463,6 +473,7 @@ def _cmd_list() -> int:
 def _cmd_run(args) -> int:
     from . import quick_run
     from .api.params import parse_assignments
+    from .engine.faults import ExecutionError, format_failures
 
     try:
         options = parse_assignments(args.policy_config, "--policy-config")
@@ -474,10 +485,11 @@ def _cmd_run(args) -> int:
         result = quick_run(args.workload, policy=args.policy,
                            design=args.design, length=args.length,
                            policy_options=options)
-    except KeyError as exc:
-        return _fail(str(exc.args[0] if exc.args else exc))
     except ValueError as exc:
         return _fail(str(exc))
+    except ExecutionError as exc:
+        print(format_failures(exc.failures), file=sys.stderr)
+        return EXIT_EXECUTION_FAILURE
     stats = result.result.stats
     print(f"workload:  {args.workload}")
     print(f"policy:    {args.policy} on {args.design.upper()}")
@@ -635,24 +647,18 @@ def _cmd_worker(args) -> int:
     """
     if not args.queue:
         return _fail("worker needs --queue PATH")
-    from .engine.api import Engine
-    from .engine.faults import ExecutionPolicy, FaultPlan
     from .engine.queue import JobQueue
     from .engine.service import QueueWorker
-    from .engine.store import ResultStore, default_store_path
 
-    resilience = ExecutionPolicy.from_env(
-        max_retries=args.max_retries, timeout_s=args.timeout)
-    faults = (FaultPlan.parse(args.faults) if args.faults
-              else FaultPlan.from_env())
     try:
-        store = None if args.no_store else ResultStore(
-            args.store or default_store_path())
         queue = JobQueue(args.queue)
     except ValueError as exc:
         return _fail(str(exc))
-    engine = Engine(store=store, jobs=args.jobs, telemetry=args.telemetry,
-                    resilience=resilience, faults=faults)
+    try:
+        engine = _make_engine(args)
+    except ValueError as exc:
+        queue.close()
+        return _fail(str(exc))
     try:
         worker = QueueWorker(
             queue, store=engine.store, jobs=args.jobs,

@@ -83,26 +83,3 @@ class CompositeReward:
             reward -= self.uncorrelated(prev, telemetry)
         return reward
 
-
-class IpcOnlyReward:
-    """The prior-work reward: change in IPC only (paper §4.3, [30, 71, 85]).
-
-    Used by the ablation study ("Stateless Athena ... employs only IPC as
-    the correlated reward") and by the MAB baseline.
-    """
-
-    def __init__(self, scale: float = 1.6) -> None:
-        self.scale = scale
-        self._previous_ipc: Optional[float] = None
-
-    def reset(self) -> None:
-        self._previous_ipc = None
-
-    def compute(self, telemetry: EpochTelemetry) -> float:
-        ipc = telemetry.ipc
-        prev = self._previous_ipc
-        self._previous_ipc = ipc
-        if prev is None or prev <= 0.0:
-            return 0.0
-        change = (ipc - prev) / prev
-        return self.scale * max(-1.0, min(1.0, change))

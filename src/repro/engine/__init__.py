@@ -31,9 +31,8 @@ explicit, hashable *request*:
   fail-fast), embedded in every engine batch or standalone via
   ``repro worker``.
 * :mod:`repro.engine.api` — the :class:`~repro.engine.api.Engine` façade
-  (memo → store → queue job, with hit/miss counters) and the batch
-  helpers ``run_many`` / ``sweep`` that :class:`repro.experiments.\
-runner.ExperimentContext` delegates to.
+  (memo → store → queue job, with hit/miss counters) that
+  :class:`repro.experiments.runner.ExperimentContext` delegates to.
 
 Identical requests are executed exactly once per store lifetime: a cold
 ``repro figures --all --jobs N`` fans misses out across N worker
@@ -44,7 +43,7 @@ executing a single simulation.
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    ".api": ("Completed", "Engine", "EngineCounters", "run_many", "sweep"),
+    ".api": ("Completed", "Engine", "EngineCounters"),
     ".backend": ("SQLiteBackend",),
     ".faults": ("ExecutionError", "ExecutionPolicy", "FaultPlan",
                 "InjectedFault", "RequestFailure", "format_failures"),

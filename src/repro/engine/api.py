@@ -39,8 +39,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import collector, set_enabled
@@ -545,16 +545,6 @@ class Engine:
             if settlements is not None:
                 settlements.close()
 
-    def sweep(
-        self,
-        requests: Iterable[Request],
-        progress: Optional[ProgressFn] = None,
-    ) -> List[Tuple[Request, Result]]:
-        """Resolve a request cross-product; returns (request, result) pairs."""
-        batch = list(requests)
-        results = self.run_many(batch, progress=progress)
-        return list(zip(batch, results))
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.close()
@@ -587,38 +577,3 @@ class Engine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-# ---------------------------------------------------------------------------
-# module-level conveniences
-# ---------------------------------------------------------------------------
-
-def run_many(
-    requests: Sequence[Request],
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[Result]:
-    """One-shot batch execution with a throwaway engine."""
-    engine = Engine(store=store, jobs=jobs)
-    try:
-        return engine.run_many(requests, progress=progress)
-    finally:
-        if engine._pool is not None:
-            engine._pool.close()
-        engine._close_journal()
-
-
-def sweep(
-    requests: Iterable[Request],
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[Tuple[Request, Result]]:
-    """One-shot request sweep with a throwaway engine."""
-    engine = Engine(store=store, jobs=jobs)
-    try:
-        return engine.sweep(requests, progress=progress)
-    finally:
-        if engine._pool is not None:
-            engine._pool.close()
-        engine._close_journal()

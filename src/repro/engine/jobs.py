@@ -437,13 +437,13 @@ class _History:
 
     Rows from a whole payload are validated when it is decoded; a
     history read with ``ResultStore.get(key, summary=True)`` arrives as
-    unparsed JSON text and is parsed and validated, by the same rules,
-    on first use.
+    a view of its unparsed UTF-8 JSON and is parsed and validated, by
+    the same rules, on first use.
     """
 
     __slots__ = ("_text", "_rows")
 
-    def __init__(self, text: Optional[str] = None,
+    def __init__(self, text: Optional[memoryview] = None,
                  rows: Optional[Tuple[list, list]] = None) -> None:
         self._text = text
         self._rows = rows
@@ -451,7 +451,7 @@ class _History:
     def rows(self) -> Tuple[list, list]:
         if self._rows is None:
             try:
-                history = json.loads(self._text)
+                history = json.loads(str(self._text, "utf-8"))
             except ValueError as exc:
                 raise StoreDecodeError(f"malformed run history: {exc}") \
                     from exc
@@ -574,7 +574,7 @@ def decode_result(payload: dict) -> Result:
         if kind != "run":
             raise StoreDecodeError(f"unknown payload kind {kind!r}")
         text = payload.get(HISTORY_TEXT)
-        history = _History(text=text) if isinstance(text, str) \
+        history = _History(text=text) if isinstance(text, memoryview) \
             else _History(rows=_history_rows(payload))
         return _core_from(payload,
                           epochs=_Deferred(_epochs_from, history, 0),

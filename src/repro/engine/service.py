@@ -230,10 +230,9 @@ class QueueWorker:
         if self.metrics is None:
             return
         counts = self.queue.counts()
-        self.metrics.gauge(
-            "queue_depth",
-            "jobs pending or leased in the attached queue",
-        ).set(counts["pending"] + counts["leased"])
+        # jobs pending or leased in the attached queue
+        self.metrics.gauge("queue_depth").set(
+            counts["pending"] + counts["leased"])
 
     # -- the drain loop ----------------------------------------------------
 

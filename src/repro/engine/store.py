@@ -55,7 +55,7 @@ _HISTORY_FIELDS = ("epochs", "actions")
 _HISTORY_CRC = "history_crc"
 
 #: Field of a ``get(key, summary=True)`` payload holding the unparsed
-#: history text.
+#: history, a :class:`memoryview` of its UTF-8 JSON.
 HISTORY_TEXT = "history"
 
 
@@ -140,9 +140,12 @@ class ResultStore:
 
         With ``summary``, a run row's history is checked against its
         CRC-32 but not parsed: the payload holds the summary's fields
-        and the history's JSON text under :data:`HISTORY_TEXT`.  Rows without
-        a history (mixes, and runs stored in the one-document layout)
-        come back whole either way.
+        and, under :data:`HISTORY_TEXT`, a :class:`memoryview` of the
+        history's UTF-8 JSON.  Rows without a history (mixes, and runs
+        stored in the one-document layout) come back whole either way.
+
+        The row is read once, as bytes; the summary is the only part
+        copied out of it, so a lookup holds one row-sized buffer.
 
         A row whose summary or history is not valid JSON, or whose
         history fails its CRC, is deleted and reported as a miss —
@@ -154,25 +157,28 @@ class ResultStore:
         try:
             row = execute_with_retry(
                 self._conn,
-                "SELECT payload FROM results WHERE key = ?", (key,)
+                "SELECT CAST(payload AS BLOB) FROM results WHERE key = ?",
+                (key,)
             ).fetchone()
         except sqlite3.DatabaseError:
             return None
         if row is None:
             return None
+        raw = row[0]
+        split = raw.find(b"\n")
         try:
-            head, split, history = row[0].partition("\n")
-            payload = json.loads(head)
+            payload = json.loads(raw if split < 0 else raw[:split])
             if not isinstance(payload, dict):
                 raise ValueError("payload is not a JSON object")
-            if split:
+            if split >= 0:
+                history = memoryview(raw)[split + 1:]
                 crc = payload.pop(_HISTORY_CRC, None)
-                if crc != zlib.crc32(history.encode()):
+                if crc != zlib.crc32(history):
                     raise ValueError("history CRC mismatch")
                 if summary:
                     payload[HISTORY_TEXT] = history
                 else:
-                    payload.update(json.loads(history))
+                    payload.update(json.loads(str(history, "utf-8")))
         except (ValueError, TypeError):
             self.delete(key)
             return None

@@ -48,6 +48,9 @@ def geomean(values: Sequence[float]) -> float:
         if v <= 0:
             raise ValueError(f"geomean requires positive values, got {v}")
         log_sum += math.log(v)
+    if len(values) == 1:
+        # one value is its own mean; exp(log(x)) may not be x
+        return values[0]
     return math.exp(log_sum / len(values))
 
 

@@ -6,9 +6,9 @@ The observability subsystem, instrumented through the whole stack:
   (``trace_build``, ``simulate``, ``store_write``, …) with a
   process-local collector; worker-side spans ride back to the parent on
   result payloads and merge exactly once.
-* :mod:`repro.obs.metrics` — a typed registry of counters, gauges, and
-  histograms with JSON and Prometheus-text export; the engine's
-  hit/miss counters are views over one.
+* :mod:`repro.obs.metrics` — a typed registry of counters and gauges
+  with JSON and Prometheus-text export; the engine's hit/miss counters
+  are views over one.
 * :mod:`repro.obs.journal` — an append-only JSONL run journal (one
   event per engine request plus start/summary bookends), its event
   schema + validator, and the aggregations behind
@@ -29,8 +29,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
                  "format_spans", "format_summary", "provenance",
                  "read_journal", "summarize_journal", "validate_event",
                  "validate_journal"),
-    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
-                 "prometheus_text"),
+    ".metrics": ("Counter", "Gauge", "MetricsRegistry", "prometheus_text"),
     ".spans": ("SpanCollector", "collector", "reset_collector",
                "set_enabled", "span", "spans_enabled", "worker_id"),
 })

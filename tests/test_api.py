@@ -1,6 +1,7 @@
 """Tests for the repro.api SDK: specs, registry, sessions, exp CLI."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -78,12 +79,10 @@ class TestRegistry:
         assert "pythia" in registry.names("prefetcher")
         assert registry.names("ocp") == ["hmp", "popet", "ttp"]
         assert registry.names("design") == ["cd1", "cd2", "cd3", "cd4"]
-        assert registry.names("suite") == \
-            ["evaluation", "extended", "google", "tuning"]
         assert registry.names("trace_adapter") == ["memtrace", "npz"]
 
     def test_unknown_names_raise_value_error(self):
-        for kind in ("policy", "prefetcher", "ocp", "design", "suite"):
+        for kind in ("policy", "prefetcher", "ocp", "design"):
             with pytest.raises(ValueError, match=f"unknown {kind}"):
                 registry.create(kind, "wibble")
 
@@ -492,9 +491,13 @@ class TestLowering:
 # Session semantics
 # ---------------------------------------------------------------------------
 
+def _stored_session(path) -> Session:
+    return Session(Engine(store=ResultStore(path)))
+
+
 class TestSession:
     def test_run_and_cache_flag(self, tmp_path):
-        with Session(store=tmp_path / "s.sqlite") as session:
+        with _stored_session(tmp_path / "s.sqlite") as session:
             cold = session.run(RunSpec(workload="ligra.BFS.0",
                                        policy="naive"))
             assert not cold.cached
@@ -505,7 +508,7 @@ class TestSession:
             assert warm.cached
             assert warm.ipc == cold.ipc
         # a fresh session replays everything from the store
-        with Session(store=tmp_path / "s.sqlite") as session:
+        with _stored_session(tmp_path / "s.sqlite") as session:
             replay = session.run(RunSpec(workload="ligra.BFS.0",
                                          policy="naive"))
             assert replay.cached
@@ -613,7 +616,7 @@ class TestSession:
 
     def test_run_experiment_sections_and_export(self, tmp_path):
         spec = small_experiment()
-        with Session(store=tmp_path / "s.sqlite") as session:
+        with _stored_session(tmp_path / "s.sqlite") as session:
             outcome = session.run_experiment(spec)
             executed = session.counters.executed
             assert executed > 0
@@ -626,7 +629,7 @@ class TestSession:
         assert {row["section"] for row in rows} == {"sweep", "run", "mix"}
         assert "section,workload" in outcome.to_csv().splitlines()[0]
         # warm rerun executes nothing, and sections report cached
-        with Session(store=tmp_path / "s.sqlite") as session:
+        with _stored_session(tmp_path / "s.sqlite") as session:
             warm = session.run_experiment(spec)
             assert session.counters.executed == 0
             assert warm.of_kind("run")[0].cached
@@ -649,23 +652,24 @@ class TestSession:
         with pytest.raises(ValueError, match="unknown scale"):
             Session(scale="galactic")
 
-    def test_session_rejects_engine_plus_engine_args(self, tmp_path):
-        # store/jobs/progress would be silently ignored alongside an
-        # explicit engine; that must be an error instead
-        engine = Engine()
-        try:
-            with pytest.raises(ValueError, match="already carries"):
-                Session(engine=engine, jobs=8)
-            with pytest.raises(ValueError, match="already carries"):
-                Session(engine=engine, store=tmp_path / "s.sqlite")
-        finally:
-            engine.close()
-
     def test_session_store_path_accepts_str(self, tmp_path):
+        from repro.cli import _build_parser, _make_session
+
         path = tmp_path / "sub" / "s.sqlite"
-        with Session(store=str(path)) as session:
+        args = _build_parser().parse_args(
+            ["figures", "Fig3", "--store", str(path)])
+        with _make_session(args) as session:
             assert isinstance(session.engine.store, ResultStore)
         assert path.exists()
+
+    def test_session_closes_the_engine_it_wraps(self, tmp_path):
+        path = tmp_path / "sub" / "s.sqlite"
+        engine = Engine(store=ResultStore(str(path)))
+        with Session(engine) as session:
+            assert session.engine is engine
+        assert path.exists()
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(engine.store)
 
 
 # ---------------------------------------------------------------------------

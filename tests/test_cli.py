@@ -75,6 +75,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "unsupported athena options" in err
 
+    def test_run_execution_failure_exits_3(self, capsys, monkeypatch):
+        # repro run resolves through the engine, so a simulation that
+        # fails after its retries is reported, not raised
+        monkeypatch.setenv("REPRO_FAULTS", "raise=1.0")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        assert main(["run", "ligra.BFS.0", "--policy", "naive",
+                     "--length", "3000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2 request(s) did not complete" in captured.err
+
 
 class TestFigure:
     def test_unknown_figure_exits_nonzero(self, capsys):
@@ -329,6 +340,35 @@ class TestBenchTrend:
 
 
 class TestArgparse:
+    def test_figure_help_names_only_registered_figures(self):
+        import re
+
+        from repro.cli import _build_parser
+        from repro.experiments.figures import FIGURES
+
+        parser = _build_parser()
+        for command in ("figure", "figures"):
+            text = parser._subparsers._group_actions[0].choices[
+                command].format_help()
+            named = re.findall(r"\b(?:Fig|Tab)\d+[a-z]?\b", text)
+            assert named, command
+            assert set(named) <= set(FIGURES), (command, named)
+
+    def test_engine_flags_reach_the_engine(self, tmp_path):
+        from repro.cli import _build_parser, _make_engine
+
+        args = _build_parser().parse_args(
+            ["worker", "--queue", str(tmp_path / "q.sqlite"),
+             "--no-store", "--max-retries", "5", "--timeout", "7.5",
+             "--faults", "raise=0.5,seed=3"])
+        with _make_engine(args) as engine:
+            assert engine.store is None
+            assert engine.queue is None
+            assert engine.resilience.max_retries == 5
+            assert engine.resilience.timeout_s == 7.5
+            assert engine.faults.rates == (("raise", 0.5),)
+            assert engine.faults.seed == 3
+
     def test_no_command_is_an_error(self):
         with pytest.raises(SystemExit):
             main([])

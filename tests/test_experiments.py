@@ -64,6 +64,8 @@ class TestCacheDesigns:
 class TestRunner:
     def test_geomean(self):
         assert geomean([2.0, 8.0]) == pytest.approx(4.0)
+        # exactly, though exp(log(0.01)) != 0.01
+        assert geomean([0.01]) == 0.01
         with pytest.raises(ValueError):
             geomean([])
         with pytest.raises(ValueError):

@@ -138,6 +138,59 @@ class TestQuickRun:
         with pytest.raises(ValueError, match="unknown design"):
             quick_run("ligra.BFS.0", design="cd9", length=LENGTH)
 
+    @pytest.mark.parametrize("policy,options", [
+        ("none", {}), ("naive", {}), ("athena", {"seed": 7}),
+    ])
+    def test_quick_run_matches_a_direct_simulation(self, policy, options):
+        # quick_run resolves through the engine; it must still be the
+        # one-seed, warmup-0.2 run two hand-built simulations give
+        spec = find_workload("ligra.BFS.0")
+        design = CacheDesign.cd1()
+        epoch_length = max(100, LENGTH // 40)
+        direct = Simulator(
+            build_trace(spec, LENGTH), build_hierarchy(design),
+            policy=make_policy(policy, **options),
+            epoch_length=epoch_length,
+        ).run()
+        baseline = Simulator(
+            build_trace(spec, LENGTH),
+            build_hierarchy(design.without_mechanisms()),
+            epoch_length=epoch_length,
+        ).run()
+        result = quick_run("ligra.BFS.0", policy=policy, length=LENGTH,
+                           policy_options=options)
+        assert result.ipc == direct.ipc
+        assert result.baseline_ipc == baseline.ipc
+        assert result.speedup == direct.ipc / baseline.ipc
+        assert result.result.stats == direct.stats
+
+    def test_only_the_engine_constructs_simulators(self):
+        # one execution path: every simulation outside the benchmark
+        # harness is a job the engine runs
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        allowed = {root / "engine" / "jobs.py", root / "bench.py"}
+        builders = {"Simulator", "MultiCoreSimulator"}
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path in allowed:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name in builders:
+                    offenders.append(f"{path.relative_to(root)}:"
+                                     f"{node.lineno}")
+        assert offenders == []
+
     @pytest.mark.parametrize("design", ["cd1", "cd2", "cd3", "cd4"])
     def test_quick_run_every_design(self, design):
         result = quick_run("ligra.BFS.0", policy="none", design=design,

@@ -142,54 +142,37 @@ class TestMetrics:
         with pytest.raises(ValueError):
             registry.gauge("a")
 
-    def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("lat", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 5.0, 50.0):
-            h.observe(value)
-        assert h.bucket_counts == [1, 2, 3]
-        assert h.count == 4
-        assert h.sum == pytest.approx(55.55)
-
     def test_to_dict_groups_by_kind(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
         registry.gauge("g").set(2)
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        snap = registry.to_dict()
-        assert snap["counters"] == {"c": 1.0}
-        assert snap["gauges"] == {"g": 2.0}
-        assert snap["histograms"]["h"]["count"] == 1
+        assert registry.to_dict() == {"counters": {"c": 1.0},
+                                      "gauges": {"g": 2.0}}
 
     def test_prometheus_export(self):
         registry = MetricsRegistry()
-        registry.counter("engine_executed", help="runs").inc(3)
-        registry.histogram("lat", buckets=(1.0,)).observe(0.5)
-        text = registry.to_prometheus()
-        assert "# HELP engine_executed runs" in text
+        registry.counter("engine_executed").inc(3)
+        registry.gauge("queue_depth").set(1.5)
+        text = prometheus_text(registry.to_dict())
         assert "# TYPE engine_executed counter" in text
         assert "engine_executed 3" in text
-        assert 'lat_bucket{le="+Inf"} 1' in text
-        assert "lat_count 1" in text
-
-    def test_snapshot_delta_merge_roundtrip(self):
-        worker = MetricsRegistry()
-        worker.counter("x").inc(2)
-        before = worker.snapshot()
-        worker.counter("x").inc(3)
-        worker.counter("y").inc(1)
-        delta = worker.delta_since(before)
-        assert delta == {"x": 3.0, "y": 1.0}
-        parent = MetricsRegistry()
-        parent.merge_delta(delta)
-        assert parent.counter("x").value == 3.0
+        assert "# TYPE queue_depth gauge" in text
+        assert "queue_depth 1.5" in text
 
     def test_prometheus_text_replays_a_snapshot(self):
+        # one TYPE line and one sample per metric, counters and gauges
+        # interleaved in name order, integral values without ".0"
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
+        registry.gauge("b").set(0.25)
+        registry.counter("a")
         snap = json.loads(json.dumps(registry.to_dict()))
-        assert prometheus_text(snap) == registry.to_prometheus()
+        assert prometheus_text(snap) == (
+            "# TYPE a counter\na 0\n"
+            "# TYPE b gauge\nb 0.25\n"
+            "# TYPE c counter\nc 2\n"
+        )
+        assert prometheus_text({}) == "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -854,6 +854,11 @@ class TestQueueCli:
         assert main(["worker"]) == 2
         assert "needs --queue" in capsys.readouterr().err
 
+    def test_worker_rejects_a_malformed_fault_plan(self, capsys, tmp_path):
+        assert main(["worker", "--queue", str(tmp_path / "q.sqlite"),
+                     "--no-store", "--faults", "bogus=1"]) == 2
+        assert "unknown fault mode" in capsys.readouterr().err
+
     def test_queue_status_missing_file(self, capsys, tmp_path):
         assert main(["queue", "status", str(tmp_path / "no.sqlite")]) == 2
         assert "not found" in capsys.readouterr().err

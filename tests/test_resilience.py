@@ -484,7 +484,7 @@ class TestSessionErrorResults:
             good_keys = [r.key() for r in good.plan(probe.context)]
         plan = plan_hitting("raise", bad_keys[:1], miss=good_keys,
                             times=99)
-        with Session(resilience=FAST, faults=plan) as session:
+        with Session(Engine(resilience=FAST, faults=plan)) as session:
             results = {r.workload: r for r in
                        session.as_completed([good, bad])}
         assert results["ligra.BFS.0"].ok
@@ -498,12 +498,11 @@ class TestSessionErrorResults:
         assert rows[0]["status"] == "error"
         assert "error" in rows[0]
 
-    def test_session_rejects_policy_with_adopted_engine(self):
+    def test_session_runs_with_the_engine_resilience(self):
         from repro.api import Session
 
-        with Engine() as engine:
-            with pytest.raises(ValueError, match="already carries"):
-                Session(engine=engine, resilience=FAST)
+        with Engine(resilience=FAST) as engine:
+            assert Session(engine).engine.resilience is FAST
 
 
 # ---------------------------------------------------------------------------

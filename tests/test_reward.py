@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RewardWeights
-from repro.core.reward import CompositeReward, IpcOnlyReward
+from repro.core.reward import CompositeReward
 from repro.sim.stats import EpochTelemetry
 
 
@@ -108,25 +108,3 @@ class TestCompositeReward:
         bound = w.cycles + w.loads + w.mispredicted_branches + 1e-9
         assert -bound <= value <= bound
 
-
-class TestIpcOnlyReward:
-    def test_first_epoch_zero(self):
-        reward = IpcOnlyReward()
-        assert reward.compute(epoch()) == 0.0
-
-    def test_ipc_gain_positive(self):
-        reward = IpcOnlyReward()
-        reward.compute(epoch(cycles=1000.0))
-        assert reward.compute(epoch(cycles=500.0)) > 0.0
-
-    def test_ipc_loss_negative(self):
-        reward = IpcOnlyReward()
-        reward.compute(epoch(cycles=500.0))
-        assert reward.compute(epoch(cycles=1000.0)) < 0.0
-
-    def test_conflates_phase_changes(self):
-        """The prior-work reward penalises phase-driven slowdowns —
-        exactly the failure mode the composite reward removes."""
-        reward = IpcOnlyReward()
-        reward.compute(epoch(cycles=1000.0, loads=60))
-        assert reward.compute(epoch(cycles=1300.0, loads=78)) < 0.0
