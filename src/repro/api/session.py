@@ -4,12 +4,12 @@ A :class:`Session` wraps an :class:`~repro.engine.api.Engine` and turns
 typed specs into tidy results:
 
 * :meth:`run` / :meth:`run_mix` — one spec, blocking,
-* :meth:`sweep` — a cross-product, one parallel batch,
+* :meth:`sweep` — a cross-product, one batch,
 * :meth:`as_completed` — a *streaming* iterator over many specs:
   results are yielded as workers finish (cache hits first), instead of
   blocking on a whole-batch barrier,
 * :meth:`run_experiment` — a whole :class:`ExperimentSpec` file, with
-  every run/mix/sweep request prefetched as one batch so the full
+  every run/mix/sweep request resolved as one batch so the full
   experiment fans out across the worker pool at once.
 
 Sessions are context managers; closing one closes its engine, which
@@ -184,13 +184,11 @@ class Session:
 
     # -- sweeps ------------------------------------------------------------
 
-    def sweep(self, spec: SweepSpec, *, prefetched: bool = False) -> SweepResult:
-        """Resolve a sweep spec into the speedup matrix.
+    def sweep(self, spec: SweepSpec) -> SweepResult:
+        """Resolve a sweep spec into the speedup matrix, as one batch.
 
         Produces byte-identical numbers (and engine keys) to the
         ``repro sweep`` CLI command, which is now a shell over this.
-        ``prefetched`` skips the matrix fan-out when the caller (e.g.
-        :meth:`run_experiment`) already batch-resolved the requests.
         """
         ctx = self._ctx
         workloads = spec.resolve_workloads(ctx)
@@ -198,23 +196,16 @@ class Session:
             raise ValueError("sweep needs at least one workload")
         designs = spec.resolve_designs()
         columns = spec.columns()
-        if not prefetched:
-            # One shared planner (spec.plan) with pre-resolved inputs:
-            # the prefetch keys and the per-cell evaluation keys come
-            # from the same code path and cannot drift.
-            with span("plan", kind="sweep") as sp:
-                planned = spec.plan(ctx, workloads=workloads,
-                                    designs=designs)
-            if sp is not None:
-                self.engine.journal_event("span", **sp)
-            ctx.prefetch(planned)
+        speedup = ctx.speedups(
+            (wspec, designs[dname], policy)
+            for wspec in workloads for _, dname, policy in columns)
         cells = {}
         per_column = {label: [] for label, _, _ in columns}
         for wspec in workloads:
             for label, dname, policy in columns:
-                speedup = ctx.speedup(wspec, designs[dname], policy)
-                cells[(wspec.name, label)] = speedup
-                per_column[label].append(speedup)
+                value = speedup[wspec, designs[dname], policy]
+                cells[(wspec.name, label)] = value
+                per_column[label].append(value)
         geomeans = {
             label: geomean(values) for label, values in per_column.items()
         }
@@ -342,7 +333,7 @@ class Session:
 
         All run/mix/sweep requests are planned up front and submitted as
         one batch, so a parallel engine fans the *entire* experiment out
-        at once; figures prefetch their own batches as they run.  An
+        at once; figures resolve their own batches as they run.  An
         engine built with a durable ``queue`` dispatches that batch as
         queue jobs, and a killed run resumes from the queue and store on
         the next invocation.
@@ -368,7 +359,7 @@ class Session:
         try:
             for kind, section, planned, cached in sections:
                 if kind == "sweep":
-                    outcome.add(kind, self.sweep(section, prefetched=True))
+                    outcome.add(kind, self.sweep(section))
                 elif kind == "run":
                     outcome.add(kind, self._run_planned(section, planned,
                                                         cached=cached))

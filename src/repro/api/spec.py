@@ -18,8 +18,8 @@ Five spec levels:
 * :class:`ExperimentSpec` — a whole experiment file combining the above.
 
 Every spec round-trips ``to_dict``/``from_dict`` and (at the experiment
-level) JSON and TOML, and has a stable ``content_key()`` content-hash
-identity.  Validation happens eagerly at construction against the
+level) JSON; experiment files are read from JSON or TOML.  Every spec
+has a stable ``content_key()`` content-hash identity.  Validation happens eagerly at construction against the
 unified :mod:`repro.api.registry`, so a typo'd policy name or parameter
 fails before any simulation starts.
 """
@@ -403,20 +403,13 @@ class SweepSpec:
             for design in self.designs for policy in self.policies
         ]
 
-    def plan(self, ctx, workloads=None, designs=None) -> list:
-        """The full request cross-product.
-
-        ``workloads``/``designs`` accept pre-resolved values so
-        :meth:`Session.sweep` plans through this one code path — the
-        prefetch keys and the per-cell evaluation keys cannot drift.
-        """
-        if workloads is None:
-            workloads = self.resolve_workloads(ctx)
-        if designs is None:
-            designs = self.resolve_designs()
+    def plan(self, ctx) -> list:
+        """The full request cross-product, as :meth:`Session.sweep`
+        evaluates it."""
+        designs = self.resolve_designs()
         return [
             request
-            for spec in workloads
+            for spec in self.resolve_workloads(ctx)
             for _, dname, policy in self.columns()
             for request in ctx.plan_speedup(spec, designs[dname], policy)
         ]
@@ -577,9 +570,6 @@ class ExperimentSpec:
 
     # -- TOML --------------------------------------------------------------
 
-    def to_toml(self) -> str:
-        return _dumps_toml(self.to_dict())
-
     @classmethod
     def from_toml(cls, text: str) -> "ExperimentSpec":
         import tomllib
@@ -610,21 +600,6 @@ class ExperimentSpec:
             return cls.from_json(text)
         return cls.from_toml(text)
 
-    def save(self, path) -> None:
-        import pathlib
-
-        path = pathlib.Path(path)
-        suffix = path.suffix.lower()
-        if suffix not in (".toml", ".json"):
-            raise SpecError(
-                f"unsupported spec format {suffix or '(no extension)'} "
-                f"for {path}; expected .toml or .json"
-            )
-        if suffix == ".json":
-            path.write_text(self.to_json() + "\n")
-        else:
-            path.write_text(self.to_toml())
-
     # -- identity ----------------------------------------------------------
 
     def content_key(self) -> str:
@@ -634,48 +609,3 @@ class ExperimentSpec:
             sort_keys=True, separators=(",", ":"), default=repr,
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# minimal TOML emitter (stdlib has a reader, tomllib, but no writer)
-# ---------------------------------------------------------------------------
-
-def _toml_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_toml_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        body = ", ".join(
-            f"{_toml_key(k)} = {_toml_value(v)}" for k, v in value.items()
-        )
-        return "{ " + body + " }" if body else "{}"
-    raise SpecError(f"cannot serialize {type(value).__name__} to TOML")
-
-
-def _toml_key(key: str) -> str:
-    if key and all(c.isalnum() or c in "-_" for c in key):
-        return key
-    return json.dumps(key)
-
-
-def _dumps_toml(payload: dict) -> str:
-    """Serialize a spec dict: scalars first, then [[section]] tables."""
-    lines: List[str] = []
-    tables = {k: v for k, v in payload.items()
-              if isinstance(v, list) and v and isinstance(v[0], dict)}
-    for key, value in payload.items():
-        if key in tables:
-            continue
-        lines.append(f"{_toml_key(key)} = {_toml_value(value)}")
-    for section, items in tables.items():
-        for item in items:
-            lines.append("")
-            lines.append(f"[[{_toml_key(section)}]]")
-            for key, value in item.items():
-                lines.append(f"{_toml_key(key)} = {_toml_value(value)}")
-    return "\n".join(lines) + "\n"

@@ -11,11 +11,10 @@ Commands
     Simulate one workload under one policy and print the result row: a
     one-off :class:`~repro.api.RunSpec` at warmup 0.2, resolved with
     no result store.
-``figure``
-    Regenerate one paper figure (same drivers as the benchmarks).
 ``figures``
-    Regenerate several (or ``--all``) figures through the parallel
-    engine, with a persistent result store and an executed/hit summary.
+    Regenerate one, several or ``--all`` paper figures (the drivers the
+    benchmarks run) through the engine, with a result store
+    (``--no-store`` for none) and an executed/hit summary.
 ``sweep``
     Run a workloads × designs × policies cross-product and print the
     speedup matrix.
@@ -107,9 +106,6 @@ def _build_parser():
                      metavar="KEY=VALUE",
                      help="policy constructor option, repeatable "
                           "(e.g. --policy-config alpha=0.4)")
-
-    fig = sub.add_parser("figure", help="regenerate one paper figure")
-    fig.add_argument("figure_id", help="e.g. Fig7, Fig12a, Fig15")
 
     figs = sub.add_parser(
         "figures",
@@ -503,21 +499,6 @@ def _cmd_run(args) -> int:
           f" (useful {stats.prefetches_useful})")
     print(f"ocp:       {stats.ocp_predictions} predictions,"
           f" {stats.ocp_correct} correct")
-    return 0
-
-
-def _cmd_figure(figure_id: str) -> int:
-    from .experiments.figures import FIGURES
-
-    try:
-        driver = FIGURES[figure_id]
-    except KeyError:
-        known = ", ".join(sorted(FIGURES))
-        print(f"unknown figure {figure_id!r}; known: {known}",
-              file=sys.stderr)
-        return 2
-    result = driver()
-    print(result.format_table())
     return 0
 
 
@@ -1014,8 +995,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_list()
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "figure":
-        return _cmd_figure(args.figure_id)
     if args.command == "figures":
         return _cmd_figures(args)
     if args.command == "sweep":

@@ -14,7 +14,7 @@ overrides it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..sim.params import SystemParams, scaled_system
@@ -25,9 +25,13 @@ if TYPE_CHECKING:  # imported where a hierarchy is built
 
 @dataclass(frozen=True)
 class CacheDesign:
-    """One evaluated system configuration."""
+    """One evaluated system configuration.
 
-    name: str
+    The name is cosmetic: designs with the same mechanisms compare
+    equal, as the engine requests that run them share a content key.
+    """
+
+    name: str = field(compare=False)
     prefetcher_names: Tuple[str, ...]
     ocp_name: Optional[str]
     bandwidth_gbps: float = 3.2

@@ -19,7 +19,7 @@ from ..core.config import AthenaConfig, RewardWeights
 from ..sim.stats import CANDIDATE_FEATURES
 from ..workloads.suites import tuning_workloads
 from .configs import CacheDesign
-from .runner import ExperimentContext
+from .runner import ExperimentContext, geomean
 
 
 @dataclass
@@ -58,9 +58,17 @@ class DseResult:
         return "\n".join(lines)
 
 
-def _score(ctx: ExperimentContext, design: CacheDesign,
-           workloads, config: AthenaConfig) -> float:
-    return ctx.geomean_speedup(workloads, design, "athena", config)
+def _scores(ctx: ExperimentContext, design: CacheDesign, workloads,
+            configs: Sequence[AthenaConfig]) -> List[float]:
+    """Each Athena config's tuning-set geomean speedup, all resolved as
+    one engine batch."""
+    speedup = ctx.speedups([(spec, design, "athena", config)
+                            for config in configs for spec in workloads])
+    return [
+        geomean([speedup[spec, design, "athena", config]
+                 for spec in workloads])
+        for config in configs
+    ]
 
 
 def select_features(
@@ -83,18 +91,11 @@ def select_features(
             )
             for feature in remaining
         ]
-        # One engine batch per selection round: every candidate feature's
-        # full tuning-set evaluation fans out in parallel.
-        ctx.prefetch([
-            request
-            for config in candidate_configs
-            for spec in workloads
-            for request in ctx.plan_speedup(spec, design, "athena", config)
-        ])
-        scored = []
-        for config, feature in zip(candidate_configs, remaining):
-            scored.append((_score(ctx, design, workloads, config), feature))
-        scored.sort(reverse=True)
+        scored = sorted(
+            zip(_scores(ctx, design, workloads, candidate_configs),
+                remaining),
+            reverse=True,
+        )
         best_score, best_feature = scored[0]
         if selected and best_score <= best_so_far:
             break  # diminishing returns (paper stops after 4 features)
@@ -136,15 +137,9 @@ def grid_search(
         )
         for alpha, gamma, epsilon, cycle_weight in grid
     ]
-    # The whole grid is one engine batch (the classic sweep shape).
-    ctx.prefetch([
-        request
-        for config in configs
-        for spec in workloads
-        for request in ctx.plan_speedup(spec, design, "athena", config)
-    ])
-    for (alpha, gamma, epsilon, cycle_weight), config in zip(grid, configs):
-        score = _score(ctx, design, workloads, config)
+    scores = _scores(ctx, design, workloads, configs)
+    for (alpha, gamma, epsilon, cycle_weight), config, score in zip(
+            grid, configs, scores):
         point = {
             "alpha": alpha,
             "gamma": gamma,

@@ -22,7 +22,7 @@ from ..core.config import AthenaConfig
 from ..workloads.mixes import MIX_CATEGORIES, build_mixes
 from ..workloads.suites import WorkloadSpec, google_workloads
 from .configs import CacheDesign
-from .runner import ExperimentContext, geomean
+from .runner import ExperimentContext, geomean, split_categories, static_best
 
 
 @dataclass
@@ -70,8 +70,14 @@ class FigureResult:
 
 
 def _categories(ctx: ExperimentContext, design: CacheDesign,
-                workloads: Sequence[WorkloadSpec]):
-    friendly, adverse = ctx.classify_workloads(design, workloads)
+                workloads: Sequence[WorkloadSpec],
+                speedup: Dict[tuple, float]):
+    """The category groups of ``workloads``, read from a
+    :meth:`~ExperimentContext.speedups` map that holds their
+    classification cells."""
+    friendly, adverse = split_categories(workloads, [
+        speedup[cell] for cell in ctx.classification_cells(design, workloads)
+    ])
     groups = [("Overall", list(workloads))]
     if adverse:
         groups.insert(0, ("Prefetcher-adverse", adverse))
@@ -87,13 +93,35 @@ def _suite_groups(workloads: Sequence[WorkloadSpec]):
     return sorted(groups.items())
 
 
-def _plan_speedups(ctx: ExperimentContext, workloads, pairs):
-    """Engine requests for every (workload × (design, policy)) speedup."""
-    plan = []
-    for spec in workloads:
-        for design, policy in pairs:
-            plan.extend(ctx.plan_speedup(spec, design, policy))
-    return plan
+#: a figure series: column label -> (design, policy[, athena_config])
+Series = Dict[str, tuple]
+
+
+def _cells(workloads: Sequence[WorkloadSpec], series: Series) -> List[tuple]:
+    """The :meth:`~ExperimentContext.speedups` cell of every workload in
+    every series."""
+    return [(spec, *pair) for pair in series.values() for spec in workloads]
+
+
+def _geomeans(speedup: Dict[tuple, float], workloads: Sequence[WorkloadSpec],
+              series: Series) -> Dict[str, float]:
+    """Each series' geomean speedup over ``workloads``."""
+    return {
+        name: geomean([speedup[(spec, *pair)] for spec in workloads])
+        for name, pair in series.items()
+    }
+
+
+def _geomean_rows(ctx: ExperimentContext, result: FigureResult,
+                  rows: Sequence[Tuple[str, Series]]) -> FigureResult:
+    """Add one row of pool geomeans per ``(label, series)``; every
+    row's cells resolve as one engine batch."""
+    workloads = ctx.workload_pool()
+    speedup = ctx.speedups(
+        [cell for _, series in rows for cell in _cells(workloads, series)])
+    for label, series in rows:
+        result.add(label, **_geomeans(speedup, workloads, series))
+    return result
 
 
 _POLICY_ROW_MAPPING = {"Naive": "none", "HPAC": "hpac", "MAB": "mab",
@@ -112,29 +140,27 @@ def _speedup_figure(
     """Shared driver for the CD1-CD4 bar figures (7, 9, 10, 11, 19)."""
     result = FigureResult(figure_id, title)
     workloads = ctx.workload_pool()
-    # Submit the figure's whole run matrix as one engine batch: the
-    # classification reference runs, every series cell, and the StaticBest
-    # combinations all fan out in parallel before the serial loop below.
-    plan = ctx.plan_classify(design, workloads)
-    plan += _plan_speedups(ctx, workloads, list(series.values()))
-    if include_static_best:
-        for spec in workloads:
-            plan.extend(ctx.plan_static_best(spec, design))
-    ctx.prefetch(plan)
-    groups = []
-    if include_suites:
-        groups.extend(_suite_groups(workloads))
-    groups.extend(_categories(ctx, design, workloads))
+    static_cells = {
+        spec: ctx.static_best_cells(spec, design) if include_static_best
+        else [] for spec in workloads
+    }
+    # The figure's whole run matrix is one engine batch: the
+    # classification reference runs, every series cell and the
+    # StaticBest combinations.
+    speedup = ctx.speedups(
+        ctx.classification_cells(design, workloads)
+        + _cells(workloads, series)
+        + [cell for cells in static_cells.values() for cell in cells]
+    )
+    groups = _suite_groups(workloads) if include_suites else []
+    groups += _categories(ctx, design, workloads, speedup)
     for label, group in groups:
-        row: Dict[str, float] = {}
-        for name, (variant, policy) in series.items():
-            row[name] = geomean(
-                [ctx.speedup(spec, variant, policy) for spec in group]
-            )
+        row = _geomeans(speedup, group, series)
         if include_static_best:
-            row["StaticBest"] = geomean(
-                [ctx.static_best_speedup(spec, design) for spec in group]
-            )
+            row["StaticBest"] = geomean([
+                static_best(speedup[cell] for cell in static_cells[spec])
+                for spec in group
+            ])
         result.add(label, **row)
     return result
 
@@ -148,19 +174,11 @@ def fig01_motivation_lines(ctx: Optional[ExperimentContext] = None) -> FigureRes
     ctx = ctx or ExperimentContext()
     design = CacheDesign.cd1()
     workloads = ctx.workload_pool()
-    ctx.prefetch(_plan_speedups(
-        ctx, workloads,
-        [(design.only_ocp(), "none"), (design.only_prefetchers(), "none")],
-    ))
-    points = []
-    for spec in workloads:
-        points.append(
-            (
-                spec.name,
-                ctx.speedup(spec, design.only_ocp()),
-                ctx.speedup(spec, design.only_prefetchers()),
-            )
-        )
+    popet, pythia = design.only_ocp(), design.only_prefetchers()
+    speedup = ctx.speedups(
+        [(spec, d) for d in (popet, pythia) for spec in workloads])
+    points = [(spec.name, speedup[spec, popet], speedup[spec, pythia])
+              for spec in workloads]
     points.sort(key=lambda p: p[2])
     result = FigureResult(
         "Fig1", "POPET vs Pythia speedup line graph (sorted by Pythia)"
@@ -205,14 +223,12 @@ def fig03_offchip_fill_accuracy(ctx: Optional[ExperimentContext] = None) -> Figu
         ("IPCP@L1D", CacheDesign.cd2().only_prefetchers(), "l1d"),
         ("Pythia@L2C", CacheDesign.cd1().only_prefetchers(), "l2c"),
     )
-    ctx.prefetch([
-        ctx.plan_run(spec, design)
-        for _, design, _ in levels for spec in workloads
-    ])
+    run = ctx.runs(
+        [(spec, design) for _, design, _ in levels for spec in workloads])
     for label, design, level in levels:
         fractions = []
         for spec in workloads:
-            stats = ctx.run(spec, design).result.stats
+            stats = run[spec, design].stats
             fills = (stats.prefetch_fills_offchip_l1d if level == "l1d"
                      else stats.prefetch_fills_offchip_l2c)
             if fills >= 10:
@@ -286,15 +302,11 @@ def fig08a_category_boxes(ctx: Optional[ExperimentContext] = None) -> FigureResu
         "MAB": (design, "mab"),
         "Athena": (design, "athena"),
     }
-    ctx.prefetch(
-        ctx.plan_classify(design, workloads)
-        + _plan_speedups(ctx, workloads, list(configs.values()))
-    )
-    for category, group in _categories(ctx, design, workloads):
-        for name, (variant, policy) in configs.items():
-            speedups = sorted(
-                ctx.speedup(spec, variant, policy) for spec in group
-            )
+    speedup = ctx.speedups(ctx.classification_cells(design, workloads)
+                           + _cells(workloads, configs))
+    for category, group in _categories(ctx, design, workloads, speedup):
+        for name, pair in configs.items():
+            speedups = sorted(speedup[(spec, *pair)] for spec in group)
             if len(speedups) >= 4:
                 quartiles = statistics.quantiles(speedups, n=4)
                 q1, median, q3 = quartiles
@@ -391,141 +403,84 @@ def fig11_cd4(ctx: Optional[ExperimentContext] = None) -> FigureResult:
 _CD1_POLICIES = ("Naive", "HPAC", "MAB", "Athena")
 
 
-def _policy_row(ctx: ExperimentContext, design: CacheDesign,
-                workloads) -> Dict[str, float]:
-    return {
-        label: ctx.geomean_speedup(
-            workloads, design, _POLICY_ROW_MAPPING[label]
-        )
-        for label in _CD1_POLICIES
-    }
+def _policy_series(design: CacheDesign) -> Series:
+    return {label: (design, _POLICY_ROW_MAPPING[label])
+            for label in _CD1_POLICIES}
 
 
 def fig12a_l2c_prefetcher_sweep(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     """Figure 12(a): CD1 with Pythia / SPP+PPF / MLOP / SMS at L2C."""
     ctx = ctx or ExperimentContext()
-    workloads = ctx.workload_pool()
     result = FigureResult(
         "Fig12a", "Sensitivity to the L2C prefetcher type (CD1)"
     )
-    prefetchers = ("pythia", "spp_ppf", "mlop", "sms")
-    ctx.prefetch(_plan_speedups(ctx, workloads, [
-        (CacheDesign.cd1(l2c=p), policy)
-        for p in prefetchers for policy in _POLICY_ROW_MAPPING.values()
-    ]))
-    for prefetcher in prefetchers:
-        design = CacheDesign.cd1(l2c=prefetcher)
-        result.add(prefetcher, **_policy_row(ctx, design, workloads))
-    return result
+    return _geomean_rows(ctx, result, [
+        (prefetcher, _policy_series(CacheDesign.cd1(l2c=prefetcher)))
+        for prefetcher in ("pythia", "spp_ppf", "mlop", "sms")
+    ])
 
 
 def fig12b_ocp_sweep(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     """Figure 12(b): CD1 with POPET / HMP / TTP as the OCP."""
     ctx = ctx or ExperimentContext()
-    workloads = ctx.workload_pool()
     result = FigureResult("Fig12b", "Sensitivity to the OCP type (CD1)")
-    ctx.prefetch(_plan_speedups(ctx, workloads, [
-        (CacheDesign.cd1(ocp=ocp), policy)
-        for ocp in ("popet", "hmp", "ttp")
-        for policy in (*_POLICY_ROW_MAPPING.values(),)
-    ] + [
-        (CacheDesign.cd1(ocp=ocp).only_ocp(), "none")
-        for ocp in ("popet", "hmp", "ttp")
-    ]))
+    rows = []
     for ocp in ("popet", "hmp", "ttp"):
         design = CacheDesign.cd1(ocp=ocp)
-        row = _policy_row(ctx, design, workloads)
-        row["OCP-only"] = ctx.geomean_speedup(
-            workloads, design.only_ocp(), "none"
-        )
-        result.add(ocp, **row)
-    return result
+        rows.append((ocp, {**_policy_series(design),
+                           "OCP-only": (design.only_ocp(), "none")}))
+    return _geomean_rows(ctx, result, rows)
 
 
 def fig12c_ocp_latency_sweep(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     """Figure 12(c): CD1 swept over the OCP request issue latency."""
     ctx = ctx or ExperimentContext()
-    workloads = ctx.workload_pool()
     result = FigureResult(
         "Fig12c", "Sensitivity to OCP request issue latency (CD1)"
     )
-    latency_designs = [
-        CacheDesign.cd1().with_ocp_issue_latency(latency)
-        for latency in (6, 18, 30)
-    ]
-    ctx.prefetch(_plan_speedups(ctx, workloads, [
-        (design, policy)
-        for design in latency_designs
-        for policy in _POLICY_ROW_MAPPING.values()
-    ] + [(design.only_ocp(), "none") for design in latency_designs]))
+    rows = []
     for latency in (6, 18, 30):
         design = CacheDesign.cd1().with_ocp_issue_latency(latency)
-        row = _policy_row(ctx, design, workloads)
-        row["POPET-only"] = ctx.geomean_speedup(
-            workloads, design.only_ocp(), "none"
-        )
-        result.add(f"{latency}cyc", **row)
-    return result
+        rows.append((f"{latency}cyc", {
+            **_policy_series(design),
+            "POPET-only": (design.only_ocp(), "none"),
+        }))
+    return _geomean_rows(ctx, result, rows)
 
 
 def fig13_l1d_prefetcher_sweep(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     """Figure 13: CD4 with IPCP vs Berti at L1D."""
     ctx = ctx or ExperimentContext()
-    workloads = ctx.workload_pool()
     result = FigureResult(
         "Fig13", "Sensitivity to the L1D prefetcher type (CD4)"
     )
-    ctx.prefetch(_plan_speedups(ctx, workloads, [
-        pair
-        for l1d in ("ipcp", "berti")
-        for d in (CacheDesign.cd4(l1d=l1d),)
-        for pair in (
-            *((d, p) for p in _POLICY_ROW_MAPPING.values()),
-            (d, "tlp"),
-            (d.only_prefetchers(), "none"),
-        )
-    ]))
+    rows = []
     for l1d in ("ipcp", "berti"):
         design = CacheDesign.cd4(l1d=l1d)
-        row = _policy_row(ctx, design, workloads)
-        row["TLP"] = ctx.geomean_speedup(workloads, design, "tlp")
-        row["Prefetchers"] = ctx.geomean_speedup(
-            workloads, design.only_prefetchers(), "none"
-        )
-        result.add(l1d, **row)
-    return result
+        rows.append((l1d, {
+            **_policy_series(design),
+            "TLP": (design, "tlp"),
+            "Prefetchers": (design.only_prefetchers(), "none"),
+        }))
+    return _geomean_rows(ctx, result, rows)
 
 
 def fig14_bandwidth_sweep(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     """Figure 14: CD4 swept over main-memory bandwidth."""
     ctx = ctx or ExperimentContext()
-    workloads = ctx.workload_pool()
     result = FigureResult(
         "Fig14", "Sensitivity to main memory bandwidth (CD4)"
     )
-    ctx.prefetch(_plan_speedups(ctx, workloads, [
-        pair
-        for bandwidth in (1.6, 3.2, 6.4, 12.8)
-        for d in (CacheDesign.cd4(bandwidth_gbps=bandwidth),)
-        for pair in (
-            *((d, p) for p in _POLICY_ROW_MAPPING.values()),
-            (d, "tlp"),
-            (d.only_ocp(), "none"),
-            (d.only_prefetchers(), "none"),
-        )
-    ]))
+    rows = []
     for bandwidth in (1.6, 3.2, 6.4, 12.8):
         design = CacheDesign.cd4(bandwidth_gbps=bandwidth)
-        row = _policy_row(ctx, design, workloads)
-        row["TLP"] = ctx.geomean_speedup(workloads, design, "tlp")
-        row["POPET-only"] = ctx.geomean_speedup(
-            workloads, design.only_ocp(), "none"
-        )
-        row["Prefetchers"] = ctx.geomean_speedup(
-            workloads, design.only_prefetchers(), "none"
-        )
-        result.add(f"{bandwidth}GB/s", **row)
-    return result
+        rows.append((f"{bandwidth}GB/s", {
+            **_policy_series(design),
+            "TLP": (design, "tlp"),
+            "POPET-only": (design.only_ocp(), "none"),
+            "Prefetchers": (design.only_prefetchers(), "none"),
+        }))
+    return _geomean_rows(ctx, result, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -539,22 +494,18 @@ def _multicore_figure(ctx: ExperimentContext, figure_id: str, title: str,
     mixes = build_mixes(num_cores, mixes_per_category)
     result = FigureResult(figure_id, title)
     policy_names = ("naive", "hpac", "mab", "athena")
-    ctx.prefetch(
-        [ctx.plan_mix(mix, baseline_design, "none") for mix in mixes]
-        + [
-            ctx.plan_mix(mix, design, policy)
-            for mix in mixes for policy in policy_names
-        ]
+    run = ctx.mixes(
+        [(mix, baseline_design, "none") for mix in mixes]
+        + [(mix, design, policy) for mix in mixes for policy in policy_names]
     )
     per_category: Dict[str, Dict[str, List[float]]] = {
         c: {p: [] for p in policy_names} for c in MIX_CATEGORIES
     }
     for mix in mixes:
-        baseline = ctx.run_mix(mix, baseline_design, "none")
+        baseline = run[mix, baseline_design, "none"]
         for policy in policy_names:
-            run = ctx.run_mix(mix, design, policy)
             per_category[mix.category][policy].append(
-                run.weighted_speedup(baseline)
+                run[mix, design, policy].weighted_speedup(baseline)
             )
     label_map = {"naive": "Naive", "hpac": "HPAC", "mab": "MAB",
                  "athena": "Athena"}
@@ -617,30 +568,24 @@ def fig17_case_study(ctx: Optional[ExperimentContext] = None,
         f"Athena action distribution on {workload} vs memory bandwidth",
     )
     seeds = (0x47EA, 0x51DE, 0x7357)
-    plan = []
-    for bandwidth in (3.2, 25.6):
-        design = CacheDesign.cd1(bandwidth_gbps=bandwidth)
-        plan.extend(
-            ctx.plan_run(spec, design, "athena", AthenaConfig(seed=seed))
-            for seed in seeds
-        )
-        plan += ctx.plan_speedup(spec, design, "athena",
-                                 AthenaConfig(seed=seeds[0]))
-        plan += ctx.plan_speedup(spec, design)
-    ctx.prefetch(plan)
-    for bandwidth in (3.2, 25.6):
-        design = CacheDesign.cd1(bandwidth_gbps=bandwidth)
+    designs = {bandwidth: CacheDesign.cd1(bandwidth_gbps=bandwidth)
+               for bandwidth in (3.2, 25.6)}
+    athena = AthenaConfig(seed=seeds[0])
+    # Average the action mix over a few agent seeds: a single run's
+    # distribution is dominated by the exploration path at this scale.
+    run = ctx.runs([(spec, design, "athena", AthenaConfig(seed=seed))
+                    for design in designs.values() for seed in seeds])
+    speedup = ctx.speedups([cell for design in designs.values() for cell in
+                            ((spec, design, "athena", athena),
+                             (spec, design))])
+    for bandwidth, design in designs.items():
         dist: Dict[str, float] = {
             "none": 0.0, "ocp_only": 0.0, "pf_only": 0.0, "both": 0.0,
         }
-        # Average the action mix over a few agent seeds: a single run's
-        # distribution is dominated by the exploration path at this scale.
         for seed in seeds:
-            config = AthenaConfig(seed=seed)
-            record = ctx.run(spec, design, "athena", config)
-            for (pf_enabled, ocp_enabled), share in (
-                record.result.action_distribution().items()
-            ):
+            for (pf_enabled, ocp_enabled), share in run[
+                spec, design, "athena", AthenaConfig(seed=seed)
+            ].action_distribution().items():
                 pf_on = any(pf_enabled)
                 if pf_on and ocp_enabled:
                     dist["both"] += share / len(seeds)
@@ -650,10 +595,8 @@ def fig17_case_study(ctx: Optional[ExperimentContext] = None,
                     dist["ocp_only"] += share / len(seeds)
                 else:
                     dist["none"] += share / len(seeds)
-        dist["athena_speedup"] = ctx.speedup(
-            spec, design, "athena", AthenaConfig(seed=seeds[0])
-        )
-        dist["naive_speedup"] = ctx.speedup(spec, design)
+        dist["athena_speedup"] = speedup[spec, design, "athena", athena]
+        dist["naive_speedup"] = speedup[spec, design]
         result.add(f"{bandwidth}GB/s", **dist)
     result.notes = (
         "paper: 47% none + 35% OCP-only at 3.2 GB/s; 61% both at 25.6 GB/s"
@@ -665,7 +608,6 @@ def fig18_ablation(ctx: Optional[ExperimentContext] = None) -> FigureResult:
     """Figure 18: stateless -> +each feature -> +uncorrelated reward."""
     ctx = ctx or ExperimentContext()
     design = CacheDesign.cd1()
-    workloads = ctx.workload_pool()
     result = FigureResult(
         "Fig18", "Contribution of state features and reward components"
     )
@@ -696,29 +638,13 @@ def fig18_ablation(ctx: Optional[ExperimentContext] = None) -> FigureResult:
             epsilon=0.1 if not features else AthenaConfig.epsilon,
         )
         chain_configs.append((label, config))
-    ctx.prefetch([
-        request
-        for config in [None, *(c for _, c in chain_configs), AthenaConfig()]
-        for spec in workloads
-        for request in ctx.plan_speedup(
-            spec, design, "mab" if config is None else "athena", config
-        )
+    return _geomean_rows(ctx, result, [
+        ("MAB", {"speedup": (design, "mab")}),
+        *((label, {"speedup": (design, "athena", config)})
+          for label, config in chain_configs),
+        ("Athena (full, +uncorrelated reward)",
+         {"speedup": (design, "athena", AthenaConfig())}),
     ])
-    result.add(
-        "MAB", speedup=ctx.geomean_speedup(workloads, design, "mab")
-    )
-    for label, config in chain_configs:
-        result.add(
-            label,
-            speedup=ctx.geomean_speedup(workloads, design, "athena", config),
-        )
-    result.add(
-        "Athena (full, +uncorrelated reward)",
-        speedup=ctx.geomean_speedup(
-            workloads, design, "athena", AthenaConfig()
-        ),
-    )
-    return result
 
 
 def fig19_prefetcher_only(ctx: Optional[ExperimentContext] = None) -> FigureResult:
@@ -760,21 +686,15 @@ def fig20_memory_traffic(ctx: Optional[ExperimentContext] = None) -> FigureResul
         "MAB": (design, "mab"),
         "Athena": (design, "athena"),
     }
-    ctx.prefetch(
-        [ctx.plan_run(spec, design.without_mechanisms())
-         for spec in workloads]
-        + [
-            ctx.plan_run(spec, variant, policy)
-            for variant, policy in configs.values()
-            for spec in workloads
-        ]
-    )
-    for name, (variant, policy) in configs.items():
+    baseline = design.without_mechanisms()
+    run = ctx.runs([(spec, baseline) for spec in workloads]
+                   + _cells(workloads, configs))
+    for name, pair in configs.items():
         request_ratios = []
         latency_ratios = []
         for spec in workloads:
-            base = ctx.run(spec, design.without_mechanisms()).result.stats
-            stats = ctx.run(spec, variant, policy).result.stats
+            base = run[spec, baseline].stats
+            stats = run[(spec, *pair)].stats
             if base.dram_requests:
                 request_ratios.append(
                     stats.dram_requests / base.dram_requests
@@ -825,21 +745,12 @@ def fig21_unseen_workloads(ctx: Optional[ExperimentContext] = None) -> FigureRes
         "Athena": (design, "athena"),
     }
     workloads = list(google_workloads())
-    ctx.prefetch(_plan_speedups(ctx, workloads, list(series.values())))
+    speedup = ctx.speedups(_cells(workloads, series))
     for spec in workloads:
-        row = {
-            name: ctx.speedup(spec, variant, policy)
-            for name, (variant, policy) in series.items()
-        }
-        result.add(spec.name.replace("google.", ""), **row)
-    result.add(
-        "overall",
-        **{
-            name: geomean([ctx.speedup(w, variant, policy)
-                           for w in workloads])
-            for name, (variant, policy) in series.items()
-        },
-    )
+        result.add(spec.name.replace("google.", ""), **{
+            name: speedup[(spec, *pair)] for name, pair in series.items()
+        })
+    result.add("overall", **_geomeans(speedup, workloads, series))
     return result
 
 

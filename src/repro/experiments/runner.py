@@ -5,22 +5,25 @@ oracle.
 :class:`repro.engine.api.Engine`, which memoizes runs by content-hash key
 (workload, trace length, system signature, policy, config), optionally
 persists them in an on-disk store, and — when constructed with
-``jobs > 1`` — executes cache misses across worker processes.  Figure
-drivers *plan* their full run matrix up front (:meth:`plan_speedup`,
-:meth:`plan_static_best`, :meth:`plan_classify`) and submit it as one
-batch via :meth:`prefetch`, so a whole figure fans out in parallel while
-the serial driver code below stays byte-for-byte compatible.
+``jobs > 1`` — executes cache misses across worker processes.  A figure
+driver lists its *cells* (workload × design × policy) and evaluates them
+with one call to a batch evaluator — :meth:`~ExperimentContext.speedups`,
+:meth:`~ExperimentContext.runs` or :meth:`~ExperimentContext.mixes` —
+which plans each distinct cell once and resolves every request as one
+engine batch, so a serial, a parallel and a queue-backed engine all take
+the same path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.config import AthenaConfig
 from ..engine.api import Engine
-from ..engine.jobs import MixRequest, Request, RunRequest
+from ..engine.jobs import MixRequest, Request, Result, RunRequest
 from ..sim.region import MultiCoreResult, SimulationResult
 from ..workloads.mixes import WorkloadMix
 from ..workloads.suites import (
@@ -34,8 +37,9 @@ from .configs import CacheDesign
 
 __all__ = [
     "ExperimentContext",
-    "RunRecord",
     "geomean",
+    "split_categories",
+    "static_best",
 ]
 
 
@@ -54,16 +58,35 @@ def geomean(values: Sequence[float]) -> float:
     return math.exp(log_sum / len(values))
 
 
-@dataclass
-class RunRecord:
-    """Cached outcome of one simulation."""
+def static_best(speedups: Iterable[float]) -> float:
+    """StaticBest (§2.1.2) from the speedups of a design's non-empty
+    static combinations (:meth:`ExperimentContext.static_best_cells`):
+    the empty combination is the baseline itself, at speedup 1."""
+    return max([1.0, *speedups])
 
-    ipc: float
-    result: SimulationResult
+
+def split_categories(
+    workloads: Sequence[WorkloadSpec], reference_speedups: Sequence[float]
+) -> Tuple[List[WorkloadSpec], List[WorkloadSpec]]:
+    """Split into (prefetcher-friendly, prefetcher-adverse) workloads: a
+    workload is adverse when the reference prefetcher alone
+    (:meth:`ExperimentContext.classification_cells`) slows it down."""
+    friendly: List[WorkloadSpec] = []
+    adverse: List[WorkloadSpec] = []
+    for spec, speedup in zip(workloads, reference_speedups):
+        (friendly if speedup >= 1.0 else adverse).append(spec)
+    return friendly, adverse
 
 
 class ExperimentContext:
-    """Run cache + convenience helpers shared by all figure drivers."""
+    """Planners and batch evaluators shared by all figure drivers.
+
+    A *cell* is the tuple of positional arguments of a planner:
+    ``(spec, design[, policy_name[, athena_config]])`` for
+    :meth:`plan_speedup` and :meth:`plan_run`, ``(mix, design[,
+    policy_name])`` for :meth:`plan_mix`.  Cells are dictionary keys, so
+    equal cells are evaluated once.
+    """
 
     def __init__(
         self,
@@ -72,13 +95,6 @@ class ExperimentContext:
     ) -> None:
         self.scale = scale if scale is not None else active_scale()
         self.engine = engine if engine is not None else Engine()
-        #: RunRecord wrappers by :meth:`run` arguments, so a repeated call
-        #: returns the identical record without re-planning or re-hashing
-        #: its request.  ``scale`` is fixed at construction (nothing
-        #: reassigns it), so the arguments determine the request.
-        #: Distinct arguments with one request key still execute once,
-        #: via the engine memo.
-        self._records: Dict[tuple, RunRecord] = {}
 
     # -- request planning ------------------------------------------------------
 
@@ -94,7 +110,7 @@ class ExperimentContext:
         warmup_fraction: Optional[float] = None,
         policy_options: Tuple[Tuple[str, object], ...] = (),
     ) -> RunRequest:
-        """The engine request :meth:`run` would resolve.
+        """The engine request of one :meth:`runs` cell.
 
         The keyword-only overrides default to the context's scale, so
         requests planned without them keep their historical content
@@ -114,6 +130,10 @@ class ExperimentContext:
             policy_options=policy_options,
         )
 
+    #: seed offsets mixed into the Athena agent seed for trajectory
+    #: averaging (see ReproScale.policy_seeds).
+    _SEED_STREAM = (0, 0x9D2C, 0x3A71, 0x61C8, 0x7F4A)
+
     def plan_speedup(
         self,
         spec: WorkloadSpec,
@@ -122,7 +142,9 @@ class ExperimentContext:
         athena_config: Optional[AthenaConfig] = None,
         **overrides,
     ) -> List[RunRequest]:
-        """Every request :meth:`speedup` needs (baseline + policy runs)."""
+        """Every request of one :meth:`speedups` cell: the baseline, then
+        the policy run — for Athena, one run per agent seed of the seed
+        stream."""
         policy_overrides = dict(overrides)
         baseline_overrides = dict(overrides)
         baseline_overrides.pop("policy_options", None)
@@ -150,24 +172,18 @@ class ExperimentContext:
         self, spec: WorkloadSpec, design: CacheDesign
     ) -> List[RunRequest]:
         """Every request :meth:`static_best_speedup` needs."""
-        requests = [self.plan_run(spec, design.without_mechanisms())]
-        for combo in self.static_combinations(design):
-            if not combo.prefetcher_names and combo.ocp_name is None:
-                continue
-            requests.append(self.plan_run(spec, combo))
-        return requests
+        return [self.plan_run(spec, design.without_mechanisms())] + [
+            self.plan_run(*cell)
+            for cell in self.static_best_cells(spec, design)
+        ]
 
     def plan_classify(
         self, design: CacheDesign, workloads: Sequence[WorkloadSpec]
     ) -> List[RunRequest]:
         """Every request :meth:`classify_workloads` needs."""
-        reference = CacheDesign.cd1(
-            bandwidth_gbps=design.bandwidth_gbps
-        ).only_prefetchers()
-        requests: List[RunRequest] = []
-        for spec in workloads:
-            requests.extend(self.plan_speedup(spec, reference))
-        return requests
+        return [request
+                for cell in self.classification_cells(design, workloads)
+                for request in self.plan_speedup(*cell)]
 
     def plan_mix(
         self,
@@ -180,6 +196,7 @@ class ExperimentContext:
         warmup_fraction: Optional[float] = None,
         policy_options: Tuple[Tuple[str, object], ...] = (),
     ) -> MixRequest:
+        """The engine request of one :meth:`mixes` cell."""
         return MixRequest(
             workloads=tuple(mix.workloads),
             trace_length=trace_length if trace_length is not None
@@ -193,59 +210,55 @@ class ExperimentContext:
             policy_options=policy_options,
         )
 
-    def prefetch(self, requests: Sequence[Request]) -> None:
-        """Batch-resolve ``requests`` ahead of the serial driver code.
+    # -- batch evaluation ------------------------------------------------------
 
-        With a parallel engine the misses fan out across worker
-        processes; with a queue-backed engine they are dispatched as
-        one batch of durable jobs even at ``jobs=1``, so external
-        workers can share the load and a crash resumes the whole batch.
-        With a serial, queue-less engine this is a no-op (the runs
-        would execute at the same cost when first demanded).
+    def _evaluate(
+        self, plan: Callable[..., List[Request]], cells: Iterable[tuple]
+    ) -> Dict[tuple, List[Result]]:
+        """The results of ``plan(*cell)`` for each distinct cell,
+        resolved as one engine batch.
+
+        Equal requests of different cells (every cell of a workload
+        shares its baseline) are interned first, so each distinct
+        request is hashed once.
         """
-        if requests and (self.engine.parallel
-                         or getattr(self.engine, "queue", None) is not None):
-            self.engine.run_many(requests)
+        planned: Dict[tuple, List[int]] = {}
+        index: Dict[Request, int] = {}
+        for cell in cells:
+            if cell not in planned:
+                planned[cell] = [index.setdefault(request, len(index))
+                                 for request in plan(*cell)]
+        results = self.engine.run_many(list(index))
+        return {cell: [results[i] for i in positions]
+                for cell, positions in planned.items()}
 
-    # -- primitive runs -------------------------------------------------------
+    def runs(self, cells: Iterable[tuple]) -> Dict[tuple, SimulationResult]:
+        """The result of each :meth:`plan_run` cell, as one batch."""
+        return {cell: result for cell, (result,) in self._evaluate(
+            lambda *cell: [self.plan_run(*cell)], cells).items()}
 
-    def run(
-        self,
-        spec: WorkloadSpec,
-        design: CacheDesign,
-        policy_name: str = "none",
-        athena_config: Optional[AthenaConfig] = None,
-    ) -> RunRecord:
-        args = (spec, design, policy_name, athena_config)
-        record = self._records.get(args)
-        if record is None:
-            [record] = self._resolve([args])
-        return record
+    def mixes(self, cells: Iterable[tuple]) -> Dict[tuple, MultiCoreResult]:
+        """The result of each :meth:`plan_mix` cell, as one batch."""
+        return {cell: result for cell, (result,) in self._evaluate(
+            lambda *cell: [self.plan_mix(*cell)], cells).items()}
 
-    def _resolve(self, runs: Sequence[tuple]) -> List[RunRecord]:
-        """Record unrecorded :meth:`run` argument tuples, resolved as one
-        engine batch, so an Athena seed set runs as one lockstep job.
-        Like ``Engine.run``, it reports no progress."""
-        results = self.engine.run_many(
-            [self.plan_run(*args) for args in runs],
-            progress=lambda *_: None)
-        records = [RunRecord(ipc=result.ipc, result=result)
-                   for result in results]
-        self._records.update(zip(runs, records))
-        return records
+    def speedups(self, cells: Iterable[tuple]) -> Dict[tuple, float]:
+        """The speedup over its baseline of each :meth:`plan_speedup`
+        cell, as one batch.
 
-    def run_mix(
-        self, mix: WorkloadMix, design: CacheDesign, policy_name: str = "none"
-    ) -> MultiCoreResult:
-        """One multi-core mix simulation, resolved through the engine."""
-        return self.engine.run(self.plan_mix(mix, design, policy_name))
-
-    def baseline_ipc(self, spec: WorkloadSpec, design: CacheDesign) -> float:
-        return self.run(spec, design.without_mechanisms()).ipc
-
-    #: seed offsets mixed into the Athena agent seed for trajectory
-    #: averaging (see ReproScale.policy_seeds).
-    _SEED_STREAM = (0, 0x9D2C, 0x3A71, 0x61C8, 0x7F4A)
+        Athena's IPC is the geomean over its seed set: a single
+        ~40-epoch SARSA run is one noisy sample of the learned policy,
+        and the paper's 250K-epoch runs average that noise away
+        internally.
+        """
+        out: Dict[tuple, float] = {}
+        for cell, (baseline, *runs) in self._evaluate(
+                self.plan_speedup, cells).items():
+            if baseline.ipc <= 0:
+                raise RuntimeError(
+                    f"zero baseline IPC for {baseline.workload}")
+            out[cell] = geomean([run.ipc for run in runs]) / baseline.ipc
+        return out
 
     def speedup(
         self,
@@ -254,27 +267,9 @@ class ExperimentContext:
         policy_name: str = "none",
         athena_config: Optional[AthenaConfig] = None,
     ) -> float:
-        base = self.baseline_ipc(spec, design)
-        if base <= 0:
-            raise RuntimeError(f"zero baseline IPC for {spec.name}")
-        if policy_name == "athena":
-            # Average a few independent agent trajectories: a single
-            # ~40-epoch SARSA run is one noisy sample of the learned
-            # policy, and the paper's 250K-epoch runs average that noise
-            # away internally.
-            config = athena_config if athena_config is not None else AthenaConfig()
-            runs = [(spec, design, policy_name,
-                     config.with_updates(seed=config.seed ^ offset))
-                    for offset in self._SEED_STREAM[: max(1, self.scale.policy_seeds)]]
-            records = [self._records.get(args) for args in runs]
-            missing = [args for args, record in zip(runs, records)
-                       if record is None]
-            if missing:
-                resolved = iter(self._resolve(missing))
-                records = [record or next(resolved) for record in records]
-            return geomean([record.ipc for record in records]) / base
-        record = self.run(spec, design, policy_name, athena_config)
-        return record.ipc / base
+        """One :meth:`speedups` cell."""
+        cell = (spec, design, policy_name, athena_config)
+        return self.speedups([cell])[cell]
 
     # -- oracle ------------------------------------------------------------------
 
@@ -300,26 +295,28 @@ class ExperimentContext:
                 )
         return out
 
+    def static_best_cells(
+        self, spec: WorkloadSpec, design: CacheDesign
+    ) -> List[tuple]:
+        """The :meth:`speedups` cells :func:`static_best` maximizes
+        over: every static combination but the empty one."""
+        return [(spec, combo) for combo in self.static_combinations(design)
+                if combo.prefetcher_names or combo.ocp_name is not None]
+
     def static_best_speedup(
         self, spec: WorkloadSpec, design: CacheDesign
     ) -> float:
         """StaticBest oracle: best end-to-end static combination (§2.1.2)."""
-        base = self.baseline_ipc(spec, design)
-        best = base
-        for combo in self.static_combinations(design):
-            if not combo.prefetcher_names and combo.ocp_name is None:
-                continue  # that's the baseline itself
-            best = max(best, self.run(spec, combo).ipc)
-        return best / base
+        return static_best(
+            self.speedups(self.static_best_cells(spec, design)).values())
 
     # -- workload classification (paper Figure 1) ---------------------------------
 
-    def classify_workloads(
-        self,
-        design: CacheDesign,
-        workloads: Sequence[WorkloadSpec],
-    ) -> Tuple[List[WorkloadSpec], List[WorkloadSpec]]:
-        """Split into (prefetcher-friendly, prefetcher-adverse) workloads.
+    def classification_cells(
+        self, design: CacheDesign, workloads: Sequence[WorkloadSpec]
+    ) -> List[tuple]:
+        """The :meth:`speedups` cells that classify ``workloads``, in
+        their order.
 
         The paper defines the two categories *once*, from Figure 1's
         reference configuration (Pythia at L2C in the bandwidth-constrained
@@ -331,14 +328,18 @@ class ExperimentContext:
         reference = CacheDesign.cd1(
             bandwidth_gbps=design.bandwidth_gbps
         ).only_prefetchers()
-        friendly: List[WorkloadSpec] = []
-        adverse: List[WorkloadSpec] = []
-        for spec in workloads:
-            if self.speedup(spec, reference) >= 1.0:
-                friendly.append(spec)
-            else:
-                adverse.append(spec)
-        return friendly, adverse
+        return [(spec, reference) for spec in workloads]
+
+    def classify_workloads(
+        self,
+        design: CacheDesign,
+        workloads: Sequence[WorkloadSpec],
+    ) -> Tuple[List[WorkloadSpec], List[WorkloadSpec]]:
+        """Split into (prefetcher-friendly, prefetcher-adverse) workloads
+        (see :meth:`classification_cells`)."""
+        cells = self.classification_cells(design, workloads)
+        speedup = self.speedups(cells)
+        return split_categories(workloads, [speedup[c] for c in cells])
 
     # -- aggregates ---------------------------------------------------------------
 
@@ -353,9 +354,7 @@ class ExperimentContext:
         policy_name: str = "none",
         athena_config: Optional[AthenaConfig] = None,
     ) -> float:
-        return geomean(
-            [
-                self.speedup(spec, design, policy_name, athena_config)
-                for spec in workloads
-            ]
-        )
+        cells = [(spec, design, policy_name, athena_config)
+                 for spec in workloads]
+        speedup = self.speedups(cells)
+        return geomean([speedup[cell] for cell in cells])

@@ -37,6 +37,26 @@ def small_experiment() -> ExperimentSpec:
     )
 
 
+#: :func:`small_experiment` as a spec file
+SMALL_EXPERIMENT_TOML = """\
+name = "unit"
+
+[[sweeps]]
+workloads = ["ligra.BFS.0"]
+designs = ["cd1"]
+policies = ["none", "naive"]
+
+[[runs]]
+workload = "spec06.mcf_like.0"
+policy = "athena"
+policy_params = { alpha = 0.4 }
+
+[[mixes]]
+workloads = ["ligra.BFS.0", "spec06.mcf_like.0"]
+trace_length = 2000
+"""
+
+
 # ---------------------------------------------------------------------------
 # params helper
 # ---------------------------------------------------------------------------
@@ -339,7 +359,15 @@ class TestSpecValidation:
             workload="ligra.BFS.0", policy="athena",
             policy_params={"reward_weights": RewardWeights(cycles=2.0)},
         )])
-        rt = ExperimentSpec.from_toml(spec.to_toml())
+        rt = ExperimentSpec.from_toml("""\
+name = "rw"
+
+[[runs]]
+workload = "ligra.BFS.0"
+policy = "athena"
+policy_params = { reward_weights = { cycles = 2.0, llc_misses = 0.0, \
+llc_miss_latency = 0.0, loads = 0.6, mispredicted_branches = 1.0 } }
+""")
         assert rt == spec
         assert rt.content_key() == spec.content_key()
         assert ExperimentSpec.from_json(spec.to_json()) == spec
@@ -360,13 +388,10 @@ class TestSpecRoundTrips:
         spec = small_experiment()
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
-    def test_toml_round_trip(self):
+    def test_toml_file_equals_object_spec(self):
         spec = small_experiment()
-        assert ExperimentSpec.from_toml(spec.to_toml()) == spec
-
-    def test_content_key_stable_across_round_trip(self):
-        spec = small_experiment()
-        rt = ExperimentSpec.from_toml(spec.to_toml())
+        rt = ExperimentSpec.from_toml(SMALL_EXPERIMENT_TOML)
+        assert rt == spec
         assert rt.content_key() == spec.content_key()
 
     def test_content_key_changes_with_content(self):
@@ -375,12 +400,12 @@ class TestSpecRoundTrips:
         other.runs[0].policy_params["alpha"] = 0.5
         assert other.content_key() != spec.content_key()
 
-    def test_save_load_files(self, tmp_path):
+    def test_load_files(self, tmp_path):
         spec = small_experiment()
+        (tmp_path / "spec.toml").write_text(SMALL_EXPERIMENT_TOML)
+        (tmp_path / "spec.json").write_text(spec.to_json())
         for name in ("spec.toml", "spec.json"):
-            path = tmp_path / name
-            spec.save(path)
-            assert ExperimentSpec.load(path) == spec
+            assert ExperimentSpec.load(tmp_path / name) == spec
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(SpecError, match="cannot read spec"):
@@ -398,10 +423,20 @@ class TestSpecRoundTrips:
         with pytest.raises(SpecError, match="invalid JSON"):
             ExperimentSpec.from_json("{nope")
 
-    def test_checked_in_example_spec_parses(self):
+    def test_checked_in_example_spec_equals_object_spec(self):
         spec = ExperimentSpec.load("examples/experiment_spec.toml")
-        assert spec.name == "quickstart-experiment"
-        assert spec.sweeps and spec.runs and spec.mixes
+        built = ExperimentSpec(
+            name="quickstart-experiment",
+            sweeps=[SweepSpec(
+                workloads=["ligra.BFS.0", "spec06.libquantum_like.0"],
+                designs=["cd1"], policies=["none", "naive"])],
+            runs=[RunSpec(workload="spec06.mcf_like.0", policy="athena",
+                          policy_params={"alpha": 0.4})],
+            mixes=[MixSpec(workloads=["ligra.BFS.0", "spec06.mcf_like.0"],
+                           policy="naive")],
+        )
+        assert spec == built
+        assert spec.content_key() == built.content_key()
 
 
 # ---------------------------------------------------------------------------

@@ -87,20 +87,6 @@ class TestRun:
         assert "2 request(s) did not complete" in captured.err
 
 
-class TestFigure:
-    def test_unknown_figure_exits_nonzero(self, capsys):
-        assert main(["figure", "Fig99"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown figure" in err
-
-    def test_known_figure_runs(self, capsys, monkeypatch):
-        # Run the cheapest driver at the tiny scale to keep the test fast.
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        assert main(["figure", "Fig3"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig3" in out
-
-
 class TestFigures:
     def test_no_figures_requested(self, capsys):
         assert main(["figures", "--no-store"]) == 2
@@ -109,6 +95,14 @@ class TestFigures:
     def test_unknown_figure_id(self, capsys):
         assert main(["figures", "Fig99", "--no-store"]) == 2
         assert "unknown figures" in capsys.readouterr().err
+
+    def test_known_figure_runs(self, capsys, monkeypatch):
+        # Run the cheapest driver at the tiny scale to keep the test fast.
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        assert main(["figures", "Fig3", "--no-store"]) == 0
+        out = capsys.readouterr().out
+        assert "Fig3" in out
+        assert "engine:" in out
 
     def test_parallel_figures_with_store(self, capsys, monkeypatch,
                                          tmp_path):
@@ -347,12 +341,11 @@ class TestArgparse:
         from repro.experiments.figures import FIGURES
 
         parser = _build_parser()
-        for command in ("figure", "figures"):
-            text = parser._subparsers._group_actions[0].choices[
-                command].format_help()
-            named = re.findall(r"\b(?:Fig|Tab)\d+[a-z]?\b", text)
-            assert named, command
-            assert set(named) <= set(FIGURES), (command, named)
+        text = parser._subparsers._group_actions[0].choices[
+            "figures"].format_help()
+        named = re.findall(r"\b(?:Fig|Tab)\d+[a-z]?\b", text)
+        assert named
+        assert set(named) <= set(FIGURES), named
 
     def test_engine_flags_reach_the_engine(self, tmp_path):
         from repro.cli import _build_parser, _make_engine

@@ -12,7 +12,8 @@ from repro.engine.jobs import decode_result, encode_result
 from repro.engine import store as store_module
 from repro.engine.store import StoreDecodeError
 from repro.experiments.configs import CacheDesign
-from repro.experiments.figures import fig02_naive_vs_staticbest, fig07_cd1
+from repro.experiments.figures import (fig02_naive_vs_staticbest, fig07_cd1,
+                                       fig15_fourcore)
 from repro.experiments.runner import ExperimentContext
 from repro.policies.base import CoordinationAction
 from repro.sim.stats import EpochTelemetry
@@ -509,31 +510,64 @@ class TestFigureParallelism:
                            workloads_per_figure=2, epoch_length=150)
         with Engine(store=ResultStore(store_path)) as engine:
             ctx = ExperimentContext(scale, engine=engine)
-            first = ctx.run_mix(mix, design, "naive")
+            cell = (mix, design, "naive")
+            first = ctx.mixes([cell])[cell]
             assert engine.counters.executed == 1
         with Engine(store=ResultStore(store_path)) as engine:
             ctx = ExperimentContext(scale, engine=engine)
-            replayed = ctx.run_mix(mix, design, "naive")
+            replayed = ctx.mixes([cell])[cell]
             assert engine.counters.executed == 0
             assert [c.ipc for c in replayed.cores] == \
                 [c.ipc for c in first.cores]
 
 
-class TestExperimentContextRecords:
-    def test_repeated_run_skips_planning(self, monkeypatch):
-        ctx = ExperimentContext(TINY)
-        spec = find_workload("ligra.BFS.0")
-        first = ctx.run(spec, CacheDesign.cd1())
-        planned = []
-        plan_run = ExperimentContext.plan_run
+def _count_resolve_batches(monkeypatch):
+    """Record every ``Engine._resolve_misses`` call (one per batch that
+    executes anything)."""
+    batches = []
+    resolve = Engine._resolve_misses
 
-        def counting_plan_run(self, *args, **kwargs):
-            planned.append(args)
-            return plan_run(self, *args, **kwargs)
+    def counting(self, pairs, progress):
+        batches.append(len(pairs))
+        return resolve(self, pairs, progress)
 
-        monkeypatch.setattr(ExperimentContext, "plan_run", counting_plan_run)
-        assert ctx.run(spec, CacheDesign.cd1()) is first
-        assert planned == []
+    monkeypatch.setattr(Engine, "_resolve_misses", counting)
+    return batches
+
+
+class TestBatchEvaluators:
+    def test_cold_fig7_resolves_one_batch(self, monkeypatch):
+        batches = _count_resolve_batches(monkeypatch)
+        with Engine() as engine:
+            fig07_cd1(ExperimentContext(TINY, engine=engine))
+            assert batches == [engine.counters.executed]
+
+    def test_cold_fig15_resolves_one_batch(self, monkeypatch):
+        batches = _count_resolve_batches(monkeypatch)
+        with Engine() as engine:
+            fig15_fourcore(ExperimentContext(TINY, engine=engine),
+                           mixes_per_category=1)
+            assert batches == [15] == [engine.counters.executed]
+
+    def test_warm_fig7_hashes_each_request_once(self, tmp_path,
+                                                monkeypatch):
+        store_path = tmp_path / "s.sqlite"
+        with Engine(store=ResultStore(store_path)) as engine:
+            cold = fig07_cd1(ExperimentContext(TINY, engine=engine))
+        digested = []
+        digest = jobs._digest
+
+        def counting(payload):
+            digested.append(digest(payload))
+            return digested[-1]
+
+        monkeypatch.setattr(jobs, "_digest", counting)
+        with Engine(store=ResultStore(store_path)) as engine:
+            warm = fig07_cd1(ExperimentContext(TINY, engine=engine))
+            assert engine.counters.executed == 0
+        assert warm.format_table() == cold.format_table()
+        assert len(digested) == len(set(digested)) == \
+            engine.counters.store_hits
 
     def test_renamed_design_executes_once(self):
         ctx = ExperimentContext(TINY)
@@ -546,9 +580,8 @@ class TestExperimentContextRecords:
             and c.ocp_name is None
         ]
         assert combo.name != pf_only.name
-        first = ctx.run(spec, pf_only)
-        second = ctx.run(spec, combo)
-        assert second.result is first.result
+        first = ctx.runs([(spec, pf_only)])[spec, pf_only]
+        assert ctx.runs([(spec, combo)])[spec, combo] is first
         assert ctx.engine.counters.executed == 1
 
 

@@ -270,6 +270,7 @@ class TestEngine:
             first = ctx.speedup(spec, CacheDesign.cd1(), "athena")
             assert engine.counters.executed == 4  # baseline + 3 seeds
             assert ctx.speedup(spec, CacheDesign.cd1(), "athena") == first
-            assert engine.counters.memo_hits == 0  # records, not the memo
+            assert engine.counters.executed == 4  # replayed from the memo
+            assert engine.counters.memo_hits == 4
         # the baseline and one lockstep group
         assert summarize_journal(journal)["phases"]["simulate"]["count"] == 2

@@ -233,6 +233,52 @@ class TestJournal:
         spans = aggregate_spans(path)
         assert spans[0]["name"] == "simulate"  # sorted by wall desc
 
+    def test_summarize_journals_merges_workers(self, tmp_path):
+        from repro.obs.journal import summarize_journals
+
+        def write(name, events):
+            path = tmp_path / name
+            path.write_text("".join(json.dumps(e) + "\n" for e in events))
+            return path
+
+        first = write("a.jsonl", [
+            {"ts": 10.0, "type": "start", "pid": 1},
+            {"ts": 11.0, "type": "request", "key": "k1",
+             "outcome": "executed", "worker": "w1",
+             "spans": [{"name": "simulate", "wall_s": 2.0, "cpu_s": 1.5}]},
+            {"ts": 12.0, "type": "request", "key": "k2", "outcome": "store",
+             "worker": None, "spans": []},
+            {"ts": 12.5, "type": "rebuild", "rebuilds": 1, "degraded": False},
+            {"ts": 13.0, "type": "summary",
+             "counters": {"executed": 1, "store_hits": 1, "mode": "inline"}},
+        ])
+        second = write("b.jsonl", [
+            {"ts": 9.0, "type": "start", "pid": 2},
+            {"ts": 14.0, "type": "request", "key": "k3",
+             "outcome": "executed", "worker": "w2",
+             "spans": [{"name": "simulate", "wall_s": 3.0, "cpu_s": 2.5},
+                       {"name": "store_write", "wall_s": 0.25,
+                        "cpu_s": 0.25}]},
+            {"ts": 14.5, "type": "rebuild", "rebuilds": 2, "degraded": True},
+            {"ts": 15.0, "type": "summary",
+             "counters": {"executed": 1, "store_hits": 0, "mode": "pool"}},
+        ])
+        merged = summarize_journals([first, second])
+        assert merged["journals"] == 2
+        assert merged["events"] == 9
+        assert merged["requests"] == {"memo": 0, "store": 1, "executed": 2,
+                                      "total": 3}
+        assert merged["workers"] == {"w1": 1, "w2": 1}
+        assert merged["phases"]["simulate"] == {
+            "count": 2, "wall_s": pytest.approx(5.0),
+            "cpu_s": pytest.approx(4.0)}
+        assert merged["phases"]["store_write"]["count"] == 1
+        assert (merged["started"], merged["ended"]) == (9.0, 15.0)
+        assert merged["duration_s"] == pytest.approx(6.0)
+        assert merged["rebuilds"] == 3
+        assert merged["counters"] == {"executed": 2, "store_hits": 1,
+                                      "mode": "inline"}
+
     def test_provenance_never_raises(self, tmp_path):
         info = provenance(tmp_path)  # not a git repo
         assert info["git_commit"] is None
