@@ -37,7 +37,7 @@ def test_epoch_length_sensitivity(benchmark, ctx):
             scale = ReproScale(
                 f"epoch{epoch}", ctx.scale.trace_length, 6, epoch
             )
-            local = ExperimentContext(scale)
+            local = ExperimentContext(scale, ctx.engine)
             result.add(
                 f"epoch={epoch}",
                 athena=local.geomean_speedup(

@@ -307,7 +307,8 @@ def measure_store_cell(payloads: int, repeats: int) -> dict:
     results), and replays every request through a fresh
     :class:`~repro.engine.api.Engine` on that store, reading only IPC
     (the read half: a warm replay's lookup, which parses each run's
-    summary and leaves its epoch history unparsed).
+    summary and leaves its compressed epoch history unparsed).
+    ``row_bytes`` is the mean stored size of a run row.
     """
     from dataclasses import replace
 
@@ -341,6 +342,7 @@ def measure_store_cell(payloads: int, repeats: int) -> dict:
                 for replayed in engine.run_many(requests):
                     replayed.ipc
                 t2 = time.perf_counter()
+                row_bytes = store.mean_row_bytes()
         best_write = min(best_write, t1 - t0)
         best_read = min(best_read, t2 - t1)
     return {
@@ -350,6 +352,7 @@ def measure_store_cell(payloads: int, repeats: int) -> dict:
         "read_seconds": best_read,
         "read_payloads_per_s": payloads / best_read,
         "payloads_per_s": payloads / (best_write + best_read),
+        "row_bytes": row_bytes,
     }
 
 
@@ -470,6 +473,7 @@ def run_bench(
         report["store_payloads_per_s"] = store_cell["payloads_per_s"]
         report["store_read_payloads_per_s"] = \
             store_cell["read_payloads_per_s"]
+        report["store_row_bytes"] = store_cell["row_bytes"]
 
     if reference_path is not None and pathlib.Path(reference_path).exists():
         reference = json.loads(pathlib.Path(reference_path).read_text())
@@ -562,7 +566,7 @@ def history_entry(report: dict) -> dict:
     for key in ("geomean_ips", "geomean_ips_per_mop",
                 "geomean_speedup_vs_reference",
                 "streaming_sim_ips", "store_payloads_per_s",
-                "store_read_payloads_per_s"):
+                "store_read_payloads_per_s", "store_row_bytes"):
         if key in report:
             entry[key] = report[key]
     return entry
@@ -714,13 +718,14 @@ def format_report(report: dict) -> str:
             lines.append("")
         lines.append(
             f"{'result store':32s} {'epochs':>8s} {'payloads/s':>12s} "
-            f"{'norm':>10s} {'read/s':>12s}"
+            f"{'norm':>10s} {'read/s':>12s} {'row bytes':>10s}"
         )
         lines.append(
             f"{str(cell['payloads']) + ' run payloads':32s} "
             f"{cell['epochs']:>8d} {cell['payloads_per_s']:>12,.0f} "
             f"{cell['payloads_per_mop']:>10,.1f} "
-            f"{cell['read_payloads_per_s']:>12,.0f}"
+            f"{cell['read_payloads_per_s']:>12,.0f} "
+            f"{cell['row_bytes']:>10,.0f}"
         )
     lines.append(f"calibration: {report['calibration_mops']:.1f} Mops/s")
     return "\n".join(lines)

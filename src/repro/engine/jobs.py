@@ -26,8 +26,8 @@ The module also holds the JSON codecs that serialize
 round-trip exactly (``repr`` semantics), so a decoded result reproduces
 the original tables byte for byte.  A decoded run defers its per-epoch
 history: a warm lookup reads only the stored summary, and the history
-is parsed, validated and built on the first read of its epochs or
-actions.
+is inflated, parsed, validated and built on the first read of its
+epochs or actions.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from ..obs.spans import span
 from ..sim.region import MultiCoreResult, SimulationResult
 from ..sim.stats import CoordinationAction, EpochTelemetry, SimStats
 from ..workloads.suites import WorkloadSpec, build_trace, stream_trace
-from .store import HISTORY_TEXT, StoreDecodeError
+from .store import HISTORY_ZLIB, StoreDecodeError, load_history
 
 #: bump when the simulator's observable behaviour or the payload layout
 #: changes: it is mixed into every request key, so old store entries
@@ -437,26 +437,26 @@ class _History:
 
     Rows from a whole payload are validated when it is decoded; a
     history read with ``ResultStore.get(key, summary=True)`` arrives as
-    a view of its unparsed UTF-8 JSON and is parsed and validated, by
-    the same rules, on first use.
+    a view of its stored zlib bytes and is inflated, parsed and
+    validated, by the same rules, on first use.
     """
 
-    __slots__ = ("_text", "_rows")
+    __slots__ = ("_data", "_rows")
 
-    def __init__(self, text: Optional[memoryview] = None,
+    def __init__(self, data: Optional[memoryview] = None,
                  rows: Optional[Tuple[list, list]] = None) -> None:
-        self._text = text
+        self._data = data
         self._rows = rows
 
     def rows(self) -> Tuple[list, list]:
         if self._rows is None:
             try:
-                history = json.loads(str(self._text, "utf-8"))
+                history = load_history(self._data)
             except ValueError as exc:
                 raise StoreDecodeError(f"malformed run history: {exc}") \
                     from exc
             self._rows = _history_rows(history)
-            self._text = None
+            self._data = None
         return self._rows
 
 
@@ -466,10 +466,10 @@ class _Deferred(abc.Sequence):
     Most consumers of a decoded run read only its totals (a warm Fig 7
     replay reads IPC), so :func:`decode_result` hands a run's epochs and
     actions over unbuilt, and, when the history came from the store
-    unparsed, unparsed too: the first read parses and validates it
-    (:class:`_History`).  Not a ``list`` subclass: C-level list
-    operations (slicing, ``==``, ``list(x)``) read a list's own storage
-    and would skip the deferred build.
+    compressed, compressed too: the first read inflates, parses and
+    validates it (:class:`_History`).  Not a ``list`` subclass: C-level
+    list operations (slicing, ``==``, ``list(x)``) read a list's own
+    storage and would skip the deferred build.
     """
 
     __slots__ = ("_build", "_history", "_index", "_items")
@@ -558,9 +558,9 @@ def decode_result(payload: dict) -> Result:
     or stale payload so callers treat the entry as a cache miss.  The
     schema, kind and totals are checked here.  A whole run payload's
     epochs and actions are validated here too, and built when first
-    read; a summary's history text is parsed, validated and built when
-    its epochs or actions are first read, and a malformed one raises
-    :exc:`~repro.engine.store.StoreDecodeError` there.
+    read; a summary's stored history is inflated, parsed, validated and
+    built when its epochs or actions are first read, and a malformed one
+    raises :exc:`~repro.engine.store.StoreDecodeError` there.
     """
     try:
         if payload.get("schema") != ENGINE_SCHEMA:
@@ -573,8 +573,8 @@ def decode_result(payload: dict) -> Result:
                 cores=[_core_from(core) for core in payload["cores"]])
         if kind != "run":
             raise StoreDecodeError(f"unknown payload kind {kind!r}")
-        text = payload.get(HISTORY_TEXT)
-        history = _History(text=text) if isinstance(text, memoryview) \
+        data = payload.get(HISTORY_ZLIB)
+        history = _History(data=data) if isinstance(data, memoryview) \
             else _History(rows=_history_rows(payload))
         return _core_from(payload,
                           epochs=_Deferred(_epochs_from, history, 0),

@@ -2,17 +2,19 @@
 
 A thin SQLite key→payload table: the key is a request's content hash
 (:meth:`repro.engine.jobs.RunRequest.key`), the payload is the JSON
-serialization of its result.  A run payload is stored as two compact
-JSON documents split at the first newline (compact JSON has none): its
-*summary* (every field but the per-epoch ``epochs`` and ``actions``, plus
-the CRC-32 of the history text) and then its *history* (those fields).
-A warm lookup reads with ``summary=True`` and parses only the summary;
-the history is parsed on the first read of a run's epochs or actions
-(see :func:`repro.engine.jobs.decode_result`).  Mix payloads have no
-history and stay one document, as do rows written before the split,
-which read exactly as before.  The database plumbing — WAL mode, busy
-timeout, bounded retry when a concurrent writer holds the lock, the
-foreign-file guard — is the shared
+serialization of its result.  A run payload is stored as its
+*summary*, a compact JSON document (every field but the per-epoch
+``epochs`` and ``actions``, plus the CRC-32 of the stored history), a
+newline (compact JSON has none), and its *history*: those two fields as
+compact JSON, compressed with zlib.  A warm lookup reads with
+``summary=True``, checks the CRC and parses only the summary; the
+history is inflated and parsed on the first read of a run's epochs or
+actions (see :func:`repro.engine.jobs.decode_result`).  Mix payloads
+have no history and stay one document.  Rows of the two older layouts
+(one document, and a summary followed by plain history text under
+``history_crc``) still read, whole.  The database plumbing — WAL mode,
+busy timeout, bounded retry when a concurrent writer holds the lock,
+the foreign-file guard — is the shared
 :class:`~repro.engine.backend.SQLiteBackend` seam, the same abstraction
 the durable :class:`~repro.engine.queue.JobQueue` sits on, so the two
 halves of a crash-resumable campaign (results and job lifecycle) speak
@@ -51,28 +53,51 @@ class StoreDecodeError(RuntimeError):
 #: A run payload's per-epoch fields, stored after its summary.
 _HISTORY_FIELDS = ("epochs", "actions")
 
-#: Summary field holding the CRC-32 of the row's history text.
+#: Summary field holding the CRC-32 of the row's compressed history.
+_HISTORY_ZCRC = "history_zcrc"
+
+#: Summary field of the older layout, whose history is plain text: the
+#: CRC-32 of that text.
 _HISTORY_CRC = "history_crc"
 
+#: zlib level of a stored history: the fastest, which already shrinks
+#: a run's history 7-12x (it is mostly repeated field names).
+_ZLIB_LEVEL = 1
+
 #: Field of a ``get(key, summary=True)`` payload holding the unparsed
-#: history, a :class:`memoryview` of its UTF-8 JSON.
-HISTORY_TEXT = "history"
+#: history, a :class:`memoryview` of its stored zlib bytes.
+HISTORY_ZLIB = "history"
 
 
 def _compact(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _encode_row(payload: dict) -> str:
-    """The stored text of ``payload``: summary and history for a run,
-    one document for anything else."""
+def _encode_row(payload: dict) -> Union[str, bytes]:
+    """The stored row of ``payload``: summary and compressed history
+    for a run, one document for anything else."""
     if not all(field in payload for field in _HISTORY_FIELDS):
         return _compact(payload)
     summary = {name: value for name, value in payload.items()
                if name not in _HISTORY_FIELDS}
-    history = _compact({field: payload[field] for field in _HISTORY_FIELDS})
-    summary[_HISTORY_CRC] = zlib.crc32(history.encode())
-    return _compact(summary) + "\n" + history
+    history = zlib.compress(
+        _compact({field: payload[field] for field in _HISTORY_FIELDS})
+        .encode(), _ZLIB_LEVEL)
+    summary[_HISTORY_ZCRC] = zlib.crc32(history)
+    return _compact(summary).encode() + b"\n" + history
+
+
+def load_history(data: memoryview) -> dict:
+    """Inflate and parse a stored history (:data:`HISTORY_ZLIB`).
+
+    Raises :exc:`ValueError` when ``data`` is not zlib or not JSON;
+    ``zlib.error`` is not a ``ValueError``, so it is mapped here.
+    """
+    try:
+        text = zlib.decompress(data)
+    except zlib.error as exc:
+        raise ValueError(f"history is not valid zlib: {exc}") from exc
+    return json.loads(text)
 
 
 @functools.lru_cache(maxsize=None)
@@ -138,19 +163,20 @@ class ResultStore:
     def get(self, key: str, *, summary: bool = False) -> Optional[dict]:
         """The decoded JSON payload for ``key``, or ``None``.
 
-        With ``summary``, a run row's history is checked against its
-        CRC-32 but not parsed: the payload holds the summary's fields
-        and, under :data:`HISTORY_TEXT`, a :class:`memoryview` of the
-        history's UTF-8 JSON.  Rows without a history (mixes, and runs
-        stored in the one-document layout) come back whole either way.
+        With ``summary``, a run row's compressed history is checked
+        against its CRC-32 but neither inflated nor parsed: the payload
+        holds the summary's fields and, under :data:`HISTORY_ZLIB`, a
+        :class:`memoryview` of the stored history.  Rows without a
+        compressed history (mixes, and runs stored in either older
+        layout) come back whole either way.
 
         The row is read once, as bytes; the summary is the only part
         copied out of it, so a lookup holds one row-sized buffer.
 
-        A row whose summary or history is not valid JSON, or whose
-        history fails its CRC, is deleted and reported as a miss —
-        partial writes from a killed process must never crash a later
-        reader.  Database-level corruption discovered at read time
+        A row whose summary or history is not valid JSON, whose history
+        is not valid zlib, or whose history fails its CRC, is deleted
+        and reported as a miss — partial writes from a killed process
+        must never crash a later reader.  Database-level corruption discovered at read time
         (pages torn after the header was validated) is likewise a miss:
         the store is a cache, never a source of truth.
         """
@@ -172,13 +198,17 @@ class ResultStore:
                 raise ValueError("payload is not a JSON object")
             if split >= 0:
                 history = memoryview(raw)[split + 1:]
-                crc = payload.pop(_HISTORY_CRC, None)
+                compressed = _HISTORY_ZCRC in payload
+                crc = payload.pop(
+                    _HISTORY_ZCRC if compressed else _HISTORY_CRC, None)
                 if crc != zlib.crc32(history):
                     raise ValueError("history CRC mismatch")
-                if summary:
-                    payload[HISTORY_TEXT] = history
-                else:
+                if not compressed:
                     payload.update(json.loads(str(history, "utf-8")))
+                elif summary:
+                    payload[HISTORY_ZLIB] = history
+                else:
+                    payload.update(load_history(history))
         except (ValueError, TypeError):
             self.delete(key)
             return None
@@ -212,6 +242,14 @@ class ResultStore:
             self._conn, "SELECT COUNT(*) FROM results"
         ).fetchone()
         return count
+
+    def mean_row_bytes(self) -> float:
+        """Mean stored bytes of a row's payload (0.0 when empty)."""
+        (mean,) = execute_with_retry(
+            self._conn,
+            "SELECT AVG(LENGTH(CAST(payload AS BLOB))) FROM results"
+        ).fetchone()
+        return mean or 0.0
 
     def __contains__(self, key: str) -> bool:
         return self.get(key, summary=True) is not None

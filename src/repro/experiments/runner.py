@@ -86,6 +86,11 @@ class ExperimentContext:
     :meth:`plan_speedup` and :meth:`plan_run`, ``(mix, design[,
     policy_name])`` for :meth:`plan_mix`.  Cells are dictionary keys, so
     equal cells are evaluated once.
+
+    The planners return the context's first request equal to the one
+    they build: that instance already carries its content key, so a
+    request planned twice (an experiment's batch, then its sweep's
+    evaluation) is hashed once.
     """
 
     def __init__(
@@ -95,6 +100,7 @@ class ExperimentContext:
     ) -> None:
         self.scale = scale if scale is not None else active_scale()
         self.engine = engine if engine is not None else Engine()
+        self._planned: Dict[Request, Request] = {}
 
     # -- request planning ------------------------------------------------------
 
@@ -116,7 +122,7 @@ class ExperimentContext:
         requests planned without them keep their historical content
         keys; spec files use them to pin per-run lengths.
         """
-        return RunRequest(
+        return self._intern(RunRequest(
             spec=spec,
             trace_length=trace_length if trace_length is not None
             else self.scale.trace_length,
@@ -128,7 +134,7 @@ class ExperimentContext:
             warmup_fraction=warmup_fraction if warmup_fraction is not None
             else self.scale.warmup_fraction,
             policy_options=policy_options,
-        )
+        ))
 
     #: seed offsets mixed into the Athena agent seed for trajectory
     #: averaging (see ReproScale.policy_seeds).
@@ -197,7 +203,7 @@ class ExperimentContext:
         policy_options: Tuple[Tuple[str, object], ...] = (),
     ) -> MixRequest:
         """The engine request of one :meth:`mixes` cell."""
-        return MixRequest(
+        return self._intern(MixRequest(
             workloads=tuple(mix.workloads),
             trace_length=trace_length if trace_length is not None
             else self.scale.trace_length,
@@ -208,7 +214,13 @@ class ExperimentContext:
             warmup_fraction=warmup_fraction if warmup_fraction is not None
             else self.scale.warmup_fraction,
             policy_options=policy_options,
-        )
+        ))
+
+    def _intern(self, request: Request) -> Request:
+        try:
+            return self._planned.setdefault(request, request)
+        except TypeError:  # an unhashable policy option value
+            return request
 
     # -- batch evaluation ------------------------------------------------------
 
@@ -219,8 +231,7 @@ class ExperimentContext:
         resolved as one engine batch.
 
         Equal requests of different cells (every cell of a workload
-        shares its baseline) are interned first, so each distinct
-        request is hashed once.
+        shares its baseline) take one place in the batch.
         """
         planned: Dict[tuple, List[int]] = {}
         index: Dict[Request, int] = {}

@@ -489,6 +489,17 @@ class TestLowering:
         assert plain[0].key() == tuned[0].key()  # shared baseline
         assert plain[1].key() != tuned[1].key()
 
+    def test_unhashable_policy_option_plans(self):
+        from repro.experiments.runner import ExperimentContext
+
+        ctx = ExperimentContext()
+        spec = RunSpec(workload="ligra.BFS.0", policy="hpac",
+                       policy_params={"thresholds": {"accuracy_high": 0.7}})
+        first, second = spec.plan(ctx), spec.plan(ctx)
+        assert first[0] is second[0]  # the baseline is planned once
+        assert first[1] is not second[1]
+        assert first[1].key() == second[1].key()
+
     def test_athena_requests_reject_policy_options(self):
         # policy_options is hashed into the key but athena executes
         # from athena_config only; accepting both would poison the
@@ -669,6 +680,28 @@ class TestSession:
             assert session.counters.executed == 0
             assert warm.of_kind("run")[0].cached
             assert warm.of_kind("mix")[0].cached
+
+    def test_warm_experiment_hashes_each_key_once(self, tmp_path,
+                                                  monkeypatch):
+        from repro.engine import jobs
+
+        spec = ExperimentSpec.load("examples/experiment_spec.toml")
+        with _stored_session(tmp_path / "s.sqlite") as session:
+            cold = session.run_experiment(spec)
+        digested = []
+        digest = jobs._digest
+
+        def counting(payload):
+            digested.append(digest(payload))
+            return digested[-1]
+
+        monkeypatch.setattr(jobs, "_digest", counting)
+        with _stored_session(tmp_path / "s.sqlite") as session:
+            warm = session.run_experiment(spec)
+            assert session.counters.executed == 0
+        assert warm.to_rows() == cold.to_rows()
+        assert len(digested) == len(set(digested)) == \
+            session.counters.store_hits
 
     def test_experiment_scale_override(self, tmp_path):
         spec = ExperimentSpec(

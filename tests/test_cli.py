@@ -331,6 +331,7 @@ class TestBenchTrend:
         assert entry["store_payloads_per_s"] == cell["payloads_per_s"]
         assert entry["store_read_payloads_per_s"] == \
             cell["read_payloads_per_s"]
+        assert entry["store_row_bytes"] == cell["row_bytes"] > 0
 
 
 class TestArgparse:

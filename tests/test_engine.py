@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import zlib
 
 import pytest
 
@@ -72,16 +73,33 @@ def _count_history_parses(monkeypatch) -> list:
     return parsed
 
 
-def _row_text(store: ResultStore, key: str) -> str:
-    (text,) = store._conn.execute(
+def _row(store: ResultStore, key: str):
+    """A row's stored payload: bytes for a run, text for a mix."""
+    (row,) = store._conn.execute(
         "SELECT payload FROM results WHERE key = ?", (key,)).fetchone()
-    return text
+    return row
 
 
-def _write_row(store: ResultStore, key: str, text: str) -> None:
+def _write_row(store: ResultStore, key: str, row) -> None:
     store._conn.execute(
-        "INSERT OR REPLACE INTO results VALUES (?, ?, 0.0)", (key, text))
+        "INSERT OR REPLACE INTO results VALUES (?, ?, 0.0)", (key, row))
     store._conn.commit()
+
+
+def _split_row(payload: dict, crc_field: str, history: bytes) -> bytes:
+    """A run row with ``payload``'s summary, ``history`` stored after it
+    and ``history``'s CRC-32 under ``crc_field``."""
+    summary = {name: value for name, value in payload.items()
+               if name not in ("epochs", "actions")}
+    summary[crc_field] = zlib.crc32(history)
+    return json.dumps(summary, separators=(",", ":")).encode() \
+        + b"\n" + history
+
+
+def _plain_history(payload: dict) -> bytes:
+    return json.dumps({"epochs": payload["epochs"],
+                       "actions": payload["actions"]},
+                      separators=(",", ":")).encode()
 
 
 class TestRunRequestKeys:
@@ -277,8 +295,8 @@ class TestResultStore:
 
 
 class TestSplitRows:
-    """A run row is its summary, a newline and its history; the warm
-    lookup parses only the summary."""
+    """A run row is its summary, a newline and its zlib-compressed
+    history; the warm lookup parses only the summary."""
 
     def _mix_payload(self) -> dict:
         mix = build_mixes(2, 1)[0]
@@ -297,9 +315,10 @@ class TestSplitRows:
                 got = store.get(key)
                 assert got == payload
                 assert json.dumps(got) == json.dumps(payload)
-            head, _, history = _row_text(store, "run").partition("\n")
-            assert '"epochs"' not in head and '"stats"' not in history
-            assert "\n" not in _row_text(store, "mix")
+            head, _, history = _row(store, "run").partition(b"\n")
+            assert b'"epochs"' not in head \
+                and b'"stats"' not in zlib.decompress(history)
+            assert "\n" not in _row(store, "mix")
             assert store.get("mix", summary=True) == mix
 
     def test_summary_read_leaves_the_history_unparsed(self, tmp_path,
@@ -323,11 +342,9 @@ class TestSplitRows:
             expected = engine.run(request)
         key = request.key()
         with ResultStore(path) as store:
-            text = _row_text(store, key)
-            digit = next(i for i in range(text.index("\n"), len(text))
-                         if text[i].isdigit())
-            altered = text[:digit] + str((int(text[digit]) + 1) % 10) \
-                + text[digit + 1:]
+            altered = bytearray(_row(store, key))
+            altered[altered.index(b"\n") + 10] ^= 0x01  # a compressed byte
+            altered = bytes(altered)
             _write_row(store, key, altered)
             assert key not in store
             assert len(store) == 0  # the damaged row was evicted
@@ -354,6 +371,50 @@ class TestSplitRows:
             assert replayed.ipc == result.ipc
             assert replayed.epochs == result.epochs
             assert replayed.actions == result.actions
+
+    def test_stored_athena_row_is_under_a_quarter_of_its_history(
+            self, tmp_path):
+        payload = _payload(_request(policy="athena").execute())
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put("k", payload)
+            assert len(_row(store, "k")) < len(_plain_history(payload)) / 4
+            assert store.mean_row_bytes() == len(_row(store, "k"))
+
+    def test_plain_history_row_replays_without_simulating(self, tmp_path):
+        request = _request(policy="athena")
+        result = request.execute()
+        payload = _payload(result)
+        path = tmp_path / "s.sqlite"
+        with ResultStore(path) as store:
+            _write_row(store, request.key(), _split_row(
+                payload, "history_crc", _plain_history(payload)))
+        with Engine(store=ResultStore(path)) as engine:
+            replayed = engine.run(request)
+            assert engine.counters.executed == 0
+            assert engine.counters.store_hits == 1
+            assert replayed.ipc == result.ipc
+            assert replayed.epochs == result.epochs
+            assert replayed.actions == result.actions
+
+    def _write_non_zlib_history(self, store: ResultStore) -> None:
+        payload = _payload(_request(policy="athena").execute())
+        _write_row(store, "k", _split_row(payload, "history_zcrc",
+                                          _plain_history(payload)))
+
+    def test_history_that_is_not_zlib_is_a_miss(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            self._write_non_zlib_history(store)
+            assert store.get("k") is None
+            assert len(store) == 0  # the damaged row was evicted
+
+    def test_history_that_is_not_zlib_raises_on_first_read(self, tmp_path):
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            self._write_non_zlib_history(store)
+            clone = decode_result(store.get("k", summary=True))
+        assert clone.ipc > 0
+        with pytest.raises(StoreDecodeError) as raised:
+            clone.epochs[0]
+        assert isinstance(raised.value.__cause__, ValueError)
 
     def test_unknown_epoch_key_raises_on_first_read(self, tmp_path):
         payload = _payload(_request(policy="athena").execute())
