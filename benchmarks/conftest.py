@@ -7,8 +7,10 @@ store lifetime, so a second benchmark session replays everything from
 disk.  Configuration via environment variables:
 
 * ``REPRO_SCALE``  — tiny/small/medium/full (default small).
-* ``REPRO_STORE``  — store path (default ``benchmarks/results/store.sqlite``);
-  set to ``none`` to disable persistence.
+* ``REPRO_STORE``  — store path (default
+  ``benchmarks/results/store-<12 hex>.sqlite``, one store per source tree
+  like the CLI's default, so a checkout never replays rows that older
+  code computed); set to ``none`` to disable persistence.
 * ``REPRO_JOBS``   — worker processes for simulation misses (default 1).
 
 Each benchmark prints the regenerated figure table and also writes it to
@@ -22,6 +24,7 @@ import pathlib
 import pytest
 
 from repro.engine import Engine, ResultStore
+from repro.engine.store import source_tag
 from repro.experiments.runner import ExperimentContext
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -30,7 +33,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 @pytest.fixture(scope="session")
 def engine():
     store_setting = os.environ.get(
-        "REPRO_STORE", str(RESULTS_DIR / "store.sqlite")
+        "REPRO_STORE", str(RESULTS_DIR / f"store-{source_tag()}.sqlite")
     )
     if store_setting.lower() == "none":
         store = None

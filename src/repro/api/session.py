@@ -27,12 +27,12 @@ shuts the worker pool down and closes the store.  Quickstart::
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..engine.api import Engine
+from ..engine.api import Engine, raise_failures
 from ..engine.faults import RequestFailure
 from ..obs.spans import span
-from ..experiments.runner import ExperimentContext, geomean
+from ..experiments.runner import ExperimentContext, geomean, policy_speedup
 from ..workloads.suites import SCALES, ReproScale, active_scale
 from .results import (
     ExperimentResult,
@@ -43,6 +43,11 @@ from .results import (
     attach_sweep_table,
 )
 from .spec import ExperimentSpec, FigureSpec, MixSpec, RunSpec, SweepSpec
+
+
+def _as_list(planned) -> list:
+    """A spec's plan as a request list: a MixSpec plans one request."""
+    return planned if isinstance(planned, list) else [planned]
 
 
 class Session:
@@ -102,48 +107,78 @@ class Session:
 
     def run(self, spec: RunSpec) -> RunResult:
         """Resolve one run spec (baseline + policy) into a RunResult."""
-        return self._run_planned(spec, spec.plan(self._ctx))
-
-    def _run_planned(self, spec: RunSpec, requests,
-                     cached: Optional[bool] = None) -> RunResult:
-        if cached is None:
-            results, cached = self._resolve_attributed(
-                requests, lambda: self.engine.run_many(requests))
-        else:
-            results = self.engine.run_many(requests)
-        return self._build_run_result(spec, requests, results, cached)
+        return self._run_one(spec)
 
     def run_mix(self, spec: MixSpec) -> MixResult:
-        return self._run_mix_planned(spec, spec.plan(self._ctx))
+        return self._run_one(spec)
 
-    def _run_mix_planned(self, spec: MixSpec, request,
-                         cached: Optional[bool] = None) -> MixResult:
-        if cached is None:
-            result, cached = self._resolve_attributed(
-                [request], lambda: self.engine.run(request))
-        else:
-            result = self.engine.run(request)
-        return self._build_mix_result(spec, request, result, cached)
+    def _run_one(self, spec: Union[RunSpec, MixSpec]):
+        planned = _as_list(spec.plan(self._ctx))
+        [settled] = self._resolve([planned])
+        return self._build(spec, planned, settled)
 
-    def _resolve_attributed(self, requests, resolve):
-        """Resolve and report whether *these* keys executed.
+    def _gather(self, plans: List[list]) -> Iterator[Tuple[int, list]]:
+        """Per-spec gather over the engine's one settlement stream.
 
-        Per-key attribution via ``engine.executed_keys``: counter
-        deltas would blame this spec for unrelated work the engine
-        harvests or executes concurrently, and a pre-run store peek
-        could not see a stale row that decodes as a miss.
+        Yields ``(plan index, its Completed items in plan order)`` as
+        each plan's last request settles; all plans resolve as one
+        engine batch.
         """
-        keys = {request.key() for request in requests}
-        already = keys & self.engine.executed_keys
-        outcome = resolve()
-        newly = (keys & self.engine.executed_keys) - already
-        return outcome, not newly
+        flat: list = []
+        owner: List[Tuple[int, int]] = []
+        for plan_index, planned in enumerate(plans):
+            flat.extend(planned)
+            owner.extend((plan_index, pos) for pos in range(len(planned)))
+        gathered = [[None] * len(planned) for planned in plans]
+        remaining = [len(planned) for planned in plans]
+        for done in self.engine.as_completed(flat):
+            plan_index, pos = owner[done.index]
+            gathered[plan_index][pos] = done
+            remaining[plan_index] -= 1
+            if remaining[plan_index] == 0:
+                yield plan_index, gathered[plan_index]
 
-    def _build_mix_result(self, spec, request, result,
-                          cached: bool) -> MixResult:
-        return MixResult(
-            spec=spec, name=spec.name, design=spec.design,
-            policy=spec.policy, key=request.key(), result=result,
+    def _resolve(self, plans: List[list]) -> List[Optional[list]]:
+        """Every plan's Completed items (None for an empty plan), once
+        the whole batch has settled.
+
+        Raises :class:`~repro.engine.faults.ExecutionError` with every
+        failure once the stream has ended, as ``Engine.run_many`` does.
+        """
+        settled = dict(self._gather(plans))
+        raise_failures(done for items in settled.values() for done in items)
+        return [settled.get(index) for index in range(len(plans))]
+
+    def _build(self, spec, planned: list,
+               settled: list) -> Union[RunResult, MixResult]:
+        """The tidy result of one spec from its settled requests.
+
+        ``cached`` is True when no request of the spec was executed by
+        this engine (``Completed.cached``).
+        """
+        failure = next((done.failure for done in settled
+                        if done.failure is not None), None)
+        if failure is not None:
+            return self._build_failed_result(spec, planned, failure)
+        cached = all(done.cached for done in settled)
+        results = [done.result for done in settled]
+        if isinstance(spec, MixSpec):
+            return MixResult(
+                spec=spec, name=spec.name, design=spec.design,
+                policy=spec.policy, key=planned[0].key(), result=results[0],
+                cached=cached,
+            )
+        ipc, speedup = policy_speedup(results[0], results[1:])
+        return RunResult(
+            spec=spec,
+            workload=spec.workload,
+            design=spec.design,
+            policy=spec.policy,
+            ipc=ipc,
+            baseline_ipc=results[0].ipc,
+            speedup=speedup,
+            keys=[r.key() for r in planned],
+            results=results,
             cached=cached,
         )
 
@@ -162,24 +197,6 @@ class Session:
             policy=spec.policy, ipc=None, baseline_ipc=None,
             speedup=None, keys=[r.key() for r in planned],
             status="error", error=failure.summary(),
-        )
-
-    def _build_run_result(self, spec, requests, results, cached) -> RunResult:
-        baseline_ipc = results[0].ipc
-        if baseline_ipc <= 0:
-            raise RuntimeError(f"zero baseline IPC for {spec.workload}")
-        ipc = geomean([r.ipc for r in results[1:]])
-        return RunResult(
-            spec=spec,
-            workload=spec.workload,
-            design=spec.design,
-            policy=spec.policy,
-            ipc=ipc,
-            baseline_ipc=baseline_ipc,
-            speedup=ipc / baseline_ipc,
-            keys=[r.key() for r in requests],
-            results=list(results),
-            cached=cached,
         )
 
     # -- sweeps ------------------------------------------------------------
@@ -247,58 +264,19 @@ class Session:
         submitted spec yields exactly once.
         """
         specs = list(specs)
-        plans: List[list] = []
-        for spec in specs:
-            planned = spec.plan(self._ctx)
-            plans.append(planned if isinstance(planned, list) else [planned])
-        flat = []
-        owner: List[int] = []
-        position: List[int] = []
-        for spec_index, planned in enumerate(plans):
-            for pos, request in enumerate(planned):
-                flat.append(request)
-                owner.append(spec_index)
-                position.append(pos)
-        remaining = [len(planned) for planned in plans]
-        gathered: List[dict] = [{} for _ in plans]
-        all_cached = [True] * len(plans)
-        failed: List[Optional[RequestFailure]] = [None] * len(plans)
-        for completed in self.engine.as_completed(flat):
-            spec_index = owner[completed.index]
-            gathered[spec_index][position[completed.index]] = completed.result
-            all_cached[spec_index] &= completed.cached
-            if completed.failure is not None and failed[spec_index] is None:
-                failed[spec_index] = completed.failure
-            remaining[spec_index] -= 1
-            if remaining[spec_index] == 0:
-                spec = specs[spec_index]
-                planned = plans[spec_index]
-                if failed[spec_index] is not None:
-                    yield self._build_failed_result(
-                        spec, planned, failed[spec_index])
-                    continue
-                ordered = [
-                    gathered[spec_index][pos] for pos in range(len(planned))
-                ]
-                if isinstance(spec, MixSpec):
-                    yield self._build_mix_result(
-                        spec, planned[0], ordered[0],
-                        all_cached[spec_index],
-                    )
-                else:
-                    yield self._build_run_result(
-                        spec, planned, ordered, all_cached[spec_index]
-                    )
+        plans = [_as_list(spec.plan(self._ctx)) for spec in specs]
+        for index, settled in self._gather(plans):
+            yield self._build(specs[index], plans[index], settled)
 
     # -- whole experiments -------------------------------------------------
 
     def _plan_experiment(self, spec: ExperimentSpec):
         """Plan every section of an experiment exactly once.
 
-        Returns ``(ctx, planned_sections, requests)``: the context the
-        spec evaluates under, per-section plans, and the flat request
-        batch.  One planning pass feeds the whole-experiment batch (or
-        queue dispatch), the per-section cached attribution, and the
+        Returns ``(ctx, planned_sections)``: the context the spec
+        evaluates under and each section's request list (empty for a
+        figure, which resolves its own batches).  One planning pass
+        feeds the whole-experiment batch (or queue dispatch) and the
         evaluation — the keys cannot drift between them.
         """
         ctx = self._ctx
@@ -306,17 +284,15 @@ class Session:
             ctx = ExperimentContext(scale=SCALES[spec.scale],
                                     engine=self.engine)
         planned_sections = []
-        requests = []
         with span("plan", kind="experiment", experiment=spec.name) as sp:
             for kind, section in spec.sections():
-                planned = None
+                planned = []
                 if kind in ("sweep", "run", "mix"):
-                    planned = section.plan(ctx)
-                    requests.extend([planned] if kind == "mix" else planned)
+                    planned = _as_list(section.plan(ctx))
                 planned_sections.append((kind, section, planned))
         if sp is not None:
             self.engine.journal_event("span", **sp)
-        return ctx, planned_sections, requests
+        return ctx, planned_sections
 
     def plan_experiment(self, spec: ExperimentSpec) -> list:
         """The flat engine-request batch an experiment spec lowers to.
@@ -325,8 +301,9 @@ class Session:
         requests carry exactly the content-hash keys a run would — this
         is what ``repro queue dispatch`` enqueues without executing.
         """
-        _, _, requests = self._plan_experiment(spec)
-        return requests
+        _, planned_sections = self._plan_experiment(spec)
+        return [request for _, _, planned in planned_sections
+                for request in planned]
 
     def run_experiment(self, spec: ExperimentSpec) -> ExperimentResult:
         """Execute a whole experiment spec.
@@ -338,34 +315,19 @@ class Session:
         queue jobs, and a killed run resumes from the queue and store on
         the next invocation.
         """
-        ctx, planned_sections, requests = self._plan_experiment(spec)
-        executed_before = set(self.engine.executed_keys)
-        if requests:
-            self.engine.run_many(requests)
-        newly_executed = self.engine.executed_keys - executed_before
-
-        sections = []
-        for kind, section, planned in planned_sections:
-            cached = None
-            if kind in ("run", "mix"):  # SweepResult has no cached flag
-                section_requests = [planned] if kind == "mix" else planned
-                cached = not any(
-                    r.key() in newly_executed for r in section_requests
-                )
-            sections.append((kind, section, planned, cached))
+        ctx, planned_sections = self._plan_experiment(spec)
+        settled = self._resolve([planned
+                                 for _, _, planned in planned_sections])
 
         outcome = ExperimentResult(name=spec.name)
         saved_ctx, self._ctx = self._ctx, ctx
         try:
-            for kind, section, planned, cached in sections:
+            for (kind, section, planned), done in zip(planned_sections,
+                                                      settled):
                 if kind == "sweep":
                     outcome.add(kind, self.sweep(section))
-                elif kind == "run":
-                    outcome.add(kind, self._run_planned(section, planned,
-                                                        cached=cached))
-                elif kind == "mix":
-                    outcome.add(kind, self._run_mix_planned(
-                        section, planned, cached=cached))
+                elif kind in ("run", "mix"):
+                    outcome.add(kind, self._build(section, planned, done))
                 else:
                     for figure in self.figures(section):
                         outcome.add("figure", figure)

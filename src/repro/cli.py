@@ -621,39 +621,22 @@ def _cmd_exp(args) -> int:
 def _cmd_worker(args) -> int:
     """Standalone queue worker: drain jobs until the queue settles.
 
-    Built on a plain Engine (store + telemetry + resilience, *without*
-    a durable queue — this process drains the queue, it does not
-    dispatch to it), so executed jobs hit the memo/store/journal through
-    exactly the same `_consume_payload` path as the engine's own jobs.
+    The engine owns the queue and hands out the worker
+    (:meth:`~repro.engine.api.Engine.worker`), so executed jobs reach
+    the memo/store/journal exactly as the engine's own jobs do.  The
+    engine never dispatches to the queue: this process only drains it.
     """
     if not args.queue:
         return _fail("worker needs --queue PATH")
-    from .engine.queue import JobQueue
-    from .engine.service import QueueWorker
-
     try:
-        queue = JobQueue(args.queue)
+        engine = _make_engine(args, queue=args.queue)
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        engine = _make_engine(args)
-    except ValueError as exc:
-        queue.close()
-        return _fail(str(exc))
-    try:
-        worker = QueueWorker(
-            queue, store=engine.store, jobs=args.jobs,
-            pool=engine.pool if engine.parallel else None,
-            policy=engine.resilience, faults=engine.faults,
-            lease_ttl_s=args.lease_ttl,
-            on_result=engine._consume_payload,
-            on_failure=engine._note_failure,
-            on_rebuild=engine._note_rebuild,
-            emit=engine.journal_event, metrics=engine.metrics)
-        report = worker.run(max_idle_s=args.max_idle)
+        report = engine.worker().run(max_idle_s=args.max_idle)
         print(report.summary())
         print(engine.counters.summary())
-        failed = queue.counts()["failed"]
+        failed = engine.queue.counts()["failed"]
         if failed:
             print(f"{failed} job(s) in state failed "
                   f"(see `repro queue status {args.queue}`)",
@@ -662,7 +645,6 @@ def _cmd_worker(args) -> int:
         return 0
     finally:
         engine.close()
-        queue.close()
 
 
 def _cmd_queue(args) -> int:

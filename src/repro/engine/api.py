@@ -18,6 +18,9 @@ resolves through three tiers:
    simulation, fanned out into one payload per member key.  Each
    result is written back to the memo and the store as it settles.
 
+Every batch settles through one stream, :meth:`Engine.as_completed`;
+:meth:`Engine.run_many` and the SDK's ``Session`` gather it.
+
 The engine counts hits and misses per tier (:class:`EngineCounters`,
 a typed view over a :class:`~repro.obs.metrics.MetricsRegistry`);
 ``repro figures``/``repro sweep`` print the summary so a warm rerun can
@@ -39,8 +42,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import collector, set_enabled
@@ -54,7 +57,7 @@ if TYPE_CHECKING:  # imported where a miss is dispatched or a journal opened
     from ..obs.journal import RunJournal
     from .pool import ProgressFn, SimulationPool
     from .queue import JobQueue
-    from .service import Settlement
+    from .service import QueueWorker
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,9 @@ class Completed:
     key: str            #: the request's content-hash key
     request: Request
     result: Optional[Result]
-    cached: bool        #: True when served from memo/store, not executed
+    #: False when this engine executed the result; True when the memo
+    #: or the store served it, or another process settled it.
+    cached: bool
     failure: Optional[RequestFailure] = None
 
     @property
@@ -90,6 +95,15 @@ def _counter_view(field: str, help: str) -> property:
         self.registry.counter(metric).value = float(value)
 
     return property(_get, _set, doc=help)
+
+
+def raise_failures(settled: Iterable[Completed]) -> None:
+    """Raise :class:`~repro.engine.faults.ExecutionError` with each
+    failed key's failure, if any of ``settled`` failed."""
+    failures = {done.key: done.failure for done in settled
+                if done.failure is not None}
+    if failures:
+        raise ExecutionError(list(failures.values()))
 
 
 class EngineCounters:
@@ -207,10 +221,6 @@ class Engine:
         #: normal operation.
         self.faults = faults if faults is not None else FaultPlan.from_env()
         self._memo: Dict[str, Result] = {}
-        #: keys whose results were executed (not replayed) this
-        #: engine lifetime; lets callers attribute executions to their
-        #: own requests, immune to concurrently harvested foreign work.
-        self.executed_keys: set = set()
         #: every engine metric lives here; the counters are typed views.
         self.metrics = MetricsRegistry()
         self.counters = EngineCounters(self.metrics)
@@ -325,7 +335,6 @@ class Engine:
             else:
                 self.store.put(key, payload)
         self._memo[key] = result
-        self.executed_keys.add(key)
         self.counters.executed += 1
         if self._journal is not None:
             group = {"group": obs["group"]} if "group" in obs else {}
@@ -362,41 +371,64 @@ class Engine:
 
     # -- execution ---------------------------------------------------------
 
+    def worker(self, queue: Optional[JobQueue] = None) -> QueueWorker:
+        """A :class:`~repro.engine.service.QueueWorker` that settles
+        into this engine.
+
+        Executed payloads land in the memo, the store and the journal
+        once per key, and failures and pool rebuilds are counted here.
+        ``queue`` defaults to the engine's durable queue.  Only a
+        durable queue is journaled and metered: queue-less runs keep
+        their journal and counters free of queue events.
+        """
+        from .service import QueueWorker
+
+        if queue is None:
+            queue = self.queue
+        durable = queue is self.queue
+        return QueueWorker(
+            queue, store=self.store,
+            jobs=self.jobs, pool=self.pool if self.parallel else None,
+            policy=self.resilience, faults=self.faults,
+            lease_ttl_s=self.lease_ttl_s,
+            on_result=self._consume_payload, resolved=self._resolved,
+            on_failure=self._note_failure, on_rebuild=self._note_rebuild,
+            emit=self.journal_event if durable else None,
+            metrics=self.metrics if durable else None)
+
     def _resolve_misses(
         self,
         pairs: Sequence[Tuple[str, Request]],
         progress: Optional[ProgressFn],
-    ) -> Iterator[Optional[Settlement]]:
+    ) -> Iterator[Optional[Tuple[str, Optional[Result],
+                                 Optional[RequestFailure], bool]]]:
         """Execute cache misses as queue jobs; yield each settlement.
 
         The misses go to the engine's durable queue, else to a fresh
-        ``:memory:`` one that lives as long as this generator, and an
-        embedded :class:`~repro.engine.service.QueueWorker` drains it.
-        Misses sharing a lockstep group key are dispatched as one group
-        and run as one job.
+        ``:memory:`` one that lives as long as this generator, and
+        :meth:`worker` drains it.  Misses sharing a lockstep group key
+        are dispatched as one group and run as one job.
         Dispatch is idempotent, so a killed campaign on a durable queue
         resumes where it stopped, alongside any ``repro worker``.
 
         Primed like the worker's stream (the first item is ``None``),
-        then one ``("ok", key, result)`` or ``("fail", key, failure)``
-        per miss in settlement order, each reported to ``progress`` as
-        ``(settled, len(pairs), key)``.  Successes land in the memo and
-        store as they settle, so a rerun after a failure resumes warm.
+        then one ``(key, result, failure, cached)`` per miss in
+        settlement order, each reported to ``progress`` as
+        ``(settled, len(pairs), key)``.  ``cached`` is True for a job
+        settled elsewhere, whose result is replayed from the store.
+        Successes land in the memo and store as they settle, so a
+        rerun after a failure resumes warm.
         """
         from .queue import JobQueue
-        from .service import QueueWorker, owner_id
 
         queue = self.queue if self.queue is not None \
             else JobQueue(":memory:")
-        # Only a durable queue is journaled and metered: queue-less
-        # runs keep their journal and counters free of queue events.
-        durable = queue is self.queue
         try:
             report = queue.dispatch(
                 pairs, store=self.store,
                 max_retries=self.resilience.max_retries,
                 groups=lockstep_groups(pairs))
-            if durable:
+            if queue is self.queue:
                 self.metrics.counter("queue_dispatched").inc(
                     len(report.enqueued))
                 self.journal_event(
@@ -406,30 +438,25 @@ class Engine:
                     already_done=len(report.already_done),
                     already_queued=len(report.already_queued),
                     resumed_failed=len(report.resumed_failed))
-            worker = QueueWorker(
-                queue, store=self.store, jobs=self.jobs,
-                pool=self.pool if self.parallel else None,
-                policy=self.resilience, faults=self.faults,
-                lease_ttl_s=self.lease_ttl_s, owner=owner_id(),
-                on_result=self._consume_payload, resolved=self._resolved,
-                on_failure=self._note_failure,
-                on_rebuild=self._note_rebuild,
-                emit=self.journal_event if durable else None,
-                metrics=self.metrics if durable else None)
-            settlements = worker.settlements([key for key, _ in pairs])
+            settlements = self.worker(queue).settlements(
+                [key for key, _ in pairs])
             try:
                 yield next(settlements)
                 for settled, (kind, key, value) in enumerate(settlements,
                                                              1):
-                    if kind == "done":
+                    cached = kind == "done"
+                    if cached:
                         kind, value = self._settle_done(key)
                     if progress is not None:
                         progress(settled, len(pairs), key)
-                    yield kind, key, value
+                    if kind == "ok":
+                        yield key, value, None, cached
+                    else:
+                        yield key, None, value, cached
             finally:
                 settlements.close()
         finally:
-            if not durable:
+            if queue is not self.queue:
                 queue.close()
 
     def _resolved(self, key: str) -> bool:
@@ -462,47 +489,37 @@ class Engine:
         requests: Sequence[Request],
         progress: Optional[ProgressFn] = None,
     ) -> List[Result]:
-        """Resolve a batch, executing misses in parallel when enabled.
+        """Resolve a batch: :meth:`as_completed`, gathered by index.
 
         Duplicate requests are resolved once; the returned list matches
         the input order (including duplicates).
 
         Raises :class:`~repro.engine.faults.ExecutionError` when any
-        request exhausts its retries — but only *after* every
-        successful sibling has been recorded to the memo/store, so the
-        failed campaign resumes warm.
+        request exhausts its retries — but only once the stream has
+        ended, after every successful sibling has been recorded to the
+        memo/store, so the failed campaign resumes warm.
         """
-        if progress is None:
-            progress = self.progress
-        keyed: List[Tuple[str, Request]] = [(r.key(), r) for r in requests]
-        misses: Dict[str, Request] = {}
-        for key, request in keyed:
-            if key not in misses and self._lookup(key) is None:
-                misses[key] = request
-        if misses:
-            settlements = self._resolve_misses(list(misses.items()),
-                                               progress)
-            next(settlements)
-            failures = [value for kind, _, value in settlements
-                        if kind == "fail"]
-            if failures:
-                raise ExecutionError(failures)
-        return [self._memo[key] for key, _ in keyed]
+        settled: List[Optional[Completed]] = [None] * len(requests)
+        for done in self.as_completed(requests, progress):
+            settled[done.index] = done
+        raise_failures(settled)
+        return [done.result for done in settled]
 
     def as_completed(
         self,
         requests: Sequence[Request],
         progress: Optional[ProgressFn] = None,
     ) -> Iterator[Completed]:
-        """Stream results as they settle instead of waiting on a batch.
+        """The engine's one settlement stream: yield each request as it
+        settles instead of waiting on a batch.
 
         Yields one :class:`Completed` per submitted request.  Cache hits
         (memo/store) are yielded first, in submission order; misses
         follow in settlement order — the pool's order when parallel,
         submission order when serial.  Duplicate requests all yield,
         sharing one execution.  Every miss is recorded to the memo/store
-        exactly as :meth:`run_many` would, so a consumer that abandons
-        the iterator early keeps whatever already finished.
+        as it settles, so a consumer that abandons the iterator early
+        keeps whatever already finished.
 
         Execution failures do not raise mid-stream: a request whose
         retries are exhausted yields a :class:`Completed` with
@@ -512,20 +529,19 @@ class Engine:
             progress = self.progress
         keyed: List[Tuple[str, Request]] = [(r.key(), r) for r in requests]
         miss_indices: Dict[str, List[int]] = {}
-        misses: Dict[str, Request] = {}
-        hits: List[Tuple[int, str, Request, Result]] = []
-        for index, (key, request) in enumerate(keyed):
-            if key in misses:
+        hits: List[Tuple[int, Result]] = []
+        for index, (key, _) in enumerate(keyed):
+            if key in miss_indices:
                 miss_indices[key].append(index)
                 continue
             cached = self._lookup(key)
             if cached is not None:
-                hits.append((index, key, request, cached))
+                hits.append((index, cached))
             else:
-                misses[key] = request
                 miss_indices[key] = [index]
-        settlements = (self._resolve_misses(list(misses.items()), progress)
-                       if misses else None)
+        settlements = self._resolve_misses(
+            [keyed[indices[0]] for indices in miss_indices.values()],
+            progress) if miss_indices else None
         # Every yield stays inside the try: abandoning the iterator at
         # any point closes the settlement stream, which records the
         # executions that already finished.
@@ -533,14 +549,13 @@ class Engine:
             if settlements is not None:
                 # misses run while the consumer processes the hits
                 next(settlements)
-            for index, key, request, cached in hits:
-                yield Completed(index, key, request, cached, cached=True)
-            for kind, key, value in settlements or ():
-                ok = kind == "ok"
+            for index, result in hits:
+                key, request = keyed[index]
+                yield Completed(index, key, request, result, cached=True)
+            for key, result, failure, cached in settlements or ():
                 for index in miss_indices[key]:
-                    yield Completed(index, key, keyed[index][1],
-                                    value if ok else None, cached=False,
-                                    failure=None if ok else value)
+                    yield Completed(index, key, keyed[index][1], result,
+                                    cached, failure)
         finally:
             if settlements is not None:
                 settlements.close()

@@ -114,14 +114,20 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
+def source_tag() -> str:
+    """12 hex digits naming this source tree: the start of
+    :func:`_source_digest`.  Default store paths carry it."""
+    return _source_digest()[:12]
+
+
 def default_store_path() -> pathlib.Path:
     """``$REPRO_STORE`` if set, else
     ``~/.cache/repro/results-<12 hex>.sqlite``.
 
     Keys cover a request's inputs, not the simulator's code, so the
-    default store is per source tree: the hex is the start of
-    :func:`_source_digest`, and two checkouts that differ in any module
-    never read each other's results.
+    default store is per source tree: the hex is :func:`source_tag`,
+    and two checkouts that differ in any module never read each
+    other's results.
     """
     env = os.environ.get("REPRO_STORE")
     if env:
@@ -129,7 +135,7 @@ def default_store_path() -> pathlib.Path:
     cache_home = os.environ.get("XDG_CACHE_HOME")
     base = pathlib.Path(cache_home) if cache_home \
         else pathlib.Path.home() / ".cache"
-    return base / "repro" / f"results-{_source_digest()[:12]}.sqlite"
+    return base / "repro" / f"results-{source_tag()}.sqlite"
 
 
 class ResultStore:

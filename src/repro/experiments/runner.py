@@ -38,6 +38,7 @@ from .configs import CacheDesign
 __all__ = [
     "ExperimentContext",
     "geomean",
+    "policy_speedup",
     "split_categories",
     "static_best",
 ]
@@ -63,6 +64,20 @@ def static_best(speedups: Iterable[float]) -> float:
     static combinations (:meth:`ExperimentContext.static_best_cells`):
     the empty combination is the baseline itself, at speedup 1."""
     return max([1.0, *speedups])
+
+
+def policy_speedup(baseline: SimulationResult,
+                   runs: Sequence[SimulationResult]) -> Tuple[float, float]:
+    """``(policy IPC, speedup)`` of policy runs over their baseline.
+
+    The policy IPC is the geomean of the runs' IPCs (Athena's seed
+    set); the speedup is its ratio over the baseline's IPC.  Raises
+    ``RuntimeError`` on a zero baseline IPC.
+    """
+    if baseline.ipc <= 0:
+        raise RuntimeError(f"zero baseline IPC for {baseline.workload}")
+    ipc = geomean([run.ipc for run in runs])
+    return ipc, ipc / baseline.ipc
 
 
 def split_categories(
@@ -262,14 +277,9 @@ class ExperimentContext:
         and the paper's 250K-epoch runs average that noise away
         internally.
         """
-        out: Dict[tuple, float] = {}
-        for cell, (baseline, *runs) in self._evaluate(
-                self.plan_speedup, cells).items():
-            if baseline.ipc <= 0:
-                raise RuntimeError(
-                    f"zero baseline IPC for {baseline.workload}")
-            out[cell] = geomean([run.ipc for run in runs]) / baseline.ipc
-        return out
+        return {cell: policy_speedup(baseline, runs)[1]
+                for cell, (baseline, *runs) in self._evaluate(
+                    self.plan_speedup, cells).items()}
 
     def speedup(
         self,

@@ -50,6 +50,8 @@ import subprocess
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from ..engine.faults import FAILURE_KINDS
+
 __all__ = [
     "FAILURE_KINDS",
     "JOURNAL_SCHEMA",
@@ -83,9 +85,6 @@ EVENT_FIELDS = {
     "reclaim": {"owner": (str,), "requeued": (list,), "failed": (list,)},
     "summary": {"counters": (dict,)},
 }
-
-#: failure kinds a ``failure`` event may carry.
-FAILURE_KINDS = ("exception", "timeout", "crash", "corrupt", "cancelled")
 
 _SPAN_FIELDS = {"name": (str,), "wall_s": (int, float),
                 "cpu_s": (int, float)}

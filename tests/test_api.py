@@ -641,6 +641,47 @@ class TestSession:
         finally:
             engine.close()
 
+    def test_cached_flag_agrees_for_work_settled_elsewhere(self, tmp_path):
+        # Another process writes the rows just after this engine's first
+        # lookup: each key misses once, dispatch finds it in the store
+        # and the queue replays it as `done`.  Every entry point must
+        # call that cached, as the store_hits counter does.
+        class LateStore(ResultStore):
+            def __init__(self, path):
+                super().__init__(path)
+                self.missed = set()
+
+            def get(self, key, *, summary=False):
+                if summary and key not in self.missed:
+                    self.missed.add(key)
+                    return None
+                return super().get(key, summary=summary)
+
+        path = tmp_path / "s.sqlite"
+        spec = RunSpec(workload="ligra.BFS.0", policy="naive")
+        with _stored_session(path) as session:
+            assert not session.run(spec).cached
+
+        def late_session():
+            return Session(Engine(store=LateStore(path)))
+
+        with late_session() as session:
+            requests = spec.plan(session.context)
+            engine_flags = [done.cached for done in
+                            session.engine.as_completed(requests)]
+            assert engine_flags == [True, True]
+        with late_session() as session:
+            [streamed] = session.as_completed([spec])
+            assert streamed.cached
+        with late_session() as session:
+            assert session.run(spec).cached
+        with late_session() as session:
+            outcome = session.run_experiment(
+                ExperimentSpec(name="late", runs=[spec]))
+            assert outcome.of_kind("run")[0].cached
+            assert session.counters.executed == 0
+            assert session.counters.store_hits == 2
+
     def test_as_completed_parallel_streams_all(self):
         engine = Engine(jobs=2)
         try:
