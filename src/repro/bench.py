@@ -307,7 +307,8 @@ def measure_store_cell(payloads: int, repeats: int) -> dict:
     results), and replays every request through a fresh
     :class:`~repro.engine.api.Engine` on that store, reading only IPC
     (the read half: a warm replay's lookup, which parses each run's
-    summary and leaves its compressed epoch history unparsed).
+    head and leaves its counters and compressed epoch history
+    unparsed).
     ``row_bytes`` is the mean stored size of a run row.
     """
     from dataclasses import replace

@@ -24,10 +24,11 @@ The module also holds the JSON codecs that serialize
 :class:`~repro.sim.region.SimulationResult` /
 :class:`~repro.sim.region.MultiCoreResult` for the store.  JSON floats
 round-trip exactly (``repr`` semantics), so a decoded result reproduces
-the original tables byte for byte.  A decoded run defers its per-epoch
-history: a warm lookup reads only the stored summary, and the history
-is inflated, parsed, validated and built on the first read of its
-epochs or actions.
+the original tables byte for byte.  A result decoded from a warm
+lookup defers what its stored row keeps apart from the head: its
+counters are parsed, checked and built on the first read of a core's
+``stats``, and a run's per-epoch history is inflated, parsed, validated
+and built on the first read of its epochs or actions.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from ..obs.spans import span
 from ..sim.region import MultiCoreResult, SimulationResult
 from ..sim.stats import CoordinationAction, EpochTelemetry, SimStats
 from ..workloads.suites import WorkloadSpec, build_trace, stream_trace
-from .store import HISTORY_ZLIB, StoreDecodeError, load_history
+from .store import COUNTERS, HISTORY_ZLIB, StoreDecodeError, load_history
 
 #: bump when the simulator's observable behaviour or the payload layout
 #: changes: it is mixed into every request key, so old store entries
@@ -411,6 +412,85 @@ def _core_from(payload: dict, **history) -> SimulationResult:
                             **history)
 
 
+class _Counters:
+    """A stored result's counters, parsed on first use: one ``stats``
+    object for a run, a list of one per core for a mix of ``cores``."""
+
+    __slots__ = ("_data", "_cores", "_rows")
+
+    def __init__(self, data: memoryview, cores: Optional[int] = None) -> None:
+        self._data = data
+        self._cores = cores
+        self._rows = None
+
+    def stats(self, core: Optional[int]) -> SimStats:
+        """The counters of ``core`` (``None`` for a run's)."""
+        if self._rows is None:
+            try:
+                rows = json.loads(str(self._data, "utf-8"))
+            except ValueError as exc:
+                raise StoreDecodeError(f"malformed counters: {exc}") \
+                    from exc
+            if self._cores is not None and (
+                    not isinstance(rows, list) or len(rows) != self._cores):
+                raise StoreDecodeError("a mix's counters do not match "
+                                       "its cores")
+            self._rows = rows
+            self._data = None
+        try:
+            return SimStats(**(self._rows if core is None
+                               else self._rows[core]))
+        except TypeError as exc:
+            raise StoreDecodeError(f"malformed counters: {exc}") from exc
+
+
+class _StoredCore(SimulationResult):
+    """A decoded core whose ``stats`` is parsed, checked and built on
+    its first read (:class:`_Counters`).
+
+    That read turns it into the plain :class:`SimulationResult` it
+    stands for.  Equality, ``repr``, pickling and copying read it
+    first, so they see that result too.  It adds no field; a warm
+    replay that reads only IPC never builds a :class:`SimStats`.
+    """
+
+    def _settle(self) -> SimulationResult:
+        state = vars(self)
+        if "stats" not in state:
+            counters, core = state["_counters"]
+            state["stats"] = counters.stats(core)
+        state.pop("_counters", None)
+        self.__class__ = SimulationResult
+        return self
+
+    def __getattr__(self, name: str):
+        if name != "stats":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self._settle().stats
+
+    def __eq__(self, other):
+        return self._settle() == other
+
+    def __repr__(self) -> str:
+        return repr(self._settle())
+
+    def __reduce_ex__(self, protocol):
+        return self._settle().__reduce_ex__(protocol)
+
+
+def _stored_core(head: dict, counters: _Counters, core: Optional[int],
+                 epochs: Sequence, actions: Sequence) -> SimulationResult:
+    """A core decoded from its stored ``head``, with its counters left
+    unparsed in ``counters``."""
+    result = object.__new__(_StoredCore)
+    vars(result).update(workload=head["workload"],
+                        instructions=head["instructions"],
+                        cycles=head["cycles"], epochs=epochs,
+                        actions=actions, _counters=(counters, core))
+    return result
+
+
 def encode_result(result: Result) -> dict:
     """Serialize a simulation result into a JSON-able payload."""
     if isinstance(result, MultiCoreResult):
@@ -552,15 +632,18 @@ def _history_rows(history: dict) -> Tuple[list, list]:
 
 def decode_result(payload: dict) -> Result:
     """Rebuild a result from :func:`encode_result` output, or from a
-    run's summary read with ``ResultStore.get(key, summary=True)``.
+    result row read with ``ResultStore.get(key, summary=True)``.
 
     Raises :exc:`~repro.engine.store.StoreDecodeError` on any malformed
     or stale payload so callers treat the entry as a cache miss.  The
-    schema, kind and totals are checked here.  A whole run payload's
-    epochs and actions are validated here too, and built when first
-    read; a summary's stored history is inflated, parsed, validated and
-    built when its epochs or actions are first read, and a malformed one
-    raises :exc:`~repro.engine.store.StoreDecodeError` there.
+    schema, kind and per-core totals are checked here.  A whole
+    payload's counters, epochs and actions are validated here too, and
+    its epochs and actions built when first read.  A row read with
+    ``summary`` keeps its stored counters and history unparsed: the
+    counters are parsed, checked and built on the first read of a
+    core's ``stats``, the history on the first read of a run's epochs or
+    actions, and either raises
+    :exc:`~repro.engine.store.StoreDecodeError` there when malformed.
     """
     try:
         if payload.get("schema") != ENGINE_SCHEMA:
@@ -568,17 +651,28 @@ def decode_result(payload: dict) -> Result:
                 f"stale payload schema {payload.get('schema')!r}"
             )
         kind = payload["kind"]
+        data = payload.get(COUNTERS)
         if kind == "mix":
-            return MultiCoreResult(
-                cores=[_core_from(core) for core in payload["cores"]])
+            cores = payload["cores"]
+            if not isinstance(data, memoryview):
+                return MultiCoreResult(
+                    cores=[_core_from(core) for core in cores])
+            counters = _Counters(data, len(cores))
+            return MultiCoreResult(cores=[
+                _stored_core(core, counters, index, [], [])
+                for index, core in enumerate(cores)])
         if kind != "run":
             raise StoreDecodeError(f"unknown payload kind {kind!r}")
-        data = payload.get(HISTORY_ZLIB)
-        history = _History(data=data) if isinstance(data, memoryview) \
+        history_data = payload.get(HISTORY_ZLIB)
+        history = _History(data=history_data) \
+            if isinstance(history_data, memoryview) \
             else _History(rows=_history_rows(payload))
-        return _core_from(payload,
-                          epochs=_Deferred(_epochs_from, history, 0),
-                          actions=_Deferred(_actions_from, history, 1))
+        epochs = _Deferred(_epochs_from, history, 0)
+        actions = _Deferred(_actions_from, history, 1)
+        if isinstance(data, memoryview):
+            return _stored_core(payload, _Counters(data), None,
+                                epochs, actions)
+        return _core_from(payload, epochs=epochs, actions=actions)
     except StoreDecodeError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -184,7 +184,8 @@ class JobQueue:
     def dispatch(self, keyed_requests: Iterable[Tuple[str, object]], *,
                  store=None, max_retries: int = 2,
                  groups: Optional[Dict[str, str]] = None) -> DispatchReport:
-        """Lower keyed requests into the queue, idempotently.
+        """Lower keyed requests into the queue, idempotently; each
+        distinct key once.
 
         ``store`` (a ResultStore) lets the dispatcher skip work that a
         previous campaign already finished: keys with a stored result
@@ -194,8 +195,11 @@ class JobQueue:
         """
         report = DispatchReport()
         now = time.time()
+        # A key repeated within one call (a baseline every cell of a
+        # workload shares) is one job, reported once.
+        keyed = dict(keyed_requests)
         with self._backend.transaction() as conn:
-            for key, request in keyed_requests:
+            for key, request in keyed.items():
                 row = conn.execute(
                     "SELECT state FROM jobs WHERE key = ?", (key,)
                 ).fetchone()

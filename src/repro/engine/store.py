@@ -2,23 +2,29 @@
 
 A thin SQLite key→payload table: the key is a request's content hash
 (:meth:`repro.engine.jobs.RunRequest.key`), the payload is the JSON
-serialization of its result.  A run payload is stored as its
-*summary*, a compact JSON document (every field but the per-epoch
-``epochs`` and ``actions``, plus the CRC-32 of the stored history), a
-newline (compact JSON has none), and its *history*: those two fields as
-compact JSON, compressed with zlib.  A warm lookup reads with
-``summary=True``, checks the CRC and parses only the summary; the
-history is inflated and parsed on the first read of a run's epochs or
-actions (see :func:`repro.engine.jobs.decode_result`).  Mix payloads
-have no history and stay one document.  Rows of the two older layouts
-(one document, and a summary followed by plain history text under
-``history_crc``) still read, whole.  The database plumbing — WAL mode,
-busy timeout, bounded retry when a concurrent writer holds the lock,
-the foreign-file guard — is the shared
-:class:`~repro.engine.backend.SQLiteBackend` seam, the same abstraction
-the durable :class:`~repro.engine.queue.JobQueue` sits on, so the two
-halves of a crash-resumable campaign (results and job lifecycle) speak
-one database discipline and may even share one file.
+serialization of its result.  Each result kind has one row layout, its
+parts one newline apart (compact JSON has none):
+
+* a run row is its *head* (schema, kind, workload, instructions,
+  cycles, and the CRC-32s of the other two parts), its *counters* (the
+  ``stats`` object) and its *history* (``epochs`` and ``actions``,
+  compressed with zlib);
+* a mix row is its head (schema, kind, each core's workload,
+  instructions and cycles, and the counters' CRC-32) and its counters
+  (one ``stats`` object per core).
+
+A warm lookup reads with ``summary=True``: it parses only the head and
+checks both CRCs, and the counters and the history stay views of the
+stored row, parsed on the first read of a result's ``stats``, epochs
+or actions (see :func:`repro.engine.jobs.decode_result`).  A result row
+in any other layout (the one-document and summary-plus-history layouts
+of older checkouts) is a miss.  Any other payload is stored as one
+document.  The database plumbing — WAL mode, busy timeout, bounded
+retry when a concurrent writer holds the lock, the foreign-file guard —
+is the shared :class:`~repro.engine.backend.SQLiteBackend` seam, the
+same abstraction the durable :class:`~repro.engine.queue.JobQueue` sits
+on, so the two halves of a crash-resumable campaign (results and job
+lifecycle) speak one database discipline and may even share one file.
 
 Writers of the same key race benignly because identical keys imply
 identical payloads — that is what makes the store safe for many
@@ -50,41 +56,93 @@ class StoreDecodeError(RuntimeError):
     """A store payload could not be decoded (corrupt or stale entry)."""
 
 
-#: A run payload's per-epoch fields, stored after its summary.
+#: A core's totals: the head of a run row, and each core's head in a
+#: mix row.
+_CORE_HEAD = ("workload", "instructions", "cycles")
+
+#: A run payload's per-epoch fields, stored compressed after its
+#: counters.
 _HISTORY_FIELDS = ("epochs", "actions")
 
-#: Summary field holding the CRC-32 of the row's compressed history.
-_HISTORY_ZCRC = "history_zcrc"
+#: The fields of a result payload, per kind: a payload with exactly
+#: these is stored in its kind's layout, any other as one document.
+_RESULT_FIELDS = {"run": {"schema", "kind", *_CORE_HEAD, "stats",
+                          *_HISTORY_FIELDS},
+                  "mix": {"schema", "kind", "cores"}}
 
-#: Summary field of the older layout, whose history is plain text: the
-#: CRC-32 of that text.
-_HISTORY_CRC = "history_crc"
+#: Head fields holding the CRC-32s of the parts after the head, in row
+#: order, per result kind.
+_PART_CRCS = {"run": ("counters_crc", "history_crc"),
+              "mix": ("counters_crc",)}
 
 #: zlib level of a stored history: the fastest, which already shrinks
 #: a run's history 7-12x (it is mostly repeated field names).
 _ZLIB_LEVEL = 1
 
-#: Field of a ``get(key, summary=True)`` payload holding the unparsed
-#: history, a :class:`memoryview` of its stored zlib bytes.
+#: Fields of a ``get(key, summary=True)`` payload holding a row's
+#: unparsed parts as views of its stored bytes (``memoryview``): the
+#: counters (a compact JSON document) and a run's zlib history.
+COUNTERS = "counters"
 HISTORY_ZLIB = "history"
 
 
-def _compact(payload: dict) -> str:
+def _compact(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _head(core: dict) -> dict:
+    return {name: core[name] for name in _CORE_HEAD}
+
+
+def _is_result(payload: dict) -> bool:
+    return payload.keys() == _RESULT_FIELDS.get(payload.get("kind"))
+
+
 def _encode_row(payload: dict) -> Union[str, bytes]:
-    """The stored row of ``payload``: summary and compressed history
-    for a run, one document for anything else."""
-    if not all(field in payload for field in _HISTORY_FIELDS):
+    """The stored row of ``payload``: head, counters and compressed
+    history for a run, head and counters for a mix, one document for
+    anything else."""
+    kind = payload.get("kind")
+    if not _is_result(payload):
         return _compact(payload)
-    summary = {name: value for name, value in payload.items()
-               if name not in _HISTORY_FIELDS}
-    history = zlib.compress(
-        _compact({field: payload[field] for field in _HISTORY_FIELDS})
-        .encode(), _ZLIB_LEVEL)
-    summary[_HISTORY_ZCRC] = zlib.crc32(history)
-    return _compact(summary).encode() + b"\n" + history
+    if kind == "run":
+        head = {"schema": payload["schema"], "kind": kind, **_head(payload)}
+        history = _compact({field: payload[field]
+                            for field in _HISTORY_FIELDS})
+        parts = (_compact(payload["stats"]).encode(),
+                 zlib.compress(history.encode(), _ZLIB_LEVEL))
+    else:
+        cores = payload["cores"]
+        head = {"schema": payload["schema"], "kind": kind,
+                "cores": [_head(core) for core in cores]}
+        parts = (_compact([core["stats"] for core in cores]).encode(),)
+    for field, part in zip(_PART_CRCS[kind], parts):
+        head[field] = zlib.crc32(part)
+    return b"\n".join((_compact(head).encode(),) + parts)
+
+
+def _parts(head: dict, raw: bytes, end: int) -> list:
+    """The parts of result row ``raw`` after its head (which ends at
+    ``end``), as views of ``raw``, each checked against the CRC-32 that
+    ``head`` holds for it; the CRC fields leave ``head``.
+
+    Raises :exc:`ValueError` or :exc:`KeyError` for a damaged row and
+    for a row in any other layout.
+    """
+    view = memoryview(raw)
+    fields = _PART_CRCS[head["kind"]]
+    parts = []
+    for index, field in enumerate(fields):
+        start = end + 1
+        end = len(raw) if index == len(fields) - 1 \
+            else raw.find(b"\n", start)
+        if end < 0:
+            raise ValueError(f"a {head['kind']} row with too few parts")
+        part = view[start:end]
+        if head.pop(field) != zlib.crc32(part):
+            raise ValueError(f"{field} mismatch")
+        parts.append(part)
+    return parts
 
 
 def load_history(data: memoryview) -> dict:
@@ -98,6 +156,20 @@ def load_history(data: memoryview) -> dict:
     except zlib.error as exc:
         raise ValueError(f"history is not valid zlib: {exc}") from exc
     return json.loads(text)
+
+
+def _restore(head: dict, parts: list) -> None:
+    """Parse a result row's checked ``parts`` into its ``head``, which
+    then equals the stored payload, key order included."""
+    stats = json.loads(str(parts[0], "utf-8"))
+    if head["kind"] == "run":
+        head["stats"] = stats
+        head.update(load_history(parts[1]))
+        return
+    cores = head["cores"]
+    if not isinstance(stats, list) or len(stats) != len(cores):
+        raise ValueError("a mix's counters do not match its cores")
+    head["cores"] = [dict(core, stats=row) for core, row in zip(cores, stats)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,22 +241,22 @@ class ResultStore:
     def get(self, key: str, *, summary: bool = False) -> Optional[dict]:
         """The decoded JSON payload for ``key``, or ``None``.
 
-        With ``summary``, a run row's compressed history is checked
-        against its CRC-32 but neither inflated nor parsed: the payload
-        holds the summary's fields and, under :data:`HISTORY_ZLIB`, a
-        :class:`memoryview` of the stored history.  Rows without a
-        compressed history (mixes, and runs stored in either older
-        layout) come back whole either way.
+        With ``summary``, a result row's parts are checked against their
+        CRC-32s but not parsed: the payload holds the head's fields and,
+        under :data:`COUNTERS` and (for a run) :data:`HISTORY_ZLIB`,
+        views (``memoryview``) of the stored counters and history.
+        Without it, the payload is exactly the one that was stored.
 
-        The row is read once, as bytes; the summary is the only part
-        copied out of it, so a lookup holds one row-sized buffer.
+        The row is read once, as bytes; the head is the only part
+        copied out of it, so a summary lookup holds one row-sized buffer.
 
-        A row whose summary or history is not valid JSON, whose history
-        is not valid zlib, or whose history fails its CRC, is deleted
-        and reported as a miss — partial writes from a killed process
-        must never crash a later reader.  Database-level corruption discovered at read time
-        (pages torn after the header was validated) is likewise a miss:
-        the store is a cache, never a source of truth.
+        A row that fails its CRCs, or whose parts are not valid JSON or
+        zlib, is deleted and reported as a miss — partial writes from a
+        killed process must never crash a later reader — and so is a
+        result row in any other layout.  Database-level corruption
+        discovered at read time (pages torn after the header was
+        validated) is likewise a miss: the store is a cache, never a
+        source of truth.
         """
         try:
             row = execute_with_retry(
@@ -197,25 +269,24 @@ class ResultStore:
         if row is None:
             return None
         raw = row[0]
-        split = raw.find(b"\n")
+        end = raw.find(b"\n")
         try:
-            payload = json.loads(raw if split < 0 else raw[:split])
+            # str() first: json.loads detects the encoding of bytes in
+            # Python, which costs more than parsing a run's head.
+            payload = json.loads(str(raw if end < 0 else raw[:end], "utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("payload is not a JSON object")
-            if split >= 0:
-                history = memoryview(raw)[split + 1:]
-                compressed = _HISTORY_ZCRC in payload
-                crc = payload.pop(
-                    _HISTORY_ZCRC if compressed else _HISTORY_CRC, None)
-                if crc != zlib.crc32(history):
-                    raise ValueError("history CRC mismatch")
-                if not compressed:
-                    payload.update(json.loads(str(history, "utf-8")))
-                elif summary:
-                    payload[HISTORY_ZLIB] = history
-                else:
-                    payload.update(load_history(history))
-        except (ValueError, TypeError):
+            if end < 0:
+                if _is_result(payload):
+                    raise ValueError("a result in the one-document layout")
+            elif summary:
+                parts = _parts(payload, raw, end)
+                payload[COUNTERS] = parts[0]
+                if payload["kind"] == "run":
+                    payload[HISTORY_ZLIB] = parts[1]
+            else:
+                _restore(payload, _parts(payload, raw, end))
+        except (ValueError, TypeError, KeyError):
             self.delete(key)
             return None
         return payload

@@ -1,5 +1,6 @@
 """Tests for the parallel experiment engine and its result store."""
 
+import copy
 import json
 import pickle
 import zlib
@@ -17,7 +18,8 @@ from repro.experiments.figures import (fig02_naive_vs_staticbest, fig07_cd1,
                                        fig15_fourcore)
 from repro.experiments.runner import ExperimentContext
 from repro.policies.base import CoordinationAction
-from repro.sim.stats import EpochTelemetry
+from repro.sim.region import MultiCoreResult, SimulationResult
+from repro.sim.stats import EpochTelemetry, SimStats
 from repro.workloads.mixes import build_mixes
 from repro.workloads.suites import ReproScale, find_workload
 
@@ -42,8 +44,10 @@ def _payload(result) -> dict:
     return json.loads(json.dumps(encode_result(result)))
 
 
-def _count_telemetry_builds(monkeypatch) -> list:
-    """Record each EpochTelemetry/CoordinationAction the codec builds."""
+def _count_builds(monkeypatch,
+                  classes=(EpochTelemetry, CoordinationAction)) -> list:
+    """Record each instance of ``classes`` (by default, each
+    EpochTelemetry/CoordinationAction) the codec builds."""
     built = []
 
     def counting(cls):
@@ -52,7 +56,7 @@ def _count_telemetry_builds(monkeypatch) -> list:
             return cls(*args, **kwargs)
         return build
 
-    for cls in (EpochTelemetry, CoordinationAction):
+    for cls in classes:
         monkeypatch.setattr(jobs, cls.__name__, counting(cls))
     return built
 
@@ -74,7 +78,7 @@ def _count_history_parses(monkeypatch) -> list:
 
 
 def _row(store: ResultStore, key: str):
-    """A row's stored payload: bytes for a run, text for a mix."""
+    """A row's stored payload: bytes for a result, text otherwise."""
     (row,) = store._conn.execute(
         "SELECT payload FROM results WHERE key = ?", (key,)).fetchone()
     return row
@@ -100,6 +104,28 @@ def _plain_history(payload: dict) -> bytes:
     return json.dumps({"epochs": payload["epochs"],
                        "actions": payload["actions"]},
                       separators=(",", ":")).encode()
+
+
+def _with_part(row: bytes, index: int, part: bytes) -> bytes:
+    """Result row ``row`` with its part ``index`` (1: the counters, 2: a
+    run's history) replaced by ``part`` under a matching CRC-32."""
+    parts = row.split(b"\n", 2)
+    head = json.loads(parts[0])
+    head[("counters_crc", "history_crc")[index - 1]] = zlib.crc32(part)
+    parts[0] = json.dumps(head, separators=(",", ":")).encode()
+    parts[index] = part
+    return b"\n".join(parts)
+
+
+#: a result's row in each layout that older checkouts wrote
+_OLDER_LAYOUTS = {
+    "one-document": lambda payload: json.dumps(payload,
+                                               separators=(",", ":")),
+    "plain-history": lambda payload: _split_row(
+        payload, "history_crc", _plain_history(payload)),
+    "summary-plus-zlib": lambda payload: _split_row(
+        payload, "history_zcrc", zlib.compress(_plain_history(payload), 1)),
+}
 
 
 class TestRunRequestKeys:
@@ -212,7 +238,7 @@ class TestResultCodec:
             decode_result(payload)
 
     def test_decode_defers_epochs_and_actions(self, monkeypatch):
-        built = _count_telemetry_builds(monkeypatch)
+        built = _count_builds(monkeypatch)
         result = _request(policy="athena").execute()
         clone = decode_result(_payload(result))
         assert built == []
@@ -295,15 +321,23 @@ class TestResultStore:
 
 
 class TestSplitRows:
-    """A run row is its summary, a newline and its zlib-compressed
-    history; the warm lookup parses only the summary."""
+    """A run row is its head, its counters and its zlib-compressed
+    history; a mix row is its head and its per-core counters.  The warm
+    lookup parses only the head."""
 
-    def _mix_payload(self) -> dict:
+    def _mix_request(self) -> MixRequest:
         mix = build_mixes(2, 1)[0]
-        return _payload(MixRequest(
+        return MixRequest(
             workloads=tuple(mix.workloads), trace_length=1500,
             design=CacheDesign.cd1(), policy_name="naive",
-            epoch_length=150).execute())
+            epoch_length=150)
+
+    def _mix_payload(self) -> dict:
+        return _payload(self._mix_request().execute())
+
+    def _payloads(self) -> dict:
+        return {"run": _payload(_request(policy="athena").execute()),
+                "mix": self._mix_payload()}
 
     def test_get_returns_exactly_the_encoded_payload(self, tmp_path):
         run = _payload(_request(policy="athena").execute())
@@ -315,11 +349,18 @@ class TestSplitRows:
                 got = store.get(key)
                 assert got == payload
                 assert json.dumps(got) == json.dumps(payload)
-            head, _, history = _row(store, "run").partition(b"\n")
-            assert b'"epochs"' not in head \
-                and b'"stats"' not in zlib.decompress(history)
-            assert "\n" not in _row(store, "mix")
-            assert store.get("mix", summary=True) == mix
+            head, counters, history = _row(store, "run").split(b"\n", 2)
+            assert b'"stats"' not in head and b'"epochs"' not in head
+            assert json.loads(counters) == run["stats"]
+            assert json.loads(zlib.decompress(history)) == {
+                "epochs": run["epochs"], "actions": run["actions"]}
+            head, counters = _row(store, "mix").split(b"\n")
+            assert b'"stats"' not in head
+            assert json.loads(counters) == \
+                [core["stats"] for core in mix["cores"]]
+            summary = store.get("mix", summary=True)
+            assert isinstance(summary[store_module.COUNTERS], memoryview)
+            assert decode_result(summary) == decode_result(mix)
 
     def test_summary_read_leaves_the_history_unparsed(self, tmp_path,
                                                       monkeypatch):
@@ -335,15 +376,42 @@ class TestSplitRows:
             assert clone.actions == result.actions
             assert len(parsed) == 1
 
-    def test_altered_history_is_a_miss_and_executes_once(self, tmp_path):
-        request = _request(policy="athena")
+    @pytest.mark.parametrize("kind", ["run", "mix"])
+    def test_summary_read_builds_counters_on_first_read(self, tmp_path,
+                                                        monkeypatch, kind):
+        payload = self._payloads()[kind]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put("k", payload)
+            built = _count_builds(monkeypatch, (SimStats,))
+            clone = decode_result(store.get("k", summary=True))
+        cores = clone.cores if kind == "mix" else [clone]
+        wanted = payload["cores"] if kind == "mix" else [payload]
+        assert [core.ipc for core in cores] == \
+            [want["instructions"] / want["cycles"] for want in wanted]
+        assert built == []
+        for count, (core, want) in enumerate(zip(cores, wanted), 1):
+            assert core.stats == SimStats(**want["stats"])
+            assert core.stats is core.stats
+            assert type(core) is SimulationResult
+            assert built == ["SimStats"] * count
+
+    @pytest.mark.parametrize("kind,part", [
+        ("run", 1), ("run", 2), ("mix", 1)],
+        ids=["run-counters", "run-history", "mix-counters"])
+    def test_altered_part_is_a_miss_and_executes_once(self, tmp_path,
+                                                       kind, part):
+        request = _request(policy="athena") if kind == "run" \
+            else self._mix_request()
         path = tmp_path / "s.sqlite"
         with Engine(store=ResultStore(path)) as engine:
             expected = engine.run(request)
         key = request.key()
         with ResultStore(path) as store:
             altered = bytearray(_row(store, key))
-            altered[altered.index(b"\n") + 10] ^= 0x01  # a compressed byte
+            start = 0
+            for _ in range(part):
+                start = altered.index(b"\n", start) + 1
+            altered[start + 10] ^= 0x01
             altered = bytes(altered)
             _write_row(store, key, altered)
             assert key not in store
@@ -353,24 +421,27 @@ class TestSplitRows:
             recomputed = engine.run(request)
             assert engine.counters.executed == 1
             assert engine.counters.store_hits == 0
-            assert recomputed.epochs == expected.epochs
+            assert recomputed == expected
             assert engine.store.get(key) == encode_result(expected)
 
-    def test_single_document_row_replays_without_simulating(self, tmp_path,
-                                                             monkeypatch):
-        request = _request(policy="athena")
-        result = request.execute()
+    @pytest.mark.parametrize("kind,layout", [
+        ("run", "one-document"), ("run", "plain-history"),
+        ("run", "summary-plus-zlib"), ("mix", "one-document")])
+    def test_older_layout_is_a_miss_that_executes_once(self, tmp_path,
+                                                        kind, layout):
+        request = _request(policy="athena") if kind == "run" \
+            else self._mix_request()
+        payload = _payload(request.execute())
         path = tmp_path / "s.sqlite"
         with ResultStore(path) as store:
-            _write_row(store, request.key(), json.dumps(
-                encode_result(result), separators=(",", ":")))
-        with Engine(store=ResultStore(path)) as engine:
-            replayed = engine.run(request)
-            assert engine.counters.executed == 0
-            assert engine.counters.store_hits == 1
-            assert replayed.ipc == result.ipc
-            assert replayed.epochs == result.epochs
-            assert replayed.actions == result.actions
+            _write_row(store, request.key(), _OLDER_LAYOUTS[layout](payload))
+        for executed in (1, 0):
+            with Engine(store=ResultStore(path)) as engine:
+                result = engine.run(request)
+                assert engine.counters.executed == executed
+                assert engine.counters.store_hits == 1 - executed
+                assert encode_result(result) == payload
+                assert engine.store.get(request.key()) == payload
 
     def test_stored_athena_row_is_under_a_quarter_of_its_history(
             self, tmp_path):
@@ -380,25 +451,67 @@ class TestSplitRows:
             assert len(_row(store, "k")) < len(_plain_history(payload)) / 4
             assert store.mean_row_bytes() == len(_row(store, "k"))
 
-    def test_plain_history_row_replays_without_simulating(self, tmp_path):
-        request = _request(policy="athena")
-        result = request.execute()
-        payload = _payload(result)
-        path = tmp_path / "s.sqlite"
-        with ResultStore(path) as store:
-            _write_row(store, request.key(), _split_row(
-                payload, "history_crc", _plain_history(payload)))
-        with Engine(store=ResultStore(path)) as engine:
-            replayed = engine.run(request)
-            assert engine.counters.executed == 0
-            assert engine.counters.store_hits == 1
-            assert replayed.ipc == result.ipc
-            assert replayed.epochs == result.epochs
-            assert replayed.actions == result.actions
+    @pytest.mark.parametrize("kind", ["run", "mix"])
+    def test_lazy_result_behaves_like_an_eager_one(self, tmp_path, kind):
+        payload = self._payloads()[kind]
+        eager = decode_result(payload)
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put("k", payload)
+
+            def lazy():
+                return decode_result(store.get("k", summary=True))
+
+            assert lazy() == eager and eager == lazy()
+            assert not lazy() != eager
+            assert lazy() == lazy()
+            assert repr(lazy()) == repr(eager)
+            for clone in (pickle.loads(pickle.dumps(lazy())),
+                          copy.deepcopy(lazy()), copy.copy(lazy())):
+                assert clone == eager
+                assert type(clone) is type(eager)
+                cores = clone.cores if kind == "mix" else [clone]
+                assert {type(core) for core in cores} == {SimulationResult}
+            assert pickle.loads(pickle.dumps(eager)) == \
+                pickle.loads(pickle.dumps(lazy()))
+        assert type(eager) is (MultiCoreResult if kind == "mix"
+                               else SimulationResult)
+
+    @pytest.mark.parametrize("kind", ["run", "mix"])
+    def test_unknown_counter_raises_on_first_read(self, tmp_path, kind):
+        payload = self._payloads()[kind]
+        (payload["cores"][-1] if kind == "mix" else payload)["stats"][
+            "bogus"] = 1
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put("k", payload)  # the CRC covers the bad counters
+            clone = decode_result(store.get("k", summary=True))
+        core = clone.cores[-1] if kind == "mix" else clone
+        assert core.ipc > 0
+        with pytest.raises(StoreDecodeError, match="bogus"):
+            core.stats
+        with pytest.raises(StoreDecodeError):
+            core.stats  # the row stays bad on a second read
+        if kind == "mix":
+            assert clone.cores[0].stats.instructions > 0
+        with pytest.raises(StoreDecodeError):
+            decode_result(payload)
+
+    def test_counters_that_are_not_json_raise_on_first_read(self, tmp_path):
+        payload = _payload(_request(policy="athena").execute())
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put("k", payload)
+            _write_row(store, "k", _with_part(_row(store, "k"), 1,
+                                              b'{"instructions":'))
+            clone = decode_result(store.get("k", summary=True))
+            assert clone.ipc > 0
+            with pytest.raises(StoreDecodeError) as raised:
+                clone.stats
+            assert isinstance(raised.value.__cause__, ValueError)
+            assert store.get("k") is None  # a whole read is a miss
 
     def _write_non_zlib_history(self, store: ResultStore) -> None:
         payload = _payload(_request(policy="athena").execute())
-        _write_row(store, "k", _split_row(payload, "history_zcrc",
+        store.put("k", payload)
+        _write_row(store, "k", _with_part(_row(store, "k"), 2,
                                           _plain_history(payload)))
 
     def test_history_that_is_not_zlib_is_a_miss(self, tmp_path):
@@ -553,7 +666,7 @@ class TestFigureParallelism:
                            workloads_per_figure=2, epoch_length=150)
         with Engine(store=ResultStore(store_path)) as engine:
             cold = fig07_cd1(ExperimentContext(scale, engine=engine))
-        built = _count_telemetry_builds(monkeypatch)
+        built = _count_builds(monkeypatch)
         parsed = _count_history_parses(monkeypatch)
         with Engine(store=ResultStore(store_path)) as engine:
             warm = fig07_cd1(ExperimentContext(scale, engine=engine))
@@ -562,6 +675,24 @@ class TestFigureParallelism:
         assert warm.format_table() == cold.format_table()
         assert built == []
         assert parsed == []
+
+    def test_warm_fig7_replay_builds_no_counters_until_read(
+            self, tmp_path, monkeypatch):
+        store_path = tmp_path / "s.sqlite"
+        with Engine(store=ResultStore(store_path)) as engine:
+            cold = fig07_cd1(ExperimentContext(TINY, engine=engine))
+            cold_results = dict(engine._memo)
+        built = _count_builds(monkeypatch, (SimStats,))
+        with Engine(store=ResultStore(store_path)) as engine:
+            warm = fig07_cd1(ExperimentContext(TINY, engine=engine))
+            assert engine.counters.executed == 0
+            warm_results = dict(engine._memo)
+        assert warm.format_table() == cold.format_table()
+        assert built == []
+        assert warm_results.keys() == cold_results.keys()
+        for key, result in warm_results.items():
+            assert result.stats == cold_results[key].stats
+        assert len(built) == len(warm_results)
 
     def test_multicore_mix_goes_through_engine(self, tmp_path):
         mix = build_mixes(2, 1)[0]

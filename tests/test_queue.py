@@ -83,6 +83,26 @@ class TestDispatch:
             assert again.already_queued == ["k1"]
             assert len(q) == 1
 
+    def test_dispatch_counts_a_repeated_key_once(self):
+        with JobQueue(":memory:") as q:
+            report = q.dispatch([("k1", "r1"), ("k2", "r2"), ("k1", "r1")])
+            assert report.enqueued == ["k1", "k2"]
+            assert report.already_queued == []
+            assert report.summary() == "dispatch: 2 enqueued (2 keys)"
+            assert len(q) == 2
+
+    def test_dispatch_counts_a_repeated_stored_key_once(self, tmp_path):
+        class FakeStore:
+            def __contains__(self, key):
+                return key == "warm"
+
+        with JobQueue(tmp_path / "q.sqlite") as q:
+            report = q.dispatch([("warm", "r1"), ("warm", "r1")],
+                                store=FakeStore())
+            assert report.done_from_store == ["warm"]
+            assert report.already_done == []
+            assert report.total == 1
+
     def test_dispatch_skips_done_keys(self, tmp_path):
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch([("k1", "r1")])
