@@ -304,46 +304,53 @@ class Engine:
             wall_s=time.perf_counter() - t0, worker=None, spans=[],
         )
 
-    def _consume_payload(self, key: str, payload: dict) -> Result:
-        """Record one successful execution payload, once per key.
+    def _consume_payloads(self, keys: Sequence[str],
+                          payloads: Sequence[dict]) -> List[Result]:
+        """Record one executed job's payloads, one per key, each once.
 
-        An interleaved ``run_many()``/``as_completed()`` may have
-        already recorded a shared in-flight key; recording twice would
-        double-count ``executed`` and rewrite the store.  The worker's
-        observability delta is still harvested either way, so those
-        counters reflect work that really happened.
+        Every payload is decoded before any is recorded: one that fails
+        validation raises :exc:`~repro.engine.store.StoreDecodeError`
+        (the worker's ``corrupt`` failure) and leaves the whole job
+        unrecorded.  A key an interleaved ``run_many()``/
+        ``as_completed()`` already recorded is neither decoded nor
+        recorded again: that would double-count ``executed`` and
+        rewrite the store.  Its trace-cache delta and spans are still
+        harvested, and the trace-cache delta of a job that fails to
+        decode too, so those counters reflect work that really happened.
         """
-        obs = payload.pop("_obs", None) or {}
-        self.counters.apply_trace_delta(obs.get("trace_cache"))
-        recorded = self._memo.get(key)
-        result = recorded if recorded is not None \
-            else decode_result(payload)
-        spans = obs.get("spans") or []
-        if spans:
-            # Worker-side spans merge into the parent collector here —
-            # and only here, so each executed request contributes its
-            # spans exactly once.
-            collector().merge(spans)
-        if recorded is not None:
-            return recorded
-        if self.store is not None:
-            if self._journal is not None:
-                with collector().span("store_write") as write_span:
+        obs = [payload.pop("_obs", None) or {} for payload in payloads]
+        for seen in obs:
+            self.counters.apply_trace_delta(seen.get("trace_cache"))
+        recorded = {key: self._memo[key] for key in keys if key in self._memo}
+        results = [recorded[key] if key in recorded else decode_result(payload)
+                   for key, payload in zip(keys, payloads)]
+        for key, payload, result, seen in zip(keys, payloads, results, obs):
+            spans = seen.get("spans") or []
+            if spans:
+                # Worker-side spans merge into the parent collector here
+                # — and only here, so each executed request contributes
+                # its spans exactly once.
+                collector().merge(spans)
+            if key in recorded:
+                continue
+            if self.store is not None:
+                if self._journal is not None:
+                    with collector().span("store_write") as write_span:
+                        self.store.put(key, payload)
+                    if write_span is not None:
+                        spans = spans + [write_span]
+                else:
                     self.store.put(key, payload)
-                if write_span is not None:
-                    spans = spans + [write_span]
-            else:
-                self.store.put(key, payload)
-        self._memo[key] = result
-        self.counters.executed += 1
-        if self._journal is not None:
-            group = {"group": obs["group"]} if "group" in obs else {}
-            self._journal.event(
-                "request", key=key, outcome="executed",
-                kind=payload.get("kind"), wall_s=obs.get("wall_s"),
-                worker=obs.get("worker"), spans=spans, **group,
-            )
-        return result
+            self._memo[key] = result
+            self.counters.executed += 1
+            if self._journal is not None:
+                group = {"group": seen["group"]} if "group" in seen else {}
+                self._journal.event(
+                    "request", key=key, outcome="executed",
+                    kind=payload.get("kind"), wall_s=seen.get("wall_s"),
+                    worker=seen.get("worker"), spans=spans, **group,
+                )
+        return results
 
     def _note_failure(self, failure: RequestFailure,
                       retrying: bool) -> None:
@@ -372,29 +379,18 @@ class Engine:
     # -- execution ---------------------------------------------------------
 
     def worker(self, queue: Optional[JobQueue] = None) -> QueueWorker:
-        """A :class:`~repro.engine.service.QueueWorker` that settles
-        into this engine.
+        """A :class:`~repro.engine.service.QueueWorker` that drains
+        ``queue`` (default: the engine's durable queue) into this
+        engine.
 
         Executed payloads land in the memo, the store and the journal
         once per key, and failures and pool rebuilds are counted here.
-        ``queue`` defaults to the engine's durable queue.  Only a
-        durable queue is journaled and metered: queue-less runs keep
-        their journal and counters free of queue events.
+        Only the durable queue is journaled and metered: queue-less
+        runs keep their journal and counters free of queue events.
         """
         from .service import QueueWorker
 
-        if queue is None:
-            queue = self.queue
-        durable = queue is self.queue
-        return QueueWorker(
-            queue, store=self.store,
-            jobs=self.jobs, pool=self.pool if self.parallel else None,
-            policy=self.resilience, faults=self.faults,
-            lease_ttl_s=self.lease_ttl_s,
-            on_result=self._consume_payload, resolved=self._resolved,
-            on_failure=self._note_failure, on_rebuild=self._note_rebuild,
-            emit=self.journal_event if durable else None,
-            metrics=self.metrics if durable else None)
+        return QueueWorker(self, queue if queue is not None else self.queue)
 
     def _resolve_misses(
         self,

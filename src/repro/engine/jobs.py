@@ -24,11 +24,12 @@ The module also holds the JSON codecs that serialize
 :class:`~repro.sim.region.SimulationResult` /
 :class:`~repro.sim.region.MultiCoreResult` for the store.  JSON floats
 round-trip exactly (``repr`` semantics), so a decoded result reproduces
-the original tables byte for byte.  A result decoded from a warm
-lookup defers what its stored row keeps apart from the head: its
-counters are parsed, checked and built on the first read of a core's
-``stats``, and a run's per-epoch history is inflated, parsed, validated
-and built on the first read of its epochs or actions.
+the original tables byte for byte.  An executed payload decodes at once
+into plain results.  A result decoded from a warm lookup defers what
+its stored row keeps apart from the head: its counters are parsed,
+checked and built on the first read of a core's ``stats``, and a run's
+per-epoch history is inflated, parsed and built on the first read of
+its epochs or actions.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ import hashlib
 import importlib
 import json
 import os
-from collections import abc
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.config import AthenaConfig, RewardWeights
 from ..obs.spans import span
@@ -406,6 +406,30 @@ def _core_payload(core: SimulationResult) -> dict:
             "cycles": core.cycles, "stats": _dataclass_dict(core.stats)}
 
 
+def _epochs_from(rows: list) -> List[EpochTelemetry]:
+    return [EpochTelemetry(**epoch) for epoch in rows]
+
+
+def _action_values(action: dict) -> tuple:
+    return (tuple(action["prefetchers_enabled"]), action["ocp_enabled"],
+            action["degree_fraction"])
+
+
+def _actions_from(rows: list) -> List[CoordinationAction]:
+    # A run replays a few distinct actions many times: build each once
+    # and share the frozen instance.
+    values = [_action_values(action) for action in rows]
+    shared = {value: CoordinationAction(*value) for value in set(values)}
+    return [shared[value] for value in values]
+
+
+def _history_from(history: dict) -> dict:
+    """A run's ``epochs`` and ``actions``, built from their rows:
+    building each row is what validates it."""
+    return {"epochs": _epochs_from(history["epochs"]),
+            "actions": _actions_from(history["actions"])}
+
+
 def _core_from(payload: dict, **history) -> SimulationResult:
     return SimulationResult(payload["workload"], SimStats(**payload["stats"]),
                             payload["instructions"], payload["cycles"],
@@ -444,30 +468,49 @@ class _Counters:
             raise StoreDecodeError(f"malformed counters: {exc}") from exc
 
 
-class _StoredCore(SimulationResult):
-    """A decoded core whose ``stats`` is parsed, checked and built on
-    its first read (:class:`_Counters`).
+def _stored_history(data: memoryview) -> dict:
+    """A run's ``epochs`` and ``actions``, built from its stored zlib
+    history (:data:`~repro.engine.store.HISTORY_ZLIB`)."""
+    try:
+        return _history_from(load_history(data))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StoreDecodeError(f"malformed run history: {exc}") from exc
 
-    That read turns it into the plain :class:`SimulationResult` it
-    stands for.  Equality, ``repr``, pickling and copying read it
-    first, so they see that result too.  It adds no field; a warm
-    replay that reads only IPC never builds a :class:`SimStats`.
+
+class _StoredCore(SimulationResult):
+    """A core decoded from a summary read, whose parts are built on
+    their first read.
+
+    ``stats`` is parsed, checked and built from the row's counters
+    (:class:`_Counters`); a run's ``epochs`` and ``actions`` come from
+    one inflate of its history, on the first read of either.  A
+    malformed part raises :exc:`~repro.engine.store.StoreDecodeError`
+    on every read.  Once all three are read it is the plain
+    :class:`SimulationResult` it stands for; equality, ``repr``,
+    pickling and copying read them first, so they see that result too.
+    A warm replay that reads only IPC builds none of them.
     """
 
-    def _settle(self) -> SimulationResult:
+    def __getattr__(self, name: str):
         state = vars(self)
-        if "stats" not in state:
+        if name == "stats" and "_counters" in state:
             counters, core = state["_counters"]
             state["stats"] = counters.stats(core)
-        state.pop("_counters", None)
-        self.__class__ = SimulationResult
-        return self
-
-    def __getattr__(self, name: str):
-        if name != "stats":
+            del state["_counters"]
+        elif name in ("epochs", "actions") and "_history" in state:
+            state.update(_stored_history(state["_history"]))
+            del state["_history"]
+        else:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self._settle().stats
+        if "_counters" not in state and "_history" not in state:
+            self.__class__ = SimulationResult
+        return state[name]
+
+    def _settle(self) -> SimulationResult:
+        for name in ("stats", "epochs"):
+            getattr(self, name)  # builds the part, once
+        return self
 
     def __eq__(self, other):
         return self._settle() == other
@@ -479,15 +522,14 @@ class _StoredCore(SimulationResult):
         return self._settle().__reduce_ex__(protocol)
 
 
-def _stored_core(head: dict, counters: _Counters, core: Optional[int],
-                 epochs: Sequence, actions: Sequence) -> SimulationResult:
-    """A core decoded from its stored ``head``, with its counters left
-    unparsed in ``counters``."""
+def _stored_core(head: dict, **parts) -> SimulationResult:
+    """A core decoded from its stored ``head``; ``parts`` holds what is
+    built on first read (``_counters``, ``_history``) or already built
+    (a mix core's empty ``epochs`` and ``actions``)."""
     result = object.__new__(_StoredCore)
     vars(result).update(workload=head["workload"],
                         instructions=head["instructions"],
-                        cycles=head["cycles"], epochs=epochs,
-                        actions=actions, _counters=(counters, core))
+                        cycles=head["cycles"], **parts)
     return result
 
 
@@ -512,138 +554,19 @@ def encode_result(result: Result) -> dict:
     }
 
 
-class _History:
-    """A run's validated epoch rows and action values.
-
-    Rows from a whole payload are validated when it is decoded; a
-    history read with ``ResultStore.get(key, summary=True)`` arrives as
-    a view of its stored zlib bytes and is inflated, parsed and
-    validated, by the same rules, on first use.
-    """
-
-    __slots__ = ("_data", "_rows")
-
-    def __init__(self, data: Optional[memoryview] = None,
-                 rows: Optional[Tuple[list, list]] = None) -> None:
-        self._data = data
-        self._rows = rows
-
-    def rows(self) -> Tuple[list, list]:
-        if self._rows is None:
-            try:
-                history = load_history(self._data)
-            except ValueError as exc:
-                raise StoreDecodeError(f"malformed run history: {exc}") \
-                    from exc
-            self._rows = _history_rows(history)
-            self._data = None
-        return self._rows
-
-
-class _Deferred(abc.Sequence):
-    """A read-only list whose items are built on first access.
-
-    Most consumers of a decoded run read only its totals (a warm Fig 7
-    replay reads IPC), so :func:`decode_result` hands a run's epochs and
-    actions over unbuilt, and, when the history came from the store
-    compressed, compressed too: the first read inflates, parses and
-    validates it (:class:`_History`).  Not a ``list`` subclass: C-level
-    list operations (slicing, ``==``, ``list(x)``) read a list's own
-    storage and would skip the deferred build.
-    """
-
-    __slots__ = ("_build", "_history", "_index", "_items")
-
-    def __init__(self, build: Callable[[list], list], history: _History,
-                 index: int) -> None:
-        self._build = build
-        self._history = history
-        self._index = index
-        self._items: Optional[list] = None
-
-    def _list(self) -> list:
-        if self._items is None:
-            self._items = self._build(self._history.rows()[self._index])
-            self._build = self._history = None
-        return self._items
-
-    def __len__(self) -> int:
-        if self._items is None:
-            return len(self._history.rows()[self._index])
-        return len(self._items)
-
-    def __getitem__(self, index):
-        return self._list()[index]
-
-    def __iter__(self):
-        return iter(self._list())
-
-    def __eq__(self, other):
-        if isinstance(other, _Deferred):
-            other = other._list()
-        return self._list() == other if isinstance(other, list) \
-            else NotImplemented
-
-    def __reduce__(self):
-        return list, (self._list(),)
-
-    def __repr__(self) -> str:
-        return repr(self._list())
-
-
-_EPOCH_FIELDS = frozenset(f.name for f in fields(EpochTelemetry))
-
-
-def _epochs_from(rows: list) -> List[EpochTelemetry]:
-    return [EpochTelemetry(**epoch) for epoch in rows]
-
-
-def _action_values(action: dict) -> tuple:
-    return (tuple(action["prefetchers_enabled"]), action["ocp_enabled"],
-            action["degree_fraction"])
-
-
-def _actions_from(values: list) -> List[CoordinationAction]:
-    # A run replays a few distinct actions many times: build each once
-    # and share the frozen instance.
-    shared = {value: CoordinationAction(*value) for value in set(values)}
-    return [shared[value] for value in values]
-
-
-def _history_rows(history: dict) -> Tuple[list, list]:
-    """A run's epoch rows and action values, rejecting every row the
-    deferred builds would reject: each epoch a dict keyed by
-    EpochTelemetry fields (checked over the union of all rows' keys, in
-    C), each action hashable."""
-    try:
-        epochs = history["epochs"]
-        if not isinstance(epochs, list) \
-                or not set(map(type, epochs)) <= {dict} \
-                or not set().union(*epochs) <= _EPOCH_FIELDS:
-            raise StoreDecodeError("malformed epoch telemetry")
-        actions = [_action_values(action) for action in history["actions"]]
-        set(actions)
-    except StoreDecodeError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise StoreDecodeError(f"malformed run history: {exc}") from exc
-    return epochs, actions
-
-
 def decode_result(payload: dict) -> Result:
     """Rebuild a result from :func:`encode_result` output, or from a
     result row read with ``ResultStore.get(key, summary=True)``.
 
     Raises :exc:`~repro.engine.store.StoreDecodeError` on any malformed
-    or stale payload so callers treat the entry as a cache miss.  The
-    schema, kind and per-core totals are checked here.  A whole
-    payload's counters, epochs and actions are validated here too, and
-    its epochs and actions built when first read.  A row read with
-    ``summary`` keeps its stored counters and history unparsed: the
-    counters are parsed, checked and built on the first read of a
-    core's ``stats``, the history on the first read of a run's epochs or
-    actions, and either raises
-    :exc:`~repro.engine.store.StoreDecodeError` there when malformed.
+    or stale payload so callers treat the entry as a cache miss.  A
+    whole payload decodes at once into plain results, with ``list``
+    epochs and actions: building them is what validates them.  A row
+    read with ``summary`` has its schema, kind and per-core totals
+    checked here and its counters and history kept unparsed: each core
+    is a :class:`_StoredCore` that builds them on first read, and
+    raises :exc:`~repro.engine.store.StoreDecodeError` there when they
+    are malformed.
     """
     try:
         if payload.get("schema") != ENGINE_SCHEMA:
@@ -659,20 +582,15 @@ def decode_result(payload: dict) -> Result:
                     cores=[_core_from(core) for core in cores])
             counters = _Counters(data, len(cores))
             return MultiCoreResult(cores=[
-                _stored_core(core, counters, index, [], [])
+                _stored_core(core, _counters=(counters, index),
+                             epochs=[], actions=[])
                 for index, core in enumerate(cores)])
         if kind != "run":
             raise StoreDecodeError(f"unknown payload kind {kind!r}")
-        history_data = payload.get(HISTORY_ZLIB)
-        history = _History(data=history_data) \
-            if isinstance(history_data, memoryview) \
-            else _History(rows=_history_rows(payload))
-        epochs = _Deferred(_epochs_from, history, 0)
-        actions = _Deferred(_actions_from, history, 1)
-        if isinstance(data, memoryview):
-            return _stored_core(payload, _Counters(data), None,
-                                epochs, actions)
-        return _core_from(payload, epochs=epochs, actions=actions)
+        if not isinstance(data, memoryview):
+            return _core_from(payload, **_history_from(payload))
+        return _stored_core(payload, _counters=(_Counters(data), None),
+                            _history=payload[HISTORY_ZLIB])
     except StoreDecodeError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

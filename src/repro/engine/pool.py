@@ -25,19 +25,12 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..obs.spans import collector, set_enabled, spans_enabled
-from .faults import FaultPlan, RequestFailure
+from .faults import FaultPlan
 from .jobs import (Request, encode_result, execute_group,
                    load_execution_modules)
 
 #: progress callback: (settled_count, total, request_key)
 ProgressFn = Callable[[int, int, str], None]
-
-#: failure callback: (failure, retrying) — retrying=True means the
-#: request will be attempted again, False means the failure is terminal.
-FailureFn = Callable[[RequestFailure, bool], None]
-
-#: rebuild callback: (total_rebuilds, degraded)
-RebuildFn = Callable[[int, bool], None]
 
 
 def _execute_job(requests: Sequence[Request], telemetry: bool = False,

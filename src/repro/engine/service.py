@@ -1,20 +1,21 @@
 """Lease-based worker service: the engine's one executor.
 
-:class:`QueueWorker` drains a :class:`~repro.engine.queue.JobQueue`:
-it leases jobs under a TTL, heartbeats while simulations run, delivers
-each payload (to the Engine's memo/store/journal, or straight to the
-shared :class:`~repro.engine.store.ResultStore`), and marks jobs done.
-It is the only place where attempts, failures, timeouts and pool
-crashes are settled.  The same class serves two deployments:
+:class:`QueueWorker` drains a :class:`~repro.engine.queue.JobQueue`
+into its :class:`~repro.engine.api.Engine`: it leases jobs under a TTL,
+heartbeats while simulations run, hands each executed job's payloads
+to the engine, which decodes them once and records them in its memo,
+store and journal, and marks jobs done.  It is the only place where
+attempts, failures, timeouts and pool crashes are settled.  A worker
+always comes from :meth:`~repro.engine.api.Engine.worker`, wherever it
+runs:
 
-* **embedded** — every :class:`~repro.engine.api.Engine` batch
-  dispatches its misses to a queue and drains it with one of these, in
-  process: a fresh ``:memory:`` queue per batch, or the durable file of
-  ``--queue PATH``, which the campaign leaves behind as its progress
-  record;
-* **standalone** — ``repro worker --queue PATH`` runs one per OS
-  process; any number of them may point at the same queue file, on the
-  strength of the store's benign same-key write races.
+* every Engine batch dispatches its misses to a queue and drains it
+  with one, in process: a fresh ``:memory:`` queue per batch, or the
+  durable file of ``--queue PATH``, which the campaign leaves behind as
+  its progress record;
+* ``repro worker --queue PATH`` runs one per OS process, from an engine
+  that only drains; any number of them may point at the same queue
+  file, on the strength of the store's benign same-key write races.
 
 Crash semantics: a worker that dies (SIGKILL, OOM, reboot) simply stops
 heartbeating.  Its leases expire; any surviving process's
@@ -48,16 +49,17 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Callable, Deque, Dict, Iterator, List, Optional,
+from typing import (TYPE_CHECKING, Deque, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.spans import spans_enabled, worker_id
-from .faults import ExecutionPolicy, FaultPlan, RequestFailure
-from .jobs import decode_result
-from .pool import FailureFn, RebuildFn, SimulationPool, run_inline
+from .faults import RequestFailure
+from .pool import run_inline
 from .queue import JobQueue, Lease
 from .store import StoreDecodeError
+
+if TYPE_CHECKING:  # the engine imports this module where it drains
+    from .api import Engine
 
 #: one settled job: ``("ok", key, result)``, ``("fail", key,
 #: RequestFailure)``, or ``("done", key, None)`` for a job that was
@@ -102,9 +104,6 @@ class WorkerReport:
         return text
 
 
-#: journal-event callback: (event_type, **fields)
-EmitFn = Callable[..., None]
-
 #: one executed unit: a lease, or the leases of one lockstep group.
 Job = Tuple[Lease, ...]
 
@@ -121,117 +120,58 @@ CANCELLED = ("abandoned after another request's terminal failure "
 
 
 class QueueWorker:
-    """Drains a job queue: lease → heartbeat → execute → complete.
+    """Drains a job queue into its engine: lease → heartbeat → execute
+    → complete.
 
-    Parameters
-    ----------
-    queue:
-        The :class:`~repro.engine.queue.JobQueue` (or a path to one).
-    store:
-        Shared :class:`~repro.engine.store.ResultStore`; lets the
-        worker resume jobs whose result already landed (crash between
-        store write and done mark) and is where the default delivery
-        path writes results.
-    jobs / pool:
-        ``jobs == 1`` without a ``pool`` executes one lease at a time
-        inline; otherwise up to ``jobs`` leases run in the
-        :class:`~repro.engine.pool.SimulationPool` (created if not
-        given), refilled as each finishes, with the policy's
-        per-attempt timeout enforced by pool rebuild.
-    policy / faults:
-        Retry/timeout discipline and deterministic fault injector.  The
-        queue carries the attempt count; the policy supplies the
-        budget, the backoff and fail-fast, and the injector sees the
-        queue's attempt number, so chaos campaigns recover across
-        worker processes exactly as they do in-process.
-    lease_ttl_s / heartbeat_s / poll_s:
-        Lease lifetime, heartbeat period while executing (default
-        ``lease_ttl_s / 3``), and the longest idle sleep (an idle
-        worker wakes earlier when a retry's backoff runs out).
-    on_result:
-        ``fn(key, payload) -> result`` for each executed payload (the
-        Engine's ``_consume_payload``).  Default: decode-validate,
-        write to ``store``, journal a ``request`` event.
-    resolved:
-        ``fn(key) -> bool``: a leased job whose key is resolved
-        completes without executing.  Default: the key is in ``store``.
-    on_failure / on_rebuild / emit / metrics:
-        The Engine's observability hooks (failure + rebuild notes,
-        journal events, metric registry); all optional.
+    The ``engine`` supplies the store, the pool and ``jobs``, the
+    resilience policy, the fault plan and the lease TTL.  ``jobs == 1``
+    without a pool executes one lease at a time inline; otherwise up to
+    ``jobs`` leases run in the engine's
+    :class:`~repro.engine.pool.SimulationPool`, refilled as each
+    finishes, with the policy's per-attempt timeout enforced by pool
+    rebuild.  The queue carries the attempt count; the policy supplies
+    the budget, the backoff and fail-fast, and the fault plan sees the
+    queue's attempt number, so chaos campaigns recover across worker
+    processes exactly as they do in-process.
+
+    Each executed payload, failure and pool rebuild is recorded by the
+    engine, and a leased key the engine has already resolved completes
+    without executing.  Only the engine's own (durable) ``queue`` is
+    journaled and metered: a batch's ``:memory:`` queue leaves the
+    journal and the counters free of queue events.
     """
 
-    def __init__(
-        self,
-        queue,
-        *,
-        store=None,
-        jobs: int = 1,
-        pool: Optional[SimulationPool] = None,
-        policy: Optional[ExecutionPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        lease_ttl_s: float = 30.0,
-        heartbeat_s: Optional[float] = None,
-        poll_s: float = 0.2,
-        owner: Optional[str] = None,
-        on_result: Optional[Callable[[str, dict], object]] = None,
-        resolved: Optional[Callable[[str], bool]] = None,
-        on_failure: Optional[FailureFn] = None,
-        on_rebuild: Optional[RebuildFn] = None,
-        emit: Optional[EmitFn] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.queue = queue if isinstance(queue, JobQueue) \
-            else JobQueue(queue)
-        self.store = store
-        self.jobs = max(1, int(jobs))
-        self._pool = pool
-        self._owns_pool = pool is None
-        #: no pool: one lease at a time, executed in this process.
-        self._inline = self.jobs <= 1 and pool is None
-        self.policy = policy if policy is not None \
-            else ExecutionPolicy.from_env()
-        self.faults = faults if faults is not None \
-            else FaultPlan.from_env()
-        self.lease_ttl_s = float(lease_ttl_s)
-        self.heartbeat_s = (float(heartbeat_s) if heartbeat_s is not None
-                            else self.lease_ttl_s / 3.0)
-        self.poll_s = float(poll_s)
-        self.owner = owner if owner else owner_id()
-        self.on_result = on_result
-        self.resolved = resolved if resolved is not None \
-            else self._in_store
-        self.on_failure = on_failure
-        self.on_rebuild = on_rebuild
-        self.emit = emit
-        self.metrics = metrics
+    def __init__(self, engine: Engine, queue: JobQueue) -> None:
+        self.engine = engine
+        self.queue = queue
+        #: heartbeat period while executing.
+        self.heartbeat_s = engine.lease_ttl_s / 3.0
+        #: the longest idle sleep; an idle worker wakes earlier when a
+        #: retry's backoff runs out.
+        self.poll_s = 0.2
+        self.owner = owner_id()
+        #: the engine's pool; None executes inline.
+        self._pool = engine.pool if engine.parallel else None
+        self._durable = queue is engine.queue
         #: what the latest drain accomplished.
         self.report = WorkerReport(owner=self.owner)
 
     # -- plumbing ----------------------------------------------------------
 
-    @property
-    def pool(self) -> SimulationPool:
-        if self._pool is None:
-            self._pool = SimulationPool(jobs=self.jobs)
-        return self._pool
-
-    def _in_store(self, key: str) -> bool:
-        return self.store is not None and key in self.store
-
     def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.counter("queue_" + name).inc(amount)
+        if self._durable and amount:
+            self.engine.metrics.counter("queue_" + name).inc(amount)
 
     def _emit(self, type: str, **fields) -> None:
-        if self.emit is not None:
-            self.emit(type, **fields)
+        if self._durable:
+            self.engine.journal_event(type, **fields)
 
     def _update_depth(self) -> None:
-        if self.metrics is None:
+        if not self._durable:
             return
         counts = self.queue.counts()
         # jobs pending or leased in the attached queue
-        self.metrics.gauge("queue_depth").set(
+        self.engine.metrics.gauge("queue_depth").set(
             counts["pending"] + counts["leased"])
 
     # -- the drain loop ----------------------------------------------------
@@ -274,7 +214,7 @@ class QueueWorker:
                      else dict.fromkeys(watch_keys))
         self.report = WorkerReport(owner=self.owner)
         self._cancelled = False
-        slots = 1 if self._inline else self.jobs
+        slots = 1 if self._pool is None else self.engine.jobs
         running: Dict[Future, Job] = {}
         deadlines: Dict[Future, float] = {}
         events: Deque[Settlement] = deque()
@@ -292,7 +232,8 @@ class QueueWorker:
                             continue
                         del unsettled[key]
                     yield event
-                    if (kind == "fail" and self.policy.fail_fast
+                    if (kind == "fail"
+                            and self.engine.resilience.fail_fast
                             and unsettled and not self._cancelled):
                         events.extend(self._cancel(unsettled))
                 if unsettled is not None and not unsettled \
@@ -302,7 +243,7 @@ class QueueWorker:
                         for lease in job]
                 if live and time.monotonic() >= next_beat:
                     self.queue.heartbeat(live, self.owner,
-                                         ttl_s=self.lease_ttl_s)
+                                         ttl_s=self.engine.lease_ttl_s)
                     next_beat = time.monotonic() + self.heartbeat_s
                 # A consumer that paused between pulls, or a stall after
                 # the heartbeat, must not reclaim this worker's own
@@ -342,9 +283,6 @@ class QueueWorker:
             self._update_depth()
         finally:
             self._abandon(running)
-            if self._owns_pool and self._pool is not None:
-                self._pool.close()
-                self._pool = None
 
     def _refill(self, slots: int, running: Dict[Future, Job],
                 deadlines: Dict[Future, float],
@@ -361,8 +299,8 @@ class QueueWorker:
         if free <= 0 or self._cancelled or (
                 unsettled is not None and not unsettled):
             return None
-        leases = self.queue.lease(self.owner, ttl_s=self.lease_ttl_s,
-                                  limit=free)
+        leases = self.queue.lease(self.owner,
+                                  ttl_s=self.engine.lease_ttl_s, limit=free)
         if leases:
             self.report.leased += len(leases)
             self._count("leased", len(leases))
@@ -370,7 +308,7 @@ class QueueWorker:
                        keys=[lease.key for lease in leases])
         jobs: Dict[str, List[Lease]] = {}
         for lease in leases:
-            if self.resolved(lease.key):
+            if self.engine._resolved(lease.key):
                 # The crash window between a dead worker's store write
                 # and its done mark: a lookup, not a simulation.
                 self.queue.complete(lease.key, self.owner)
@@ -379,17 +317,17 @@ class QueueWorker:
                 events.append(("done", lease.key, None))
                 continue
             jobs.setdefault(lease.group or lease.key, []).append(lease)
+        timeout_s = self.engine.resilience.timeout_s
         for job in jobs.values():
-            if self._inline:
+            if self._pool is None:
                 future: Future = Future()  # executed by _wait
             else:
-                future = self.pool.submit(
+                future = self._pool.submit(
                     _job_key(job), [lease.request for lease in job],
-                    faults=self.faults,
+                    faults=self.engine.faults,
                     attempts=[lease.attempt for lease in job])
-                if self.policy.timeout_s is not None:
-                    deadlines[future] = (time.monotonic()
-                                         + self.policy.timeout_s)
+                if timeout_s is not None:
+                    deadlines[future] = time.monotonic() + timeout_s
             running[future] = tuple(job)
         return self.queue.next_due() if len(jobs) < free else None
 
@@ -404,11 +342,11 @@ class QueueWorker:
         attempts fail with ``timeout``, finished ones settle normally,
         and the innocent rest are released uncharged.
         """
-        if self._inline:
+        if self._pool is None:
             [(future, job)] = running.items()
             run_inline([lease.request for lease in job], spans_enabled(),
-                       self.faults, [lease.attempt for lease in job],
-                       future)
+                       self.engine.faults,
+                       [lease.attempt for lease in job], future)
             done = {future}
         else:
             done, _ = wait(set(running), timeout=timeout,
@@ -435,7 +373,7 @@ class QueueWorker:
             if future in expired:
                 events.extend(self._fail(
                     job, "timeout",
-                    f"attempt exceeded {self.policy.timeout_s}s "
+                    f"attempt exceeded {self.engine.resilience.timeout_s}s "
                     f"wall-clock budget"))
             elif future in finished:
                 events.extend(self._consume(future, job)[0])
@@ -447,18 +385,23 @@ class QueueWorker:
         return events
 
     def _rebuild_pool(self) -> None:
-        self.pool.rebuild()
-        if self.pool.rebuilds > self.policy.max_rebuilds:
-            self.pool.degraded = True
-        if self.on_rebuild is not None:
-            self.on_rebuild(self.pool.rebuilds, self.pool.degraded)
+        pool = self._pool
+        pool.rebuild()
+        if pool.rebuilds > self.engine.resilience.max_rebuilds:
+            pool.degraded = True
+        self.engine._note_rebuild(pool.rebuilds, pool.degraded)
 
     # -- settling one job --------------------------------------------------
 
     def _consume(self, future: Future,
                  job: Job) -> Tuple[List[Settlement], bool]:
         """Settle one finished job; the flag is True when the pool
-        crashed under it."""
+        crashed under it.
+
+        The engine decodes every member's payload before it records
+        any, so a payload that fails validation fails the whole job as
+        ``corrupt`` and records none of it.
+        """
         if self._pool is not None:
             self._pool.discard(_job_key(job))
         try:
@@ -475,7 +418,8 @@ class QueueWorker:
             return self._fail(job, "exception", str(exc),
                               exc=exc), False
         try:
-            results = self._deliver(job, payloads)
+            results = self.engine._consume_payloads(
+                [lease.key for lease in job], payloads)
         except StoreDecodeError as exc:
             return self._fail(job, "corrupt", str(exc), exc=exc), False
         settled: List[Settlement] = []
@@ -485,34 +429,6 @@ class QueueWorker:
         self.report.completed += len(job)
         self._count("completed", len(job))
         return settled, False
-
-    def _deliver(self, job: Job, payloads: List[dict]) -> list:
-        """Route one executed job's payloads to their consumer.
-
-        Raises :class:`~repro.engine.store.StoreDecodeError` when a
-        payload fails validation (the ``corrupt`` failure path); a
-        group's payloads are all validated before any is delivered, so
-        a group is delivered whole or not at all.
-        """
-        if len(job) > 1:
-            for payload in payloads:
-                decode_result(payload)
-        return [self._deliver_one(lease.key, payload)
-                for lease, payload in zip(job, payloads)]
-
-    def _deliver_one(self, key: str, payload: dict) -> object:
-        if self.on_result is not None:
-            return self.on_result(key, payload)
-        obs = payload.pop("_obs", None) or {}
-        result = decode_result(payload)  # validates; raises StoreDecodeError
-        if self.store is not None:
-            self.store.put(key, payload)
-        group = {"group": obs["group"]} if "group" in obs else {}
-        self._emit("request", key=key, outcome="executed",
-                   kind=payload.get("kind"), wall_s=obs.get("wall_s"),
-                   worker=obs.get("worker"), spans=obs.get("spans") or [],
-                   **group)
-        return result
 
     def _fail(self, job: Job, kind: str, error: str,
               exc: Optional[BaseException] = None) -> List[Settlement]:
@@ -531,12 +447,12 @@ class QueueWorker:
                                          attempts=attempts)
             state = self.queue.fail(
                 lease.key, failure,
-                backoff_s=self.policy.backoff(lease.key, attempts),
+                backoff_s=self.engine.resilience.backoff(lease.key,
+                                                         attempts),
                 retry=not self._cancelled)
             retrying = state == "pending"
             self._count("failed_attempts")
-            if self.on_failure is not None:
-                self.on_failure(failure, retrying)
+            self.engine._note_failure(failure, retrying)
             if retrying:
                 self.report.retried += 1
                 continue
@@ -550,8 +466,7 @@ class QueueWorker:
         self._cancelled = True
         failures = self.queue.cancel(list(unsettled), CANCELLED)
         for failure in failures:
-            if self.on_failure is not None:
-                self.on_failure(failure, False)
+            self.engine._note_failure(failure, False)
             self.report.failures.append(failure)
         return [("fail", failure.key, failure) for failure in failures]
 
@@ -566,11 +481,10 @@ class QueueWorker:
         self._emit("reclaim", owner=self.owner,
                    requeued=[f.key for f in requeued],
                    failed=[f.key for f in failed])
-        if self.on_failure is not None:
-            for failure in requeued:
-                self.on_failure(failure, True)
-            for failure in failed:
-                self.on_failure(failure, False)
+        for failure in requeued:
+            self.engine._note_failure(failure, True)
+        for failure in failed:
+            self.engine._note_failure(failure, False)
         self.report.failures.extend(failed)
         return [("fail", failure.key, failure) for failure in failed]
 
@@ -605,7 +519,8 @@ class QueueWorker:
                 if future.done() and self._pool is not None:
                     self._pool.discard(_job_key(job))
                 if future.done() and future.exception() is None:
-                    self._deliver(job, future.result())
+                    self.engine._consume_payloads(
+                        [lease.key for lease in job], future.result())
                     for lease in job:
                         self.queue.complete(lease.key, self.owner)
                 else:

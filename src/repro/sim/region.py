@@ -38,8 +38,8 @@ class SimulationResult:
     stats: SimStats
     instructions: int
     cycles: float
-    epochs: Sequence[EpochTelemetry] = field(default_factory=list)
-    actions: Sequence[CoordinationAction] = field(default_factory=list)
+    epochs: List[EpochTelemetry] = field(default_factory=list)
+    actions: List[CoordinationAction] = field(default_factory=list)
 
     @property
     def ipc(self) -> float:

@@ -77,6 +77,19 @@ def _count_history_parses(monkeypatch) -> list:
     return parsed
 
 
+def _count_history_inflates(monkeypatch) -> list:
+    """Record each stored run history the codec inflates."""
+    inflated = []
+    load = jobs.load_history
+
+    def counting(data):
+        inflated.append(len(data))
+        return load(data)
+
+    monkeypatch.setattr(jobs, "load_history", counting)
+    return inflated
+
+
 def _row(store: ResultStore, key: str):
     """A row's stored payload: bytes for a result, text otherwise."""
     (row,) = store._conn.execute(
@@ -237,20 +250,6 @@ class TestResultCodec:
         with pytest.raises(StoreDecodeError):
             decode_result(payload)
 
-    def test_decode_defers_epochs_and_actions(self, monkeypatch):
-        built = _count_builds(monkeypatch)
-        result = _request(policy="athena").execute()
-        clone = decode_result(_payload(result))
-        assert built == []
-        assert clone.ipc == result.ipc
-        assert len(clone.epochs) == len(result.epochs)
-        assert built == []
-        assert clone.epochs == result.epochs
-        assert built.count("EpochTelemetry") == len(result.epochs)
-        assert "CoordinationAction" not in built
-        assert clone.actions == result.actions
-        assert 0 < built.count("CoordinationAction") < len(result.actions)
-
     def test_reencoding_a_decoded_payload_is_byte_identical(self):
         mix = build_mixes(2, 1)[0]
         results = [
@@ -263,20 +262,6 @@ class TestResultCodec:
             payload = _payload(result)
             assert json.dumps(encode_result(decode_result(payload))) == \
                 json.dumps(payload)
-
-    def test_deferred_rows_behave_like_lists(self):
-        result = _request(policy="athena").execute()
-        clone = decode_result(_payload(result))
-        for got, want in ((clone.epochs, result.epochs),
-                          (clone.actions, result.actions)):
-            assert not isinstance(got, list)
-            assert len(got) == len(want)
-            assert got[-1] == want[-1] and got[0] == want[0]
-            assert got[2:5] == want[2:5] and got[:] == want
-            assert list(got) == want and [x for x in got] == want
-            assert got == want and want == got and not got != want
-            assert got != want[:-1] and got != tuple(want)
-            assert pickle.loads(pickle.dumps(got)) == want
 
 
 class TestResultStore:
@@ -392,6 +377,9 @@ class TestSplitRows:
         for count, (core, want) in enumerate(zip(cores, wanted), 1):
             assert core.stats == SimStats(**want["stats"])
             assert core.stats is core.stats
+            # a run turns plain once its history is read too
+            assert (type(core) is SimulationResult) == (kind == "mix")
+            assert core.epochs is core.epochs
             assert type(core) is SimulationResult
             assert built == ["SimStats"] * count
 
@@ -452,7 +440,8 @@ class TestSplitRows:
             assert store.mean_row_bytes() == len(_row(store, "k"))
 
     @pytest.mark.parametrize("kind", ["run", "mix"])
-    def test_lazy_result_behaves_like_an_eager_one(self, tmp_path, kind):
+    def test_lazy_result_behaves_like_an_eager_one(self, tmp_path,
+                                                   monkeypatch, kind):
         payload = self._payloads()[kind]
         eager = decode_result(payload)
         with ResultStore(tmp_path / "s.sqlite") as store:
@@ -473,8 +462,37 @@ class TestSplitRows:
                 assert {type(core) for core in cores} == {SimulationResult}
             assert pickle.loads(pickle.dumps(eager)) == \
                 pickle.loads(pickle.dumps(lazy()))
+            inflates = _count_history_inflates(monkeypatch)
+            eager_cores = eager.cores if kind == "mix" else [eager]
+            for order in (("stats", "epochs", "actions"),
+                          ("epochs", "stats", "actions"),
+                          ("actions", "epochs", "stats")):
+                clone = lazy()
+                cores = clone.cores if kind == "mix" else [clone]
+                for core, want in zip(cores, eager_cores):
+                    for name in order:
+                        assert getattr(core, name) == getattr(want, name)
+                    assert type(core) is SimulationResult
+                    assert core == want
+            # one inflate of a run's history serves its epochs and actions
+            assert len(inflates) == (3 if kind == "run" else 0)
         assert type(eager) is (MultiCoreResult if kind == "mix"
                                else SimulationResult)
+
+    def test_results_hold_plain_lists_on_every_path(self, tmp_path):
+        request = _request(policy="athena")
+        path = tmp_path / "s.sqlite"
+        with Engine(store=ResultStore(path)) as engine:
+            executed = engine.run(request)
+            assert engine.counters.executed == 1
+        with Engine(store=ResultStore(path)) as engine:
+            replayed = engine.run(request)
+            assert engine.counters.store_hits == 1
+        for result in (request.execute(), executed, replayed):
+            assert type(result.epochs) is list
+            assert type(result.actions) is list
+            assert result.stats == executed.stats
+            assert type(result) is SimulationResult
 
     @pytest.mark.parametrize("kind", ["run", "mix"])
     def test_unknown_counter_raises_on_first_read(self, tmp_path, kind):

@@ -16,15 +16,15 @@ import random
 import pytest
 
 from repro.core.config import AthenaConfig
-from repro.engine import Engine, ResultStore, RunRequest
+from repro.engine import Engine, ResultStore, RunRequest, api, jobs
 from repro.engine.faults import ExecutionPolicy, FaultPlan
 from repro.engine.jobs import (MixRequest, encode_result, execute_group,
                                group_key, lockstep_groups)
 from repro.engine.queue import JobQueue
-from repro.engine.service import QueueWorker
 from repro.experiments.configs import CacheDesign
 from repro.experiments.runner import ExperimentContext
 from repro.obs import read_journal, reset_collector, summarize_journal
+from repro.sim.stats import SimStats
 from repro.workloads.suites import SCALES, evaluation_workloads, find_workload
 from repro.workloads.tracecache import TraceCache, reset_trace_cache
 
@@ -199,6 +199,31 @@ class TestEngine:
             for request, want in zip(requests, expected):
                 assert engine.store.get(request.key()) == want
 
+    def test_group_payloads_decode_once(self, tmp_path, monkeypatch):
+        # every decode of a whole run payload builds its SimStats in the
+        # codec, whichever module calls it
+        built = []
+
+        def counting(**counters):
+            built.append("SimStats")
+            return SimStats(**counters)
+
+        monkeypatch.setattr(jobs, "SimStats", counting)
+        decoded = []
+        decode = api.decode_result
+
+        def counting_decode(payload):
+            decoded.append(payload["kind"])
+            return decode(payload)
+
+        monkeypatch.setattr(api, "decode_result", counting_decode)
+        requests = seed_set("spec06.mcf_like.0")
+        with Engine(store=ResultStore(tmp_path / "s.sqlite")) as engine:
+            engine.run_many(requests)
+            assert engine.counters.executed == 3
+        assert decoded == ["run"] * 3
+        assert built == ["SimStats"] * 3
+
     def test_durable_queue_leases_a_group_together(self, tmp_path):
         requests = seed_set("spec06.mcf_like.0")
         pairs = [(r.key(), r) for r in requests]
@@ -220,7 +245,8 @@ class TestEngine:
         with JobQueue(tmp_path / "q.sqlite") as queue:
             queue.dispatch(pairs, groups=lockstep_groups(pairs))
             assert len(queue.lease("dead-worker", ttl_s=0.0)) == 3
-            report = QueueWorker(queue, store=store, lease_ttl_s=5).run()
+            report = Engine(store=store, queue=queue,
+                            lease_ttl_s=5).worker().run()
             assert (report.reclaimed, report.completed) == (3, 3)
             assert queue.counts()["done"] == 3
         assert all(store.get(key) is not None for key, _ in pairs)

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.engine import Engine, JobQueue, QueueWorker, ResultStore, RunRequest
+from repro.engine import Engine, JobQueue, ResultStore, RunRequest
 from repro.engine.backend import execute_with_retry
 from repro.engine.faults import (
     ExecutionError,
@@ -432,7 +432,7 @@ class TestQueueWorker:
         store = ResultStore(tmp_path / "s.sqlite")
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch(_keyed(requests))
-            worker = QueueWorker(q, store=store, policy=FAST)
+            worker = Engine(store=store, queue=q, resilience=FAST).worker()
             report = worker.run()
             assert report.completed == 3
             assert report.terminal == 0
@@ -457,9 +457,10 @@ class TestQueueWorker:
         store = ResultStore(tmp_path / "s.sqlite")
         with StallingQueue(tmp_path / "q.sqlite") as q:
             q.dispatch(_keyed([request]), max_retries=0)
-            worker = QueueWorker(
-                q, store=store, lease_ttl_s=0.05, heartbeat_s=0.0,
-                policy=ExecutionPolicy(max_retries=0))
+            worker = Engine(store=store, queue=q,
+                            resilience=ExecutionPolicy(max_retries=0),
+                            lease_ttl_s=0.05).worker()
+            worker.heartbeat_s = 0.0
             settlements = worker.settlements()
             assert next(settlements) is None  # leased, heartbeat due
             kind, key, _ = next(settlements)
@@ -473,7 +474,7 @@ class TestQueueWorker:
         # a period as long as the TTL lets a sibling worker reclaim a
         # live lease between two heartbeats
         with JobQueue(tmp_path / "q.sqlite") as q:
-            worker = QueueWorker(q, lease_ttl_s=0.05)
+            worker = Engine(queue=q, lease_ttl_s=0.05).worker()
             assert worker.heartbeat_s == pytest.approx(0.05 / 3)
 
     def test_worker_resumes_from_store_without_executing(self, tmp_path):
@@ -483,15 +484,13 @@ class TestQueueWorker:
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch(_keyed([request]))
 
-            executed = []
-            worker = QueueWorker(
-                q, store=store, policy=FAST,
-                on_result=lambda key, payload: executed.append(key))
+            engine = Engine(store=store, queue=q, resilience=FAST)
+            worker = engine.worker()
             # simulate the dead worker's store write landing first
             store.put(request.key(), {"kind": "run", "ipc": 1.0,
                                       "stats": {}, "epochs": []})
             report = worker.run()
-            assert executed == []
+            assert engine.counters.executed == 0
             assert report.resumed == 1
             assert report.completed == 0
             assert q.get(request.key()).state == "done"
@@ -503,8 +502,8 @@ class TestQueueWorker:
         store = ResultStore(tmp_path / "s.sqlite")
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch(_keyed([request]), max_retries=2)
-            worker = QueueWorker(q, store=store, policy=FAST,
-                                 faults=faults)
+            worker = Engine(store=store, queue=q, resilience=FAST,
+                            faults=faults).worker()
             report = worker.run()
             # attempt 0 raised (injected), attempt 1 succeeded: the
             # retry went through queue.fail → pending → re-lease.
@@ -520,7 +519,8 @@ class TestQueueWorker:
         faults = FaultPlan(rates=(("raise", 1.0),), times=99)
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch(_keyed([request]), max_retries=1)
-            worker = QueueWorker(q, policy=FAST, faults=faults)
+            worker = Engine(queue=q, resilience=FAST,
+                            faults=faults).worker()
             report = worker.run()
             assert report.terminal == 1
             assert report.completed == 0
@@ -536,7 +536,7 @@ class TestQueueWorker:
             # someone else already finished "theirs"... no: watch only
             # "mine" — the worker must exit once mine settles even
             # though other jobs may still be pending at that instant.
-            worker = QueueWorker(q, policy=FAST)
+            worker = Engine(queue=q, resilience=FAST).worker()
             report = worker.run(watch_keys=[mine.key()])
             assert q.get(mine.key()).state == "done"
             assert report.completed >= 1
@@ -549,8 +549,9 @@ class TestQueueWorker:
         faults = FaultPlan(rates=(("raise", 1.0),), times=1)
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch(_keyed([request]), max_retries=1)
-            worker = QueueWorker(q, policy=policy, faults=faults,
-                                 poll_s=5.0)
+            worker = Engine(queue=q, resilience=policy,
+                            faults=faults).worker()
+            worker.poll_s = 5.0
             start = time.monotonic()
             report = worker.run()
             assert time.monotonic() - start < 4.0
@@ -561,7 +562,8 @@ class TestQueueWorker:
         with JobQueue(tmp_path / "q.sqlite") as q:
             q.dispatch([("k1", "r1")])
             q.lease("other-worker", ttl_s=120)  # nothing leasable left
-            worker = QueueWorker(q, policy=FAST, poll_s=0.01)
+            worker = Engine(queue=q, resilience=FAST).worker()
+            worker.poll_s = 0.01
             start = time.monotonic()
             report = worker.run(max_idle_s=0.05)
             assert time.monotonic() - start < 5.0
@@ -609,7 +611,7 @@ class TestEngineQueueRoute:
         store = ResultStore(spath)
         with JobQueue(qpath) as q:
             q.dispatch(_keyed(requests))
-            QueueWorker(q, store=store, policy=FAST).run(
+            Engine(store=store, queue=q, resilience=FAST).worker().run(
                 watch_keys=[r.key() for r in requests[:2]])
             done_before = q.counts()["done"]
             assert done_before >= 2
@@ -778,8 +780,8 @@ class TestSigkillRecovery:
 
             # worker B (no faults) finishes the campaign.
             store = ResultStore(spath)
-            report = QueueWorker(q, store=store, policy=FAST,
-                                 lease_ttl_s=30.0).run()
+            report = Engine(store=store, queue=q, resilience=FAST,
+                            lease_ttl_s=30.0).worker().run()
             counts = q.counts()
             assert counts["done"] == total
             assert counts["failed"] == 0

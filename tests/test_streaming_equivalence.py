@@ -34,7 +34,7 @@ import golden_cases
 import scalar_oracle
 import trace_goldens
 
-from repro.engine import JobQueue, QueueWorker, ResultStore
+from repro.engine import Engine, JobQueue, ResultStore
 from repro.engine.faults import ExecutionPolicy
 from repro.engine.jobs import (
     MixRequest,
@@ -743,8 +743,8 @@ class TestQueueCrashResumeStreamed:
             # worker B finishes the campaign, still streaming.
             monkeypatch.setenv("REPRO_STREAM_BLOCK", "256")
             store = ResultStore(spath)
-            QueueWorker(q, store=store, policy=FAST,
-                        lease_ttl_s=30.0).run()
+            Engine(store=store, queue=q, resilience=FAST,
+                   lease_ttl_s=30.0).worker().run()
             assert q.counts()["done"] == len(requests)
 
             # payloads are identical to materialized execution.
