@@ -15,7 +15,8 @@ disk.  Configuration via environment variables:
 
 Each benchmark prints the regenerated figure table and also writes it to
 ``benchmarks/results/<figure>.txt`` so the output survives pytest's
-capture.  The engine's executed/hit summary is printed at session end.
+capture; :func:`check_claims` asserts its paper claims and records them
+in ``claims.txt`` there.  The engine's summary prints at session end.
 """
 
 import os
@@ -25,6 +26,7 @@ import pytest
 
 from repro.engine import Engine, ResultStore
 from repro.engine.store import source_tag
+from repro.experiments import claims
 from repro.experiments.runner import ExperimentContext
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -70,3 +72,13 @@ def save_result():
 def run_once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def check_claims(result):
+    """Write ``result``'s paper claims to the ledger, then assert them."""
+    verdicts = claims.evaluate(result)
+    ledger = RESULTS_DIR / "claims.txt"
+    previous = ledger.read_text() if ledger.exists() else ""
+    ledger.write_text(claims.ledger_text(previous, result.figure_id, verdicts))
+    failed = [verdict for verdict in verdicts if not verdict.holds]
+    assert not failed, "\n" + "\n".join(claims.ledger_lines(failed))

@@ -7,7 +7,7 @@ Pythia degrades; in the friendly set Pythia's gains exceed POPET's.
 
 import statistics
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig01_motivation_lines
 
@@ -15,6 +15,7 @@ from repro.experiments.figures import fig01_motivation_lines
 def test_fig01(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig01_motivation_lines(ctx))
     save_result(result)
+    check_claims(result)
 
     pythia = result.series("Pythia")
     popet = result.series("POPET")
@@ -22,8 +23,6 @@ def test_fig01(benchmark, ctx, save_result):
 
     # A meaningful adverse minority exists (paper: 40%).
     assert 0.15 * len(pythia) <= len(adverse) <= 0.85 * len(pythia)
-    # POPET never collapses the way Pythia does on its worst workloads.
-    assert min(popet) > min(pythia)
     # POPET's behaviour is far more uniform across workloads.
     assert statistics.pstdev(popet) < statistics.pstdev(pythia)
     # In the adverse region POPET outperforms Pythia on average.

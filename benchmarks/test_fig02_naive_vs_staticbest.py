@@ -5,7 +5,7 @@ POPET's standalone gains) while StaticBest is consistent in both
 categories and beats Naive overall.
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig02_naive_vs_staticbest
 
@@ -13,16 +13,4 @@ from repro.experiments.figures import fig02_naive_vs_staticbest
 def test_fig02(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig02_naive_vs_staticbest(ctx))
     save_result(result)
-
-    overall = result.row("Overall")
-    adverse = result.row("Prefetcher-adverse")
-
-    # StaticBest dominates Naive everywhere (it is an oracle over supersets).
-    assert overall["StaticBest"] >= overall["Naive"] - 1e-9
-    assert adverse["StaticBest"] >= adverse["Naive"]
-    # On adverse workloads Naive underperforms POPET alone — the paper's
-    # "masking" observation.
-    assert adverse["Naive"] < adverse["POPET"]
-    # StaticBest never loses to the baseline in any category.
-    for _, row in result.rows:
-        assert row["StaticBest"] >= 1.0 - 1e-9
+    check_claims(result)

@@ -5,7 +5,7 @@ gap to StaticBest; in friendly workloads they fall short of Naive (HPAC's
 conservatism, MAB's state-blindness).
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig04_prior_policies
 
@@ -13,17 +13,4 @@ from repro.experiments.figures import fig04_prior_policies
 def test_fig04(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig04_prior_policies(ctx))
     save_result(result)
-
-    overall = result.row("Overall")
-    adverse = result.row("Prefetcher-adverse")
-    friendly = result.row("Prefetcher-friendly")
-
-    # The oracle dominates every prior policy.
-    for policy in ("Naive", "HPAC", "MAB"):
-        assert overall["StaticBest"] >= overall[policy] - 1e-9
-    # HPAC and MAB mitigate the adverse-set damage relative to Naive...
-    assert max(adverse["HPAC"], adverse["MAB"]) > adverse["Naive"]
-    # ...but leave StaticBest headroom on the adverse set.
-    assert adverse["StaticBest"] > min(adverse["HPAC"], adverse["MAB"])
-    # In friendly workloads the conservative policies trail Naive.
-    assert min(friendly["HPAC"], friendly["MAB"]) < friendly["Naive"]
+    check_claims(result)

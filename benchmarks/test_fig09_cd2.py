@@ -5,45 +5,12 @@ L1D prefetches but hurts friendly workloads; Athena beats TLP in both
 categories and beats everything overall.
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig09_cd2
-
-TOL = 0.02
-#: Naive's CD2 margin: our synthetic substrate leaves IPCP only mildly
-#: adverse (the paper's IPCP loses ~5% on the adverse set), so Naive has
-#: almost nothing to lose in CD2 and Athena's learning overhead cannot be
-#: recouped there.  Athena must still stay within this band of Naive and
-#: beat every *coordination* policy outright.  See docs/reproduction.md
-#: (Fig 9).
-NAIVE_TOL = 0.06
-#: TLP degenerates to POPET-only on the adverse set (its fill-source
-#: filter drops every off-chip L1D prefetch), and POPET is near-oracle
-#: there at ~90% accuracy.  A 40-epoch agent tracks that oracle to within
-#: this band; the paper's 250K-epoch agent overtakes it.
-ORACLE_TOL = 0.07
 
 
 def test_fig09(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig09_cd2(ctx))
     save_result(result)
-
-    overall = result.row("Overall")
-    adverse = result.row("Prefetcher-adverse")
-    friendly = result.row("Prefetcher-friendly")
-
-    for rival in ("TLP", "HPAC", "MAB"):
-        assert overall["Athena"] >= overall[rival] - TOL
-    assert overall["Athena"] >= overall["Naive"] - NAIVE_TOL
-    # TLP's filtering recovers performance on the adverse set vs Naive...
-    assert adverse["TLP"] >= adverse["Naive"] - TOL
-    # ...but costs it on the friendly set (it drops useful prefetches).
-    assert friendly["TLP"] <= friendly["Naive"] + TOL
-    # Athena stays close to TLP on the adverse set.  In our substrate
-    # TLP's fill-source filter drops *every* off-chip L1D prefetch, so on
-    # the adverse set TLP degenerates to POPET-only — which is near-oracle
-    # there (POPET reaches ~90% accuracy on the enlarged hash working
-    # sets).  A 40-epoch RL run tracks that oracle to within this band;
-    # the paper's 250K-epoch agent overtakes it (+6.5%).
-    assert adverse["Athena"] >= adverse["TLP"] - ORACLE_TOL
-    assert adverse["Athena"] >= adverse["Naive"] - TOL
+    check_claims(result)

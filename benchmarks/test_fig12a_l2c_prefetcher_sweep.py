@@ -5,23 +5,13 @@ every prefetcher type (Pythia, SPP+PPF, MLOP, SMS) with no per-prefetcher
 retuning.
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig12a_l2c_prefetcher_sweep
-
-TOL = 0.025
 
 
 def test_fig12a(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig12a_l2c_prefetcher_sweep(ctx))
     save_result(result)
-
     assert len(result.rows) == 4
-    wins = 0
-    for label, row in result.rows:
-        best_rival = max(row["Naive"], row["HPAC"], row["MAB"])
-        if row["Athena"] >= best_rival - TOL:
-            wins += 1
-        # Athena never loses to the baseline on any prefetcher type.
-        assert row["Athena"] > 0.97, label
-    assert wins >= 3, "Athena must lead for (almost) every prefetcher type"
+    check_claims(result)

@@ -4,21 +4,12 @@ Paper shape: Berti's higher accuracy makes the prefetcher stack itself
 perform better than with IPCP; Athena consistently leads for both.
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig13_l1d_prefetcher_sweep
-
-TOL = 0.025
 
 
 def test_fig13(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig13_l1d_prefetcher_sweep(ctx))
     save_result(result)
-
-    rows = dict(result.rows)
-    # Berti (accurate local deltas) gives a better prefetcher stack than
-    # IPCP (coverage-biased, NL fallback) — paper §7.3.1.
-    assert rows["berti"]["Prefetchers"] >= rows["ipcp"]["Prefetchers"] - TOL
-    for label, row in result.rows:
-        best_rival = max(row["Naive"], row["HPAC"], row["MAB"], row["TLP"])
-        assert row["Athena"] >= best_rival - TOL, label
+    check_claims(result)

@@ -5,38 +5,12 @@ soars at high bandwidth; Athena wins everywhere, with its largest margin
 in the bandwidth-constrained configurations.
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig14_bandwidth_sweep
-
-TOL = 0.03
-#: near-tie band at ample bandwidth: with the bus unconstrained every
-#: all-on combination is near-optimal, so the front is a cluster that a
-#: 40-epoch learner tracks to within its learning overhead (the paper's
-#: Fig 14 similarly shows all policies within a few percent at 12.8
-#: GB/s).  The bandwidth-constrained points — the paper's headline
-#: regime — are asserted at the tight band.
-HIGH_BW_TOL = 0.085
 
 
 def test_fig14(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig14_bandwidth_sweep(ctx))
     save_result(result)
-
-    rows = dict(result.rows)
-    # The prefetcher stack's value grows monotonically with bandwidth.
-    assert (
-        rows["12.8GB/s"]["Prefetchers"] > rows["1.6GB/s"]["Prefetchers"]
-    )
-    # Naive is bandwidth-sensitive: much better at 12.8 than at 1.6.
-    assert rows["12.8GB/s"]["Naive"] > rows["1.6GB/s"]["Naive"] + 0.1
-    # At the most constrained point Naive damages performance and Athena
-    # repairs most of it.
-    assert rows["1.6GB/s"]["Athena"] > rows["1.6GB/s"]["Naive"]
-    # Athena is at or near the front at every bandwidth point: tight
-    # band where bandwidth is scarce, learning-overhead band where it is
-    # ample and everything clusters at the front.
-    for label, row in result.rows:
-        band = TOL if label in ("1.6GB/s", "3.2GB/s") else HIGH_BW_TOL
-        front = max(row["Naive"], row["HPAC"], row["MAB"], row["TLP"])
-        assert row["Athena"] >= front - band, label
+    check_claims(result)

@@ -5,22 +5,12 @@ with hyperparameters tuned only on single-core workloads; its largest
 margin over Naive is in the adverse mixes.
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig15_fourcore
-
-TOL = 0.03
 
 
 def test_fig15(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig15_fourcore(ctx))
     save_result(result)
-
-    overall = result.row("Overall")
-    adverse = result.row("adverse-mix")
-
-    assert overall["Athena"] >= max(
-        overall["Naive"], overall["HPAC"], overall["MAB"]
-    ) - TOL
-    # Adverse mixes: Athena repairs Naive's damage.
-    assert adverse["Athena"] > adverse["Naive"]
+    check_claims(result)

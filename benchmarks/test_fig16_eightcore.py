@@ -4,20 +4,12 @@ Paper shape: the four-core conclusions hold at eight cores — Athena leads
 overall without any multi-core retuning.
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig16_eightcore
-
-TOL = 0.03
 
 
 def test_fig16(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig16_eightcore(ctx))
     save_result(result)
-
-    overall = result.row("Overall")
-    assert overall["Athena"] >= max(
-        overall["Naive"], overall["HPAC"], overall["MAB"]
-    ) - TOL
-    adverse = result.row("adverse-mix")
-    assert adverse["Athena"] > adverse["Naive"]
+    check_claims(result)

@@ -5,7 +5,7 @@ added state feature is non-harmful on average; the full configuration
 (four features + composite reward) is the best Athena variant.
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig18_ablation
 
@@ -13,18 +13,4 @@ from repro.experiments.figures import fig18_ablation
 def test_fig18(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig18_ablation(ctx))
     save_result(result)
-
-    rows = dict(result.rows)
-    stateless = rows["Stateless Athena (SA)"]["speedup"]
-    full = rows["Athena (full, +uncorrelated reward)"]["speedup"]
-    best_partial = max(
-        values["speedup"]
-        for label, values in result.rows
-        if label.startswith("SA")
-    )
-    # Full Athena beats its stateless, IPC-only-reward ancestor.
-    assert full > stateless
-    # Full Athena is at or near the best of all ablation variants.
-    assert full >= best_partial - 0.03
-    # Adding state features helps over stateless on average.
-    assert best_partial >= stateless - 0.01
+    check_claims(result)

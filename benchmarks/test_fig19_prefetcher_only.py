@@ -6,21 +6,12 @@ without the OCP it can only recover to (not beyond) the baseline on
 adverse workloads.
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig19_prefetcher_only
-
-TOL = 0.025
 
 
 def test_fig19(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig19_prefetcher_only(ctx))
     save_result(result)
-
-    overall = result.row("Overall")
-    adverse = result.row("Prefetcher-adverse")
-
-    assert overall["Athena"] >= max(overall["HPAC"], overall["MAB"]) - TOL
-    # Adverse set: Athena stays close to the no-prefetching baseline.
-    assert adverse["Athena"] > adverse["SMS+Pythia"]
-    assert adverse["Athena"] > 0.9
+    check_claims(result)

@@ -5,7 +5,7 @@ latency (+28.3%) over the baseline; Athena keeps both overheads small
 (+5.8% and +1.7%).
 """
 
-from conftest import run_once
+from conftest import check_claims, run_once
 
 from repro.experiments.figures import fig20_memory_traffic
 
@@ -13,16 +13,4 @@ from repro.experiments.figures import fig20_memory_traffic
 def test_fig20(benchmark, ctx, save_result):
     result = run_once(benchmark, lambda: fig20_memory_traffic(ctx))
     save_result(result)
-
-    rows = dict(result.rows)
-    # Athena's traffic overhead is below Naive's.
-    assert (
-        rows["Athena"]["memory_requests"] < rows["Naive"]["memory_requests"]
-    )
-    # Athena's LLC miss-latency inflation stays small in absolute terms
-    # (paper: +1.7%).  Naive's latency is not a reliable upper reference
-    # in our substrate: with the shallow-adversity trace mix its
-    # prefetching can *reduce* average miss latency below baseline.
-    assert rows["Athena"]["llc_miss_latency"] < 1.05
-    # POPET alone adds only its speculative requests; it stays lean.
-    assert rows["POPET"]["memory_requests"] < rows["Naive"]["memory_requests"]
+    check_claims(result)

@@ -4,15 +4,15 @@ Run the benchmarks first (``pytest benchmarks/ --benchmark-only``), then:
 
     python examples/build_report.py [output.md]
 
-The report collects every regenerated figure table plus a one-line
-Athena-vs-best-rival summary — the quickest way to review a full
-reproduction run.
+The report collects every regenerated figure table; the claims ledger
+(each paper claim's sides, margin, bound and verdict) prints after it —
+the quickest way to review a full reproduction run.
 """
 
 import pathlib
 import sys
 
-from repro.experiments.report import build_report, load_results, summary_rows
+from repro.experiments.report import build_report
 
 RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
@@ -27,10 +27,10 @@ def main() -> int:
         print(report)
     else:
         print(f"wrote {output} ({len(report.splitlines())} lines)")
-    print()
-    print("Athena vs best rival, per figure with an Overall row:")
-    for line in summary_rows(load_results(RESULTS_DIR)):
-        print(" ", line)
+    ledger = RESULTS_DIR / "claims.txt"
+    if ledger.exists():
+        print()
+        print(ledger.read_text(), end="")
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pathlib
 import re
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from .figures import FIGURES, FigureResult
 
@@ -49,7 +49,8 @@ def parse_result_file(path: PathLike) -> FigureResult:
 
 
 def load_results(directory: PathLike) -> Dict[str, FigureResult]:
-    """Load every parseable figure table under ``directory``."""
+    """Load every parseable figure table under ``directory`` (the claims
+    ledger ``claims.txt`` has no figure header, so it is skipped)."""
     out: Dict[str, FigureResult] = {}
     for path in sorted(pathlib.Path(directory).glob("*.txt")):
         try:
@@ -99,27 +100,3 @@ def build_report(
         pathlib.Path(output).write_text(report)
     return report
 
-
-def summary_rows(results: Dict[str, FigureResult]) -> List[str]:
-    """One-line Athena-vs-best-rival summary per figure (when present)."""
-    out: List[str] = []
-    for fid in sorted(results, key=_sort_key):
-        result = results[fid]
-        overall = None
-        for label in ("Overall", "overall"):
-            try:
-                overall = result.row(label)
-                break
-            except KeyError:
-                continue
-        if overall is None or "Athena" not in overall:
-            continue
-        rivals = {k: v for k, v in overall.items() if k != "Athena"}
-        if not rivals:
-            continue
-        best_rival = max(rivals, key=rivals.get)
-        out.append(
-            f"{fid}: Athena {overall['Athena']:.4f} vs best rival "
-            f"{best_rival} {rivals[best_rival]:.4f}"
-        )
-    return out

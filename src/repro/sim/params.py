@@ -110,11 +110,6 @@ class SystemParams:
         return replace(self, ocp_issue_latency=cycles)
 
 
-def default_system(bandwidth_gbps: float = 3.2) -> SystemParams:
-    """The paper's default bandwidth-constrained single-core system."""
-    return SystemParams().with_bandwidth(bandwidth_gbps)
-
-
 #: Scaled-down system used by the fast test/benchmark configurations.  The
 #: cache hierarchy keeps the same 3-level shape and relative sizing but is
 #: shrunk ~16x so that the 10k-100k instruction synthetic traces exercise

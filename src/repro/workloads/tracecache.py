@@ -240,27 +240,19 @@ class TraceCache:
         return self._stream_cold(spec, length, block_size)
 
     def _stream_cold(self, spec, length: int, block_size: int) -> TraceStream:
-        """Cold tier: emit blocks live, counting each traversal a build."""
-        raw = spec.stream(length, block_size)
+        """Cold tier: the emitter's own stream, each traversal counted a
+        build (so its overshoot rename lands on the stream returned)."""
+        stream = spec.stream(length, block_size)
+        emit = stream._factory
 
-        def emit() -> Iterator[TraceBlock]:
+        def build() -> Iterator[TraceBlock]:
             with self._lock:
                 self.stats.builds += 1
             with span("trace_build", workload=getattr(spec, "name", "?"),
                       length=length):
-                yield from raw
-            # Traversal finished: the emitter's overshoot rename (if
-            # any) has landed on ``raw.name``.
-            stream.name = raw.name
+                yield from emit()
 
-        stream = TraceStream(
-            name=raw.name,
-            suite=raw.suite,
-            length=length,
-            block_size=block_size,
-            factory=emit,
-            metadata=dict(raw.metadata),
-        )
+        stream._factory = build
         return stream
 
     def clear(self, disk: bool = False) -> None:

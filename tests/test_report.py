@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.experiments.claims import evaluate, ledger_text
 from repro.experiments.figures import FigureResult
 from repro.experiments.report import (
     build_report,
     load_results,
     parse_result_file,
     render_report,
-    summary_rows,
 )
 
 
@@ -65,6 +65,18 @@ class TestParse:
         for result in loaded.values():
             assert result.rows
 
+    def test_claims_ledger_is_not_a_figure(self, tmp_path):
+        write_table(tmp_path, "Fig7",
+                    labels=("Prefetcher-adverse", "Overall"),
+                    series=(("POPET", 1.0), ("Naive", 1.05), ("HPAC", 1.0),
+                            ("MAB", 1.0), ("Athena", 1.10)))
+        verdicts = evaluate(parse_result_file(tmp_path / "Fig7.txt"))
+        ledger = tmp_path / "claims.txt"
+        ledger.write_text(ledger_text("", "Fig7", verdicts))
+        with pytest.raises(ValueError):
+            parse_result_file(ledger)
+        assert list(load_results(tmp_path)) == ["Fig7"]
+
 
 class TestRender:
     def test_report_contains_tables(self, tmp_path):
@@ -93,16 +105,3 @@ class TestRender:
                 < report.index("## Fig10")
                 < report.index("## Fig12a"))
 
-
-class TestSummary:
-    def test_summary_picks_best_rival(self, tmp_path):
-        write_table(tmp_path, "Fig7",
-                    series=(("Naive", 1.02), ("MAB", 1.06),
-                            ("Athena", 1.10)))
-        rows = summary_rows(load_results(tmp_path))
-        assert rows == ["Fig7: Athena 1.1000 vs best rival MAB 1.0600"]
-
-    def test_summary_skips_figures_without_athena(self, tmp_path):
-        write_table(tmp_path, "Fig3",
-                    series=(("mean", 0.36), ("q1", 0.01)))
-        assert summary_rows(load_results(tmp_path)) == []

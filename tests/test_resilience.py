@@ -8,6 +8,7 @@ code.  Fault injection is fully deterministic — every test that
 injects a fault does so through a seeded :class:`FaultPlan`.
 """
 
+import gc
 import sqlite3
 
 import pytest
@@ -184,25 +185,40 @@ class TestRequestFailure:
 # ---------------------------------------------------------------------------
 
 class TestStoreCorruptionRecovery:
-    def test_truncated_database_file_recreated(self, tmp_path):
+    # Each case closes its first store before it tears the file, and runs
+    # with and without a forced collection: nothing may depend on when the
+    # garbage collector closes a connection.
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_truncated_database_file_recreated(self, tmp_path, collect):
         path = tmp_path / "s.sqlite"
-        ResultStore(path).put("k", {"a": 1})
+        with ResultStore(path) as store:
+            store.put("k", {"a": 1})
+        if collect:
+            gc.collect()
         path.write_bytes(path.read_bytes()[:24])  # torn write: header only
         for suffix in ("-wal", "-shm"):  # the crash lost the WAL too
             sidecar = path.with_name(path.name + suffix)
             if sidecar.exists():
                 sidecar.unlink()
-        store = ResultStore(path)  # header intact: recreate, not refuse
-        assert store.get("k") is None
-        store.put("k", {"a": 2})
-        assert store.get("k") == {"a": 2}
+        with ResultStore(path) as store:  # header intact: recreate
+            assert store.get("k") is None
+            store.put("k", {"a": 2})
+            assert store.get("k") == {"a": 2}
 
-    def test_wal_replay_recovers_torn_main_file(self, tmp_path):
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_wal_replay_recovers_torn_main_file(self, tmp_path, collect):
         path = tmp_path / "s.sqlite"
-        ResultStore(path).put("k", {"a": 1})
+        wal = path.with_name(path.name + "-wal")
+        with ResultStore(path) as store:
+            store.put("k", {"a": 1})
+            crashed_wal = wal.read_bytes()  # the WAL as a crash leaves it
+        if collect:
+            gc.collect()
+        assert not wal.exists()  # a clean close checkpoints it away
         path.write_bytes(path.read_bytes()[:24])  # main file torn...
-        # ...but the WAL sidecar survived: reopening replays it
-        assert ResultStore(path).get("k") == {"a": 1}
+        wal.write_bytes(crashed_wal)  # ...but the WAL survived
+        with ResultStore(path) as store:  # reopening replays it
+            assert store.get("k") == {"a": 1}
 
     def test_empty_file_is_recreatable(self, tmp_path):
         path = tmp_path / "s.sqlite"

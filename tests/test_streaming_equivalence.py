@@ -351,6 +351,21 @@ class TestColdStreamTier:
             np.testing.assert_array_equal(a.addrs, b.addrs)
             np.testing.assert_array_equal(a.flags, b.flags)
 
+    def test_a_traversal_enters_one_stream(self, disk_cache, monkeypatch):
+        entered = []
+        stream_iter = TraceStream.__iter__
+
+        def counted(stream):
+            entered.append(stream)
+            return stream_iter(stream)
+
+        monkeypatch.setattr(TraceStream, "__iter__", counted)
+        stream = self._stream(disk_cache)
+        blocks = list(stream)
+        assert entered == [stream]
+        assert len(blocks) == -(-self.LENGTH // self.BLOCK)
+        assert disk_cache.stats.builds == 1
+
     def test_iter_from_re_emits_and_skips_the_prefix(self, disk_cache):
         reference = self._built()
         position = 700  # mid-block: block 2 must arrive trimmed
