@@ -10,7 +10,8 @@ disk.  Configuration via environment variables:
 * ``REPRO_STORE``  — store path (default
   ``benchmarks/results/store-<12 hex>.sqlite``, one store per source tree
   like the CLI's default, so a checkout never replays rows that older
-  code computed); set to ``none`` to disable persistence.
+  code computed; the default deletes the other trees' stores there,
+  which it never reads); set to ``none`` to disable persistence.
 * ``REPRO_JOBS``   — worker processes for simulation misses (default 1).
 
 Each benchmark prints the regenerated figure table and also writes it to
@@ -32,11 +33,22 @@ from repro.experiments.runner import ExperimentContext
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+def prune_stores(results_dir: pathlib.Path, live: pathlib.Path) -> None:
+    """Delete every ``store*.sqlite*`` file in ``results_dir`` but the
+    live store ``live`` and its ``-wal``/``-shm`` files."""
+    keep = {live.name, f"{live.name}-wal", f"{live.name}-shm"}
+    for path in results_dir.glob("store*.sqlite*"):
+        if path.name not in keep:
+            path.unlink(missing_ok=True)
+
+
 @pytest.fixture(scope="session")
 def engine():
-    store_setting = os.environ.get(
-        "REPRO_STORE", str(RESULTS_DIR / f"store-{source_tag()}.sqlite")
-    )
+    store_setting = os.environ.get("REPRO_STORE")
+    if store_setting is None:
+        live = RESULTS_DIR / f"store-{source_tag()}.sqlite"
+        prune_stores(RESULTS_DIR, live)
+        store_setting = str(live)
     if store_setting.lower() == "none":
         store = None
     else:

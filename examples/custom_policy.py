@@ -54,13 +54,11 @@ class AccuracyGatedPolicy(CoordinationPolicy):
             self._ocp_on = telemetry.ocp_accuracy >= self.OCP_ACCURACY_BAR
         elif reprobe:
             self._ocp_on = True
-        action = CoordinationAction(
+        return CoordinationAction(
             prefetchers_enabled=(self._pf_on,) * self.num_prefetchers,
             ocp_enabled=self.has_ocp and self._ocp_on,
             degree_fraction=1.0,
         )
-        self.record(action)
-        return action
 
 
 def main() -> None:

@@ -61,7 +61,7 @@ def main() -> None:
     print()
     print("final action distribution:")
     for (pf, ocp), share in sorted(
-        policy.action_distribution().items(), key=lambda kv: -kv[1]
+        result.action_distribution().items(), key=lambda kv: -kv[1]
     ):
         pf_str = "+".join("PF" for enabled in pf if enabled) or "no-PF"
         ocp_str = "OCP" if ocp else "no-OCP"

@@ -2,7 +2,9 @@
 
 One agent instance per core.  Every epoch the agent:
 
-1. builds the state vector from the measured features (Figure 6 stage 1),
+1. builds the state vector from the epoch's measured features, which the
+   hierarchy's :class:`~repro.core.features.FeatureTracker` froze when
+   the epoch closed (Figure 6 stage 1),
 2. selects the next epoch's coordination action epsilon-greedily over the
    QVStore Q-values,
 3. computes the composite reward for the epoch that just ended, and
@@ -61,7 +63,6 @@ class AthenaAgent:
         self.reward = CompositeReward(
             cfg.reward_weights, use_uncorrelated=cfg.use_uncorrelated_reward
         )
-        self.tracker = FeatureTracker()
         self._rng = random.Random(cfg.seed)
         self._prev_state: Optional[int] = None
         self._prev_action: Optional[int] = None
@@ -119,9 +120,10 @@ class AthenaAgent:
 
     # -- epoch boundary ------------------------------------------------------------
 
-    def end_epoch(self, telemetry: EpochTelemetry) -> AgentDecision:
-        """Process the epoch that just ended; returns the next decision."""
-        features = self.tracker.epoch_features(telemetry)
+    def end_epoch(self, telemetry: EpochTelemetry,
+                  features: Dict[str, float]) -> AgentDecision:
+        """Process the epoch that just ended, given its telemetry and its
+        frozen feature values; returns the next decision."""
         state = self._state_from(features)
         q_values = self.qvstore.q_values(state)
         action = self._select_action(state, q_values)
@@ -145,7 +147,6 @@ class AthenaAgent:
         self._epochs_seen += 1
         self._prev_state = state
         self._prev_action = action
-        self.tracker.reset_epoch()
         return decision
 
     def _sarsa_update(
@@ -163,15 +164,7 @@ class AthenaAgent:
 
     def storage_bits(self) -> int:
         """Table 4 audit: QVStore + accuracy tracker + pollution tracker."""
-        return self.qvstore.storage_bits() + self.tracker.storage_bits()
+        return self.qvstore.storage_bits() + FeatureTracker.storage_bits()
 
     def storage_kib(self) -> float:
         return self.storage_bits() / 8192.0
-
-    def action_counts(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for decision in self.decisions:
-            counts[decision.action_index] = (
-                counts.get(decision.action_index, 0) + 1
-            )
-        return counts

@@ -1,7 +1,8 @@
 """State measurement and quantization (paper §4.1, §5.2).
 
-:class:`FeatureTracker` is Athena's measurement unit: it observes
-hierarchy events through the observer interface and maintains
+:class:`FeatureTracker` is Athena's measurement unit: a
+:class:`~repro.sim.hierarchy.CacheHierarchy` feeds it its events (the
+hierarchy's ``tracker`` slot) and it maintains
 
 * the set of lines prefetched this epoch, for prefetcher accuracy
   (§5.2.1),
@@ -9,7 +10,11 @@ hierarchy events through the observer interface and maintains
 * the set of lines a prefetch evicted from the LLC this epoch, plus a
   counter, for prefetch-induced LLC pollution (§5.2.3),
 
-all reset at the end of every epoch.  Bandwidth-usage features come from
+all reset at the end of every epoch, when the run's measured region
+closes the tracker's epoch (:meth:`FeatureTracker.close_epoch`) and
+freezes the epoch's features for the agent.  A tracker is a pure
+function of the hierarchy's events, so every policy riding one run
+reads the same frozen features.  Bandwidth-usage features come from
 the DRAM bus-occupancy telemetry the simulator already computes.
 
 The paper's hardware keeps the two sets in 4096-bit, 2-hash Bloom
@@ -33,9 +38,11 @@ FILTER_BITS = 4096
 
 
 class FeatureTracker:
-    """Exact-set epoch feature measurement (attach as observer)."""
+    """Exact-set epoch feature measurement, fed by one hierarchy."""
 
     def __init__(self) -> None:
+        #: the features of the last closed epoch (empty before the first)
+        self.features: Dict[str, float] = {}
         self._prefetched = set()
         self._prefetch_victims = set()
         self._prefetches_issued = 0
@@ -45,7 +52,7 @@ class FeatureTracker:
         self._pollution_hits = 0
         self._demand_misses = 0
 
-    # -- observer interface (called by the hierarchy) -------------------------
+    # -- events (called by the hierarchy) ---------------------------------------
 
     def on_prefetch_issued(self, line_addr: int) -> None:
         self._prefetched.add(line_addr)
@@ -98,6 +105,12 @@ class FeatureTracker:
             "demand_bandwidth": telemetry.demand_bandwidth_share,
         }
 
+    def close_epoch(self, telemetry: EpochTelemetry) -> None:
+        """End the epoch: freeze its :meth:`epoch_features` into
+        ``features``, then reset."""
+        self.features = self.epoch_features(telemetry)
+        self.reset_epoch()
+
     def reset_epoch(self) -> None:
         """Reset sets and counters (end of every epoch, §5.2)."""
         self._prefetched.clear()
@@ -109,7 +122,8 @@ class FeatureTracker:
         self._pollution_hits = 0
         self._demand_misses = 0
 
-    def storage_bits(self) -> int:
+    @staticmethod
+    def storage_bits() -> int:
         """Paper Table 4: two 4096-bit filters plus six 16-bit counters."""
         return 2 * FILTER_BITS + 6 * 16
 

@@ -2,11 +2,14 @@
 
 Wraps :class:`~repro.core.agent.AthenaAgent` behind the
 :class:`~repro.policies.base.CoordinationPolicy` interface.  On attach it
-registers the agent's feature tracker as a hierarchy observer (so
-features are measured from the events the hardware would see) and
-builds the discrete action space: four actions for one prefetcher + OCP,
-eight for two prefetchers + OCP, and the OCP-less variants for the
-prefetcher-only management study (paper §7.6).
+gives the hierarchy a feature tracker unless it has one (features are
+measured from the events the hardware would see, and every Athena
+riding one run shares the tracker) and builds the discrete action
+space: four actions for one prefetcher + OCP, eight for two
+prefetchers + OCP, and the OCP-less variants for the prefetcher-only
+management study (paper §7.6).  Each epoch the agent decides on the
+features the tracker froze when the run's measured region closed the
+epoch.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Optional, Tuple
 
 from ..core.agent import AthenaAgent
 from ..core.config import AthenaConfig
+from ..core.features import FeatureTracker
 from ..sim.stats import EpochTelemetry
 from .base import CoordinationAction, CoordinationPolicy, enumerate_actions
 
@@ -35,12 +39,14 @@ class AthenaPolicy(CoordinationPolicy):
         )
         self.agent = AthenaAgent(num_actions=len(self.actions),
                                  config=self.config)
-        hierarchy.observers.append(self.agent.tracker)
+        if hierarchy.tracker is None:
+            hierarchy.tracker = FeatureTracker()
 
     def decide(self, telemetry: EpochTelemetry) -> CoordinationAction:
         if self.agent is None:
             raise RuntimeError("AthenaPolicy.decide() before attach()")
-        decision = self.agent.end_epoch(telemetry)
+        decision = self.agent.end_epoch(telemetry,
+                                        self.hierarchy.tracker.features)
         base = self.actions[decision.action_index]
         prefetching_selected = any(base.prefetchers_enabled)
         degree = decision.degree_fraction if prefetching_selected else 1.0
@@ -48,13 +54,11 @@ class AthenaPolicy(CoordinationPolicy):
         # encodes "off", so a selected prefetcher floors at minimal degree.
         if prefetching_selected:
             degree = max(degree, 1.0 / 8.0)
-        action = CoordinationAction(
+        return CoordinationAction(
             prefetchers_enabled=base.prefetchers_enabled,
             ocp_enabled=base.ocp_enabled,
             degree_fraction=degree,
         )
-        self.record(action)
-        return action
 
     # -- reporting -----------------------------------------------------------------
 
@@ -62,17 +66,3 @@ class AthenaPolicy(CoordinationPolicy):
         if self.agent is None:
             return AthenaAgent(4, self.config).storage_kib()
         return self.agent.storage_kib()
-
-    def action_distribution(self) -> dict:
-        """Fraction of epochs per (prefetchers, ocp) action (Figure 17)."""
-        if self.agent is None:
-            return {}
-        counts = self.agent.action_counts()
-        total = max(1, sum(counts.values()))
-        return {
-            (
-                self.actions[idx].prefetchers_enabled,
-                self.actions[idx].ocp_enabled,
-            ): count / total
-            for idx, count in counts.items()
-        }

@@ -42,7 +42,6 @@ class CoordinationPolicy(abc.ABC):
         self.num_prefetchers = 1
         self.has_ocp = True
         self.hierarchy = None
-        self.action_history: list = []
 
     def attach(self, hierarchy) -> None:
         """Bind to a hierarchy before simulation starts.
@@ -50,8 +49,10 @@ class CoordinationPolicy(abc.ABC):
         The default implementation records the shape of the action space
         and keeps a reference to the hierarchy (policies that inspect
         cache state, like TLP's fill-source probe, need it).  Subclasses
-        may register observers (Athena's feature trackers) or install a
-        prefetch filter (TLP).
+        may give the hierarchy its feature tracker, which every policy
+        riding one run shares (Athena), or install a prefetch filter
+        (TLP).  The run, not the policy, records the actions decided
+        (:attr:`~repro.sim.region.SimulationResult.actions`).
         """
         self.hierarchy = hierarchy
         self.num_prefetchers = len(hierarchy.prefetchers)
@@ -60,9 +61,6 @@ class CoordinationPolicy(abc.ABC):
     @abc.abstractmethod
     def decide(self, telemetry: EpochTelemetry) -> CoordinationAction:
         """Choose the action to apply during the next epoch."""
-
-    def record(self, action: CoordinationAction) -> None:
-        self.action_history.append(action)
 
     def all_on_action(self) -> CoordinationAction:
         return CoordinationAction(
@@ -76,9 +74,7 @@ class NaivePolicy(CoordinationPolicy):
     """The paper's Naive combination: everything always on, full degree."""
 
     def decide(self, telemetry: EpochTelemetry) -> CoordinationAction:
-        action = self.all_on_action()
-        self.record(action)
-        return action
+        return self.all_on_action()
 
 
 class FixedPolicy(CoordinationPolicy):
@@ -94,5 +90,4 @@ class FixedPolicy(CoordinationPolicy):
             self._configured = self.all_on_action()
 
     def decide(self, telemetry: EpochTelemetry) -> CoordinationAction:
-        self.record(self._configured)
         return self._configured

@@ -110,13 +110,11 @@ class HpacPolicy(CoordinationPolicy):
                 self._ocp_on = True  # re-probe: no predictions last epoch
 
         max_level = max(self._levels) if self._levels else 0
-        action = CoordinationAction(
+        return CoordinationAction(
             prefetchers_enabled=tuple(level > 0 for level in self._levels),
             ocp_enabled=self.has_ocp and self._ocp_on,
             degree_fraction=max_level / _MAX_LEVEL if max_level else 1.0,
         )
-        self.record(action)
-        return action
 
     def storage_bits(self) -> int:
         """Paper Table 8 lists HPAC at 0.5 KB: counters + thresholds."""

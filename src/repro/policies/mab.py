@@ -86,9 +86,7 @@ class MabPolicy(CoordinationPolicy):
                 best_arm = i
 
         self._last_arm = best_arm
-        action = self.arms[best_arm]
-        self.record(action)
-        return action
+        return self.arms[best_arm]
 
     def storage_bits(self) -> int:
         """Paper Table 8 lists MAB at 0.1 KB: per-arm statistics."""

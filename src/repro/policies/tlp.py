@@ -73,9 +73,7 @@ class TlpPolicy(CoordinationPolicy):
     # -- epoch decision: static (both mechanisms stay on) --------------------------
 
     def decide(self, telemetry: EpochTelemetry) -> CoordinationAction:
-        action = self.all_on_action()
-        self.record(action)
-        return action
+        return self.all_on_action()
 
     def storage_bits(self) -> int:
         """Paper Table 8 lists TLP at 6.98 KB (57,180 bits), for both of

@@ -13,18 +13,21 @@ drives.  It implements the mechanisms the paper's observations rest on:
 * prefetchers observe the demands looking up their level and fill candidate
   lines, consuming DRAM bandwidth and potentially polluting the LLC;
 * fills, evictions, pollution, prefetch usefulness and off-chip fill
-  accuracy (Figure 3) are all tracked and exposed to coordination policies.
+  accuracy (Figure 3) are all tracked and exposed to coordination policies;
+* the events Athena's state features are measured from reach the
+  hierarchy's optional :class:`~repro.core.features.FeatureTracker`
+  (``tracker``), which every coordination policy riding the hierarchy
+  shares.
 
 The demand path is allocation-free: cache lookups/fills return slot
 indices / reused scratch objects (struct-of-arrays caches), the per-level
-latencies are precomputed floats, observer notifications are skipped when
-no observer is attached, and :meth:`load` returns the load's latency as a
-float.
+latencies are precomputed floats, tracker events are skipped without a
+tracker, and :meth:`load` returns the load's latency as a float.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +37,9 @@ from .cache import Cache
 from .dram import MainMemory
 from .params import LINE_SHIFT, SystemParams
 from .stats import SimStats
+
+if TYPE_CHECKING:  # the memory model never imports Athena's core
+    from ..core.features import FeatureTracker
 
 #: Cap on remembered prefetch-evicted victims (models the finite hardware
 #: pollution filter; also bounds memory in long runs).
@@ -81,13 +87,9 @@ class CacheHierarchy:
         #: Recently prefetch-evicted LLC victims, oldest first, for
         #: pollution accounting.
         self._pollution_victims: dict = {}
-        #: Observers notified of microarchitectural events (Athena trackers).
-        self.observers: List = []
-        # Per-method bound-callback cache, rebuilt when the observers list
-        # changes (compared by content, so same-length replacement is
-        # detected too).
-        self._observer_methods: dict = {}
-        self._observer_snapshot: List = []
+        #: Athena's feature tracker, fed the hierarchy's events (set by
+        #: ``AthenaPolicy.attach``; every rider of a run shares it).
+        self.tracker: Optional["FeatureTracker"] = None
         # Precomputed cumulative round-trip latencies (hot-path constants).
         self._lat_l1 = float(params.l1d.latency)
         self._lat_l1_l2 = float(params.l1d.latency + params.l2c.latency)
@@ -117,23 +119,6 @@ class CacheHierarchy:
         self.__dict__.update(state)
         self._l1_slot_get = self.l1d._slot_get
 
-    # ------------------------------------------------------------------ events
-
-    def _notify(self, method: str, *args) -> None:
-        observers = self.observers
-        if observers != self._observer_snapshot:
-            self._observer_methods = {}
-            self._observer_snapshot = list(observers)
-        callbacks = self._observer_methods.get(method)
-        if callbacks is None:
-            callbacks = [
-                getattr(obs, method) for obs in observers
-                if getattr(obs, method, None) is not None
-            ]
-            self._observer_methods[method] = callbacks
-        for callback in callbacks:
-            callback(*args)
-
     # ------------------------------------------------------------------ demand
 
     def block_keys(self, pcs: np.ndarray, addrs: np.ndarray) -> list:
@@ -153,7 +138,7 @@ class CacheHierarchy:
         line = addr >> LINE_SHIFT
         byte_offset = addr & _LINE_MASK
         stats = self.stats
-        observers = self.observers
+        tracker = self.tracker
         ocp = self.ocp
 
         # 1. Off-chip prediction races the cache lookup.
@@ -166,8 +151,8 @@ class CacheHierarchy:
                 ocp_completion = self._dram_access_time(
                     now + self._ocp_issue_latency, line, "ocp")
                 stats.dram_ocp_requests += 1
-                if observers:
-                    self._notify("on_ocp_request", line)
+                if tracker is not None:
+                    tracker.on_ocp_request(line)
 
         # 2. Walk the hierarchy.
         went_offchip = False
@@ -236,19 +221,11 @@ class CacheHierarchy:
             ocp.train(pc, line, went_offchip, byte_offset, key)
             if ocp_predicted and went_offchip:
                 stats.ocp_correct += 1
-                if observers:
-                    self._notify("on_ocp_correct", line)
+                if tracker is not None:
+                    tracker.on_ocp_correct(line)
 
-        if observers:
-            # Direct dispatch of the per-load event: same callback cache
-            # as _notify, minus the varargs call (hot with Athena
-            # trackers attached).
-            callbacks = self._observer_methods.get("on_demand_load")
-            if callbacks is None or observers != self._observer_snapshot:
-                self._notify("on_demand_load", pc, line, went_offchip)
-            else:
-                for callback in callbacks:
-                    callback(pc, line, went_offchip)
+        if tracker is not None:
+            tracker.on_demand_load(pc, line, went_offchip)
         return latency
 
     def _serve_offchip_load(
@@ -283,8 +260,8 @@ class CacheHierarchy:
         if line in pollution:
             stats.pollution_misses += 1
             del pollution[line]
-        if self.observers:
-            self._notify("on_llc_demand_miss", line)
+        if self.tracker is not None:
+            self.tracker.on_llc_demand_miss(line)
 
         arrival = now + latency
         self._fill_level(self.llc, line, pc, False, False, True, arrival)
@@ -343,8 +320,8 @@ class CacheHierarchy:
                 self.ocp.on_eviction(evicted.line_addr)
             if is_prefetch:
                 self._record_pollution_victim(evicted.line_addr)
-                if self.observers:
-                    self._notify("on_prefetch_eviction", evicted.line_addr)
+                if self.tracker is not None:
+                    self.tracker.on_prefetch_eviction(evicted.line_addr)
         else:
             # Non-LLC evictions write back into the next level.  The next
             # level's fill uses its own eviction scratch, so ``evicted``
@@ -408,8 +385,8 @@ class CacheHierarchy:
             return
         stats = self.stats
         stats.prefetches_issued += 1
-        if self.observers:
-            self._notify("on_prefetch_issued", line)
+        if self.tracker is not None:
+            self.tracker.on_prefetch_issued(line)
 
         from_dram = False
         arrival = now

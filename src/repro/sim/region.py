@@ -10,7 +10,8 @@ core of a mix: its warmup reset zeroes only the core's own
 :class:`SimStats`, so a core ending its warmup leaves the shared LLC and
 DRAM exactly as they are.  The per-instruction reference loops of the
 oracle tests call its primitives, :func:`build_epoch_telemetry` and
-:func:`reset_measured_stats`, directly.
+:func:`reset_measured_stats`, directly, and close the hierarchy's
+feature tracker's epoch as :meth:`MeasuredRegion.end_epoch` does.
 
 The results a region yields, :class:`SimulationResult` and a mix's
 :class:`MultiCoreResult`, live here too, so a stored result decodes
@@ -175,12 +176,17 @@ class MeasuredRegion:
         self._mark(cycles)
 
     def end_epoch(self, cycles: float) -> EpochTelemetry:
-        """The telemetry since the mark, re-marked at clock ``cycles``."""
-        dram = self.hierarchy.dram
+        """The telemetry since the mark, re-marked at clock ``cycles``;
+        closes the epoch of the hierarchy's feature tracker too, once for
+        every policy that reads it."""
+        hierarchy = self.hierarchy
+        dram = hierarchy.dram
         telemetry = build_epoch_telemetry(
-            dram, self.epochs_ended, self.hierarchy.stats, self._stats,
+            dram, self.epochs_ended, hierarchy.stats, self._stats,
             cycles - self._cycles, dram.busy_cycles - self._busy,
             self._kinds)
+        if hierarchy.tracker is not None:
+            hierarchy.tracker.close_epoch(telemetry)
         self.epochs_ended += 1
         self._mark(cycles)
         return telemetry

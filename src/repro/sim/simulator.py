@@ -41,11 +41,13 @@ all choose the same action the run continues as one.  At the first epoch
 where they disagree, the riders are grouped by action: the first group
 continues this run, and every other group gets a fork — a deep copy of
 the run, captured by the same code as a checkpoint, with the other
-riders and their observers dropped and the group's own action applied —
-that resumes once this run ends.  A fork may fork again.  Riders must
-touch the hierarchy only through their actions and read-only observers
-(Athena's feature tracker); then each rider's result is bit-identical to
-running it alone, and a run with one policy is simply a group of one.
+riders dropped and the group's own action applied — that resumes once
+this run ends.  A fork may fork again.  Riders must touch the hierarchy
+only through their actions; Athena's riders share the hierarchy's one
+feature tracker, a pure function of the hierarchy's events, which a
+fork copies with the hierarchy.  Then each rider's result is
+bit-identical to running it alone, and a run with one policy is simply
+a group of one.
 """
 
 from __future__ import annotations
@@ -95,9 +97,10 @@ class SimCheckpoint:
     seeks when it re-blocks a cached whole trace).
     ``state`` is one deep-copied object graph — hierarchy, core, riders
     and loop counters together — so every shared reference inside it
-    (``stats`` *is* ``hierarchy.stats``; a rider's observers are attached
-    to the hierarchy) survives intact.  A lockstep fork is a checkpoint
-    too, holding only the riders that took the fork's action.
+    (``stats`` *is* ``hierarchy.stats``; a rider's policy holds the
+    hierarchy, whose feature tracker the riders share) survives intact.
+    A lockstep fork is a checkpoint too, holding only the riders that
+    took the fork's action.
     """
 
     position: int
@@ -274,12 +277,11 @@ def segment_loop(
 
 @dataclass(eq=False)
 class Rider:
-    """One coordination policy riding a run: its index among the run's
-    policies and the observers its ``attach`` added to the hierarchy."""
+    """One coordination policy riding a run, with its index among the
+    run's policies."""
 
     member: int
     policy: "CoordinationPolicy"
-    observers: tuple
 
 
 class Simulator:
@@ -310,13 +312,10 @@ class Simulator:
         self.checkpoint: Optional[SimCheckpoint] = None
         #: set by ``run``: one result per rider
         self.results: List[SimulationResult] = []
-        self.riders: List[Rider] = []
-        for member, rider in enumerate(
-                riders if policy is None else (policy,)):
-            before = len(hierarchy.observers)
-            rider.attach(hierarchy)
-            self.riders.append(Rider(member, rider,
-                                     tuple(hierarchy.observers[before:])))
+        self.riders = [Rider(member, rider) for member, rider in
+                       enumerate(riders if policy is None else (policy,))]
+        for rider in self.riders:
+            rider.policy.attach(hierarchy)
 
     def run(self, checkpoint_at: Optional[int] = None) -> SimulationResult:
         """Simulate the whole trace for every rider, forking where they
@@ -383,29 +382,12 @@ class Simulator:
     def _capture(self, position: int, st: dict,
                  riders: List[Rider]) -> SimCheckpoint:
         """Deep-copy the run at ``position`` (loop state ``st``, the core
-        already synced) for ``riders`` only: the observers of this run's
-        other riders are left out of the copy."""
-        hierarchy = self.hierarchy
-        observers = hierarchy.observers
-        hierarchy.observers = self._observers_for(riders)
-        try:
-            state = copy.deepcopy(dict(st, hierarchy=hierarchy,
-                                       core=self.core, riders=riders))
-        finally:
-            hierarchy.observers = observers
-        return SimCheckpoint(position=position,
-                             epoch_length=self.epoch_length,
-                             warmup_fraction=self.warmup_fraction,
-                             state=state)
-
-    def _observers_for(self, riders: List[Rider]) -> list:
-        """The hierarchy's observers without those of this run's riders
-        outside ``riders``."""
-        kept = {id(rider) for rider in riders}
-        dropped = {id(obs) for rider in self.riders
-                   if id(rider) not in kept for obs in rider.observers}
-        return [obs for obs in self.hierarchy.observers
-                if id(obs) not in dropped]
+        already synced) for ``riders`` only."""
+        return SimCheckpoint(
+            position=position, epoch_length=self.epoch_length,
+            warmup_fraction=self.warmup_fraction,
+            state=copy.deepcopy(dict(st, hierarchy=self.hierarchy,
+                                     core=self.core, riders=riders)))
 
     def _loop(
         self,
@@ -481,9 +463,6 @@ class Simulator:
                     self._apply_action(fork.state["hierarchy"], fork_action)
                     fork.state["actions"][-1] = fork_action
                     forks.append(fork)
-                if parted:
-                    hierarchy.observers[:] = self._observers_for(riders)
-                    self.riders = riders
                 if at_checkpoint:
                     captured = True
                     self.checkpoint = self._capture(

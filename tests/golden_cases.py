@@ -26,7 +26,8 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 #: (workload, policy) single-core cases: three memory behaviours
 #: (streaming, pointer-chase, graph) x three policy shapes (no policy,
-#: RL-coordinated with observers, TLP with prefetch filter + observer).
+#: RL-coordinated with the hierarchy's feature tracker, TLP with its
+#: prefetch filter).
 RUN_CASES = [
     ("spec06.libquantum_like.0", "none"),
     ("spec06.libquantum_like.0", "athena"),

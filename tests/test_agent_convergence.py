@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.agent import AthenaAgent
 from repro.core.config import AthenaConfig
+from repro.core.features import FeatureTracker
 from repro.sim.stats import EpochTelemetry
 
 
@@ -33,6 +34,12 @@ def telemetry(cycles, loads=60, mispred=2, **kwargs):
     return EpochTelemetry(epoch_index=0, **defaults)
 
 
+def end_epoch(agent, t):
+    """End an epoch on telemetry ``t``, with the features an idle
+    tracker freezes for it."""
+    return agent.end_epoch(t, FeatureTracker().epoch_features(t))
+
+
 def drive(agent, cycles_for_action, epochs=120, base=1_000.0):
     """Feed the agent epochs whose cycle count depends on its last action.
 
@@ -40,11 +47,11 @@ def drive(agent, cycles_for_action, epochs=120, base=1_000.0):
     that *follows* a decision reflects that decision's cost, exactly like
     the simulator's epoch loop.
     """
-    decision = agent.end_epoch(telemetry(base))
+    decision = end_epoch(agent, telemetry(base))
     history = [decision.action_index]
     for _ in range(epochs - 1):
         cycles = cycles_for_action[decision.action_index]
-        decision = agent.end_epoch(telemetry(cycles))
+        decision = end_epoch(agent, telemetry(cycles))
         history.append(decision.action_index)
     return history
 
@@ -71,7 +78,7 @@ class TestForcedExploration:
 
     def test_explore_rounds_zero_is_greedy_from_start(self):
         agent = AthenaAgent(4, AthenaConfig(explore_rounds=0, epsilon=0.0))
-        decision = agent.end_epoch(telemetry(1000))
+        decision = end_epoch(agent, telemetry(1000))
         assert agent._epochs_seen == 1
         assert 0 <= decision.action_index < 4
 
@@ -106,7 +113,7 @@ class TestConvergence:
         history2 = []
         for _ in range(120):
             cycles = cycles_phase2[decision_action]
-            decision = agent.end_epoch(telemetry(cycles))
+            decision = end_epoch(agent, telemetry(cycles))
             decision_action = decision.action_index
             history2.append(decision_action)
         assert history2[-30:].count(1) > 15
@@ -117,29 +124,29 @@ class TestHysteresis:
         config = AthenaConfig(explore_rounds=0, epsilon=0.0,
                               switch_margin=0.5)
         agent = AthenaAgent(2, config)
-        agent.end_epoch(telemetry(1000))
+        end_epoch(agent, telemetry(1000))
         incumbent = agent._prev_action
         # Nudge the rival action's Q just above the incumbent's.
         state = agent._state_from(
-            agent.tracker.epoch_features(telemetry(1000))
+            FeatureTracker().epoch_features(telemetry(1000))
         )
         rival = 1 - incumbent
         agent.qvstore.update(state, rival, 0.2)
-        decision = agent.end_epoch(telemetry(1000))
+        decision = end_epoch(agent, telemetry(1000))
         assert decision.action_index == incumbent
 
     def test_large_gap_overrides_margin(self):
         config = AthenaConfig(explore_rounds=0, epsilon=0.0,
                               switch_margin=0.1)
         agent = AthenaAgent(2, config)
-        agent.end_epoch(telemetry(1000))
+        end_epoch(agent, telemetry(1000))
         incumbent = agent._prev_action
         state = agent._state_from(
-            agent.tracker.epoch_features(telemetry(1000))
+            FeatureTracker().epoch_features(telemetry(1000))
         )
         rival = 1 - incumbent
         agent.qvstore.update(state, rival, 3.0)
-        decision = agent.end_epoch(telemetry(1000))
+        decision = end_epoch(agent, telemetry(1000))
         assert decision.action_index == rival
 
 
@@ -178,13 +185,13 @@ class TestDegreeControl:
 class TestRewardAccounting:
     def test_cumulative_reward_tracks_improvements(self):
         agent = AthenaAgent(2, AthenaConfig(explore_rounds=0))
-        agent.end_epoch(telemetry(2_000))
-        agent.end_epoch(telemetry(1_000))  # big improvement
+        end_epoch(agent, telemetry(2_000))
+        end_epoch(agent, telemetry(1_000))  # big improvement
         assert agent.cumulative_reward > 0
 
     def test_first_epoch_reward_is_zero(self):
         agent = AthenaAgent(2, AthenaConfig())
-        agent.end_epoch(telemetry(1_000))
+        end_epoch(agent, telemetry(1_000))
         assert agent.cumulative_reward == 0.0
 
     def test_storage_audit_matches_table4_class(self):

@@ -239,6 +239,18 @@ class TestExactSetMembership:
         t = telemetry()
         assert tracker.epoch_features(t) == FeatureTracker().epoch_features(t)
 
+    def test_close_epoch_freezes_features_then_resets(self):
+        tracker = FeatureTracker()
+        assert tracker.features == {}
+        tracker.on_prefetch_issued(1)
+        tracker.on_demand_load(0x400, 1, False)
+        t = telemetry(bandwidth_usage=0.25)
+        measured = tracker.epoch_features(t)
+        tracker.close_epoch(t)
+        assert tracker.features == measured
+        assert measured["prefetcher_accuracy"] == 1.0
+        assert tracker.epoch_features(t) == FeatureTracker().epoch_features(t)
+
 
 class TestStateQuantizer:
     def test_rejects_unknown_feature(self):

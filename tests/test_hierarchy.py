@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import AthenaConfig
 from repro.core.features import FeatureTracker
 from repro.experiments.configs import CacheDesign, build_hierarchy
 from repro.ocp.base import OffChipPredictor
+from repro.policies.athena import AthenaPolicy
 from repro.prefetchers.base import Prefetcher
 from repro.sim import hierarchy
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.params import scaled_system
+from repro.sim.simulator import Simulator
 from repro.sim.stats import EpochTelemetry
+from repro.workloads.suites import build_trace, find_workload
 
 
 class AlwaysOffchipOcp(OffChipPredictor):
@@ -279,12 +283,11 @@ class TestPrefetchPath:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_pollution_tracked_on_prefetch_eviction(self, k):
         """k live lines evicted by prefetch fills and then demanded give
-        exactly k pollution misses, and an attached FeatureTracker
+        exactly k pollution misses, and the hierarchy's FeatureTracker
         counts the same k in its epoch."""
         pf = ScriptedPf()
         h = make_hierarchy(prefetchers=[pf])
-        tracker = FeatureTracker()
-        h.observers.append(tracker)
+        h.tracker = FeatureTracker()
         # Fill LLC sets 1..k with demand lines, then prefetch one new
         # line into each: each prefetch fill evicts one live line.
         sets, ways = h.llc.num_sets, h.llc.ways
@@ -312,7 +315,7 @@ class TestPrefetchPath:
         assert h.stats.pollution_misses == k
         # One epoch since the tracker was attached: k of its demand
         # misses are polluted.
-        features = tracker.epoch_features(
+        features = h.tracker.epoch_features(
             EpochTelemetry(instructions=1, cycles=1.0))
         assert features["cache_pollution"] == pytest.approx(
             k / h.stats.llc_misses)
@@ -351,30 +354,30 @@ class TestPrefetchPath:
         assert h.stats.prefetches_issued == 1  # degree 2 -> 1
 
 
-class TestObservers:
-    def test_observer_sees_prefetch_and_demand_events(self):
-        events = []
+class TestSharedTracker:
+    def test_seed_group_feeds_one_tracker_each_load_once(self, monkeypatch):
+        """A 3-seed Athena group's hierarchy holds exactly one feature
+        tracker, and each demand load reaches it once."""
+        seen = []
+        on_demand_load = FeatureTracker.on_demand_load
 
-        class Spy:
-            def on_prefetch_issued(self, line):
-                events.append(("pf", line))
+        def counted(tracker, pc, line, went_offchip):
+            seen.append(id(tracker))
+            on_demand_load(tracker, pc, line, went_offchip)
 
-            def on_demand_load(self, pc, line, offchip):
-                events.append(("ld", line, offchip))
-
-        h = make_hierarchy(prefetchers=[NextLinePf()])
-        h.observers.append(Spy())
-        h.load(0x400, addr(100), 0.0)
-        kinds = {e[0] for e in events}
-        assert kinds == {"pf", "ld"}
-
-    def test_observer_missing_methods_ignored(self):
-        class Empty:
-            pass
-
-        h = make_hierarchy()
-        h.observers.append(Empty())
-        h.load(0x400, addr(100), 0.0)  # must not raise
+        monkeypatch.setattr(FeatureTracker, "on_demand_load", counted)
+        h = build_hierarchy(CacheDesign.cd1())
+        riders = [AthenaPolicy(AthenaConfig(seed=seed)) for seed in (1, 2, 3)]
+        sim = Simulator(build_trace(find_workload("spec06.mcf_like.0"), 1200),
+                        h, epoch_length=150, warmup_fraction=0.0,
+                        riders=riders)
+        assert isinstance(h.tracker, FeatureTracker)
+        assert all(policy.hierarchy.tracker is h.tracker for policy in riders)
+        sim.run()
+        # Eight epochs are the agents' forced warm-start: no rider parts.
+        assert sim.results[0] is sim.results[1] is sim.results[2]
+        assert sim.results[0].stats.loads > 0
+        assert seen == [id(h.tracker)] * sim.results[0].stats.loads
 
 
 class TestL1LookupPaths:

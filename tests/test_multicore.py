@@ -148,7 +148,10 @@ class TestSharedResources:
         sim.run()
         assert len(policies) == 2
         assert policies[0].agent is not policies[1].agent
-        assert policies[0].action_history
+        # Each core's private hierarchy holds its own feature tracker.
+        assert policies[0].hierarchy.tracker is not \
+            policies[1].hierarchy.tracker
+        assert policies[0].agent.decisions
 
 
 class TestOneCoreMixIsASingleCoreRun:

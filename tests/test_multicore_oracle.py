@@ -99,9 +99,12 @@ def reference_run(traces, design, policy_name, per_core, epoch, warmup):
                          dram.kind_counts())
         if c["policy"] is not None and (idx + 1) % epoch == 0:
             snap, cycles, busy, kinds = c["mark"]
-            action = c["policy"].decide(build_epoch_telemetry(
+            telemetry = build_epoch_telemetry(
                 dram, c["epoch_index"], stats, snap, core.cycles - cycles,
-                dram.busy_cycles - busy, kinds))
+                dram.busy_cycles - busy, kinds)
+            if h.tracker is not None:
+                h.tracker.close_epoch(telemetry)
+            action = c["policy"].decide(telemetry)
             h.set_prefetchers_enabled(action.prefetchers_enabled)
             h.set_ocp_enabled(action.ocp_enabled)
             h.set_degree_fraction(action.degree_fraction)

@@ -16,7 +16,9 @@ from repro.prefetchers.streamer import StreamPrefetcher
 from repro.ocp.ttp import TtpPredictor
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.params import scaled_system
+from repro.sim.simulator import Simulator
 from repro.sim.stats import EpochTelemetry
+from repro.workloads.suites import build_trace, find_workload
 
 
 def hierarchy(num_prefetchers=1, with_ocp=True):
@@ -101,9 +103,8 @@ class TestHpac:
         policy = HpacPolicy(thresholds)
         policy.attach(hierarchy(1))
         bad = telemetry(prefetcher_accuracy=0.0, bandwidth_usage=0.99)
-        for _ in range(10):
-            policy.decide(bad)
-        levels_seen = {a.prefetchers_enabled[0] for a in policy.action_history}
+        actions = [policy.decide(bad) for _ in range(10)]
+        levels_seen = {a.prefetchers_enabled[0] for a in actions}
         assert levels_seen == {True, False}  # re-probes periodically
 
     def test_ocp_disabled_on_low_accuracy(self):
@@ -189,11 +190,12 @@ class TestTlp:
 
 
 class TestAthenaPolicy:
-    def test_attach_registers_tracker_observer(self):
-        h = hierarchy(1)
-        policy = AthenaPolicy()
-        policy.attach(h)
-        assert policy.agent.tracker in h.observers
+    @staticmethod
+    def decide(policy, t):
+        """Close the tracker's epoch as a run's measured region does,
+        then decide."""
+        policy.hierarchy.tracker.close_epoch(t)
+        return policy.decide(t)
 
     def test_action_space_matches_design(self):
         policy = AthenaPolicy()
@@ -209,16 +211,16 @@ class TestAthenaPolicy:
         policy = AthenaPolicy()
         policy.attach(hierarchy(1))
         for _ in range(30):
-            action = policy.decide(telemetry())
+            action = self.decide(policy, telemetry())
             if any(action.prefetchers_enabled):
                 assert action.degree_fraction >= 1.0 / 8.0
 
     def test_action_distribution_sums_to_one(self):
-        policy = AthenaPolicy()
-        policy.attach(hierarchy(1))
-        for i in range(40):
-            policy.decide(telemetry(cycles=1000.0 + 13 * (i % 7)))
-        dist = policy.action_distribution()
+        trace = build_trace(find_workload("spec06.mcf_like.0"), 4000)
+        result = Simulator(trace, hierarchy(1), policy=AthenaPolicy(),
+                           epoch_length=100, warmup_fraction=0.0).run()
+        dist = result.action_distribution()
+        assert len(dist) > 1
         assert sum(dist.values()) == pytest.approx(1.0)
 
     def test_storage_under_4kib(self):
@@ -231,5 +233,5 @@ class TestAthenaPolicy:
         policy = AthenaPolicy()
         policy.attach(hierarchy(2, with_ocp=False))
         assert len(policy.actions) == 4
-        action = policy.decide(telemetry())
+        action = self.decide(policy, telemetry())
         assert not action.ocp_enabled

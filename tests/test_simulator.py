@@ -40,12 +40,10 @@ class RecordingPolicy(CoordinationPolicy):
     def decide(self, telemetry):
         self.telemetries.append(telemetry)
         on = len(self.telemetries) % 2 == 0
-        action = CoordinationAction(
+        return CoordinationAction(
             prefetchers_enabled=(on,) * self.num_prefetchers,
             ocp_enabled=self.has_ocp,
         )
-        self.record(action)
-        return action
 
 
 class TestBasicRun:

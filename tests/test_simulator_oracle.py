@@ -98,6 +98,8 @@ def reference_run(trace, design, policy_name, epoch, warmup):
             telemetry = build_epoch_telemetry(
                 dram, len(epochs), stats, snap, core.cycles - cycles,
                 dram.busy_cycles - busy, kinds)
+            if h.tracker is not None:
+                h.tracker.close_epoch(telemetry)
             action = policy.decide(telemetry)
             h.set_prefetchers_enabled(action.prefetchers_enabled)
             h.set_ocp_enabled(action.ocp_enabled)
